@@ -43,9 +43,12 @@ from .info_measures import (
     directed_mi_stopped,
     expected_stop_time,
     kl,
-    mutual_information,
+    node_table,
+    ordered_sum,
+    rule_stack,
+    stopped_values,
+    window_divergence,
 )
-from .info_measures import _step_kl_per_history  # shared per-history divergence
 
 __all__ = [
     "SearchConfig",
@@ -83,6 +86,18 @@ class SearchConfig:
     fixed_t: int | None = None  # pin the capacity stopping time to one value
     messages: tuple[int, ...] = (2, 4)
     encoder_cap: int = 10**5    # max encoders enumerated per message count
+
+    def __post_init__(self) -> None:
+        if self.grid_denominator < 1:
+            raise SchemaError("grid denominator must be >= 1")
+        if self.sweeps < 0 or self.restarts < 0:
+            raise SchemaError("sweeps and restarts must be >= 0")
+        if self.stopping not in ("fixed", "all"):
+            raise SchemaError(f"unknown stopping family {self.stopping!r}")
+        if not self.messages or min(self.messages) < 1:
+            raise SchemaError("message counts must be a non-empty list of values >= 1")
+        if min(self.rule_cap, self.budget, self.encoder_cap) < 1:
+            raise SchemaError("rule, encoder and enumeration caps must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -194,8 +209,8 @@ def burnashev(ch: Channel, rate: float) -> BurnashevResult:
     """
     if not ch.spec.is_dmc():
         raise SchemaError("the classical exponent needs a single-state channel")
-    if rate < 0:
-        raise SchemaError("rate must be nonnegative")
+    if not rate >= 0:  # also rejects NaN
+        raise SchemaError(f"rate must be a nonnegative number, got {rate!r}")
     rows = ch.spec.q[0]
     cap, _, gap = dmc_capacity(rows)
     c1 = 0.0
@@ -251,18 +266,18 @@ def _capacity_rules(ch: Channel, horizon: int, cfg: SearchConfig):
     return rules, flags
 
 
-def _capacity_objective(ch, rows, horizon, rules, budget):
+def _capacity_objective(ch, rows, horizon, rules, stack, budget):
+    """Best stopped information per expected stop time of one policy over
+    all rules at once; ``stack`` is ``rule_stack(rules, horizon)``.  Ties go
+    to the earliest rule."""
     policy = InputPolicy(
         horizon=horizon, x_size=ch.spec.x_size, y_size=ch.spec.y_size, rows=rows
     )
     law = forward_joint(ch, policy, horizon, budget=budget)
-    best_val, best_rule = -math.inf, None
-    for rule in rules:
-        et = expected_stop_time(law, rule)
-        val = directed_mi_stopped(law, rule) / et
-        if val > best_val:
-            best_val, best_rule = val, rule
-    return best_val, best_rule
+    et, mi = stopped_values(law, *stack)
+    vals = mi / et
+    best = int(np.argmax(vals))
+    return float(vals[best]), rules[best]
 
 
 def capacity_bound(ch: Channel, horizon: int, cfg: SearchConfig = SearchConfig()) -> BoundResult:
@@ -277,6 +292,7 @@ def capacity_bound(ch: Channel, horizon: int, cfg: SearchConfig = SearchConfig()
     if horizon < 1:
         raise SchemaError("horizon must be >= 1")
     rules, flags = _capacity_rules(ch, horizon, cfg)
+    stack = rule_stack(rules, horizon)
     keys = _policy_row_keys(ch, horizon)
     grid = _simplex_grid(ch.spec.x_size, cfg.grid_denominator)
     uniform = tuple(np.full(ch.spec.x_size, 1.0 / ch.spec.x_size))
@@ -288,7 +304,7 @@ def capacity_bound(ch: Channel, horizon: int, cfg: SearchConfig = SearchConfig()
             rows = {k: uniform for k in keys}
         else:
             rows = {k: grid[rng.integers(len(grid))] for k in keys}
-        val, rule = _capacity_objective(ch, rows, horizon, rules, cfg.budget)
+        val, rule = _capacity_objective(ch, rows, horizon, rules, stack, cfg.budget)
         for _ in range(cfg.sweeps):
             changed = False
             for key in keys:
@@ -298,7 +314,7 @@ def capacity_bound(ch: Channel, horizon: int, cfg: SearchConfig = SearchConfig()
                         continue
                     trial = dict(rows)
                     trial[key] = cand
-                    v, ru = _capacity_objective(ch, trial, horizon, rules, cfg.budget)
+                    v, ru = _capacity_objective(ch, trial, horizon, rules, stack, cfg.budget)
                     if v > val + 1e-12:
                         rows, val, rule = trial, v, ru
                         cur = cand
@@ -316,7 +332,7 @@ def capacity_bound(ch: Channel, horizon: int, cfg: SearchConfig = SearchConfig()
                 continue
             trial = dict(best_rows)
             trial[key] = cand
-            v, _ = _capacity_objective(ch, trial, horizon, rules, cfg.budget)
+            v, _ = _capacity_objective(ch, trial, horizon, rules, stack, cfg.budget)
             gap = max(gap, v - best_val)
 
     maximizer = {
@@ -404,31 +420,60 @@ def _encoder_family(m, x_size, y_size, horizon, cap):
 
 
 def _step_aggregates(law: JointLaw):
-    """E over histories of the per-step information and divergence terms."""
-    n = law.horizon
-    ej = np.zeros(n + 1)
-    ed = np.zeros(n + 1)
-    for t in range(1, n + 1):
-        for prev, xy in law.xy_node[t].items():
-            p = law.node_prob[t - 1][prev]
-            ej[t] += p * mutual_information(xy)
-            ed[t] += p * _step_kl_per_history(law, t, prev)
+    """E over histories of the per-step information and divergence terms:
+    ej[t] and ed[t] sum the node-table terms of level t - 1."""
+    table = node_table(law)
+    at_level = table.level == np.arange(law.horizon)[:, None]
+    ej = np.concatenate(([0.0], ordered_sum(np.where(at_level, table.mi, 0.0))))
+    ed = np.concatenate(([0.0], ordered_sum(np.where(at_level, table.kl, 0.0))))
     return ej, ed
 
 
+def _fixed_pair_rates(ej, ed, t1: int, t: int) -> tuple[float, float]:
+    """(i_rate, d_rate) of the deterministic pair T1 = t1, T = t from the
+    ``_step_aggregates`` of a law."""
+    return float(ej[1 : t1 + 1].sum()) / t1, float(ed[t1 + 1 : t + 1].sum()) / (t - t1)
+
+
+def _rule_pair_rates(law: JointLaw, stack, first: np.ndarray, last: np.ndarray):
+    """Rates of the rule pairs (first[k], last[k]) of a ``rule_stack`` whose
+    second phase has positive expected length.
+
+    Returns (kept positions k, i_rate, d_rate, et, et1) as arrays over the
+    kept pairs, in pair order.
+    """
+    stopped, times = stack
+    et, mi = stopped_values(law, stopped, times)
+    et1, et2 = et[first], et[last]
+    keep = np.flatnonzero(~(et2 - et1 <= 1e-12))
+    i_rate = (mi / et)[first[keep]]
+    div = window_divergence(law, stopped, first[keep], last[keep])
+    d_rate = div / (et2[keep] - et1[keep])
+    return keep, i_rate, d_rate, et2[keep], et1[keep]
+
+
 def _stopping_pairs(ch: Channel, horizon: int, cfg: SearchConfig):
-    """(first, last) rule pairs with first stopping no later than last."""
+    """(first, last) rule pairs with first stopping no later than last.
+
+    For ``stopping="all"`` returns the rules and two index arrays into them,
+    first-major; otherwise (t1, t) pairs of deterministic times.
+    """
     flags: list[str] = []
     if cfg.stopping == "all":
         try:
             rules = enumerate_stopping_rules(horizon, ch.spec.y_size, cap=cfg.rule_cap)
-            pairs = []
-            for first in rules:
-                for last in rules:
-                    if first is not last and first.dominates(last):
-                        pairs.append((first, last))
-            if len(pairs) > cfg.rule_cap:
-                raise BudgetExceededError("pair count over cap")
+            stime = np.stack([rule.stop_times for rule in rules])
+            first, last, count = [], [], 0
+            for a in range(len(rules)):
+                dominated = np.all(stime[a] <= stime, axis=1)
+                dominated[a] = False
+                later = np.flatnonzero(dominated)
+                first.append(np.full(later.size, a))
+                last.append(later)
+                count += later.size
+                if count > cfg.rule_cap:
+                    raise BudgetExceededError("pair count over cap")
+            pairs = (rules, np.concatenate(first), np.concatenate(last))
             return pairs, "rules", flags
         except BudgetExceededError:
             flags.append("rule_cap_exceeded_fell_back_to_fixed")
@@ -448,18 +493,25 @@ def exponent_candidates(
 
     Each candidate dict carries: m, tables, pair description, i_rate
     (information per expected first-phase step), d_rate (divergence per
-    expected second-phase step), et, et1.
+    expected second-phase step), et, et1.  All rule pairs of one encoder's
+    law are evaluated in one array pass.  Flags are listed in the order
+    they were raised.
     """
     if horizon < 2:
         raise SchemaError("exponent search needs horizon >= 2")
     pairs, pair_kind, flags = _stopping_pairs(ch, horizon, cfg)
+    if pair_kind == "rules":
+        rules, first, last = pairs
+        stack = rule_stack(rules, horizon)
+        stop_sets = [sorted(list(s) for s in rule.stops) for rule in rules]
     out: list[dict] = []
     for m in cfg.messages:
         family, family_kind, _count = _encoder_family(
             m, ch.spec.x_size, ch.spec.y_size, horizon, cfg.encoder_cap
         )
-        if family_kind == "per_step":
-            flags = tuple(set(flags) | {f"m{m}_encoders_restricted_to_per_step_maps"})
+        restricted = f"m{m}_encoders_restricted_to_per_step_maps"
+        if family_kind == "per_step" and restricted not in flags:
+            flags.append(restricted)
         for tables in family:
             policy = encoder_policy_from_tables(
                 tables, m, ch.spec.x_size, ch.spec.y_size, horizon
@@ -468,8 +520,7 @@ def exponent_candidates(
             if pair_kind == "fixed":
                 ej, ed = _step_aggregates(law)
                 for t1, t in pairs:
-                    i_rate = float(ej[1 : t1 + 1].sum()) / t1
-                    d_rate = float(ed[t1 + 1 : t + 1].sum()) / (t - t1)
+                    i_rate, d_rate = _fixed_pair_rates(ej, ed, t1, t)
                     out.append(
                         {
                             "m": m,
@@ -482,25 +533,19 @@ def exponent_candidates(
                         }
                     )
             else:
-                for first, last in pairs:
-                    et1 = expected_stop_time(law, first)
-                    et = expected_stop_time(law, last)
-                    if et - et1 <= 1e-12:
-                        continue
-                    i_rate = directed_mi_stopped(law, first) / et1
-                    d_rate = directed_kl_stopped(law, first, last) / (et - et1)
+                keep, i_rate, d_rate, et, et1 = _rule_pair_rates(law, stack, first, last)
+                for k, i, d, e, e1 in zip(
+                    keep.tolist(), i_rate.tolist(), d_rate.tolist(), et.tolist(), et1.tolist()
+                ):
                     out.append(
                         {
                             "m": m,
                             "tables": tables,
-                            "pair": (
-                                sorted(list(s) for s in first.stops),
-                                sorted(list(s) for s in last.stops),
-                            ),
-                            "i_rate": i_rate,
-                            "d_rate": d_rate,
-                            "et": et,
-                            "et1": et1,
+                            "pair": (stop_sets[first[k]], stop_sets[last[k]]),
+                            "i_rate": i,
+                            "d_rate": d,
+                            "et": e,
+                            "et1": e1,
                         }
                     )
     return out, tuple(flags)
@@ -528,8 +573,8 @@ def exponent_bound(
     non-positive values; they are reported only when nothing positive
     exists, with an explanatory flag.
     """
-    if rate < 0:
-        raise SchemaError("rate must be nonnegative")
+    if not rate >= 0:  # also rejects NaN
+        raise SchemaError(f"rate must be a nonnegative number, got {rate!r}")
     cands, flags = _candidates if _candidates is not None else exponent_candidates(
         ch, horizon, cfg
     )
@@ -566,16 +611,15 @@ def exponent_bound(
 
 
 def reevaluate(result: BoundResult, ch: Channel, cfg: SearchConfig = SearchConfig()) -> float:
-    """Recompute a bound value from its stored maximizer (no search)."""
+    """Recompute a bound value from its stored maximizer (no search), with
+    the evaluation the search used."""
     if result.kind == "capacity":
         rows = _rows_from_maximizer(result.maximizer)
-        policy = InputPolicy(
-            horizon=result.horizon, x_size=ch.spec.x_size, y_size=ch.spec.y_size, rows=rows
-        )
-        law = forward_joint(ch, policy, result.horizon, budget=cfg.budget)
         stops = frozenset(tuple(s) for s in result.maximizer["stop_set"])
         rule = StoppingRule(horizon=result.horizon, y_size=ch.spec.y_size, stops=stops)
-        return directed_mi_stopped(law, rule) / expected_stop_time(law, rule)
+        stack = rule_stack([rule], result.horizon)
+        value, _ = _capacity_objective(ch, rows, result.horizon, [rule], stack, cfg.budget)
+        return value
     if result.kind == "exponent":
         m = result.maximizer["m"]
         tables = tuple(
@@ -587,31 +631,24 @@ def reevaluate(result: BoundResult, ch: Channel, cfg: SearchConfig = SearchConfi
         )
         law = forward_joint(ch, policy, result.horizon, budget=cfg.budget)
         pair = result.maximizer["pair"]
-        if isinstance(pair[0], int) or (
-            isinstance(pair, (list, tuple)) and len(pair) == 2 and isinstance(pair[0], (int, float))
-        ):
-            t1, t = int(pair[0]), int(pair[1])
-            ej, ed = _step_aggregates(law)
-            i_rate = float(ej[1 : t1 + 1].sum()) / t1
-            d_rate = float(ed[t1 + 1 : t + 1].sum()) / (t - t1)
+        if isinstance(pair[0], (int, float)):
+            i_rate, d_rate = _fixed_pair_rates(*_step_aggregates(law), int(pair[0]), int(pair[1]))
         else:
-            first = StoppingRule(
-                horizon=result.horizon, y_size=ch.spec.y_size,
-                stops=frozenset(tuple(s) for s in pair[0]),
+            first, last = (
+                StoppingRule(
+                    horizon=result.horizon, y_size=ch.spec.y_size,
+                    stops=frozenset(tuple(s) for s in stops),
+                )
+                for stops in pair
             )
-            last = StoppingRule(
-                horizon=result.horizon, y_size=ch.spec.y_size,
-                stops=frozenset(tuple(s) for s in pair[1]),
-            )
-            et1 = expected_stop_time(law, first)
-            et = expected_stop_time(law, last)
-            i_rate = directed_mi_stopped(law, first) / et1
-            d_rate = directed_kl_stopped(law, first, last) / (et - et1)
-        if i_rate <= 1e-12:
-            return -math.inf
-        if math.isinf(d_rate):
-            return math.inf if result.rate < i_rate else -math.inf
-        return d_rate * (1.0 - result.rate / i_rate)
+            if not first.dominates(last):
+                raise SchemaError("window start must stop no later than window end")
+            stack = rule_stack([first, last], result.horizon)
+            keep, i, d, _, _ = _rule_pair_rates(law, stack, np.array([0]), np.array([1]))
+            if not keep.size:
+                raise SchemaError("stored stopping pair has an empty divergence phase")
+            i_rate, d_rate = float(i[0]), float(d[0])
+        return _candidate_value({"i_rate": i_rate, "d_rate": d_rate}, result.rate)
     raise SchemaError(f"unknown bound kind {result.kind!r}")
 
 

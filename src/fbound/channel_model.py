@@ -540,15 +540,47 @@ def uniform_behavioral_policy(ch: Channel, horizon: int) -> InputPolicy:
 # ---------------------------------------------------------------------------
 
 
+def _symbol_index(hist: tuple, y_size: int) -> int:
+    """``_hist_index`` of an output history whose symbols must lie in
+    0..y_size-1."""
+    if not all(isinstance(sym, (int, np.integer)) and 0 <= sym < y_size for sym in hist):
+        raise SchemaError(f"history {hist} has a symbol outside 0..{y_size - 1}")
+    return _hist_index(hist, y_size)
+
+
+def _path_at(index: int, y_size: int, length: int) -> tuple[int, ...]:
+    """The length-``length`` output path with ``_hist_index`` ``index``."""
+    return tuple(int(d) for d in np.unravel_index(index, (y_size,) * length))
+
+
+def _level_offsets(y_size: int, levels: int) -> list[int]:
+    """Start of each level in the flat output-tree layout: a history y^t
+    sits at ``offsets[t] + _hist_index(y^t, y_size)``, levels 0, 1, ... in
+    turn; ``offsets[levels]`` is the node count of levels 0..levels-1."""
+    offsets = [0]
+    for t in range(levels):
+        offsets.append(offsets[-1] + y_size**t)
+    return offsets
+
+
 @dataclass(frozen=True)
 class StoppingRule:
     """A stopping time on the output filtration, given by the prefix-minimal
     set of output histories at which it stops.
 
-    Invariants enforced at construction: no stopped history is a proper
-    prefix of another, every history has length in 1..horizon, and every
-    length-``horizon`` history without a stopped prefix is itself stopped
-    (the rule always stops by the horizon).
+    Invariants enforced at construction: every symbol lies in the output
+    alphabet, no stopped history is a proper prefix of another, every
+    history has length in 1..horizon, and every length-``horizon`` history
+    without a stopped prefix is itself stopped (the rule always stops by the
+    horizon).
+
+    The rule is also held as two read-only tables, both built once at
+    construction and indexed like ``_hist_index``: ``stop_times[i]`` is T
+    on the i-th full-horizon output path, and ``stopped_nodes`` flags, for
+    every output history of length 0..horizon-1 (flat layout of
+    ``_level_offsets``), whether the rule has stopped there.  Stop times,
+    stopped tests and dominance are lookups into these tables, and the
+    stopped sums of ``info_measures`` are masked reductions over them.
     """
 
     horizon: int
@@ -558,16 +590,28 @@ class StoppingRule:
     def __post_init__(self) -> None:
         stops = frozenset(tuple(s) for s in self.stops)
         object.__setattr__(self, "stops", stops)
-        for node in stops:
-            if not 1 <= len(node) <= self.horizon:
-                raise SchemaError(f"stop node {node} outside 1..{self.horizon}")
-            for k in range(1, len(node)):
-                if node[:k] in stops:
-                    raise SchemaError(f"stop set is not prefix-minimal at {node}")
+        n, y = self.horizon, self.y_size
+        if n < 1 or y < 1:
+            raise SchemaError("stopping rule needs horizon >= 1 and a non-empty output alphabet")
+        stime = np.zeros(y**n, dtype=np.int64)
+        # shorter nodes first, so an overlap names the longer node
+        for node in sorted(stops, key=len):
+            if not 1 <= len(node) <= n:
+                raise SchemaError(f"stop node {node} outside 1..{n}")
+            width = y ** (n - len(node))
+            block = stime[_symbol_index(node, y) * width :][:width]
+            if block.any():
+                raise SchemaError(f"stop set is not prefix-minimal at {node}")
+            block[:] = len(node)
         # exhaustiveness at the horizon
-        for leaf in itertools.product(range(self.y_size), repeat=self.horizon):
-            if not any(leaf[:k] in stops for k in range(1, self.horizon + 1)):
-                raise SchemaError(f"rule never stops along {leaf}")
+        unstopped = np.flatnonzero(stime == 0)
+        if unstopped.size:
+            raise SchemaError(f"rule never stops along {_path_at(unstopped[0], y, n)}")
+        stime.flags.writeable = False
+        object.__setattr__(self, "stop_times", stime)
+        stopped = np.concatenate([stime[:: y ** (n - t)] <= t for t in range(n)])
+        stopped.flags.writeable = False
+        object.__setattr__(self, "stopped_nodes", stopped)
 
     @classmethod
     def fixed(cls, t: int, horizon: int, y_size: int) -> "StoppingRule":
@@ -577,17 +621,36 @@ class StoppingRule:
         stops = frozenset(itertools.product(range(y_size), repeat=t))
         return cls(horizon=horizon, y_size=y_size, stops=stops)
 
+    def tables_at(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """(stopped, times) for a law of horizon n: the stopped mask over
+        histories of length 0..n-1 and the stop-time entry of every length-n
+        path.  Past the rule's horizon every history is stopped.  Below it,
+        an entry of ``times`` greater than n means the path has no stopped
+        prefix within its n symbols."""
+        h, y = self.horizon, self.y_size
+        if n >= h:
+            stopped = np.ones(_level_offsets(y, n)[n], dtype=bool)
+            stopped[: self.stopped_nodes.size] = self.stopped_nodes
+            return stopped, np.repeat(self.stop_times, y ** (n - h))
+        return self.stopped_nodes[: _level_offsets(y, n)[n]], self.stop_times[:: y ** (h - n)]
+
     def stop_time(self, path: Sequence[int]) -> int:
         """Length of the unique stopped prefix of a full-horizon path."""
         tup = tuple(path)
-        for k in range(1, len(tup) + 1):
-            if tup[:k] in self.stops:
-                return k
-        raise SchemaError(f"path {tup} has no stopped prefix")
+        n, y = self.horizon, self.y_size
+        if len(tup) >= n:
+            return int(self.stop_times[_symbol_index(tup[:n], y)])
+        t = int(self.stop_times[_symbol_index(tup, y) * y ** (n - len(tup))])
+        if t > len(tup):
+            raise SchemaError(f"path {tup} has no stopped prefix")
+        return t
 
     def is_stopped(self, hist: Sequence[int]) -> bool:
         tup = tuple(hist)
-        return any(tup[:k] in self.stops for k in range(1, len(tup) + 1))
+        index = _symbol_index(tup, self.y_size)
+        if len(tup) >= self.horizon:  # every path stops by the horizon
+            return True
+        return bool(self.stopped_nodes[_level_offsets(self.y_size, len(tup))[-1] + index])
 
     def continue_histories(self, t: int) -> Iterator[tuple[int, ...]]:
         """All histories of length t-1 at which symbol t is still sent."""
@@ -597,10 +660,16 @@ class StoppingRule:
 
     def dominates(self, other: "StoppingRule") -> bool:
         """True when this rule stops no later than ``other`` on every path."""
-        for leaf in itertools.product(range(self.y_size), repeat=self.horizon):
-            if self.stop_time(leaf) > other.stop_time(leaf):
-                return False
-        return True
+        if other.y_size != self.y_size:
+            raise SchemaError("rules over different output alphabets")
+        _, theirs = other.tables_at(self.horizon)
+        # past ``other``'s horizon its times are capped; before it, a time
+        # beyond this horizon means ``other`` never stops along the path
+        bad = np.flatnonzero((self.stop_times > theirs) | (theirs > self.horizon))
+        if bad.size and theirs[bad[0]] > self.horizon:
+            path = _path_at(bad[0], self.y_size, self.horizon)
+            raise SchemaError(f"path {path} has no stopped prefix")
+        return bad.size == 0
 
 
 def enumerate_stopping_rules(

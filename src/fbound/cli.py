@@ -149,8 +149,8 @@ def _budget_override() -> int | None:
         return None
     try:
         val = int(float(raw))
-    except ValueError:
-        raise SchemaError(f"{BUDGET_ENV}={raw!r} is not a number") from None
+    except (ValueError, OverflowError):
+        raise SchemaError(f"{BUDGET_ENV}={raw!r} is not a finite number") from None
     if val < 1:
         raise SchemaError(f"{BUDGET_ENV} must be positive")
     return val
@@ -262,6 +262,8 @@ def _pinned_submartingale(law, eps, mutate):
 
 
 def cmd_verify(args) -> int:
+    if args.trials < 1:
+        raise SchemaError("--trials must be >= 1")
     ch = load_channel(args.channel)
     law = _verify_law(args, ch)
     eps, trials, seed, mutate = args.epsilon, args.trials, args.seed, args.mutate

@@ -5,11 +5,23 @@ Everything is in bits.  Conventions pinned here and relied on everywhere:
 silently clipped); most-likely-element ties resolve to the lowest index;
 probability-zero histories are pruned before any conditional quantity is
 formed.
+
+Stopped quantities are reductions over one per-law node table
+(``node_table``): for every realizable (t, y^{t-1}), in ``xy_node`` order,
+its output-tree index and the weighted terms p(y^{t-1}) I(X_t; Y_t | y^{t-1})
+and p(y^{t-1}) times the worst-row divergence, plus the index and
+probability of every full output path.  A stopping rule enters as its
+stopped mask and stop-time table (see ``StoppingRule``), so many rules, or
+many rule pairs, of one law are evaluated in a single array pass.  Every
+sum runs left to right from 0.0 in the order of the per-history loop it
+replaces, and masked-out terms add an exact 0.0, so the results are
+bit-identical to that loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,6 +32,8 @@ from .channel_model import (
     LogRatioUnboundedError,
     SchemaError,
     StoppingRule,
+    _hist_index,
+    _level_offsets,
 )
 
 __all__ = [
@@ -129,16 +143,110 @@ def directed_mi_fixed(law: JointLaw, n: int) -> float:
     over realizable output histories."""
     if not 0 <= n <= law.horizon:
         raise SchemaError(f"n={n} outside 0..{law.horizon}")
-    total = 0.0
-    for t in range(1, n + 1):
-        for prev, xy in law.xy_node[t].items():
-            total += law.node_prob[t - 1][prev] * mutual_information(xy)
-    return total
+    table = node_table(law)
+    return float(ordered_sum(np.where(table.level < n, table.mi, 0.0)))
 
 
 def step_mi(law: JointLaw, t: int, prev: tuple[int, ...]) -> float:
     """I(X_t; Y_t | Y^{t-1} = prev) in bits."""
     return mutual_information(law.xy_node[t][prev])
+
+
+# ---------------------------------------------------------------------------
+# per-law node table and stopped sums
+# ---------------------------------------------------------------------------
+
+
+class NodeTable:
+    """Per-history terms of one law, one entry per realizable (t, y^{t-1})
+    with t = 1..N, in ``xy_node`` order (level by level, dict order within a
+    level).
+
+    - keys: the (t, y^{t-1}) of each entry
+    - node: flat output-tree index of y^{t-1} (``_level_offsets`` layout,
+      the layout of ``StoppingRule.stopped_nodes``)
+    - level: t - 1
+    - prob: p(y^{t-1})
+    - node_mi: I(X_t; Y_t | y^{t-1}); mi = prob * node_mi
+    - node_kl: max_x D(row(x*) || row(x)) of the effective channel;
+      kl = prob * node_kl; both built on first use
+    - leaf, leaf_prob: ``_hist_index`` and probability of every full output
+      path y^N, in ``node_prob[N]`` order
+    """
+
+    def __init__(self, law: JointLaw) -> None:
+        y = law.channel.spec.y_size
+        offsets = _level_offsets(y, law.horizon)
+        keys, prob, self._xy = [], [], []
+        for t in range(1, law.horizon + 1):
+            for prev, xy in law.xy_node[t].items():
+                keys.append((t, prev))
+                prob.append(law.node_prob[t - 1][prev])
+                self._xy.append(xy)
+        self.keys = keys
+        self.node = np.array(
+            [offsets[t - 1] + _hist_index(prev, y) for t, prev in keys], dtype=np.int64
+        )
+        self.level = np.array([t - 1 for t, _ in keys], dtype=np.int64)
+        self.prob = np.array(prob, dtype=float)
+        self.node_mi = np.array([mutual_information(xy) for xy in self._xy], dtype=float)
+        self.mi = self.prob * self.node_mi
+        paths = law.node_prob[law.horizon]
+        self.leaf = np.array([_hist_index(path, y) for path in paths], dtype=np.int64)
+        self.leaf_prob = np.array(list(paths.values()), dtype=float)
+
+    @cached_property
+    def node_kl(self) -> np.ndarray:
+        return np.array([_worst_row_kl(xy) for xy in self._xy], dtype=float)
+
+    @cached_property
+    def kl(self) -> np.ndarray:
+        return self.prob * self.node_kl
+
+
+def node_table(law: JointLaw) -> NodeTable:
+    """The law's node table, built once and kept with the law."""
+    table = law.__dict__.get("_node_table")
+    if table is None:
+        table = NodeTable(law)
+        object.__setattr__(law, "_node_table", table)
+    return table
+
+
+def ordered_sum(terms: np.ndarray) -> np.ndarray:
+    """Sums along the last axis, left to right from 0.0: the order and
+    rounding of a ``total = 0.0; total += term`` loop."""
+    start = np.zeros(terms.shape[:-1] + (1,))
+    return np.cumsum(np.concatenate((start, terms), axis=-1), axis=-1)[..., -1]
+
+
+def rule_stack(rules, horizon: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked ``StoppingRule.tables_at(horizon)`` of a rule list:
+    (rules x output-tree nodes stopped mask, rules x full-path stop times)."""
+    tables = [rule.tables_at(horizon) for rule in rules]
+    return np.stack([s for s, _ in tables]), np.stack([t for _, t in tables])
+
+
+def stopped_values(
+    law: JointLaw, stopped: np.ndarray, times: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(E[T], stopped directed information) of every rule of a
+    ``rule_stack`` at the law's horizon."""
+    table = node_table(law)
+    et = ordered_sum(table.leaf_prob * times[:, table.leaf])
+    mi = ordered_sum(np.where(stopped[:, table.node], 0.0, table.mi))
+    return et, mi
+
+
+def window_divergence(
+    law: JointLaw, stopped: np.ndarray, first: np.ndarray, last: np.ndarray
+) -> np.ndarray:
+    """Stopped divergence over the window (T1, T] of each pair of rows
+    (first[k], last[k]) of a ``rule_stack`` mask."""
+    table = node_table(law)
+    at_nodes = stopped[:, table.node]
+    live = at_nodes[first] & ~at_nodes[last]
+    return ordered_sum(np.where(live, table.kl, 0.0))
 
 
 def directed_mi_stopped(law: JointLaw, rule: StoppingRule) -> float:
@@ -147,21 +255,19 @@ def directed_mi_stopped(law: JointLaw, rule: StoppingRule) -> float:
     over histories at which transmission is still live."""
     if rule.horizon > law.horizon:
         raise SchemaError("stopping rule runs past the law horizon")
-    total = 0.0
-    for t in range(1, rule.horizon + 1):
-        for prev, xy in law.xy_node[t].items():
-            if rule.is_stopped(prev):
-                continue
-            total += law.node_prob[t - 1][prev] * mutual_information(xy)
-    return total
+    _, mi = stopped_values(law, *rule_stack([rule], law.horizon))
+    return float(mi[0])
 
 
 def expected_stop_time(law: JointLaw, rule: StoppingRule) -> float:
     """E[T] under the law's output-path distribution."""
-    total = 0.0
-    for path, p in law.node_prob[law.horizon].items():
-        total += p * rule.stop_time(path[: rule.horizon])
-    return total
+    stopped, times = rule_stack([rule], law.horizon)
+    late = np.flatnonzero(times[0, node_table(law).leaf] > law.horizon)
+    if late.size:
+        path = list(law.node_prob[law.horizon])[late[0]]
+        raise SchemaError(f"path {path} has no stopped prefix")
+    et, _ = stopped_values(law, stopped, times)
+    return float(et[0])
 
 
 def message_information(law: JointLaw, n: int) -> float:
@@ -178,10 +284,10 @@ def message_information(law: JointLaw, n: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _step_kl_rows(law: JointLaw, t: int, prev: tuple[int, ...]):
-    """Realizable effective-channel rows at (t, prev) plus the most likely
-    input there.  Returns (map_input, {x: row}) or None when degenerate."""
-    xy = law.xy_node[t][prev]
+def _effective_rows(xy: np.ndarray):
+    """Realizable effective-channel rows of a joint P(X_t, Y_t | y^{t-1})
+    plus the most likely input there.  Returns (map_input, {x: row}) or
+    None when degenerate."""
     nu = xy.sum(axis=1)
     realizable = np.flatnonzero(nu > 0.0)
     if realizable.size == 0:
@@ -191,9 +297,9 @@ def _step_kl_rows(law: JointLaw, t: int, prev: tuple[int, ...]):
     return x_star, rows
 
 
-def _step_kl_per_history(law: JointLaw, t: int, prev: tuple[int, ...]) -> float:
-    """max_x D(row(x*) || row(x)) over realizable inputs at one history."""
-    got = _step_kl_rows(law, t, prev)
+def _worst_row_kl(xy: np.ndarray) -> float:
+    """max_x D(row(x*) || row(x)) over the realizable inputs of a joint."""
+    got = _effective_rows(xy)
     if got is None:
         return 0.0
     x_star, rows = got
@@ -221,17 +327,15 @@ def directed_kl(law: JointLaw, a: int, b: int, variant: str = "per_history_max")
     if not 1 <= a <= b <= law.horizon:
         raise SchemaError(f"window {a}..{b} outside 1..{law.horizon}")
     if variant == "per_history_max":
-        total = 0.0
-        for t in range(a, b + 1):
-            for prev in law.xy_node[t]:
-                total += law.node_prob[t - 1][prev] * _step_kl_per_history(law, t, prev)
-        return total
+        table = node_table(law)
+        window = (table.level >= a - 1) & (table.level < b)
+        return float(ordered_sum(np.where(window, table.kl, 0.0)))
     if variant == "global_symbol_max":
         total = 0.0
         for t in range(a, b + 1):
             per_x: dict[int, float] = {}
-            for prev in law.xy_node[t]:
-                got = _step_kl_rows(law, t, prev)
+            for prev, xy in law.xy_node[t].items():
+                got = _effective_rows(xy)
                 if got is None:
                     continue
                 x_star, rows = got
@@ -248,20 +352,15 @@ def directed_kl_stopped(
     law: JointLaw, first: StoppingRule, last: StoppingRule
 ) -> float:
     """E[sum over the random window (T1, T] of per-history worst-case
-    divergence], for stopping rules with T1 <= T pathwise."""
+    divergence], for stopping rules with T1 <= T pathwise.  A history is in
+    the window when the start rule already stopped strictly before it and
+    the end rule has not."""
     if not first.dominates(last):
         raise SchemaError("window start must stop no later than window end")
-    total = 0.0
-    for t in range(1, last.horizon + 1):
-        for prev, _ in law.xy_node[t].items():
-            # live in the window iff T1 < t <= T, i.e. the start rule already
-            # stopped strictly before t and the end rule has not
-            if not first.is_stopped(prev):
-                continue
-            if last.is_stopped(prev):
-                continue
-            total += law.node_prob[t - 1][prev] * _step_kl_per_history(law, t, prev)
-    return total
+    if last.horizon > law.horizon:
+        raise SchemaError("stopping rule runs past the law horizon")
+    stopped, _ = rule_stack([first, last], law.horizon)
+    return float(window_divergence(law, stopped, np.array([0]), np.array([1]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -344,24 +443,20 @@ def max_pairwise_row_kl(ch: Channel) -> float:
 
 
 def drift_terms(law: JointLaw, proc: EntropyProcess | None = None) -> DriftTerms:
-    """One-step drift quantities for every realizable history of the law."""
+    """One-step drift quantities for every realizable history of the law,
+    read off the law's node table."""
     if not law.is_message_form:
         raise SchemaError("drift terms need a message-form law")
-    mi_levels = []
-    kl_levels = []
-    for t in range(law.horizon + 1):
-        mi_lvl: dict[tuple[int, ...], float] = {}
-        kl_lvl: dict[tuple[int, ...], float] = {}
-        if t >= 1:
-            for prev in law.xy_node[t]:
-                mi_lvl[prev] = mutual_information(law.xy_node[t][prev])
-                kl_lvl[prev] = _step_kl_per_history(law, t, prev)
-        mi_levels.append(mi_lvl)
-        kl_levels.append(kl_lvl)
+    table = node_table(law)
+    mi_levels = tuple({} for _ in range(law.horizon + 1))
+    kl_levels = tuple({} for _ in range(law.horizon + 1))
+    for (t, prev), mi, div in zip(table.keys, table.node_mi.tolist(), table.node_kl.tolist()):
+        mi_levels[t][prev] = mi
+        kl_levels[t][prev] = div
     return DriftTerms(
         horizon=law.horizon,
-        mi_drift=tuple(mi_levels),
-        kl_drift=tuple(kl_levels),
+        mi_drift=mi_levels,
+        kl_drift=kl_levels,
         max_pairwise_kl=max_pairwise_row_kl(law.channel),
         channel=law.channel,
     )

@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import beta as _beta_dist
+from scipy.special import betaincinv
 
 from .channel_model import BudgetExceededError, Channel, SchemaError
 from .info_measures import kl
@@ -95,6 +95,8 @@ class SchemeSpec:
         xa, xn = self.confirm
         if xa == xn or not (0 <= xa < self.x_size and 0 <= xn < self.x_size):
             raise SchemaError("confirm pair must be two distinct valid symbols")
+        if math.isnan(self.threshold):
+            raise SchemaError("confirm threshold must be a number, not NaN")
 
     @property
     def block_len(self) -> int:
@@ -229,9 +231,11 @@ def build_repetition_confirm(
 
 
 def _clopper_pearson(k: int, n: int, level: float = 0.95) -> tuple[float, float]:
+    """Exact binomial interval from beta quantiles; ``betaincinv`` is the
+    beta quantile function without the import cost of ``scipy.stats``."""
     a = (1.0 - level) / 2.0
-    lo = 0.0 if k == 0 else float(_beta_dist.ppf(a, k, n - k + 1))
-    hi = 1.0 if k == n else float(_beta_dist.ppf(1.0 - a, k + 1, n - k))
+    lo = 0.0 if k == 0 else float(betaincinv(k, n - k + 1, a))
+    hi = 1.0 if k == n else float(betaincinv(k + 1, n - k, 1.0 - a))
     return lo, hi
 
 

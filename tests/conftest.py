@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 import sys
 from pathlib import Path
 
@@ -8,7 +9,15 @@ import pytest
 REPO = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
+import fbound  # noqa: E402
 from fbound.channel_model import load_channel  # noqa: E402
+
+
+def child_env(**extra: str) -> dict:
+    """Environment for a child interpreter that imports this ``fbound``."""
+    src = str(Path(fbound.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""), **extra)
 
 
 @pytest.fixture(scope="session")

@@ -2,7 +2,9 @@
 
 Everything here recomputes quantities from first principles with flat
 cartesian-product loops and explicit probability formulas, sharing no code
-with the library beyond numpy.  Deliberately slow and simple.
+with the library beyond numpy.  Deliberately slow and simple.  The one
+exception is the last section: the per-rule loops that the stopping-rule
+and node tables replaced, kept as references for bit-identity.
 """
 
 from __future__ import annotations
@@ -227,3 +229,207 @@ def oracle_vlc(q, kernel_fn, codebook, confirm, threshold, m, n1, n2, cap):
             if err:
                 pe += p
     return pe, et
+
+
+# ---------------------------------------------------------------------------
+# per-rule loops replaced by the stopping-rule and node tables
+# ---------------------------------------------------------------------------
+#
+# The per-history loops that ``StoppingRule``'s tables and the per-law node
+# table of ``info_measures`` replaced, kept verbatim (``self`` became the
+# ``rule`` argument) as the reference for bit-identity tests.  Unlike the
+# oracles above they call the library's per-history terms
+# (``mutual_information`` and the worst-row divergence), which are not what
+# these references check: the tests compare sums, orders and rule logic with
+# ``==``.
+
+
+def _step_kl_per_history(law, t, prev):
+    """max_x D(row(x*) || row(x)) over realizable inputs at one history."""
+    from fbound.info_measures import _worst_row_kl
+
+    return _worst_row_kl(law.xy_node[t][prev])
+
+
+def loop_stop_time(rule, path):
+    """Length of the unique stopped prefix of a full-horizon path."""
+    from fbound.channel_model import SchemaError
+
+    tup = tuple(path)
+    for k in range(1, len(tup) + 1):
+        if tup[:k] in rule.stops:
+            return k
+    raise SchemaError(f"path {tup} has no stopped prefix")
+
+
+def loop_is_stopped(rule, hist):
+    tup = tuple(hist)
+    return any(tup[:k] in rule.stops for k in range(1, len(tup) + 1))
+
+
+def loop_dominates(rule, other):
+    """True when this rule stops no later than ``other`` on every path."""
+    for leaf in itertools.product(range(rule.y_size), repeat=rule.horizon):
+        if loop_stop_time(rule, leaf) > loop_stop_time(other, leaf):
+            return False
+    return True
+
+
+def loop_directed_mi_stopped(law, rule):
+    from fbound.channel_model import SchemaError
+    from fbound.info_measures import mutual_information
+
+    if rule.horizon > law.horizon:
+        raise SchemaError("stopping rule runs past the law horizon")
+    total = 0.0
+    for t in range(1, rule.horizon + 1):
+        for prev, xy in law.xy_node[t].items():
+            if loop_is_stopped(rule, prev):
+                continue
+            total += law.node_prob[t - 1][prev] * mutual_information(xy)
+    return total
+
+
+def loop_expected_stop_time(law, rule):
+    total = 0.0
+    for path, p in law.node_prob[law.horizon].items():
+        total += p * loop_stop_time(rule, path[: rule.horizon])
+    return total
+
+
+def loop_directed_kl_stopped(law, first, last):
+    from fbound.channel_model import SchemaError
+
+    if not loop_dominates(first, last):
+        raise SchemaError("window start must stop no later than window end")
+    total = 0.0
+    for t in range(1, last.horizon + 1):
+        for prev, _ in law.xy_node[t].items():
+            # live in the window iff T1 < t <= T, i.e. the start rule already
+            # stopped strictly before t and the end rule has not
+            if not loop_is_stopped(first, prev):
+                continue
+            if loop_is_stopped(last, prev):
+                continue
+            total += law.node_prob[t - 1][prev] * _step_kl_per_history(law, t, prev)
+    return total
+
+
+def loop_step_aggregates(law):
+    """E over histories of the per-step information and divergence terms."""
+    import numpy as np
+
+    from fbound.info_measures import mutual_information
+
+    n = law.horizon
+    ej = np.zeros(n + 1)
+    ed = np.zeros(n + 1)
+    for t in range(1, n + 1):
+        for prev, xy in law.xy_node[t].items():
+            p = law.node_prob[t - 1][prev]
+            ej[t] += p * mutual_information(xy)
+            ed[t] += p * _step_kl_per_history(law, t, prev)
+    return ej, ed
+
+
+def loop_rule_pairs(rules):
+    """(first, last) rule pairs with first stopping no later than last."""
+    return [
+        (first, last)
+        for first in rules
+        for last in rules
+        if first is not last and loop_dominates(first, last)
+    ]
+
+
+def loop_pair_candidates(law, m, tables, pairs, pair_kind):
+    """The per-law body of the exponent candidate search: every stopping
+    pair of one encoder's law, one at a time."""
+    out = []
+    if pair_kind == "fixed":
+        ej, ed = loop_step_aggregates(law)
+        for t1, t in pairs:
+            i_rate = float(ej[1 : t1 + 1].sum()) / t1
+            d_rate = float(ed[t1 + 1 : t + 1].sum()) / (t - t1)
+            out.append(
+                {
+                    "m": m,
+                    "tables": tables,
+                    "pair": (t1, t),
+                    "i_rate": i_rate,
+                    "d_rate": d_rate,
+                    "et": float(t),
+                    "et1": float(t1),
+                }
+            )
+    else:
+        for first, last in pairs:
+            et1 = loop_expected_stop_time(law, first)
+            et = loop_expected_stop_time(law, last)
+            if et - et1 <= 1e-12:
+                continue
+            i_rate = loop_directed_mi_stopped(law, first) / et1
+            d_rate = loop_directed_kl_stopped(law, first, last) / (et - et1)
+            out.append(
+                {
+                    "m": m,
+                    "tables": tables,
+                    "pair": (
+                        sorted(list(s) for s in first.stops),
+                        sorted(list(s) for s in last.stops),
+                    ),
+                    "i_rate": i_rate,
+                    "d_rate": d_rate,
+                    "et": et,
+                    "et1": et1,
+                }
+            )
+    return out
+
+
+def loop_capacity_objective(law, rules):
+    """Best stopped information per expected stop time over rules, one rule
+    at a time; ties go to the earliest rule."""
+    best_val, best_rule = -math.inf, None
+    for rule in rules:
+        et = loop_expected_stop_time(law, rule)
+        val = loop_directed_mi_stopped(law, rule) / et
+        if val > best_val:
+            best_val, best_rule = val, rule
+    return best_val, best_rule
+
+
+def loop_directed_mi_fixed(law, n):
+    from fbound.info_measures import mutual_information
+
+    total = 0.0
+    for t in range(1, n + 1):
+        for prev, xy in law.xy_node[t].items():
+            total += law.node_prob[t - 1][prev] * mutual_information(xy)
+    return total
+
+
+def loop_directed_kl_per_history_max(law, a, b):
+    total = 0.0
+    for t in range(a, b + 1):
+        for prev in law.xy_node[t]:
+            total += law.node_prob[t - 1][prev] * _step_kl_per_history(law, t, prev)
+    return total
+
+
+def loop_drift_levels(law):
+    """(mi_drift, kl_drift) level dicts of ``drift_terms``."""
+    from fbound.info_measures import mutual_information
+
+    mi_levels = []
+    kl_levels = []
+    for t in range(law.horizon + 1):
+        mi_lvl = {}
+        kl_lvl = {}
+        if t >= 1:
+            for prev in law.xy_node[t]:
+                mi_lvl[prev] = mutual_information(law.xy_node[t][prev])
+                kl_lvl[prev] = _step_kl_per_history(law, t, prev)
+        mi_levels.append(mi_lvl)
+        kl_levels.append(kl_lvl)
+    return tuple(mi_levels), tuple(kl_levels)

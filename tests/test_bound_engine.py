@@ -3,11 +3,14 @@ the two searched bounds, consistency on memoryless channels, and the
 residual-term assembly."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import oracles
+from conftest import REPO, child_env
 from fbound.channel_model import (
     Channel,
     ChannelSpec,
@@ -312,3 +315,36 @@ def test_residual_terms_rejects_bad_nesting(bsc01):
     law = forward_joint(bsc01, policy, 2)
     with pytest.raises(SchemaError):
         residual_terms(law, StoppingRule.fixed(1, 2, 2), StoppingRule.fixed(2, 2, 2))
+
+
+def test_flag_order_is_independent_of_the_hash_seed():
+    # both flags are raised; they must come in the order raised, whatever
+    # the string hash of each
+    code = (
+        "from fbound.bound_engine import SearchConfig, exponent_candidates\n"
+        "from fbound.channel_model import load_channel\n"
+        f"ch = load_channel({str(REPO / 'channels' / 'bsc01.json')!r})\n"
+        "cfg = SearchConfig(stopping='all', rule_cap=10, messages=(4,))\n"
+        "print(exponent_candidates(ch, 3, cfg)[1])\n"
+    )
+    children = [
+        subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE, text=True,
+                         env=child_env(PYTHONHASHSEED=seed))
+        for seed in ("1", "2")
+    ]
+    outs = [child.communicate(timeout=300)[0].strip() for child in children]
+    assert [child.returncode for child in children] == [0, 0]
+    want = ("('rule_cap_exceeded_fell_back_to_fixed', "
+            "'m4_encoders_restricted_to_per_step_maps')")
+    assert outs == [want, want]
+
+
+def test_search_config_rejects_bad_fields():
+    for bad in (
+        dict(grid_denominator=0), dict(sweeps=-1), dict(restarts=-1),
+        dict(stopping="sometimes"), dict(messages=()), dict(messages=(2, 0)),
+        dict(rule_cap=0), dict(budget=0), dict(encoder_cap=0),
+    ):
+        with pytest.raises(SchemaError):
+            SearchConfig(**bad)
+    SearchConfig(sweeps=0, restarts=0, messages=(1,))

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from conftest import child_env
 from fbound.channel_model import SchemaError
 from fbound.cli import main, read_manifest, rerun_from_manifest
 from fbound.vlc_sim import build_yamamoto_itoh, dump_scheme
@@ -177,3 +180,62 @@ def test_verify_suite_round_trip_via_manifest(tmp_path, capsys):
     assert lines[1] == "check,instance,cases,worst,passed"
     assert lines[2].startswith("decoder-entropy-ceiling,")
     capsys.readouterr()
+
+
+# The three search commands of the benchmark's ``bounds`` workload, with
+# their ``--json`` output recorded before the search moved to rule tables.
+_REFERENCE = Path(__file__).resolve().parent / "reference"
+BOUNDS_COMMANDS = [
+    (["bound-exponent", "--channel", BSC01, "--rate", "0.25", "--horizon", "3",
+      "--stopping", "all", "--messages", "2", "--json"],
+     {"FBOUND_BUDGET": "1000"}, 1, "bound_exponent_bsc01_h3_all.json"),
+    (["bound-capacity", "--channel", FLIP2, "--horizon", "3", "--stopping", "all",
+      "--restarts", "0", "--seed", "0", "--json"],
+     {}, 0, "bound_capacity_flip2_h3_all.json"),
+    (["bound-capacity", "--channel", str(_CHANNELS / "histk2.json"), "--horizon", "2",
+      "--stopping", "all", "--seed", "0", "--json"],
+     {}, 0, "bound_capacity_histk2_h2_all.json"),
+]
+
+
+@pytest.mark.parametrize("argv,env,code,reference", BOUNDS_COMMANDS,
+                         ids=[c[3].removesuffix(".json") for c in BOUNDS_COMMANDS])
+def test_bound_search_json_is_byte_identical_to_reference(
+        argv, env, code, reference, capsys, monkeypatch):
+    for key, val in env.items():
+        monkeypatch.setenv(key, val)
+    assert main(argv) == code
+    assert capsys.readouterr().out == (_REFERENCE / reference).read_text()
+
+
+@pytest.mark.parametrize("argv,env", [
+    (["bound-capacity", "--channel", BSC01, "--grid", "0"], {}),
+    (["bound-capacity", "--channel", BSC01, "--restarts", "-1"], {}),
+    (["bound-capacity", "--channel", BSC01, "--sweeps", "-2"], {}),
+    (["bound-exponent", "--channel", BSC01, "--rate", "0.1", "--messages", "0"], {}),
+    (["bound-capacity", "--channel", BSC01], {"FBOUND_BUDGET": "inf"}),
+    (["bound-capacity", "--channel", BSC01], {"FBOUND_BUDGET": "-inf"}),
+    (["bound-capacity", "--channel", BSC01], {"FBOUND_BUDGET": "nan"}),
+    (["simulate", "--channel", BSC01, "--m", "2", "--n1", "3", "--n2", "4",
+      "--cap", "2", "--trials", "20", "--threshold", "nan"], {}),
+    (["burnashev", "--channel", BSC01, "--rate", "nan"], {}),
+    (["bound-exponent", "--channel", BSC01, "--rate", "nan", "--messages", "2"], {}),
+    (["verify", "--channel", BSC01, "--suite", "maximal", "--trials", "0"], {}),
+], ids=["grid-0", "restarts-neg", "sweeps-neg", "messages-0", "budget-inf",
+        "budget-neg-inf", "budget-nan", "threshold-nan", "burnashev-rate-nan",
+        "exponent-rate-nan", "verify-trials-0"])
+def test_bad_search_inputs_exit_2_with_a_message(argv, env, capsys, monkeypatch):
+    for key, val in env.items():
+        monkeypatch.setenv(key, val)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    code = "import sys, fbound.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=child_env(), check=True).stdout
+    assert out.strip() == "False"

@@ -1,0 +1,257 @@
+"""Differential tests of the table-driven stopping rules and stopped sums
+against the per-rule loops they replaced (``oracles.loop_*``).
+
+Every comparison is exact (``==``): the tables keep the loops' summation
+order, so any difference is a defect, not rounding.
+"""
+
+from __future__ import annotations
+
+import functools
+import itertools
+
+import numpy as np
+import pytest
+
+import oracles
+from fbound.bound_engine import (
+    SearchConfig,
+    _encoder_family,
+    _step_aggregates,
+    encoder_policy_from_tables,
+    exponent_bound,
+    exponent_candidates,
+    reevaluate,
+)
+from fbound.channel_model import (
+    SchemaError,
+    StoppingRule,
+    enumerate_stopping_rules,
+    forward_joint,
+    load_channel,
+    repetition_encoder,
+    rotating_encoder,
+    uniform_behavioral_policy,
+)
+from fbound.info_measures import (
+    directed_kl,
+    directed_kl_stopped,
+    directed_mi_fixed,
+    directed_mi_stopped,
+    drift_terms,
+    expected_stop_time,
+    rule_stack,
+    stopped_values,
+    window_divergence,
+)
+from conftest import REPO
+
+CASES = [
+    ("bsc01", 3), ("bsc02", 3), ("z01", 3), ("flip2", 3), ("perfect2", 3), ("histk2", 2),
+    ("bsc01", 4), ("flip2", 4),
+]
+CASE_IDS = [f"{name}-H{h}" for name, h in CASES]
+
+
+@functools.lru_cache(maxsize=None)
+def _channel(name):
+    return load_channel(str(REPO / "channels" / f"{name}.json"))
+
+
+@functools.lru_cache(maxsize=None)
+def _laws(name, horizon):
+    """A behavioral law and message-form laws of fixed, rotating and
+    output-dependent encoders."""
+    ch = _channel(name)
+    x, y = ch.spec.x_size, ch.spec.y_size
+    policies = [
+        uniform_behavioral_policy(ch, horizon),
+        repetition_encoder(2, x, horizon, y),
+        rotating_encoder(4, x, horizon, y),
+    ]
+    rng = np.random.default_rng(7)
+    for _ in range(2):
+        tables = tuple(
+            tuple(tuple(int(v) for v in rng.integers(x, size=y ** (t - 1))) for _ in range(2))
+            for t in range(1, horizon + 1)
+        )
+        policies.append(encoder_policy_from_tables(tables, 2, x, y, horizon))
+    return tuple(forward_joint(ch, pol, horizon) for pol in policies)
+
+
+def _rules(ch, horizon):
+    """Every rule up to horizon 3; at horizon 4 every 29th of the 677."""
+    return enumerate_stopping_rules(horizon, ch.spec.y_size)[:: 1 if horizon <= 3 else 29]
+
+
+def _outcome(fn, *args):
+    """fn's value, or the SchemaError type when it raises one."""
+    try:
+        return fn(*args)
+    except SchemaError:
+        return SchemaError
+
+
+# ---------------------------------------------------------------------------
+# rule tables
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("horizon,y_size", [(1, 2), (2, 2), (3, 2), (4, 2), (2, 3)])
+def test_rule_lookups_match_loops(horizon, y_size):
+    rules = enumerate_stopping_rules(horizon, y_size, cap=10**4)
+    rules += [StoppingRule.fixed(t, horizon, y_size) for t in range(1, horizon + 1)]
+    paths = [
+        p for n in range(horizon + 2) for p in itertools.product(range(y_size), repeat=n)
+    ]
+    for rule in rules:
+        for path in paths:
+            assert _outcome(rule.stop_time, path) == _outcome(oracles.loop_stop_time, rule, path)
+            assert rule.is_stopped(path) == oracles.loop_is_stopped(rule, path)
+    if horizon <= 3:
+        for a, b in itertools.product(rules, repeat=2):
+            assert a.dominates(b) == oracles.loop_dominates(a, b)
+
+
+def test_dominance_across_horizons():
+    short = enumerate_stopping_rules(2, 2)
+    long = enumerate_stopping_rules(3, 2)
+    for a, b in itertools.chain(itertools.product(short, long), itertools.product(long, short)):
+        assert _outcome(a.dominates, b) == _outcome(oracles.loop_dominates, a, b)
+
+
+def test_rule_tables_layout():
+    rule = StoppingRule(horizon=2, y_size=2, stops=frozenset({(0,), (1, 0), (1, 1)}))
+    assert rule.stop_times.tolist() == [1, 1, 2, 2]
+    # levels 0 and 1: (), (0,), (1,)
+    assert rule.stopped_nodes.tolist() == [False, True, False]
+    with pytest.raises(ValueError):
+        rule.stop_times[0] = 2
+
+
+def test_rule_validation_names_the_offending_node():
+    with pytest.raises(SchemaError, match=r"prefix-minimal at \(0, 1\)"):
+        StoppingRule(horizon=2, y_size=2, stops=frozenset({(0,), (0, 1), (1,)}))
+    with pytest.raises(SchemaError, match=r"never stops along \(1, 0\)"):
+        StoppingRule(horizon=2, y_size=2, stops=frozenset({(0,), (1, 1)}))
+    with pytest.raises(SchemaError, match="outside"):
+        StoppingRule(horizon=2, y_size=2, stops=frozenset({(0,), (1,), (2,)}))
+
+
+# ---------------------------------------------------------------------------
+# stopped sums over the node table
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name,horizon", CASES, ids=CASE_IDS)
+def test_stopped_sums_match_loops(name, horizon):
+    rules = _rules(_channel(name), horizon)
+    pairs = oracles.loop_rule_pairs(rules)
+    index = {id(rule): i for i, rule in enumerate(rules)}
+    first = np.array([index[id(a)] for a, _ in pairs])
+    last = np.array([index[id(b)] for _, b in pairs])
+    stack = rule_stack(rules, horizon)
+    for law in _laws(name, horizon):
+        want_et = [oracles.loop_expected_stop_time(law, r) for r in rules]
+        want_mi = [oracles.loop_directed_mi_stopped(law, r) for r in rules]
+        assert [expected_stop_time(law, r) for r in rules] == want_et
+        assert [directed_mi_stopped(law, r) for r in rules] == want_mi
+        et, mi = stopped_values(law, *stack)
+        assert et.tolist() == want_et and mi.tolist() == want_mi
+
+        want_kl = [oracles.loop_directed_kl_stopped(law, a, b) for a, b in pairs]
+        assert [directed_kl_stopped(law, a, b) for a, b in pairs] == want_kl
+        assert window_divergence(law, stack[0], first, last).tolist() == want_kl
+
+        ej, ed = _step_aggregates(law)
+        want_ej, want_ed = oracles.loop_step_aggregates(law)
+        assert ej.tolist() == want_ej.tolist() and ed.tolist() == want_ed.tolist()
+
+        best = int(np.argmax(mi / et))
+        want_val, want_rule = oracles.loop_capacity_objective(law, rules)
+        assert (float(mi[best] / et[best]), rules[best]) == (want_val, want_rule)
+
+
+@pytest.mark.parametrize("name,horizon", CASES, ids=CASE_IDS)
+def test_fixed_windows_and_drift_terms_match_loops(name, horizon):
+    for law in _laws(name, horizon):
+        for n in range(horizon + 1):
+            assert directed_mi_fixed(law, n) == oracles.loop_directed_mi_fixed(law, n)
+        for a in range(1, horizon + 1):
+            for b in range(a, horizon + 1):
+                assert directed_kl(law, a, b) == (
+                    oracles.loop_directed_kl_per_history_max(law, a, b)
+                )
+        if law.is_message_form:
+            terms = drift_terms(law)
+            want_mi, want_kl = oracles.loop_drift_levels(law)
+            # dict equality ignores order, so compare the item lists
+            assert [list(d.items()) for d in terms.mi_drift] == [list(d.items()) for d in want_mi]
+            assert [list(d.items()) for d in terms.kl_drift] == [list(d.items()) for d in want_kl]
+
+
+@pytest.mark.parametrize("name", ["bsc01", "z01", "flip2"])
+def test_rules_shorter_than_the_law(name):
+    ch = _channel(name)
+    short = enumerate_stopping_rules(2, ch.spec.y_size)
+    full = enumerate_stopping_rules(3, ch.spec.y_size)
+    for law in _laws(name, 3):
+        for rule in short:
+            assert directed_mi_stopped(law, rule) == oracles.loop_directed_mi_stopped(law, rule)
+            assert expected_stop_time(law, rule) == oracles.loop_expected_stop_time(law, rule)
+            for last in full:
+                assert _outcome(directed_kl_stopped, law, rule, last) == (
+                    _outcome(oracles.loop_directed_kl_stopped, law, rule, last)
+                )
+    # and a rule longer than the law
+    law = _laws(name, 2)[1]
+    for rule in full:
+        assert _outcome(expected_stop_time, law, rule) == (
+            _outcome(oracles.loop_expected_stop_time, law, rule)
+        )
+        with pytest.raises(SchemaError):
+            directed_mi_stopped(law, rule)
+
+
+# ---------------------------------------------------------------------------
+# the exponent search and re-evaluation
+# ---------------------------------------------------------------------------
+
+
+def _loop_candidates(ch, horizon, cfg):
+    """The candidate search with the per-pair loop body of ``oracles``."""
+    if cfg.stopping == "all":
+        pairs = oracles.loop_rule_pairs(enumerate_stopping_rules(horizon, ch.spec.y_size))
+        kind = "rules"
+    else:
+        pairs = [(t1, t) for t1 in range(1, horizon) for t in range(t1 + 1, horizon + 1)]
+        kind = "fixed"
+    out = []
+    for m in cfg.messages:
+        family, _, _ = _encoder_family(m, ch.spec.x_size, ch.spec.y_size, horizon, cfg.encoder_cap)
+        for tables in family:
+            policy = encoder_policy_from_tables(tables, m, ch.spec.x_size, ch.spec.y_size, horizon)
+            law = forward_joint(ch, policy, horizon, budget=cfg.budget)
+            out += oracles.loop_pair_candidates(law, m, tables, pairs, kind)
+    return out
+
+
+@pytest.mark.parametrize(
+    "name,horizon,stopping",
+    [("bsc01", 3, "all"), ("bsc02", 2, "all"), ("z01", 2, "all"), ("flip2", 2, "all"),
+     ("perfect2", 2, "all"), ("histk2", 2, "all"), ("z01", 3, "fixed"), ("flip2", 3, "fixed")],
+)
+def test_exponent_candidates_match_pair_loop(name, horizon, stopping):
+    ch = _channel(name)
+    cfg = SearchConfig(stopping=stopping, messages=(2,), encoder_cap=1000)
+    cands, _ = exponent_candidates(ch, horizon, cfg)
+    assert cands == _loop_candidates(ch, horizon, cfg)
+
+
+@pytest.mark.parametrize("name,rate", [("bsc01", 0.25), ("z01", 0.1), ("flip2", 0.05)])
+def test_reevaluate_rule_pair_maximizer_exactly(name, rate):
+    ch = _channel(name)
+    cfg = SearchConfig(stopping="all", messages=(2,))
+    res = exponent_bound(ch, rate, 2, cfg)
+    assert isinstance(res.maximizer["pair"][0], list)
+    assert reevaluate(res, ch, cfg) == res.value

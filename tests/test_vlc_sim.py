@@ -289,3 +289,24 @@ def test_exponent_sweep_reuses_seed_per_scheme(bsc01):
     assert [sc for sc, _ in out] == schemes
     for sc, st in out:
         assert st == simulate(sc, bsc01, 300, seed=9)
+
+
+def test_clopper_pearson_equals_beta_quantiles():
+    # the interval once came from scipy.stats.beta.ppf; betaincinv must give
+    # the same bits, or simulate CSVs would change
+    from scipy.stats import beta
+
+    from fbound.vlc_sim import _clopper_pearson
+
+    probes = 0
+    for n in (1, 2, 3, 5, 10, 17, 50, 100, 999, 1000, 12345, 100000):
+        for k in sorted({0, 1, 2, 3, n // 7, n // 3, n // 2, n - 2, n - 1, n}):
+            if not 0 <= k <= n:
+                continue
+            for level in (0.9, 0.95, 0.99):
+                a = (1.0 - level) / 2.0
+                want_lo = 0.0 if k == 0 else float(beta.ppf(a, k, n - k + 1))
+                want_hi = 1.0 if k == n else float(beta.ppf(1.0 - a, k + 1, n - k))
+                assert _clopper_pearson(k, n, level) == (want_lo, want_hi), (k, n, level)
+                probes += 1
+    assert probes > 200
