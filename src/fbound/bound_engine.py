@@ -288,6 +288,12 @@ def capacity_bound(ch: Channel, horizon: int, cfg: SearchConfig = SearchConfig()
     The returned maximizer records the policy rows and the stop set, so the
     value can be recomputed exactly; diagnostics report the largest
     improvement available one grid step away from the chosen policy.
+
+    Each policy's law is built and evaluated once per search: the objective
+    is memoized on the policy rows, in row-key order.  The law is a
+    deterministic function of the rows, so a repeated policy, such as every
+    neighbour the gap loop visits after a final sweep that changed nothing,
+    gets the value and rule it got the first time.
     """
     if horizon < 1:
         raise SchemaError("horizon must be >= 1")
@@ -297,6 +303,13 @@ def capacity_bound(ch: Channel, horizon: int, cfg: SearchConfig = SearchConfig()
     grid = _simplex_grid(ch.spec.x_size, cfg.grid_denominator)
     uniform = tuple(np.full(ch.spec.x_size, 1.0 / ch.spec.x_size))
     rng = np.random.default_rng(cfg.seed)
+    memo: dict = {}
+
+    def objective(rows):
+        key = tuple(rows[k] for k in keys)
+        if key not in memo:
+            memo[key] = _capacity_objective(ch, rows, horizon, rules, stack, cfg.budget)
+        return memo[key]
 
     best_val, best_rows, best_rule = -math.inf, None, None
     for restart in range(cfg.restarts + 1):
@@ -304,7 +317,7 @@ def capacity_bound(ch: Channel, horizon: int, cfg: SearchConfig = SearchConfig()
             rows = {k: uniform for k in keys}
         else:
             rows = {k: grid[rng.integers(len(grid))] for k in keys}
-        val, rule = _capacity_objective(ch, rows, horizon, rules, stack, cfg.budget)
+        val, rule = objective(rows)
         for _ in range(cfg.sweeps):
             changed = False
             for key in keys:
@@ -314,7 +327,7 @@ def capacity_bound(ch: Channel, horizon: int, cfg: SearchConfig = SearchConfig()
                         continue
                     trial = dict(rows)
                     trial[key] = cand
-                    v, ru = _capacity_objective(ch, trial, horizon, rules, stack, cfg.budget)
+                    v, ru = objective(trial)
                     if v > val + 1e-12:
                         rows, val, rule = trial, v, ru
                         cur = cand
@@ -332,7 +345,7 @@ def capacity_bound(ch: Channel, horizon: int, cfg: SearchConfig = SearchConfig()
                 continue
             trial = dict(best_rows)
             trial[key] = cand
-            v, _ = _capacity_objective(ch, trial, horizon, rules, stack, cfg.budget)
+            v, _ = objective(trial)
             gap = max(gap, v - best_val)
 
     maximizer = {

@@ -7,14 +7,21 @@ the state sequence evolves given past states and past inputs.  Together with
 an input policy (either behavioral rows P(x_t | x-history, y-history) or a
 message-form deterministic encoder) they induce a unique joint distribution
 over (message, input, state, output) trajectories up to a finite horizon.
-``forward_joint`` materializes that law exactly by enumerating every positive
-probability trajectory, which is the verification strategy used throughout:
-all downstream quantities (posteriors, entropy processes, drift terms) are
-exact sums over this enumeration.
+``forward_joint`` materializes that law exactly as the set of all
+positive-probability trajectories, which is the verification strategy used
+throughout: all downstream quantities (posteriors, entropy processes, drift
+terms) are exact sums over this enumeration.
 
-Histories are tuples of integer symbols; per-level tables are plain dicts
-keyed by those tuples (a sparse fixed-arity tree).  Budgets cap enumeration
-size rather than a hard horizon constant.
+The enumeration runs breadth first, one level of the trajectory tree per
+step, with the children of all live prefixes formed in one array pass in the
+order a depth-first walk would visit them.  The per-output-history level
+tables are then one ``np.bincount`` each over the trajectories in that
+order.  Both keep the products and the summation order of a plain recursive
+walk with running per-node sums, so every probability and table entry is
+bit-for-bit the value such a walk gives.  Histories are tuples of integer
+symbols; the level tables are plain dicts keyed by output histories (a
+sparse fixed-arity tree), in order of first appearance.  Budgets cap
+enumeration size rather than a hard horizon constant.
 """
 
 from __future__ import annotations
@@ -67,6 +74,8 @@ VALIDATION_TOL = 1e-9
 # Stored rows are kept at least this close to 1; parse renormalizes past it.
 ROW_SUM_INVARIANT_TOL = 1e-12
 DEFAULT_TRAJECTORY_BUDGET = 10**7
+# trajectory-levels per pass of the level-table counts (``_level_tables``)
+_PASS_SIZE = 1 << 21
 
 
 class FboundError(Exception):
@@ -756,48 +765,6 @@ class JointLaw:
         return sum(self.trajectories.values())
 
 
-def _build_level_tables(
-    trajectories, horizon: int, m: int, x_size: int, y_size: int
-):
-    node_prob = tuple({} for _ in range(horizon + 1))
-    w_mass = tuple({} for _ in range(horizon + 1))
-    xy_mass = tuple({} for _ in range(horizon + 1))  # index t in 1..N
-    wy_mass = tuple({} for _ in range(horizon + 1))
-    for (w, xs, ss, ys), p in trajectories.items():
-        for t in range(horizon + 1):
-            node = ys[:t]
-            node_prob[t][node] = node_prob[t].get(node, 0.0) + p
-            vec = w_mass[t].get(node)
-            if vec is None:
-                vec = np.zeros(m)
-                w_mass[t][node] = vec
-            vec[w] += p
-            if t >= 1:
-                prev = ys[: t - 1]
-                xy = xy_mass[t].get(prev)
-                if xy is None:
-                    xy = np.zeros((x_size, y_size))
-                    xy_mass[t][prev] = xy
-                xy[xs[t - 1], ys[t - 1]] += p
-                wy = wy_mass[t].get(prev)
-                if wy is None:
-                    wy = np.zeros((m, y_size))
-                    wy_mass[t][prev] = wy
-                wy[w, ys[t - 1]] += p
-    w_post = tuple({} for _ in range(horizon + 1))
-    for t in range(horizon + 1):
-        for node, vec in w_mass[t].items():
-            w_post[t][node] = vec / node_prob[t][node]
-    xy_node = tuple({} for _ in range(horizon + 1))
-    wy_node = tuple({} for _ in range(horizon + 1))
-    for t in range(1, horizon + 1):
-        for prev, xy in xy_mass[t].items():
-            xy_node[t][prev] = xy / node_prob[t - 1][prev]
-        for prev, wy in wy_mass[t].items():
-            wy_node[t][prev] = wy / node_prob[t - 1][prev]
-    return node_prob, w_post, xy_node, wy_node
-
-
 def forward_joint(
     ch: Channel,
     policy: InputPolicy,
@@ -808,12 +775,25 @@ def forward_joint(
     trajectories of length ``horizon``.
 
     The trajectory probability is the product, over steps, of the policy
-    factor, the state-kernel factor, and the channel factor; zero branches
-    are pruned.  Raises BudgetExceededError when the live trajectory count
-    would exceed ``budget`` and SchemaError when the kernel cannot drive the
-    requested horizon.
+    factor, the state-kernel factor and the channel factor, multiplied left
+    to right as ``((p * px) * ps) * py``; branches with a zero factor are
+    pruned.  The enumeration runs one level at a time: step t calls the
+    policy (or encoder) and the state kernel once per live prefix, then forms
+    every child (prefix, x, s, y) in one array pass.  Children come out in C
+    order, which is the depth-first order over (w, x_1, s_1, y_1, x_2, ...),
+    and so is the order of ``trajectories``.  Each level table is built by
+    ``_level_tables`` from the same level arrays.
+
+    Raises BudgetExceededError when the live trajectory count would exceed
+    ``budget``, naming the count and step reached, and SchemaError for a
+    negative horizon, a horizon the kernel cannot drive, or an encoder input
+    outside the alphabet.  Every prefix has at least one child (every row
+    sums to 1), so level sizes never shrink and the check at each level
+    fails exactly when the final count would.
     """
     spec, kernel = ch.spec, ch.kernel
+    if horizon < 0:
+        raise SchemaError(f"horizon must be >= 0, got {horizon}")
     cap = kernel.horizon_cap()
     if cap is not None and horizon > cap:
         raise SchemaError(f"state kernel only defines {cap} steps, horizon={horizon}")
@@ -821,61 +801,161 @@ def forward_joint(
         raise SchemaError("policy horizon shorter than requested law horizon")
     if policy.x_size != spec.x_size or policy.y_size != spec.y_size:
         raise SchemaError("policy alphabet sizes do not match the channel")
-    m = policy.messages if policy.is_message_form else 1
-    trajectories: dict = {}
-    count = 0
+    encoder = policy.encoder if policy.is_message_form else None
+    m = policy.messages if encoder else 1
+    xn, sn, yn = spec.x_size, spec.s_size, spec.y_size
+    q = spec.q.transpose(1, 0, 2)  # (x, s, y), the children's order
+    q_live = q != 0.0
+    single = [(a,) for a in range(max(xn, sn, yn))]
 
-    def expand(w, t, x_hist, s_hist, y_hist, p):
-        nonlocal count
-        if t > horizon:
-            trajectories[(w, x_hist, s_hist, y_hist)] = p
-            count += 1
-            if count > budget:
-                raise BudgetExceededError(
-                    f"trajectory count exceeds budget {budget} at horizon {horizon}"
-                )
-            return
-        if policy.is_message_form:
-            x_choices = [(policy.encoder(t, w, y_hist), 1.0)]
+    # the live prefixes of one level: message, probability and histories;
+    # level 0 is one empty prefix per message
+    msg = list(range(m))
+    prob = np.array([1.0 / m] * m)
+    xh = sh = yh = [()] * m
+    # per step, each child's parent and its (output node, x, y); output
+    # nodes are numbered level after level, within a level in order of first
+    # appearance, and y_keys holds each level's output histories in that order
+    steps, y_keys, first = [], [[()]], 1
+    _check_budget(m, 0, horizon, budget)
+    for t in range(1, horizon + 1):
+        ps = np.array([kernel.distribution(t, a, b) for a, b in zip(sh, xh)])
+        # head[k, x, s] = (p * px) * ps and the channel rows it multiplies,
+        # both over (prefix, x, s, y); a message-form prefix has one input,
+        # with px = 1.0, and p * 1.0 == p
+        if encoder:
+            xl = [encoder(t, w, h) for w, h in zip(msg, yh)]
+            xs = np.array(xl)
+            if xs.dtype.kind not in "iu" or min(xl) < 0 or max(xl) >= xn:
+                raise SchemaError(f"encoder input outside 0..{xn - 1} at t={t}")
+            head = prob[:, None, None, None] * ps[:, None, :, None]
+            rows, live = q.take(xs, 0)[:, None], q_live.take(xs, 0)[:, None]
         else:
-            row = policy.input_distribution(t, x_hist, y_hist)
-            x_choices = [(x, float(row[x])) for x in range(spec.x_size) if row[x] > 0.0]
-        s_row = kernel.distribution(t, s_hist, x_hist)
-        for x, px in x_choices:
-            for s in range(spec.s_size):
-                ps = float(s_row[s])
-                if ps == 0.0:
-                    continue
-                q_row = spec.q[s, x]
-                for y in range(spec.y_size):
-                    py = float(q_row[y])
-                    if py == 0.0:
-                        continue
-                    expand(
-                        w,
-                        t + 1,
-                        x_hist + (x,),
-                        s_hist + (s,),
-                        y_hist + (y,),
-                        p * px * ps * py,
-                    )
+            px = np.array([policy.input_distribution(t, a, b) for a, b in zip(xh, yh)])
+            head = (prob[:, None, None, None] * px[:, :, None, None]) * ps[:, None, :, None]
+            rows, live = q, (px > 0.0)[:, :, None, None] & q_live
+        if np.count_nonzero(ps) < ps.size:
+            live = live & (ps != 0.0)[:, None, :, None]
+        kids = live.ravel().nonzero()[0]
+        _check_budget(kids.size, t, horizon, budget)
+        prob = (head * rows).ravel().take(kids)
+        par, x, s, y = np.unravel_index(kids, live.shape)
+        if encoder:
+            x = xs.take(par)
+        pl, xl, sl, yl = par.tolist(), x.tolist(), s.tolist(), y.tolist()
+        msg = [msg[a] for a in pl]
+        xh = [xh[a] + single[b] for a, b in zip(pl, xl)]
+        sh = [sh[a] + single[b] for a, b in zip(pl, sl)]
+        yh = [yh[a] + single[b] for a, b in zip(pl, yl)]
+        # each child's output node, numbered in order of first appearance;
+        # children on one node share its history tuple
+        ids: dict = {}
+        node = [ids.setdefault(h, first + len(ids)) for h in yh]
+        keys = list(ids)
+        yh = [keys[i - first] for i in node]
+        y_keys.append(keys)
+        first += len(keys)
+        steps.append((par, np.array((node, xl, yl), dtype=np.intp)))
+        # the last level's temporaries are the largest: free them before
+        # the level tables are counted
+        del par, x, s, y, pl, xl, sl, yl, node, kids, head, rows, live
 
-    for w in range(m):
-        expand(w, 1, (), (), (), 1.0 / m)
-
-    node_prob, w_post, xy_node, wy_node = _build_level_tables(
-        trajectories, horizon, m, spec.x_size, spec.y_size
-    )
+    trajectories = dict(zip(zip(msg, xh, sh, yh), prob.tolist()))
+    del xh, sh, yh
+    tables = _level_tables(prob, np.array(msg, dtype=np.intp), steps, y_keys, m, xn, yn)
     return JointLaw(
         channel=ch,
         policy=policy,
         horizon=horizon,
         messages=m,
         trajectories=trajectories,
-        node_prob=node_prob,
-        w_post=w_post,
-        xy_node=xy_node,
-        wy_node=wy_node,
+        node_prob=tables[0],
+        w_post=tables[1],
+        xy_node=tables[2],
+        wy_node=tables[3],
+    )
+
+
+def _check_budget(count: int, t: int, horizon: int, budget: int) -> None:
+    if count > budget:
+        raise BudgetExceededError(
+            f"{count} live trajectories at step {t} of horizon {horizon} "
+            f"exceed the trajectory budget {budget}"
+        )
+
+
+def _level_tables(prob, msg, steps, y_keys, m, xn, yn):
+    """(node_prob, w_post, xy_node, wy_node) from the level arrays of
+    ``forward_joint``.
+
+    Each table is an ``np.bincount`` over every full trajectory at every
+    level, with the output nodes of all levels numbered in one sequence.
+    bincount adds the weights of a bin in input order from 0.0, so each
+    entry is the same running sum, over trajectories in order, as a
+    per-node accumulation; the keys of each level are its output histories
+    in order of first appearance.  Every node has a trajectory through it,
+    so no row divides 0 by 0 unless its probability underflows.
+
+    A bin belongs to one level, so the levels can be counted in passes,
+    from the horizon down, without changing a sum; a pass covers at most
+    ``_PASS_SIZE`` trajectory-levels, which bounds the index arrays of a
+    large law.  A small law takes one pass.
+    """
+    horizon = len(steps)
+    count = prob.size
+    offsets = list(itertools.accumulate([len(k) for k in y_keys], initial=0))
+    nodes, inner = offsets[-1], offsets[-2]  # levels 0..N, and 0..N-1
+    span = max(1, _PASS_SIZE // count)
+    up = np.arange(count)  # each trajectory's prefix at the level being read
+    above = None  # (x, y) of the level above the pass
+    parts = []
+    for hi in range(horizon, -1, -span):
+        lo = max(hi - span + 1, 0)
+        k, ks = hi - lo + 1, min(hi, horizon - 1) - lo + 1
+        # cols[:, j] = (output node, x, y) of every trajectory at level
+        # lo + j; column k is the level above, which only needs (x, y)
+        cols = np.empty((3, k + 1, count), dtype=np.intp)
+        for t in range(hi, max(lo, 1) - 1, -1):
+            par, info = steps[t - 1]
+            cols[:, t - lo] = info.take(up, axis=1)
+            up = par.take(up)
+        if lo == 0:
+            cols[0, 0] = 0
+        if above is not None:
+            cols[1:, k] = above
+        above = cols[1:, 0].copy()
+        node, x, y = cols[0, :k], cols[1, 1 : ks + 1], cols[2, 1 : ks + 1]
+        if offsets[lo]:
+            node -= offsets[lo]
+        prev = node[:ks]
+        weights = np.concatenate((prob,) * k)
+        size, size_inner = offsets[hi + 1] - offsets[lo], offsets[lo + ks] - offsets[lo]
+        parts.append((
+            np.bincount(node.ravel(), weights, size),
+            np.bincount((node * m + msg).ravel(), weights, size * m),
+            np.bincount(((prev * xn + x) * yn + y).ravel(), weights[: ks * count],
+                        size_inner * xn * yn),
+            np.bincount(((prev * m + msg) * yn + y).ravel(), weights[: ks * count],
+                        size_inner * m * yn),
+        ))
+    node_mass, w_mass, xy_mass, wy_mass = (
+        part[0] if len(parts) == 1 else np.concatenate(part[::-1]) for part in zip(*parts)
+    )
+    w_post = list(w_mass.reshape(nodes, m) / node_mass[:, None])
+    xy_node = list(xy_mass.reshape(inner, xn, yn) / node_mass[:inner, None, None])
+    wy_node = list(wy_mass.reshape(inner, m, yn) / node_mass[:inner, None, None])
+    node_mass = node_mass.tolist()
+
+    def levels(values, keys):
+        return tuple(
+            dict(zip(k, values[lo:hi])) for k, lo, hi in zip(keys, offsets, offsets[1:])
+        )
+
+    return (
+        levels(node_mass, y_keys),
+        levels(w_post, y_keys),
+        ({},) + levels(xy_node, y_keys[:-1]),
+        ({},) + levels(wy_node, y_keys[:-1]),
     )
 
 

@@ -247,7 +247,9 @@ def _verify_law(args, ch):
         pol = repetition_encoder(m, ch.spec.x_size, horizon, ch.spec.y_size)
     else:
         pol = rotating_encoder(m, ch.spec.x_size, horizon, ch.spec.y_size)
-    return forward_joint(ch, pol, horizon)
+    budget = _budget_override()
+    kw = {} if budget is None else {"budget": budget}
+    return forward_joint(ch, pol, horizon, **kw)
 
 
 def _pinned_submartingale(law, eps, mutate):

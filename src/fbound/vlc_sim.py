@@ -16,7 +16,9 @@ uniform vector ``d = rng.random(1 + 2*N)`` with ``N = cap*(n1+n2)``:
 position, ``d[N+1:]`` drive the output draws.  Because trials are keyed
 individually, splitting a run across workers cannot change any result; the
 vectorized single-state fast path and the generic per-trial path consume the
-same positions and therefore agree bit for bit.
+same positions and therefore agree bit for bit.  A run builds one Philox
+generator and re-keys it per trial (``_trial_uniforms``), which gives the
+same draws as a fresh generator per trial.
 
 Decoding on channels with states uses the entry-wise state-averaged matrix
 under the initial state law as a (mismatched) memoryless metric; on a
@@ -320,11 +322,29 @@ def _log_metric(qbar: np.ndarray) -> np.ndarray:
         return np.where(qbar > 0, np.log2(np.where(qbar > 0, qbar, 1.0)), -np.inf)
 
 
+def _trial_uniforms(seed: int, start: int, count: int, width: int):
+    """The uniform vectors of trials start..start+count-1: for trial t,
+    ``Generator(Philox(key=[seed, t])).random(width)``.
+
+    One bit generator serves every trial.  It is built once, for the first
+    trial's key, and its state dict kept as built: zero counter, empty
+    buffer.  Writing that dict back with the trial index as the second key
+    word re-keys it to exactly a fresh ``Philox(key=[seed, t])``, without
+    the per-trial construction and its entropy draw.
+    """
+    bits = np.random.Philox(key=[seed, start])
+    gen = np.random.Generator(bits)
+    fresh = bits.state
+    for t in range(start, start + count):
+        fresh["state"]["key"][1] = t
+        bits.state = fresh
+        yield gen.random(width)
+
+
 def _draw_uniforms(seed: int, start: int, count: int, width: int) -> np.ndarray:
     out = np.empty((count, width))
-    for i in range(count):
-        gen = np.random.Generator(np.random.Philox(key=[seed, start + i]))
-        out[i] = gen.random(width)
+    for i, row in enumerate(_trial_uniforms(seed, start, count, width)):
+        out[i] = row
     return out
 
 
@@ -400,9 +420,7 @@ def _simulate_generic(
     errors = 0
     t_sum = 0.0
     t_sqsum = 0.0
-    for i in range(trials):
-        gen = np.random.Generator(np.random.Philox(key=[seed, start + i]))
-        d = gen.random(1 + 2 * n_uses)
+    for d in _trial_uniforms(seed, start, trials, 1 + 2 * n_uses):
         w = min(int(d[0] * m), m - 1)
         us, uy = d[1 : n_uses + 1], d[n_uses + 1 :]
         s_hist: tuple[int, ...] = ()
@@ -450,14 +468,16 @@ def simulate(
     workers: int = 1,
     _force_generic: bool = False,
 ) -> RunStats:
-    """Monte Carlo run.  ``workers`` splits the trial range into contiguous
-    chunks executed independently; the per-trial keyed generators make the
-    outcome identical for every worker count."""
+    """Monte Carlo run.  ``workers`` (at least 1) splits the trial range into
+    contiguous chunks executed independently; the per-trial keyed generators
+    make the outcome identical for every worker count."""
     if trials < 1:
         raise SchemaError("need at least one trial")
+    workers = int(workers)
+    if workers < 1:
+        raise SchemaError(f"need at least one worker, got {workers}")
     if scheme.x_size != ch.spec.x_size:
         raise SchemaError("scheme and channel disagree on the input alphabet")
-    workers = max(1, int(workers))
     fast = ch.spec.is_dmc() and not _force_generic
     runner = _simulate_fast_dmc if fast else _simulate_generic
     bounds = [

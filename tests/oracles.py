@@ -2,15 +2,19 @@
 
 Everything here recomputes quantities from first principles with flat
 cartesian-product loops and explicit probability formulas, sharing no code
-with the library beyond numpy.  Deliberately slow and simple.  The one
-exception is the last section: the per-rule loops that the stopping-rule
-and node tables replaced, kept as references for bit-identity.
+with the library beyond numpy.  Deliberately slow and simple.  The
+exceptions are the last two sections: the per-rule loops that the
+stopping-rule and node tables replaced, and the recursive joint-law
+enumeration and memo-free capacity search that the level arrays replaced,
+kept as references for bit-identity.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+
+import numpy as np
 
 
 def log2(v: float) -> float:
@@ -433,3 +437,212 @@ def loop_drift_levels(law):
         mi_levels.append(mi_lvl)
         kl_levels.append(kl_lvl)
     return tuple(mi_levels), tuple(kl_levels)
+
+
+# ---------------------------------------------------------------------------
+# the joint-law enumeration and the capacity search before the level arrays
+# ---------------------------------------------------------------------------
+#
+# ``channel_model.forward_joint`` as a recursive depth-first walk plus the
+# per-trajectory level-table loop, and ``bound_engine.capacity_bound``
+# without its per-search memo, kept verbatim (renamed, with imports moved
+# inside) as the references for bit-identity tests.
+
+
+def loop_build_level_tables(
+    trajectories, horizon: int, m: int, x_size: int, y_size: int
+):
+    node_prob = tuple({} for _ in range(horizon + 1))
+    w_mass = tuple({} for _ in range(horizon + 1))
+    xy_mass = tuple({} for _ in range(horizon + 1))  # index t in 1..N
+    wy_mass = tuple({} for _ in range(horizon + 1))
+    for (w, xs, ss, ys), p in trajectories.items():
+        for t in range(horizon + 1):
+            node = ys[:t]
+            node_prob[t][node] = node_prob[t].get(node, 0.0) + p
+            vec = w_mass[t].get(node)
+            if vec is None:
+                vec = np.zeros(m)
+                w_mass[t][node] = vec
+            vec[w] += p
+            if t >= 1:
+                prev = ys[: t - 1]
+                xy = xy_mass[t].get(prev)
+                if xy is None:
+                    xy = np.zeros((x_size, y_size))
+                    xy_mass[t][prev] = xy
+                xy[xs[t - 1], ys[t - 1]] += p
+                wy = wy_mass[t].get(prev)
+                if wy is None:
+                    wy = np.zeros((m, y_size))
+                    wy_mass[t][prev] = wy
+                wy[w, ys[t - 1]] += p
+    w_post = tuple({} for _ in range(horizon + 1))
+    for t in range(horizon + 1):
+        for node, vec in w_mass[t].items():
+            w_post[t][node] = vec / node_prob[t][node]
+    xy_node = tuple({} for _ in range(horizon + 1))
+    wy_node = tuple({} for _ in range(horizon + 1))
+    for t in range(1, horizon + 1):
+        for prev, xy in xy_mass[t].items():
+            xy_node[t][prev] = xy / node_prob[t - 1][prev]
+        for prev, wy in wy_mass[t].items():
+            wy_node[t][prev] = wy / node_prob[t - 1][prev]
+    return node_prob, w_post, xy_node, wy_node
+
+
+def loop_forward_joint(ch, policy, horizon, budget=10**7):
+    """Enumerate the exact joint law over all positive-probability
+    trajectories of length ``horizon``.
+
+    The trajectory probability is the product, over steps, of the policy
+    factor, the state-kernel factor, and the channel factor; zero branches
+    are pruned.  Raises BudgetExceededError when the live trajectory count
+    would exceed ``budget`` and SchemaError when the kernel cannot drive the
+    requested horizon.
+    """
+    from fbound.channel_model import BudgetExceededError, JointLaw, SchemaError
+
+    spec, kernel = ch.spec, ch.kernel
+    cap = kernel.horizon_cap()
+    if cap is not None and horizon > cap:
+        raise SchemaError(f"state kernel only defines {cap} steps, horizon={horizon}")
+    if policy.horizon < horizon:
+        raise SchemaError("policy horizon shorter than requested law horizon")
+    if policy.x_size != spec.x_size or policy.y_size != spec.y_size:
+        raise SchemaError("policy alphabet sizes do not match the channel")
+    m = policy.messages if policy.is_message_form else 1
+    trajectories: dict = {}
+    count = 0
+
+    def expand(w, t, x_hist, s_hist, y_hist, p):
+        nonlocal count
+        if t > horizon:
+            trajectories[(w, x_hist, s_hist, y_hist)] = p
+            count += 1
+            if count > budget:
+                raise BudgetExceededError(
+                    f"trajectory count exceeds budget {budget} at horizon {horizon}"
+                )
+            return
+        if policy.is_message_form:
+            x_choices = [(policy.encoder(t, w, y_hist), 1.0)]
+        else:
+            row = policy.input_distribution(t, x_hist, y_hist)
+            x_choices = [(x, float(row[x])) for x in range(spec.x_size) if row[x] > 0.0]
+        s_row = kernel.distribution(t, s_hist, x_hist)
+        for x, px in x_choices:
+            for s in range(spec.s_size):
+                ps = float(s_row[s])
+                if ps == 0.0:
+                    continue
+                q_row = spec.q[s, x]
+                for y in range(spec.y_size):
+                    py = float(q_row[y])
+                    if py == 0.0:
+                        continue
+                    expand(
+                        w,
+                        t + 1,
+                        x_hist + (x,),
+                        s_hist + (s,),
+                        y_hist + (y,),
+                        p * px * ps * py,
+                    )
+
+    for w in range(m):
+        expand(w, 1, (), (), (), 1.0 / m)
+
+    node_prob, w_post, xy_node, wy_node = loop_build_level_tables(
+        trajectories, horizon, m, spec.x_size, spec.y_size
+    )
+    return JointLaw(
+        channel=ch,
+        policy=policy,
+        horizon=horizon,
+        messages=m,
+        trajectories=trajectories,
+        node_prob=node_prob,
+        w_post=w_post,
+        xy_node=xy_node,
+        wy_node=wy_node,
+    )
+
+
+def loop_capacity_bound(ch, horizon, cfg):
+    """Best found value of stopped directed information per expected stop
+    time, over behavioral policies (simplex-grid coordinate ascent with
+    restarts) and stopping rules.
+
+    The returned maximizer records the policy rows and the stop set, so the
+    value can be recomputed exactly; diagnostics report the largest
+    improvement available one grid step away from the chosen policy.
+    """
+    from fbound.bound_engine import (
+        BoundResult, _capacity_objective, _capacity_rules, _policy_row_keys, _simplex_grid,
+    )
+    from fbound.channel_model import SchemaError
+    from fbound.info_measures import rule_stack
+
+    if horizon < 1:
+        raise SchemaError("horizon must be >= 1")
+    rules, flags = _capacity_rules(ch, horizon, cfg)
+    stack = rule_stack(rules, horizon)
+    keys = _policy_row_keys(ch, horizon)
+    grid = _simplex_grid(ch.spec.x_size, cfg.grid_denominator)
+    uniform = tuple(np.full(ch.spec.x_size, 1.0 / ch.spec.x_size))
+    rng = np.random.default_rng(cfg.seed)
+
+    best_val, best_rows, best_rule = -math.inf, None, None
+    for restart in range(cfg.restarts + 1):
+        if restart == 0:
+            rows = {k: uniform for k in keys}
+        else:
+            rows = {k: grid[rng.integers(len(grid))] for k in keys}
+        val, rule = _capacity_objective(ch, rows, horizon, rules, stack, cfg.budget)
+        for _ in range(cfg.sweeps):
+            changed = False
+            for key in keys:
+                cur = rows[key]
+                for cand in grid:
+                    if cand == cur:
+                        continue
+                    trial = dict(rows)
+                    trial[key] = cand
+                    v, ru = _capacity_objective(ch, trial, horizon, rules, stack, cfg.budget)
+                    if v > val + 1e-12:
+                        rows, val, rule = trial, v, ru
+                        cur = cand
+                        changed = True
+            if not changed:
+                break
+        if val > best_val:
+            best_val, best_rows, best_rule = val, rows, rule
+
+    # one-grid-step optimality gap around the maximizer
+    gap = 0.0
+    for key in keys:
+        for cand in grid:
+            if cand == best_rows[key]:
+                continue
+            trial = dict(best_rows)
+            trial[key] = cand
+            v, _ = _capacity_objective(ch, trial, horizon, rules, stack, cfg.budget)
+            gap = max(gap, v - best_val)
+
+    maximizer = {
+        "policy_rows": {
+            f"{t}|{','.join(map(str, xh))}|{','.join(map(str, yh))}": list(row)
+            for (t, xh, yh), row in best_rows.items()
+        },
+        "stop_set": sorted(list(s) for s in best_rule.stops),
+    }
+    diagnostics = {"grid_neighbor_gap": gap, "rules_searched": len(rules)}
+    return BoundResult(
+        kind="capacity",
+        value=best_val,
+        horizon=horizon,
+        maximizer=maximizer,
+        diagnostics=diagnostics,
+        flags=tuple(flags),
+    )

@@ -159,6 +159,30 @@ def test_budget_env_var_exits_3(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_verify_honours_the_budget_env_var(capsys, monkeypatch):
+    # bsc02, M=2, horizon 11: 4,096 trajectories, 128 of them by step 6
+    monkeypatch.setenv("FBOUND_BUDGET", "100")
+    rc = main(["verify", "--channel", str(_CHANNELS / "bsc02.json"), "--suite", "all",
+               "--horizon", "11"])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: 128 live trajectories at step 6 of horizon 11 exceed the trajectory "
+        "budget 100\n"
+    )
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_simulate_rejects_fewer_than_one_worker(workers, capsys):
+    rc = main(["simulate", "--channel", BSC01, "--m", "2", "--n1", "3", "--n2", "4",
+               "--cap", "2", "--trials", "20", "--workers", workers])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: need at least one worker, got {workers}\n"
+    assert captured.out == ""
+
+
 def test_exact_flag_reports_enumeration(capsys):
     rc = main(["simulate", "--channel", BSC01, "--m", "2", "--n1", "3",
                "--n2", "4", "--cap", "2", "--scheme-seed", "5",

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 import oracles
@@ -24,6 +25,7 @@ from fbound.vlc_sim import (
     serialize_scheme,
     simulate,
 )
+from fbound.vlc_sim import _draw_uniforms
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +126,32 @@ def test_simulate_invariant_to_worker_count_and_code_path(yi_bsc01, bsc01):
     # the vectorized single-state path and the per-trial generic path must
     # agree bit for bit, not just statistically
     assert simulate(yi_bsc01, bsc01, 500, seed=1, _force_generic=True) == base
+
+
+def _fresh_generator_draws(seed, start, count, width):
+    return np.array([
+        np.random.Generator(np.random.Philox(key=[seed, t])).random(width)
+        for t in range(start, start + count)
+    ])
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
+def test_rekeyed_generator_draws_what_a_fresh_one_per_trial_draws():
+    # seeds at and past 2**63 go through numpy's own key conversion, which
+    # the re-keyed generator must reproduce, not repair
+    seeds = [0, 1, 11, 2**63 - 1, 2**63, 2**64 - 1]
+    seeds += [int(v) for v in np.random.default_rng(3).integers(0, 2**64, size=4, dtype=np.uint64)]
+    for seed in seeds:
+        for start in (0, 1, 19_999, 20_000, 987_654):
+            for width in range(1, 42):
+                got = _draw_uniforms(seed, start, 3, width)
+                assert got.tobytes() == _fresh_generator_draws(seed, start, 3, width).tobytes()
+
+
+def test_simulate_rejects_fewer_than_one_worker(yi_bsc01, bsc01):
+    for workers in (0, -1):
+        with pytest.raises(SchemaError, match="at least one worker"):
+            simulate(yi_bsc01, bsc01, 10, workers=workers)
 
 
 def test_simulate_seed_changes_outcome(yi_bsc01, bsc01):
