@@ -42,10 +42,11 @@ from .info_measures import (
     directed_kl_stopped,
     directed_mi_stopped,
     expected_stop_time,
-    kl,
+    max_pairwise_row_kl,
     node_table,
     ordered_sum,
     rule_stack,
+    stop_error,
     stopped_values,
     window_divergence,
 )
@@ -213,10 +214,7 @@ def burnashev(ch: Channel, rate: float) -> BurnashevResult:
         raise SchemaError(f"rate must be a nonnegative number, got {rate!r}")
     rows = ch.spec.q[0]
     cap, _, gap = dmc_capacity(rows)
-    c1 = 0.0
-    for a in range(ch.spec.x_size):
-        for b in range(ch.spec.x_size):
-            c1 = max(c1, kl(rows[a], rows[b]))
+    c1 = max_pairwise_row_kl(ch)
     if rate > cap + 1e-9:
         raise SchemaError(f"rate {rate} exceeds capacity {cap:.9f}")
     if math.isinf(c1):
@@ -711,10 +709,7 @@ def dmc_consistency(
         raise SchemaError("consistency check needs a single-state channel")
     rows_q = ch.spec.q[0]
     cap, _, _ = dmc_capacity(rows_q)
-    c1 = 0.0
-    for a in range(ch.spec.x_size):
-        for b in range(ch.spec.x_size):
-            c1 = max(c1, kl(rows_q[a], rows_q[b]))
+    c1 = max_pairwise_row_kl(ch)
     if cap < 1e-9:
         return ConsistencyReport(
             capacity=cap, max_kl=c1, rows=(), max_deviation=0.0,
@@ -796,19 +791,7 @@ def residual_terms(
     logm = math.log2(law.messages)
     flags: list[str] = []
 
-    pe = 0.0
-    et = 0.0
-    for path, p in law.node_prob[n].items():
-        t = last.stop_time(path)
-        et += p * t
-    # group stop-node mass once for the error probability
-    stop_mass: dict[tuple[int, ...], float] = {}
-    for path, p in law.node_prob[n].items():
-        node = path[: last.stop_time(path)]
-        stop_mass[node] = stop_mass.get(node, 0.0) + p
-    for node, p in stop_mass.items():
-        mu = law.w_post[len(node)][node]
-        pe += p * (1.0 - float(mu.max()))
+    pe, et = stop_error(law, last)
     pe = max(pe, 0.0)
 
     et1 = expected_stop_time(law, first)

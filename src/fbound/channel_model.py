@@ -30,7 +30,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -66,7 +66,6 @@ __all__ = [
     "forward_joint",
     "PosteriorTables",
     "posteriors",
-    "average_channel",
 ]
 
 # Hard error threshold for user-supplied distributions.
@@ -100,6 +99,15 @@ class MessageStructureError(FboundError):
 
 class LogRatioUnboundedError(FboundError):
     """The log-ratio step bound needs a strictly positive channel."""
+
+
+def check_tree_size(y_size: int, horizon: int) -> None:
+    """Refuse an output tree of more than ``DEFAULT_TRAJECTORY_BUDGET`` full
+    paths before any table over it is allocated."""
+    if y_size > 1 and (horizon > DEFAULT_TRAJECTORY_BUDGET.bit_length()
+                       or y_size**horizon > DEFAULT_TRAJECTORY_BUDGET):
+        raise BudgetExceededError(f"the output tree has {y_size}^{horizon} paths at horizon "
+                                  f"{horizon}, over the limit {DEFAULT_TRAJECTORY_BUDGET}")
 
 
 def _check_distribution(vec: np.ndarray, what: str) -> None:
@@ -463,7 +471,15 @@ class InputPolicy:
             if self.encoder is None:
                 raise SchemaError("message-form policy needs an encoder")
         else:
-            for key, row in self.rows.items():
+            # one array pass; the per-row loop only runs to name the first
+            # bad row and its first failed check
+            try:
+                arr = np.array(list(self.rows.values()), dtype=float)
+                ok = (arr.shape == (len(self.rows), self.x_size) and not np.any(arr < 0)
+                      and not np.any(np.abs(arr.sum(axis=1) - 1.0) > VALIDATION_TOL))
+            except ValueError:  # ragged or non-numeric rows
+                ok = False
+            for key, row in () if ok else self.rows.items():
                 arr = np.asarray(row, dtype=float)
                 if arr.shape != (self.x_size,):
                     raise SchemaError(f"behavioral row {key} has wrong arity")
@@ -602,6 +618,7 @@ class StoppingRule:
         n, y = self.horizon, self.y_size
         if n < 1 or y < 1:
             raise SchemaError("stopping rule needs horizon >= 1 and a non-empty output alphabet")
+        check_tree_size(y, n)
         stime = np.zeros(y**n, dtype=np.int64)
         # shorter nodes first, so an overlap names the longer node
         for node in sorted(stops, key=len):
@@ -627,6 +644,7 @@ class StoppingRule:
         """Deterministic T identically equal to t."""
         if not 1 <= t <= horizon:
             raise SchemaError("fixed stopping time must lie in 1..horizon")
+        check_tree_size(y_size, horizon)
         stops = frozenset(itertools.product(range(y_size), repeat=t))
         return cls(horizon=horizon, y_size=y_size, stops=stops)
 
@@ -637,6 +655,7 @@ class StoppingRule:
         an entry of ``times`` greater than n means the path has no stopped
         prefix within its n symbols."""
         h, y = self.horizon, self.y_size
+        check_tree_size(y, n)
         if n >= h:
             stopped = np.ones(_level_offsets(y, n)[n], dtype=bool)
             stopped[: self.stopped_nodes.size] = self.stopped_nodes
@@ -660,12 +679,6 @@ class StoppingRule:
         if len(tup) >= self.horizon:  # every path stops by the horizon
             return True
         return bool(self.stopped_nodes[_level_offsets(self.y_size, len(tup))[-1] + index])
-
-    def continue_histories(self, t: int) -> Iterator[tuple[int, ...]]:
-        """All histories of length t-1 at which symbol t is still sent."""
-        for hist in itertools.product(range(self.y_size), repeat=t - 1):
-            if not self.is_stopped(hist):
-                yield hist
 
     def dominates(self, other: "StoppingRule") -> bool:
         """True when this rule stops no later than ``other`` on every path."""
@@ -960,7 +973,7 @@ def _level_tables(prob, msg, steps, y_keys, m, xn, yn):
 
 
 # ---------------------------------------------------------------------------
-# posteriors and the averaged channel
+# posteriors
 # ---------------------------------------------------------------------------
 
 
@@ -1004,23 +1017,3 @@ def posteriors(law: JointLaw) -> PosteriorTables:
         prior=law.w_post,
         step=step,
     )
-
-
-def average_channel(law: JointLaw, t: int) -> dict[tuple[int, ...], np.ndarray]:
-    """Effective one-step channel P(Y_t | X_t = x, y^{t-1}) per realizable
-    history.
-
-    Returns, per history, an (x_size, y_size) array whose row x is the
-    conditional output law; rows for inputs of conditional probability zero
-    are NaN (absent, never fabricated).
-    """
-    if not 1 <= t <= law.horizon:
-        raise SchemaError(f"step {t} outside 1..{law.horizon}")
-    out = {}
-    for prev, xy in law.xy_node[t].items():
-        nu = xy.sum(axis=1)
-        rows = np.full_like(xy, np.nan)
-        pos = nu > 0.0
-        rows[pos] = xy[pos] / nu[pos, None]
-        out[prev] = rows
-    return out

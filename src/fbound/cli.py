@@ -241,7 +241,7 @@ def cmd_burnashev(args) -> int:
 
 
 def _verify_law(args, ch):
-    m = args.messages[0] if isinstance(args.messages, (list, tuple)) else args.messages
+    (m,) = args.messages
     horizon = args.horizon
     if m <= ch.spec.x_size:
         pol = repetition_encoder(m, ch.spec.x_size, horizon, ch.spec.y_size)
@@ -266,6 +266,9 @@ def _pinned_submartingale(law, eps, mutate):
 def cmd_verify(args) -> int:
     if args.trials < 1:
         raise SchemaError("--trials must be >= 1")
+    if len(args.messages) != 1:
+        given = ",".join(map(str, args.messages))
+        raise SchemaError(f"verify checks one message count, got --messages {given}")
     ch = load_channel(args.channel)
     law = _verify_law(args, ch)
     eps, trials, seed, mutate = args.epsilon, args.trials, args.seed, args.mutate

@@ -9,6 +9,18 @@ the constants in force, and human-readable detail lines.  Checks accept a
 a mutated run is expected to fail, which guards the checker itself against
 vacuous passes.
 
+The law-based checks are reductions over the law's node table
+(``info_measures.NodeTable``): the entropy H(W | y^t), posterior and
+children of every realizable history, the per-history information and
+worst-row divergence, and the histories along every full path.  One-step
+drops are ``child_expectation``; the pruned process works on paths x
+levels arrays, with pruned indices, compensator and atoms computed once
+per call.  Every printed value is computed as the per-history loops did:
+logarithms and exponentials are ``math`` calls, one element at a time
+(numpy's ``exp`` and ``log2`` differ in the last bit), and every sum runs
+in the loops' order (``ordered_sum``, ``np.bincount``, cumulative sums),
+so margins, constants and counts are bit-identical.
+
 Pruned-time conventions used throughout, for an entropy path H_0..H_N and a
 threshold eps (requires H_0 >= eps):
 
@@ -21,29 +33,31 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .channel_model import (
-    Channel,
     JointLaw,
     SchemaError,
     StoppingRule,
     bsc,
     forward_joint,
     posteriors,
-    average_channel,
     repetition_encoder,
 )
 from .info_measures import (
-    DriftTerms,
-    EntropyProcess,
     binary_entropy,
     binary_entropy_inv,
-    drift_terms,
+    child_expectation,
     entropy,
-    h_process,
     kl,
+    log_ratio_bound,
+    max_pairwise_row_kl,
+    node_table,
+    ordered_sum,
+    path_stop_times,
+    stop_error,
 )
 
 __all__ = [
@@ -65,6 +79,7 @@ __all__ = [
 MUTATIONS = ("halve_kl_drift",)
 
 DRIFT_TOL = 1e-10
+_VACUOUS = "no history with entropy inside (0, eps): vacuous pass"
 
 
 @dataclass(frozen=True)
@@ -110,22 +125,40 @@ def _check_mutation(mutate: str | None) -> None:
         raise SchemaError(f"unknown mutation {mutate!r}; available: {MUTATIONS}")
 
 
-def _kl_drift_value(terms: DriftTerms, t: int, prev: tuple[int, ...], mutate: str | None) -> float:
-    v = terms.kl_drift[t][prev]
-    if mutate == "halve_kl_drift":
-        return 0.5 * v
-    return v
+def _kl_drift(law: JointLaw, mutate: str | None) -> np.ndarray:
+    """Every entry's worst-row divergence, halved by ``halve_kl_drift``."""
+    d = node_table(law).node_kl
+    return 0.5 * d if mutate == "halve_kl_drift" else d
 
 
-def _child_prob(law: JointLaw, prev: tuple[int, ...], y: int) -> float:
-    node = prev + (y,)
-    child = law.node_prob[len(node)].get(node, 0.0)
-    return child / law.node_prob[len(prev)][prev]
+def _low_entropy_rows(law: JointLaw, eps: float) -> np.ndarray:
+    """Node-table entries with 0 < H(W | y^{t-1}) < eps, in sorted order."""
+    table = node_table(law)
+    rows = np.argsort(table.node)  # level by level, lexicographic within one
+    return rows[(0.0 < table.h[rows]) & (table.h[rows] < eps)]
 
 
 # ---------------------------------------------------------------------------
 # pruned times
 # ---------------------------------------------------------------------------
+
+
+def _pruned_times(h: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """(tau_hit, tau_last) of every row of a paths x levels entropy array."""
+    n = h.shape[1] - 1
+    if np.any(h[:, 0] < eps):
+        raise SchemaError("pruning needs the initial entropy at or above eps")
+    # first t >= 1 with H_t <= eps; a final always-true column stands for N
+    hit = np.hstack((h[:, 1:] <= eps, np.ones((h.shape[0], 1), dtype=bool)))
+    tau_hit = np.minimum(hit.argmax(axis=1) + 1, n)
+    above = h >= eps
+    tau_last = np.where(above.any(axis=1), n + 1 - above[:, ::-1].argmax(axis=1), 0)
+    return tau_hit, np.minimum(tau_last, n)
+
+
+def _pruned_index(m, tau_hit, tau_last, horizon: int):
+    """Pruned index t_m (broadcast): m before the hit, then max(m, tau_last)."""
+    return np.where(m < tau_hit, m, np.minimum(np.maximum(m, tau_last), horizon))
 
 
 @dataclass(frozen=True)
@@ -137,89 +170,61 @@ class PrunedTimes:
 
     @classmethod
     def from_path(cls, h_path: list[float], eps: float) -> "PrunedTimes":
-        n = len(h_path) - 1
-        if h_path[0] < eps:
-            raise SchemaError("pruning needs the initial entropy at or above eps")
-        tau_hit = n
-        for t in range(1, n + 1):
-            if h_path[t] <= eps:
-                tau_hit = t
-                break
-        tau_last = 0
-        for t in range(n + 1, 0, -1):
-            if h_path[t - 1] >= eps:
-                tau_last = t
-                break
-        tau_last = min(tau_last, n)
-        return cls(horizon=n, eps=eps, tau_hit=tau_hit, tau_last=tau_last)
+        hit, last = _pruned_times(np.array([h_path], dtype=float), eps)
+        return cls(horizon=len(h_path) - 1, eps=eps, tau_hit=int(hit[0]), tau_last=int(last[0]))
 
     def pruned_index(self, n: int) -> int:
-        if n > self.horizon:
-            return self.horizon
-        if n < self.tau_hit:
-            return n
-        return min(max(n, self.tau_last), self.horizon)
+        return int(_pruned_index(n, self.tau_hit, self.tau_last, self.horizon))
 
 
 # ---------------------------------------------------------------------------
-# per-path tables shared by the pruned-process checks
+# paths x levels arrays shared by the pruned-process checks
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _PathData:
-    path: tuple[int, ...]
-    prob: float
-    h: tuple[float, ...]        # H_0 .. H_N
-    j: tuple[float, ...]        # j[r] for r in 1..N (index 0 unused)
-    d: tuple[float, ...]        # kl drift, same indexing
-    times: PrunedTimes
+class _Paths(NamedTuple):
+    """The full output paths of positive probability, sorted: position in
+    ``node_prob[N]``, probability, then paths x levels arrays: the history
+    of each prefix, H_0..H_N, and j and d of steps 1..N, plus pruned times."""
+
+    leaf: np.ndarray
+    prob: np.ndarray
+    nodes: np.ndarray
+    h: np.ndarray
+    j: np.ndarray
+    d: np.ndarray
+    tau_hit: np.ndarray
+    tau_last: np.ndarray
 
 
-def _path_data(law: JointLaw, eps: float, mutate: str | None) -> list[_PathData]:
-    proc = h_process(law)
-    terms = drift_terms(law, proc)
-    out = []
-    for path, p in sorted(law.node_prob[law.horizon].items()):
-        if p <= 0.0:
-            continue
-        h = proc.path_values(path)
-        j = [0.0] + [terms.mi_drift[r][path[: r - 1]] for r in range(1, law.horizon + 1)]
-        d = [0.0] + [
-            _kl_drift_value(terms, r, path[: r - 1], mutate)
-            for r in range(1, law.horizon + 1)
-        ]
-        out.append(
-            _PathData(
-                path=path,
-                prob=p,
-                h=tuple(h),
-                j=tuple(j),
-                d=tuple(d),
-                times=PrunedTimes.from_path(h, eps),
-            )
-        )
-    return out
+def _paths(law: JointLaw, eps: float, mutate: str | None) -> _Paths:
+    table = node_table(law)
+    order = np.argsort(table.leaf)
+    leaf = order[table.leaf_prob[order] > 0.0]
+    nodes = table.path_nodes[leaf]
+    h = table.h[nodes]
+    return _Paths(leaf, table.leaf_prob[leaf], nodes, h, table.node_mi[nodes[:, :-1]],
+                  _kl_drift(law, mutate)[nodes[:, :-1]], *_pruned_times(h, eps))
 
 
-def _phase_constants(paths: list[_PathData], last_time) -> tuple[float, float]:
+def _phase_constants(paths: _Paths, last_time: np.ndarray) -> tuple[float, float]:
     """Information/divergence per expected step over the pre-hit and
-    post-hit windows; ``last_time(pd)`` gives the terminal time per path."""
-    num_i = den_i = num_d = den_d = 0.0
-    for pd in paths:
-        th = pd.times.tau_hit
-        tt = last_time(pd)
-        num_i += pd.prob * sum(pd.j[1 : th + 1])
-        den_i += pd.prob * th
-        num_d += pd.prob * sum(pd.d[th + 1 : tt + 1])
-        den_d += pd.prob * (tt - th)
+    post-hit windows; ``last_time`` gives the terminal time per path."""
+    th, tt = paths.tau_hit, last_time
+    r = np.arange(1, paths.h.shape[1])
+    win_i = np.where(r <= th[:, None], paths.j, 0.0)
+    win_d = np.where((r > th[:, None]) & (r <= tt[:, None]), paths.d, 0.0)
+    num_i = ordered_sum(paths.prob * ordered_sum(win_i))
+    den_i = ordered_sum(paths.prob * th)
+    num_d = ordered_sum(paths.prob * ordered_sum(win_d))
+    den_d = ordered_sum(paths.prob * (tt - th))
     if den_i <= 1e-12:
         raise SchemaError("empty pre-hit window: cannot form the information constant")
     if den_d <= 1e-12:
         raise SchemaError(
             "the entropy path never crosses eps before the end: no divergence window"
         )
-    return num_i / den_i, num_d / den_d
+    return float(num_i / den_i), float(num_d / den_d)
 
 
 # ---------------------------------------------------------------------------
@@ -235,30 +240,19 @@ def verify_linear_drift(law: JointLaw, tol: float = DRIFT_TOL) -> Verdict:
     constants report the largest absolute gap, which is ~0 on instances
     where the encoder makes the message and the input one-to-one.
     """
-    proc = h_process(law)
-    terms = drift_terms(law, proc)
-    worst = math.inf
-    max_abs = 0.0
-    count = 0
-    for t in range(1, law.horizon + 1):
-        for prev in sorted(law.xy_node[t]):
-            h_prev = proc.value(prev)
-            drop = h_prev
-            for y in range(law.channel.spec.y_size):
-                node = prev + (y,)
-                if node in proc.levels[t]:
-                    drop -= _child_prob(law, prev, y) * proc.value(node)
-            margin = terms.mi_drift[t][prev] - drop
-            worst = min(worst, margin)
-            max_abs = max(max_abs, abs(margin))
-            count += 1
+    table = node_table(law)
+    h = table.h
+    # drop = H(prev) - sum_y P(y | prev) H(prev y), subtracted term by term
+    drop = child_expectation(law, -h, start=h[: len(table.keys)])
+    margins = (table.node_mi - drop)[np.argsort(table.node)].tolist()
+    worst = min([math.inf, *margins])
     return Verdict(
         check="linear-drift",
         instance=_instance_name(law),
-        count=count,
+        count=len(margins),
         worst=worst,
         passed=worst >= -tol,
-        constants={"tol": tol, "max_abs_gap": max_abs},
+        constants={"tol": tol, "max_abs_gap": max([0.0, *map(abs, margins)])},
     )
 
 
@@ -284,45 +278,27 @@ def verify_log_drift(
     _check_mutation(mutate)
     if not 0.0 < eps <= 1.0:
         raise SchemaError("eps must lie in (0, 1] for the inverse-entropy slack")
-    proc = h_process(law)
-    terms = drift_terms(law, proc)
-    d_max = terms.max_pairwise_kl
+    table = node_table(law)
+    h = table.h
+    d_max = max_pairwise_row_kl(law.channel)
     if c is None:
         c = 2.0 * (1.0 + d_max) + d_max + 2.0
     slack = binary_entropy_inv(eps)
-    worst = math.inf
-    c_min = 0.0
-    count = 0
-    for t in range(1, law.horizon + 1):
-        for prev in sorted(law.xy_node[t]):
-            h_prev = proc.value(prev)
-            if not 0.0 < h_prev < eps:
-                continue
-            drift = 0.0
-            for y in range(law.channel.spec.y_size):
-                node = prev + (y,)
-                if node in proc.levels[t]:
-                    h_child = proc.value(node)
-                    if h_child <= 0.0:
-                        drift = -math.inf
-                        break
-                    drift += _child_prob(law, prev, y) * math.log2(h_child)
-            else:
-                drift -= math.log2(h_prev)
-            d_r = _kl_drift_value(terms, t, prev, mutate)
-            margin = drift + d_r + c * slack
-            worst = min(worst, margin)
-            if slack > 0:
-                c_min = max(c_min, (-drift - d_r) / slack)
-            count += 1
-    details = ()
-    if count == 0:
-        worst = math.inf
-        details = ("no history with entropy inside (0, eps): vacuous pass",)
+    rows = _low_entropy_rows(law, eps)
+    log_h = np.array([math.log2(v) if v > 0.0 else -math.inf for v in h.tolist()])
+    # a realizable child at zero entropy sends the drift to -inf
+    kids = table.children[rows]
+    dead = ((kids >= 0) & (h[kids] <= 0.0)).any(axis=1)
+    drift = np.where(dead, -math.inf, child_expectation(law, log_h, rows) - log_h[rows])
+    d_r = _kl_drift(law, mutate)[rows]
+    margins = (drift + d_r + c * slack).tolist()
+    worst = min([math.inf, *margins])
+    c_min = max([0.0, *((-drift - d_r) / slack).tolist()]) if slack > 0 else 0.0
+    details = () if margins else (_VACUOUS,)
     return Verdict(
         check="log-drift",
         instance=_instance_name(law),
-        count=count,
+        count=len(margins),
         worst=worst,
         passed=worst >= -tol,
         constants={
@@ -353,24 +329,35 @@ def _z_value(h: float, eps: float, i_const: float, d_const: float, lam: float) -
     return y / d_const + (1.0 - math.exp(lam * y)) / (lam * d_const)
 
 
-def _s_values(pd: _PathData, eps: float, i_const: float, d_const: float, logm: float) -> list[float]:
-    """Compensator path: information credits before the hit, capped
-    excursion credits between the hit and the last crossing (only while the
-    previous entropy is at least sqrt(eps)), divergence credits afterwards,
-    plus a one-off sqrt(eps) * N / I once past the last crossing."""
-    n = pd.times.horizon
-    th, tl = pd.times.tau_hit, pd.times.tau_last
+def _s_values(
+    paths: _Paths, eps: float, i_const: float, d_const: float, logm: float
+) -> np.ndarray:
+    """Compensator paths S_0..S_N: information credits before the hit,
+    capped excursion credits between the hit and the last crossing (only
+    while the previous entropy is at least sqrt(eps)), divergence credits
+    afterwards, plus a one-off sqrt(eps) * N / I once past the last
+    crossing."""
+    n = paths.h.shape[1] - 1
+    th, tl = paths.tau_hit[:, None], paths.tau_last[:, None]
+    r = np.arange(n + 1)
     root = math.sqrt(eps)
-    s = [0.0] * (n + 1)
-    for r in range(1, n + 1):
-        if r <= th:
-            inc = pd.j[r] / i_const
-        elif r <= tl:
-            inc = logm / i_const if pd.h[r - 1] >= root else 0.0
-        else:
-            inc = pd.d[r] / d_const
-        s[r] = s[r - 1] + inc
-    return [s[t] + (root * n / i_const if t >= tl else 0.0) for t in range(n + 1)]
+    excursion = np.where(paths.h[:, :-1] >= root, logm / i_const, 0.0)
+    inc = np.where(r[1:] <= th, paths.j / i_const,
+                   np.where(r[1:] <= tl, excursion, paths.d / d_const))
+    s = np.cumsum(np.hstack((np.zeros((inc.shape[0], 1)), inc)), axis=1)
+    return s + np.where(r >= tl, root * n / i_const, 0.0)
+
+
+def _atoms(paths: _Paths, pruned: np.ndarray) -> np.ndarray:
+    """Conditioning atom (m, y^{t_m}) of every (path, m < N), path-major,
+    numbered in order of first appearance."""
+    n = pruned.shape[1] - 1
+    prefix = np.take_along_axis(paths.nodes, pruned[:, :-1], axis=1)
+    _, first, inv = np.unique((prefix * n + np.arange(n)).ravel(),
+                              return_index=True, return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(first.size)
+    return rank[inv.ravel()]
 
 
 def _f_precondition_holds(eps: float, i_const: float, d_const: float, lam: float, eta: float) -> tuple[bool, float]:
@@ -400,6 +387,8 @@ def verify_submartingale_L(
     lambda is admissible when its convexity precondition holds on a dense
     sample of the negative log-ratio range; the verdict reports the largest
     grid lambda that is admissible and passes every atom at every step.
+    Per lambda, Z is evaluated once per history on the paths and each
+    atom's increments are summed with one ``np.bincount`` in path order.
     """
     _check_mutation(mutate)
     if not law.is_message_form:
@@ -409,16 +398,25 @@ def verify_submartingale_L(
     logm = math.log2(law.messages)
     if not 0.0 < eps < logm:
         raise SchemaError("eps must lie in (0, log2 M)")
-    terms = drift_terms(law)
-    eta = terms.log_ratio_bound()  # raises unless strictly positive
-    paths = _path_data(law, eps, mutate)
+    eta = log_ratio_bound(law.channel)  # raises unless strictly positive
+    paths = _paths(law, eps, mutate)
     n = law.horizon
     if i_const is None or d_const is None:
-        i_auto, d_auto = _phase_constants(paths, lambda pd: n)
+        i_auto, d_auto = _phase_constants(paths, np.full(paths.prob.size, n))
         i_const = i_auto if i_const is None else i_const
         d_const = d_auto if d_const is None else d_const
     if lam_grid is None:
         lam_grid = default_lambda_grid()
+
+    pruned = _pruned_index(np.arange(n + 1), paths.tau_hit[:, None], paths.tau_last[:, None], n)
+    s = np.take_along_axis(_s_values(paths, eps, i_const, d_const, logm), pruned, axis=1)
+    atom = _atoms(paths, pruned)
+    n_atoms = int(atom.max()) + 1 if atom.size else 0
+    mass = np.bincount(atom, np.repeat(paths.prob, n), n_atoms)
+    by_atom = np.argsort(atom, kind="stable")
+    starts = np.flatnonzero(np.diff(atom[by_atom], prepend=-1))
+    nodes, on_path = np.unique(paths.nodes, return_inverse=True)
+    h_nodes = node_table(law).h[nodes].tolist()
 
     details: list[str] = []
     best_lam = None
@@ -429,34 +427,26 @@ def verify_submartingale_L(
         if not pre_ok:
             details.append(f"lambda={lam:g}: precondition violated (gap {pre_gap:.3e})")
             continue
-        atoms: dict[tuple[int, tuple[int, ...]], list[float]] = {}
-        lcheck: dict[tuple[int, tuple[int, ...]], list[float]] = {}
-        for pd in paths:
-            z = [_z_value(pd.h[t], eps, i_const, d_const, lam) for t in range(n + 1)]
-            s = _s_values(pd, eps, i_const, d_const, logm)
-            l = [z[pd.times.pruned_index(m)] + s[pd.times.pruned_index(m)] for m in range(n + 1)]
-            for m in range(n):
-                key = (m, pd.path[: pd.times.pruned_index(m)])
-                acc = atoms.setdefault(key, [0.0, 0.0])
-                acc[0] += pd.prob * (l[m + 1] - l[m])
-                acc[1] += pd.prob
-                lcheck.setdefault(key, []).append(l[m])
-        worst = math.inf
-        for key, (num, mass) in atoms.items():
-            worst = min(worst, num / mass)
-        spread = max(max(v) - min(v) for v in lcheck.values())
+        z = np.array([_z_value(v, eps, i_const, d_const, lam) for v in h_nodes])
+        z = z[on_path.reshape(paths.nodes.shape)]
+        l = np.take_along_axis(z, pruned, axis=1) + s
+        num = np.bincount(atom, (paths.prob[:, None] * (l[:, 1:] - l[:, :-1])).ravel(), n_atoms)
+        worst = min([math.inf, *(num / mass).tolist()])
+        at_m = l[:, :-1].ravel()[by_atom]
+        spread = max((np.maximum.reduceat(at_m, starts)
+                      - np.minimum.reduceat(at_m, starts)).tolist())
         if spread > 1e-8:
             details.append(f"lambda={lam:g}: non-constant L on an atom (spread {spread:.2e})")
             continue
         ok = worst >= -tol
         details.append(
-            f"lambda={lam:g}: atoms={len(atoms)} worst-margin={worst:.6g} "
+            f"lambda={lam:g}: atoms={n_atoms} worst-margin={worst:.6g} "
             f"{'pass' if ok else 'fail'}"
         )
         if ok and best_lam is None:
-            best_lam, best_worst, best_count = lam, worst, len(atoms)
+            best_lam, best_worst, best_count = lam, worst, n_atoms
         if best_lam is None and worst > best_worst:
-            best_worst, best_count = worst, len(atoms)
+            best_worst, best_count = worst, n_atoms
     passed = best_lam is not None
     return Verdict(
         check="pruned-submartingale",
@@ -493,31 +483,25 @@ def verify_fano(law: JointLaw, rule: StoppingRule | None = None, tol: float = 1e
         rule = StoppingRule.fixed(law.horizon, law.horizon, law.channel.spec.y_size)
     m = law.messages
     log_m1 = math.log2(m - 1) if m > 1 else 0.0
+    table = node_table(law)
+    times = path_stop_times(law, rule)
+    stop = table.path_nodes[np.arange(times.size), times]
+    mu, h_node, p = table.posterior[stop], table.h[stop], table.leaf_prob
     worst = math.inf
     count = 0
     details = []
     for decoder in ("map", "constant"):
-        avg_h = 0.0
-        avg_pe = 0.0
-        for path, p in law.node_prob[law.horizon].items():
-            node = path[: rule.stop_time(path)]
-            mu = law.w_post[len(node)][node]
-            h_node = entropy(mu)
-            if decoder == "map":
-                w_hat = int(np.nanargmax(mu))
-            else:
-                w_hat = 0
-            pe = 1.0 - float(mu[w_hat])
-            # weight by the node mass contribution of this full path
-            weight = p
-            avg_h += weight * h_node
-            avg_pe += weight * pe
-            margin = binary_entropy(min(max(pe, 0.0), 1.0)) + pe * log_m1 - h_node
-            worst = min(worst, margin)
-            count += 1
-        margin = binary_entropy(min(max(avg_pe, 0.0), 1.0)) + avg_pe * log_m1 - avg_h
-        worst = min(worst, margin)
-        count += 1
+        w_hat = np.nanargmax(mu, axis=1) if decoder == "map" else np.zeros(stop.size, dtype=int)
+        pe = 1.0 - mu[np.arange(stop.size), w_hat]
+        # weight each stop node by the mass of each full path through it
+        avg_h = float(ordered_sum(p * h_node))
+        avg_pe = float(ordered_sum(p * pe))
+        margins = [
+            binary_entropy(min(max(e, 0.0), 1.0)) + e * log_m1 - h
+            for e, h in zip(pe.tolist() + [avg_pe], h_node.tolist() + [avg_h])
+        ]
+        worst = min([worst, *margins])
+        count += len(margins)
         details.append(f"{decoder} decoder: avg error {avg_pe:.6g}, avg entropy {avg_h:.6g}")
     return Verdict(
         check="decoder-entropy-ceiling",
@@ -553,40 +537,30 @@ def verify_lemma4_budget(
         rule = StoppingRule.fixed(n, n, law.channel.spec.y_size)
     logm = math.log2(law.messages)
 
-    pe = 0.0
-    et = 0.0
-    seen: dict[tuple[int, ...], float] = {}
-    for path, p in law.node_prob[n].items():
-        t_stop = rule.stop_time(path)
-        et += p * t_stop
-        node = path[:t_stop]
-        seen[node] = seen.get(node, 0.0) + p
-    for node, p in seen.items():
-        mu = law.w_post[len(node)][node]
-        pe += p * (1.0 - float(np.nanmax(mu)))
+    pe, et = stop_error(law, rule)
     alpha = binary_entropy(min(max(pe, 0.0), 1.0)) + pe * logm
     if eps <= alpha:
         raise SchemaError(
             f"eps={eps:g} must exceed the decoder entropy ceiling {alpha:.6g}"
         )
 
-    paths = _path_data(law, eps, mutate=None)
-    stop_of = {pd.path: rule.stop_time(pd.path) for pd in paths}
-    i_const, d_const = _phase_constants(paths, lambda pd: stop_of[pd.path])
+    paths = _paths(law, eps, mutate=None)
+    stop = path_stop_times(law, rule)[paths.leaf]
+    i_const, d_const = _phase_constants(paths, stop)
     rate = logm / et
     v_term = (rate / i_const) * math.sqrt(eps) * n + math.sqrt(eps) * n / (et * i_const)
 
-    es = 0.0
-    for pd in paths:
-        s = _s_values(pd, eps, i_const, d_const, logm)
-        t_end = max(stop_of[pd.path], pd.times.tau_last)
-        es += pd.prob * s[t_end]
+    if d_const == 0.0 and np.any(paths.tau_last < n):
+        raise SchemaError("no divergence after the stop: the divergence constant is 0")
+    s = _s_values(paths, eps, i_const, d_const, logm)
+    t_end = np.maximum(stop, paths.tau_last)
+    es = float(ordered_sum(paths.prob * s[np.arange(stop.size), t_end]))
     rhs = et * (1.0 + v_term)
     margin = rhs - es
     return Verdict(
         check="compensator-budget",
         instance=_instance_name(law),
-        count=len(paths),
+        count=stop.size,
         worst=margin,
         passed=margin >= -tol,
         constants={
@@ -622,52 +596,30 @@ def verify_lemma5_kl_transfer(
     _check_mutation(mutate)
     if not 0.0 < eps <= 1.0:
         raise SchemaError("eps must lie in (0, 1] for the inverse-entropy slack")
-    proc = h_process(law)
-    terms = drift_terms(law)
-    d_max = terms.max_pairwise_kl
+    rows = _low_entropy_rows(law, eps)
+    d_max = max_pairwise_row_kl(law.channel)
     if cprime is None:
         cprime = 4.0 * (1.0 + d_max)
     slack = binary_entropy_inv(eps)
     pt = posteriors(law)
-    worst = math.inf
-    cprime_min = 0.0
-    count = 0
-    for t in range(1, law.horizon + 1):
-        avg_rows = average_channel(law, t)
-        for prev in sorted(law.xy_node[t]):
-            h_prev = proc.value(prev)
-            if not 0.0 < h_prev < eps:
-                continue
-            w_rows = pt.step[t][prev]
-            w_star = pt.map_message(t - 1, prev)
-            lhs = 0.0
-            for w in range(law.messages):
-                if w == w_star or np.isnan(w_rows[w]).any():
-                    continue
-                lhs = max(lhs, kl(w_rows[w_star], w_rows[w]))
-            rows = avg_rows[prev]
-            nu = law.xy_node[t][prev].sum(axis=1)
-            x_star = int(np.argmax(nu))
-            rhs_kl = 0.0
-            for x in range(law.channel.spec.x_size):
-                if x == x_star or np.isnan(rows[x]).any():
-                    continue
-                rhs_kl = max(rhs_kl, kl(rows[x_star], rows[x]))
-            if mutate == "halve_kl_drift":
-                rhs_kl *= 0.5
-            margin = rhs_kl + cprime * slack - lhs
-            worst = min(worst, margin)
-            if slack > 0:
-                cprime_min = max(cprime_min, (lhs - rhs_kl) / slack)
-            count += 1
-    details = ()
-    if count == 0:
-        worst = math.inf
-        details = ("no history with entropy inside (0, eps): vacuous pass",)
+    lhs = []
+    for t, prev in (node_table(law).keys[e] for e in rows.tolist()):
+        w_rows = pt.step[t][prev]
+        w_star = pt.map_message(t - 1, prev)
+        lhs.append(max([0.0, *(
+            kl(w_rows[w_star], w_rows[w]) for w in range(law.messages)
+            if w != w_star and not np.isnan(w_rows[w]).any()
+        )]))
+    lhs = np.array(lhs, dtype=float)
+    rhs = _kl_drift(law, mutate)[rows]
+    margins = (rhs + cprime * slack - lhs).tolist()
+    worst = min([math.inf, *margins])
+    cprime_min = max([0.0, *((lhs - rhs) / slack).tolist()]) if slack > 0 else 0.0
+    details = () if margins else (_VACUOUS,)
     return Verdict(
         check="kl-transfer",
         instance=_instance_name(law),
-        count=count,
+        count=len(margins),
         worst=worst,
         passed=worst >= -tol,
         constants={
@@ -787,23 +739,16 @@ def verify_maximal_inequality(
 
     if law is None:
         law = forward_joint(bsc(0.1), repetition_encoder(2, 2, 6), 6)
-    proc = h_process(law)
+    table = node_table(law)
+    h = table.h
     # generator self-check: expected one-step decrease at every history
-    for t in range(1, law.horizon + 1):
-        for prev in sorted(law.xy_node[t]):
-            h_prev = proc.value(prev)
-            step = sum(
-                _child_prob(law, prev, y) * proc.value(prev + (y,))
-                for y in range(law.channel.spec.y_size)
-                if prev + (y,) in proc.levels[t]
-            )
-            if step > h_prev + tol_self:
-                raise SchemaError("entropy process failed its decrease self-check")
-    nodes = sorted(law.node_prob[law.horizon])
-    probs = np.array([law.node_prob[law.horizon][p] for p in nodes])
+    if np.any(child_expectation(law, h) > h[: len(table.keys)] + tol_self):
+        raise SchemaError("entropy process failed its decrease self-check")
+    order = np.argsort(table.leaf)
+    probs = table.leaf_prob[order]
     probs = probs / probs.sum()
-    idx = rng.choice(len(nodes), size=trials, p=probs)
-    h_paths = np.array([proc.path_values(nodes[i]) for i in idx])
+    idx = rng.choice(len(order), size=trials, p=probs)
+    h_paths = h[table.path_nodes[order[idx]]]
     start_mean = float(h_paths[:, 1].mean())
     for c in (0.2, 0.5, 0.9):
         sup = h_paths[:, 1:].max(axis=1)

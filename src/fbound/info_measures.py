@@ -34,6 +34,7 @@ from .channel_model import (
     StoppingRule,
     _hist_index,
     _level_offsets,
+    check_tree_size,
 )
 
 __all__ = [
@@ -147,11 +148,6 @@ def directed_mi_fixed(law: JointLaw, n: int) -> float:
     return float(ordered_sum(np.where(table.level < n, table.mi, 0.0)))
 
 
-def step_mi(law: JointLaw, t: int, prev: tuple[int, ...]) -> float:
-    """I(X_t; Y_t | Y^{t-1} = prev) in bits."""
-    return mutual_information(law.xy_node[t][prev])
-
-
 # ---------------------------------------------------------------------------
 # per-law node table and stopped sums
 # ---------------------------------------------------------------------------
@@ -168,40 +164,95 @@ class NodeTable:
     - level: t - 1
     - prob: p(y^{t-1})
     - node_mi: I(X_t; Y_t | y^{t-1}); mi = prob * node_mi
-    - node_kl: max_x D(row(x*) || row(x)) of the effective channel;
-      kl = prob * node_kl; both built on first use
     - leaf, leaf_prob: ``_hist_index`` and probability of every full output
       path y^N, in ``node_prob[N]`` order
+
+    Built on first use, with histories (the entries, then the leaves: levels
+    0..N in ``w_post`` order) indexed by their position:
+
+    - x_kl[e, x]: D(row(x*) || row(x)) of the effective channel, NaN for an
+      unrealizable x; node_kl, its max (the worst-row divergence, 0.0 when
+      no x is realizable); kl = prob * node_kl
+    - posterior and h: the message posterior and H(W | y^t) of each history
+    - children[e, y]: the history y^{t-1}y, -1 when unrealizable
+    - path_nodes[k, t]: the length-t prefix of the k-th full path
     """
 
     def __init__(self, law: JointLaw) -> None:
-        y = law.channel.spec.y_size
-        offsets = _level_offsets(y, law.horizon)
+        y, n = law.channel.spec.y_size, law.horizon
+        check_tree_size(y, n)
+        self._offsets = _level_offsets(y, n + 1)
+        self._y, self._horizon, self._x_size = y, n, law.channel.spec.x_size
+        self._w_post, self._message_form = law.w_post, law.is_message_form
         keys, prob, self._xy = [], [], []
-        for t in range(1, law.horizon + 1):
+        for t in range(1, n + 1):
             for prev, xy in law.xy_node[t].items():
                 keys.append((t, prev))
                 prob.append(law.node_prob[t - 1][prev])
                 self._xy.append(xy)
         self.keys = keys
         self.node = np.array(
-            [offsets[t - 1] + _hist_index(prev, y) for t, prev in keys], dtype=np.int64
+            [self._offsets[t - 1] + _hist_index(prev, y) for t, prev in keys], dtype=np.int64
         )
         self.level = np.array([t - 1 for t, _ in keys], dtype=np.int64)
         self.prob = np.array(prob, dtype=float)
         self.node_mi = np.array([mutual_information(xy) for xy in self._xy], dtype=float)
         self.mi = self.prob * self.node_mi
-        paths = law.node_prob[law.horizon]
+        paths = law.node_prob[n]
         self.leaf = np.array([_hist_index(path, y) for path in paths], dtype=np.int64)
         self.leaf_prob = np.array(list(paths.values()), dtype=float)
 
     @cached_property
+    def x_kl(self) -> np.ndarray:
+        out = np.full((len(self._xy), self._x_size), np.nan)
+        for e, xy in enumerate(self._xy):
+            nu = xy.sum(axis=1)
+            real = np.flatnonzero(nu > 0.0)
+            if real.size:
+                x_star = real[np.argmax(nu[real])]
+                out[e, real] = [kl(xy[x_star] / nu[x_star], xy[x] / nu[x]) for x in real]
+        return out
+
+    @cached_property
     def node_kl(self) -> np.ndarray:
-        return np.array([_worst_row_kl(xy) for xy in self._xy], dtype=float)
+        worst = np.fmax.reduce(self.x_kl, axis=1, initial=-np.inf)
+        return np.where(worst == -np.inf, 0.0, worst)
 
     @cached_property
     def kl(self) -> np.ndarray:
         return self.prob * self.node_kl
+
+    @cached_property
+    def posterior(self) -> np.ndarray:
+        return np.array([mu for level in self._w_post for mu in level.values()])
+
+    @cached_property
+    def h(self) -> np.ndarray:
+        if not self._message_form:
+            raise SchemaError("entropy process needs a message-form law")
+        return np.array([entropy(mu) for mu in self.posterior], dtype=float)
+
+    @cached_property
+    def _position(self) -> np.ndarray:
+        # history index of every output-tree node of levels 0..N, -1 if unrealizable
+        n = self._horizon
+        flat = np.concatenate((self.node, self._offsets[n] + self.leaf))
+        pos = np.full(self._offsets[n + 1], -1, dtype=np.int64)
+        pos[flat] = np.arange(flat.size)
+        return pos
+
+    @cached_property
+    def children(self) -> np.ndarray:
+        off = np.array(self._offsets)
+        first = (self.node - off[self.level]) * self._y + off[self.level + 1]
+        return self._position[first[:, None] + np.arange(self._y)]
+
+    @cached_property
+    def path_nodes(self) -> np.ndarray:
+        n = self._horizon
+        return np.stack(
+            [self._position[self._offsets[t] + self.leaf // self._y ** (n - t)]
+             for t in range(n + 1)], axis=1)
 
 
 def node_table(law: JointLaw) -> NodeTable:
@@ -259,52 +310,65 @@ def directed_mi_stopped(law: JointLaw, rule: StoppingRule) -> float:
     return float(mi[0])
 
 
-def expected_stop_time(law: JointLaw, rule: StoppingRule) -> float:
-    """E[T] under the law's output-path distribution."""
-    stopped, times = rule_stack([rule], law.horizon)
-    late = np.flatnonzero(times[0, node_table(law).leaf] > law.horizon)
+def path_stop_times(law: JointLaw, rule: StoppingRule) -> np.ndarray:
+    """T on every full output path of the law, in ``node_prob[N]`` order."""
+    times = rule.tables_at(law.horizon)[1][node_table(law).leaf]
+    late = np.flatnonzero(times > law.horizon)
     if late.size:
         path = list(law.node_prob[law.horizon])[late[0]]
         raise SchemaError(f"path {path} has no stopped prefix")
-    et, _ = stopped_values(law, stopped, times)
-    return float(et[0])
+    return times
+
+
+def expected_stop_time(law: JointLaw, rule: StoppingRule) -> float:
+    """E[T] under the law's output-path distribution."""
+    return float(ordered_sum(node_table(law).leaf_prob * path_stop_times(law, rule)))
+
+
+def stop_error(law: JointLaw, rule: StoppingRule) -> tuple[float, float]:
+    """(pe, E[T]): the error probability of maximum-posterior decoding at
+    the stop node, and the expected stop time.  Each stop node's mass is
+    summed over its paths in path order, and pe over the stop nodes in order
+    of first appearance."""
+    table = node_table(law)
+    times = path_stop_times(law, rule)
+    stop = table.path_nodes[np.arange(times.size), times]
+    nodes, first, inv = np.unique(stop, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    mass = np.bincount(inv, table.leaf_prob)[order]
+    pe = ordered_sum(mass * (1.0 - table.posterior[nodes[order]].max(axis=1)))
+    return float(pe), expected_stop_time(law, rule)
+
+
+def child_expectation(law: JointLaw, values: np.ndarray, rows=None, start=0.0) -> np.ndarray:
+    """start + sum_y P(y | y^{t-1}) values[y^{t-1}y] over the realizable
+    children of the node-table entries ``rows`` (all when None); ``values``
+    is indexed by history.  Terms are added in y order from ``start``; an
+    unrealizable child adds -0.0, which changes no sum."""
+    table = node_table(law)
+    rows = np.arange(table.prob.size) if rows is None else rows
+    kids, parent = table.children[rows], table.prob[rows]
+    if not parent.all():
+        t, prev = table.keys[rows[np.argmin(parent != 0.0)]]
+        raise DistributionError(f"history {prev} at step {t} has probability 0.0")
+    prob = np.concatenate((table.prob, table.leaf_prob))
+    with np.errstate(invalid="ignore"):  # 0 * -inf at an unrealizable child
+        terms = np.where(kids >= 0, prob[kids] / parent[:, None] * values[kids], -0.0)
+    start = np.broadcast_to(np.asarray(start, dtype=float), parent.shape)[:, None]
+    return np.cumsum(np.concatenate((start, terms), axis=1), axis=1)[:, -1]
 
 
 def message_information(law: JointLaw, n: int) -> float:
     """I(W; Y^n) in bits for a message-form law."""
-    h0 = entropy(law.w_post[0][()])
-    hn = 0.0
-    for node, mu in law.w_post[n].items():
-        hn += law.node_prob[n][node] * entropy(mu)
-    return h0 - hn
+    table = node_table(law)
+    level = np.append(table.level, np.full(table.leaf.size, law.horizon))
+    prob = np.concatenate((table.prob, table.leaf_prob))
+    return float(table.h[0]) - float(ordered_sum(np.where(level == n, prob * table.h, 0.0)))
 
 
 # ---------------------------------------------------------------------------
 # directed KL of the effective channel
 # ---------------------------------------------------------------------------
-
-
-def _effective_rows(xy: np.ndarray):
-    """Realizable effective-channel rows of a joint P(X_t, Y_t | y^{t-1})
-    plus the most likely input there.  Returns (map_input, {x: row}) or
-    None when degenerate."""
-    nu = xy.sum(axis=1)
-    realizable = np.flatnonzero(nu > 0.0)
-    if realizable.size == 0:
-        return None
-    x_star = int(realizable[np.argmax(nu[realizable])])
-    rows = {int(x): xy[x] / nu[x] for x in realizable}
-    return x_star, rows
-
-
-def _worst_row_kl(xy: np.ndarray) -> float:
-    """max_x D(row(x*) || row(x)) over the realizable inputs of a joint."""
-    got = _effective_rows(xy)
-    if got is None:
-        return 0.0
-    x_star, rows = got
-    base = rows[x_star]
-    return max(kl(base, row) for row in rows.values())
 
 
 def directed_kl(law: JointLaw, a: int, b: int, variant: str = "per_history_max") -> float:
@@ -326,24 +390,18 @@ def directed_kl(law: JointLaw, a: int, b: int, variant: str = "per_history_max")
     """
     if not 1 <= a <= b <= law.horizon:
         raise SchemaError(f"window {a}..{b} outside 1..{law.horizon}")
+    table = node_table(law)
     if variant == "per_history_max":
-        table = node_table(law)
         window = (table.level >= a - 1) & (table.level < b)
         return float(ordered_sum(np.where(window, table.kl, 0.0)))
     if variant == "global_symbol_max":
         total = 0.0
         for t in range(a, b + 1):
-            per_x: dict[int, float] = {}
-            for prev, xy in law.xy_node[t].items():
-                got = _effective_rows(xy)
-                if got is None:
-                    continue
-                x_star, rows = got
-                base = rows[x_star]
-                w = law.node_prob[t - 1][prev]
-                for x, row in rows.items():
-                    per_x[x] = per_x.get(x, 0.0) + w * kl(base, row)
-            total += max(per_x.values()) if per_x else 0.0
+            x_kl = table.x_kl[table.level == t - 1]
+            seen = ~np.isnan(x_kl)
+            w = table.prob[table.level == t - 1, None]
+            per_x = ordered_sum(np.where(seen, w * x_kl, 0.0).T)[seen.any(axis=0)]
+            total += max(per_x.tolist()) if per_x.size else 0.0
         return total
     raise SchemaError(f"unknown directed_kl variant {variant!r}")
 
@@ -388,15 +446,15 @@ class EntropyProcess:
 
 
 def h_process(law: JointLaw) -> EntropyProcess:
-    if not law.is_message_form:
-        raise SchemaError("entropy process needs a message-form law")
-    levels = []
-    for t in range(law.horizon + 1):
-        lvl = {}
-        for node, mu in law.w_post[t].items():
-            lvl[node] = (law.node_prob[t][node], entropy(mu))
-        levels.append(lvl)
-    return EntropyProcess(horizon=law.horizon, messages=law.messages, levels=tuple(levels))
+    """The law's entropy column (``NodeTable.h``) as level dicts."""
+    table = node_table(law)
+    h = table.h.tolist()
+    levels = tuple({} for _ in range(law.horizon + 1))
+    for (t, prev), p, v in zip(table.keys, table.prob.tolist(), h):
+        levels[t - 1][prev] = (p, v)
+    for (path, p), v in zip(law.node_prob[law.horizon].items(), h[len(table.keys):]):
+        levels[law.horizon][path] = (p, v)
+    return EntropyProcess(horizon=law.horizon, messages=law.messages, levels=levels)
 
 
 @dataclass(frozen=True)
@@ -420,26 +478,29 @@ class DriftTerms:
     channel: Channel
 
     def log_ratio_bound(self) -> float:
-        """Largest one-step magnitude of log2 H_t - log2 H_{t-1}: the max
-        log2 ratio between any two channel entries at the same output.
-        Only defined for strictly positive channels."""
-        q = self.channel.spec.q
-        if not self.channel.spec.strictly_positive:
-            raise LogRatioUnboundedError(
-                "log-ratio step bound needs a strictly positive channel"
-            )
-        per_y_max = q.max(axis=(0, 1))
-        per_y_min = q.min(axis=(0, 1))
-        return float(np.max(np.log2(per_y_max / per_y_min)))
+        return log_ratio_bound(self.channel)
+
+
+def log_ratio_bound(ch: Channel) -> float:
+    """Largest one-step magnitude of log2 H_t - log2 H_{t-1}: the max log2
+    ratio between any two channel entries at the same output.  Only
+    defined for strictly positive channels."""
+    q = ch.spec.q
+    if not ch.spec.strictly_positive:
+        raise LogRatioUnboundedError("log-ratio step bound needs a strictly positive channel")
+    per_y_max = q.max(axis=(0, 1))
+    per_y_min = q.min(axis=(0, 1))
+    return float(np.max(np.log2(per_y_max / per_y_min)))
+
+
+def row_divergences(rows) -> np.ndarray:
+    """D(rows[a] || rows[b]) in bits for every ordered pair of rows."""
+    return np.array([[kl(p, q) for q in rows] for p in rows], dtype=float)
 
 
 def max_pairwise_row_kl(ch: Channel) -> float:
-    rows = ch.spec.rows()
-    worst = 0.0
-    for p in rows:
-        for q in rows:
-            worst = max(worst, kl(p, q))
-    return worst
+    """Largest divergence between two (x, s) rows of the channel."""
+    return float(row_divergences(ch.spec.rows()).max())
 
 
 def drift_terms(law: JointLaw, proc: EntropyProcess | None = None) -> DriftTerms:

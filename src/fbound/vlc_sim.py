@@ -35,7 +35,7 @@ import numpy as np
 from scipy.special import betaincinv
 
 from .channel_model import BudgetExceededError, Channel, SchemaError
-from .info_measures import kl
+from .info_measures import row_divergences
 
 __all__ = [
     "SchemeSpec",
@@ -164,16 +164,13 @@ def _metric_matrix(ch: Channel) -> np.ndarray:
 
 
 def _confirm_pair(qbar: np.ndarray) -> tuple[int, int]:
-    best, pair = -1.0, (0, 1)
-    x_size = qbar.shape[0]
-    for a in range(x_size):
-        for b in range(x_size):
-            if a == b:
-                continue
-            v = kl(qbar[a], qbar[b])
-            if v > best:
-                best, pair = v, (a, b)
-    return pair
+    """Row pair a != b of largest D(a || b); ties to the lowest (a, b)."""
+    if qbar.shape[0] < 2:
+        return (0, 1)
+    div = row_divergences(qbar)
+    np.fill_diagonal(div, -np.inf)
+    a, b = np.unravel_index(np.argmax(div), div.shape)
+    return int(a), int(b)
 
 
 def build_yamamoto_itoh(

@@ -3,16 +3,18 @@
 Everything here recomputes quantities from first principles with flat
 cartesian-product loops and explicit probability formulas, sharing no code
 with the library beyond numpy.  Deliberately slow and simple.  The
-exceptions are the last two sections: the per-rule loops that the
-stopping-rule and node tables replaced, and the recursive joint-law
+exceptions are the last three sections: the per-rule loops that the
+stopping-rule and node tables replaced, the recursive joint-law
 enumeration and memo-free capacity search that the level arrays replaced,
-kept as references for bit-identity.
+and the per-history drift checks and residual terms that the node-table
+reductions replaced, kept as references for bit-identity.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -250,9 +252,7 @@ def oracle_vlc(q, kernel_fn, codebook, confirm, threshold, m, n1, n2, cap):
 
 def _step_kl_per_history(law, t, prev):
     """max_x D(row(x*) || row(x)) over realizable inputs at one history."""
-    from fbound.info_measures import _worst_row_kl
-
-    return _worst_row_kl(law.xy_node[t][prev])
+    return _loop_worst_row_kl(law.xy_node[t][prev])
 
 
 def loop_stop_time(rule, path):
@@ -645,4 +645,993 @@ def loop_capacity_bound(ch, horizon, cfg):
         maximizer=maximizer,
         diagnostics=diagnostics,
         flags=tuple(flags),
+    )
+
+
+# ---------------------------------------------------------------------------
+# the drift checks, residual terms and row divergences before the node-table
+# reductions
+# ---------------------------------------------------------------------------
+#
+# The per-history and per-path loops that the entropy column, the one-step
+# child expectation, the paths x levels arrays, the shared (pe, E[T]) and
+# worst-row divergence of ``info_measures`` replaced, kept verbatim (renamed,
+# with imports moved inside) as the references for bit-identity tests.  The
+# library's ``drift_terms`` and ``node_table`` they call are checked against
+# the loops above.
+
+DRIFT_TOL = 1e-10  # drift_verify.DRIFT_TOL
+
+
+def loop_check_behavioral_rows(self) -> None:
+    """``InputPolicy.__post_init__``, one row at a time; ``self`` is the
+    policy."""
+    from fbound.channel_model import SchemaError, _check_distribution
+
+    if (self.messages is None) == (self.rows is None):
+        raise SchemaError("policy must be exactly one of message-form or behavioral")
+    if self.messages is not None:
+        if self.messages < 1:
+            raise SchemaError("message count must be >= 1")
+        if self.encoder is None:
+            raise SchemaError("message-form policy needs an encoder")
+    else:
+        for key, row in self.rows.items():
+            arr = np.asarray(row, dtype=float)
+            if arr.shape != (self.x_size,):
+                raise SchemaError(f"behavioral row {key} has wrong arity")
+            _check_distribution(arr, f"behavioral row {key}")
+
+
+def loop_h_process(law: JointLaw) -> EntropyProcess:
+    from fbound.channel_model import SchemaError
+    from fbound.info_measures import EntropyProcess, entropy
+
+    if not law.is_message_form:
+        raise SchemaError("entropy process needs a message-form law")
+    levels = []
+    for t in range(law.horizon + 1):
+        lvl = {}
+        for node, mu in law.w_post[t].items():
+            lvl[node] = (law.node_prob[t][node], entropy(mu))
+        levels.append(lvl)
+    return EntropyProcess(horizon=law.horizon, messages=law.messages, levels=tuple(levels))
+
+
+def loop_message_information(law: JointLaw, n: int) -> float:
+    """I(W; Y^n) in bits for a message-form law."""
+    from fbound.info_measures import entropy
+
+    h0 = entropy(law.w_post[0][()])
+    hn = 0.0
+    for node, mu in law.w_post[n].items():
+        hn += law.node_prob[n][node] * entropy(mu)
+    return h0 - hn
+
+
+def _loop_effective_rows(xy: np.ndarray):
+    """Realizable effective-channel rows of a joint P(X_t, Y_t | y^{t-1})
+    plus the most likely input there.  Returns (map_input, {x: row}) or
+    None when degenerate."""
+    nu = xy.sum(axis=1)
+    realizable = np.flatnonzero(nu > 0.0)
+    if realizable.size == 0:
+        return None
+    x_star = int(realizable[np.argmax(nu[realizable])])
+    rows = {int(x): xy[x] / nu[x] for x in realizable}
+    return x_star, rows
+
+
+def _loop_worst_row_kl(xy: np.ndarray) -> float:
+    """max_x D(row(x*) || row(x)) over the realizable inputs of a joint."""
+    from fbound.info_measures import kl
+
+    got = _loop_effective_rows(xy)
+    if got is None:
+        return 0.0
+    x_star, rows = got
+    base = rows[x_star]
+    return max(kl(base, row) for row in rows.values())
+
+
+def loop_directed_kl(law: JointLaw, a: int, b: int, variant: str = "per_history_max") -> float:
+    """Directed relative entropy of the effective channel over steps a..b.
+
+    Each step compares the output law of the currently most likely input
+    against the worst alternative input. Two maximization orders are
+    supported:
+
+    - "per_history_max": the max over inputs is taken inside the per-history
+      expectation (the form the drift analysis actually accumulates);
+    - "global_symbol_max": the max over entire input sequences is taken
+      outside the expectations.  Since the step terms depend on one
+      coordinate each, that max separates into a per-step max of the averaged
+      divergence.
+
+    per_history_max >= global_symbol_max always.  The value is +inf when some
+    divergence diverges (support mismatch); that is reported, not clipped.
+    """
+    from fbound.channel_model import SchemaError
+    from fbound.info_measures import kl, node_table, ordered_sum
+
+    if not 1 <= a <= b <= law.horizon:
+        raise SchemaError(f"window {a}..{b} outside 1..{law.horizon}")
+    if variant == "per_history_max":
+        table = node_table(law)
+        window = (table.level >= a - 1) & (table.level < b)
+        return float(ordered_sum(np.where(window, table.kl, 0.0)))
+    if variant == "global_symbol_max":
+        total = 0.0
+        for t in range(a, b + 1):
+            per_x: dict[int, float] = {}
+            for prev, xy in law.xy_node[t].items():
+                got = _loop_effective_rows(xy)
+                if got is None:
+                    continue
+                x_star, rows = got
+                base = rows[x_star]
+                w = law.node_prob[t - 1][prev]
+                for x, row in rows.items():
+                    per_x[x] = per_x.get(x, 0.0) + w * kl(base, row)
+            total += max(per_x.values()) if per_x else 0.0
+        return total
+    raise SchemaError(f"unknown directed_kl variant {variant!r}")
+
+
+def loop_max_pairwise_row_kl(ch: Channel) -> float:
+    from fbound.info_measures import kl
+
+    rows = ch.spec.rows()
+    worst = 0.0
+    for p in rows:
+        for q in rows:
+            worst = max(worst, kl(p, q))
+    return worst
+
+
+def loop_burnashev(ch: Channel, rate: float) -> BurnashevResult:
+    """Classical feedback error-exponent line C1 * (1 - R/C) for a
+    memoryless channel.
+
+    The divergence C1 is the largest pairwise divergence between channel
+    rows; when some row pair has a support mismatch the exponent is
+    explicitly infinite.  Rates above capacity are rejected.
+    """
+    from fbound.bound_engine import BurnashevResult, dmc_capacity
+    from fbound.channel_model import SchemaError
+    from fbound.info_measures import kl
+
+    if not ch.spec.is_dmc():
+        raise SchemaError("the classical exponent needs a single-state channel")
+    if not rate >= 0:  # also rejects NaN
+        raise SchemaError(f"rate must be a nonnegative number, got {rate!r}")
+    rows = ch.spec.q[0]
+    cap, _, gap = dmc_capacity(rows)
+    c1 = 0.0
+    for a in range(ch.spec.x_size):
+        for b in range(ch.spec.x_size):
+            c1 = max(c1, kl(rows[a], rows[b]))
+    if rate > cap + 1e-9:
+        raise SchemaError(f"rate {rate} exceeds capacity {cap:.9f}")
+    if math.isinf(c1):
+        return BurnashevResult(cap, c1, rate, math.inf, True, gap)
+    if rate == 0.0:
+        return BurnashevResult(cap, c1, rate, c1, False, gap)
+    exponent = c1 * (1.0 - rate / cap)
+    return BurnashevResult(cap, c1, rate, exponent, False, gap)
+
+
+def loop_dmc_consistency(
+    ch: Channel,
+    horizon: int = 3,
+    cfg: SearchConfig | None = None,
+    n_rates: int = 5,
+) -> ConsistencyReport:
+    """Compare the searched exponent bound against the classical line on a
+    memoryless channel over an interior rate grid.
+
+    A zero-capacity channel yields a flagged degenerate report instead of a
+    rate grid.
+    """
+    from fbound.bound_engine import (
+        ConsistencyReport, SearchConfig, dmc_capacity, exponent_bound, exponent_candidates,
+    )
+
+    cfg = SearchConfig() if cfg is None else cfg
+    from fbound.channel_model import SchemaError
+    from fbound.info_measures import kl
+
+    if not ch.spec.is_dmc():
+        raise SchemaError("consistency check needs a single-state channel")
+    rows_q = ch.spec.q[0]
+    cap, _, _ = dmc_capacity(rows_q)
+    c1 = 0.0
+    for a in range(ch.spec.x_size):
+        for b in range(ch.spec.x_size):
+            c1 = max(c1, kl(rows_q[a], rows_q[b]))
+    if cap < 1e-9:
+        return ConsistencyReport(
+            capacity=cap, max_kl=c1, rows=(), max_deviation=0.0,
+            degenerate=True, flags=("degenerate_rate_grid",),
+        )
+    cands = exponent_candidates(ch, horizon, cfg)
+    rows = []
+    worst = 0.0
+    for i in range(1, n_rates + 1):
+        rate = cap * i / (n_rates + 1)
+        res = exponent_bound(ch, rate, horizon, cfg, _candidates=cands)
+        classical = c1 * (1.0 - rate / cap)
+        dev = abs(res.value - classical)
+        worst = max(worst, dev)
+        rows.append(
+            {
+                "rate": rate,
+                "searched": res.value,
+                "classical": classical,
+                "deviation": dev,
+            }
+        )
+    return ConsistencyReport(
+        capacity=cap, max_kl=c1, rows=tuple(rows), max_deviation=worst,
+        degenerate=False, flags=cands[1],
+    )
+
+
+def loop_residual_terms(
+    law: JointLaw,
+    last: StoppingRule,
+    first: StoppingRule,
+    eps: float | None = None,
+    lam: float = 0.25,
+) -> ResidualTerms:
+    """Evaluate rate, per-phase information and divergence, and the three
+    residual corrections for a message-form law under nested stopping rules
+    (first stops no later than last); decoding is maximum posterior at the
+    stop node.
+
+    eps defaults to horizon**-3.
+    """
+    from fbound.bound_engine import ResidualTerms
+    from fbound.channel_model import SchemaError, StoppingRule
+    from fbound.info_measures import (
+        binary_entropy, directed_kl_stopped, directed_mi_stopped, expected_stop_time,
+    )
+
+    if not law.is_message_form:
+        raise SchemaError("residual terms need a message-form law")
+    if not first.dominates(last):
+        raise SchemaError("the first rule must stop no later than the last")
+    n = law.horizon
+    if eps is None:
+        eps = float(n) ** -3
+    logm = math.log2(law.messages)
+    flags: list[str] = []
+
+    pe = 0.0
+    et = 0.0
+    for path, p in law.node_prob[n].items():
+        t = last.stop_time(path)
+        et += p * t
+    # group stop-node mass once for the error probability
+    stop_mass: dict[tuple[int, ...], float] = {}
+    for path, p in law.node_prob[n].items():
+        node = path[: last.stop_time(path)]
+        stop_mass[node] = stop_mass.get(node, 0.0) + p
+    for node, p in stop_mass.items():
+        mu = law.w_post[len(node)][node]
+        pe += p * (1.0 - float(mu.max()))
+    pe = max(pe, 0.0)
+
+    et1 = expected_stop_time(law, first)
+    i_rate = directed_mi_stopped(law, first) / et1
+    den = et - et1
+    d_rate = directed_kl_stopped(law, first, last) / den if den > 1e-12 else math.nan
+    if den <= 1e-12:
+        flags.append("empty_divergence_phase")
+    rate = logm / et
+
+    fano = binary_entropy(min(max(pe, 0.0), 1.0)) + pe * logm
+    if i_rate <= 0 or not math.isfinite(d_rate) or d_rate <= 0:
+        flags.append("degenerate_phase_rates")
+        u = math.nan
+        v = math.nan
+        delta = math.nan
+        assembled = math.nan
+    else:
+        u = rate * (
+            (fano + eps) / (i_rate * logm)
+            + (-math.log2(eps)) / (d_rate * logm)
+            + 1.0 / (lam * d_rate * logm)
+        )
+        if pe <= 0.0:
+            delta = 0.0
+            flags.append("zero_error_probability")
+        else:
+            neg_log_pe = -math.log2(pe)
+            delta = math.log2(neg_log_pe + 2.0 + logm) / neg_log_pe
+        v = (rate / i_rate) * math.sqrt(eps) * n + math.sqrt(eps) * n / (et * i_rate)
+        if delta >= 1.0:
+            flags.append("delta_at_least_one")
+            assembled = math.inf
+        else:
+            assembled = d_rate / (1.0 - delta) * (1.0 - rate / i_rate + u + v)
+    return ResidualTerms(
+        messages=law.messages,
+        horizon=n,
+        pe=pe,
+        et=et,
+        et1=et1,
+        rate=rate,
+        i_rate=i_rate,
+        d_rate=d_rate,
+        eps=eps,
+        lam=lam,
+        fano_ceiling=fano,
+        u_term=u,
+        delta_term=delta,
+        v_term=v,
+        assembled=assembled,
+        flags=tuple(flags),
+    )
+
+
+def _loop_confirm_pair(qbar: np.ndarray) -> tuple[int, int]:
+    from fbound.info_measures import kl
+
+    best, pair = -1.0, (0, 1)
+    x_size = qbar.shape[0]
+    for a in range(x_size):
+        for b in range(x_size):
+            if a == b:
+                continue
+            v = kl(qbar[a], qbar[b])
+            if v > best:
+                best, pair = v, (a, b)
+    return pair
+
+
+def _loop_kl_drift_value(terms: DriftTerms, t: int, prev: tuple[int, ...], mutate: str | None) -> float:
+    v = terms.kl_drift[t][prev]
+    if mutate == "halve_kl_drift":
+        return 0.5 * v
+    return v
+
+
+def _loop_child_prob(law: JointLaw, prev: tuple[int, ...], y: int) -> float:
+    node = prev + (y,)
+    child = law.node_prob[len(node)].get(node, 0.0)
+    return child / law.node_prob[len(prev)][prev]
+
+
+@dataclass(frozen=True)
+class LoopPrunedTimes:
+    horizon: int
+    eps: float
+    tau_hit: int
+    tau_last: int
+
+    @classmethod
+    def from_path(cls, h_path: list[float], eps: float) -> "LoopPrunedTimes":
+        from fbound.channel_model import SchemaError
+
+        n = len(h_path) - 1
+        if h_path[0] < eps:
+            raise SchemaError("pruning needs the initial entropy at or above eps")
+        tau_hit = n
+        for t in range(1, n + 1):
+            if h_path[t] <= eps:
+                tau_hit = t
+                break
+        tau_last = 0
+        for t in range(n + 1, 0, -1):
+            if h_path[t - 1] >= eps:
+                tau_last = t
+                break
+        tau_last = min(tau_last, n)
+        return cls(horizon=n, eps=eps, tau_hit=tau_hit, tau_last=tau_last)
+
+    def pruned_index(self, n: int) -> int:
+        if n > self.horizon:
+            return self.horizon
+        if n < self.tau_hit:
+            return n
+        return min(max(n, self.tau_last), self.horizon)
+
+
+@dataclass(frozen=True)
+class _LoopPathData:
+    path: tuple[int, ...]
+    prob: float
+    h: tuple[float, ...]        # H_0 .. H_N
+    j: tuple[float, ...]        # j[r] for r in 1..N (index 0 unused)
+    d: tuple[float, ...]        # kl drift, same indexing
+    times: LoopPrunedTimes
+
+
+def _loop_path_data(law: JointLaw, eps: float, mutate: str | None) -> list[_LoopPathData]:
+    from fbound.info_measures import drift_terms
+
+    proc = loop_h_process(law)
+    terms = drift_terms(law, proc)
+    out = []
+    for path, p in sorted(law.node_prob[law.horizon].items()):
+        if p <= 0.0:
+            continue
+        h = proc.path_values(path)
+        j = [0.0] + [terms.mi_drift[r][path[: r - 1]] for r in range(1, law.horizon + 1)]
+        d = [0.0] + [
+            _loop_kl_drift_value(terms, r, path[: r - 1], mutate)
+            for r in range(1, law.horizon + 1)
+        ]
+        out.append(
+            _LoopPathData(
+                path=path,
+                prob=p,
+                h=tuple(h),
+                j=tuple(j),
+                d=tuple(d),
+                times=LoopPrunedTimes.from_path(h, eps),
+            )
+        )
+    return out
+
+
+def _loop_phase_constants(paths: list[_LoopPathData], last_time) -> tuple[float, float]:
+    """Information/divergence per expected step over the pre-hit and
+    post-hit windows; ``last_time(pd)`` gives the terminal time per path."""
+    from fbound.channel_model import SchemaError
+
+    num_i = den_i = num_d = den_d = 0.0
+    for pd in paths:
+        th = pd.times.tau_hit
+        tt = last_time(pd)
+        num_i += pd.prob * sum(pd.j[1 : th + 1])
+        den_i += pd.prob * th
+        num_d += pd.prob * sum(pd.d[th + 1 : tt + 1])
+        den_d += pd.prob * (tt - th)
+    if den_i <= 1e-12:
+        raise SchemaError("empty pre-hit window: cannot form the information constant")
+    if den_d <= 1e-12:
+        raise SchemaError(
+            "the entropy path never crosses eps before the end: no divergence window"
+        )
+    return num_i / den_i, num_d / den_d
+
+
+def loop_verify_linear_drift(law: JointLaw, tol: float = DRIFT_TOL) -> Verdict:
+    """Expected one-step entropy decrease at every realizable history is at
+    most the conditional input-output information there.
+
+    ``worst`` is the smallest value of (information - decrease); the
+    constants report the largest absolute gap, which is ~0 on instances
+    where the encoder makes the message and the input one-to-one.
+    """
+    from fbound.drift_verify import Verdict, _instance_name
+    from fbound.info_measures import drift_terms
+
+    proc = loop_h_process(law)
+    terms = drift_terms(law, proc)
+    worst = math.inf
+    max_abs = 0.0
+    count = 0
+    for t in range(1, law.horizon + 1):
+        for prev in sorted(law.xy_node[t]):
+            h_prev = proc.value(prev)
+            drop = h_prev
+            for y in range(law.channel.spec.y_size):
+                node = prev + (y,)
+                if node in proc.levels[t]:
+                    drop -= _loop_child_prob(law, prev, y) * proc.value(node)
+            margin = terms.mi_drift[t][prev] - drop
+            worst = min(worst, margin)
+            max_abs = max(max_abs, abs(margin))
+            count += 1
+    return Verdict(
+        check="linear-drift",
+        instance=_instance_name(law),
+        count=count,
+        worst=worst,
+        passed=worst >= -tol,
+        constants={"tol": tol, "max_abs_gap": max_abs},
+    )
+
+
+def loop_verify_log_drift(
+    law: JointLaw,
+    eps: float,
+    c: float | None = None,
+    tol: float = DRIFT_TOL,
+    mutate: str | None = None,
+) -> Verdict:
+    """On low-entropy histories (0 < H < eps), the expected one-step drop of
+    log2 H is at most the worst-case effective divergence plus a slack
+    proportional to the inverse binary entropy of eps.
+
+    Reports the minimal constant that would pass, so a failure under the
+    default constant is quantified.
+    """
+    from fbound.channel_model import SchemaError
+    from fbound.drift_verify import Verdict, _check_mutation, _instance_name
+    from fbound.info_measures import binary_entropy_inv, drift_terms
+
+    _check_mutation(mutate)
+    if not 0.0 < eps <= 1.0:
+        raise SchemaError("eps must lie in (0, 1] for the inverse-entropy slack")
+    proc = loop_h_process(law)
+    terms = drift_terms(law, proc)
+    d_max = terms.max_pairwise_kl
+    if c is None:
+        c = 2.0 * (1.0 + d_max) + d_max + 2.0
+    slack = binary_entropy_inv(eps)
+    worst = math.inf
+    c_min = 0.0
+    count = 0
+    for t in range(1, law.horizon + 1):
+        for prev in sorted(law.xy_node[t]):
+            h_prev = proc.value(prev)
+            if not 0.0 < h_prev < eps:
+                continue
+            drift = 0.0
+            for y in range(law.channel.spec.y_size):
+                node = prev + (y,)
+                if node in proc.levels[t]:
+                    h_child = proc.value(node)
+                    if h_child <= 0.0:
+                        drift = -math.inf
+                        break
+                    drift += _loop_child_prob(law, prev, y) * math.log2(h_child)
+            else:
+                drift -= math.log2(h_prev)
+            d_r = _loop_kl_drift_value(terms, t, prev, mutate)
+            margin = drift + d_r + c * slack
+            worst = min(worst, margin)
+            if slack > 0:
+                c_min = max(c_min, (-drift - d_r) / slack)
+            count += 1
+    details = ()
+    if count == 0:
+        worst = math.inf
+        details = ("no history with entropy inside (0, eps): vacuous pass",)
+    return Verdict(
+        check="log-drift",
+        instance=_instance_name(law),
+        count=count,
+        worst=worst,
+        passed=worst >= -tol,
+        constants={
+            "eps": eps,
+            "c": c,
+            "c_minimal_passing": c_min,
+            "hb_inv_eps": slack,
+            "d_max": d_max,
+            "mutate": mutate or "none",
+        },
+        details=details,
+    )
+
+
+def _loop_z_value(h: float, eps: float, i_const: float, d_const: float, lam: float) -> float:
+    if h >= eps:
+        return (h - eps) / i_const
+    y = math.log2(h / eps)
+    return y / d_const + (1.0 - math.exp(lam * y)) / (lam * d_const)
+
+
+def _loop_s_values(pd: _LoopPathData, eps: float, i_const: float, d_const: float, logm: float) -> list[float]:
+    """Compensator path: information credits before the hit, capped
+    excursion credits between the hit and the last crossing (only while the
+    previous entropy is at least sqrt(eps)), divergence credits afterwards,
+    plus a one-off sqrt(eps) * N / I once past the last crossing."""
+    n = pd.times.horizon
+    th, tl = pd.times.tau_hit, pd.times.tau_last
+    root = math.sqrt(eps)
+    s = [0.0] * (n + 1)
+    for r in range(1, n + 1):
+        if r <= th:
+            inc = pd.j[r] / i_const
+        elif r <= tl:
+            inc = logm / i_const if pd.h[r - 1] >= root else 0.0
+        else:
+            inc = pd.d[r] / d_const
+        s[r] = s[r - 1] + inc
+    return [s[t] + (root * n / i_const if t >= tl else 0.0) for t in range(n + 1)]
+
+
+def loop_verify_submartingale_L(
+    law: JointLaw,
+    eps: float,
+    lam_grid: tuple[float, ...] | None = None,
+    i_const: float | None = None,
+    d_const: float | None = None,
+    tol: float = DRIFT_TOL,
+    mutate: str | None = None,
+) -> Verdict:
+    """The compensated pruned process L_n = Z_{t_n} + S_{t_n} is a
+    submartingale: conditional on each realized pruned history, the expected
+    increment is nonnegative.
+
+    Conditioning atoms are the realized pruned-history strings y^{t_n};
+    because the pruned index collapses the post-threshold excursion, paths
+    sharing a plain prefix may sit in different atoms.  A shape parameter
+    lambda is admissible when its convexity precondition holds on a dense
+    sample of the negative log-ratio range; the verdict reports the largest
+    grid lambda that is admissible and passes every atom at every step.
+    """
+    from fbound.channel_model import SchemaError
+    from fbound.drift_verify import (
+        Verdict, _check_mutation, _f_precondition_holds, _instance_name, default_lambda_grid,
+    )
+    from fbound.info_measures import drift_terms
+
+    _check_mutation(mutate)
+    if not law.is_message_form:
+        raise SchemaError("submartingale check needs a message-form law")
+    if law.messages < 2:
+        raise SchemaError("need at least two messages")
+    logm = math.log2(law.messages)
+    if not 0.0 < eps < logm:
+        raise SchemaError("eps must lie in (0, log2 M)")
+    terms = drift_terms(law)
+    eta = terms.log_ratio_bound()  # raises unless strictly positive
+    paths = _loop_path_data(law, eps, mutate)
+    n = law.horizon
+    if i_const is None or d_const is None:
+        i_auto, d_auto = _loop_phase_constants(paths, lambda pd: n)
+        i_const = i_auto if i_const is None else i_const
+        d_const = d_auto if d_const is None else d_const
+    if lam_grid is None:
+        lam_grid = default_lambda_grid()
+
+    details: list[str] = []
+    best_lam = None
+    best_worst = -math.inf
+    best_count = 0
+    for lam in sorted(lam_grid, reverse=True):
+        pre_ok, pre_gap = _f_precondition_holds(eps, i_const, d_const, lam, eta)
+        if not pre_ok:
+            details.append(f"lambda={lam:g}: precondition violated (gap {pre_gap:.3e})")
+            continue
+        atoms: dict[tuple[int, tuple[int, ...]], list[float]] = {}
+        lcheck: dict[tuple[int, tuple[int, ...]], list[float]] = {}
+        for pd in paths:
+            z = [_loop_z_value(pd.h[t], eps, i_const, d_const, lam) for t in range(n + 1)]
+            s = _loop_s_values(pd, eps, i_const, d_const, logm)
+            l = [z[pd.times.pruned_index(m)] + s[pd.times.pruned_index(m)] for m in range(n + 1)]
+            for m in range(n):
+                key = (m, pd.path[: pd.times.pruned_index(m)])
+                acc = atoms.setdefault(key, [0.0, 0.0])
+                acc[0] += pd.prob * (l[m + 1] - l[m])
+                acc[1] += pd.prob
+                lcheck.setdefault(key, []).append(l[m])
+        worst = math.inf
+        for key, (num, mass) in atoms.items():
+            worst = min(worst, num / mass)
+        spread = max(max(v) - min(v) for v in lcheck.values())
+        if spread > 1e-8:
+            details.append(f"lambda={lam:g}: non-constant L on an atom (spread {spread:.2e})")
+            continue
+        ok = worst >= -tol
+        details.append(
+            f"lambda={lam:g}: atoms={len(atoms)} worst-margin={worst:.6g} "
+            f"{'pass' if ok else 'fail'}"
+        )
+        if ok and best_lam is None:
+            best_lam, best_worst, best_count = lam, worst, len(atoms)
+        if best_lam is None and worst > best_worst:
+            best_worst, best_count = worst, len(atoms)
+    passed = best_lam is not None
+    return Verdict(
+        check="pruned-submartingale",
+        instance=_instance_name(law),
+        count=best_count,
+        worst=best_worst,
+        passed=passed,
+        constants={
+            "eps": eps,
+            "i_const": i_const,
+            "d_const": d_const,
+            "eta": eta,
+            "lambda_best": best_lam if best_lam is not None else float("nan"),
+            "mutate": mutate or "none",
+        },
+        details=tuple(details),
+    )
+
+
+def loop_verify_fano(law: JointLaw, rule: StoppingRule | None = None, tol: float = 1e-9) -> Verdict:
+    """Conditional message entropy at each stop node is at most
+    h(pe) + pe * log2(M-1) for the node's decoder error probability, for
+    both the posterior-maximizing decoder and a constant decoder; the
+    averaged version is checked as well.
+    """
+    from fbound.channel_model import SchemaError, StoppingRule
+    from fbound.drift_verify import Verdict, _instance_name
+    from fbound.info_measures import binary_entropy, entropy
+
+    if not law.is_message_form:
+        raise SchemaError("decoder check needs a message-form law")
+    if rule is None:
+        rule = StoppingRule.fixed(law.horizon, law.horizon, law.channel.spec.y_size)
+    m = law.messages
+    log_m1 = math.log2(m - 1) if m > 1 else 0.0
+    worst = math.inf
+    count = 0
+    details = []
+    for decoder in ("map", "constant"):
+        avg_h = 0.0
+        avg_pe = 0.0
+        for path, p in law.node_prob[law.horizon].items():
+            node = path[: rule.stop_time(path)]
+            mu = law.w_post[len(node)][node]
+            h_node = entropy(mu)
+            if decoder == "map":
+                w_hat = int(np.nanargmax(mu))
+            else:
+                w_hat = 0
+            pe = 1.0 - float(mu[w_hat])
+            # weight by the node mass contribution of this full path
+            weight = p
+            avg_h += weight * h_node
+            avg_pe += weight * pe
+            margin = binary_entropy(min(max(pe, 0.0), 1.0)) + pe * log_m1 - h_node
+            worst = min(worst, margin)
+            count += 1
+        margin = binary_entropy(min(max(avg_pe, 0.0), 1.0)) + avg_pe * log_m1 - avg_h
+        worst = min(worst, margin)
+        count += 1
+        details.append(f"{decoder} decoder: avg error {avg_pe:.6g}, avg entropy {avg_h:.6g}")
+    return Verdict(
+        check="decoder-entropy-ceiling",
+        instance=_instance_name(law),
+        count=count,
+        worst=worst,
+        passed=worst >= -tol,
+        constants={"tol": tol},
+        details=tuple(details),
+    )
+
+
+def loop_verify_lemma4_budget(
+    law: JointLaw,
+    eps: float,
+    rule: StoppingRule | None = None,
+    tol: float = DRIFT_TOL,
+) -> Verdict:
+    """The expected terminal compensator E[S at max(T, tau_last)] stays
+    within E[T] * (1 + V), where V collects the square-root-eps excursion
+    credits.  Valid only when eps exceeds the decoder entropy ceiling
+    h(pe) + pe * log2 M at the stop.
+    """
+    from fbound.channel_model import SchemaError, StoppingRule
+    from fbound.drift_verify import Verdict, _instance_name
+    from fbound.info_measures import binary_entropy
+
+    if not law.is_message_form:
+        raise SchemaError("compensator budget needs a message-form law")
+    n = law.horizon
+    if rule is None:
+        rule = StoppingRule.fixed(n, n, law.channel.spec.y_size)
+    logm = math.log2(law.messages)
+
+    pe = 0.0
+    et = 0.0
+    seen: dict[tuple[int, ...], float] = {}
+    for path, p in law.node_prob[n].items():
+        t_stop = rule.stop_time(path)
+        et += p * t_stop
+        node = path[:t_stop]
+        seen[node] = seen.get(node, 0.0) + p
+    for node, p in seen.items():
+        mu = law.w_post[len(node)][node]
+        pe += p * (1.0 - float(np.nanmax(mu)))
+    alpha = binary_entropy(min(max(pe, 0.0), 1.0)) + pe * logm
+    if eps <= alpha:
+        raise SchemaError(
+            f"eps={eps:g} must exceed the decoder entropy ceiling {alpha:.6g}"
+        )
+
+    paths = _loop_path_data(law, eps, mutate=None)
+    stop_of = {pd.path: rule.stop_time(pd.path) for pd in paths}
+    i_const, d_const = _loop_phase_constants(paths, lambda pd: stop_of[pd.path])
+    rate = logm / et
+    v_term = (rate / i_const) * math.sqrt(eps) * n + math.sqrt(eps) * n / (et * i_const)
+
+    es = 0.0
+    for pd in paths:
+        s = _loop_s_values(pd, eps, i_const, d_const, logm)
+        t_end = max(stop_of[pd.path], pd.times.tau_last)
+        es += pd.prob * s[t_end]
+    rhs = et * (1.0 + v_term)
+    margin = rhs - es
+    return Verdict(
+        check="compensator-budget",
+        instance=_instance_name(law),
+        count=len(paths),
+        worst=margin,
+        passed=margin >= -tol,
+        constants={
+            "eps": eps,
+            "i_const": i_const,
+            "d_const": d_const,
+            "pe": pe,
+            "entropy_ceiling": alpha,
+            "expected_stop": et,
+            "v_term": v_term,
+            "expected_compensator": es,
+        },
+    )
+
+
+def loop_average_channel(law: JointLaw, t: int) -> dict[tuple[int, ...], np.ndarray]:
+    """Effective one-step channel P(Y_t | X_t = x, y^{t-1}) per realizable
+    history.
+
+    Returns, per history, an (x_size, y_size) array whose row x is the
+    conditional output law; rows for inputs of conditional probability zero
+    are NaN (absent, never fabricated).
+    """
+    from fbound.channel_model import SchemaError
+
+    if not 1 <= t <= law.horizon:
+        raise SchemaError(f"step {t} outside 1..{law.horizon}")
+    out = {}
+    for prev, xy in law.xy_node[t].items():
+        nu = xy.sum(axis=1)
+        rows = np.full_like(xy, np.nan)
+        pos = nu > 0.0
+        rows[pos] = xy[pos] / nu[pos, None]
+        out[prev] = rows
+    return out
+
+
+def loop_verify_lemma5_kl_transfer(
+    law: JointLaw,
+    eps: float,
+    cprime: float | None = None,
+    tol: float = DRIFT_TOL,
+    mutate: str | None = None,
+) -> Verdict:
+    """At histories with entropy inside (0, eps), the worst divergence of
+    the leading message's output row against the other messages' rows is at
+    most the corresponding worst divergence between effective input rows
+    plus a slack linear in the inverse binary entropy of eps.
+    """
+    from fbound.channel_model import SchemaError, posteriors
+    from fbound.drift_verify import Verdict, _check_mutation, _instance_name
+    from fbound.info_measures import binary_entropy_inv, drift_terms, kl
+
+    _check_mutation(mutate)
+    if not 0.0 < eps <= 1.0:
+        raise SchemaError("eps must lie in (0, 1] for the inverse-entropy slack")
+    proc = loop_h_process(law)
+    terms = drift_terms(law)
+    d_max = terms.max_pairwise_kl
+    if cprime is None:
+        cprime = 4.0 * (1.0 + d_max)
+    slack = binary_entropy_inv(eps)
+    pt = posteriors(law)
+    worst = math.inf
+    cprime_min = 0.0
+    count = 0
+    for t in range(1, law.horizon + 1):
+        avg_rows = loop_average_channel(law, t)
+        for prev in sorted(law.xy_node[t]):
+            h_prev = proc.value(prev)
+            if not 0.0 < h_prev < eps:
+                continue
+            w_rows = pt.step[t][prev]
+            w_star = pt.map_message(t - 1, prev)
+            lhs = 0.0
+            for w in range(law.messages):
+                if w == w_star or np.isnan(w_rows[w]).any():
+                    continue
+                lhs = max(lhs, kl(w_rows[w_star], w_rows[w]))
+            rows = avg_rows[prev]
+            nu = law.xy_node[t][prev].sum(axis=1)
+            x_star = int(np.argmax(nu))
+            rhs_kl = 0.0
+            for x in range(law.channel.spec.x_size):
+                if x == x_star or np.isnan(rows[x]).any():
+                    continue
+                rhs_kl = max(rhs_kl, kl(rows[x_star], rows[x]))
+            if mutate == "halve_kl_drift":
+                rhs_kl *= 0.5
+            margin = rhs_kl + cprime * slack - lhs
+            worst = min(worst, margin)
+            if slack > 0:
+                cprime_min = max(cprime_min, (lhs - rhs_kl) / slack)
+            count += 1
+    details = ()
+    if count == 0:
+        worst = math.inf
+        details = ("no history with entropy inside (0, eps): vacuous pass",)
+    return Verdict(
+        check="kl-transfer",
+        instance=_instance_name(law),
+        count=count,
+        worst=worst,
+        passed=worst >= -tol,
+        constants={
+            "eps": eps,
+            "cprime": cprime,
+            "cprime_minimal_passing": cprime_min,
+            "hb_inv_eps": slack,
+            "d_max": d_max,
+            "mutate": mutate or "none",
+        },
+        details=details,
+    )
+
+
+def loop_verify_maximal_inequality(
+    law: JointLaw | None = None,
+    trials: int = 10**4,
+    seed: int = 0,
+    tol_self: float = 1e-9,
+) -> Verdict:
+    """Monte Carlo check of the nonnegative-supermartingale maximal
+    inequality: the running-supremum exceedance frequency stays below the
+    started mean over the level, plus three binomial standard errors.
+
+    Generators: the message-entropy process of a feedback law (exact
+    one-step decrease verified from the law), and a multiplicative walk
+    with mean factor 0.95 (decrease verified analytically).
+    """
+    from fbound.channel_model import SchemaError, bsc, forward_joint, repetition_encoder
+    from fbound.drift_verify import Verdict, _walk_paths
+
+    rng = np.random.default_rng(seed)
+    details = []
+    worst = math.inf
+    count = 0
+
+    if law is None:
+        law = forward_joint(bsc(0.1), repetition_encoder(2, 2, 6), 6)
+    proc = loop_h_process(law)
+    # generator self-check: expected one-step decrease at every history
+    for t in range(1, law.horizon + 1):
+        for prev in sorted(law.xy_node[t]):
+            h_prev = proc.value(prev)
+            step = sum(
+                _loop_child_prob(law, prev, y) * proc.value(prev + (y,))
+                for y in range(law.channel.spec.y_size)
+                if prev + (y,) in proc.levels[t]
+            )
+            if step > h_prev + tol_self:
+                raise SchemaError("entropy process failed its decrease self-check")
+    nodes = sorted(law.node_prob[law.horizon])
+    probs = np.array([law.node_prob[law.horizon][p] for p in nodes])
+    probs = probs / probs.sum()
+    idx = rng.choice(len(nodes), size=trials, p=probs)
+    h_paths = np.array([proc.path_values(nodes[i]) for i in idx])
+    start_mean = float(h_paths[:, 1].mean())
+    for c in (0.2, 0.5, 0.9):
+        sup = h_paths[:, 1:].max(axis=1)
+        freq = float((sup > c).mean())
+        se = math.sqrt(max(freq * (1 - freq), 1e-12) / trials)
+        bound = start_mean / c + 3.0 * se
+        margin = bound - freq
+        worst = min(worst, margin)
+        count += 1
+        details.append(f"entropy-process c={c:g}: freq={freq:.4g} bound={bound:.4g}")
+
+    assert abs(0.5 * 0.5 + 0.5 * 1.4 - 0.95) < tol_self  # walk decrease factor
+    walks = _walk_paths(rng, trials, 30)
+    for c in (1.5, 2.0, 4.0):
+        freq = float((walks.max(axis=1) > c).mean())
+        se = math.sqrt(max(freq * (1 - freq), 1e-12) / trials)
+        bound = 1.0 / c + 3.0 * se
+        margin = bound - freq
+        worst = min(worst, margin)
+        count += 1
+        details.append(f"multiplicative-walk c={c:g}: freq={freq:.4g} bound={bound:.4g}")
+
+    return Verdict(
+        check="maximal-inequality",
+        instance="entropy process + multiplicative walk",
+        count=count,
+        worst=worst,
+        passed=worst >= 0.0,
+        constants={"trials": trials, "seed": seed},
+        details=tuple(details),
     )

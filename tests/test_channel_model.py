@@ -21,7 +21,6 @@ from fbound.channel_model import (
     SchemaError,
     StateKernel,
     StoppingRule,
-    average_channel,
     bsc,
     enumerate_stopping_rules,
     forward_joint,
@@ -279,19 +278,6 @@ def test_posteriors_reject_behavioral_law():
 
     with pytest.raises(MessageStructureError):
         posteriors(law)
-
-
-def test_average_channel_rows_and_absent_inputs():
-    ch = bsc(0.1)
-    law = forward_joint(ch, repetition_encoder(2, 2, 2), 2)
-    rows = average_channel(law, 1)[()]
-    # memoryless channel: effective rows equal the physical rows
-    assert np.allclose(rows, ch.spec.q[0])
-    # an encoder that never uses input 1 leaves that row absent
-    law1 = forward_joint(ch, repetition_encoder(1, 2, 1), 1)
-    rows1 = average_channel(law1, 1)[()]
-    assert np.allclose(rows1[0], ch.spec.q[0, 0])
-    assert np.isnan(rows1[1]).all()
 
 
 # ---------------------------------------------------------------------------

@@ -263,3 +263,71 @@ def test_cli_import_leaves_scipy_stats_out():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=child_env(), check=True).stdout
     assert out.strip() == "False"
+
+
+# ``verify`` runs whose stdout and ``--out`` CSV (or error line) were
+# recorded before the drift checks became node-table reductions; every
+# printed margin must stay the same to the last bit.
+VERIFY_COMMANDS = [
+    ("verify_bsc02_h11_all", ["channels/bsc02.json", "--suite", "all", "--horizon", "11",
+                              "--seed", "0"], 0),
+    ("verify_bsc01_h8_m2_all", ["channels/bsc01.json", "--suite", "all", "--horizon", "8",
+                                "--messages", "2"], 0),
+    ("verify_bsc01_h8_m4_all", ["channels/bsc01.json", "--suite", "all", "--horizon", "8",
+                                "--messages", "4"], 2),
+    ("verify_bsc01_h8_m4_eps05_all", ["channels/bsc01.json", "--suite", "all", "--horizon",
+                                      "8", "--messages", "4", "--epsilon", "0.5"], 0),
+    ("verify_flip2_h8_drift", ["channels/flip2.json", "--suite", "drift", "--horizon", "8"], 0),
+    ("verify_flip2_h8_fano", ["channels/flip2.json", "--suite", "fano", "--horizon", "8"], 0),
+    ("verify_flip2_h8_maximal", ["channels/flip2.json", "--suite", "maximal", "--horizon",
+                                 "8"], 0),
+    ("verify_bsc02_h11_lemma1_halve", ["channels/bsc02.json", "--suite", "lemma1", "--horizon",
+                                       "11", "--mutate", "halve_kl_drift"], 1),
+]
+
+
+@pytest.mark.parametrize("name,args,code", VERIFY_COMMANDS, ids=[c[0] for c in VERIFY_COMMANDS])
+def test_verify_output_is_byte_identical_to_reference(name, args, code, tmp_path, capsys,
+                                                      monkeypatch):
+    monkeypatch.chdir(_CHANNELS.parent)  # the manifest records the channel path as given
+    out = tmp_path / "v.csv"
+    assert main(["verify", "--channel", *args, "--out", str(out)]) == code
+    captured = capsys.readouterr()
+    assert captured.out == (_REFERENCE / f"{name}.out").read_text()
+    if code == 2:
+        assert captured.err == (_REFERENCE / f"{name}.err").read_text()
+        assert not out.exists()
+    else:
+        assert out.read_bytes() == (_REFERENCE / f"{name}.csv").read_bytes()
+
+
+def test_verify_rejects_several_message_counts(capsys):
+    assert main(["verify", "--channel", BSC01, "--suite", "fano", "--messages", "2,4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: verify checks one message count, got --messages 2,4\n"
+    assert captured.out == ""
+
+
+_LIMITED = """
+import resource, sys
+cap = 2 * 1024**3
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+from fbound.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("suite", ["all", "fano", "lemma4", "drift"])
+def test_oversized_output_tree_is_a_budget_error(suite):
+    # 2^70 output paths: refused before any table is allocated, under a
+    # 2 GB address-space cap so that a regression fails instead of
+    # exhausting memory
+    argv = ["verify", "--channel", str(_CHANNELS / "perfect2.json"), "--suite", suite,
+            "--horizon", "70"]
+    proc = subprocess.run([sys.executable, "-c", _LIMITED, *argv], capture_output=True,
+                          text=True, timeout=120,
+                          env=child_env(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1"))
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: the output tree has 2^70 paths at horizon 70, "
+                           "over the limit 10000000\n")
