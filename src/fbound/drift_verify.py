@@ -38,6 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel_model import (
+    DistributionError,
     JointLaw,
     SchemaError,
     StoppingRule,
@@ -471,6 +472,20 @@ def verify_submartingale_L(
 # ---------------------------------------------------------------------------
 
 
+def _stop_nodes(law: JointLaw, rule: StoppingRule) -> np.ndarray:
+    """The stop history of every full path, by node-table position.  A stop
+    history of probability 0.0 has no posterior (0/0), so it is an error."""
+    table = node_table(law)
+    times = path_stop_times(law, rule)
+    stop = table.path_nodes[np.arange(times.size), times]
+    prob = np.concatenate((table.prob, table.leaf_prob))[stop]
+    if not prob.all():
+        k = int(np.argmin(prob != 0.0))
+        hist = list(law.node_prob[law.horizon])[k][: times[k]]
+        raise DistributionError(f"stop history {hist} at time {times[k]} has probability 0.0")
+    return stop
+
+
 def verify_fano(law: JointLaw, rule: StoppingRule | None = None, tol: float = 1e-9) -> Verdict:
     """Conditional message entropy at each stop node is at most
     h(pe) + pe * log2(M-1) for the node's decoder error probability, for
@@ -484,8 +499,7 @@ def verify_fano(law: JointLaw, rule: StoppingRule | None = None, tol: float = 1e
     m = law.messages
     log_m1 = math.log2(m - 1) if m > 1 else 0.0
     table = node_table(law)
-    times = path_stop_times(law, rule)
-    stop = table.path_nodes[np.arange(times.size), times]
+    stop = _stop_nodes(law, rule)
     mu, h_node, p = table.posterior[stop], table.h[stop], table.leaf_prob
     worst = math.inf
     count = 0
@@ -537,6 +551,7 @@ def verify_lemma4_budget(
         rule = StoppingRule.fixed(n, n, law.channel.spec.y_size)
     logm = math.log2(law.messages)
 
+    _stop_nodes(law, rule)
     pe, et = stop_error(law, rule)
     alpha = binary_entropy(min(max(pe, 0.0), 1.0)) + pe * logm
     if eps <= alpha:

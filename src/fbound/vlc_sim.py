@@ -15,10 +15,18 @@ uniform vector ``d = rng.random(1 + 2*N)`` with ``N = cap*(n1+n2)``:
 ``d[0]`` picks the message, ``d[1:N+1]`` drive the state draws position by
 position, ``d[N+1:]`` drive the output draws.  Because trials are keyed
 individually, splitting a run across workers cannot change any result; the
-vectorized single-state fast path and the generic per-trial path consume the
-same positions and therefore agree bit for bit.  A run builds one Philox
-generator and re-keys it per trial (``_trial_uniforms``), which gives the
-same draws as a fresh generator per trial.
+single-state fast path and the state path consume the same positions and
+therefore agree bit for bit.  A run builds one Philox generator and re-keys
+it per trial (``_trial_uniforms``), which gives the same draws as a fresh
+generator per trial.
+
+Both Monte Carlo paths and the exact evaluation are array passes: a chunk of
+trials, or one level of a message's output tree, advances one channel use
+at a time.  Every sum that reaches a result runs in the order of a
+per-trial or depth-first recursive loop (metrics in position order from
+0.0, exact Pe and E[T] sequentially over the leaves in depth-first order),
+and every product is one a per-node loop computes bit for bit, so outputs
+are the same bits as those loops give (``tests/oracles.py`` keeps them).
 
 Decoding on channels with states uses the entry-wise state-averaged matrix
 under the initial state law as a (mismatched) memoryless metric; on a
@@ -35,7 +43,7 @@ import numpy as np
 from scipy.special import betaincinv
 
 from .channel_model import BudgetExceededError, Channel, SchemaError
-from .info_measures import row_divergences
+from .info_measures import ordered_sum, row_divergences
 
 __all__ = [
     "SchemeSpec",
@@ -55,6 +63,7 @@ __all__ = [
 
 SCHEME_VARIANTS = ("yamamoto_itoh", "repetition_confirm", "user_table")
 EXACT_BUDGET = 10**6
+SIM_CHUNK = 20_000  # trials per array pass of the Monte Carlo paths
 CSV_COLUMNS = (
     "M", "n1", "n2", "cap", "trials",
     "Pe", "Pe_lo", "Pe_hi", "ET", "R", "E", "E_lo", "E_hi",
@@ -368,9 +377,8 @@ def _simulate_fast_dmc(
     errors = 0
     t_sum = 0.0
     t_sqsum = 0.0
-    chunk = 20_000
-    for lo in range(0, trials, chunk):
-        n = min(chunk, trials - lo)
+    for lo in range(0, trials, SIM_CHUNK):
+        n = min(SIM_CHUNK, trials - lo)
         d = _draw_uniforms(seed, start + lo, n, 1 + 2 * n_uses)
         w = np.minimum((d[:, 0] * m).astype(int), m - 1)
         uy = d[:, 1 + n_uses :]
@@ -402,58 +410,83 @@ def _simulate_fast_dmc(
 def _simulate_generic(
     scheme: SchemeSpec, ch: Channel, trials: int, seed: int, start: int
 ) -> tuple[int, float, float]:
-    q = ch.spec.q
-    cum_q = np.cumsum(q, axis=2)  # (s, x, y)
-    qbar = _metric_matrix(ch)
-    logq = _log_metric(qbar)
-    m, n1, n2, cap = scheme.m, scheme.n1, scheme.n2, scheme.cap
+    """Monte Carlo on a channel with states: every trial of a chunk of
+    ``SIM_CHUNK`` advances one channel use at a time as one array pass.
+
+    At each use, every trial gathers its cumulative state law (memoryless:
+    the kernel table; markov1: ``init`` at the first use, then the row of
+    its previous state and input; history_table: the level's row at the
+    trial's running state- and input-history indices), draws its state and
+    then its output by ``_inverse_cdf`` (searchsorted, side "left"), as a
+    per-trial loop would.  The data metric is summed from 0.0 in codeword
+    position order, the confirm log-likelihood ratio from 0.0 in use order,
+    and the stop and error bookkeeping is the fast path's, so every trial's
+    outcome is bit-identical to running it alone.
+    """
+    kernel = ch.kernel
+    cum_q = np.cumsum(ch.spec.q, axis=2)  # (s, x, y)
+    logq = _log_metric(_metric_matrix(ch))
+    m, n1, cap = scheme.m, scheme.n1, scheme.cap
     block = scheme.block_len
     n_uses = scheme.max_uses
-    hcap = ch.kernel.horizon_cap()
+    hcap = kernel.horizon_cap()
     if hcap is not None and n_uses > hcap:
         raise SchemaError("scheme needs more channel uses than the kernel defines")
     xa, xn = scheme.confirm
-    cb = scheme.codebook
+    cb = np.array(scheme.codebook)
+    lq_pos = logq[cb].transpose(1, 2, 0)  # (n1, y, m): the data metric of each position
+    llr_row = logq[xa] - logq[xn]
+    if kernel.variant == "history_table":
+        cum_state = [np.cumsum(level, axis=2) for level in kernel.levels]
+    elif kernel.variant == "markov1":
+        cum_init, cum_state = np.cumsum(kernel.init), np.cumsum(kernel.table, axis=2)
+    else:
+        cum_state = np.cumsum(kernel.table)
+
     errors = 0
     t_sum = 0.0
     t_sqsum = 0.0
-    for d in _trial_uniforms(seed, start, trials, 1 + 2 * n_uses):
-        w = min(int(d[0] * m), m - 1)
-        us, uy = d[1 : n_uses + 1], d[n_uses + 1 :]
-        s_hist: tuple[int, ...] = ()
-        x_hist: tuple[int, ...] = ()
-        t_abs = 0
-        w_hat = 0
-        stopped = False
+    for lo in range(0, trials, SIM_CHUNK):
+        n = min(SIM_CHUNK, trials - lo)
+        d = _draw_uniforms(seed, start + lo, n, 1 + 2 * n_uses)
+        w = np.minimum((d[:, 0] * m).astype(int), m - 1)
+        us, uy = d[:, 1 : n_uses + 1], d[:, n_uses + 1 :]
+        s = x = None  # the previous use's state and input
+        s_idx = x_idx = np.zeros(n, dtype=np.int64)  # history_table: history indices
+        alive = np.ones(n, dtype=bool)
+        stop_block = np.zeros(n, dtype=int)
+        final_err = np.zeros(n, dtype=bool)
         for b in range(cap):
-            ys_data = []
+            ll = np.zeros((n, m))
             for pos in range(block):
-                x = cb[w][pos] if pos < n1 else (xa if w_hat == w else xn)
-                sd = ch.kernel.distribution(t_abs + 1, s_hist, x_hist)
-                s = int(np.searchsorted(np.cumsum(sd), us[t_abs], side="left"))
-                y = int(np.searchsorted(cum_q[s, x], uy[t_abs], side="left"))
-                s_hist += (s,)
-                x_hist += (x,)
-                t_abs += 1
-                if pos < n1:
-                    ys_data.append(y)
-                    if pos == n1 - 1:
-                        ll = [
-                            sum(logq[cb[cand][j], ys_data[j]] for j in range(n1))
-                            for cand in range(m)
-                        ]
-                        w_hat = int(np.argmax(ll))
-                        llr = 0.0
+                t = b * block + pos
+                if kernel.variant == "history_table":
+                    cdf = cum_state[t][s_idx, x_idx]
+                elif kernel.variant == "markov1":
+                    cdf = cum_init if t == 0 else cum_state[s, x]
                 else:
-                    llr += logq[xa, y] - logq[xn, y]
-            if llr >= scheme.threshold or b == cap - 1:
-                stopped = True
-                t_sum += t_abs
-                t_sqsum += float(t_abs) ** 2
-                if w_hat != w:
-                    errors += 1
-                break
-        assert stopped
+                    cdf = cum_state
+                x = cb[w, pos] if pos < n1 else np.where(w_hat == w, xa, xn)
+                s = _inverse_cdf(cdf, us[:, t])
+                y = _inverse_cdf(cum_q[s, x], uy[:, t])
+                if kernel.variant == "history_table":
+                    s_idx = s_idx * ch.spec.s_size + s
+                    x_idx = x_idx * ch.spec.x_size + x
+                if pos < n1:
+                    ll = ll + lq_pos[pos, y]
+                    if pos == n1 - 1:
+                        w_hat = np.argmax(ll, axis=1)
+                        llr = np.zeros(n)
+                else:
+                    llr = llr + llr_row[y]
+            done = alive & ((llr >= scheme.threshold) | (b == cap - 1))
+            stop_block[done] = b + 1
+            final_err[done] = (w_hat != w)[done]
+            alive &= ~done
+        t_stop = stop_block * block
+        errors += int(final_err.sum())
+        t_sum += float(t_stop.sum())
+        t_sqsum += float((t_stop.astype(float) ** 2).sum())
     return errors, t_sum, t_sqsum
 
 
@@ -498,100 +531,126 @@ def simulate(
 # ---------------------------------------------------------------------------
 
 
+def _depth_first_leaves(ends: list, block: int):
+    """(mass, stop time, error flag) of a message's leaves in depth-first
+    order, from the block-end levels ``ends[b] = (mass, stop, err, up)``,
+    where ``up`` is each node's index among the previous block's end nodes.
+
+    Merged from the last block back: the leaves below a continuing node sit
+    where that node sits among its block's end nodes, in their own order.
+    """
+    mass, t, err = np.empty(0), np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)
+    at = np.empty(0, dtype=np.int64)  # each leaf's ancestor among block b's end nodes
+    for b in reversed(range(len(ends))):
+        e_mass, e_stop, e_err, e_up = ends[b]
+        own = np.flatnonzero(e_stop)
+        key = np.concatenate((own, at))
+        order = np.argsort(key, kind="stable")
+        mass = np.concatenate((e_mass[own], mass))[order]
+        t = np.concatenate((np.full(own.size, (b + 1) * block), t))[order]
+        err = np.concatenate((e_err[own], err))[order]
+        at = e_up[key[order]]
+    return mass, t, err
+
+
 def exact_stats(scheme: SchemeSpec, ch: Channel, budget: int = EXACT_BUDGET) -> ExactStats:
     """Exact error probability and expected stop time by forward recursion
     of the per-state mass over every output branch of every block.
 
     Supported for memoryless and one-step state kernels (the state mass is
     a finite vector); the node budget guards the tree size.
+
+    One message at a time, the output tree is walked one channel use per
+    level.  A level holds, for each live node in depth-first (output path
+    lexicographic) order, its state mass ``(N, S)``, its last input, and
+    either its data log-likelihoods ``(N, m)`` (summed from 0.0 in
+    codeword-position order) or its confirm log-likelihood ratio (from 0.0
+    in use order).  Children are formed in C order ``(node, y)`` and those
+    of mass 0.0 dropped.  On a markov1 kernel the mass advances as the
+    stacked product ``alpha[:, None, :] @ T`` with ``T[k]`` the transition
+    matrix of node k's last input, the product a node-by-node walk computes
+    bit for bit; a plain ``(N, S) @ (S, S)`` product is not, from S = 4 up.
+    Pe and E[T] are summed over the leaves in the depth-first order of a
+    recursive walk (by message, then by output path), one sequential sum
+    carried across messages, so they are bit-identical to it; the budget
+    counts every tree node and fails as soon as the count passes it.
     """
     if ch.kernel.variant not in ("memoryless", "markov1"):
         raise SchemaError("exact evaluation supports memoryless and markov1 kernels")
     if scheme.x_size != ch.spec.x_size:
         raise SchemaError("scheme and channel disagree on the input alphabet")
-    q = ch.spec.q
-    s_size = ch.spec.s_size
-    qbar = _metric_matrix(ch)
-    logq = _log_metric(qbar)
+    s_size, y_size = ch.spec.s_size, ch.spec.y_size
+    q_x = np.moveaxis(ch.spec.q, 0, -1)  # (x, y, s)
+    logq = _log_metric(_metric_matrix(ch))
     m, n1, cap = scheme.m, scheme.n1, scheme.cap
     block = scheme.block_len
     xa, xn = scheme.confirm
-    cb = scheme.codebook
+    cb = np.array(scheme.codebook)
+    lq_pos = logq[cb].transpose(1, 2, 0)  # (n1, y, m): the data metric of each position
+    llr_row = logq[xa] - logq[xn]
 
     if ch.kernel.variant == "memoryless":
         p_state = np.asarray(ch.kernel.table, dtype=float).reshape(s_size)
-        trans = None
+        trans_x = None
     else:
         p_state = np.asarray(ch.kernel.init, dtype=float)
-        trans = np.asarray(ch.kernel.table, dtype=float)  # (s, x, s')
+        trans_x = np.moveaxis(ch.kernel.table, 1, 0)  # (x, s, s'): trans_x[x] = table[:, x, :]
 
     nodes = 0
+
+    def grow(alpha, x_last, x, w, b, pos):
+        # use ``pos`` of block ``b`` of message ``w``: advance the state mass,
+        # then split on the output symbol; x is the input, per node or shared
+        nonlocal nodes
+        if trans_x is None or (b == 0 and pos == 0):
+            a = alpha.sum(axis=1)[:, None] * p_state
+        else:
+            a = np.matmul(alpha[:, None, :], trans_x[x_last])[:, 0, :]
+        child = (a[:, None, :] * q_x[x]).reshape(-1, s_size)
+        keep = np.flatnonzero(child.sum(axis=1) > 0.0)
+        nodes += keep.size
+        if nodes > budget:
+            raise BudgetExceededError(
+                f"{nodes} tree nodes by use {pos + 1} of block {b + 1} of {cap} "
+                f"(message {w + 1} of {m}) exceed the exact-evaluation budget {budget}"
+            )
+        return child[keep], keep // y_size, keep % y_size
+
     pe = 0.0
     et = 0.0
     leaves = 0
-
-    def step(alpha: np.ndarray, x: int, x_prev: int | None, first: bool):
-        # advance the state mass, then split on the output symbol
-        if trans is None:
-            a = alpha.sum() * p_state
-        elif first:
-            a = alpha.sum() * p_state
-        else:
-            a = alpha @ trans[:, x_prev, :]
-        for y in range(ch.spec.y_size):
-            child = a * q[:, x, y]
-            mass = child.sum()
-            if mass > 0.0:
-                yield y, child
-
-    def run_block(w: int, alpha: np.ndarray, x_prev: int | None, b: int, t0: int):
-        nonlocal nodes, pe, et, leaves
-        # data phase: enumerate output prefixes with the state mass attached
-        frontier = [((), alpha, x_prev)]
-        for pos in range(n1):
-            nxt = []
-            for ys, a, xp in frontier:
-                x = cb[w][pos]
-                for y, child in step(a, x, xp, first=(t0 == 0 and pos == 0)):
-                    nodes += 1
-                    if nodes > budget:
-                        raise BudgetExceededError(
-                            f"exact evaluation exceeded {budget} tree nodes"
-                        )
-                    nxt.append((ys + (y,), child, x))
-            frontier = nxt
-        for ys, a, xp in frontier:
-            ll = [sum(logq[cb[c][j], ys[j]] for j in range(n1)) for c in range(m)]
-            w_hat = int(np.argmax(ll))
-            xc = xa if w_hat == w else xn
-            conf = [((), a, xp, 0.0)]
-            for pos in range(scheme.n2):
-                nxt = []
-                for cys, ca, cxp, llr in conf:
-                    for y, child in step(ca, xc, cxp, first=False):
-                        nodes += 1
-                        if nodes > budget:
-                            raise BudgetExceededError(
-                                f"exact evaluation exceeded {budget} tree nodes"
-                            )
-                        # same association order as the simulators so ties
-                        # land on exactly the same side of the threshold
-                        nxt.append(
-                            (cys + (y,), child, xc, llr + (logq[xa, y] - logq[xn, y]))
-                        )
-                conf = nxt
-            for cys, ca, cxp, llr in conf:
-                mass = float(ca.sum())
-                if llr >= scheme.threshold or b == cap - 1:
-                    leaves += 1
-                    et += mass * (t0 + block)
-                    if w_hat != w:
-                        pe += mass
-                else:
-                    run_block(w, ca, cxp, b + 1, t0 + block)
-
     for w in range(m):
-        run_block(w, np.array([1.0 / m]), None, 0, 0)
+        alpha = np.full((1, 1), 1.0 / m)
+        x_last = np.zeros(1, dtype=np.int64)
+        up = np.zeros(1, dtype=np.int64)  # block-start nodes among the last block's ends
+        ends = []
+        for b in range(cap):
+            src = np.arange(alpha.shape[0])  # each node's block-start ancestor
+            ll = np.zeros((alpha.shape[0], m))
+            for pos in range(n1):
+                x = cb[w, pos]
+                alpha, node, y = grow(alpha, x_last, x, w, b, pos)
+                x_last = np.full(node.size, x)
+                ll = ll[node] + lq_pos[pos, y]
+                src = src[node]
+            w_hat = np.argmax(ll, axis=1)
+            xc = np.where(w_hat == w, xa, xn)
+            llr = np.zeros(alpha.shape[0])
+            for pos in range(n1, block):
+                alpha, node, y = grow(alpha, x_last, xc, w, b, pos)
+                xc, w_hat, src = xc[node], w_hat[node], src[node]
+                x_last = xc
+                llr = llr[node] + llr_row[y]
+            stop = (llr >= scheme.threshold) | (b == cap - 1)
+            ends.append((alpha.sum(axis=1), stop, w_hat != w, up[src]))
+            up = np.flatnonzero(~stop)
+            if not up.size:
+                break
+            alpha, x_last = alpha[up], x_last[up]
+        mass, t, err = _depth_first_leaves(ends, block)
+        leaves += mass.size
+        pe = float(ordered_sum(np.concatenate(([pe], mass[err]))))
+        et = float(ordered_sum(np.concatenate(([et], mass * t))))
 
     rate = math.log2(m) / et
     exponent = math.inf if pe == 0.0 else -math.log2(pe) / et

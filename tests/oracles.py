@@ -3,11 +3,13 @@
 Everything here recomputes quantities from first principles with flat
 cartesian-product loops and explicit probability formulas, sharing no code
 with the library beyond numpy.  Deliberately slow and simple.  The
-exceptions are the last three sections: the per-rule loops that the
+exceptions are the last four sections: the per-rule loops that the
 stopping-rule and node tables replaced, the recursive joint-law
 enumeration and memo-free capacity search that the level arrays replaced,
-and the per-history drift checks and residual terms that the node-table
-reductions replaced, kept as references for bit-identity.
+the per-history drift checks and residual terms that the node-table
+reductions replaced, and the simulator's recursive tree walk and per-trial
+state path that the array passes replaced, kept as references for
+bit-identity.
 """
 
 from __future__ import annotations
@@ -1635,3 +1637,177 @@ def loop_verify_maximal_inequality(
         constants={"trials": trials, "seed": seed},
         details=tuple(details),
     )
+
+
+# ---------------------------------------------------------------------------
+# the simulator's tree walk and per-trial state path before the array passes
+# ---------------------------------------------------------------------------
+#
+# ``vlc_sim.exact_stats`` as a recursive depth-first walk over the stopped
+# output tree, and ``vlc_sim._simulate_generic`` as a loop over trials and
+# channel uses, kept verbatim (renamed, with imports moved inside) as the
+# references for bit-identity tests.
+
+
+def loop_simulate_generic(
+    scheme, ch, trials: int, seed: int, start: int
+) -> tuple[int, float, float]:
+    from fbound.channel_model import SchemaError
+    from fbound.vlc_sim import _log_metric, _metric_matrix, _trial_uniforms
+
+    q = ch.spec.q
+    cum_q = np.cumsum(q, axis=2)  # (s, x, y)
+    qbar = _metric_matrix(ch)
+    logq = _log_metric(qbar)
+    m, n1, n2, cap = scheme.m, scheme.n1, scheme.n2, scheme.cap
+    block = scheme.block_len
+    n_uses = scheme.max_uses
+    hcap = ch.kernel.horizon_cap()
+    if hcap is not None and n_uses > hcap:
+        raise SchemaError("scheme needs more channel uses than the kernel defines")
+    xa, xn = scheme.confirm
+    cb = scheme.codebook
+    errors = 0
+    t_sum = 0.0
+    t_sqsum = 0.0
+    for d in _trial_uniforms(seed, start, trials, 1 + 2 * n_uses):
+        w = min(int(d[0] * m), m - 1)
+        us, uy = d[1 : n_uses + 1], d[n_uses + 1 :]
+        s_hist: tuple[int, ...] = ()
+        x_hist: tuple[int, ...] = ()
+        t_abs = 0
+        w_hat = 0
+        stopped = False
+        for b in range(cap):
+            ys_data = []
+            for pos in range(block):
+                x = cb[w][pos] if pos < n1 else (xa if w_hat == w else xn)
+                sd = ch.kernel.distribution(t_abs + 1, s_hist, x_hist)
+                s = int(np.searchsorted(np.cumsum(sd), us[t_abs], side="left"))
+                y = int(np.searchsorted(cum_q[s, x], uy[t_abs], side="left"))
+                s_hist += (s,)
+                x_hist += (x,)
+                t_abs += 1
+                if pos < n1:
+                    ys_data.append(y)
+                    if pos == n1 - 1:
+                        ll = [
+                            sum(logq[cb[cand][j], ys_data[j]] for j in range(n1))
+                            for cand in range(m)
+                        ]
+                        w_hat = int(np.argmax(ll))
+                        llr = 0.0
+                else:
+                    llr += logq[xa, y] - logq[xn, y]
+            if llr >= scheme.threshold or b == cap - 1:
+                stopped = True
+                t_sum += t_abs
+                t_sqsum += float(t_abs) ** 2
+                if w_hat != w:
+                    errors += 1
+                break
+        assert stopped
+    return errors, t_sum, t_sqsum
+
+
+def loop_exact_stats(scheme, ch, budget: int = 10**6):
+    """Exact error probability and expected stop time by forward recursion
+    of the per-state mass over every output branch of every block.
+
+    Supported for memoryless and one-step state kernels (the state mass is
+    a finite vector); the node budget guards the tree size.
+    """
+    from fbound.channel_model import BudgetExceededError, SchemaError
+    from fbound.vlc_sim import ExactStats, _log_metric, _metric_matrix
+
+    if ch.kernel.variant not in ("memoryless", "markov1"):
+        raise SchemaError("exact evaluation supports memoryless and markov1 kernels")
+    if scheme.x_size != ch.spec.x_size:
+        raise SchemaError("scheme and channel disagree on the input alphabet")
+    q = ch.spec.q
+    s_size = ch.spec.s_size
+    qbar = _metric_matrix(ch)
+    logq = _log_metric(qbar)
+    m, n1, cap = scheme.m, scheme.n1, scheme.cap
+    block = scheme.block_len
+    xa, xn = scheme.confirm
+    cb = scheme.codebook
+
+    if ch.kernel.variant == "memoryless":
+        p_state = np.asarray(ch.kernel.table, dtype=float).reshape(s_size)
+        trans = None
+    else:
+        p_state = np.asarray(ch.kernel.init, dtype=float)
+        trans = np.asarray(ch.kernel.table, dtype=float)  # (s, x, s')
+
+    nodes = 0
+    pe = 0.0
+    et = 0.0
+    leaves = 0
+
+    def step(alpha: np.ndarray, x: int, x_prev: int | None, first: bool):
+        # advance the state mass, then split on the output symbol
+        if trans is None:
+            a = alpha.sum() * p_state
+        elif first:
+            a = alpha.sum() * p_state
+        else:
+            a = alpha @ trans[:, x_prev, :]
+        for y in range(ch.spec.y_size):
+            child = a * q[:, x, y]
+            mass = child.sum()
+            if mass > 0.0:
+                yield y, child
+
+    def run_block(w: int, alpha: np.ndarray, x_prev: int | None, b: int, t0: int):
+        nonlocal nodes, pe, et, leaves
+        # data phase: enumerate output prefixes with the state mass attached
+        frontier = [((), alpha, x_prev)]
+        for pos in range(n1):
+            nxt = []
+            for ys, a, xp in frontier:
+                x = cb[w][pos]
+                for y, child in step(a, x, xp, first=(t0 == 0 and pos == 0)):
+                    nodes += 1
+                    if nodes > budget:
+                        raise BudgetExceededError(
+                            f"exact evaluation exceeded {budget} tree nodes"
+                        )
+                    nxt.append((ys + (y,), child, x))
+            frontier = nxt
+        for ys, a, xp in frontier:
+            ll = [sum(logq[cb[c][j], ys[j]] for j in range(n1)) for c in range(m)]
+            w_hat = int(np.argmax(ll))
+            xc = xa if w_hat == w else xn
+            conf = [((), a, xp, 0.0)]
+            for pos in range(scheme.n2):
+                nxt = []
+                for cys, ca, cxp, llr in conf:
+                    for y, child in step(ca, xc, cxp, first=False):
+                        nodes += 1
+                        if nodes > budget:
+                            raise BudgetExceededError(
+                                f"exact evaluation exceeded {budget} tree nodes"
+                            )
+                        # same association order as the simulators so ties
+                        # land on exactly the same side of the threshold
+                        nxt.append(
+                            (cys + (y,), child, xc, llr + (logq[xa, y] - logq[xn, y]))
+                        )
+                conf = nxt
+            for cys, ca, cxp, llr in conf:
+                mass = float(ca.sum())
+                if llr >= scheme.threshold or b == cap - 1:
+                    leaves += 1
+                    et += mass * (t0 + block)
+                    if w_hat != w:
+                        pe += mass
+                else:
+                    run_block(w, ca, cxp, b + 1, t0 + block)
+
+    for w in range(m):
+        run_block(w, np.array([1.0 / m]), None, 0, 0)
+
+    rate = math.log2(m) / et
+    exponent = math.inf if pe == 0.0 else -math.log2(pe) / et
+    return ExactStats(pe=pe, et=et, rate=rate, exponent=exponent, leaves=leaves)

@@ -159,6 +159,17 @@ def test_budget_env_var_exits_3(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_exact_budget_error_says_how_far_the_walk_got(capsys, monkeypatch):
+    monkeypatch.setenv("FBOUND_BUDGET", "20000")
+    rc = main(["simulate", "--channel", BSC01, "--m", "2", "--n1", "3", "--n2", "4",
+               "--cap", "2", "--scheme-seed", "5", "--trials", "20", "--exact"])
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        "error: 20828 tree nodes by use 7 of block 2 of 2 (message 2 of 2) exceed the "
+        "exact-evaluation budget 20000\n"
+    )
+
+
 def test_verify_honours_the_budget_env_var(capsys, monkeypatch):
     # bsc02, M=2, horizon 11: 4,096 trajectories, 128 of them by step 6
     monkeypatch.setenv("FBOUND_BUDGET", "100")
@@ -301,6 +312,31 @@ def test_verify_output_is_byte_identical_to_reference(name, args, code, tmp_path
         assert out.read_bytes() == (_REFERENCE / f"{name}.csv").read_bytes()
 
 
+# ``simulate --exact`` runs whose stdout and ``--out`` CSV were recorded
+# before the exact walk and the state path became array passes: the
+# benchmark's two commands at seed 0 and an M=4, cap-3 run with a confirm
+# threshold, on the markov1 channel.
+SIMULATE_COMMANDS = [
+    ("simulate_bsc01_m2_exact", ["channels/bsc01.json", "--m", "2", "--n1", "5", "--n2", "4",
+                                 "--cap", "2", "--trials", "100000", "--seed", "0"]),
+    ("simulate_flip2_m2_exact", ["channels/flip2.json", "--m", "2", "--n1", "3", "--n2", "4",
+                                 "--cap", "2", "--trials", "20000", "--seed", "0"]),
+    ("simulate_flip2_m4_cap3_t15_exact", ["channels/flip2.json", "--m", "4", "--n1", "3",
+                                          "--n2", "2", "--cap", "3", "--threshold", "1.5",
+                                          "--trials", "5000", "--seed", "0"]),
+]
+
+
+@pytest.mark.parametrize("name,args", SIMULATE_COMMANDS, ids=[c[0] for c in SIMULATE_COMMANDS])
+def test_simulate_exact_output_is_byte_identical_to_reference(name, args, tmp_path, capsys,
+                                                              monkeypatch):
+    monkeypatch.chdir(_CHANNELS.parent)  # the manifest records the channel path as given
+    out = tmp_path / "s.csv"
+    assert main(["simulate", "--channel", *args, "--exact", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == (_REFERENCE / f"{name}.out").read_text()
+    assert out.read_bytes() == (_REFERENCE / f"{name}.csv").read_bytes()
+
+
 def test_verify_rejects_several_message_counts(capsys):
     assert main(["verify", "--channel", BSC01, "--suite", "fano", "--messages", "2,4"]) == 2
     captured = capsys.readouterr()
@@ -331,3 +367,19 @@ def test_oversized_output_tree_is_a_budget_error(suite):
     assert proc.stdout == ""
     assert proc.stderr == ("error: the output tree has 2^70 paths at horizon 70, "
                            "over the limit 10000000\n")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("suite", ["fano", "lemma4"])
+def test_zero_probability_stop_history_exits_2(suite, tmp_path, capsys):
+    # crossovers of 1e-200 underflow a horizon-4 path to probability 0.0;
+    # the decoder checks read its 0/0 posterior (a traceback before)
+    faint = tmp_path / "faint.json"
+    faint.write_text(json.dumps({
+        "Q": [[[1.0, 1e-200], [1e-200, 1.0]]], "name": "faint", "s_size": 1,
+        "state_kernel": {"table": [1.0], "type": "memoryless"}, "x_size": 2, "y_size": 2,
+    }))
+    assert main(["verify", "--channel", str(faint), "--suite", suite, "--horizon", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: stop history (0, 0, 1, 1) at time 4 has probability 0.0\n"
+    assert captured.out == ""

@@ -95,6 +95,31 @@ def assert_same_or_typed(new, old, *args, **kwargs):
         assert outcome(new, *args, **kwargs) == want
 
 
+def _zero_stop(law, rule):
+    """True when some full path stops at a history of probability 0.0."""
+    if rule is None:
+        rule = StoppingRule.fixed(law.horizon, law.horizon, law.channel.spec.y_size)
+    for path in law.node_prob[law.horizon]:
+        t = oracles.loop_stop_time(rule, path)
+        if law.node_prob[t][path[:t]] == 0.0:
+            return True
+    return False
+
+
+def assert_zero_stop_is_typed(new, old, law, *args, **kwargs):
+    """At a stop history of probability 0.0 the loops read its 0/0
+    posterior and failed untyped (``nanargmax`` over an all-NaN row, or a
+    NaN binary-entropy argument); the tables raise a ``DistributionError``
+    naming the history, which the CLI reports."""
+    assert outcome(old, law, *args, **kwargs) in (
+        ("error", "ValueError", "All-NaN slice encountered"),
+        ("error", "DistributionError", "binary entropy argument nan outside [0, 1]"),
+    )
+    with pytest.raises(DistributionError,
+                       match=r"stop history \(.*\) at time \d+ has probability 0\.0"):
+        new(law, *args, **kwargs)
+
+
 quiet = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
 
@@ -106,7 +131,10 @@ quiet = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_entropy_drift_and_decoder_checks_match_the_loops(name):
     for law in _laws(name):
         assert_same(dv.verify_linear_drift, oracles.loop_verify_linear_drift, law)
-        assert_same(dv.verify_fano, oracles.loop_verify_fano, law)
+        if _zero_stop(law, None):
+            assert_zero_stop_is_typed(dv.verify_fano, oracles.loop_verify_fano, law)
+        else:
+            assert_same(dv.verify_fano, oracles.loop_verify_fano, law)
         assert_same(im.h_process, oracles.loop_h_process, law)
         for n in range(law.horizon + 1):
             assert_same(im.message_information, oracles.loop_message_information, law, n)
@@ -128,6 +156,12 @@ def test_compensator_budget_and_stopped_decoders_match_the_loops(name):
         if law.horizon <= 2:
             rules += enumerate_stopping_rules(law.horizon, y)
         for rule in rules:
+            if _zero_stop(law, rule):
+                assert_zero_stop_is_typed(dv.verify_fano, oracles.loop_verify_fano, law, rule)
+                for eps in EPS + (1.5,):
+                    assert_zero_stop_is_typed(dv.verify_lemma4_budget,
+                                              oracles.loop_verify_lemma4_budget, law, eps, rule)
+                continue
             assert_same(dv.verify_fano, oracles.loop_verify_fano, law, rule)
             for eps in EPS + (1.5,):
                 assert_same_or_typed(dv.verify_lemma4_budget,
@@ -194,6 +228,21 @@ def test_a_history_of_probability_zero_is_a_typed_error():
             check(law)
     # the log drift never conditions on it, as before
     assert_same(dv.verify_log_drift, oracles.loop_verify_log_drift, law, 0.3)
+
+
+@quiet
+def test_a_stop_history_of_probability_zero_is_a_typed_error():
+    # at horizon 4 a full path underflows to probability 0.0; its posterior
+    # is 0/0.  The decoder checks read it and failed untyped.
+    law = forward_joint(_channel("faint"), repetition_encoder(2, 2, 4), 4)
+    for check, args in ((dv.verify_fano, ()), (dv.verify_lemma4_budget, (0.9,))):
+        with pytest.raises(DistributionError,
+                           match=r"stop history \(0, 0, 1, 1\) at time 4 has probability 0.0"):
+            check(law, *args)
+    # a rule that stops before the underflow is checked as before
+    early = StoppingRule.fixed(3, 4, 2)
+    assert not _zero_stop(law, early)
+    assert_same(dv.verify_fano, oracles.loop_verify_fano, law, early)
 
 
 @settings(max_examples=300, deadline=None)

@@ -185,10 +185,10 @@ def test_submartingale_explicit_constants(law2):
     assert v.constants["i_const"] == 0.384251
 
 
-def test_submartingale_domain_errors(bsc01, law2):
+def test_submartingale_domain_errors(bsc01, law2, channels_dir):
     with pytest.raises(SchemaError):
         verify_submartingale_L(law2, 1.5)  # eps must stay below log2 M
-    z = load_channel("channels/z01.json")
+    z = load_channel(str(channels_dir / "z01.json"))
     zlaw = forward_joint(z, repetition_encoder(2, 2, 2), 2)
     with pytest.raises(LogRatioUnboundedError):
         verify_submartingale_L(zlaw, 0.2)

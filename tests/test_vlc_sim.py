@@ -51,12 +51,12 @@ def histk2(channels_dir):
 # --- scheme construction and serialization ---------------------------------
 
 
-def test_builder_is_seeded_and_picks_most_separated_confirm(yi_bsc01):
+def test_builder_is_seeded_and_picks_most_separated_confirm(yi_bsc01, channels_dir):
     assert yi_bsc01.codebook == ((1, 1, 0), (1, 0, 1))
     assert yi_bsc01.confirm == (0, 1)
     assert yi_bsc01.name == "yi_m2_n3+4_cap2"
     assert yi_bsc01.block_len == 7 and yi_bsc01.max_uses == 14
-    again = build_yamamoto_itoh(load_channel("channels/bsc01.json"), 2, 3, 4, 2, seed=5)
+    again = build_yamamoto_itoh(load_channel(str(channels_dir / "bsc01.json")), 2, 3, 4, 2, seed=5)
     assert again == yi_bsc01
 
 
