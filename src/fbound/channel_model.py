@@ -188,6 +188,11 @@ class StateKernel:
     distribution of s_t given the full histories, histories indexed in
     lexicographic (symbol-major) order; level t has shape
     (s_size**(t-1), x_size**(t-1), s_size).
+
+    Every variant is read through one per-use table (``use_table``): a
+    consumer carries each path's state- and input-history indices, reduces
+    them to the table's rows (``% rows`` keeps the last d symbols), gathers
+    the state laws and appends the new symbols (``index * arity + symbol``).
     """
 
     variant: str
@@ -204,6 +209,7 @@ class StateKernel:
                 raise SchemaError("memoryless kernel table must have shape (s_size,)")
             _check_distribution(t, "state distribution")
             object.__setattr__(self, "table", t)
+            uses = (t[None, None],)
         elif self.variant == "markov1":
             t = np.asarray(self.table, dtype=float)
             if t.shape != (self.s_size, self.x_size, self.s_size):
@@ -222,6 +228,7 @@ class StateKernel:
                     _check_distribution(t[s, x], f"state transition row (s={s}, x={x})")
             object.__setattr__(self, "table", t)
             object.__setattr__(self, "init", init)
+            uses = (init[None, None], t)
         elif self.variant == "history_table":
             lv = tuple(np.asarray(a, dtype=float) for a in self.levels)
             for i, a in enumerate(lv):
@@ -232,8 +239,10 @@ class StateKernel:
                 for rowidx in np.ndindex(a.shape[0], a.shape[1]):
                     _check_distribution(a[rowidx], f"state row t={t}, hist={rowidx}")
             object.__setattr__(self, "levels", lv)
+            uses = lv
         else:
             raise SchemaError(f"unknown state kernel variant {self.variant!r}")
+        object.__setattr__(self, "_uses", uses)
 
     def horizon_cap(self) -> int | None:
         """Largest t this kernel can drive, None when unbounded."""
@@ -241,21 +250,22 @@ class StateKernel:
             return len(self.levels)
         return None
 
+    def use_table(self, t: int) -> np.ndarray:
+        """P(s_t | state memory, input memory) at 1-based use t, shape
+        (s_size**d, x_size**d, s_size), rows indexed by the ``_hist_index`` of
+        the last d states and inputs: d = 0 (memoryless), 0 then 1 (markov1:
+        ``init``, then ``table``, repeated) or t - 1 (history_table level t)."""
+        if self.horizon_cap() is not None and t > self.horizon_cap():
+            raise SchemaError(f"history_table kernel has no level for t={t}")
+        return self._uses[min(t, len(self._uses)) - 1]
+
     def distribution(
         self, t: int, s_hist: tuple[int, ...], x_hist: tuple[int, ...]
     ) -> np.ndarray:
         """P(s_t | s^{t-1}, x^{t-1}) with 1-based t; histories have length t-1."""
-        if self.variant == "memoryless":
-            return self.table
-        if self.variant == "markov1":
-            if t == 1:
-                return self.init
-            return self.table[s_hist[-1], x_hist[-1]]
-        if t > len(self.levels):
-            raise SchemaError(f"history_table kernel has no level for t={t}")
-        si = _hist_index(s_hist, self.s_size)
-        xi = _hist_index(x_hist, self.x_size)
-        return self.levels[t - 1][si, xi]
+        table = self.use_table(t)
+        s_mem = _hist_index(s_hist, self.s_size) % table.shape[0]
+        return table[s_mem, _hist_index(x_hist, self.x_size) % table.shape[1]]
 
 
 def _hist_index(hist: Sequence[int], arity: int) -> int:
@@ -588,6 +598,42 @@ def _level_offsets(y_size: int, levels: int) -> list[int]:
     return offsets
 
 
+def _stop_time_table(stops: frozenset, n: int, y: int) -> np.ndarray:
+    """T on every length-n path (``_hist_index`` order), 0 where no stop node
+    is a prefix.  The nodes of one length fill their blocks in one array
+    pass, shorter first, so a filled block is an overlap; a set that fails a
+    check is refilled node by node, which names the node at fault."""
+    stime = np.zeros(y**n, dtype=np.int64)
+    ordered = sorted(stops, key=len)  # shorter first: an overlap names the longer node
+    for length, group in itertools.groupby(ordered, key=len):
+        flat = list(itertools.chain.from_iterable(group))
+        # only symbol types the per-node check accepts (np.bool_ is not one)
+        if not (1 <= length <= n
+                and all(issubclass(k, (int, np.integer)) for k in set(map(type, flat)))):
+            break
+        try:
+            syms = np.fromiter(flat, dtype=np.int64, count=len(flat)).reshape(-1, length)
+        except OverflowError:
+            break
+        blocks = stime.reshape(-1, y ** (n - length))
+        index = syms @ y ** np.arange(length - 1, -1, -1)
+        if not ((syms >= 0) & (syms < y)).all() or blocks[index].any():
+            break
+        blocks[index] = length
+    else:
+        return stime
+    stime[:] = 0
+    for node in ordered:
+        if not 1 <= len(node) <= n:
+            raise SchemaError(f"stop node {node} outside 1..{n}")
+        width = y ** (n - len(node))
+        block = stime[_symbol_index(node, y) * width :][:width]
+        if block.any():
+            raise SchemaError(f"stop set is not prefix-minimal at {node}")
+        block[:] = len(node)
+    return stime
+
+
 @dataclass(frozen=True)
 class StoppingRule:
     """A stopping time on the output filtration, given by the prefix-minimal
@@ -619,16 +665,7 @@ class StoppingRule:
         if n < 1 or y < 1:
             raise SchemaError("stopping rule needs horizon >= 1 and a non-empty output alphabet")
         check_tree_size(y, n)
-        stime = np.zeros(y**n, dtype=np.int64)
-        # shorter nodes first, so an overlap names the longer node
-        for node in sorted(stops, key=len):
-            if not 1 <= len(node) <= n:
-                raise SchemaError(f"stop node {node} outside 1..{n}")
-            width = y ** (n - len(node))
-            block = stime[_symbol_index(node, y) * width :][:width]
-            if block.any():
-                raise SchemaError(f"stop set is not prefix-minimal at {node}")
-            block[:] = len(node)
+        stime = _stop_time_table(stops, n, y)
         # exhaustiveness at the horizon
         unstopped = np.flatnonzero(stime == 0)
         if unstopped.size:
@@ -791,10 +828,11 @@ def forward_joint(
     factor, the state-kernel factor and the channel factor, multiplied left
     to right as ``((p * px) * ps) * py``; branches with a zero factor are
     pruned.  The enumeration runs one level at a time: step t calls the
-    policy (or encoder) and the state kernel once per live prefix, then forms
-    every child (prefix, x, s, y) in one array pass.  Children come out in C
-    order, which is the depth-first order over (w, x_1, s_1, y_1, x_2, ...),
-    and so is the order of ``trajectories``.  Each level table is built by
+    policy (or encoder) once per live prefix, gathers every prefix's state
+    law from the kernel's ``use_table(t)`` at its history indices, then
+    forms every child (prefix, x, s, y) in one array pass.  Children come
+    out in C order, which is the depth-first order over (w, x_1, s_1, y_1,
+    x_2, ...), and so is the order of ``trajectories``.  Each level table is built by
     ``_level_tables`` from the same level arrays.
 
     Raises BudgetExceededError when the live trajectory count would exceed
@@ -826,13 +864,16 @@ def forward_joint(
     msg = list(range(m))
     prob = np.array([1.0 / m] * m)
     xh = sh = yh = [()] * m
+    s_mem = x_mem = np.zeros(m, dtype=np.intp)  # state- and input-history indices
     # per step, each child's parent and its (output node, x, y); output
     # nodes are numbered level after level, within a level in order of first
     # appearance, and y_keys holds each level's output histories in that order
     steps, y_keys, first = [], [[()]], 1
     _check_budget(m, 0, horizon, budget)
     for t in range(1, horizon + 1):
-        ps = np.array([kernel.distribution(t, a, b) for a, b in zip(sh, xh)])
+        table = kernel.use_table(t)
+        s_mem, x_mem = s_mem % table.shape[0], x_mem % table.shape[1]
+        ps = table[s_mem, x_mem]
         # head[k, x, s] = (p * px) * ps and the channel rows it multiplies,
         # both over (prefix, x, s, y); a message-form prefix has one input,
         # with px = 1.0, and p * 1.0 == p
@@ -855,6 +896,7 @@ def forward_joint(
         par, x, s, y = np.unravel_index(kids, live.shape)
         if encoder:
             x = xs.take(par)
+        s_mem, x_mem = s_mem.take(par) * sn + s, x_mem.take(par) * xn + x
         pl, xl, sl, yl = par.tolist(), x.tolist(), s.tolist(), y.tolist()
         msg = [msg[a] for a in pl]
         xh = [xh[a] + single[b] for a, b in zip(pl, xl)]

@@ -417,7 +417,14 @@ def verify_submartingale_L(
     by_atom = np.argsort(atom, kind="stable")
     starts = np.flatnonzero(np.diff(atom[by_atom], prepend=-1))
     nodes, on_path = np.unique(paths.nodes, return_inverse=True)
-    h_nodes = node_table(law).h[nodes].tolist()
+    h_nodes = node_table(law).h[nodes]
+    zero = np.flatnonzero(~(h_nodes > 0.0))
+    if zero.size:
+        # a strictly positive channel leaves every message mass: H = 0 is underflow
+        hist = [k for level in law.w_post for k in level][nodes[zero[0]]]
+        raise DistributionError(f"history {hist} at time {len(hist)} has message entropy "
+                                "0.0 (an underflowed posterior), where Z takes log2 H")
+    h_nodes = h_nodes.tolist()
 
     details: list[str] = []
     best_lam = None

@@ -13,20 +13,21 @@ Randomness convention (load-bearing for reproducibility): trial ``t`` of a
 run with seed ``s`` draws everything from ``Philox(key=[s, t])`` as one flat
 uniform vector ``d = rng.random(1 + 2*N)`` with ``N = cap*(n1+n2)``:
 ``d[0]`` picks the message, ``d[1:N+1]`` drive the state draws position by
-position, ``d[N+1:]`` drive the output draws.  Because trials are keyed
-individually, splitting a run across workers cannot change any result; the
-single-state fast path and the state path consume the same positions and
-therefore agree bit for bit.  A run builds one Philox generator and re-keys
-it per trial (``_trial_uniforms``), which gives the same draws as a fresh
-generator per trial.
+position, ``d[N+1:]`` drive the output draws (a single-state channel
+draws its one state too).  Because trials are keyed individually, splitting
+a run across workers cannot change any result.  A run builds one Philox
+generator and re-keys it per trial (``_trial_uniforms``), which gives the
+same draws as a fresh generator per trial.
 
-Both Monte Carlo paths and the exact evaluation are array passes: a chunk of
-trials, or one level of a message's output tree, advances one channel use
-at a time.  Every sum that reaches a result runs in the order of a
-per-trial or depth-first recursive loop (metrics in position order from
-0.0, exact Pe and E[T] sequentially over the leaves in depth-first order),
-and every product is one a per-node loop computes bit for bit, so outputs
-are the same bits as those loops give (``tests/oracles.py`` keeps them).
+There is one Monte Carlo path for every channel, and it and the exact
+evaluation are array passes: a chunk of trials, or one level of a message's
+output tree, advances one channel use at a time, the state process stepped
+through the kernel's per-use table.  Every sum that reaches a result runs
+in the order of a per-trial or depth-first recursive loop (metrics in
+position order from 0.0, exact Pe and E[T] sequentially over the leaves in
+depth-first order), and every product is one a per-node loop computes bit
+for bit, so outputs are the same bits as those loops give
+(``tests/oracles.py`` keeps them).
 
 Decoding on channels with states uses the entry-wise state-averaged matrix
 under the initial state law as a (mismatched) memoryless metric; on a
@@ -63,7 +64,7 @@ __all__ = [
 
 SCHEME_VARIANTS = ("yamamoto_itoh", "repetition_confirm", "user_table")
 EXACT_BUDGET = 10**6
-SIM_CHUNK = 20_000  # trials per array pass of the Monte Carlo paths
+SIM_CHUNK = 20_000  # trials per array pass of the Monte Carlo
 CSV_COLUMNS = (
     "M", "n1", "n2", "cap", "trials",
     "Pe", "Pe_lo", "Pe_hi", "ET", "R", "E", "E_lo", "E_hi",
@@ -360,68 +361,19 @@ def _inverse_cdf(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     return (cum < u[..., None]).sum(axis=-1)
 
 
-def _simulate_fast_dmc(
-    scheme: SchemeSpec, ch: Channel, trials: int, seed: int, start: int
-) -> tuple[int, float, float]:
-    q = ch.spec.q[0]
-    cum = np.cumsum(q, axis=1)
-    logq = _log_metric(q)
-    m, n1, n2, cap = scheme.m, scheme.n1, scheme.n2, scheme.cap
-    ll_len = scheme.block_len
-    n_uses = scheme.max_uses
-    xa, xn = scheme.confirm
-    cb = np.array(scheme.codebook)
-    lq_cb = logq[cb]  # (m, n1, y_size)
-    llr_row = logq[xa] - logq[xn]
-
-    errors = 0
-    t_sum = 0.0
-    t_sqsum = 0.0
-    for lo in range(0, trials, SIM_CHUNK):
-        n = min(SIM_CHUNK, trials - lo)
-        d = _draw_uniforms(seed, start + lo, n, 1 + 2 * n_uses)
-        w = np.minimum((d[:, 0] * m).astype(int), m - 1)
-        uy = d[:, 1 + n_uses :]
-        alive = np.ones(n, dtype=bool)
-        stop_block = np.zeros(n, dtype=int)
-        final_err = np.zeros(n, dtype=bool)
-        for b in range(cap):
-            off = b * ll_len
-            y_data = _inverse_cdf(cum[cb[w]], uy[:, off : off + n1])
-            ll = np.take_along_axis(
-                lq_cb[None, :, :, :], y_data[:, None, :, None], axis=3
-            )[..., 0].sum(axis=2)
-            w_hat = np.argmax(ll, axis=1)
-            xc = np.where(w_hat == w, xa, xn)
-            y_conf = _inverse_cdf(cum[xc][:, None, :], uy[:, off + n1 : off + ll_len])
-            llr = llr_row[y_conf].sum(axis=1)
-            accept = llr >= scheme.threshold
-            done = alive & (accept | (b == cap - 1))
-            stop_block[done] = b + 1
-            final_err[done] = (w_hat != w)[done]
-            alive &= ~done
-        t = stop_block * ll_len
-        errors += int(final_err.sum())
-        t_sum += float(t.sum())
-        t_sqsum += float((t.astype(float) ** 2).sum())
-    return errors, t_sum, t_sqsum
-
-
 def _simulate_generic(
     scheme: SchemeSpec, ch: Channel, trials: int, seed: int, start: int
 ) -> tuple[int, float, float]:
-    """Monte Carlo on a channel with states: every trial of a chunk of
-    ``SIM_CHUNK`` advances one channel use at a time as one array pass.
+    """Monte Carlo of trials start..start+trials-1: every trial of a chunk
+    of ``SIM_CHUNK`` advances one channel use at a time as one array pass.
 
-    At each use, every trial gathers its cumulative state law (memoryless:
-    the kernel table; markov1: ``init`` at the first use, then the row of
-    its previous state and input; history_table: the level's row at the
-    trial's running state- and input-history indices), draws its state and
-    then its output by ``_inverse_cdf`` (searchsorted, side "left"), as a
-    per-trial loop would.  The data metric is summed from 0.0 in codeword
-    position order, the confirm log-likelihood ratio from 0.0 in use order,
-    and the stop and error bookkeeping is the fast path's, so every trial's
-    outcome is bit-identical to running it alone.
+    At use t, every trial gathers its cumulative state law from the
+    kernel's ``use_table(t)`` at its state- and input-history indices,
+    draws its state and then its output by ``_inverse_cdf`` (searchsorted,
+    side "left"), as a per-trial loop would.  The data metric is summed from
+    0.0 in codeword position order and the confirm log-likelihood ratio from
+    0.0 in use order, so every trial's outcome is bit-identical to running
+    it alone.  A single-state channel takes the same pass.
     """
     kernel = ch.kernel
     cum_q = np.cumsum(ch.spec.q, axis=2)  # (s, x, y)
@@ -436,12 +388,7 @@ def _simulate_generic(
     cb = np.array(scheme.codebook)
     lq_pos = logq[cb].transpose(1, 2, 0)  # (n1, y, m): the data metric of each position
     llr_row = logq[xa] - logq[xn]
-    if kernel.variant == "history_table":
-        cum_state = [np.cumsum(level, axis=2) for level in kernel.levels]
-    elif kernel.variant == "markov1":
-        cum_init, cum_state = np.cumsum(kernel.init), np.cumsum(kernel.table, axis=2)
-    else:
-        cum_state = np.cumsum(kernel.table)
+    cum_state = [np.cumsum(kernel.use_table(t), axis=2) for t in range(1, n_uses + 1)]
 
     errors = 0
     t_sum = 0.0
@@ -451,8 +398,7 @@ def _simulate_generic(
         d = _draw_uniforms(seed, start + lo, n, 1 + 2 * n_uses)
         w = np.minimum((d[:, 0] * m).astype(int), m - 1)
         us, uy = d[:, 1 : n_uses + 1], d[:, n_uses + 1 :]
-        s = x = None  # the previous use's state and input
-        s_idx = x_idx = np.zeros(n, dtype=np.int64)  # history_table: history indices
+        s_mem = x_mem = np.zeros(n, dtype=np.int64)  # state- and input-history indices
         alive = np.ones(n, dtype=bool)
         stop_block = np.zeros(n, dtype=int)
         final_err = np.zeros(n, dtype=bool)
@@ -460,18 +406,12 @@ def _simulate_generic(
             ll = np.zeros((n, m))
             for pos in range(block):
                 t = b * block + pos
-                if kernel.variant == "history_table":
-                    cdf = cum_state[t][s_idx, x_idx]
-                elif kernel.variant == "markov1":
-                    cdf = cum_init if t == 0 else cum_state[s, x]
-                else:
-                    cdf = cum_state
+                cdf = cum_state[t]
+                s_mem, x_mem = s_mem % cdf.shape[0], x_mem % cdf.shape[1]
                 x = cb[w, pos] if pos < n1 else np.where(w_hat == w, xa, xn)
-                s = _inverse_cdf(cdf, us[:, t])
+                s = _inverse_cdf(cdf[s_mem, x_mem], us[:, t])
                 y = _inverse_cdf(cum_q[s, x], uy[:, t])
-                if kernel.variant == "history_table":
-                    s_idx = s_idx * ch.spec.s_size + s
-                    x_idx = x_idx * ch.spec.x_size + x
+                s_mem, x_mem = s_mem * ch.spec.s_size + s, x_mem * ch.spec.x_size + x
                 if pos < n1:
                     ll = ll + lq_pos[pos, y]
                     if pos == n1 - 1:
@@ -490,17 +430,22 @@ def _simulate_generic(
     return errors, t_sum, t_sqsum
 
 
+# ``perfbench/layer_trace.py`` looks up both names; a missing one aborts
+# every traced command.
+_simulate_fast_dmc = _simulate_generic
+
+
 def simulate(
     scheme: SchemeSpec,
     ch: Channel,
     trials: int,
     seed: int = 0,
     workers: int = 1,
-    _force_generic: bool = False,
 ) -> RunStats:
-    """Monte Carlo run.  ``workers`` (at least 1) splits the trial range into
-    contiguous chunks executed independently; the per-trial keyed generators
-    make the outcome identical for every worker count."""
+    """Monte Carlo run: one array pass (``_simulate_generic``) for every
+    channel, single-state or not.  ``workers`` (at least 1) splits the trial
+    range into contiguous chunks executed independently; the per-trial keyed
+    generators make the outcome identical for every worker count."""
     if trials < 1:
         raise SchemaError("need at least one trial")
     workers = int(workers)
@@ -508,8 +453,6 @@ def simulate(
         raise SchemaError(f"need at least one worker, got {workers}")
     if scheme.x_size != ch.spec.x_size:
         raise SchemaError("scheme and channel disagree on the input alphabet")
-    fast = ch.spec.is_dmc() and not _force_generic
-    runner = _simulate_fast_dmc if fast else _simulate_generic
     bounds = [
         (trials * k // workers, trials * (k + 1) // workers) for k in range(workers)
     ]
@@ -519,7 +462,7 @@ def simulate(
     for lo, hi in bounds:  # fixed merge order regardless of execution order
         if hi <= lo:
             continue
-        e, ts, tq = runner(scheme, ch, hi - lo, seed, lo)
+        e, ts, tq = _simulate_generic(scheme, ch, hi - lo, seed, lo)
         errors += e
         t_sum += ts
         t_sqsum += tq
@@ -589,12 +532,11 @@ def exact_stats(scheme: SchemeSpec, ch: Channel, budget: int = EXACT_BUDGET) -> 
     lq_pos = logq[cb].transpose(1, 2, 0)  # (n1, y, m): the data metric of each position
     llr_row = logq[xa] - logq[xn]
 
-    if ch.kernel.variant == "memoryless":
-        p_state = np.asarray(ch.kernel.table, dtype=float).reshape(s_size)
-        trans_x = None
-    else:
-        p_state = np.asarray(ch.kernel.init, dtype=float)
-        trans_x = np.moveaxis(ch.kernel.table, 1, 0)  # (x, s, s'): trans_x[x] = table[:, x, :]
+    p_state = ch.kernel.use_table(1)[0, 0]
+    later = ch.kernel.use_table(2)  # the table of every use after the first
+    # without memory every use draws from p_state; with one step of it,
+    # trans_x[x] = later[:, x, :] is the state transition under input x
+    trans_x = None if later.shape[:2] == (1, 1) else np.moveaxis(later, 1, 0)
 
     nodes = 0
 

@@ -281,6 +281,33 @@ def loop_dominates(rule, other):
     return True
 
 
+def loop_rule_tables(stops, n, y):
+    """``StoppingRule``'s checks and tables as its constructor built them,
+    one stop node at a time: (stop_times, stopped_nodes)."""
+    from fbound.channel_model import SchemaError, _path_at, _symbol_index, check_tree_size
+
+    stops = frozenset(tuple(s) for s in stops)
+    if n < 1 or y < 1:
+        raise SchemaError("stopping rule needs horizon >= 1 and a non-empty output alphabet")
+    check_tree_size(y, n)
+    stime = np.zeros(y**n, dtype=np.int64)
+    # shorter nodes first, so an overlap names the longer node
+    for node in sorted(stops, key=len):
+        if not 1 <= len(node) <= n:
+            raise SchemaError(f"stop node {node} outside 1..{n}")
+        width = y ** (n - len(node))
+        block = stime[_symbol_index(node, y) * width :][:width]
+        if block.any():
+            raise SchemaError(f"stop set is not prefix-minimal at {node}")
+        block[:] = len(node)
+    # exhaustiveness at the horizon
+    unstopped = np.flatnonzero(stime == 0)
+    if unstopped.size:
+        raise SchemaError(f"rule never stops along {_path_at(unstopped[0], y, n)}")
+    stopped = np.concatenate([stime[:: y ** (n - t)] <= t for t in range(n)])
+    return stime, stopped
+
+
 def loop_directed_mi_stopped(law, rule):
     from fbound.channel_model import SchemaError
     from fbound.info_measures import mutual_information

@@ -383,3 +383,20 @@ def test_zero_probability_stop_history_exits_2(suite, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == "error: stop history (0, 0, 1, 1) at time 4 has probability 0.0\n"
     assert captured.out == ""
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("suite", ["lemma1", "all"])
+def test_zero_message_entropy_in_the_pruned_process_exits_2(suite, tmp_path, capsys):
+    # the same channel: after (0, 0) the posterior of message 1 underflows to
+    # 0.0, so H = 0 there and log2 H in Z failed (a math domain error before)
+    faint = tmp_path / "faint.json"
+    faint.write_text(json.dumps({
+        "Q": [[[1.0, 1e-200], [1e-200, 1.0]]], "name": "faint", "s_size": 1,
+        "state_kernel": {"table": [1.0], "type": "memoryless"}, "x_size": 2, "y_size": 2,
+    }))
+    assert main(["verify", "--channel", str(faint), "--suite", suite, "--horizon", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("error: history (0, 0) at time 2 has message entropy 0.0 "
+                            "(an underflowed posterior), where Z takes log2 H\n")
+    assert captured.out == ""

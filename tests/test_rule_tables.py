@@ -138,6 +138,86 @@ def test_rule_validation_names_the_offending_node():
         StoppingRule(horizon=2, y_size=2, stops=frozenset({(0,), (1,), (2,)}))
 
 
+def _random_stops(rng, horizon, y_size, p_stop):
+    """A prefix-minimal stop set that stops by the horizon: each history
+    below it stops with probability p_stop, else branches on every symbol."""
+    stops = []
+
+    def grow(node):
+        if len(node) == horizon or (node and rng.random() < p_stop):
+            stops.append(node)
+        else:
+            for sym in range(y_size):
+                grow(node + (sym,))
+
+    grow(())
+    return stops
+
+
+def _tables(stops, horizon, y_size):
+    """(stop_times, stopped_nodes) as lists, or the error message, of the
+    rule and of the per-node fill.  Both see one frozenset: where several
+    nodes are at fault, the one named depends on its iteration order."""
+    stops = frozenset(stops)
+
+    def rule():
+        built = StoppingRule(horizon=horizon, y_size=y_size, stops=stops)
+        return built.stop_times, built.stopped_nodes
+
+    out = []
+    for build in (rule, lambda: oracles.loop_rule_tables(stops, horizon, y_size)):
+        try:
+            times, stopped = build()
+        except SchemaError as e:
+            out.append(("error", str(e)))
+        else:
+            out.append((times.tolist(), stopped.tolist()))
+    return out
+
+
+@pytest.mark.parametrize("horizon,y_size", [(1, 3), (5, 2), (8, 2), (4, 3), (3, 4)])
+def test_rule_construction_matches_the_per_node_fill(horizon, y_size):
+    rng = np.random.default_rng(horizon * 10 + y_size)
+    for k in range(40):
+        stops = _random_stops(rng, horizon, y_size, p_stop=(0.1, 0.3, 0.6)[k % 3])
+        built, looped = _tables(stops, horizon, y_size)
+        assert built == looped and built[0] != "error"
+        if k % 4 == 0:
+            rule = StoppingRule(horizon=horizon, y_size=y_size, stops=frozenset(stops))
+            for path in itertools.product(range(y_size), repeat=horizon):
+                assert rule.stop_time(path) == oracles.loop_stop_time(rule, path)
+        # each way of breaking the set fails with the per-node fill's message
+        node = stops[rng.integers(len(stops))]
+        broken = [
+            stops[:-1],  # a path never stops
+            stops + [node + (0,)],  # a node below a stop node
+            stops + [node[:-1]],  # a node above one (the empty history at length 1)
+            stops + [node[:-1] + (y_size,)],  # a symbol outside the alphabet
+            stops + [node[:-1] + (-1,)],
+            stops + [node[:-1] + (2**64,)],
+            stops + [(0,) * (horizon + 1)],  # a node past the horizon
+        ]
+        for bad in broken:
+            built, looped = _tables(bad, horizon, y_size)
+            assert built == looped and built[0] == "error", bad
+        # a last symbol 1 of another type: bool and numpy integers are
+        # accepted, np.bool_ and floats refused
+        one = next(s for s in stops if s[-1] == 1)
+        for sym, ok in ((True, True), (np.uint64(1), True), (np.True_, False), (1.0, False)):
+            other = [s[:-1] + (sym,) if s == one else s for s in stops]
+            built, looped = _tables(other, horizon, y_size)
+            assert built == looped and (built[0] != "error") == ok, other
+
+
+def test_fixed_rules_match_the_per_node_fill():
+    for horizon, y_size in ((1, 2), (6, 2), (9, 2), (4, 3), (3, 5)):
+        for t in range(1, horizon + 1):
+            rule = StoppingRule.fixed(t, horizon, y_size)
+            want = oracles.loop_rule_tables(rule.stops, horizon, y_size)
+            assert rule.stop_times.tolist() == want[0].tolist()
+            assert rule.stopped_nodes.tolist() == want[1].tolist()
+
+
 # ---------------------------------------------------------------------------
 # stopped sums over the node table
 # ---------------------------------------------------------------------------

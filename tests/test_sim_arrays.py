@@ -27,15 +27,20 @@ from fbound.channel_model import (
     load_channel,
 )
 from fbound.vlc_sim import (
+    RunStats,
     _simulate_generic,
     build_repetition_confirm,
     build_yamamoto_itoh,
     exact_stats,
+    simulate,
 )
 
 FILES = ("bsc01", "bsc02", "bsc05", "flip2", "histk2", "perfect2", "uniform22", "z01")
 RANDOM = ("markov_s3", "markov_s4", "markov_s4_y3")
 SHAPES = ((2, 1, 1, 1), (2, 2, 2, 3), (3, 2, 1, 3), (4, 2, 2, 2), (4, 3, 1, 1))  # m, n1, n2, cap
+# blocks of 8 and more uses, where numpy's pairwise ``sum`` no longer adds
+# in position order
+LONG_SHAPES = ((4, 8, 3, 3), (3, 9, 8, 2), (2, 8, 9, 1))
 THRESHOLDS = (0.0, 1.5, 1e9)
 
 
@@ -165,10 +170,16 @@ def test_walk_raises_the_same_errors():
 @quiet
 @pytest.mark.parametrize("name", FILES + RANDOM)
 def test_state_path_matches_the_per_trial_loop(name):
+    # a single-state channel also through ``simulate``, which runs it on the
+    # same pass, and on long blocks too
     ch = _channel(name)
-    for k, sc in enumerate(_schemes(ch)):
+    dmc = ch.spec.is_dmc()
+    for k, sc in enumerate(_schemes(ch, SHAPES + LONG_SHAPES if dmc else SHAPES)):
         args = (sc, ch, 60, k, 19_980 + k)  # trial keys across 20,000
         assert _simulate_generic(*args) == oracles.loop_simulate_generic(*args), sc
+        if dmc:
+            want = oracles.loop_simulate_generic(sc, ch, 200, k, 0)
+            assert simulate(sc, ch, 200, seed=k) == RunStats.from_counts(sc.m, 200, *want), sc
 
 
 @quiet

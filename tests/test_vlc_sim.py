@@ -123,9 +123,10 @@ def test_simulate_invariant_to_worker_count_and_code_path(yi_bsc01, bsc01):
     base = simulate(yi_bsc01, bsc01, 500, seed=1)
     assert simulate(yi_bsc01, bsc01, 500, seed=1, workers=3) == base
     assert simulate(yi_bsc01, bsc01, 500, seed=1, workers=7) == base
-    # the vectorized single-state path and the per-trial generic path must
-    # agree bit for bit, not just statistically
-    assert simulate(yi_bsc01, bsc01, 500, seed=1, _force_generic=True) == base
+    # a single-state channel runs the one array pass, which must agree bit
+    # for bit with running each trial alone, not just statistically
+    counts = oracles.loop_simulate_generic(yi_bsc01, bsc01, 500, 1, 0)
+    assert RunStats.from_counts(yi_bsc01.m, 500, *counts) == base
 
 
 def _fresh_generator_draws(seed, start, count, width):
