@@ -175,8 +175,11 @@ def _tables(stops, horizon, y_size):
     return out
 
 
-@pytest.mark.parametrize("horizon,y_size", [(1, 3), (5, 2), (8, 2), (4, 3), (3, 4)])
+@pytest.mark.parametrize("horizon,y_size", [(1, 3), (5, 2), (9, 2), (4, 3), (3, 5)])
 def test_rule_construction_matches_the_per_node_fill(horizon, y_size):
+    for t in range(1, horizon + 1):
+        built, looped = _tables(StoppingRule.fixed(t, horizon, y_size).stops, horizon, y_size)
+        assert built == looped and built[0] != "error"
     rng = np.random.default_rng(horizon * 10 + y_size)
     for k in range(40):
         stops = _random_stops(rng, horizon, y_size, p_stop=(0.1, 0.3, 0.6)[k % 3])
@@ -207,15 +210,6 @@ def test_rule_construction_matches_the_per_node_fill(horizon, y_size):
             other = [s[:-1] + (sym,) if s == one else s for s in stops]
             built, looped = _tables(other, horizon, y_size)
             assert built == looped and (built[0] != "error") == ok, other
-
-
-def test_fixed_rules_match_the_per_node_fill():
-    for horizon, y_size in ((1, 2), (6, 2), (9, 2), (4, 3), (3, 5)):
-        for t in range(1, horizon + 1):
-            rule = StoppingRule.fixed(t, horizon, y_size)
-            want = oracles.loop_rule_tables(rule.stops, horizon, y_size)
-            assert rule.stop_times.tolist() == want[0].tolist()
-            assert rule.stopped_nodes.tolist() == want[1].tolist()
 
 
 # ---------------------------------------------------------------------------
