@@ -3,10 +3,10 @@
 
 Loads a binary symmetric channel from ``channels/``, drives it with a
 two-message repetition encoder for three uses, and walks the resulting
-output tree: path masses, message posteriors, and the entropy process
-that the bounds and the lemma checks are built on.  Ends with a state
-channel to show that the same machinery handles channels whose behaviour
-depends on an evolving hidden state.
+output tree through the law's node table: path masses, message
+posteriors, and the entropy process that the bounds and the lemma checks
+are built on.  Ends with a state channel to show that the same machinery
+handles channels whose behaviour depends on an evolving hidden state.
 """
 
 from pathlib import Path
@@ -14,17 +14,25 @@ from pathlib import Path
 from fbound import (
     StoppingRule,
     directed_mi_stopped,
-    entropy,
     expected_stop_time,
     forward_joint,
-    h_process,
     load_channel,
-    posteriors,
     repetition_encoder,
     two_state_flip_channel,
 )
+from fbound.info_measures import node_table
 
 CHANNELS = Path(__file__).resolve().parents[1] / "channels"
+
+
+def expected_entropy(law) -> list[float]:
+    """E[H(W | Y^t)] for t = 0..N: each level's node masses times the
+    node table's entropy column, summed in node order."""
+    table = node_table(law)
+    out = [0.0] * (law.horizon + 1)
+    for i, (p, h) in enumerate(zip(law.node_prob.tolist(), table.h.tolist())):
+        out[len(table.history(i))] += p * h
+    return out
 
 
 def main() -> None:
@@ -38,23 +46,25 @@ def main() -> None:
     m, horizon = 2, 3
     policy = repetition_encoder(m, ch.spec.x_size, horizon)
     law = forward_joint(ch, policy, horizon)
+    table = node_table(law)
     print(f"\njoint law: {m} messages, horizon {horizon}, "
-          f"{len(law.output_paths())} output paths, total mass {law.total_mass():.12f}")
+          f"{table.leaf.size} output paths, total mass {law.total_mass():.12f}")
 
+    # The node table holds one row per output history; its leaves are the
+    # full output paths, after the histories of levels 0..N-1.
     print("\nheaviest output paths and their message posteriors:")
-    post = posteriors(law)
-    paths = sorted(law.output_paths().items(), key=lambda kv: -kv[1])
-    for path, mass in paths[:4]:
-        w = post.prior[horizon][path]
-        print(f"  y={path}  P={mass:.6f}  P(W|y)={w.round(6)}  "
-              f"H(W|y)={entropy(w):.6f} bits")
+    first_leaf = table.prob.size
+    heaviest = sorted(range(table.leaf.size), key=lambda k: -table.leaf_prob[k])
+    for k in heaviest[:4]:
+        i = first_leaf + k
+        print(f"  y={table.history(i)}  P={table.leaf_prob[k]:.6f}  "
+              f"P(W|y)={table.posterior[i].round(6)}  H(W|y)={table.h[i]:.6f} bits")
 
     # The posterior entropy process: one value per output node, decreasing
     # on average as observations accumulate.
-    proc = h_process(law)
     print("\nexpected posterior entropy by time:")
-    for t in range(horizon + 1):
-        print(f"  t={t}  E[H_t] = {proc.expected(t):.6f} bits")
+    for t, v in enumerate(expected_entropy(law)):
+        print(f"  t={t}  E[H_t] = {v:.6f} bits")
 
     # Stop after two of the three uses: information and stopping time of a
     # stopped transcript, the basic quantities the converse bounds trade off.
@@ -65,11 +75,10 @@ def main() -> None:
     # Same pipeline on a channel with a hidden flipping state.
     flip = two_state_flip_channel()
     law2 = forward_joint(flip, repetition_encoder(m, flip.spec.x_size, horizon), horizon)
-    proc2 = h_process(law2)
     print(f"\nstate channel {flip.name}: kernel={flip.kernel.variant}, "
           f"mass {law2.total_mass():.12f}")
-    for t in range(horizon + 1):
-        print(f"  t={t}  E[H_t] = {proc2.expected(t):.6f} bits")
+    for t, v in enumerate(expected_entropy(law2)):
+        print(f"  t={t}  E[H_t] = {v:.6f} bits")
 
 
 if __name__ == "__main__":

@@ -7,8 +7,7 @@ pins the same quantities down exactly by enumerating the stopped output
 tree, and places the achieved (rate, exponent) points under the
 classical line.  The last section exercises the reproducibility story:
 the CSV a run writes carries a manifest header, and replaying that
-manifest byte-for-byte reproduces the file even with a different worker
-count.
+manifest reproduces the file byte for byte.
 """
 
 import tempfile
@@ -40,22 +39,22 @@ def main() -> None:
     print(f"\nexact enumeration for M=2: Pe={ex.pe:.9f} E[tau]={ex.et:.6f} "
           f"rate={ex.rate:.6f} exponent={ex.exponent:.6f} ({ex.leaves} leaves)")
 
-    # Reproducibility: run the CLI into a CSV, then replay its manifest with
-    # a different worker count and demand the identical file.
+    # Reproducibility: run the CLI into a CSV, then replay its manifest and
+    # demand the identical file.
     with tempfile.TemporaryDirectory() as tmp:
         out1 = Path(tmp) / "sweep.csv"
         out2 = Path(tmp) / "replay.csv"
         argv = ["simulate", "--channel", str(CHANNELS / "bsc01.json"),
                 "--m", "2,4", "--n1", "3", "--n2", "4", "--cap", "2",
                 "--scheme-seed", "5", "--trials", "5000", "--seed", "9",
-                "--workers", "4", "--out", str(out1)]
+                "--out", str(out1)]
         code = cli_main(argv)
         man = read_manifest(str(out1))
         print(f"\nCLI run exit={code}; manifest command={man['command']!r} "
               f"trials={man['config']['trials']} channel sha={man['channel']['sha256'][:12]}…")
-        rerun_from_manifest(man, out=str(out2), workers=1)
+        rerun_from_manifest(man, out=str(out2))
         same = out1.read_bytes() == out2.read_bytes()
-        print(f"replayed with workers=1: byte-identical = {same}")
+        print(f"replayed from the manifest: byte-identical = {same}")
         assert same
 
 

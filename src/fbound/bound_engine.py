@@ -34,6 +34,7 @@ from .channel_model import (
     JointLaw,
     SchemaError,
     StoppingRule,
+    check_seed,
     enumerate_stopping_rules,
     forward_joint,
 )
@@ -99,6 +100,7 @@ class SearchConfig:
             raise SchemaError("message counts must be a non-empty list of values >= 1")
         if min(self.rule_cap, self.budget, self.encoder_cap) < 1:
             raise SchemaError("rule, encoder and enumeration caps must be >= 1")
+        check_seed(self.seed, "seed")
 
 
 @dataclass(frozen=True)

@@ -14,13 +14,16 @@ terms) are exact sums over this enumeration.
 
 The enumeration runs breadth first, one level of the trajectory tree per
 step, with the children of all live prefixes formed in one array pass in the
-order a depth-first walk would visit them.  The per-output-history level
-tables are then one ``np.bincount`` each over the trajectories in that
-order.  Both keep the products and the summation order of a plain recursive
-walk with running per-node sums, so every probability and table entry is
-bit-for-bit the value such a walk gives.  Histories are tuples of integer
-symbols; the level tables are plain dicts keyed by output histories (a
-sparse fixed-arity tree), in order of first appearance.  Budgets cap
+order a depth-first walk would visit them.  The per-output-history tables
+are then one ``np.bincount`` each over the trajectories in that order.  Both
+keep the products and the summation order of a plain recursive walk with
+running per-node sums, so every probability and table entry is bit-for-bit
+the value such a walk gives.  A law is arrays only: the tables are flat
+arrays over the realizable output histories of all levels (a sparse
+fixed-arity tree), numbered level by level in order of first appearance,
+and the trajectories are per-level parent and symbol arrays.  Histories
+are tuples of integer symbols only where a caller asks for them: policy
+arguments, error messages and ``JointLaw.trajectories``.  Budgets cap
 enumeration size rather than a hard horizon constant.
 """
 
@@ -30,6 +33,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -64,8 +68,6 @@ __all__ = [
     "enumerate_stopping_rules",
     "JointLaw",
     "forward_joint",
-    "PosteriorTables",
-    "posteriors",
 ]
 
 # Hard error threshold for user-supplied distributions.
@@ -108,6 +110,13 @@ def check_tree_size(y_size: int, horizon: int) -> None:
                        or y_size**horizon > DEFAULT_TRAJECTORY_BUDGET):
         raise BudgetExceededError(f"the output tree has {y_size}^{horizon} paths at horizon "
                                   f"{horizon}, over the limit {DEFAULT_TRAJECTORY_BUDGET}")
+
+
+def check_seed(seed, what: str) -> None:
+    """Refuse a seed outside 0..2**64 - 1, the keys numpy's generators take
+    as they are."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
+        raise SchemaError(f"{what} must be an integer in 0..2**64 - 1, got {seed!r}")
 
 
 def _check_distribution(vec: np.ndarray, what: str) -> None:
@@ -513,19 +522,32 @@ class InputPolicy:
 
     def induced_behavioral(self, ch: Channel, budget: int = DEFAULT_TRAJECTORY_BUDGET) -> "InputPolicy":
         """Behavioral rows P(x_t | x^{t-1}, y^{t-1}) obtained by averaging the
-        encoder over the message posterior; defined on reachable histories."""
+        encoder over the message posterior; defined on reachable histories.
+
+        Each row's mass sums its trajectories in trajectory order, and the
+        rows come in order of first appearance along the trajectories, each
+        trajectory's steps in turn."""
         law = forward_joint(ch, self, self.horizon, budget=budget)
-        acc: dict[tuple[int, tuple[int, ...], tuple[int, ...]], np.ndarray] = {}
-        for (w, xs, ss, ys), p in law.trajectories.items():
-            for t in range(1, self.horizon + 1):
-                key = (t, xs[: t - 1], ys[: t - 1])
-                vec = acc.setdefault(key, np.zeros(self.x_size))
-                vec[xs[t - 1]] += p
+        _, xs, _, ys = law._paths()
+        xn = self.x_size
+        group = np.zeros(law.prob.size, dtype=np.intp)  # each path's (x^{t-1}, y^{t-1})
+        head = np.zeros(1, dtype=np.intp)  # the first path of each group
+        first, level, mass = [], [], []
+        for t in range(1, self.horizon + 1):
+            if t > 1:
+                group, head = _first_appearance((group * xn + xs[:, t - 2]) * self.y_size
+                                                + ys[:, t - 2])
+            first += head.tolist()
+            level += [t] * head.size
+            mass.extend(np.bincount(group * xn + xs[:, t - 1], law.prob,
+                                    head.size * xn).reshape(-1, xn))
+        xl, yl = xs.tolist(), ys.tolist()
         rows = {}
-        for key, vec in acc.items():
+        for i in np.lexsort((level, first)).tolist():
+            k, t, vec = first[i], level[i], mass[i]
             tot = vec.sum()
             if tot > 0:
-                rows[key] = tuple(vec / tot)
+                rows[(t, tuple(xl[k][: t - 1]), tuple(yl[k][: t - 1]))] = tuple(vec / tot)
         return InputPolicy(
             horizon=self.horizon, x_size=self.x_size, y_size=self.y_size, rows=rows
         )
@@ -780,39 +802,90 @@ def enumerate_stopping_rules(
 
 @dataclass(frozen=True)
 class JointLaw:
-    """Exact joint law of (W, X^N, S^N, Y^N) as a sparse trajectory table
-    together with per-output-history summaries.
+    """Exact joint law of (W, X^N, S^N, Y^N): its trajectories and its
+    per-output-history tables, as flat arrays.
 
-    ``trajectories`` maps (w, x-tuple, s-tuple, y-tuple) to its probability;
-    behavioral laws use w = 0 throughout.  The level tables are keyed by
-    output histories:
+    The output nodes are the realizable output histories y^t, t = 0..N,
+    numbered level by level and, within a level, in order of first
+    appearance along the trajectories; level t has ``sizes[t]`` nodes.  Per
+    node:
 
-    - node_prob[t][y^t]: P(Y^t = y^t), t = 0..N
-    - w_post[t][y^t]: posterior over messages (array of length M)
-    - xy_node[t][y^{t-1}]: joint P(X_t, Y_t | y^{t-1}), t = 1..N
-    - wy_node[t][y^{t-1}]: joint P(W, Y_t | y^{t-1}), t = 1..N
+    - node_parent, node_symbol: the parent node (-1 at the root) and the
+      last output symbol, so y^t reads off the parent chain
+    - node_prob: P(Y^t = y^t)
+    - w_post: the posterior over messages, shape (nodes, M)
+
+    Per node y^{t-1} of levels 0..N-1, the history before step t:
+
+    - xy_node: the joint P(X_t, Y_t | y^{t-1}), shape (inner nodes, X, Y)
+    - wy_node: the joint P(W, Y_t | y^{t-1}), shape (inner nodes, M, Y)
+
+    A history's ``_hist_index`` passes 64 bits after 63 binary levels,
+    which a noiseless channel reaches within any trajectory budget, so the
+    law keeps parent links and ``node_table`` forms the indices after its
+    tree-size check.
+
+    The trajectories are ``prob``, in depth-first order, and per step t the
+    pair ``steps[t - 1]``: each length-t prefix's parent prefix (a message
+    at t = 1; behavioral laws have the one message 0) and the rows (output
+    node, x_t, y_t, s_t).  ``trajectories`` is built from them on first
+    access.
     """
 
     channel: Channel
     policy: InputPolicy
     horizon: int
     messages: int
-    trajectories: dict[tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]], float]
-    node_prob: tuple[dict[tuple[int, ...], float], ...] = field(repr=False, default=())
-    w_post: tuple[dict[tuple[int, ...], np.ndarray], ...] = field(repr=False, default=())
-    xy_node: tuple[dict[tuple[int, ...], np.ndarray], ...] = field(repr=False, default=())
-    wy_node: tuple[dict[tuple[int, ...], np.ndarray], ...] = field(repr=False, default=())
+    prob: np.ndarray = field(repr=False)
+    steps: tuple[tuple[np.ndarray, np.ndarray], ...] = field(repr=False)
+    sizes: tuple[int, ...] = field(repr=False)
+    node_parent: np.ndarray = field(repr=False)
+    node_symbol: np.ndarray = field(repr=False)
+    node_prob: np.ndarray = field(repr=False)
+    w_post: np.ndarray = field(repr=False)
+    xy_node: np.ndarray = field(repr=False)
+    wy_node: np.ndarray = field(repr=False)
 
     @property
     def is_message_form(self) -> bool:
         return self.policy.is_message_form
 
-    def output_paths(self) -> dict[tuple[int, ...], float]:
-        """P(y^N) over full-length output paths."""
-        return dict(self.node_prob[self.horizon])
-
     def total_mass(self) -> float:
-        return sum(self.trajectories.values())
+        """Sum of the trajectory probabilities, in trajectory order."""
+        return sum(self.prob.tolist())
+
+    def _paths(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(w, x, s, y) of every trajectory, in trajectory order: the
+        messages and three (trajectories, N) arrays of symbols."""
+        up = np.arange(self.prob.size)
+        symbols = np.empty((3, self.prob.size, self.horizon), dtype=np.intp)
+        for t in range(self.horizon, 0, -1):
+            par, info = self.steps[t - 1]
+            symbols[:, :, t - 1] = info[1:].take(up, axis=1)
+            up = par.take(up)
+        return up, symbols[0], symbols[2], symbols[1]
+
+    @cached_property
+    def trajectories(self) -> dict[tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]], float]:
+        """(w, x-tuple, s-tuple, y-tuple) -> probability, in depth-first
+        order."""
+        w, x, s, y = (a.tolist() for a in self._paths())
+        keys = zip(w, map(tuple, x), map(tuple, s), map(tuple, y))
+        return dict(zip(keys, self.prob.tolist()))
+
+
+def _first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct keys (nonnegative integers) 0, 1, ... in order of
+    first appearance: (each key's number, the position where each number
+    first appears)."""
+    count = keys.size
+    first = np.full(int(keys.max(initial=-1)) + 1, count)
+    np.minimum.at(first, keys, np.arange(count))
+    seen = np.flatnonzero(first < count)
+    seen = seen.take(np.argsort(first.take(seen)))
+    number = np.empty_like(first)
+    number[seen] = np.arange(seen.size)
+    return number.take(keys), first.take(seen)
 
 
 def forward_joint(
@@ -828,12 +901,14 @@ def forward_joint(
     factor, the state-kernel factor and the channel factor, multiplied left
     to right as ``((p * px) * ps) * py``; branches with a zero factor are
     pruned.  The enumeration runs one level at a time: step t calls the
-    policy (or encoder) once per live prefix, gathers every prefix's state
-    law from the kernel's ``use_table(t)`` at its history indices, then
+    policy (or encoder) once per distinct (input history, output history)
+    (or (message, output history)) of the live prefixes, in order of first
+    appearance, with the histories as tuples; gathers every prefix's state
+    law from the kernel's ``use_table(t)`` at its history indices; then
     forms every child (prefix, x, s, y) in one array pass.  Children come
     out in C order, which is the depth-first order over (w, x_1, s_1, y_1,
-    x_2, ...), and so is the order of ``trajectories``.  Each level table is built by
-    ``_level_tables`` from the same level arrays.
+    x_2, ...), and so is the order of the trajectories.  The tables are
+    built by ``_level_tables`` from the same level arrays.
 
     Raises BudgetExceededError when the live trajectory count would exceed
     ``budget``, naming the count and step reached, and SchemaError for a
@@ -857,18 +932,20 @@ def forward_joint(
     xn, sn, yn = spec.x_size, spec.s_size, spec.y_size
     q = spec.q.transpose(1, 0, 2)  # (x, s, y), the children's order
     q_live = q != 0.0
-    single = [(a,) for a in range(max(xn, sn, yn))]
+    single = [(a,) for a in range(max(xn, yn))]
 
-    # the live prefixes of one level: message, probability and histories;
-    # level 0 is one empty prefix per message
-    msg = list(range(m))
+    # the live prefixes of one level: probability, message, output node
+    # (numbered within the level), policy call and state- and input-history
+    # indices; ``calls`` holds the arguments of each call after t, one per
+    # distinct (message or input history, output history); level 0 is one
+    # empty prefix per message
     prob = np.array([1.0 / m] * m)
-    xh = sh = yh = [()] * m
-    s_mem = x_mem = np.zeros(m, dtype=np.intp)  # state- and input-history indices
-    # per step, each child's parent and its (output node, x, y); output
-    # nodes are numbered level after level, within a level in order of first
-    # appearance, and y_keys holds each level's output histories in that order
-    steps, y_keys, first = [], [[()]], 1
+    msg = call = np.arange(m)
+    node = s_mem = x_mem = np.zeros(m, dtype=np.intp)
+    calls = [(w, ()) for w in range(m)] if encoder else [((), ())]
+    # per step, each child's parent and its (output node, x, y, s); output
+    # nodes are numbered level after level, each with its parent and symbol
+    steps, sizes, parents, symbols = [], [1], [np.array([-1])], [np.array([-1])]
     _check_budget(m, 0, horizon, budget)
     for t in range(1, horizon + 1):
         table = kernel.use_table(t)
@@ -878,14 +955,15 @@ def forward_joint(
         # both over (prefix, x, s, y); a message-form prefix has one input,
         # with px = 1.0, and p * 1.0 == p
         if encoder:
-            xl = [encoder(t, w, h) for w, h in zip(msg, yh)]
+            xl = [encoder(t, w, h) for w, h in calls]
             xs = np.array(xl)
             if xs.dtype.kind not in "iu" or min(xl) < 0 or max(xl) >= xn:
                 raise SchemaError(f"encoder input outside 0..{xn - 1} at t={t}")
+            xs = xs.take(call)
             head = prob[:, None, None, None] * ps[:, None, :, None]
             rows, live = q.take(xs, 0)[:, None], q_live.take(xs, 0)[:, None]
         else:
-            px = np.array([policy.input_distribution(t, a, b) for a, b in zip(xh, yh)])
+            px = np.array([policy.input_distribution(t, a, b) for a, b in calls]).take(call, 0)
             head = (prob[:, None, None, None] * px[:, :, None, None]) * ps[:, None, :, None]
             rows, live = q, (px > 0.0)[:, :, None, None] & q_live
         if np.count_nonzero(ps) < ps.size:
@@ -896,38 +974,51 @@ def forward_joint(
         par, x, s, y = np.unravel_index(kids, live.shape)
         if encoder:
             x = xs.take(par)
+        msg = msg.take(par)
         s_mem, x_mem = s_mem.take(par) * sn + s, x_mem.take(par) * xn + x
-        pl, xl, sl, yl = par.tolist(), x.tolist(), s.tolist(), y.tolist()
-        msg = [msg[a] for a in pl]
-        xh = [xh[a] + single[b] for a, b in zip(pl, xl)]
-        sh = [sh[a] + single[b] for a, b in zip(pl, sl)]
-        yh = [yh[a] + single[b] for a, b in zip(pl, yl)]
-        # each child's output node, numbered in order of first appearance;
-        # children on one node share its history tuple
-        ids: dict = {}
-        node = [ids.setdefault(h, first + len(ids)) for h in yh]
-        keys = list(ids)
-        yh = [keys[i - first] for i in node]
-        y_keys.append(keys)
-        first += len(keys)
-        steps.append((par, np.array((node, xl, yl), dtype=np.intp)))
+        # each child's output node: (parent node, y), numbered in order of
+        # first appearance
+        key = node.take(par) * yn + y
+        node, first = _first_appearance(key)
+        key, base = key.take(first), sum(sizes)  # base: the level's first node
+        parents.append(key // yn + (base - sizes[-1]))
+        symbols.append(key % yn)
+        steps.append((par, np.stack((node + base, x, y, s))))
+        sizes.append(first.size)
+        if t < horizon:
+            # the next calls: one per distinct (parent call, x, y), where an
+            # encoder's call fixes x; with one state, each child is its own
+            parent = call.take(par)
+            if sn == 1:
+                call = first = np.arange(par.size)
+            else:
+                call, first = _first_appearance(
+                    parent * yn + y if encoder else (parent * xn + x) * yn + y)
+            c, a, b = (v.take(first).tolist() for v in (parent, x, y))
+            if encoder:
+                calls = [(calls[i][0], calls[i][1] + single[k]) for i, k in zip(c, b)]
+            else:
+                calls = [(calls[i][0] + single[j], calls[i][1] + single[k])
+                         for i, j, k in zip(c, a, b)]
         # the last level's temporaries are the largest: free them before
         # the level tables are counted
-        del par, x, s, y, pl, xl, sl, yl, node, kids, head, rows, live
+        del par, x, s, y, key, first, kids, head, rows, live
 
-    trajectories = dict(zip(zip(msg, xh, sh, yh), prob.tolist()))
-    del xh, sh, yh
-    tables = _level_tables(prob, np.array(msg, dtype=np.intp), steps, y_keys, m, xn, yn)
+    node_prob, w_post, xy_node, wy_node = _level_tables(prob, msg, steps, sizes, m, xn, yn)
     return JointLaw(
         channel=ch,
         policy=policy,
         horizon=horizon,
         messages=m,
-        trajectories=trajectories,
-        node_prob=tables[0],
-        w_post=tables[1],
-        xy_node=tables[2],
-        wy_node=tables[3],
+        prob=prob,
+        steps=tuple(steps),
+        sizes=tuple(sizes),
+        node_parent=np.concatenate(parents),
+        node_symbol=np.concatenate(symbols),
+        node_prob=node_prob,
+        w_post=w_post,
+        xy_node=xy_node,
+        wy_node=wy_node,
     )
 
 
@@ -939,7 +1030,7 @@ def _check_budget(count: int, t: int, horizon: int, budget: int) -> None:
         )
 
 
-def _level_tables(prob, msg, steps, y_keys, m, xn, yn):
+def _level_tables(prob, msg, steps, sizes, m, xn, yn):
     """(node_prob, w_post, xy_node, wy_node) from the level arrays of
     ``forward_joint``.
 
@@ -947,9 +1038,8 @@ def _level_tables(prob, msg, steps, y_keys, m, xn, yn):
     level, with the output nodes of all levels numbered in one sequence.
     bincount adds the weights of a bin in input order from 0.0, so each
     entry is the same running sum, over trajectories in order, as a
-    per-node accumulation; the keys of each level are its output histories
-    in order of first appearance.  Every node has a trajectory through it,
-    so no row divides 0 by 0 unless its probability underflows.
+    per-node accumulation.  Every node has a trajectory through it, so no
+    row divides 0 by 0 unless its probability underflows.
 
     A bin belongs to one level, so the levels can be counted in passes,
     from the horizon down, without changing a sum; a pass covers at most
@@ -958,7 +1048,7 @@ def _level_tables(prob, msg, steps, y_keys, m, xn, yn):
     """
     horizon = len(steps)
     count = prob.size
-    offsets = list(itertools.accumulate([len(k) for k in y_keys], initial=0))
+    offsets = list(itertools.accumulate(sizes, initial=0))
     nodes, inner = offsets[-1], offsets[-2]  # levels 0..N, and 0..N-1
     span = max(1, _PASS_SIZE // count)
     up = np.arange(count)  # each trajectory's prefix at the level being read
@@ -972,7 +1062,7 @@ def _level_tables(prob, msg, steps, y_keys, m, xn, yn):
         cols = np.empty((3, k + 1, count), dtype=np.intp)
         for t in range(hi, max(lo, 1) - 1, -1):
             par, info = steps[t - 1]
-            cols[:, t - lo] = info.take(up, axis=1)
+            cols[:, t - lo] = info[:3].take(up, axis=1)
             up = par.take(up)
         if lo == 0:
             cols[0, 0] = 0
@@ -996,66 +1086,9 @@ def _level_tables(prob, msg, steps, y_keys, m, xn, yn):
     node_mass, w_mass, xy_mass, wy_mass = (
         part[0] if len(parts) == 1 else np.concatenate(part[::-1]) for part in zip(*parts)
     )
-    w_post = list(w_mass.reshape(nodes, m) / node_mass[:, None])
-    xy_node = list(xy_mass.reshape(inner, xn, yn) / node_mass[:inner, None, None])
-    wy_node = list(wy_mass.reshape(inner, m, yn) / node_mass[:inner, None, None])
-    node_mass = node_mass.tolist()
-
-    def levels(values, keys):
-        return tuple(
-            dict(zip(k, values[lo:hi])) for k, lo, hi in zip(keys, offsets, offsets[1:])
-        )
-
     return (
-        levels(node_mass, y_keys),
-        levels(w_post, y_keys),
-        ({},) + levels(xy_node, y_keys[:-1]),
-        ({},) + levels(wy_node, y_keys[:-1]),
-    )
-
-
-# ---------------------------------------------------------------------------
-# posteriors
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PosteriorTables:
-    """Message posteriors along output histories for a message-form law.
-
-    - prior[t][y^t]: posterior over messages after y^t (t = 0..N)
-    - step[t][y^{t-1}][w]: per-message output law P(Y_t | W=w, y^{t-1})
-      as an array (M, y_size); rows for zero-posterior messages are NaN.
-    """
-
-    horizon: int
-    messages: int
-    prior: tuple[dict[tuple[int, ...], np.ndarray], ...]
-    step: tuple[dict[tuple[int, ...], np.ndarray], ...]
-
-    def map_message(self, t: int, node: tuple[int, ...]) -> int:
-        """Most likely message after y^t; ties resolve to the lowest index."""
-        return int(np.argmax(self.prior[t][node]))
-
-
-def posteriors(law: JointLaw) -> PosteriorTables:
-    """Exact message posteriors and one-step predictive laws.
-
-    Raises MessageStructureError on behavioral laws (no message to infer).
-    """
-    if not law.is_message_form:
-        raise MessageStructureError("posteriors need a message-form law")
-    step = tuple({} for _ in range(law.horizon + 1))
-    for t in range(1, law.horizon + 1):
-        for prev, wy in law.wy_node[t].items():
-            mu = law.w_post[t - 1][prev]
-            rows = np.full_like(wy, np.nan)
-            pos = mu > 0.0
-            rows[pos] = wy[pos] / mu[pos, None]
-            step[t][prev] = rows
-    return PosteriorTables(
-        horizon=law.horizon,
-        messages=law.messages,
-        prior=law.w_post,
-        step=step,
+        node_mass,
+        w_mass.reshape(nodes, m) / node_mass[:, None],
+        xy_mass.reshape(inner, xn, yn) / node_mass[:inner, None, None],
+        wy_mass.reshape(inner, m, yn) / node_mass[:inner, None, None],
     )

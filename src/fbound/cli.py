@@ -3,9 +3,8 @@ verdicts and simulation tables out.
 
 Every ``--out`` file starts with a one-line manifest comment recording the
 command, the channel file hash, the full configuration and the artifact
-version.  The manifest deliberately excludes ``--workers`` and the output
-path: re-running a manifest — with any worker count — reproduces the file
-byte for byte.
+version.  The manifest deliberately excludes the output path: re-running a
+manifest reproduces the file byte for byte.
 
 Exit codes: 0 success / all checks passed, 1 verification failure or a
 flagged search, 2 usage or parse error, 3 budget exhaustion.  The node
@@ -34,6 +33,7 @@ from .channel_model import (
     BudgetExceededError,
     FboundError,
     SchemaError,
+    check_seed,
     forward_joint,
     load_channel,
     repetition_encoder,
@@ -106,7 +106,7 @@ def read_manifest(path: str) -> dict:
     return json.loads(first[len("# manifest: "):])
 
 
-def rerun_from_manifest(man: dict, out: str | None = None, workers: int | None = None) -> int:
+def rerun_from_manifest(man: dict, out: str | None = None) -> int:
     """Re-execute a recorded run; the referenced input files must still hash
     to the recorded values."""
     for part in ("channel", "scheme"):
@@ -127,8 +127,6 @@ def rerun_from_manifest(man: dict, out: str | None = None, workers: int | None =
             argv += [flag, ",".join(str(v) for v in val)]
         else:
             argv += [flag, str(val)]
-    if workers is not None:
-        argv += ["--workers", str(workers)]
     if out is not None:
         argv += ["--out", str(out)]
     return main(argv)
@@ -264,6 +262,7 @@ def _pinned_submartingale(law, eps, mutate):
 
 
 def cmd_verify(args) -> int:
+    check_seed(args.seed, "--seed")
     if args.trials < 1:
         raise SchemaError("--trials must be >= 1")
     if len(args.messages) != 1:
@@ -324,13 +323,14 @@ def _schemes_from_args(args, ch, parser):
 
 
 def cmd_simulate(args, parser) -> int:
+    check_seed(args.seed, "--seed")
+    check_seed(args.scheme_seed, "--scheme-seed")
     ch = load_channel(args.channel)
     schemes = _schemes_from_args(args, ch, parser)
     budget = _budget_override()
     rows = []
     for scheme in schemes:
-        stats = simulate(scheme, ch, args.trials, seed=args.seed,
-                         workers=args.workers)
+        stats = simulate(scheme, ch, args.trials, seed=args.seed)
         rows.append(csv_row(scheme, stats))
         print(f"scheme {scheme.name or scheme.variant}: "
               f"M={scheme.m} trials={stats.trials} "
@@ -431,7 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float, default=0.0)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--exact", action="store_true",
                    help="also print the exact enumeration values")
     p.set_defaults(func=None)  # simulate needs the parser for usage errors

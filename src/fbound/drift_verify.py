@@ -44,7 +44,6 @@ from .channel_model import (
     StoppingRule,
     bsc,
     forward_joint,
-    posteriors,
     repetition_encoder,
 )
 from .info_measures import (
@@ -81,6 +80,7 @@ MUTATIONS = ("halve_kl_drift",)
 
 DRIFT_TOL = 1e-10
 _VACUOUS = "no history with entropy inside (0, eps): vacuous pass"
+_INFINITE_C = "c is infinite, so the slack c * hb_inv(eps) bounds nothing: vacuous pass"
 
 
 @dataclass(frozen=True)
@@ -184,9 +184,10 @@ class PrunedTimes:
 
 
 class _Paths(NamedTuple):
-    """The full output paths of positive probability, sorted: position in
-    ``node_prob[N]``, probability, then paths x levels arrays: the history
-    of each prefix, H_0..H_N, and j and d of steps 1..N, plus pruned times."""
+    """The full output paths of positive probability, sorted: position
+    among the node table's leaves, probability, then paths x levels arrays:
+    the history of each prefix, H_0..H_N, and j and d of steps 1..N, plus
+    pruned times."""
 
     leaf: np.ndarray
     prob: np.ndarray
@@ -244,7 +245,7 @@ def verify_linear_drift(law: JointLaw, tol: float = DRIFT_TOL) -> Verdict:
     table = node_table(law)
     h = table.h
     # drop = H(prev) - sum_y P(y | prev) H(prev y), subtracted term by term
-    drop = child_expectation(law, -h, start=h[: len(table.keys)])
+    drop = child_expectation(law, -h, start=h[: table.prob.size])
     margins = (table.node_mi - drop)[np.argsort(table.node)].tolist()
     worst = min([math.inf, *margins])
     return Verdict(
@@ -292,10 +293,16 @@ def verify_log_drift(
     dead = ((kids >= 0) & (h[kids] <= 0.0)).any(axis=1)
     drift = np.where(dead, -math.inf, child_expectation(law, log_h, rows) - log_h[rows])
     d_r = _kl_drift(law, mutate)[rows]
-    margins = (drift + d_r + c * slack).tolist()
+    # an infinite divergence or constant allows any drop: the row passes
+    # vacuously, and -inf + inf is never formed
+    finite = ~np.isinf(d_r)
+    vacuous = ~finite | math.isinf(c)
+    bounded = drift + np.where(vacuous, 0.0, d_r) + (0.0 if math.isinf(c) else c) * slack
+    margins = np.where(vacuous, math.inf, bounded).tolist()
     worst = min([math.inf, *margins])
-    c_min = max([0.0, *((-drift - d_r) / slack).tolist()]) if slack > 0 else 0.0
-    details = () if margins else (_VACUOUS,)
+    need = (-drift[finite] - d_r[finite]) / slack if slack > 0 else np.zeros(0)
+    c_min = max([0.0, *need.tolist()])
+    details = (_INFINITE_C,) if margins and math.isinf(c) else () if margins else (_VACUOUS,)
     return Verdict(
         check="log-drift",
         instance=_instance_name(law),
@@ -421,7 +428,7 @@ def verify_submartingale_L(
     zero = np.flatnonzero(~(h_nodes > 0.0))
     if zero.size:
         # a strictly positive channel leaves every message mass: H = 0 is underflow
-        hist = [k for level in law.w_post for k in level][nodes[zero[0]]]
+        hist = node_table(law).history(nodes[zero[0]])
         raise DistributionError(f"history {hist} at time {len(hist)} has message entropy "
                                 "0.0 (an underflowed posterior), where Z takes log2 H")
     h_nodes = h_nodes.tolist()
@@ -488,8 +495,8 @@ def _stop_nodes(law: JointLaw, rule: StoppingRule) -> np.ndarray:
     prob = np.concatenate((table.prob, table.leaf_prob))[stop]
     if not prob.all():
         k = int(np.argmin(prob != 0.0))
-        hist = list(law.node_prob[law.horizon])[k][: times[k]]
-        raise DistributionError(f"stop history {hist} at time {times[k]} has probability 0.0")
+        raise DistributionError(
+            f"stop history {table.history(stop[k])} at time {times[k]} has probability 0.0")
     return stop
 
 
@@ -623,11 +630,10 @@ def verify_lemma5_kl_transfer(
     if cprime is None:
         cprime = 4.0 * (1.0 + d_max)
     slack = binary_entropy_inv(eps)
-    pt = posteriors(law)
+    table = node_table(law)
     lhs = []
-    for t, prev in (node_table(law).keys[e] for e in rows.tolist()):
-        w_rows = pt.step[t][prev]
-        w_star = pt.map_message(t - 1, prev)
+    for w_rows, mu in zip(table.step[rows], table.posterior[rows]):
+        w_star = int(np.argmax(mu))  # the most likely message, ties to the lowest
         lhs.append(max([0.0, *(
             kl(w_rows[w_star], w_rows[w]) for w in range(law.messages)
             if w != w_star and not np.isnan(w_rows[w]).any()
@@ -764,7 +770,7 @@ def verify_maximal_inequality(
     table = node_table(law)
     h = table.h
     # generator self-check: expected one-step decrease at every history
-    if np.any(child_expectation(law, h) > h[: len(table.keys)] + tol_self):
+    if np.any(child_expectation(law, h) > h[: table.prob.size] + tol_self):
         raise SchemaError("entropy process failed its decrease self-check")
     order = np.argsort(table.leaf)
     probs = table.leaf_prob[order]

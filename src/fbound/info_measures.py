@@ -6,21 +6,22 @@ silently clipped); most-likely-element ties resolve to the lowest index;
 probability-zero histories are pruned before any conditional quantity is
 formed.
 
-Stopped quantities are reductions over one per-law node table
-(``node_table``): for every realizable (t, y^{t-1}), in ``xy_node`` order,
-its output-tree index and the weighted terms p(y^{t-1}) I(X_t; Y_t | y^{t-1})
-and p(y^{t-1}) times the worst-row divergence, plus the index and
-probability of every full output path.  A stopping rule enters as its
-stopped mask and stop-time table (see ``StoppingRule``), so many rules, or
-many rule pairs, of one law are evaluated in a single array pass.  Every
-sum runs left to right from 0.0 in the order of the per-history loop it
-replaces, and masked-out terms add an exact 0.0, so the results are
-bit-identical to that loop.
+Every per-history quantity is a column of one per-law node table
+(``node_table``), read off the law's arrays: for every realizable
+(t, y^{t-1}), in the law's node order, its output-tree index and the
+weighted terms p(y^{t-1}) I(X_t; Y_t | y^{t-1}) and p(y^{t-1}) times the
+worst-row divergence, plus the index and probability of every full output
+path, and, for every history, the message posterior, H(W | y^t) and the
+per-message one-step output laws.  Stopped quantities are reductions over
+it.  A stopping rule enters as its stopped mask and stop-time table (see
+``StoppingRule``), so many rules, or many rule pairs, of one law are
+evaluated in a single array pass.  Every sum runs left to right from 0.0 in
+the order of the per-history loop it replaces, and masked-out terms add an
+exact 0.0, so the results are bit-identical to that loop.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -32,8 +33,8 @@ from .channel_model import (
     LogRatioUnboundedError,
     SchemaError,
     StoppingRule,
-    _hist_index,
     _level_offsets,
+    _path_at,
     check_tree_size,
 )
 
@@ -48,10 +49,6 @@ __all__ = [
     "expected_stop_time",
     "directed_kl",
     "directed_kl_stopped",
-    "EntropyProcess",
-    "h_process",
-    "DriftTerms",
-    "drift_terms",
     "message_information",
 ]
 
@@ -154,26 +151,29 @@ def directed_mi_fixed(law: JointLaw, n: int) -> float:
 
 
 class NodeTable:
-    """Per-history terms of one law, one entry per realizable (t, y^{t-1})
-    with t = 1..N, in ``xy_node`` order (level by level, dict order within a
-    level).
+    """Per-history terms of one law, read off the law's arrays.
 
-    - keys: the (t, y^{t-1}) of each entry
-    - node: flat output-tree index of y^{t-1} (``_level_offsets`` layout,
+    Histories are the law's output nodes (levels 0..N, level by level, in
+    order of first appearance within a level), indexed by position; the
+    entries are the histories y^{t-1} of levels 0..N-1, one per realizable
+    (t, y^{t-1}) with t = 1..N, and the leaves the full output paths y^N.
+
+    - node: flat output-tree index of each entry (``_level_offsets`` layout,
       the layout of ``StoppingRule.stopped_nodes``)
     - level: t - 1
     - prob: p(y^{t-1})
     - node_mi: I(X_t; Y_t | y^{t-1}); mi = prob * node_mi
     - leaf, leaf_prob: ``_hist_index`` and probability of every full output
-      path y^N, in ``node_prob[N]`` order
+      path y^N
 
-    Built on first use, with histories (the entries, then the leaves: levels
-    0..N in ``w_post`` order) indexed by their position:
+    Built on first use:
 
     - x_kl[e, x]: D(row(x*) || row(x)) of the effective channel, NaN for an
       unrealizable x; node_kl, its max (the worst-row divergence, 0.0 when
       no x is realizable); kl = prob * node_kl
     - posterior and h: the message posterior and H(W | y^t) of each history
+    - step[e, w]: the per-message output law P(Y_t | W = w, y^{t-1}) of each
+      entry, NaN for a message of posterior 0
     - children[e, y]: the history y^{t-1}y, -1 when unrealizable
     - path_nodes[k, t]: the length-t prefix of the k-th full path
     """
@@ -182,29 +182,33 @@ class NodeTable:
         y, n = law.channel.spec.y_size, law.horizon
         check_tree_size(y, n)
         self._offsets = _level_offsets(y, n + 1)
-        self._y, self._horizon, self._x_size = y, n, law.channel.spec.x_size
-        self._w_post, self._message_form = law.w_post, law.is_message_form
-        keys, prob, self._xy = [], [], []
+        self._y, self._horizon = y, n
+        self._xy, self._wy, self._w_post = law.xy_node, law.wy_node, law.w_post
+        self._message_form = law.is_message_form
+        # every history's ``_hist_index`` and level
+        index = np.zeros(law.node_prob.size, dtype=np.int64)
+        bounds = np.cumsum((0,) + law.sizes)
         for t in range(1, n + 1):
-            for prev, xy in law.xy_node[t].items():
-                keys.append((t, prev))
-                prob.append(law.node_prob[t - 1][prev])
-                self._xy.append(xy)
-        self.keys = keys
-        self.node = np.array(
-            [self._offsets[t - 1] + _hist_index(prev, y) for t, prev in keys], dtype=np.int64
-        )
-        self.level = np.array([t - 1 for t, _ in keys], dtype=np.int64)
-        self.prob = np.array(prob, dtype=float)
+            lo, hi = bounds[t], bounds[t + 1]
+            index[lo:hi] = index[law.node_parent[lo:hi]] * y + law.node_symbol[lo:hi]
+        self._index = index
+        self._level = np.repeat(np.arange(n + 1), law.sizes)
+        inner = bounds[n]
+        self.level = self._level[:inner]
+        self.node = np.array(self._offsets, dtype=np.int64)[self.level] + index[:inner]
+        self.prob = law.node_prob[:inner]
         self.node_mi = np.array([mutual_information(xy) for xy in self._xy], dtype=float)
         self.mi = self.prob * self.node_mi
-        paths = law.node_prob[n]
-        self.leaf = np.array([_hist_index(path, y) for path in paths], dtype=np.int64)
-        self.leaf_prob = np.array(list(paths.values()), dtype=float)
+        self.leaf = index[inner:]
+        self.leaf_prob = law.node_prob[inner:]
+
+    def history(self, i: int) -> tuple[int, ...]:
+        """The output history at position ``i``."""
+        return _path_at(int(self._index[i]), self._y, int(self._level[i]))
 
     @cached_property
     def x_kl(self) -> np.ndarray:
-        out = np.full((len(self._xy), self._x_size), np.nan)
+        out = np.full(self._xy.shape[:2], np.nan)
         for e, xy in enumerate(self._xy):
             nu = xy.sum(axis=1)
             real = np.flatnonzero(nu > 0.0)
@@ -222,15 +226,23 @@ class NodeTable:
     def kl(self) -> np.ndarray:
         return self.prob * self.node_kl
 
-    @cached_property
+    @property
     def posterior(self) -> np.ndarray:
-        return np.array([mu for level in self._w_post for mu in level.values()])
+        return self._w_post
 
     @cached_property
     def h(self) -> np.ndarray:
         if not self._message_form:
             raise SchemaError("entropy process needs a message-form law")
         return np.array([entropy(mu) for mu in self.posterior], dtype=float)
+
+    @cached_property
+    def step(self) -> np.ndarray:
+        mu = self._w_post[: self.prob.size]
+        rows = np.full_like(self._wy, np.nan)
+        pos = mu > 0.0
+        rows[pos] = self._wy[pos] / mu[pos][:, None]
+        return rows
 
     @cached_property
     def _position(self) -> np.ndarray:
@@ -311,11 +323,12 @@ def directed_mi_stopped(law: JointLaw, rule: StoppingRule) -> float:
 
 
 def path_stop_times(law: JointLaw, rule: StoppingRule) -> np.ndarray:
-    """T on every full output path of the law, in ``node_prob[N]`` order."""
-    times = rule.tables_at(law.horizon)[1][node_table(law).leaf]
+    """T on every full output path of the law, in leaf order."""
+    table = node_table(law)
+    times = rule.tables_at(law.horizon)[1][table.leaf]
     late = np.flatnonzero(times > law.horizon)
     if late.size:
-        path = list(law.node_prob[law.horizon])[late[0]]
+        path = table.history(table.prob.size + late[0])
         raise SchemaError(f"path {path} has no stopped prefix")
     return times
 
@@ -349,8 +362,9 @@ def child_expectation(law: JointLaw, values: np.ndarray, rows=None, start=0.0) -
     rows = np.arange(table.prob.size) if rows is None else rows
     kids, parent = table.children[rows], table.prob[rows]
     if not parent.all():
-        t, prev = table.keys[rows[np.argmin(parent != 0.0)]]
-        raise DistributionError(f"history {prev} at step {t} has probability 0.0")
+        e = rows[np.argmin(parent != 0.0)]
+        raise DistributionError(
+            f"history {table.history(e)} at step {table.level[e] + 1} has probability 0.0")
     prob = np.concatenate((table.prob, table.leaf_prob))
     with np.errstate(invalid="ignore"):  # 0 * -inf at an unrealizable child
         terms = np.where(kids >= 0, prob[kids] / parent[:, None] * values[kids], -0.0)
@@ -422,63 +436,8 @@ def directed_kl_stopped(
 
 
 # ---------------------------------------------------------------------------
-# entropy process and drift terms
+# channel-row bounds
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EntropyProcess:
-    """Message entropy H(W | Y^t = y^t) in bits along every realizable
-    output history.  levels[t] maps y^t to (probability, entropy)."""
-
-    horizon: int
-    messages: int
-    levels: tuple[dict[tuple[int, ...], tuple[float, float]], ...]
-
-    def value(self, node: tuple[int, ...]) -> float:
-        return self.levels[len(node)][node][1]
-
-    def expected(self, t: int) -> float:
-        return sum(p * h for p, h in self.levels[t].values())
-
-    def path_values(self, path: tuple[int, ...]) -> list[float]:
-        return [self.value(path[:t]) for t in range(self.horizon + 1)]
-
-
-def h_process(law: JointLaw) -> EntropyProcess:
-    """The law's entropy column (``NodeTable.h``) as level dicts."""
-    table = node_table(law)
-    h = table.h.tolist()
-    levels = tuple({} for _ in range(law.horizon + 1))
-    for (t, prev), p, v in zip(table.keys, table.prob.tolist(), h):
-        levels[t - 1][prev] = (p, v)
-    for (path, p), v in zip(law.node_prob[law.horizon].items(), h[len(table.keys):]):
-        levels[law.horizon][path] = (p, v)
-    return EntropyProcess(horizon=law.horizon, messages=law.messages, levels=levels)
-
-
-@dataclass(frozen=True)
-class DriftTerms:
-    """Per-history one-step drift quantities of a message-form law.
-
-    - mi_drift[t][y^{t-1}]: conditional input-output information at the
-      history (drives the linear entropy decrease);
-    - kl_drift[t][y^{t-1}]: worst-case divergence of the effective channel
-      row of the most likely input against alternatives (drives the
-      log-entropy decrease);
-    - max_pairwise_kl: largest divergence between any two physical channel
-      rows (over all (x, s) pairs);
-    - channel: the underlying channel (for the log-ratio step bound).
-    """
-
-    horizon: int
-    mi_drift: tuple[dict[tuple[int, ...], float], ...]
-    kl_drift: tuple[dict[tuple[int, ...], float], ...]
-    max_pairwise_kl: float
-    channel: Channel
-
-    def log_ratio_bound(self) -> float:
-        return log_ratio_bound(self.channel)
 
 
 def log_ratio_bound(ch: Channel) -> float:
@@ -501,23 +460,3 @@ def row_divergences(rows) -> np.ndarray:
 def max_pairwise_row_kl(ch: Channel) -> float:
     """Largest divergence between two (x, s) rows of the channel."""
     return float(row_divergences(ch.spec.rows()).max())
-
-
-def drift_terms(law: JointLaw, proc: EntropyProcess | None = None) -> DriftTerms:
-    """One-step drift quantities for every realizable history of the law,
-    read off the law's node table."""
-    if not law.is_message_form:
-        raise SchemaError("drift terms need a message-form law")
-    table = node_table(law)
-    mi_levels = tuple({} for _ in range(law.horizon + 1))
-    kl_levels = tuple({} for _ in range(law.horizon + 1))
-    for (t, prev), mi, div in zip(table.keys, table.node_mi.tolist(), table.node_kl.tolist()):
-        mi_levels[t][prev] = mi
-        kl_levels[t][prev] = div
-    return DriftTerms(
-        horizon=law.horizon,
-        mi_drift=mi_levels,
-        kl_drift=kl_levels,
-        max_pairwise_kl=max_pairwise_row_kl(law.channel),
-        channel=law.channel,
-    )

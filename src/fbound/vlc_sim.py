@@ -14,10 +14,9 @@ run with seed ``s`` draws everything from ``Philox(key=[s, t])`` as one flat
 uniform vector ``d = rng.random(1 + 2*N)`` with ``N = cap*(n1+n2)``:
 ``d[0]`` picks the message, ``d[1:N+1]`` drive the state draws position by
 position, ``d[N+1:]`` drive the output draws (a single-state channel
-draws its one state too).  Because trials are keyed individually, splitting
-a run across workers cannot change any result.  A run builds one Philox
-generator and re-keys it per trial (``_trial_uniforms``), which gives the
-same draws as a fresh generator per trial.
+draws its one state too).  A run builds one Philox generator and re-keys it
+per trial (``_trial_uniforms``), which gives the same draws as a fresh
+generator per trial.
 
 There is one Monte Carlo path for every channel, and it and the exact
 evaluation are array passes: a chunk of trials, or one level of a message's
@@ -440,33 +439,14 @@ def simulate(
     ch: Channel,
     trials: int,
     seed: int = 0,
-    workers: int = 1,
 ) -> RunStats:
     """Monte Carlo run: one array pass (``_simulate_generic``) for every
-    channel, single-state or not.  ``workers`` (at least 1) splits the trial
-    range into contiguous chunks executed independently; the per-trial keyed
-    generators make the outcome identical for every worker count."""
+    channel, single-state or not."""
     if trials < 1:
         raise SchemaError("need at least one trial")
-    workers = int(workers)
-    if workers < 1:
-        raise SchemaError(f"need at least one worker, got {workers}")
     if scheme.x_size != ch.spec.x_size:
         raise SchemaError("scheme and channel disagree on the input alphabet")
-    bounds = [
-        (trials * k // workers, trials * (k + 1) // workers) for k in range(workers)
-    ]
-    errors = 0
-    t_sum = 0.0
-    t_sqsum = 0.0
-    for lo, hi in bounds:  # fixed merge order regardless of execution order
-        if hi <= lo:
-            continue
-        e, ts, tq = _simulate_generic(scheme, ch, hi - lo, seed, lo)
-        errors += e
-        t_sum += ts
-        t_sqsum += tq
-    return RunStats.from_counts(scheme.m, trials, errors, t_sum, t_sqsum)
+    return RunStats.from_counts(scheme.m, trials, *_simulate_generic(scheme, ch, trials, seed, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +584,6 @@ def exponent_sweep(
     schemes: list[SchemeSpec],
     trials: int,
     seed: int = 0,
-    workers: int = 1,
 ) -> list[tuple[SchemeSpec, RunStats]]:
     """Simulate each scheme with the same seed and trial count."""
-    return [(sc, simulate(sc, ch, trials, seed=seed, workers=workers)) for sc in schemes]
+    return [(sc, simulate(sc, ch, trials, seed=seed)) for sc in schemes]

@@ -3,20 +3,21 @@
 Everything here recomputes quantities from first principles with flat
 cartesian-product loops and explicit probability formulas, sharing no code
 with the library beyond numpy.  Deliberately slow and simple.  The
-exceptions are the last four sections: the per-rule loops that the
+exceptions are the last five sections: the per-rule loops that the
 stopping-rule and node tables replaced, the recursive joint-law
 enumeration and memo-free capacity search that the level arrays replaced,
 the per-history drift checks and residual terms that the node-table
-reductions replaced, and the simulator's recursive tree walk and per-trial
-state path that the array passes replaced, kept as references for
-bit-identity.
+reductions replaced, the simulator's recursive tree walk and per-trial
+state path that the array passes replaced, and the dict law engine and
+its views that the law's arrays and the node table's accessors replaced,
+kept as references for bit-identity.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -254,7 +255,7 @@ def oracle_vlc(q, kernel_fn, codebook, confirm, threshold, m, n1, n2, cap):
 
 def _step_kl_per_history(law, t, prev):
     """max_x D(row(x*) || row(x)) over realizable inputs at one history."""
-    return _loop_worst_row_kl(law.xy_node[t][prev])
+    return _loop_worst_row_kl(dict_law(law).xy_node[t][prev])
 
 
 def loop_stop_time(rule, path):
@@ -316,16 +317,16 @@ def loop_directed_mi_stopped(law, rule):
         raise SchemaError("stopping rule runs past the law horizon")
     total = 0.0
     for t in range(1, rule.horizon + 1):
-        for prev, xy in law.xy_node[t].items():
+        for prev, xy in dict_law(law).xy_node[t].items():
             if loop_is_stopped(rule, prev):
                 continue
-            total += law.node_prob[t - 1][prev] * mutual_information(xy)
+            total += dict_law(law).node_prob[t - 1][prev] * mutual_information(xy)
     return total
 
 
 def loop_expected_stop_time(law, rule):
     total = 0.0
-    for path, p in law.node_prob[law.horizon].items():
+    for path, p in dict_law(law).node_prob[law.horizon].items():
         total += p * loop_stop_time(rule, path[: rule.horizon])
     return total
 
@@ -337,14 +338,14 @@ def loop_directed_kl_stopped(law, first, last):
         raise SchemaError("window start must stop no later than window end")
     total = 0.0
     for t in range(1, last.horizon + 1):
-        for prev, _ in law.xy_node[t].items():
+        for prev, _ in dict_law(law).xy_node[t].items():
             # live in the window iff T1 < t <= T, i.e. the start rule already
             # stopped strictly before t and the end rule has not
             if not loop_is_stopped(first, prev):
                 continue
             if loop_is_stopped(last, prev):
                 continue
-            total += law.node_prob[t - 1][prev] * _step_kl_per_history(law, t, prev)
+            total += dict_law(law).node_prob[t - 1][prev] * _step_kl_per_history(law, t, prev)
     return total
 
 
@@ -358,8 +359,8 @@ def loop_step_aggregates(law):
     ej = np.zeros(n + 1)
     ed = np.zeros(n + 1)
     for t in range(1, n + 1):
-        for prev, xy in law.xy_node[t].items():
-            p = law.node_prob[t - 1][prev]
+        for prev, xy in dict_law(law).xy_node[t].items():
+            p = dict_law(law).node_prob[t - 1][prev]
             ej[t] += p * mutual_information(xy)
             ed[t] += p * _step_kl_per_history(law, t, prev)
     return ej, ed
@@ -437,16 +438,16 @@ def loop_directed_mi_fixed(law, n):
 
     total = 0.0
     for t in range(1, n + 1):
-        for prev, xy in law.xy_node[t].items():
-            total += law.node_prob[t - 1][prev] * mutual_information(xy)
+        for prev, xy in dict_law(law).xy_node[t].items():
+            total += dict_law(law).node_prob[t - 1][prev] * mutual_information(xy)
     return total
 
 
 def loop_directed_kl_per_history_max(law, a, b):
     total = 0.0
     for t in range(a, b + 1):
-        for prev in law.xy_node[t]:
-            total += law.node_prob[t - 1][prev] * _step_kl_per_history(law, t, prev)
+        for prev in dict_law(law).xy_node[t]:
+            total += dict_law(law).node_prob[t - 1][prev] * _step_kl_per_history(law, t, prev)
     return total
 
 
@@ -460,8 +461,8 @@ def loop_drift_levels(law):
         mi_lvl = {}
         kl_lvl = {}
         if t >= 1:
-            for prev in law.xy_node[t]:
-                mi_lvl[prev] = mutual_information(law.xy_node[t][prev])
+            for prev in dict_law(law).xy_node[t]:
+                mi_lvl[prev] = mutual_information(dict_law(law).xy_node[t][prev])
                 kl_lvl[prev] = _step_kl_per_history(law, t, prev)
         mi_levels.append(mi_lvl)
         kl_levels.append(kl_lvl)
@@ -530,7 +531,7 @@ def loop_forward_joint(ch, policy, horizon, budget=10**7):
     would exceed ``budget`` and SchemaError when the kernel cannot drive the
     requested horizon.
     """
-    from fbound.channel_model import BudgetExceededError, JointLaw, SchemaError
+    from fbound.channel_model import BudgetExceededError, SchemaError
 
     spec, kernel = ch.spec, ch.kernel
     cap = kernel.horizon_cap()
@@ -585,7 +586,7 @@ def loop_forward_joint(ch, policy, horizon, budget=10**7):
     node_prob, w_post, xy_node, wy_node = loop_build_level_tables(
         trajectories, horizon, m, spec.x_size, spec.y_size
     )
-    return JointLaw(
+    return DictLaw(
         channel=ch,
         policy=policy,
         horizon=horizon,
@@ -685,9 +686,10 @@ def loop_capacity_bound(ch, horizon, cfg):
 # The per-history and per-path loops that the entropy column, the one-step
 # child expectation, the paths x levels arrays, the shared (pe, E[T]) and
 # worst-row divergence of ``info_measures`` replaced, kept verbatim (renamed,
-# with imports moved inside) as the references for bit-identity tests.  The
-# library's ``drift_terms`` and ``node_table`` they call are checked against
-# the loops above.
+# with imports moved inside) as the references for bit-identity tests.  They
+# read the dict tables of ``dict_law`` and the level dicts of
+# ``loop_drift_terms`` (see the last section); the library's ``node_table``
+# that some of them call is checked against the loops above.
 
 DRIFT_TOL = 1e-10  # drift_verify.DRIFT_TOL
 
@@ -714,15 +716,15 @@ def loop_check_behavioral_rows(self) -> None:
 
 def loop_h_process(law: JointLaw) -> EntropyProcess:
     from fbound.channel_model import SchemaError
-    from fbound.info_measures import EntropyProcess, entropy
+    from fbound.info_measures import entropy
 
     if not law.is_message_form:
         raise SchemaError("entropy process needs a message-form law")
     levels = []
     for t in range(law.horizon + 1):
         lvl = {}
-        for node, mu in law.w_post[t].items():
-            lvl[node] = (law.node_prob[t][node], entropy(mu))
+        for node, mu in dict_law(law).w_post[t].items():
+            lvl[node] = (dict_law(law).node_prob[t][node], entropy(mu))
         levels.append(lvl)
     return EntropyProcess(horizon=law.horizon, messages=law.messages, levels=tuple(levels))
 
@@ -731,10 +733,10 @@ def loop_message_information(law: JointLaw, n: int) -> float:
     """I(W; Y^n) in bits for a message-form law."""
     from fbound.info_measures import entropy
 
-    h0 = entropy(law.w_post[0][()])
+    h0 = entropy(dict_law(law).w_post[0][()])
     hn = 0.0
-    for node, mu in law.w_post[n].items():
-        hn += law.node_prob[n][node] * entropy(mu)
+    for node, mu in dict_law(law).w_post[n].items():
+        hn += dict_law(law).node_prob[n][node] * entropy(mu)
     return h0 - hn
 
 
@@ -793,13 +795,13 @@ def loop_directed_kl(law: JointLaw, a: int, b: int, variant: str = "per_history_
         total = 0.0
         for t in range(a, b + 1):
             per_x: dict[int, float] = {}
-            for prev, xy in law.xy_node[t].items():
+            for prev, xy in dict_law(law).xy_node[t].items():
                 got = _loop_effective_rows(xy)
                 if got is None:
                     continue
                 x_star, rows = got
                 base = rows[x_star]
-                w = law.node_prob[t - 1][prev]
+                w = dict_law(law).node_prob[t - 1][prev]
                 for x, row in rows.items():
                     per_x[x] = per_x.get(x, 0.0) + w * kl(base, row)
             total += max(per_x.values()) if per_x else 0.0
@@ -938,16 +940,16 @@ def loop_residual_terms(
 
     pe = 0.0
     et = 0.0
-    for path, p in law.node_prob[n].items():
+    for path, p in dict_law(law).node_prob[n].items():
         t = last.stop_time(path)
         et += p * t
     # group stop-node mass once for the error probability
     stop_mass: dict[tuple[int, ...], float] = {}
-    for path, p in law.node_prob[n].items():
+    for path, p in dict_law(law).node_prob[n].items():
         node = path[: last.stop_time(path)]
         stop_mass[node] = stop_mass.get(node, 0.0) + p
     for node, p in stop_mass.items():
-        mu = law.w_post[len(node)][node]
+        mu = dict_law(law).w_post[len(node)][node]
         pe += p * (1.0 - float(mu.max()))
     pe = max(pe, 0.0)
 
@@ -1028,8 +1030,8 @@ def _loop_kl_drift_value(terms: DriftTerms, t: int, prev: tuple[int, ...], mutat
 
 def _loop_child_prob(law: JointLaw, prev: tuple[int, ...], y: int) -> float:
     node = prev + (y,)
-    child = law.node_prob[len(node)].get(node, 0.0)
-    return child / law.node_prob[len(prev)][prev]
+    child = dict_law(law).node_prob[len(node)].get(node, 0.0)
+    return child / dict_law(law).node_prob[len(prev)][prev]
 
 
 @dataclass(frozen=True)
@@ -1078,12 +1080,10 @@ class _LoopPathData:
 
 
 def _loop_path_data(law: JointLaw, eps: float, mutate: str | None) -> list[_LoopPathData]:
-    from fbound.info_measures import drift_terms
-
     proc = loop_h_process(law)
-    terms = drift_terms(law, proc)
+    terms = loop_drift_terms(law)
     out = []
-    for path, p in sorted(law.node_prob[law.horizon].items()):
+    for path, p in sorted(dict_law(law).node_prob[law.horizon].items()):
         if p <= 0.0:
             continue
         h = proc.path_values(path)
@@ -1136,15 +1136,13 @@ def loop_verify_linear_drift(law: JointLaw, tol: float = DRIFT_TOL) -> Verdict:
     where the encoder makes the message and the input one-to-one.
     """
     from fbound.drift_verify import Verdict, _instance_name
-    from fbound.info_measures import drift_terms
-
     proc = loop_h_process(law)
-    terms = drift_terms(law, proc)
+    terms = loop_drift_terms(law)
     worst = math.inf
     max_abs = 0.0
     count = 0
     for t in range(1, law.horizon + 1):
-        for prev in sorted(law.xy_node[t]):
+        for prev in sorted(dict_law(law).xy_node[t]):
             h_prev = proc.value(prev)
             drop = h_prev
             for y in range(law.channel.spec.y_size):
@@ -1181,13 +1179,13 @@ def loop_verify_log_drift(
     """
     from fbound.channel_model import SchemaError
     from fbound.drift_verify import Verdict, _check_mutation, _instance_name
-    from fbound.info_measures import binary_entropy_inv, drift_terms
+    from fbound.info_measures import binary_entropy_inv
 
     _check_mutation(mutate)
     if not 0.0 < eps <= 1.0:
         raise SchemaError("eps must lie in (0, 1] for the inverse-entropy slack")
     proc = loop_h_process(law)
-    terms = drift_terms(law, proc)
+    terms = loop_drift_terms(law)
     d_max = terms.max_pairwise_kl
     if c is None:
         c = 2.0 * (1.0 + d_max) + d_max + 2.0
@@ -1196,7 +1194,7 @@ def loop_verify_log_drift(
     c_min = 0.0
     count = 0
     for t in range(1, law.horizon + 1):
-        for prev in sorted(law.xy_node[t]):
+        for prev in sorted(dict_law(law).xy_node[t]):
             h_prev = proc.value(prev)
             if not 0.0 < h_prev < eps:
                 continue
@@ -1290,8 +1288,6 @@ def loop_verify_submartingale_L(
     from fbound.drift_verify import (
         Verdict, _check_mutation, _f_precondition_holds, _instance_name, default_lambda_grid,
     )
-    from fbound.info_measures import drift_terms
-
     _check_mutation(mutate)
     if not law.is_message_form:
         raise SchemaError("submartingale check needs a message-form law")
@@ -1300,7 +1296,7 @@ def loop_verify_submartingale_L(
     logm = math.log2(law.messages)
     if not 0.0 < eps < logm:
         raise SchemaError("eps must lie in (0, log2 M)")
-    terms = drift_terms(law)
+    terms = loop_drift_terms(law)
     eta = terms.log_ratio_bound()  # raises unless strictly positive
     paths = _loop_path_data(law, eps, mutate)
     n = law.horizon
@@ -1389,9 +1385,9 @@ def loop_verify_fano(law: JointLaw, rule: StoppingRule | None = None, tol: float
     for decoder in ("map", "constant"):
         avg_h = 0.0
         avg_pe = 0.0
-        for path, p in law.node_prob[law.horizon].items():
+        for path, p in dict_law(law).node_prob[law.horizon].items():
             node = path[: rule.stop_time(path)]
-            mu = law.w_post[len(node)][node]
+            mu = dict_law(law).w_post[len(node)][node]
             h_node = entropy(mu)
             if decoder == "map":
                 w_hat = int(np.nanargmax(mu))
@@ -1445,13 +1441,13 @@ def loop_verify_lemma4_budget(
     pe = 0.0
     et = 0.0
     seen: dict[tuple[int, ...], float] = {}
-    for path, p in law.node_prob[n].items():
+    for path, p in dict_law(law).node_prob[n].items():
         t_stop = rule.stop_time(path)
         et += p * t_stop
         node = path[:t_stop]
         seen[node] = seen.get(node, 0.0) + p
     for node, p in seen.items():
-        mu = law.w_post[len(node)][node]
+        mu = dict_law(law).w_post[len(node)][node]
         pe += p * (1.0 - float(np.nanmax(mu)))
     alpha = binary_entropy(min(max(pe, 0.0), 1.0)) + pe * logm
     if eps <= alpha:
@@ -1504,7 +1500,7 @@ def loop_average_channel(law: JointLaw, t: int) -> dict[tuple[int, ...], np.ndar
     if not 1 <= t <= law.horizon:
         raise SchemaError(f"step {t} outside 1..{law.horizon}")
     out = {}
-    for prev, xy in law.xy_node[t].items():
+    for prev, xy in dict_law(law).xy_node[t].items():
         nu = xy.sum(axis=1)
         rows = np.full_like(xy, np.nan)
         pos = nu > 0.0
@@ -1525,26 +1521,26 @@ def loop_verify_lemma5_kl_transfer(
     most the corresponding worst divergence between effective input rows
     plus a slack linear in the inverse binary entropy of eps.
     """
-    from fbound.channel_model import SchemaError, posteriors
+    from fbound.channel_model import SchemaError
     from fbound.drift_verify import Verdict, _check_mutation, _instance_name
-    from fbound.info_measures import binary_entropy_inv, drift_terms, kl
+    from fbound.info_measures import binary_entropy_inv, kl
 
     _check_mutation(mutate)
     if not 0.0 < eps <= 1.0:
         raise SchemaError("eps must lie in (0, 1] for the inverse-entropy slack")
     proc = loop_h_process(law)
-    terms = drift_terms(law)
+    terms = loop_drift_terms(law)
     d_max = terms.max_pairwise_kl
     if cprime is None:
         cprime = 4.0 * (1.0 + d_max)
     slack = binary_entropy_inv(eps)
-    pt = posteriors(law)
+    pt = posteriors(dict_law(law))
     worst = math.inf
     cprime_min = 0.0
     count = 0
     for t in range(1, law.horizon + 1):
         avg_rows = loop_average_channel(law, t)
-        for prev in sorted(law.xy_node[t]):
+        for prev in sorted(dict_law(law).xy_node[t]):
             h_prev = proc.value(prev)
             if not 0.0 < h_prev < eps:
                 continue
@@ -1556,7 +1552,7 @@ def loop_verify_lemma5_kl_transfer(
                     continue
                 lhs = max(lhs, kl(w_rows[w_star], w_rows[w]))
             rows = avg_rows[prev]
-            nu = law.xy_node[t][prev].sum(axis=1)
+            nu = dict_law(law).xy_node[t][prev].sum(axis=1)
             x_star = int(np.argmax(nu))
             rhs_kl = 0.0
             for x in range(law.channel.spec.x_size):
@@ -1619,7 +1615,7 @@ def loop_verify_maximal_inequality(
     proc = loop_h_process(law)
     # generator self-check: expected one-step decrease at every history
     for t in range(1, law.horizon + 1):
-        for prev in sorted(law.xy_node[t]):
+        for prev in sorted(dict_law(law).xy_node[t]):
             h_prev = proc.value(prev)
             step = sum(
                 _loop_child_prob(law, prev, y) * proc.value(prev + (y,))
@@ -1628,8 +1624,8 @@ def loop_verify_maximal_inequality(
             )
             if step > h_prev + tol_self:
                 raise SchemaError("entropy process failed its decrease self-check")
-    nodes = sorted(law.node_prob[law.horizon])
-    probs = np.array([law.node_prob[law.horizon][p] for p in nodes])
+    nodes = sorted(dict_law(law).node_prob[law.horizon])
+    probs = np.array([dict_law(law).node_prob[law.horizon][p] for p in nodes])
     probs = probs / probs.sum()
     idx = rng.choice(len(nodes), size=trials, p=probs)
     h_paths = np.array([proc.path_values(nodes[i]) for i in idx])
@@ -1838,3 +1834,392 @@ def loop_exact_stats(scheme, ch, budget: int = 10**6):
     rate = math.log2(m) / et
     exponent = math.inf if pe == 0.0 else -math.log2(pe) / et
     return ExactStats(pe=pe, et=et, rate=rate, exponent=exponent, leaves=leaves)
+
+
+# ---------------------------------------------------------------------------
+# the dict law engine and its views before the level arrays
+# ---------------------------------------------------------------------------
+#
+# ``channel_model.forward_joint`` when it cut its level arrays into dicts
+# keyed by output histories, its ``JointLaw`` (renamed ``DictLaw``), the
+# ``posteriors`` view of the dict tables, the ``EntropyProcess`` and
+# ``DriftTerms`` level dicts of ``info_measures`` and
+# ``InputPolicy.induced_behavioral`` over the ``trajectories`` dict, kept
+# verbatim (renamed, with imports moved inside) as the references for the
+# law's arrays and the node table's accessors.  ``dict_law`` gives the
+# per-history loops of this file the dict tables of a library law.
+
+
+@dataclass(frozen=True)
+class DictLaw:
+    """Exact joint law of (W, X^N, S^N, Y^N) as a sparse trajectory table
+    together with per-output-history summaries.
+
+    ``trajectories`` maps (w, x-tuple, s-tuple, y-tuple) to its probability;
+    behavioral laws use w = 0 throughout.  The level tables are keyed by
+    output histories:
+
+    - node_prob[t][y^t]: P(Y^t = y^t), t = 0..N
+    - w_post[t][y^t]: posterior over messages (array of length M)
+    - xy_node[t][y^{t-1}]: joint P(X_t, Y_t | y^{t-1}), t = 1..N
+    - wy_node[t][y^{t-1}]: joint P(W, Y_t | y^{t-1}), t = 1..N
+    """
+
+    channel: Channel
+    policy: InputPolicy
+    horizon: int
+    messages: int
+    trajectories: dict[tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]], float]
+    node_prob: tuple[dict[tuple[int, ...], float], ...] = field(repr=False, default=())
+    w_post: tuple[dict[tuple[int, ...], np.ndarray], ...] = field(repr=False, default=())
+    xy_node: tuple[dict[tuple[int, ...], np.ndarray], ...] = field(repr=False, default=())
+    wy_node: tuple[dict[tuple[int, ...], np.ndarray], ...] = field(repr=False, default=())
+
+    @property
+    def is_message_form(self) -> bool:
+        return self.policy.is_message_form
+
+    def output_paths(self) -> dict[tuple[int, ...], float]:
+        """P(y^N) over full-length output paths."""
+        return dict(self.node_prob[self.horizon])
+
+    def total_mass(self) -> float:
+        return sum(self.trajectories.values())
+
+
+def dict_forward_joint(
+    ch: Channel,
+    policy: InputPolicy,
+    horizon: int,
+    budget: int = 10**7,  # channel_model.DEFAULT_TRAJECTORY_BUDGET
+) -> DictLaw:
+    """Enumerate the exact joint law over all positive-probability
+    trajectories of length ``horizon``.
+
+    The trajectory probability is the product, over steps, of the policy
+    factor, the state-kernel factor and the channel factor, multiplied left
+    to right as ``((p * px) * ps) * py``; branches with a zero factor are
+    pruned.  The enumeration runs one level at a time: step t calls the
+    policy (or encoder) once per live prefix, gathers every prefix's state
+    law from the kernel's ``use_table(t)`` at its history indices, then
+    forms every child (prefix, x, s, y) in one array pass.  Children come
+    out in C order, which is the depth-first order over (w, x_1, s_1, y_1,
+    x_2, ...), and so is the order of ``trajectories``.  Each level table is built by
+    ``_level_tables`` from the same level arrays.
+
+    Raises BudgetExceededError when the live trajectory count would exceed
+    ``budget``, naming the count and step reached, and SchemaError for a
+    negative horizon, a horizon the kernel cannot drive, or an encoder input
+    outside the alphabet.  Every prefix has at least one child (every row
+    sums to 1), so level sizes never shrink and the check at each level
+    fails exactly when the final count would.
+    """
+    from fbound.channel_model import SchemaError, _check_budget
+
+    spec, kernel = ch.spec, ch.kernel
+    if horizon < 0:
+        raise SchemaError(f"horizon must be >= 0, got {horizon}")
+    cap = kernel.horizon_cap()
+    if cap is not None and horizon > cap:
+        raise SchemaError(f"state kernel only defines {cap} steps, horizon={horizon}")
+    if policy.horizon < horizon:
+        raise SchemaError("policy horizon shorter than requested law horizon")
+    if policy.x_size != spec.x_size or policy.y_size != spec.y_size:
+        raise SchemaError("policy alphabet sizes do not match the channel")
+    encoder = policy.encoder if policy.is_message_form else None
+    m = policy.messages if encoder else 1
+    xn, sn, yn = spec.x_size, spec.s_size, spec.y_size
+    q = spec.q.transpose(1, 0, 2)  # (x, s, y), the children's order
+    q_live = q != 0.0
+    single = [(a,) for a in range(max(xn, sn, yn))]
+
+    # the live prefixes of one level: message, probability and histories;
+    # level 0 is one empty prefix per message
+    msg = list(range(m))
+    prob = np.array([1.0 / m] * m)
+    xh = sh = yh = [()] * m
+    s_mem = x_mem = np.zeros(m, dtype=np.intp)  # state- and input-history indices
+    # per step, each child's parent and its (output node, x, y); output
+    # nodes are numbered level after level, within a level in order of first
+    # appearance, and y_keys holds each level's output histories in that order
+    steps, y_keys, first = [], [[()]], 1
+    _check_budget(m, 0, horizon, budget)
+    for t in range(1, horizon + 1):
+        table = kernel.use_table(t)
+        s_mem, x_mem = s_mem % table.shape[0], x_mem % table.shape[1]
+        ps = table[s_mem, x_mem]
+        # head[k, x, s] = (p * px) * ps and the channel rows it multiplies,
+        # both over (prefix, x, s, y); a message-form prefix has one input,
+        # with px = 1.0, and p * 1.0 == p
+        if encoder:
+            xl = [encoder(t, w, h) for w, h in zip(msg, yh)]
+            xs = np.array(xl)
+            if xs.dtype.kind not in "iu" or min(xl) < 0 or max(xl) >= xn:
+                raise SchemaError(f"encoder input outside 0..{xn - 1} at t={t}")
+            head = prob[:, None, None, None] * ps[:, None, :, None]
+            rows, live = q.take(xs, 0)[:, None], q_live.take(xs, 0)[:, None]
+        else:
+            px = np.array([policy.input_distribution(t, a, b) for a, b in zip(xh, yh)])
+            head = (prob[:, None, None, None] * px[:, :, None, None]) * ps[:, None, :, None]
+            rows, live = q, (px > 0.0)[:, :, None, None] & q_live
+        if np.count_nonzero(ps) < ps.size:
+            live = live & (ps != 0.0)[:, None, :, None]
+        kids = live.ravel().nonzero()[0]
+        _check_budget(kids.size, t, horizon, budget)
+        prob = (head * rows).ravel().take(kids)
+        par, x, s, y = np.unravel_index(kids, live.shape)
+        if encoder:
+            x = xs.take(par)
+        s_mem, x_mem = s_mem.take(par) * sn + s, x_mem.take(par) * xn + x
+        pl, xl, sl, yl = par.tolist(), x.tolist(), s.tolist(), y.tolist()
+        msg = [msg[a] for a in pl]
+        xh = [xh[a] + single[b] for a, b in zip(pl, xl)]
+        sh = [sh[a] + single[b] for a, b in zip(pl, sl)]
+        yh = [yh[a] + single[b] for a, b in zip(pl, yl)]
+        # each child's output node, numbered in order of first appearance;
+        # children on one node share its history tuple
+        ids: dict = {}
+        node = [ids.setdefault(h, first + len(ids)) for h in yh]
+        keys = list(ids)
+        yh = [keys[i - first] for i in node]
+        y_keys.append(keys)
+        first += len(keys)
+        steps.append((par, np.array((node, xl, yl), dtype=np.intp)))
+        # the last level's temporaries are the largest: free them before
+        # the level tables are counted
+        del par, x, s, y, pl, xl, sl, yl, node, kids, head, rows, live
+
+    trajectories = dict(zip(zip(msg, xh, sh, yh), prob.tolist()))
+    del xh, sh, yh
+    tables = dict_level_tables(prob, np.array(msg, dtype=np.intp), steps, y_keys, m, xn, yn)
+    return DictLaw(
+        channel=ch,
+        policy=policy,
+        horizon=horizon,
+        messages=m,
+        trajectories=trajectories,
+        node_prob=tables[0],
+        w_post=tables[1],
+        xy_node=tables[2],
+        wy_node=tables[3],
+    )
+
+
+def dict_level_tables(prob, msg, steps, y_keys, m, xn, yn):
+    """(node_prob, w_post, xy_node, wy_node) from the level arrays of
+    ``forward_joint``.
+
+    Each table is an ``np.bincount`` over every full trajectory at every
+    level, with the output nodes of all levels numbered in one sequence.
+    bincount adds the weights of a bin in input order from 0.0, so each
+    entry is the same running sum, over trajectories in order, as a
+    per-node accumulation; the keys of each level are its output histories
+    in order of first appearance.  Every node has a trajectory through it,
+    so no row divides 0 by 0 unless its probability underflows.
+
+    A bin belongs to one level, so the levels can be counted in passes,
+    from the horizon down, without changing a sum; a pass covers at most
+    ``_PASS_SIZE`` trajectory-levels, which bounds the index arrays of a
+    large law.  A small law takes one pass.
+    """
+    from fbound.channel_model import _PASS_SIZE
+
+    horizon = len(steps)
+    count = prob.size
+    offsets = list(itertools.accumulate([len(k) for k in y_keys], initial=0))
+    nodes, inner = offsets[-1], offsets[-2]  # levels 0..N, and 0..N-1
+    span = max(1, _PASS_SIZE // count)
+    up = np.arange(count)  # each trajectory's prefix at the level being read
+    above = None  # (x, y) of the level above the pass
+    parts = []
+    for hi in range(horizon, -1, -span):
+        lo = max(hi - span + 1, 0)
+        k, ks = hi - lo + 1, min(hi, horizon - 1) - lo + 1
+        # cols[:, j] = (output node, x, y) of every trajectory at level
+        # lo + j; column k is the level above, which only needs (x, y)
+        cols = np.empty((3, k + 1, count), dtype=np.intp)
+        for t in range(hi, max(lo, 1) - 1, -1):
+            par, info = steps[t - 1]
+            cols[:, t - lo] = info.take(up, axis=1)
+            up = par.take(up)
+        if lo == 0:
+            cols[0, 0] = 0
+        if above is not None:
+            cols[1:, k] = above
+        above = cols[1:, 0].copy()
+        node, x, y = cols[0, :k], cols[1, 1 : ks + 1], cols[2, 1 : ks + 1]
+        if offsets[lo]:
+            node -= offsets[lo]
+        prev = node[:ks]
+        weights = np.concatenate((prob,) * k)
+        size, size_inner = offsets[hi + 1] - offsets[lo], offsets[lo + ks] - offsets[lo]
+        parts.append((
+            np.bincount(node.ravel(), weights, size),
+            np.bincount((node * m + msg).ravel(), weights, size * m),
+            np.bincount(((prev * xn + x) * yn + y).ravel(), weights[: ks * count],
+                        size_inner * xn * yn),
+            np.bincount(((prev * m + msg) * yn + y).ravel(), weights[: ks * count],
+                        size_inner * m * yn),
+        ))
+    node_mass, w_mass, xy_mass, wy_mass = (
+        part[0] if len(parts) == 1 else np.concatenate(part[::-1]) for part in zip(*parts)
+    )
+    w_post = list(w_mass.reshape(nodes, m) / node_mass[:, None])
+    xy_node = list(xy_mass.reshape(inner, xn, yn) / node_mass[:inner, None, None])
+    wy_node = list(wy_mass.reshape(inner, m, yn) / node_mass[:inner, None, None])
+    node_mass = node_mass.tolist()
+
+    def levels(values, keys):
+        return tuple(
+            dict(zip(k, values[lo:hi])) for k, lo, hi in zip(keys, offsets, offsets[1:])
+        )
+
+    return (
+        levels(node_mass, y_keys),
+        levels(w_post, y_keys),
+        ({},) + levels(xy_node, y_keys[:-1]),
+        ({},) + levels(wy_node, y_keys[:-1]),
+    )
+
+
+@dataclass(frozen=True)
+class PosteriorTables:
+    """Message posteriors along output histories for a message-form law.
+
+    - prior[t][y^t]: posterior over messages after y^t (t = 0..N)
+    - step[t][y^{t-1}][w]: per-message output law P(Y_t | W=w, y^{t-1})
+      as an array (M, y_size); rows for zero-posterior messages are NaN.
+    """
+
+    horizon: int
+    messages: int
+    prior: tuple[dict[tuple[int, ...], np.ndarray], ...]
+    step: tuple[dict[tuple[int, ...], np.ndarray], ...]
+
+    def map_message(self, t: int, node: tuple[int, ...]) -> int:
+        """Most likely message after y^t; ties resolve to the lowest index."""
+        return int(np.argmax(self.prior[t][node]))
+
+
+def posteriors(law: DictLaw) -> PosteriorTables:
+    """Exact message posteriors and one-step predictive laws.
+
+    Raises MessageStructureError on behavioral laws (no message to infer).
+    """
+    from fbound.channel_model import MessageStructureError
+
+    if not law.is_message_form:
+        raise MessageStructureError("posteriors need a message-form law")
+    step = tuple({} for _ in range(law.horizon + 1))
+    for t in range(1, law.horizon + 1):
+        for prev, wy in law.wy_node[t].items():
+            mu = law.w_post[t - 1][prev]
+            rows = np.full_like(wy, np.nan)
+            pos = mu > 0.0
+            rows[pos] = wy[pos] / mu[pos, None]
+            step[t][prev] = rows
+    return PosteriorTables(
+        horizon=law.horizon,
+        messages=law.messages,
+        prior=law.w_post,
+        step=step,
+    )
+
+
+@dataclass(frozen=True)
+class EntropyProcess:
+    """Message entropy H(W | Y^t = y^t) in bits along every realizable
+    output history.  levels[t] maps y^t to (probability, entropy)."""
+
+    horizon: int
+    messages: int
+    levels: tuple[dict[tuple[int, ...], tuple[float, float]], ...]
+
+    def value(self, node: tuple[int, ...]) -> float:
+        return self.levels[len(node)][node][1]
+
+    def expected(self, t: int) -> float:
+        return sum(p * h for p, h in self.levels[t].values())
+
+    def path_values(self, path: tuple[int, ...]) -> list[float]:
+        return [self.value(path[:t]) for t in range(self.horizon + 1)]
+
+
+@dataclass(frozen=True)
+class DriftTerms:
+    """Per-history one-step drift quantities of a message-form law.
+
+    - mi_drift[t][y^{t-1}]: conditional input-output information at the
+      history (drives the linear entropy decrease);
+    - kl_drift[t][y^{t-1}]: worst-case divergence of the effective channel
+      row of the most likely input against alternatives (drives the
+      log-entropy decrease);
+    - max_pairwise_kl: largest divergence between any two physical channel
+      rows (over all (x, s) pairs);
+    - channel: the underlying channel (for the log-ratio step bound).
+    """
+
+    horizon: int
+    mi_drift: tuple[dict[tuple[int, ...], float], ...]
+    kl_drift: tuple[dict[tuple[int, ...], float], ...]
+    max_pairwise_kl: float
+    channel: Channel
+
+    def log_ratio_bound(self) -> float:
+        from fbound.info_measures import log_ratio_bound
+
+        return log_ratio_bound(self.channel)
+
+
+def loop_induced_behavioral(self, ch, budget: int = 10**7):
+    """Behavioral rows P(x_t | x^{t-1}, y^{t-1}) obtained by averaging the
+    encoder over the message posterior; defined on reachable histories.
+    ``self`` is the message-form policy."""
+    from fbound.channel_model import InputPolicy
+
+    law = dict_forward_joint(ch, self, self.horizon, budget=budget)
+    acc: dict[tuple[int, tuple[int, ...], tuple[int, ...]], np.ndarray] = {}
+    for (w, xs, ss, ys), p in law.trajectories.items():
+        for t in range(1, self.horizon + 1):
+            key = (t, xs[: t - 1], ys[: t - 1])
+            vec = acc.setdefault(key, np.zeros(self.x_size))
+            vec[xs[t - 1]] += p
+    rows = {}
+    for key, vec in acc.items():
+        tot = vec.sum()
+        if tot > 0:
+            rows[key] = tuple(vec / tot)
+    return InputPolicy(
+        horizon=self.horizon, x_size=self.x_size, y_size=self.y_size, rows=rows
+    )
+
+
+def dict_law(law) -> DictLaw:
+    """The dict tables of a law: the dict engine's law for the library
+    law's (channel, policy, horizon), built once and kept with the law; a
+    ``DictLaw`` is its own."""
+    if isinstance(law, DictLaw):
+        return law
+    old = law.__dict__.get("_dict_law")
+    if old is None:
+        old = dict_forward_joint(law.channel, law.policy, law.horizon)
+        object.__setattr__(law, "_dict_law", old)
+    return old
+
+
+def loop_drift_terms(law) -> DriftTerms:
+    """``drift_terms`` from the per-history loops: the level dicts of
+    ``loop_drift_levels`` and the largest row divergence."""
+    from fbound.channel_model import SchemaError
+    from fbound.info_measures import max_pairwise_row_kl
+
+    if not law.is_message_form:
+        raise SchemaError("drift terms need a message-form law")
+    mi_levels, kl_levels = loop_drift_levels(law)
+    return DriftTerms(
+        horizon=law.horizon,
+        mi_drift=mi_levels,
+        kl_drift=kl_levels,
+        max_pairwise_kl=max_pairwise_row_kl(law.channel),
+        channel=law.channel,
+    )

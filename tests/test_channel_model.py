@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from fbound.info_measures import node_table
 from fbound.channel_model import (
     BudgetExceededError,
     Channel,
@@ -26,7 +27,6 @@ from fbound.channel_model import (
     forward_joint,
     load_channel,
     parse_channel,
-    posteriors,
     repetition_encoder,
     rotating_encoder,
     serialize_channel,
@@ -173,10 +173,12 @@ def test_message_law_matches_oracle_and_marginals():
         assert law.trajectories[key] == pytest.approx(val, abs=1e-14)
     # marginal consistency: summing trajectories over everything but y^t
     # reproduces node_prob at every level
+    table = node_table(law)
+    node_prob = {table.history(i): p for i, p in enumerate(law.node_prob.tolist())}
     for t in range(4):
         ref_marg = oracles.marginal_y(ref, t)
         for node, p in ref_marg.items():
-            assert law.node_prob[t][node] == pytest.approx(p, abs=1e-13)
+            assert node_prob[node] == pytest.approx(p, abs=1e-13)
 
 
 def test_budget_is_enforced():
@@ -219,11 +221,16 @@ def test_induced_behavioral_matches_message_marginals():
 # ---------------------------------------------------------------------------
 
 
+def _by_history(law, column):
+    """A node-table column keyed by the output history of each row."""
+    table = node_table(law)
+    return {table.history(i): v for i, v in enumerate(column)}
+
+
 def test_repetition_posterior_after_one_output():
     ch = bsc(0.1)
     law = forward_joint(ch, repetition_encoder(2, 2, 3), 3)
-    post = posteriors(law)
-    mu = post.prior[1][(0,)]
+    mu = _by_history(law, node_table(law).posterior)[(0,)]
     assert mu[0] == pytest.approx(0.9, abs=1e-12)
     assert mu[1] == pytest.approx(0.1, abs=1e-12)
 
@@ -231,7 +238,7 @@ def test_repetition_posterior_after_one_output():
 def test_posteriors_match_bayes_oracle():
     ch = two_state_flip_channel()
     law = forward_joint(ch, repetition_encoder(2, 2, 3), 3)
-    post = posteriors(law)
+    post = _by_history(law, node_table(law).posterior)
     q, kernel_fn = _flip2_oracle_args(ch)
 
     def policy_fn(t, w, xh, yh):
@@ -240,44 +247,41 @@ def test_posteriors_match_bayes_oracle():
         return row
 
     ref = oracles.oracle_joint(q, kernel_fn, policy_fn, 2, 3)
-    for t in range(4):
-        for node in law.node_prob[t]:
-            if len(node) != t:
-                continue
-            want = oracles.posterior_w(ref, node)
-            got = post.prior[t][node]
-            for w, v in want.items():
-                assert got[w] == pytest.approx(v, abs=1e-12)
+    assert len(post) == 1 + 2 + 4 + 8
+    for node, got in post.items():
+        want = oracles.posterior_w(ref, node)
+        for w, v in want.items():
+            assert got[w] == pytest.approx(v, abs=1e-12)
 
 
 def test_posterior_bayes_consistency_identity():
     # one-step update: mu(w | y^{t-1}, y) * P(y | y^{t-1}) = mu(w) * Q_w(y)
     ch = bsc(0.1)
     law = forward_joint(ch, rotating_encoder(4, 2, 3), 3)
-    post = posteriors(law)
-    for t in range(1, 4):
-        for prev, rows in post.step[t].items():
-            mu = post.prior[t - 1][prev]
-            for y in range(2):
-                node = prev + (y,)
-                if node not in law.node_prob[t]:
-                    continue
-                py = law.node_prob[t][node] / law.node_prob[t - 1][prev]
-                mu_next = post.prior[t][node]
-                for w in range(4):
-                    if mu[w] > 0:
-                        lhs = mu_next[w] * py
-                        rhs = mu[w] * rows[w, y]
-                        assert lhs == pytest.approx(rhs, abs=1e-12)
+    table = node_table(law)
+    prior = _by_history(law, table.posterior)
+    node_prob = _by_history(law, law.node_prob.tolist())
+    for e, rows in enumerate(table.step):
+        prev = table.history(e)
+        mu = prior[prev]
+        for y in range(2):
+            node = prev + (y,)
+            if node not in node_prob:
+                continue
+            py = node_prob[node] / node_prob[prev]
+            mu_next = prior[node]
+            for w in range(4):
+                if mu[w] > 0:
+                    lhs = mu_next[w] * py
+                    rhs = mu[w] * rows[w, y]
+                    assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
 def test_posteriors_reject_behavioral_law():
     ch = bsc(0.1)
     law = forward_joint(ch, uniform_behavioral_policy(ch, 1), 1)
-    from fbound.channel_model import MessageStructureError
-
-    with pytest.raises(MessageStructureError):
-        posteriors(law)
+    with pytest.raises(SchemaError, match="needs a message-form law"):
+        node_table(law).h
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from conftest import child_env
-from fbound.channel_model import SchemaError
+from fbound.channel_model import SchemaError, check_seed
 from fbound.cli import main, read_manifest, rerun_from_manifest
 from fbound.vlc_sim import build_yamamoto_itoh, dump_scheme
 
@@ -103,17 +103,15 @@ def test_exponent_flagged_search_exits_1(capsys):
     assert "value inf" in out
 
 
-def test_simulate_csv_identical_across_workers_and_rerun(tmp_path, capsys):
+def test_simulate_csv_identical_on_manifest_rerun(tmp_path, capsys):
     base = ["simulate", "--channel", BSC01, "--m", "2,4", "--n1", "3",
             "--n2", "4", "--cap", "2", "--trials", "600", "--seed", "11"]
-    a, b, c = (tmp_path / n for n in ("a.csv", "b.csv", "c.csv"))
-    assert main(base + ["--workers", "1", "--out", str(a)]) == 0
-    assert main(base + ["--workers", "4", "--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
+    a, c = tmp_path / "a.csv", tmp_path / "c.csv"
+    assert main(base + ["--out", str(a)]) == 0
 
     man = read_manifest(a)
     assert man["config"]["m"] == [2, 4]
-    assert rerun_from_manifest(man, out=str(c), workers=3) == 0
+    assert rerun_from_manifest(man, out=str(c)) == 0
     assert c.read_bytes() == a.read_bytes()
     capsys.readouterr()
 
@@ -184,14 +182,40 @@ def test_verify_honours_the_budget_env_var(capsys, monkeypatch):
     )
 
 
-@pytest.mark.parametrize("workers", ["0", "-2"])
-def test_simulate_rejects_fewer_than_one_worker(workers, capsys):
-    rc = main(["simulate", "--channel", BSC01, "--m", "2", "--n1", "3", "--n2", "4",
-               "--cap", "2", "--trials", "20", "--workers", workers])
-    assert rc == 2
+SIMULATE = ["simulate", "--channel", BSC01, "--m", "2", "--n1", "3", "--n2", "4",
+            "--cap", "2", "--trials", "20"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["verify", "--channel", BSC01, "--suite", "lemma7", "--seed", "-1"],
+     "--seed must be an integer in 0..2**64 - 1, got -1"),
+    (["verify", "--channel", BSC01, "--suite", "lemma7", "--seed", str(2**64)],
+     f"--seed must be an integer in 0..2**64 - 1, got {2**64}"),
+    (["bound-capacity", "--channel", BSC01, "--horizon", "2", "--seed", "-1",
+      "--restarts", "1"],
+     "seed must be an integer in 0..2**64 - 1, got -1"),
+    (["bound-exponent", "--channel", BSC01, "--rate", "0.1", "--seed", str(2**64)],
+     f"seed must be an integer in 0..2**64 - 1, got {2**64}"),
+    (SIMULATE + ["--seed", "-1"], "--seed must be an integer in 0..2**64 - 1, got -1"),
+    (SIMULATE + ["--seed", str(2**64)],
+     f"--seed must be an integer in 0..2**64 - 1, got {2**64}"),
+    (SIMULATE + ["--scheme-seed", "-1"],
+     "--scheme-seed must be an integer in 0..2**64 - 1, got -1"),
+], ids=["verify-neg", "verify-2**64", "capacity-neg", "exponent-2**64", "simulate-neg",
+        "simulate-2**64", "scheme-seed-neg"])
+def test_seed_outside_64_bits_exits_2(argv, message, capsys):
+    assert main(argv) == 2
     captured = capsys.readouterr()
-    assert captured.err == f"error: need at least one worker, got {workers}\n"
+    assert captured.err == f"error: {message}\n"
     assert captured.out == ""
+
+
+def test_seed_range_ends_are_accepted():
+    check_seed(0, "seed")
+    check_seed(2**64 - 1, "seed")
+    for bad in (-1, 2**64, 1.0, True, "3"):
+        with pytest.raises(SchemaError, match="must be an integer in 0..2"):
+            check_seed(bad, "seed")
 
 
 def test_exact_flag_reports_enumeration(capsys):

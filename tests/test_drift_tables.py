@@ -10,6 +10,7 @@ order, so any difference is a defect, not rounding.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -24,6 +25,7 @@ import oracles
 from conftest import REPO
 from fbound import drift_verify as dv
 from fbound import info_measures as im
+from fbound.info_measures import node_table
 from fbound.bound_engine import SearchConfig, burnashev, dmc_consistency, residual_terms
 from fbound.channel_model import (
     Channel,
@@ -99,9 +101,10 @@ def _zero_stop(law, rule):
     """True when some full path stops at a history of probability 0.0."""
     if rule is None:
         rule = StoppingRule.fixed(law.horizon, law.horizon, law.channel.spec.y_size)
-    for path in law.node_prob[law.horizon]:
+    node_prob = oracles.dict_law(law).node_prob
+    for path in node_prob[law.horizon]:
         t = oracles.loop_stop_time(rule, path)
-        if law.node_prob[t][path[:t]] == 0.0:
+        if node_prob[t][path[:t]] == 0.0:
             return True
     return False
 
@@ -123,6 +126,25 @@ def assert_zero_stop_is_typed(new, old, law, *args, **kwargs):
 quiet = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
 
+def _loop_log_drift(law, *args, **kwargs):
+    """``oracles.loop_verify_log_drift`` with the one intended change: a
+    run whose constant c is infinite says that its pass is vacuous."""
+    v = oracles.loop_verify_log_drift(law, *args, **kwargs)
+    if v.count and math.isinf(v.constants["c"]):
+        return dataclasses.replace(v, details=(dv._INFINITE_C,))
+    return v
+
+
+def _h_levels(law):
+    """``NodeTable.h`` as the level dicts of ``oracles.loop_h_process``."""
+    table = node_table(law)
+    levels = tuple({} for _ in range(law.horizon + 1))
+    for i, (p, h) in enumerate(zip(law.node_prob.tolist(), table.h.tolist())):
+        hist = table.history(i)
+        levels[len(hist)][hist] = (p, h)
+    return oracles.EntropyProcess(horizon=law.horizon, messages=law.messages, levels=levels)
+
+
 # --- the law-based checks -------------------------------------------------
 
 
@@ -135,11 +157,11 @@ def test_entropy_drift_and_decoder_checks_match_the_loops(name):
             assert_zero_stop_is_typed(dv.verify_fano, oracles.loop_verify_fano, law)
         else:
             assert_same(dv.verify_fano, oracles.loop_verify_fano, law)
-        assert_same(im.h_process, oracles.loop_h_process, law)
+        assert_same(_h_levels, oracles.loop_h_process, law)
         for n in range(law.horizon + 1):
             assert_same(im.message_information, oracles.loop_message_information, law, n)
         for eps, mutate in itertools.product(EPS + (1.5,), (None, "halve_kl_drift")):
-            assert_same(dv.verify_log_drift, oracles.loop_verify_log_drift, law, eps,
+            assert_same(dv.verify_log_drift, _loop_log_drift, law, eps,
                         mutate=mutate)
             assert_same(dv.verify_lemma5_kl_transfer, oracles.loop_verify_lemma5_kl_transfer,
                         law, eps, mutate=mutate)
@@ -210,7 +232,7 @@ def test_behavioral_laws_raise_the_same_errors(bsc01):
         (dv.verify_lemma4_budget, oracles.loop_verify_lemma4_budget, (0.3,)),
         (dv.verify_submartingale_L, oracles.loop_verify_submartingale_L, (0.3,)),
         (dv.verify_maximal_inequality, oracles.loop_verify_maximal_inequality, ()),
-        (im.h_process, oracles.loop_h_process, ()),
+        (_h_levels, oracles.loop_h_process, ()),
     ):
         assert outcome(new, law, *args)[0] == "error"
         assert_same(new, old, law, *args)
@@ -227,7 +249,7 @@ def test_a_history_of_probability_zero_is_a_typed_error():
                            match=r"history \(0, 0, 1, 1\) at step 5 has probability 0.0"):
             check(law)
     # the log drift never conditions on it, as before
-    assert_same(dv.verify_log_drift, oracles.loop_verify_log_drift, law, 0.3)
+    assert_same(dv.verify_log_drift, _loop_log_drift, law, 0.3)
 
 
 @quiet

@@ -3,6 +3,7 @@ drift and submartingale verdicts (including deliberate mutations that must
 fail), and the random-instance inequalities."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,10 +19,12 @@ from fbound.channel_model import (
     rotating_encoder,
     uniform_behavioral_policy,
 )
-from fbound.info_measures import LogRatioUnboundedError
+from fbound.cli import main
+from fbound.info_measures import LogRatioUnboundedError, node_table
 from fbound.drift_verify import (
     PrunedTimes,
     Verdict,
+    _low_entropy_rows,
     verify_entropy_proposition,
     verify_fano,
     verify_lemma4_budget,
@@ -142,6 +145,43 @@ def test_log_drift_vacuous(law4):
     assert v.passed and v.count == 0
     assert math.isinf(v.worst)
     assert any("vacuous" in d for d in v.details)
+
+
+@pytest.fixture(scope="module")
+def z01_law(channels_dir):
+    # repetition M=2 at H=4, the law of ``verify --channel z01.json
+    # --horizon 4``: a received 1 rules out message 0, so low-entropy
+    # histories have a child of zero entropy (a -inf drift), and two Z rows
+    # have an infinite divergence, so the default c is infinite
+    law = forward_joint(load_channel(str(channels_dir / "z01.json")),
+                        repetition_encoder(2, 2, 4), 4)
+    table = node_table(law)
+    kids = table.children[_low_entropy_rows(law, 0.3)]
+    assert ((kids >= 0) & (table.h[kids] <= 0.0)).any()
+    return law
+
+
+def test_log_drift_with_an_infinite_constant_is_a_vacuous_pass(z01_law, capsys, channels_dir):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = verify_log_drift(z01_law, 0.3)
+    assert math.isinf(v.constants["c"]) and v.count == 2
+    assert v.passed and v.worst == math.inf
+    assert v.details == ("c is infinite, so the slack c * hb_inv(eps) bounds nothing: "
+                         "vacuous pass",)
+    assert main(["verify", "--channel", str(channels_dir / "z01.json"), "--suite", "drift",
+                 "--horizon", "4"]) == 0
+    captured = capsys.readouterr()
+    assert "bounds nothing: vacuous pass" in captured.out and captured.err == ""
+
+
+def test_log_drift_with_a_finite_constant_fails_on_a_dead_child(z01_law):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = verify_log_drift(z01_law, 0.3, c=5.0)
+    assert not v.passed and v.worst == -math.inf
+    assert v.details == ()
+    assert v.constants["c_minimal_passing"] == math.inf
 
 
 def test_log_drift_domain_errors(law2):

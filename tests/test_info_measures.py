@@ -30,12 +30,13 @@ from fbound.info_measures import (
     directed_kl_stopped,
     directed_mi_fixed,
     directed_mi_stopped,
-    drift_terms,
     entropy,
     expected_stop_time,
-    h_process,
     kl,
+    log_ratio_bound,
+    max_pairwise_row_kl,
     message_information,
+    node_table,
 )
 
 # frozen closed forms for bsc(0.1), bits
@@ -217,14 +218,20 @@ def test_directed_kl_stopped_window():
 # ---------------------------------------------------------------------------
 
 
+def _entropy_by_history(law):
+    table = node_table(law)
+    return {table.history(i): (p, h) for i, (p, h) in
+            enumerate(zip(law.node_prob.tolist(), table.h.tolist()))}
+
+
 def test_h_process_repetition_values():
     ch = bsc(0.1)
     law = forward_joint(ch, repetition_encoder(2, 2, 3), 3)
-    proc = h_process(law)
-    assert proc.value(()) == pytest.approx(1.0, abs=1e-15)
-    assert proc.value((0,)) == pytest.approx(HB01, abs=1e-12)
-    assert proc.value((0, 0)) == pytest.approx(0.09501724567107636, abs=1e-12)
-    assert proc.value((0, 0, 1)) == pytest.approx(HB01, abs=1e-12)
+    proc = _entropy_by_history(law)
+    assert proc[()][1] == pytest.approx(1.0, abs=1e-15)
+    assert proc[(0,)][1] == pytest.approx(HB01, abs=1e-12)
+    assert proc[(0, 0)][1] == pytest.approx(0.09501724567107636, abs=1e-12)
+    assert proc[(0, 0, 1)][1] == pytest.approx(HB01, abs=1e-12)
 
 
 def test_h_process_expected_is_nonincreasing():
@@ -234,8 +241,8 @@ def test_h_process_expected_is_nonincreasing():
         (bsc(0.2), rotating_encoder(4, 2, 3)),
     ]:
         law = forward_joint(ch, pol, 3)
-        proc = h_process(law)
-        vals = [proc.expected(t) for t in range(4)]
+        proc = _entropy_by_history(law).items()
+        vals = [sum(p * h for node, (p, h) in proc if len(node) == t) for t in range(4)]
         for a, b in zip(vals, vals[1:]):
             assert b <= a + 1e-12
 
@@ -243,38 +250,33 @@ def test_h_process_expected_is_nonincreasing():
 def test_single_message_entropy_is_zero():
     ch = bsc(0.1)
     law = forward_joint(ch, repetition_encoder(1, 2, 2), 2)
-    proc = h_process(law)
-    for t in range(3):
-        for node, (p, h) in proc.levels[t].items():
-            assert h == 0.0
+    assert node_table(law).h.tolist() == [0.0] * law.node_prob.size
 
 
 def test_drift_terms_bsc_first_step():
     ch = bsc(0.1)
     law = forward_joint(ch, repetition_encoder(2, 2, 3), 3)
-    dt = drift_terms(law)
-    assert dt.mi_drift[1][()] == pytest.approx(CAP01, abs=1e-12)
-    assert dt.kl_drift[1][()] == pytest.approx(C1_01, abs=1e-12)
-    assert dt.max_pairwise_kl == pytest.approx(C1_01, abs=1e-12)
-    assert dt.log_ratio_bound() == pytest.approx(ETA01, abs=1e-12)
+    table = node_table(law)
+    assert table.history(0) == ()
+    assert table.node_mi[0] == pytest.approx(CAP01, abs=1e-12)
+    assert table.node_kl[0] == pytest.approx(C1_01, abs=1e-12)
+    assert max_pairwise_row_kl(ch) == pytest.approx(C1_01, abs=1e-12)
+    assert log_ratio_bound(ch) == pytest.approx(ETA01, abs=1e-12)
 
 
 def test_log_ratio_bound_needs_positive_channel():
-    ch = perfect_binary_channel()
-    law = forward_joint(ch, repetition_encoder(2, 2, 1), 1)
-    dt = drift_terms(law)
     with pytest.raises(LogRatioUnboundedError):
-        dt.log_ratio_bound()
+        log_ratio_bound(perfect_binary_channel())
 
 
 def test_log_ratio_bound_holds_pathwise():
     # every realized one-step move of log2 H is within the channel bound
     for ch, m in [(bsc(0.1), 2), (two_state_flip_channel(), 2)]:
         law = forward_joint(ch, repetition_encoder(m, 2, 3), 3)
-        proc = h_process(law)
-        eta = drift_terms(law).log_ratio_bound()
-        for t in range(1, 4):
-            for node, (p, h) in proc.levels[t].items():
-                hprev = proc.value(node[:-1])
+        proc = _entropy_by_history(law)
+        eta = log_ratio_bound(ch)
+        for node, (p, h) in proc.items():
+            if node:
+                hprev = proc[node[:-1]][1]
                 if h > 0.0 and hprev > 0.0:
                     assert abs(math.log2(h) - math.log2(hprev)) <= eta + 1e-9

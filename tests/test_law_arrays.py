@@ -1,8 +1,11 @@
 """Differential tests of the level-array joint-law engine and the memoized
-capacity search against the loops they replaced (``oracles.loop_*``).
+capacity search against the loops they replaced (``oracles.loop_*``), and
+of the law's arrays and the node table's accessors against the dict engine
+and views they replaced (``oracles.dict_forward_joint``, ``posteriors``,
+``loop_h_process`` and ``loop_drift_levels``).
 
 Every comparison is exact: trajectories in the same order with ``==``
-probabilities, level tables with the same keys in the same order, and
+probabilities, one array entry per dict entry in the dict's key order, and
 values with the same bytes.  The level arrays keep the loops' products and
 summation order, so any difference is a defect, not rounding.
 """
@@ -15,7 +18,7 @@ import numpy as np
 import pytest
 
 import oracles
-from fbound import bound_engine, channel_model
+from fbound import bound_engine, channel_model, cli, drift_verify
 from fbound.bound_engine import (
     SearchConfig,
     _policy_row_keys,
@@ -38,9 +41,11 @@ from fbound.channel_model import (
     uniform_channel,
 )
 from conftest import REPO
+from fbound.info_measures import node_table
 
 CHANNEL_FILES = sorted(p.stem for p in (REPO / "channels").glob("*.json"))
 TABLES = ("node_prob", "w_post", "xy_node", "wy_node")
+ENGINES = (oracles.loop_forward_joint, oracles.dict_forward_joint)
 
 
 @functools.lru_cache(maxsize=None)
@@ -98,21 +103,54 @@ def _policies(ch, horizon, seed):
     return out
 
 
+def _stacked(levels, like):
+    """The values of a tuple of level dicts, in order, as one array shaped
+    like ``like``."""
+    values = [v for level in levels for v in level.values()]
+    return np.array(values, dtype=float).reshape((len(values),) + like.shape[1:])
+
+
 def assert_same_law(new, old):
+    """A law's arrays against a ``DictLaw``: the same trajectories, the same
+    histories in the same order, and the same bytes in every table entry."""
     assert list(new.trajectories.items()) == list(old.trajectories.items())
     assert (new.horizon, new.messages) == (old.horizon, old.messages)
+    assert new.total_mass() == old.total_mass()
+    assert new.sizes == tuple(len(level) for level in old.node_prob)
+    # each node's history from its parent links, level by level
+    hist = []
+    for parent, symbol in zip(new.node_parent.tolist(), new.node_symbol.tolist()):
+        hist.append(() if parent < 0 else hist[parent] + (symbol,))
+    assert hist == [k for level in old.node_prob for k in level]
+    table = node_table(new)
+    assert [table.history(i) for i in range(len(hist))] == hist
     for name in TABLES:
-        a, b = getattr(new, name), getattr(old, name)
-        assert len(a) == len(b), name
-        for t, (lvl_a, lvl_b) in enumerate(zip(a, b)):
-            assert list(lvl_a) == list(lvl_b), (name, t)
-            for key in lvl_b:
-                va, vb = lvl_a[key], lvl_b[key]
-                if name == "node_prob":
-                    assert type(va) is float and type(vb) is float
-                    va, vb = np.float64(va), np.float64(vb)
-                assert va.dtype == vb.dtype and va.shape == vb.shape, (name, t, key)
-                assert va.tobytes() == vb.tobytes(), (name, t, key)
+        got = getattr(new, name)
+        levels = getattr(old, name)[1:] if name in ("xy_node", "wy_node") else getattr(old, name)
+        want = _stacked(levels, got)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+
+
+def assert_same_accessors(law, old):
+    """The node table's per-history columns against the dict views: one
+    entry per key of ``posteriors``, ``loop_h_process`` and
+    ``loop_drift_levels``, in key order, with the same bytes."""
+    table = node_table(law)
+    assert table.posterior.tobytes() == _stacked(old.w_post, table.posterior).tobytes()
+    assert table.leaf_prob.tobytes() == _stacked(old.node_prob[-1:], table.leaf_prob).tobytes()
+    if not law.is_message_form:
+        return
+    proc = oracles.loop_h_process(old)
+    h = [v for level in proc.levels for _, v in level.values()]
+    assert table.h.tobytes() == np.array(h, dtype=float).reshape(table.h.shape).tobytes()
+    post = oracles.posteriors(old)
+    assert table.step.tobytes() == _stacked(post.step[1:], table.step).tobytes()
+    maps = [post.map_message(t, k) for t in range(law.horizon) for k in post.prior[t]]
+    assert np.argmax(table.posterior[: table.prob.size], axis=1).tolist() == maps
+    mi, kl = oracles.loop_drift_levels(old)
+    assert table.node_mi.tobytes() == _stacked(mi[1:], table.node_mi).tobytes()
+    assert table.node_kl.tobytes() == _stacked(kl[1:], table.node_kl).tobytes()
 
 
 CASES = [
@@ -126,8 +164,10 @@ CASES = [
 def test_forward_joint_matches_the_recursion(name, horizon):
     ch = _channel(name)
     for policy in _policies(ch, horizon, seed=horizon):
-        assert_same_law(forward_joint(ch, policy, horizon),
-                        oracles.loop_forward_joint(ch, policy, horizon))
+        law = forward_joint(ch, policy, horizon)
+        for engine in ENGINES:
+            assert_same_law(law, engine(ch, policy, horizon))
+        assert_same_accessors(law, oracles.dict_forward_joint(ch, policy, horizon))
 
 
 @pytest.mark.parametrize("pass_size", [1, 40, 100])
@@ -142,6 +182,7 @@ def test_level_tables_counted_in_several_passes_match(pass_size, monkeypatch):
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered in divide:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:divide by zero encountered in scalar divide:RuntimeWarning")
 def test_underflowed_trajectories_are_kept_as_the_recursion_keeps_them():
     # pruning looks at the factors, not the product: a trajectory whose
     # probability underflows to 0.0 stays, and its 0/0 table rows are NaN
@@ -151,7 +192,9 @@ def test_underflowed_trajectories_are_kept_as_the_recursion_keeps_them():
     for policy in (uniform_behavioral_policy(ch, 3), repetition_encoder(2, 2, 3)):
         law = forward_joint(ch, policy, 3)
         assert 0.0 in law.trajectories.values()
-        assert_same_law(law, oracles.loop_forward_joint(ch, policy, 3))
+        for engine in ENGINES:
+            assert_same_law(law, engine(ch, policy, 3))
+        assert_same_accessors(law, oracles.dict_forward_joint(ch, policy, 3))
 
 
 def test_forward_joint_matches_on_laws_shorter_than_the_policy():
@@ -160,6 +203,51 @@ def test_forward_joint_matches_on_laws_shorter_than_the_policy():
     for horizon in (1, 2, 3):
         assert_same_law(forward_joint(ch, policy, horizon),
                         oracles.loop_forward_joint(ch, policy, horizon))
+
+
+@pytest.mark.parametrize("name,horizon", [("bsc01", 3), ("flip2", 3), ("wide", 2), ("z01", 4),
+                                          ("histk2", 2)])
+def test_induced_behavioral_matches_the_trajectory_loop(name, horizon):
+    # rows in the same order with the same bytes: each row sums its
+    # trajectories in trajectory order
+    ch = _channel(name)
+    for policy in _policies(ch, horizon, seed=1):
+        if not policy.is_message_form:
+            continue
+        got = list(policy.induced_behavioral(ch).rows.items())
+        want = list(oracles.loop_induced_behavioral(policy, ch).rows.items())
+        assert [k for k, _ in got] == [k for k, _ in want]
+        assert np.array([v for _, v in got]).tobytes() == np.array([v for _, v in want]).tobytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound-capacity", "--channel", "flip2", "--horizon", "2", "--stopping", "all",
+     "--restarts", "0"],
+    ["bound-exponent", "--channel", "bsc01", "--rate", "0.25", "--horizon", "2",
+     "--messages", "2"],
+    ["verify", "--channel", "bsc02", "--suite", "all", "--horizon", "11"],
+], ids=["capacity", "exponent", "verify"])
+def test_commands_never_build_the_trajectory_dict(argv, monkeypatch, capsys):
+    built, laws = [], []
+    real_trajectories = channel_model.JointLaw.trajectories.func
+    real_forward_joint = channel_model.forward_joint
+
+    def counting_forward_joint(*args, **kwargs):
+        laws.append(None)
+        return real_forward_joint(*args, **kwargs)
+
+    def counting_trajectories(law):
+        built.append(None)
+        return real_trajectories(law)
+
+    monkeypatch.setattr(channel_model.JointLaw, "trajectories", property(counting_trajectories))
+    for module in (bound_engine, cli, drift_verify):
+        monkeypatch.setattr(module, "forward_joint", counting_forward_joint)
+    argv = [str(REPO / "channels" / f"{a}.json") if argv[i - 1] == "--channel" else a
+            for i, a in enumerate(argv)]
+    assert cli.main(argv) in (0, 1)
+    capsys.readouterr()
+    assert laws and not built
 
 
 def test_channel_files_are_all_covered():

@@ -38,8 +38,8 @@ from fbound.info_measures import (
     directed_kl_stopped,
     directed_mi_fixed,
     directed_mi_stopped,
-    drift_terms,
     expected_stop_time,
+    node_table,
     rule_stack,
     stopped_values,
     window_divergence,
@@ -257,11 +257,14 @@ def test_fixed_windows_and_drift_terms_match_loops(name, horizon):
                     oracles.loop_directed_kl_per_history_max(law, a, b)
                 )
         if law.is_message_form:
-            terms = drift_terms(law)
+            table = node_table(law)
             want_mi, want_kl = oracles.loop_drift_levels(law)
-            # dict equality ignores order, so compare the item lists
-            assert [list(d.items()) for d in terms.mi_drift] == [list(d.items()) for d in want_mi]
-            assert [list(d.items()) for d in terms.kl_drift] == [list(d.items()) for d in want_kl]
+            # the table's entries, keyed by (t, y^{t-1}), against the item lists
+            keys = [(t, table.history(e)) for e, t in enumerate((table.level + 1).tolist())]
+            assert list(zip(keys, table.node_mi.tolist())) == [
+                ((t, k), v) for t, d in enumerate(want_mi) for k, v in d.items()]
+            assert list(zip(keys, table.node_kl.tolist())) == [
+                ((t, k), v) for t, d in enumerate(want_kl) for k, v in d.items()]
 
 
 @pytest.mark.parametrize("name", ["bsc01", "z01", "flip2"])

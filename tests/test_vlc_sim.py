@@ -119,10 +119,8 @@ def test_scheme_parse_errors():
 # --- Monte Carlo reproducibility --------------------------------------------
 
 
-def test_simulate_invariant_to_worker_count_and_code_path(yi_bsc01, bsc01):
+def test_simulate_matches_the_per_trial_loop(yi_bsc01, bsc01):
     base = simulate(yi_bsc01, bsc01, 500, seed=1)
-    assert simulate(yi_bsc01, bsc01, 500, seed=1, workers=3) == base
-    assert simulate(yi_bsc01, bsc01, 500, seed=1, workers=7) == base
     # a single-state channel runs the one array pass, which must agree bit
     # for bit with running each trial alone, not just statistically
     counts = oracles.loop_simulate_generic(yi_bsc01, bsc01, 500, 1, 0)
@@ -147,12 +145,6 @@ def test_rekeyed_generator_draws_what_a_fresh_one_per_trial_draws():
             for width in range(1, 42):
                 got = _draw_uniforms(seed, start, 3, width)
                 assert got.tobytes() == _fresh_generator_draws(seed, start, 3, width).tobytes()
-
-
-def test_simulate_rejects_fewer_than_one_worker(yi_bsc01, bsc01):
-    for workers in (0, -1):
-        with pytest.raises(SchemaError, match="at least one worker"):
-            simulate(yi_bsc01, bsc01, 10, workers=workers)
 
 
 def test_simulate_seed_changes_outcome(yi_bsc01, bsc01):
