@@ -879,7 +879,11 @@ def _first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     first appearance: (each key's number, the position where each number
     first appears)."""
     count = keys.size
-    first = np.full(int(keys.max(initial=-1)) + 1, count)
+    span = int(keys.max(initial=-1)) + 1
+    if span > 4 * count:  # sparse keys: replace them by their sorted rank
+        keys = np.unique(keys, return_inverse=True)[1]
+        span = count
+    first = np.full(span, count)
     np.minimum.at(first, keys, np.arange(count))
     seen = np.flatnonzero(first < count)
     seen = seen.take(np.argsort(first.take(seen)))

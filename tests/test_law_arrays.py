@@ -250,6 +250,20 @@ def test_commands_never_build_the_trajectory_dict(argv, monkeypatch, capsys):
     assert laws and not built
 
 
+@pytest.mark.parametrize("span", [1, 3, 50, 10**12])
+def test_first_appearance_numbers_keys_in_order(span):
+    # dense keys are numbered by direct address, sparse ones (span > 4 x
+    # count) through their sorted rank; both against a first-seen dict
+    rng = np.random.default_rng(span)
+    for count in (0, 1, 7, 40):
+        keys = rng.integers(0, span, size=count)
+        seen = {}
+        want = [seen.setdefault(k, len(seen)) for k in keys.tolist()]
+        number, first = channel_model._first_appearance(keys)
+        assert number.tolist() == want
+        assert first.tolist() == [want.index(i) for i in range(len(seen))]
+
+
 def test_channel_files_are_all_covered():
     assert len(CHANNEL_FILES) == 8
 
