@@ -884,12 +884,11 @@ def _first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         keys = np.unique(keys, return_inverse=True)[1]
         span = count
     first = np.full(span, count)
-    np.minimum.at(first, keys, np.arange(count))
-    seen = np.flatnonzero(first < count)
-    seen = seen.take(np.argsort(first.take(seen)))
-    number = np.empty_like(first)
-    number[seen] = np.arange(seen.size)
-    return number.take(keys), first.take(seen)
+    position = np.arange(count)
+    np.minimum.at(first, keys, position)
+    first = first.take(keys)  # the first position of each key
+    head = first == position
+    return (head.cumsum() - 1).take(first), head.nonzero()[0]
 
 
 def forward_joint(
@@ -987,7 +986,7 @@ def forward_joint(
         key, base = key.take(first), sum(sizes)  # base: the level's first node
         parents.append(key // yn + (base - sizes[-1]))
         symbols.append(key % yn)
-        steps.append((par, np.stack((node + base, x, y, s))))
+        steps.append((par, np.array((node + base, x, y, s))))
         sizes.append(first.size)
         if t < horizon:
             # the next calls: one per distinct (parent call, x, y), where an

@@ -22,6 +22,7 @@ exact 0.0, so the results are bit-identical to that loop.
 
 from __future__ import annotations
 
+import itertools
 from functools import cached_property
 
 import numpy as np
@@ -187,15 +188,15 @@ class NodeTable:
         self._message_form = law.is_message_form
         # every history's ``_hist_index`` and level
         index = np.zeros(law.node_prob.size, dtype=np.int64)
-        bounds = np.cumsum((0,) + law.sizes)
-        for t in range(1, n + 1):
-            lo, hi = bounds[t], bounds[t + 1]
-            index[lo:hi] = index[law.node_parent[lo:hi]] * y + law.node_symbol[lo:hi]
+        bounds = list(itertools.accumulate(law.sizes, initial=0))
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            index[lo:hi] = index.take(law.node_parent[lo:hi]) * y + law.node_symbol[lo:hi]
         self._index = index
         self._level = np.repeat(np.arange(n + 1), law.sizes)
         inner = bounds[n]
         self.level = self._level[:inner]
-        self.node = np.array(self._offsets, dtype=np.int64)[self.level] + index[:inner]
+        starts = np.array(self._offsets[:n], dtype=np.int64)
+        self.node = np.repeat(starts, law.sizes[:n]) + index[:inner]
         self.prob = law.node_prob[:inner]
         self.node_mi = np.array([mutual_information(xy) for xy in self._xy], dtype=float)
         self.mi = self.prob * self.node_mi
