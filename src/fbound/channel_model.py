@@ -877,13 +877,10 @@ class JointLaw:
 def _first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Number the distinct keys (nonnegative integers) 0, 1, ... in order of
     first appearance: (each key's number, the position where each number
-    first appears)."""
+    first appears).  The keys index a direct-address table; every caller's
+    keys are below (the previous level's count) x X x Y."""
     count = keys.size
-    span = int(keys.max(initial=-1)) + 1
-    if span > 4 * count:  # sparse keys: replace them by their sorted rank
-        keys = np.unique(keys, return_inverse=True)[1]
-        span = count
-    first = np.full(span, count)
+    first = np.full(int(keys.max(initial=-1)) + 1, count)
     position = np.arange(count)
     np.minimum.at(first, keys, position)
     first = first.take(keys)  # the first position of each key

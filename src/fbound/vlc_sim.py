@@ -10,11 +10,12 @@ threshold.  Rejected blocks repeat with the same message, up to ``cap``
 blocks; the final block's tentative decision is forced.
 
 Randomness convention (load-bearing for reproducibility): trial ``t`` of a
-run with seed ``s`` draws everything from ``Philox(key=[s, t])`` as one flat
-uniform vector ``d = rng.random(1 + 2*N)`` with ``N = cap*(n1+n2)``:
-``d[0]`` picks the message, ``d[1:N+1]`` drive the state draws position by
-position, ``d[N+1:]`` drive the output draws (a single-state channel
-draws its one state too).  A run builds one Philox generator and re-keys it
+run with seed ``s`` draws everything from ``Philox(key=[s, t])`` (two
+unsigned 64-bit key words) as one flat uniform vector
+``d = rng.random(1 + 2*N)`` with ``N = cap*(n1+n2)``: ``d[0]`` picks the
+message, ``d[1:N+1]`` drive the state draws position by position,
+``d[N+1:]`` drive the output draws (a single-state channel draws its one
+state too).  A run builds one Philox generator and re-keys it
 per trial (``_trial_uniforms``), which gives the same draws as a fresh
 generator per trial.
 
@@ -338,7 +339,9 @@ def _trial_uniforms(seed: int, start: int, count: int, width: int):
     word re-keys it to exactly a fresh ``Philox(key=[seed, t])``, without
     the per-trial construction and its entropy draw.
     """
-    bits = np.random.Philox(key=[seed, start])
+    # a uint64 array: numpy casts a list key word of 2**63 or more through
+    # float64, which merges seeds
+    bits = np.random.Philox(key=np.array([seed, start], dtype=np.uint64))
     gen = np.random.Generator(bits)
     fresh = bits.state
     for t in range(start, start + count):

@@ -210,12 +210,20 @@ def test_seed_outside_64_bits_exits_2(argv, message, capsys):
     assert captured.out == ""
 
 
-def test_seed_range_ends_are_accepted():
+def test_seed_range_ends_are_accepted(capsys):
     check_seed(0, "seed")
     check_seed(2**64 - 1, "seed")
     for bad in (-1, 2**64, 1.0, True, "3"):
         with pytest.raises(SchemaError, match="must be an integer in 0..2"):
             check_seed(bad, "seed")
+    # the top seed runs with warnings as errors, and not on seed 0's draws
+    outs = []
+    for seed in (2**64 - 1, 0):
+        assert main(SIMULATE + ["--seed", str(seed), "--scheme-seed", str(seed)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        outs.append(captured.out.replace(str(seed), "SEED"))
+    assert outs[0] != outs[1]
 
 
 def test_exact_flag_reports_enumeration(capsys):

@@ -129,15 +129,13 @@ def test_simulate_matches_the_per_trial_loop(yi_bsc01, bsc01):
 
 def _fresh_generator_draws(seed, start, count, width):
     return np.array([
-        np.random.Generator(np.random.Philox(key=[seed, t])).random(width)
+        np.random.Generator(np.random.Philox(key=np.array([seed, t], dtype=np.uint64)))
+        .random(width)
         for t in range(start, start + count)
     ])
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
 def test_rekeyed_generator_draws_what_a_fresh_one_per_trial_draws():
-    # seeds at and past 2**63 go through numpy's own key conversion, which
-    # the re-keyed generator must reproduce, not repair
     seeds = [0, 1, 11, 2**63 - 1, 2**63, 2**64 - 1]
     seeds += [int(v) for v in np.random.default_rng(3).integers(0, 2**64, size=4, dtype=np.uint64)]
     for seed in seeds:
@@ -145,6 +143,24 @@ def test_rekeyed_generator_draws_what_a_fresh_one_per_trial_draws():
             for width in range(1, 42):
                 got = _draw_uniforms(seed, start, 3, width)
                 assert got.tobytes() == _fresh_generator_draws(seed, start, 3, width).tobytes()
+
+
+def test_seeds_below_2_63_keep_the_draws_of_a_list_key():
+    # numpy reads a list key below 2**63 as int64, the same words
+    for seed in (0, 11, 2**62 + 5, 2**63 - 1):
+        want = np.random.Generator(np.random.Philox(key=[seed, 7])).random(9)
+        assert _draw_uniforms(seed, 7, 1, 9)[0].tobytes() == want.tobytes()
+
+
+def test_top_seeds_get_their_own_key(yi_bsc01, bsc01):
+    # a list key casts these through float64: 2**64 - 1 became seed 0's key
+    # and 2**64 - 2047 one shared with its neighbours
+    for seed in (2**64 - 1, 2**64 - 2047):
+        assert _draw_uniforms(seed, 0, 2, 5).tobytes() != _draw_uniforms(0, 0, 2, 5).tobytes()
+        assert (_draw_uniforms(seed, 0, 2, 5).tobytes()
+                != _draw_uniforms(seed - 1, 0, 2, 5).tobytes())
+    top = simulate(yi_bsc01, bsc01, 500, seed=2**64 - 1)  # warnings are errors
+    assert top != simulate(yi_bsc01, bsc01, 500, seed=0)
 
 
 def test_simulate_seed_changes_outcome(yi_bsc01, bsc01):
