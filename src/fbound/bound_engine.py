@@ -61,6 +61,7 @@ __all__ = [
     "capacity_bound",
     "exponent_bound",
     "exponent_candidates",
+    "Candidates",
     "dmc_consistency",
     "ConsistencyReport",
     "ResidualTerms",
@@ -251,19 +252,26 @@ def _policy_row_keys(ch: Channel, horizon: int):
     return keys
 
 
-def _capacity_rules(ch: Channel, horizon: int, cfg: SearchConfig):
-    flags: list[str] = []
-    if cfg.fixed_t is not None:
-        rules = [StoppingRule.fixed(cfg.fixed_t, horizon, ch.spec.y_size)]
-        return rules, flags
+def _enumerated_rules(cfg: SearchConfig, flags: list[str], enumerate_all):
+    """The rule-family step of both searches: ``enumerate_all()`` for
+    ``stopping="all"``, else None for fixed times; None also when it exceeds
+    the rule cap, which raises the fallback flag."""
     if cfg.stopping == "all":
         try:
-            rules = enumerate_stopping_rules(horizon, ch.spec.y_size, cap=cfg.rule_cap)
-            return rules, flags
+            return enumerate_all()
         except BudgetExceededError:
             flags.append("rule_cap_exceeded_fell_back_to_fixed")
-    rules = [StoppingRule.fixed(t, horizon, ch.spec.y_size) for t in range(1, horizon + 1)]
-    return rules, flags
+    return None
+
+
+def _capacity_rules(ch: Channel, horizon: int, cfg: SearchConfig):
+    flags: list[str] = []
+    y = ch.spec.y_size
+    if cfg.fixed_t is not None:
+        return [StoppingRule.fixed(cfg.fixed_t, horizon, y)], flags
+    rules = _enumerated_rules(
+        cfg, flags, lambda: enumerate_stopping_rules(horizon, y, cap=cfg.rule_cap))
+    return rules or [StoppingRule.fixed(t, horizon, y) for t in range(1, horizon + 1)], flags
 
 
 def _capacity_objective(ch, rows, horizon, rules, stack, budget):
@@ -442,19 +450,21 @@ def _step_aggregates(law: JointLaw):
     return ej, ed
 
 
-def _fixed_pair_rates(ej, ed, t1: int, t: int) -> tuple[float, float]:
-    """(i_rate, d_rate) of the deterministic pair T1 = t1, T = t from the
-    ``_step_aggregates`` of a law."""
-    return float(ej[1 : t1 + 1].sum()) / t1, float(ed[t1 + 1 : t + 1].sum()) / (t - t1)
-
-
-def _rule_pair_rates(law: JointLaw, stack, first: np.ndarray, last: np.ndarray):
-    """Rates of the rule pairs (first[k], last[k]) of a ``rule_stack`` whose
-    second phase has positive expected length.
+def _pair_rates(law: JointLaw, first: np.ndarray, last: np.ndarray, stack):
+    """Rates of one law's stopping pairs (first[k], last[k]) whose second
+    phase has positive expected length: rows of ``stack``, a ``rule_stack``,
+    or, when it is None, the deterministic times T1 = first[k], T = last[k].
 
     Returns (kept positions k, i_rate, d_rate, et, et1) as arrays over the
     kept pairs, in pair order.
     """
+    if stack is None:
+        ej, ed = _step_aggregates(law)
+        i_rate, d_rate = np.array([
+            (float(ej[1 : t1 + 1].sum()) / t1, float(ed[t1 + 1 : t + 1].sum()) / (t - t1))
+            for t1, t in zip(first.tolist(), last.tolist())
+        ]).T
+        return np.arange(first.size), i_rate, d_rate, 1.0 * last, 1.0 * first
     stopped, times = stack
     et, mi = stopped_values(law, stopped, times)
     et1, et2 = et[first], et[last]
@@ -466,111 +476,120 @@ def _rule_pair_rates(law: JointLaw, stack, first: np.ndarray, last: np.ndarray):
 
 
 def _stopping_pairs(ch: Channel, horizon: int, cfg: SearchConfig):
-    """(first, last) rule pairs with first stopping no later than last.
-
-    For ``stopping="all"`` returns the rules and two index arrays into them,
-    first-major; otherwise (t1, t) pairs of deterministic times.
-    """
+    """(first, last, rules, flags): for ``stopping="all"``, every pair of
+    distinct rules with first stopping no later than last, as index arrays
+    into ``rules``, first-major; otherwise the times t1 < t, with ``rules``
+    None."""
     flags: list[str] = []
-    if cfg.stopping == "all":
-        try:
-            rules = enumerate_stopping_rules(horizon, ch.spec.y_size, cap=cfg.rule_cap)
-            stime = np.stack([rule.stop_times for rule in rules])
-            first, last, count = [], [], 0
-            for a in range(len(rules)):
-                dominated = np.all(stime[a] <= stime, axis=1)
-                dominated[a] = False
-                later = np.flatnonzero(dominated)
-                first.append(np.full(later.size, a))
-                last.append(later)
-                count += later.size
-                if count > cfg.rule_cap:
-                    raise BudgetExceededError("pair count over cap")
-            pairs = (rules, np.concatenate(first), np.concatenate(last))
-            return pairs, "rules", flags
-        except BudgetExceededError:
-            flags.append("rule_cap_exceeded_fell_back_to_fixed")
-    pairs = [
-        (t1, t)
-        for t1 in range(1, horizon)
-        for t in range(t1 + 1, horizon + 1)
-    ]
-    return pairs, "fixed", flags
+
+    def rule_pairs():
+        rules = enumerate_stopping_rules(horizon, ch.spec.y_size, cap=cfg.rule_cap)
+        stime = np.stack([rule.stop_times for rule in rules])
+        first, last, count = [], [], 0
+        for a in range(len(rules)):
+            dominated = np.all(stime[a] <= stime, axis=1)
+            dominated[a] = False
+            later = np.flatnonzero(dominated)
+            first.append(np.full(later.size, a))
+            last.append(later)
+            count += later.size
+            if count > cfg.rule_cap:
+                raise BudgetExceededError("pair count over cap")
+        return np.concatenate(first), np.concatenate(last), rules
+
+    pairs = _enumerated_rules(cfg, flags, rule_pairs)
+    if pairs is None:
+        times = [(t1, t) for t1 in range(1, horizon) for t in range(t1 + 1, horizon + 1)]
+        pairs = (*np.array(times).T, None)
+    return (*pairs, flags)
+
+
+def _candidate_values(i_rate: np.ndarray, d_rate: np.ndarray, rate: float) -> np.ndarray:
+    """D * (1 - R/I) of each candidate at one rate: -inf where the first
+    phase is numerically uninformative (I <= 1e-12), and for an infinite D,
+    +inf when R < I and -inf otherwise."""
+    with np.errstate(all="ignore"):
+        value = d_rate * (1.0 - rate / i_rate)
+    value = np.where(np.isinf(d_rate), np.where(rate < i_rate, np.inf, -np.inf), value)
+    return np.where(i_rate <= 1e-12, -np.inf, value)
+
+
+@dataclass(frozen=True, eq=False)
+class Candidates:
+    """Exponent candidates as columns, one entry per (encoder, stopping
+    pair) whose second phase has positive expected length, encoder-major:
+    ``m``, ``encoder`` (index into ``tables``, each encoder's step tables),
+    ``pair`` (index into ``first`` and ``last``, indices into ``rules`` or,
+    when it is None, times), ``i_rate`` (information per expected
+    first-phase step), ``d_rate`` (divergence per expected second-phase
+    step), ``et`` and ``et1`` (E[T] and E[T1])."""
+
+    m: np.ndarray
+    encoder: np.ndarray
+    pair: np.ndarray
+    i_rate: np.ndarray
+    d_rate: np.ndarray
+    et: np.ndarray
+    et1: np.ndarray
+    tables: list[tuple]
+    first: np.ndarray
+    last: np.ndarray
+    rules: list[StoppingRule] | None
+
+    def __len__(self) -> int:
+        return self.i_rate.size
+
+    def best(self, rate: float) -> tuple[int, float]:
+        """(k, value) of the candidate that ``max`` over the candidates in
+        order picks at ``rate``: the earliest of equal values, and a NaN
+        value only as the first candidate."""
+        values = _candidate_values(self.i_rate, self.d_rate, rate)
+        k = 0 if np.isnan(values[0]) else int(np.argmax(np.fmax(values, -np.inf)))
+        return k, float(values[k])
+
+    def maximizer(self, k: int) -> dict:
+        """Candidate k's record: message count, encoder tables and stopping
+        pair, as (t1, t) or as the two rules' sorted stop sets."""
+        a, b = int(self.first[self.pair[k]]), int(self.last[self.pair[k]])
+        pair = (a, b) if self.rules is None else tuple(
+            sorted(list(s) for s in self.rules[r].stops) for r in (a, b))
+        tables = [[list(row) for row in step] for step in self.tables[self.encoder[k]]]
+        return {"m": int(self.m[k]), "encoder_tables": tables, "pair": pair}
 
 
 def exponent_candidates(
     ch: Channel, horizon: int, cfg: SearchConfig = SearchConfig()
-) -> tuple[list[dict], tuple[str, ...]]:
+) -> tuple[Candidates, tuple[str, ...]]:
     """Enumerate (encoder, stopping-pair) candidates with their per-phase
     information and divergence, independent of the target rate.
 
-    Each candidate dict carries: m, tables, pair description, i_rate
-    (information per expected first-phase step), d_rate (divergence per
-    expected second-phase step), et, et1.  All rule pairs of one encoder's
-    law are evaluated in one array pass.  Flags are listed in the order
-    they were raised.
+    The candidates are ``Candidates`` columns, and ``len`` of them is their
+    count.  Each encoder's tables are kept once; stop sets are formed only
+    for a reported maximizer.  All pairs of one encoder's law are evaluated
+    in one array pass.  Flags are listed in the order they were raised.
     """
     if horizon < 2:
         raise SchemaError("exponent search needs horizon >= 2")
-    pairs, pair_kind, flags = _stopping_pairs(ch, horizon, cfg)
-    if pair_kind == "rules":
-        rules, first, last = pairs
-        stack = rule_stack(rules, horizon)
-        stop_sets = [sorted(list(s) for s in rule.stops) for rule in rules]
-    out: list[dict] = []
+    first, last, rules, flags = _stopping_pairs(ch, horizon, cfg)
+    stack = None if rules is None else rule_stack(rules, horizon)
+    encoders, messages, parts = [], [], []
     for m in cfg.messages:
         family, family_kind, _count = _encoder_family(
-            m, ch.spec.x_size, ch.spec.y_size, horizon, cfg.encoder_cap
-        )
+            m, ch.spec.x_size, ch.spec.y_size, horizon, cfg.encoder_cap)
         restricted = f"m{m}_encoders_restricted_to_per_step_maps"
         if family_kind == "per_step" and restricted not in flags:
             flags.append(restricted)
         for tables in family:
-            policy = encoder_policy_from_tables(
-                tables, m, ch.spec.x_size, ch.spec.y_size, horizon
-            )
+            policy = encoder_policy_from_tables(tables, m, ch.spec.x_size, ch.spec.y_size, horizon)
             law = forward_joint(ch, policy, horizon, budget=cfg.budget)
-            if pair_kind == "fixed":
-                ej, ed = _step_aggregates(law)
-                for t1, t in pairs:
-                    i_rate, d_rate = _fixed_pair_rates(ej, ed, t1, t)
-                    out.append(
-                        {
-                            "m": m,
-                            "tables": tables,
-                            "pair": (t1, t),
-                            "i_rate": i_rate,
-                            "d_rate": d_rate,
-                            "et": float(t),
-                            "et1": float(t1),
-                        }
-                    )
-            else:
-                keep, i_rate, d_rate, et, et1 = _rule_pair_rates(law, stack, first, last)
-                for k, i, d, e, e1 in zip(
-                    keep.tolist(), i_rate.tolist(), d_rate.tolist(), et.tolist(), et1.tolist()
-                ):
-                    out.append(
-                        {
-                            "m": m,
-                            "tables": tables,
-                            "pair": (stop_sets[first[k]], stop_sets[last[k]]),
-                            "i_rate": i,
-                            "d_rate": d,
-                            "et": e,
-                            "et1": e1,
-                        }
-                    )
-    return out, tuple(flags)
-
-
-def _candidate_value(cand: dict, rate: float) -> float:
-    i, d = cand["i_rate"], cand["d_rate"]
-    if i <= 1e-12:  # numerically uninformative first phase
-        return -math.inf
-    if math.isinf(d):
-        return math.inf if rate < i else -math.inf
-    return d * (1.0 - rate / i)
+            encoders.append(tables)
+            messages.append(m)
+            parts.append(_pair_rates(law, first, last, stack))
+    counts = [part[0].size for part in parts]
+    columns = (np.concatenate(column) for column in zip(*parts))
+    cands = Candidates(np.repeat(messages, counts), np.repeat(np.arange(len(parts)), counts),
+                       *columns, encoders, first, last, rules)
+    return cands, tuple(flags)
 
 
 def exponent_bound(
@@ -578,48 +597,36 @@ def exponent_bound(
     rate: float,
     horizon: int,
     cfg: SearchConfig = SearchConfig(),
-    _candidates: tuple[list[dict], tuple[str, ...]] | None = None,
+    _candidates: tuple[Candidates, tuple[str, ...]] | None = None,
 ) -> BoundResult:
     """Best candidate value of D * (1 - R/I) at the given rate.
 
-    Candidates whose searched information rate does not exceed R give
-    non-positive values; they are reported only when nothing positive
-    exists, with an explanatory flag.
+    Every candidate is scored at the rate in one array pass, and the
+    maximizer record is formed for the winner alone.  Candidates whose
+    searched information rate does not exceed R give non-positive values;
+    they are reported only when nothing positive exists, with an
+    explanatory flag.
     """
     if not rate >= 0:  # also rejects NaN
         raise SchemaError(f"rate must be a nonnegative number, got {rate!r}")
     cands, flags = _candidates if _candidates is not None else exponent_candidates(
-        ch, horizon, cfg
-    )
+        ch, horizon, cfg)
     flags = tuple(flags)
-    if not cands:
+    if not len(cands):
         return BoundResult(
             kind="exponent", value=-math.inf, horizon=horizon, rate=rate,
             flags=flags + ("no_candidates",),
         )
-    best = max(cands, key=lambda c: _candidate_value(c, rate))
-    value = _candidate_value(best, rate)
+    k, value = cands.best(rate)
     if value <= 0.0:
         flags = flags + ("rate_exceeds_searched_information",)
     if math.isinf(value) and value > 0:
         flags = flags + ("infinite_divergence",)
-    maximizer = {
-        "m": best["m"],
-        "encoder_tables": [
-            [list(row) for row in step] for step in best["tables"]
-        ],
-        "pair": best["pair"],
-    }
-    diagnostics = {
-        "i_rate": best["i_rate"],
-        "d_rate": best["d_rate"],
-        "et": best["et"],
-        "et1": best["et1"],
-        "candidates": len(cands),
-    }
+    diagnostics = {c: float(getattr(cands, c)[k]) for c in ("i_rate", "d_rate", "et", "et1")}
+    diagnostics["candidates"] = len(cands)
     return BoundResult(
         kind="exponent", value=value, horizon=horizon, rate=rate,
-        maximizer=maximizer, diagnostics=diagnostics, flags=flags,
+        maximizer=cands.maximizer(k), diagnostics=diagnostics, flags=flags,
     )
 
 
@@ -645,23 +652,17 @@ def reevaluate(result: BoundResult, ch: Channel, cfg: SearchConfig = SearchConfi
         law = forward_joint(ch, policy, result.horizon, budget=cfg.budget)
         pair = result.maximizer["pair"]
         if isinstance(pair[0], (int, float)):
-            i_rate, d_rate = _fixed_pair_rates(*_step_aggregates(law), int(pair[0]), int(pair[1]))
+            first, last, stack = int(pair[0]), int(pair[1]), None
         else:
-            first, last = (
-                StoppingRule(
-                    horizon=result.horizon, y_size=ch.spec.y_size,
-                    stops=frozenset(tuple(s) for s in stops),
-                )
-                for stops in pair
-            )
-            if not first.dominates(last):
+            rules = [StoppingRule(horizon=result.horizon, y_size=ch.spec.y_size,
+                                  stops=frozenset(tuple(s) for s in stops)) for stops in pair]
+            if not rules[0].dominates(rules[1]):
                 raise SchemaError("window start must stop no later than window end")
-            stack = rule_stack([first, last], result.horizon)
-            keep, i, d, _, _ = _rule_pair_rates(law, stack, np.array([0]), np.array([1]))
-            if not keep.size:
-                raise SchemaError("stored stopping pair has an empty divergence phase")
-            i_rate, d_rate = float(i[0]), float(d[0])
-        return _candidate_value({"i_rate": i_rate, "d_rate": d_rate}, result.rate)
+            first, last, stack = 0, 1, rule_stack(rules, result.horizon)
+        keep, i_rate, d_rate, _, _ = _pair_rates(law, np.array([first]), np.array([last]), stack)
+        if not keep.size:
+            raise SchemaError("stored stopping pair has an empty divergence phase")
+        return float(_candidate_values(i_rate, d_rate, result.rate)[0])
     raise SchemaError(f"unknown bound kind {result.kind!r}")
 
 
@@ -724,7 +725,8 @@ def dmc_consistency(
         rate = cap * i / (n_rates + 1)
         res = exponent_bound(ch, rate, horizon, cfg, _candidates=cands)
         classical = c1 * (1.0 - rate / cap)
-        dev = abs(res.value - classical)
+        # equal values, both infinite included, deviate by 0.0, not inf - inf
+        dev = 0.0 if res.value == classical else abs(res.value - classical)
         worst = max(worst, dev)
         rows.append(
             {

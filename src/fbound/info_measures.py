@@ -23,6 +23,7 @@ exact 0.0, so the results are bit-identical to that loop.
 from __future__ import annotations
 
 import itertools
+import sys
 from functools import cached_property
 
 import numpy as np
@@ -54,6 +55,7 @@ __all__ = [
 ]
 
 _NORM_TOL = 1e-10
+_NORMAL_MIN = sys.float_info.min
 
 
 def _as_dist(p, what: str) -> np.ndarray:
@@ -120,14 +122,17 @@ def binary_entropy_inv(v: float, tol: float = 1e-12) -> float:
 def mutual_information(joint: np.ndarray) -> float:
     """I(A;B) in bits from a joint table P(a, b)."""
     j = np.asarray(joint, dtype=float)
-    pa = j.sum(axis=1)
-    pb = j.sum(axis=0)
+    pa = j.sum(axis=1).tolist()
+    pb = j.sum(axis=0).tolist()
     total = 0.0
-    for a in range(j.shape[0]):
-        for b in range(j.shape[1]):
-            v = j[a, b]
+    for a, row in enumerate(j.tolist()):
+        for b, v in enumerate(row):
             if v > 0.0:
-                total += v * np.log2(v / (pa[a] * pb[b]))
+                den = pa[a] * pb[b]
+                # a product below the normal range loses its low bits or
+                # underflows to 0.0, so divide by each factor in turn there
+                ratio = v / den if den >= _NORMAL_MIN else v / pa[a] / pb[b]
+                total += v * np.log2(ratio)
     return float(total)
 
 
@@ -182,10 +187,10 @@ class NodeTable:
     def __init__(self, law: JointLaw) -> None:
         y, n = law.channel.spec.y_size, law.horizon
         check_tree_size(y, n)
-        self._offsets = _level_offsets(y, n + 1)
         self._y, self._horizon = y, n
         self._xy, self._wy, self._w_post = law.xy_node, law.wy_node, law.w_post
         self._message_form = law.is_message_form
+        self._parent, self._symbol = law.node_parent, law.node_symbol
         # every history's ``_hist_index`` and level
         index = np.zeros(law.node_prob.size, dtype=np.int64)
         bounds = list(itertools.accumulate(law.sizes, initial=0))
@@ -195,7 +200,7 @@ class NodeTable:
         self._level = np.repeat(np.arange(n + 1), law.sizes)
         inner = bounds[n]
         self.level = self._level[:inner]
-        starts = np.array(self._offsets[:n], dtype=np.int64)
+        starts = np.array(_level_offsets(y, n)[:n], dtype=np.int64)
         self.node = np.repeat(starts, law.sizes[:n]) + index[:inner]
         self.prob = law.node_prob[:inner]
         self.node_mi = np.array([mutual_information(xy) for xy in self._xy], dtype=float)
@@ -246,26 +251,17 @@ class NodeTable:
         return rows
 
     @cached_property
-    def _position(self) -> np.ndarray:
-        # history index of every output-tree node of levels 0..N, -1 if unrealizable
-        n = self._horizon
-        flat = np.concatenate((self.node, self._offsets[n] + self.leaf))
-        pos = np.full(self._offsets[n + 1], -1, dtype=np.int64)
-        pos[flat] = np.arange(flat.size)
-        return pos
-
-    @cached_property
     def children(self) -> np.ndarray:
-        off = np.array(self._offsets)
-        first = (self.node - off[self.level]) * self._y + off[self.level + 1]
-        return self._position[first[:, None] + np.arange(self._y)]
+        kids = np.full((self.prob.size, self._y), -1, dtype=np.int64)
+        kids[self._parent[1:], self._symbol[1:]] = np.arange(1, self._parent.size)
+        return kids
 
     @cached_property
     def path_nodes(self) -> np.ndarray:
-        n = self._horizon
-        return np.stack(
-            [self._position[self._offsets[t] + self.leaf // self._y ** (n - t)]
-             for t in range(n + 1)], axis=1)
+        nodes = [np.arange(self.prob.size, self._parent.size)]
+        for _ in range(self._horizon):
+            nodes.append(self._parent[nodes[-1]])
+        return np.stack(nodes[::-1], axis=1)
 
 
 def node_table(law: JointLaw) -> NodeTable:

@@ -421,6 +421,21 @@ def loop_pair_candidates(law, m, tables, pairs, pair_kind):
     return out
 
 
+def loop_candidate_value(cand, rate):
+    """D * (1 - R/I) of one candidate dict, one value at a time."""
+    i, d = cand["i_rate"], cand["d_rate"]
+    if i <= 1e-12:  # numerically uninformative first phase
+        return -math.inf
+    if math.isinf(d):
+        return math.inf if rate < i else -math.inf
+    return d * (1.0 - rate / i)
+
+
+def loop_best_candidate(cands, rate):
+    """The candidate dict of largest value at ``rate``, by ``max``."""
+    return max(cands, key=lambda c: loop_candidate_value(c, rate))
+
+
 def loop_capacity_objective(law, rules):
     """Best stopped information per expected stop time over rules, one rule
     at a time; ties go to the earliest rule."""
@@ -892,7 +907,7 @@ def loop_dmc_consistency(
         rate = cap * i / (n_rates + 1)
         res = exponent_bound(ch, rate, horizon, cfg, _candidates=cands)
         classical = c1 * (1.0 - rate / cap)
-        dev = abs(res.value - classical)
+        dev = 0.0 if res.value == classical else abs(res.value - classical)
         worst = max(worst, dev)
         rows.append(
             {
@@ -2192,6 +2207,27 @@ def loop_induced_behavioral(self, ch, budget: int = 10**7):
     return InputPolicy(
         horizon=self.horizon, x_size=self.x_size, y_size=self.y_size, rows=rows
     )
+
+
+def position_links(law):
+    """``NodeTable.children`` and ``path_nodes`` through an inverse map over
+    the full output tree, from flat output-tree index to history position,
+    as the table built them before it read the law's parent links."""
+    from fbound.channel_model import _level_offsets
+    from fbound.info_measures import node_table
+
+    table = node_table(law)
+    y, n = law.channel.spec.y_size, law.horizon
+    offsets = _level_offsets(y, n + 1)
+    flat = np.concatenate((table.node, offsets[n] + table.leaf))
+    position = np.full(offsets[n + 1], -1, dtype=np.int64)
+    position[flat] = np.arange(flat.size)
+    off = np.array(offsets)
+    first = (table.node - off[table.level]) * y + off[table.level + 1]
+    children = position[first[:, None] + np.arange(y)]
+    path_nodes = np.stack(
+        [position[offsets[t] + table.leaf // y ** (n - t)] for t in range(n + 1)], axis=1)
+    return children, path_nodes
 
 
 def dict_law(law) -> DictLaw:

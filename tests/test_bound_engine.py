@@ -246,6 +246,16 @@ def test_dmc_consistency_tight_on_bsc(bsc02):
     assert "max deviation" in txt
 
 
+def test_dmc_consistency_equal_infinite_values_deviate_by_zero(z01):
+    # searched and classical are both inf on the Z channel; their difference
+    # is NaN, which max() left out of the reported maximum
+    rep = dmc_consistency(z01, horizon=2)
+    assert [(r["searched"], r["classical"]) for r in rep.rows] == [(math.inf, math.inf)] * 5
+    assert [r["deviation"] for r in rep.rows] == [0.0] * 5
+    assert rep.max_deviation == 0.0
+    assert "nan" not in rep.to_text()
+
+
 def test_dmc_consistency_degenerate(uniform22):
     rep = dmc_consistency(uniform22, horizon=2)
     assert rep.degenerate

@@ -103,6 +103,17 @@ def test_exponent_flagged_search_exits_1(capsys):
     assert "value inf" in out
 
 
+@pytest.mark.parametrize("channel,stopping", [(BSC01, "fixed"), (BSC01, "all"), (Z01, "all")])
+def test_bound_exponent_prints_plain_numbers(channel, stopping, capsys):
+    # a numpy scalar would print as np.float64(...) under numpy 2
+    main(["bound-exponent", "--channel", channel, "--rate", "0.25", "--horizon", "2",
+          "--stopping", stopping, "--messages", "2"])
+    lines = [ln for ln in capsys.readouterr().out.splitlines()
+             if ln.startswith(("value ", "diag "))]
+    assert len(lines) == 6
+    assert not [ln for ln in lines if "np." in ln or "(" in ln]
+
+
 def test_simulate_csv_identical_on_manifest_rerun(tmp_path, capsys):
     base = ["simulate", "--channel", BSC01, "--m", "2,4", "--n1", "3",
             "--n2", "4", "--cap", "2", "--trials", "600", "--seed", "11"]

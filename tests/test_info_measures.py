@@ -141,6 +141,15 @@ def test_directed_mi_stopped_fixed_equals_fixed_window():
     )
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_mutual_information_stays_finite_when_the_marginal_product_underflows():
+    # after a 1e-200 crossover, P(x) P(y) of the unlikely cells is ~1e-400
+    law = forward_joint(bsc(1e-200), repetition_encoder(2, 2, 3), 3)
+    mi = node_table(law).node_mi
+    assert np.isfinite(mi).all() and (mi >= 0.0).all() and (mi <= 1.0 + 1e-12).all()
+    assert math.isfinite(directed_mi_fixed(law, 3))
+
+
 # ---------------------------------------------------------------------------
 # directed KL
 # ---------------------------------------------------------------------------

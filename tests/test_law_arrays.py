@@ -153,6 +153,14 @@ def assert_same_accessors(law, old):
     assert table.node_kl.tobytes() == _stacked(kl[1:], table.node_kl).tobytes()
 
 
+def assert_same_links(law):
+    """The node table's child and path-prefix links against the inverse
+    map over the full output tree (``oracles.position_links``)."""
+    table = node_table(law)
+    for new, old in zip((table.children, table.path_nodes), oracles.position_links(law)):
+        assert new.dtype == old.dtype and np.array_equal(new, old)
+
+
 CASES = [
     (name, h)
     for name in CHANNEL_FILES + ["wide", "uniform32"]
@@ -168,6 +176,7 @@ def test_forward_joint_matches_the_recursion(name, horizon):
         for engine in ENGINES:
             assert_same_law(law, engine(ch, policy, horizon))
         assert_same_accessors(law, oracles.dict_forward_joint(ch, policy, horizon))
+        assert_same_links(law)
 
 
 @pytest.mark.parametrize("pass_size", [1, 40, 100])
@@ -182,7 +191,6 @@ def test_level_tables_counted_in_several_passes_match(pass_size, monkeypatch):
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered in divide:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:divide by zero encountered in scalar divide:RuntimeWarning")
 def test_underflowed_trajectories_are_kept_as_the_recursion_keeps_them():
     # pruning looks at the factors, not the product: a trajectory whose
     # probability underflows to 0.0 stays, and its 0/0 table rows are NaN
@@ -195,6 +203,7 @@ def test_underflowed_trajectories_are_kept_as_the_recursion_keeps_them():
         for engine in ENGINES:
             assert_same_law(law, engine(ch, policy, 3))
         assert_same_accessors(law, oracles.dict_forward_joint(ch, policy, 3))
+        assert_same_links(law)
 
 
 def test_forward_joint_matches_on_laws_shorter_than_the_policy():

@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 import oracles
 from fbound.bound_engine import (
+    Candidates,
     SearchConfig,
     _encoder_family,
     _step_aggregates,
@@ -321,8 +323,61 @@ def _loop_candidates(ch, horizon, cfg):
 def test_exponent_candidates_match_pair_loop(name, horizon, stopping):
     ch = _channel(name)
     cfg = SearchConfig(stopping=stopping, messages=(2,), encoder_cap=1000)
-    cands, _ = exponent_candidates(ch, horizon, cfg)
-    assert cands == _loop_candidates(ch, horizon, cfg)
+    cands, flags = exponent_candidates(ch, horizon, cfg)
+    want = _loop_candidates(ch, horizon, cfg)
+    assert len(cands) == len(want)
+    for column in ("m", "i_rate", "d_rate", "et", "et1"):
+        assert getattr(cands, column).tolist() == [c[column] for c in want]
+    assert [cands.maximizer(k) for k in range(len(cands))] == [_record(c) for c in want]
+    for rate in (0.0, 0.1, 0.3, 0.6, 1.5):
+        best = oracles.loop_best_candidate(want, rate)
+        res = exponent_bound(ch, rate, horizon, cfg, _candidates=(cands, flags))
+        assert res.value == oracles.loop_candidate_value(best, rate)
+        assert res.maximizer == _record(best)
+        assert [res.diagnostics[k] for k in ("i_rate", "d_rate", "et", "et1")] == [
+            best[k] for k in ("i_rate", "d_rate", "et", "et1")]
+
+
+def _record(cand):
+    """The maximizer record of a candidate dict."""
+    tables = [[list(row) for row in step] for step in cand["tables"]]
+    return {"m": cand["m"], "encoder_tables": tables, "pair": cand["pair"]}
+
+
+def _columns(i_rate, d_rate):
+    n = len(i_rate)
+    return Candidates(
+        m=np.full(n, 2), encoder=np.zeros(n, dtype=int), pair=np.zeros(n, dtype=int),
+        i_rate=np.array(i_rate), d_rate=np.array(d_rate), et=np.full(n, 2.0),
+        et1=np.ones(n), tables=[((0, 1),)], first=np.array([1]), last=np.array([2]),
+        rules=None,
+    )
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("i_rate,d_rate", [
+    ([0.5, 0.5, 0.5], [1.0, 2.0, 2.0]),        # an exact tie: the earliest wins
+    ([0.5, 0.4, 0.5], [2.0, 2.0, 2.0]),
+    ([0.5, 0.5, 0.5], [1.0, NAN, 3.0]),        # max passes over a later NaN
+    ([0.5, 0.5, 0.5], [NAN, 1.0, 3.0]),        # and keeps a NaN it starts from
+    ([0.5, 0.5], [NAN, NAN]),
+    ([NAN, 0.5], [1.0, 1.0]),
+    ([1e-13, 0.5, 0.2, 0.5], [INF, 0.0, INF, 0.0]),
+    ([0.1, 0.1], [INF, INF]),
+    ([0.0, 0.0], [1.0, 1.0]),                  # every value -inf: the first
+])
+@pytest.mark.parametrize("rate", [0.0, 0.25])
+def test_best_candidate_is_the_one_max_picks(i_rate, d_rate, rate):
+    cands = _columns(i_rate, d_rate)
+    dicts = [{"i_rate": i, "d_rate": d} for i, d in zip(i_rate, d_rate)]
+    values = [oracles.loop_candidate_value(c, rate) for c in dicts]
+    want = max(range(len(dicts)), key=values.__getitem__)
+    k, value = cands.best(rate)
+    assert k == want
+    assert type(value) is float
+    assert value == values[want] or (math.isnan(value) and math.isnan(values[want]))
 
 
 @pytest.mark.parametrize("name,rate", [("bsc01", 0.25), ("z01", 0.1), ("flip2", 0.05)])
