@@ -635,8 +635,7 @@ def reevaluate(result: BoundResult, ch: Channel, cfg: SearchConfig = SearchConfi
     the evaluation the search used."""
     if result.kind == "capacity":
         rows = _rows_from_maximizer(result.maximizer)
-        stops = frozenset(tuple(s) for s in result.maximizer["stop_set"])
-        rule = StoppingRule(horizon=result.horizon, y_size=ch.spec.y_size, stops=stops)
+        rule = StoppingRule(result.horizon, ch.spec.y_size, result.maximizer["stop_set"])
         stack = rule_stack([rule], result.horizon)
         value, _ = _capacity_objective(ch, rows, result.horizon, [rule], stack, cfg.budget)
         return value
@@ -652,10 +651,13 @@ def reevaluate(result: BoundResult, ch: Channel, cfg: SearchConfig = SearchConfi
         law = forward_joint(ch, policy, result.horizon, budget=cfg.budget)
         pair = result.maximizer["pair"]
         if isinstance(pair[0], (int, float)):
-            first, last, stack = int(pair[0]), int(pair[1]), None
+            if not (len(pair) == 2 and all(type(t) is int for t in pair)
+                    and 1 <= pair[0] < pair[1] <= result.horizon):
+                raise SchemaError(f"stored fixed stopping pair {list(pair)} is not two "
+                                  f"integers 1 <= t1 < t <= {result.horizon}")
+            first, last, stack = pair[0], pair[1], None
         else:
-            rules = [StoppingRule(horizon=result.horizon, y_size=ch.spec.y_size,
-                                  stops=frozenset(tuple(s) for s in stops)) for stops in pair]
+            rules = [StoppingRule(result.horizon, ch.spec.y_size, stops) for stops in pair]
             if not rules[0].dominates(rules[1]):
                 raise SchemaError("window start must stop no later than window end")
             first, last, stack = 0, 1, rule_stack(rules, result.horizon)

@@ -23,8 +23,8 @@ arrays over the realizable output histories of all levels (a sparse
 fixed-arity tree), numbered level by level in order of first appearance,
 and the trajectories are per-level parent and symbol arrays.  Histories
 are tuples of integer symbols only where a caller asks for them: policy
-arguments, error messages and ``JointLaw.trajectories``.  Budgets cap
-enumeration size rather than a hard horizon constant.
+arguments, error messages, ``JointLaw.trajectories`` and stop sets (a
+``StoppingRule`` is a stop-time array).  Budgets cap enumeration size.
 """
 
 from __future__ import annotations
@@ -620,32 +620,17 @@ def _level_offsets(y_size: int, levels: int) -> list[int]:
     return offsets
 
 
+def _check_rule_tree(n: int, y: int) -> None:
+    if n < 1 or y < 1:
+        raise SchemaError("stopping rule needs horizon >= 1 and a non-empty output alphabet")
+    check_tree_size(y, n)
+
+
 def _stop_time_table(stops: frozenset, n: int, y: int) -> np.ndarray:
-    """T on every length-n path (``_hist_index`` order), 0 where no stop node
-    is a prefix.  The nodes of one length fill their blocks in one array
-    pass, shorter first, so a filled block is an overlap; a set that fails a
-    check is refilled node by node, which names the node at fault."""
+    """T on every length-n path (``_hist_index`` order), filled one stop
+    node at a time, so a set that fails a check names the node at fault."""
     stime = np.zeros(y**n, dtype=np.int64)
-    ordered = sorted(stops, key=len)  # shorter first: an overlap names the longer node
-    for length, group in itertools.groupby(ordered, key=len):
-        flat = list(itertools.chain.from_iterable(group))
-        # only symbol types the per-node check accepts (np.bool_ is not one)
-        if not (1 <= length <= n
-                and all(issubclass(k, (int, np.integer)) for k in set(map(type, flat)))):
-            break
-        try:
-            syms = np.fromiter(flat, dtype=np.int64, count=len(flat)).reshape(-1, length)
-        except OverflowError:
-            break
-        blocks = stime.reshape(-1, y ** (n - length))
-        index = syms @ y ** np.arange(length - 1, -1, -1)
-        if not ((syms >= 0) & (syms < y)).all() or blocks[index].any():
-            break
-        blocks[index] = length
-    else:
-        return stime
-    stime[:] = 0
-    for node in ordered:
+    for node in sorted(stops, key=len):  # shorter first: an overlap names the longer node
         if not 1 <= len(node) <= n:
             raise SchemaError(f"stop node {node} outside 1..{n}")
         width = y ** (n - len(node))
@@ -653,59 +638,68 @@ def _stop_time_table(stops: frozenset, n: int, y: int) -> np.ndarray:
         if block.any():
             raise SchemaError(f"stop set is not prefix-minimal at {node}")
         block[:] = len(node)
+    unstopped = np.flatnonzero(stime == 0)
+    if unstopped.size:
+        raise SchemaError(f"rule never stops along {_path_at(unstopped[0], y, n)}")
     return stime
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class StoppingRule:
-    """A stopping time on the output filtration, given by the prefix-minimal
-    set of output histories at which it stops.
+    """A stopping time on the output filtration, held as its read-only
+    stop-time table: ``stop_times[i]`` is T on the i-th full-horizon output
+    path (``_hist_index`` order).  Read off it on first access are
+    ``stopped_nodes``, whether it has stopped at each history of length
+    0..horizon-1 (``_level_offsets`` layout), and ``stops``, its stop nodes.
 
-    Invariants enforced at construction: every symbol lies in the output
-    alphabet, no stopped history is a proper prefix of another, every
-    history has length in 1..horizon, and every length-``horizon`` history
-    without a stopped prefix is itself stopped (the rule always stops by the
-    horizon).
-
-    The rule is also held as two read-only tables, both built once at
-    construction and indexed like ``_hist_index``: ``stop_times[i]`` is T
-    on the i-th full-horizon output path, and ``stopped_nodes`` flags, for
-    every output history of length 0..horizon-1 (flat layout of
-    ``_level_offsets``), whether the rule has stopped there.  Stop times,
-    stopped tests and dominance are lookups into these tables, and the
-    stopped sums of ``info_measures`` are masked reductions over them.
+    ``StoppingRule(horizon, y_size, stops)`` checks a stop set: every
+    symbol in the alphabet, every length in 1..horizon, no stop node below
+    another, and a stop node on every full path.  ``fixed`` and
+    ``enumerate_stopping_rules`` build stop times valid by construction.
     """
 
     horizon: int
     y_size: int
-    stops: frozenset[tuple[int, ...]]
+    stop_times: np.ndarray = field(repr=False)
 
-    def __post_init__(self) -> None:
-        stops = frozenset(tuple(s) for s in self.stops)
-        object.__setattr__(self, "stops", stops)
-        n, y = self.horizon, self.y_size
-        if n < 1 or y < 1:
-            raise SchemaError("stopping rule needs horizon >= 1 and a non-empty output alphabet")
-        check_tree_size(y, n)
-        stime = _stop_time_table(stops, n, y)
-        # exhaustiveness at the horizon
-        unstopped = np.flatnonzero(stime == 0)
-        if unstopped.size:
-            raise SchemaError(f"rule never stops along {_path_at(unstopped[0], y, n)}")
+    def __init__(self, horizon: int, y_size: int, stops: Iterable[Sequence[int]]) -> None:
+        stops = frozenset(tuple(s) for s in stops)
+        _check_rule_tree(horizon, y_size)
+        stime = _stop_time_table(stops, horizon, y_size)
         stime.flags.writeable = False
-        object.__setattr__(self, "stop_times", stime)
-        stopped = np.concatenate([stime[:: y ** (n - t)] <= t for t in range(n)])
-        stopped.flags.writeable = False
-        object.__setattr__(self, "stopped_nodes", stopped)
+        self.__dict__.update(horizon=horizon, y_size=y_size, stop_times=stime, stops=stops)
+
+    @classmethod
+    def _of_times(cls, horizon: int, y_size: int, stop_times: np.ndarray) -> "StoppingRule":
+        """A rule whose stop times are valid by construction, unchecked."""
+        stop_times.flags.writeable = False
+        rule = cls.__new__(cls)
+        rule.__dict__.update(horizon=horizon, y_size=y_size, stop_times=stop_times)
+        return rule
 
     @classmethod
     def fixed(cls, t: int, horizon: int, y_size: int) -> "StoppingRule":
         """Deterministic T identically equal to t."""
-        if not 1 <= t <= horizon:
+        if isinstance(t, bool) or not isinstance(t, (int, np.integer)) or not 1 <= t <= horizon:
             raise SchemaError("fixed stopping time must lie in 1..horizon")
-        check_tree_size(y_size, horizon)
-        stops = frozenset(itertools.product(range(y_size), repeat=t))
-        return cls(horizon=horizon, y_size=y_size, stops=stops)
+        _check_rule_tree(horizon, y_size)
+        return cls._of_times(horizon, y_size, np.full(y_size**horizon, t, dtype=np.int64))
+
+    @cached_property
+    def stopped_nodes(self) -> np.ndarray:
+        """A history has stopped when its first path stops within it."""
+        n, y, stime = self.horizon, self.y_size, self.stop_times
+        stopped = np.concatenate([stime[:: y ** (n - t)] <= t for t in range(n)])
+        stopped.flags.writeable = False
+        return stopped
+
+    @cached_property
+    def stops(self) -> frozenset[tuple[int, ...]]:
+        """Each stop node is the first path of its block, cut at its time."""
+        n, y, stime = self.horizon, self.y_size, self.stop_times
+        heads = np.flatnonzero(np.arange(y**n) % y ** (n - stime) == 0)
+        paths = (heads[:, None] // y ** np.arange(n - 1, -1, -1) % y).tolist()
+        return frozenset(tuple(p[:t]) for p, t in zip(paths, stime[heads].tolist()))
 
     def tables_at(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """(stopped, times) for a law of horizon n: the stopped mask over
@@ -753,46 +747,29 @@ class StoppingRule:
         return bad.size == 0
 
 
-def enumerate_stopping_rules(
-    horizon: int, y_size: int, cap: int = 10**5
-) -> list[StoppingRule]:
-    """All prefix-minimal bounded stopping rules up to the horizon.
-
-    Raises BudgetExceededError when the count would exceed ``cap``; callers
-    fall back to the fixed-T family in that case.
+def enumerate_stopping_rules(horizon: int, y_size: int, cap: int = 10**5) -> list[StoppingRule]:
+    """All prefix-minimal bounded stopping rules up to the horizon, as
+    stop-time rows built from the deepest level up: below a node at depth
+    d, the rule that stops there (d > 0 only), then one per combination of
+    its children's rules in ``itertools.product`` order.  Their count,
+    1 + k_{d+1}^y (k_1^y at the root), is checked before any row is built:
+    BudgetExceededError past ``cap``, where callers fall back to fixed T.
     """
-
-    def node_options(depth: int) -> list[frozenset[tuple[int, ...]]]:
-        # options for the subtree hanging below a node at this depth, each a
-        # set of stop nodes given as suffixes
-        if depth == horizon:
-            return [frozenset([()])]
-        out = [frozenset([()])]
-        child_opts = node_options(depth + 1)
-        for combo in itertools.product(child_opts, repeat=y_size):
-            merged = frozenset(
-                (sym,) + suffix for sym, opt in enumerate(combo) for suffix in opt
-            )
-            out.append(merged)
-            if len(out) > cap:
-                raise BudgetExceededError(
-                    f"stopping-rule count exceeds cap {cap} at horizon {horizon}"
-                )
-        return out
-
-    rules = []
-    # the root itself cannot stop (T >= 1), so expand the first symbol level
-    child_opts = node_options(1)
-    for combo in itertools.product(child_opts, repeat=y_size):
-        stops = frozenset(
-            (sym,) + suffix for sym, opt in enumerate(combo) for suffix in opt
-        )
-        rules.append(StoppingRule(horizon=horizon, y_size=y_size, stops=stops))
-        if len(rules) > cap:
-            raise BudgetExceededError(
-                f"stopping-rule count exceeds cap {cap} at horizon {horizon}"
-            )
-    return rules
+    n, y = horizon, y_size
+    _check_rule_tree(n, y)
+    count = 1
+    for depth in range(n - 1, -1, -1):
+        count = count**y + (depth > 0)
+        if count > cap:
+            raise BudgetExceededError(f"stopping-rule count exceeds cap {cap} at horizon {n}")
+    rows = np.full((1, 1), n, dtype=np.int64)  # the one rule below a depth-n node
+    for depth in range(n - 1, -1, -1):
+        # (symbol, combination, path): the child rules of each combination
+        combos = rows[np.indices((len(rows),) * y).reshape(y, -1)]
+        rows = combos.transpose(1, 0, 2).reshape(combos.shape[1], -1)
+        if depth:
+            rows = np.concatenate((np.full((1, rows.shape[1]), depth), rows))
+    return [StoppingRule._of_times(n, y, times) for times in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -975,7 +952,6 @@ def forward_joint(
         if encoder:
             x = xs.take(par)
         msg = msg.take(par)
-        s_mem, x_mem = s_mem.take(par) * sn + s, x_mem.take(par) * xn + x
         # each child's output node: (parent node, y), numbered in order of
         # first appearance
         key = node.take(par) * yn + y
@@ -986,6 +962,7 @@ def forward_joint(
         steps.append((par, np.array((node + base, x, y, s))))
         sizes.append(first.size)
         if t < horizon:
+            s_mem, x_mem = s_mem.take(par) * sn + s, x_mem.take(par) * xn + x
             # the next calls: one per distinct (parent call, x, y), where an
             # encoder's call fixes x; with one state, each child is its own
             parent = call.take(par)

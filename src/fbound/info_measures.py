@@ -335,14 +335,27 @@ def expected_stop_time(law: JointLaw, rule: StoppingRule) -> float:
     return float(ordered_sum(node_table(law).leaf_prob * path_stop_times(law, rule)))
 
 
+def stop_nodes(law: JointLaw, rule: StoppingRule) -> np.ndarray:
+    """The stop history of every full path, by node-table position.  A stop
+    history of probability 0.0 has no posterior (0/0), so it is an error."""
+    table = node_table(law)
+    times = path_stop_times(law, rule)
+    stop = table.path_nodes[np.arange(times.size), times]
+    prob = np.concatenate((table.prob, table.leaf_prob))[stop]
+    if not prob.all():
+        k = int(np.argmin(prob != 0.0))
+        raise DistributionError(
+            f"stop history {table.history(stop[k])} at time {times[k]} has probability 0.0")
+    return stop
+
+
 def stop_error(law: JointLaw, rule: StoppingRule) -> tuple[float, float]:
     """(pe, E[T]): the error probability of maximum-posterior decoding at
     the stop node, and the expected stop time.  Each stop node's mass is
     summed over its paths in path order, and pe over the stop nodes in order
     of first appearance."""
     table = node_table(law)
-    times = path_stop_times(law, rule)
-    stop = table.path_nodes[np.arange(times.size), times]
+    stop = stop_nodes(law, rule)
     nodes, first, inv = np.unique(stop, return_index=True, return_inverse=True)
     order = np.argsort(first)
     mass = np.bincount(inv, table.leaf_prob)[order]

@@ -309,6 +309,100 @@ def loop_rule_tables(stops, n, y):
     return stime, stopped
 
 
+def block_stop_time_table(stops: frozenset, n: int, y: int) -> np.ndarray:
+    """``StoppingRule``'s stop-time fill with its block fast path, as the
+    library had it: without the exhaustiveness check, which the
+    constructor ran after it."""
+    from fbound.channel_model import SchemaError, _symbol_index
+
+    stime = np.zeros(y**n, dtype=np.int64)
+    ordered = sorted(stops, key=len)  # shorter first: an overlap names the longer node
+    for length, group in itertools.groupby(ordered, key=len):
+        flat = list(itertools.chain.from_iterable(group))
+        # only symbol types the per-node check accepts (np.bool_ is not one)
+        if not (1 <= length <= n
+                and all(issubclass(k, (int, np.integer)) for k in set(map(type, flat)))):
+            break
+        try:
+            syms = np.fromiter(flat, dtype=np.int64, count=len(flat)).reshape(-1, length)
+        except OverflowError:
+            break
+        blocks = stime.reshape(-1, y ** (n - length))
+        index = syms @ y ** np.arange(length - 1, -1, -1)
+        if not ((syms >= 0) & (syms < y)).all() or blocks[index].any():
+            break
+        blocks[index] = length
+    else:
+        return stime
+    stime[:] = 0
+    for node in ordered:
+        if not 1 <= len(node) <= n:
+            raise SchemaError(f"stop node {node} outside 1..{n}")
+        width = y ** (n - len(node))
+        block = stime[_symbol_index(node, y) * width :][:width]
+        if block.any():
+            raise SchemaError(f"stop set is not prefix-minimal at {node}")
+        block[:] = len(node)
+    return stime
+
+
+def block_rule_tables(stops, n, y):
+    """``StoppingRule``'s checks and tables as its constructor built them
+    with the block fill: (stop_times, stopped_nodes)."""
+    from fbound.channel_model import SchemaError, _path_at, check_tree_size
+
+    stops = frozenset(tuple(s) for s in stops)
+    if n < 1 or y < 1:
+        raise SchemaError("stopping rule needs horizon >= 1 and a non-empty output alphabet")
+    check_tree_size(y, n)
+    stime = block_stop_time_table(stops, n, y)
+    # exhaustiveness at the horizon
+    unstopped = np.flatnonzero(stime == 0)
+    if unstopped.size:
+        raise SchemaError(f"rule never stops along {_path_at(unstopped[0], y, n)}")
+    stopped = np.concatenate([stime[:: y ** (n - t)] <= t for t in range(n)])
+    return stime, stopped
+
+
+def loop_enumerate_stopping_rules(horizon, y_size, cap=10**5):
+    """All prefix-minimal bounded stopping rules up to the horizon, as the
+    library enumerated them: one frozenset of stop nodes per rule, merged
+    from the children's sets, each rule built from its set."""
+    from fbound.channel_model import BudgetExceededError, StoppingRule
+
+    def node_options(depth: int) -> list[frozenset[tuple[int, ...]]]:
+        # options for the subtree hanging below a node at this depth, each a
+        # set of stop nodes given as suffixes
+        if depth == horizon:
+            return [frozenset([()])]
+        out = [frozenset([()])]
+        child_opts = node_options(depth + 1)
+        for combo in itertools.product(child_opts, repeat=y_size):
+            merged = frozenset(
+                (sym,) + suffix for sym, opt in enumerate(combo) for suffix in opt
+            )
+            out.append(merged)
+            if len(out) > cap:
+                raise BudgetExceededError(
+                    f"stopping-rule count exceeds cap {cap} at horizon {horizon}"
+                )
+        return out
+
+    rules = []
+    # the root itself cannot stop (T >= 1), so expand the first symbol level
+    child_opts = node_options(1)
+    for combo in itertools.product(child_opts, repeat=y_size):
+        stops = frozenset(
+            (sym,) + suffix for sym, opt in enumerate(combo) for suffix in opt
+        )
+        rules.append(StoppingRule(horizon=horizon, y_size=y_size, stops=stops))
+        if len(rules) > cap:
+            raise BudgetExceededError(
+                f"stopping-rule count exceeds cap {cap} at horizon {horizon}"
+            )
+    return rules
+
+
 def loop_directed_mi_stopped(law, rule):
     from fbound.channel_model import SchemaError
     from fbound.info_measures import mutual_information

@@ -170,6 +170,17 @@ def test_exponent_bound_rejects_short_horizon(bsc01):
         exponent_bound(bsc01, 0.1, 1)
 
 
+@pytest.mark.parametrize("pair", [[2, 2], [0, 2], [2, 1], [-1, 2], [1, 5], [1.5, 2], [True, 2]])
+def test_reevaluate_refuses_a_malformed_fixed_pair(bsc01, pair):
+    # each once ended in a ZeroDivisionError, a -0.0 or -inf value, slices
+    # past the horizon, or a truncation to [1, 2]
+    res = exponent_bound(bsc01, 0.25, 2, SearchConfig(messages=(2,)))
+    assert res.maximizer["pair"] == (1, 2)
+    res.maximizer["pair"] = pair
+    with pytest.raises(SchemaError, match="stored fixed stopping pair"):
+        reevaluate(res, bsc01)
+
+
 def test_exponent_bound_state_channel_reevaluates(flip2):
     # first-phase information tops out near 0.075 bits/use here, so pick a
     # rate safely inside the searched range

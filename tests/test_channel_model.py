@@ -295,6 +295,12 @@ def test_fixed_rule_and_threshold_rule():
     rule = StoppingRule(horizon=2, y_size=2, stops=frozenset({(0,), (1, 0), (1, 1)}))
     assert rule.stop_time((0, 1)) == 1
     assert rule.stop_time((1, 0)) == 2
+    # a time that is not an integer in 1..horizon is refused, not truncated
+    for t in (0, 4, 2.5, True):
+        with pytest.raises(SchemaError, match="fixed stopping time"):
+            StoppingRule.fixed(t, 3, 2)
+    with pytest.raises(SchemaError, match="non-empty output alphabet"):
+        StoppingRule.fixed(1, 1, 0)
 
 
 def test_rule_validation_rejects_bad_sets():
@@ -310,6 +316,8 @@ def test_enumerate_rules_count_small_horizons():
     assert len(enumerate_stopping_rules(3, 2)) == 25
     with pytest.raises(BudgetExceededError):
         enumerate_stopping_rules(3, 2, cap=10)
+    with pytest.raises(SchemaError, match="horizon >= 1"):
+        enumerate_stopping_rules(0, 2)
 
 
 @settings(max_examples=60, deadline=None)

@@ -26,6 +26,7 @@ from fbound.bound_engine import (
     reevaluate,
 )
 from fbound.channel_model import (
+    BudgetExceededError,
     SchemaError,
     StoppingRule,
     enumerate_stopping_rules,
@@ -158,8 +159,9 @@ def _random_stops(rng, horizon, y_size, p_stop):
 
 def _tables(stops, horizon, y_size):
     """(stop_times, stopped_nodes) as lists, or the error message, of the
-    rule and of the per-node fill.  Both see one frozenset: where several
-    nodes are at fault, the one named depends on its iteration order."""
+    rule, of the per-node fill and of the block fill.  All see one
+    frozenset: where several nodes are at fault, the one named depends on
+    its iteration order."""
     stops = frozenset(stops)
 
     def rule():
@@ -167,7 +169,8 @@ def _tables(stops, horizon, y_size):
         return built.stop_times, built.stopped_nodes
 
     out = []
-    for build in (rule, lambda: oracles.loop_rule_tables(stops, horizon, y_size)):
+    for build in (rule, lambda: oracles.loop_rule_tables(stops, horizon, y_size),
+                  lambda: oracles.block_rule_tables(stops, horizon, y_size)):
         try:
             times, stopped = build()
         except SchemaError as e:
@@ -180,13 +183,14 @@ def _tables(stops, horizon, y_size):
 @pytest.mark.parametrize("horizon,y_size", [(1, 3), (5, 2), (9, 2), (4, 3), (3, 5)])
 def test_rule_construction_matches_the_per_node_fill(horizon, y_size):
     for t in range(1, horizon + 1):
-        built, looped = _tables(StoppingRule.fixed(t, horizon, y_size).stops, horizon, y_size)
-        assert built == looped and built[0] != "error"
+        built, looped, block = _tables(StoppingRule.fixed(t, horizon, y_size).stops,
+                                       horizon, y_size)
+        assert built == looped == block and built[0] != "error"
     rng = np.random.default_rng(horizon * 10 + y_size)
     for k in range(40):
         stops = _random_stops(rng, horizon, y_size, p_stop=(0.1, 0.3, 0.6)[k % 3])
-        built, looped = _tables(stops, horizon, y_size)
-        assert built == looped and built[0] != "error"
+        built, looped, block = _tables(stops, horizon, y_size)
+        assert built == looped == block and built[0] != "error"
         if k % 4 == 0:
             rule = StoppingRule(horizon=horizon, y_size=y_size, stops=frozenset(stops))
             for path in itertools.product(range(y_size), repeat=horizon):
@@ -203,15 +207,50 @@ def test_rule_construction_matches_the_per_node_fill(horizon, y_size):
             stops + [(0,) * (horizon + 1)],  # a node past the horizon
         ]
         for bad in broken:
-            built, looped = _tables(bad, horizon, y_size)
-            assert built == looped and built[0] == "error", bad
+            built, looped, block = _tables(bad, horizon, y_size)
+            assert built == looped == block and built[0] == "error", bad
         # a last symbol 1 of another type: bool and numpy integers are
         # accepted, np.bool_ and floats refused
         one = next(s for s in stops if s[-1] == 1)
         for sym, ok in ((True, True), (np.uint64(1), True), (np.True_, False), (1.0, False)):
             other = [s[:-1] + (sym,) if s == one else s for s in stops]
-            built, looped = _tables(other, horizon, y_size)
-            assert built == looped and (built[0] != "error") == ok, other
+            built, looped, block = _tables(other, horizon, y_size)
+            assert built == looped == block and (built[0] != "error") == ok, other
+
+
+ENUMERATED = [(h, 2) for h in range(1, 5)] + [(h, 3) for h in range(1, 4)]
+
+
+@pytest.mark.parametrize("horizon,y_size", ENUMERATED)
+def test_enumeration_matches_the_frozenset_recursion(horizon, y_size):
+    rules = enumerate_stopping_rules(horizon, y_size)
+    want = oracles.loop_enumerate_stopping_rules(horizon, y_size)
+    assert len(rules) == len(want)
+    for rule, ref in zip(rules, want):
+        assert rule.stop_times.tolist() == ref.stop_times.tolist()
+        assert rule.stopped_nodes.tolist() == ref.stopped_nodes.tolist()
+        assert rule.stops == ref.stops
+        assert {type(sym) for node in rule.stops for sym in node} == {int}
+        assert not rule.stop_times.flags.writeable and not rule.stopped_nodes.flags.writeable
+    count = len(want)
+    for enumerate_all in (enumerate_stopping_rules, oracles.loop_enumerate_stopping_rules):
+        with pytest.raises(BudgetExceededError,
+                           match=f"exceeds cap {count - 1} at horizon {horizon}$"):
+            enumerate_all(horizon, y_size, cap=count - 1)
+    assert len(enumerate_stopping_rules(horizon, y_size, cap=count)) == count
+
+
+@pytest.mark.parametrize("t,horizon,y_size", [(1, 1, 2), (2, 4, 2), (4, 4, 2), (2, 3, 3),
+                                              (1, 2, 5), (9, 9, 2)])
+def test_fixed_rule_stops_at_every_history_of_its_time(t, horizon, y_size):
+    rule = StoppingRule.fixed(t, horizon, y_size)
+    assert rule.stops == set(itertools.product(range(y_size), repeat=t))
+
+
+def test_fixed_rule_at_horizon_20_is_a_constant_table():
+    rule = StoppingRule.fixed(20, 20, 2)
+    assert rule.stop_times.size == 2**20 and (rule.stop_times == 20).all()
+    assert rule.stopped_nodes.size == 2**20 - 1 and not rule.stopped_nodes.any()
 
 
 # ---------------------------------------------------------------------------
