@@ -3,14 +3,14 @@
 Everything here recomputes quantities from first principles with flat
 cartesian-product loops and explicit probability formulas, sharing no code
 with the library beyond numpy.  Deliberately slow and simple.  The
-exceptions are the last five sections: the per-rule loops that the
-stopping-rule and node tables replaced, the recursive joint-law
-enumeration and memo-free capacity search that the level arrays replaced,
-the per-history drift checks and residual terms that the node-table
-reductions replaced, the simulator's recursive tree walk and per-trial
-state path that the array passes replaced, and the dict law engine and
-its views that the law's arrays and the node table's accessors replaced,
-kept as references for bit-identity.
+exceptions are the last five sections: the per-rule loops, the frozenset
+rule enumeration and the block fill that the stopping-rule and node tables
+replaced, the recursive joint-law enumeration and memo-free capacity
+search that the level arrays replaced, the per-history drift checks and
+residual terms that the node-table reductions replaced, the simulator's
+recursive tree walk and per-trial state path that the array passes
+replaced, and the dict law engine and its views that the law's arrays and
+the node table's accessors replaced, kept as references for bit-identity.
 """
 
 from __future__ import annotations

@@ -259,14 +259,13 @@ def test_a_stop_history_of_probability_zero_is_a_typed_error():
     # returned a NaN error probability, which residual_terms reported as a
     # binary-entropy argument.
     law = forward_joint(_channel("faint"), repetition_encoder(2, 2, 4), 4)
+    last, early = StoppingRule.fixed(4, 4, 2), StoppingRule.fixed(3, 4, 2)
     for check, args in ((dv.verify_fano, ()), (dv.verify_lemma4_budget, (0.9,)),
-                        (im.stop_error, (StoppingRule.fixed(4, 4, 2),)),
-                        (residual_terms, (StoppingRule.fixed(4, 4, 2), StoppingRule.fixed(3, 4, 2)))):
+                        (im.stop_error, (last,)), (residual_terms, (last, early))):
         with pytest.raises(DistributionError,
                            match=r"stop history \(0, 0, 1, 1\) at time 4 has probability 0.0"):
             check(law, *args)
     # a rule that stops before the underflow is checked as before
-    early = StoppingRule.fixed(3, 4, 2)
     assert not _zero_stop(law, early)
     assert_same(dv.verify_fano, oracles.loop_verify_fano, law, early)
 
