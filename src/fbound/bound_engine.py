@@ -650,6 +650,8 @@ def reevaluate(result: BoundResult, ch: Channel, cfg: SearchConfig = SearchConfi
         )
         law = forward_joint(ch, policy, result.horizon, budget=cfg.budget)
         pair = result.maximizer["pair"]
+        if not isinstance(pair, (list, tuple)) or not pair:
+            raise SchemaError(f"stored stopping pair {pair!r} is not a non-empty list")
         if isinstance(pair[0], (int, float)):
             if not (len(pair) == 2 and all(type(t) is int for t in pair)
                     and 1 <= pair[0] < pair[1] <= result.horizon):
@@ -657,6 +659,8 @@ def reevaluate(result: BoundResult, ch: Channel, cfg: SearchConfig = SearchConfi
                                   f"integers 1 <= t1 < t <= {result.horizon}")
             first, last, stack = pair[0], pair[1], None
         else:
+            if len(pair) != 2:
+                raise SchemaError(f"stored rule pair has {len(pair)} stop sets, not 2")
             rules = [StoppingRule(result.horizon, ch.spec.y_size, stops) for stops in pair]
             if not rules[0].dominates(rules[1]):
                 raise SchemaError("window start must stop no later than window end")

@@ -663,7 +663,10 @@ class StoppingRule:
     stop_times: np.ndarray = field(repr=False)
 
     def __init__(self, horizon: int, y_size: int, stops: Iterable[Sequence[int]]) -> None:
-        stops = frozenset(tuple(s) for s in stops)
+        try:
+            stops = frozenset(tuple(s) for s in stops)
+        except TypeError:
+            raise SchemaError(f"stop set {stops!r} is not a set of output sequences") from None
         _check_rule_tree(horizon, y_size)
         stime = _stop_time_table(stops, horizon, y_size)
         stime.flags.writeable = False

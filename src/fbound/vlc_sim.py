@@ -41,7 +41,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaincinv
 
 from .channel_model import BudgetExceededError, Channel, SchemaError
 from .info_measures import ordered_sum, row_divergences
@@ -240,8 +239,13 @@ def build_repetition_confirm(
 
 
 def _clopper_pearson(k: int, n: int, level: float = 0.95) -> tuple[float, float]:
-    """Exact binomial interval from beta quantiles; ``betaincinv`` is the
-    beta quantile function without the import cost of ``scipy.stats``."""
+    """Exact binomial interval from beta quantiles (``betaincinv``).
+
+    scipy is imported here, not at module level: only ``simulate`` needs
+    the interval, and ``scipy.special`` would otherwise be most of every
+    command's start-up."""
+    from scipy.special import betaincinv
+
     a = (1.0 - level) / 2.0
     lo = 0.0 if k == 0 else float(betaincinv(k, n - k + 1, a))
     hi = 1.0 if k == n else float(betaincinv(k + 1, n - k, 1.0 - a))

@@ -181,6 +181,27 @@ def test_reevaluate_refuses_a_malformed_fixed_pair(bsc01, pair):
         reevaluate(res, bsc01)
 
 
+@pytest.mark.parametrize("pair,message", [
+    ([], r"stored stopping pair \[\] is not a non-empty list"),
+    ([[[0], [1]]], "stored rule pair has 1 stop sets, not 2"),
+], ids=["empty", "one-stop-set"])
+def test_reevaluate_refuses_a_malformed_pair_record(bsc01, pair, message):
+    # each once ended in an IndexError
+    res = exponent_bound(bsc01, 0.25, 2, SearchConfig(messages=(2,)))
+    res.maximizer["pair"] = pair
+    with pytest.raises(SchemaError, match=message):
+        reevaluate(res, bsc01)
+
+
+@pytest.mark.parametrize("stop_set", [[1, 2], None], ids=["integers", "null"])
+def test_reevaluate_refuses_a_malformed_stop_set(bsc01, stop_set):
+    # each once ended in a TypeError
+    res = capacity_bound(bsc01, 2, SearchConfig(restarts=0))
+    res.maximizer["stop_set"] = stop_set
+    with pytest.raises(SchemaError, match="is not a set of output sequences"):
+        reevaluate(res, bsc01)
+
+
 def test_exponent_bound_state_channel_reevaluates(flip2):
     # first-phase information tops out near 0.075 bits/use here, so pick a
     # rate safely inside the searched range

@@ -312,11 +312,15 @@ def test_bad_search_inputs_exit_2_with_a_message(argv, env, capsys, monkeypatch)
     assert captured.out == ""
 
 
-def test_cli_import_leaves_scipy_stats_out():
-    code = "import sys, fbound.cli; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=child_env(), check=True).stdout
-    assert out.strip() == "False"
+def test_import_loads_no_scipy_module():
+    # scipy is only for simulate's interval; each import runs in a fresh
+    # interpreter, since this one has loaded scipy already
+    for module in ("fbound", "fbound.cli"):
+        code = (f"import sys, {module}; "
+                "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=child_env(), check=True).stdout
+        assert out.strip() == "[]", module
 
 
 # ``verify`` runs whose stdout and ``--out`` CSV (or error line) were
@@ -377,6 +381,19 @@ def test_simulate_exact_output_is_byte_identical_to_reference(name, args, tmp_pa
     out = tmp_path / "s.csv"
     assert main(["simulate", "--channel", *args, "--exact", "--out", str(out)]) == 0
     assert capsys.readouterr().out == (_REFERENCE / f"{name}.out").read_text()
+    assert out.read_bytes() == (_REFERENCE / f"{name}.csv").read_bytes()
+
+
+def test_simulate_in_a_fresh_process_matches_reference(tmp_path):
+    # the in-process runs above cannot catch a broken lazy scipy import:
+    # other test modules have loaded scipy by the time they run
+    name, args = SIMULATE_COMMANDS[1]
+    out = tmp_path / "s.csv"
+    proc = subprocess.run([sys.executable, "-m", "fbound.cli", "simulate", "--channel", *args,
+                           "--exact", "--out", str(out)], capture_output=True, text=True,
+                          cwd=_CHANNELS.parent, env=child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (_REFERENCE / f"{name}.out").read_text()
     assert out.read_bytes() == (_REFERENCE / f"{name}.csv").read_bytes()
 
 
