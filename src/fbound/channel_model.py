@@ -652,10 +652,11 @@ class StoppingRule:
     ``stopped_nodes``, whether it has stopped at each history of length
     0..horizon-1 (``_level_offsets`` layout), and ``stops``, its stop nodes.
 
-    ``StoppingRule(horizon, y_size, stops)`` checks a stop set: every
-    symbol in the alphabet, every length in 1..horizon, no stop node below
-    another, and a stop node on every full path.  ``fixed`` and
-    ``enumerate_stopping_rules`` build stop times valid by construction.
+    ``StoppingRule(horizon, y_size, stops)`` checks a stop set: a set of
+    output sequences, every symbol in the alphabet, every length in
+    1..horizon, no stop node below another, and a stop node on every full
+    path.  ``fixed`` and ``enumerate_stopping_rules`` build stop times
+    valid by construction.
     """
 
     horizon: int
