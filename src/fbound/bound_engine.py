@@ -375,13 +375,40 @@ def capacity_bound(ch: Channel, horizon: int, cfg: SearchConfig = SearchConfig()
 
 
 def _rows_from_maximizer(payload: dict):
+    stored = payload.get("policy_rows")
+    if not isinstance(stored, dict):
+        raise SchemaError(f"stored policy rows {stored!r} are not a mapping")
     rows = {}
-    for key, row in payload["policy_rows"].items():
-        t_s, xh_s, yh_s = key.split("|")
-        xh = tuple(int(v) for v in xh_s.split(",") if v != "")
-        yh = tuple(int(v) for v in yh_s.split(",") if v != "")
-        rows[(int(t_s), xh, yh)] = tuple(row)
+    for key, row in stored.items():
+        try:
+            t_s, xh_s, yh_s = key.split("|")
+            xh = tuple(int(v) for v in xh_s.split(",") if v != "")
+            yh = tuple(int(v) for v in yh_s.split(",") if v != "")
+            rows[(int(t_s), xh, yh)] = tuple(float(v) for v in row)
+        except (AttributeError, TypeError, ValueError) as e:
+            raise SchemaError(f"stored policy row {key!r}: {row!r} is not a 't|x,..|y,..' key "
+                              f"with a list of input probabilities") from e
     return rows
+
+
+def _tables_from_maximizer(payload: dict, y_size: int, horizon: int):
+    """The stored message count and encoder tables, refused unless step t
+    holds m rows of y_size**(t-1) integer inputs, for t = 1..horizon."""
+    m, tables = payload.get("m"), payload.get("encoder_tables")
+
+    def is_step(step, t):
+        return (isinstance(step, (list, tuple)) and len(step) == m
+                and all(isinstance(row, (list, tuple)) and len(row) == y_size ** (t - 1)
+                        and all(isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+                                for x in row)
+                        for row in step))
+
+    if not (type(m) is int and m >= 1 and isinstance(tables, (list, tuple))
+            and len(tables) == horizon
+            and all(is_step(step, t) for t, step in enumerate(tables, start=1))):
+        raise SchemaError(f"stored encoder tables are not, for m = {m!r} messages, {horizon} "
+                          f"steps of m rows of {y_size}**(t-1) integer inputs")
+    return m, tuple(tuple(tuple(row) for row in step) for step in tables)
 
 
 # ---------------------------------------------------------------------------
@@ -635,16 +662,14 @@ def reevaluate(result: BoundResult, ch: Channel, cfg: SearchConfig = SearchConfi
     the evaluation the search used."""
     if result.kind == "capacity":
         rows = _rows_from_maximizer(result.maximizer)
+        if "stop_set" not in result.maximizer:
+            raise SchemaError("stored capacity maximizer has no stop set")
         rule = StoppingRule(result.horizon, ch.spec.y_size, result.maximizer["stop_set"])
         stack = rule_stack([rule], result.horizon)
         value, _ = _capacity_objective(ch, rows, result.horizon, [rule], stack, cfg.budget)
         return value
     if result.kind == "exponent":
-        m = result.maximizer["m"]
-        tables = tuple(
-            tuple(tuple(row) for row in step)
-            for step in result.maximizer["encoder_tables"]
-        )
+        m, tables = _tables_from_maximizer(result.maximizer, ch.spec.y_size, result.horizon)
         policy = encoder_policy_from_tables(
             tables, m, ch.spec.x_size, ch.spec.y_size, result.horizon
         )

@@ -12,12 +12,18 @@ blocks; the final block's tentative decision is forced.
 Randomness convention (load-bearing for reproducibility): trial ``t`` of a
 run with seed ``s`` draws everything from ``Philox(key=[s, t])`` (two
 unsigned 64-bit key words) as one flat uniform vector
-``d = rng.random(1 + 2*N)`` with ``N = cap*(n1+n2)``: ``d[0]`` picks the
-message, ``d[1:N+1]`` drive the state draws position by position,
-``d[N+1:]`` drive the output draws (a single-state channel draws its one
-state too).  A run builds one Philox generator and re-keys it
-per trial (``_trial_uniforms``), which gives the same draws as a fresh
-generator per trial.
+``d = Generator(Philox(key=[s, t])).random(1 + 2*N)`` with
+``N = cap*(n1+n2)``: ``d[0]`` picks the message, ``d[1:N+1]`` drive the
+state draws position by position, ``d[N+1:]`` drive the output draws (a
+single-state channel draws its one state too).  Each chunk of trials keeps
+one Philox bit generator and one ``Generator``; before each trial it sets
+the bit generator's state, as plain Python ints, to a fresh
+``Philox(key=[s, t])``'s (zero counter, empty buffer) and draws the trial's
+row straight into the chunk's block (``_draw_uniforms``).  That gives the
+same draws as a fresh generator per trial, for every seed up to 2**64 - 1.
+A draw ``u`` picks the first index whose cumulative probability reaches
+``u`` (searchsorted, side "left"), so a draw on a cumulative entry goes to
+the lower index.
 
 There is one Monte Carlo path for every channel, and it and the exact
 evaluation are array passes: a chunk of trials, or one level of a message's
@@ -42,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel_model import BudgetExceededError, Channel, SchemaError
+from .channel_model import BudgetExceededError, Channel, SchemaError, check_seed
 from .info_measures import ordered_sum, row_divergences
 
 __all__ = [
@@ -333,38 +339,52 @@ def _log_metric(qbar: np.ndarray) -> np.ndarray:
         return np.where(qbar > 0, np.log2(np.where(qbar > 0, qbar, 1.0)), -np.inf)
 
 
-def _trial_uniforms(seed: int, start: int, count: int, width: int):
-    """The uniform vectors of trials start..start+count-1: for trial t,
-    ``Generator(Philox(key=[seed, t])).random(width)``.
+def _draw_uniforms(seed: int, start: int, count: int, width: int) -> np.ndarray:
+    """The uniform vectors of trials start..start+count-1, one row each: for
+    trial t, ``Generator(Philox(key=[seed, t])).random(width)``.
 
-    One bit generator serves every trial.  It is built once, for the first
-    trial's key, and its state dict kept as built: zero counter, empty
-    buffer.  Writing that dict back with the trial index as the second key
-    word re-keys it to exactly a fresh ``Philox(key=[seed, t])``, without
-    the per-trial construction and its entropy draw.
+    One bit generator and one ``Generator`` serve every trial.  Before each
+    row the bit generator's state is set to that of a fresh
+    ``Philox(key=[seed, t])`` (zero counter, empty buffer), given as plain
+    Python ints, and the row is drawn straight into its place, without the
+    per-trial construction and its entropy draw.
     """
     # a uint64 array: numpy casts a list key word of 2**63 or more through
-    # float64, which merges seeds
+    # float64, which merges seeds; the state setter takes plain ints as they are
     bits = np.random.Philox(key=np.array([seed, start], dtype=np.uint64))
     gen = np.random.Generator(bits)
-    fresh = bits.state
-    for t in range(start, start + count):
-        fresh["state"]["key"][1] = t
-        bits.state = fresh
-        yield gen.random(width)
-
-
-def _draw_uniforms(seed: int, start: int, count: int, width: int) -> np.ndarray:
+    key = [seed, start]
+    fresh = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, 0], "key": key},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
     out = np.empty((count, width))
-    for i, row in enumerate(_trial_uniforms(seed, start, count, width)):
-        out[i] = row
+    for i in range(count):
+        key[1] = start + i
+        bits.state = fresh
+        gen.random(out=out[i])
     return out
 
 
-def _inverse_cdf(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    # index of the first cumulative entry at or above u (ties go left, same
-    # as searchsorted side='left'), vectorized over leading axes
-    return (cum < u[..., None]).sum(axis=-1)
+def _columns(cum: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The last-axis entries of a cumulative table, each flattened in C order
+    over the leading axes into one contiguous column."""
+    return tuple(cum[..., k].ravel() for k in range(cum.shape[-1]))
+
+
+def _count_below(cols: tuple[np.ndarray, ...], row: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """For each draw ``u``, the number of entries of its cumulative row
+    (``row`` indexes the flattened leading axes of the table ``cols`` came
+    from) that lie below it: the index of the first entry at or above u,
+    as searchsorted(side="left"), so a draw on an entry goes to that entry."""
+    idx = np.zeros(row.shape, dtype=np.int64)
+    for col in cols:
+        idx += col.take(row) < u
+    return idx
 
 
 def _simulate_generic(
@@ -373,16 +393,21 @@ def _simulate_generic(
     """Monte Carlo of trials start..start+trials-1: every trial of a chunk
     of ``SIM_CHUNK`` advances one channel use at a time as one array pass.
 
-    At use t, every trial gathers its cumulative state law from the
-    kernel's ``use_table(t)`` at its state- and input-history indices,
-    draws its state and then its output by ``_inverse_cdf`` (searchsorted,
-    side "left"), as a per-trial loop would.  The data metric is summed from
-    0.0 in codeword position order and the confirm log-likelihood ratio from
-    0.0 in use order, so every trial's outcome is bit-identical to running
-    it alone.  A single-state channel takes the same pass.
+    A chunk's uniforms come from ``_draw_uniforms``, one re-keyed Philox
+    row per trial.  At use t, every trial reads its state law from the
+    kernel's cumulative ``use_table(t)`` at row ``s_mem * X_mem + x_mem``
+    of its state- and input-history indices, and its output law from the
+    cumulative channel matrix at row ``s * X + x``; ``_count_below`` draws
+    each by counting, column by column of the table, the entries below the
+    trial's uniform (searchsorted, side "left"), as a per-trial loop would.
+    The data metric is summed from 0.0 in codeword position order and the
+    confirm log-likelihood ratio from 0.0 in use order, so every trial's
+    outcome is bit-identical to running it alone.  A single-state channel
+    takes the same pass.
     """
     kernel = ch.kernel
-    cum_q = np.cumsum(ch.spec.q, axis=2)  # (s, x, y)
+    x_size, s_size = ch.spec.x_size, ch.spec.s_size
+    q_cols = _columns(np.cumsum(ch.spec.q, axis=2))  # rows s * X + x
     logq = _log_metric(_metric_matrix(ch))
     m, n1, cap = scheme.m, scheme.n1, scheme.cap
     block = scheme.block_len
@@ -395,6 +420,7 @@ def _simulate_generic(
     lq_pos = logq[cb].transpose(1, 2, 0)  # (n1, y, m): the data metric of each position
     llr_row = logq[xa] - logq[xn]
     cum_state = [np.cumsum(kernel.use_table(t), axis=2) for t in range(1, n_uses + 1)]
+    state_cols = [_columns(cum) for cum in cum_state]
 
     errors = 0
     t_sum = 0.0
@@ -412,14 +438,14 @@ def _simulate_generic(
             ll = np.zeros((n, m))
             for pos in range(block):
                 t = b * block + pos
-                cdf = cum_state[t]
-                s_mem, x_mem = s_mem % cdf.shape[0], x_mem % cdf.shape[1]
+                s_rows, x_rows = cum_state[t].shape[:2]
+                s_mem, x_mem = s_mem % s_rows, x_mem % x_rows
                 x = cb[w, pos] if pos < n1 else np.where(w_hat == w, xa, xn)
-                s = _inverse_cdf(cdf[s_mem, x_mem], us[:, t])
-                y = _inverse_cdf(cum_q[s, x], uy[:, t])
-                s_mem, x_mem = s_mem * ch.spec.s_size + s, x_mem * ch.spec.x_size + x
+                s = _count_below(state_cols[t], s_mem * x_rows + x_mem, us[:, t])
+                y = _count_below(q_cols, s * x_size + x, uy[:, t])
+                s_mem, x_mem = s_mem * s_size + s, x_mem * x_size + x
                 if pos < n1:
-                    ll = ll + lq_pos[pos, y]
+                    ll = ll + lq_pos[pos].take(y, axis=0)
                     if pos == n1 - 1:
                         w_hat = np.argmax(ll, axis=1)
                         llr = np.zeros(n)
@@ -448,9 +474,10 @@ def simulate(
     seed: int = 0,
 ) -> RunStats:
     """Monte Carlo run: one array pass (``_simulate_generic``) for every
-    channel, single-state or not."""
+    channel, single-state or not.  ``seed`` is an integer in 0..2**64 - 1."""
     if trials < 1:
         raise SchemaError("need at least one trial")
+    check_seed(seed, "seed")
     if scheme.x_size != ch.spec.x_size:
         raise SchemaError("scheme and channel disagree on the input alphabet")
     return RunStats.from_counts(scheme.m, trials, *_simulate_generic(scheme, ch, trials, seed, 0))

@@ -1778,14 +1778,25 @@ def loop_verify_maximal_inequality(
 # ``vlc_sim.exact_stats`` as a recursive depth-first walk over the stopped
 # output tree, and ``vlc_sim._simulate_generic`` as a loop over trials and
 # channel uses, kept verbatim (renamed, with imports moved inside) as the
-# references for bit-identity tests.
+# references for bit-identity tests.  The loop draws each trial's uniforms
+# by their documented definition, a fresh generator per trial, and shares
+# no draw code with the simulator.
+
+
+def fresh_trial_uniforms(seed: int, t: int, width: int) -> np.ndarray:
+    """Trial ``t``'s uniform vector: ``Generator(Philox(key=[seed, t])).random(width)``,
+    the key given as two unsigned 64-bit words."""
+    bits = np.random.Philox(key=np.array([seed, t], dtype=np.uint64))
+    return np.random.Generator(bits).random(width)
 
 
 def loop_simulate_generic(
-    scheme, ch, trials: int, seed: int, start: int
+    scheme, ch, trials: int, seed: int, start: int, draw=fresh_trial_uniforms
 ) -> tuple[int, float, float]:
+    """``draw(seed, t, width)`` gives trial t's uniforms; a test injects
+    its own draws through it."""
     from fbound.channel_model import SchemaError
-    from fbound.vlc_sim import _log_metric, _metric_matrix, _trial_uniforms
+    from fbound.vlc_sim import _log_metric, _metric_matrix
 
     q = ch.spec.q
     cum_q = np.cumsum(q, axis=2)  # (s, x, y)
@@ -1802,7 +1813,8 @@ def loop_simulate_generic(
     errors = 0
     t_sum = 0.0
     t_sqsum = 0.0
-    for d in _trial_uniforms(seed, start, trials, 1 + 2 * n_uses):
+    for t in range(start, start + trials):
+        d = draw(seed, t, 1 + 2 * n_uses)
         w = min(int(d[0] * m), m - 1)
         us, uy = d[1 : n_uses + 1], d[n_uses + 1 :]
         s_hist: tuple[int, ...] = ()

@@ -202,6 +202,44 @@ def test_reevaluate_refuses_a_malformed_stop_set(bsc01, stop_set):
         reevaluate(res, bsc01)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("encoder_tables", []),
+    ("encoder_tables", [[[0, 1]]]),
+    ("encoder_tables", [[[0], [1]], [[0, 1], [1]]]),
+    ("encoder_tables", None),
+    ("m", 3),
+    ("m", "2"),
+], ids=["no-steps", "one-step", "short-row", "null", "m-3", "m-string"])
+def test_reevaluate_refuses_malformed_encoder_tables(bsc01, field, value):
+    # each once ended in an IndexError or a TypeError
+    res = exponent_bound(bsc01, 0.25, 2, SearchConfig(messages=(2,)))
+    res.maximizer[field] = value
+    with pytest.raises(SchemaError, match="stored encoder tables are not"):
+        reevaluate(res, bsc01)
+
+
+@pytest.mark.parametrize("rows,message", [
+    ({"1|x|": [0.5, 0.5]}, r"stored policy row '1\|x\|'"),
+    ({"1|": [0.5, 0.5]}, r"stored policy row '1\|'"),
+    (None, "stored policy rows None are not a mapping"),
+    ({"1||": "ab"}, r"stored policy row '1\|\|': 'ab'"),
+], ids=["letter", "two-parts", "null", "string-row"])
+def test_reevaluate_refuses_malformed_policy_rows(bsc01, rows, message):
+    # each once ended in a ValueError or an AttributeError
+    res = capacity_bound(bsc01, 2, SearchConfig(restarts=0))
+    res.maximizer["policy_rows"] = rows
+    with pytest.raises(SchemaError, match=message):
+        reevaluate(res, bsc01)
+
+
+def test_reevaluate_refuses_a_missing_stop_set(bsc01):
+    # once a KeyError
+    res = capacity_bound(bsc01, 2, SearchConfig(restarts=0))
+    del res.maximizer["stop_set"]
+    with pytest.raises(SchemaError, match="stored capacity maximizer has no stop set"):
+        reevaluate(res, bsc01)
+
+
 def test_exponent_bound_state_channel_reevaluates(flip2):
     # first-phase information tops out near 0.075 bits/use here, so pick a
     # rate safely inside the searched range

@@ -209,18 +209,48 @@ def _dyadic_channel():
                    StateKernel("markov1", 2, 2, table=trans, init=np.array([0.375, 0.625])))
 
 
+def _eighths(u):
+    return (np.floor(u * 7.0) + 1.0) / 8.0
+
+
 def test_draws_on_a_cumulative_entry_go_to_the_lower_index(monkeypatch):
     # ties between a draw and a cumulative state or output probability go
     # to the first index whose cumulative mass reaches the draw, as
     # searchsorted(side="left") in the per-trial loop
-    real = vlc_sim._trial_uniforms
+    real = vlc_sim._draw_uniforms
+    monkeypatch.setattr(vlc_sim, "_draw_uniforms", lambda *args: _eighths(real(*args)))
 
-    def eighths(seed, start, count, width):
-        for row in real(seed, start, count, width):
-            yield (np.floor(row * 7.0) + 1.0) / 8.0
+    def draw(seed, t, width):
+        return _eighths(oracles.fresh_trial_uniforms(seed, t, width))
 
-    monkeypatch.setattr(vlc_sim, "_trial_uniforms", eighths)
     ch = _dyadic_channel()
     for sc in _schemes(ch, shapes=((2, 2, 2, 3), (4, 2, 2, 2))):
         args = (sc, ch, 200, 1, 0)
-        assert _simulate_generic(*args) == oracles.loop_simulate_generic(*args), sc
+        assert _simulate_generic(*args) == oracles.loop_simulate_generic(*args, draw=draw), sc
+
+
+def _cumulative_tables():
+    """Cumulative output tables with |Y| = 1, 2 and 3 (zeros, hence repeated
+    entries, included), and the cumulative state tables of a markov1 and a
+    history_table kernel."""
+    rng = np.random.default_rng(5)
+    for y_size in (1, 2, 3):
+        q = rng.dirichlet(np.ones(y_size), size=(3, 2))
+        if y_size > 1:
+            q[::2, :, 0] = 0.0
+        yield np.cumsum(q / q.sum(axis=2, keepdims=True), axis=2)
+    for kernel in (_channel("markov_s4_y3").kernel, _channel("histk2").kernel):
+        for t in range(1, (kernel.horizon_cap() or 2) + 1):
+            yield np.cumsum(kernel.use_table(t), axis=2)
+
+
+def test_column_count_is_searchsorted_left():
+    rng = np.random.default_rng(11)
+    for cum in _cumulative_tables():
+        flat = cum.reshape(-1, cum.shape[-1])
+        rows = rng.integers(0, flat.shape[0], size=400)
+        on_entry = flat[rows, rng.integers(0, flat.shape[1], size=rows.size)]
+        for u in (rng.random(rows.size), on_entry):
+            want = [np.searchsorted(flat[r], v, side="left") for r, v in zip(rows, u)]
+            got = vlc_sim._count_below(vlc_sim._columns(cum), rows, u)
+            assert got.tolist() == want, cum.shape

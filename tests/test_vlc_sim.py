@@ -128,11 +128,8 @@ def test_simulate_matches_the_per_trial_loop(yi_bsc01, bsc01):
 
 
 def _fresh_generator_draws(seed, start, count, width):
-    return np.array([
-        np.random.Generator(np.random.Philox(key=np.array([seed, t], dtype=np.uint64)))
-        .random(width)
-        for t in range(start, start + count)
-    ])
+    return np.array([oracles.fresh_trial_uniforms(seed, t, width)
+                     for t in range(start, start + count)])
 
 
 def test_rekeyed_generator_draws_what_a_fresh_one_per_trial_draws():
@@ -161,6 +158,14 @@ def test_top_seeds_get_their_own_key(yi_bsc01, bsc01):
                 != _draw_uniforms(seed - 1, 0, 2, 5).tobytes())
     top = simulate(yi_bsc01, bsc01, 500, seed=2**64 - 1)  # warnings are errors
     assert top != simulate(yi_bsc01, bsc01, 500, seed=0)
+
+
+def test_simulate_refuses_a_seed_outside_the_key_range(yi_bsc01, bsc01):
+    # -1 and 2**64 used to end in an OverflowError from the key array, and
+    # 1.5 ran silently as seed 1
+    for seed in (-1, 2**64, 1.5):
+        with pytest.raises(SchemaError, match=r"^seed must be an integer in 0\.\.2\*\*64 - 1"):
+            simulate(yi_bsc01, bsc01, 10, seed=seed)
 
 
 def test_simulate_seed_changes_outcome(yi_bsc01, bsc01):
