@@ -499,7 +499,10 @@ class InputPolicy:
             except ValueError:  # ragged or non-numeric rows
                 ok = False
             for key, row in () if ok else self.rows.items():
-                arr = np.asarray(row, dtype=float)
+                try:
+                    arr = np.asarray(row, dtype=float)
+                except (TypeError, ValueError):
+                    raise SchemaError(f"behavioral row {key} is not a numeric vector") from None
                 if arr.shape != (self.x_size,):
                     raise SchemaError(f"behavioral row {key} has wrong arity")
                 _check_distribution(arr, f"behavioral row {key}")

@@ -15,11 +15,17 @@ children of every realizable history, the per-history information and
 worst-row divergence, and the histories along every full path.  One-step
 drops are ``child_expectation``; the pruned process works on paths x
 levels arrays, with pruned indices, compensator and atoms computed once
-per call.  Every printed value is computed as the per-history loops did:
-logarithms and exponentials are ``math`` calls, one element at a time
-(numpy's ``exp`` and ``log2`` differ in the last bit), and every sum runs
-in the loops' order (``ordered_sum``, ``np.bincount``, cumulative sums),
-so margins, constants and counts are bit-identical.
+per call.  Lemma 5's divergences between the leading message's output row
+and every other message's, at all its histories at once, go through the
+node table's row-divergence kernel (``info_measures._row_kl``).  Every
+printed value is computed as the per-history loops did: the node-table
+columns and lemma 5's divergences keep the scalar ``entropy``,
+``mutual_information`` and ``kl``, numpy ``log2`` and sum grouping
+included; the checks' own logarithms and exponentials are ``math`` calls,
+one element at a time (numpy's ``exp`` and ``log2`` differ in the last
+bit); and every sum runs in the loops' order (``ordered_sum``,
+``np.bincount``, cumulative sums), so margins, constants and counts are
+bit-identical.
 
 Pruned-time conventions used throughout, for an entropy path H_0..H_N and a
 threshold eps (requires H_0 >= eps):
@@ -47,11 +53,11 @@ from .channel_model import (
     repetition_encoder,
 )
 from .info_measures import (
+    _row_kl,
     binary_entropy,
     binary_entropy_inv,
     child_expectation,
     entropy,
-    kl,
     log_ratio_bound,
     max_pairwise_row_kl,
     node_table,
@@ -617,14 +623,12 @@ def verify_lemma5_kl_transfer(
         cprime = 4.0 * (1.0 + d_max)
     slack = binary_entropy_inv(eps)
     table = node_table(law)
-    lhs = []
-    for w_rows, mu in zip(table.step[rows], table.posterior[rows]):
-        w_star = int(np.argmax(mu))  # the most likely message, ties to the lowest
-        lhs.append(max([0.0, *(
-            kl(w_rows[w_star], w_rows[w]) for w in range(law.messages)
-            if w != w_star and not np.isnan(w_rows[w]).any()
-        )]))
-    lhs = np.array(lhs, dtype=float)
+    w_rows = table.step[rows]
+    w_star = table.posterior[rows].argmax(axis=1)  # the most likely message, ties to the lowest
+    others = ~np.isnan(w_rows).any(axis=2)
+    others[np.arange(rows.size), w_star] = False
+    d = _row_kl(w_rows[np.arange(rows.size), w_star], w_rows, others)
+    lhs = np.where(d > 0.0, d, 0.0).max(axis=1)  # NaN off ``others``
     rhs = _kl_drift(law, mutate)[rows]
     margins = (rhs + cprime * slack - lhs).tolist()
     worst = min([math.inf, *margins])

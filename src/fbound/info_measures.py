@@ -18,6 +18,18 @@ it.  A stopping rule enters as its stopped mask and stop-time table (see
 evaluated in a single array pass.  Every sum runs left to right from 0.0 in
 the order of the per-history loop it replaces, and masked-out terms add an
 exact 0.0, so the results are bit-identical to that loop.
+
+The table's own columns are bulk reductions too, bit-identical to calling
+``mutual_information``, ``kl`` and ``entropy`` once per history: the same
+elementwise operations, with numpy's ``log2`` (``math.log2`` differs in the
+last bit), and the same sums.  The information of every entry is one pass
+over the (entries, X, Y) joints, its cells summed left to right in
+row-major order.  The divergence and entropy sums add only their positive
+terms, and how numpy's ``.sum()`` groups its terms depends on their count
+(pairwise from 8 terms on), so each row's positive terms are packed to the
+front and the rows that share a count are reduced together at that length
+(``_packed_sums``).  The scalar functions'
+checks run row-wise and raise the error the first failing call raised.
 """
 
 from __future__ import annotations
@@ -137,6 +149,94 @@ def mutual_information(joint: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
+# bulk columns: one array pass per column, with the scalar functions' checks,
+# operations and sum orders
+# ---------------------------------------------------------------------------
+
+
+def _row_checks(rows: np.ndarray, live) -> tuple[np.ndarray, np.ndarray]:
+    """``_as_dist``'s two checks on every row (last axis) of ``rows``: the
+    masks of the rows where ``live`` with a negative entry, and of those not
+    normalized."""
+    neg = live & (rows < 0).any(axis=-1)
+    off = live & (np.abs(rows.sum(axis=-1) - 1.0) > _NORM_TOL)
+    return neg, off
+
+
+def _raise_row(neg: bool, what: str) -> None:
+    """``_as_dist``'s error for a row that failed a check."""
+    raise DistributionError(f"{what} has a negative entry" if neg else f"{what} is not normalized")
+
+
+def _packed_sums(terms: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """Sum along the last axis of ``terms`` over the positions where ``pos``
+    (rows x last axis, shared by any middle axes), each as the 1-D ``.sum()``
+    of the compacted terms.  Each row's selected terms are moved to the
+    front in order, and rows sharing a count are reduced together at that
+    length, so numpy's pairwise summation groups the terms as it does in
+    the scalar functions."""
+    count = pos.sum(axis=1)
+    order = np.argsort(~pos, axis=1, kind="stable")
+    order = order.reshape(order.shape[:1] + (1,) * (terms.ndim - 2) + order.shape[1:])
+    packed = np.take_along_axis(terms, order, axis=-1)
+    out = np.empty(terms.shape[:-1])
+    for k in np.unique(count).tolist():
+        rows = count == k
+        out[rows] = np.ascontiguousarray(packed[rows, ..., :k]).sum(axis=-1)
+    return out
+
+
+def _joint_mi(xy: np.ndarray) -> np.ndarray:
+    """``mutual_information`` of every joint table ``xy[e]``: the same
+    marginals, ratios and ``np.log2`` terms, summed over the cells in
+    row-major order; a cell of no mass adds an exact 0.0."""
+    pa = xy.sum(axis=2, keepdims=True)
+    pb = xy.sum(axis=1, keepdims=True)
+    den = pa * pb
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = xy / den
+        small = den < _NORMAL_MIN
+        if small.any():
+            ratio = np.where(small, xy / pa / pb, ratio)
+        terms = np.where(xy > 0.0, xy * np.log2(ratio), 0.0)
+    return ordered_sum(terms.reshape(xy.shape[0], xy.shape[1] * xy.shape[2]))
+
+
+def _row_kl(p: np.ndarray, q: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """``kl(p[i], q[i, k])`` for every (i, k) where ``valid``, NaN elsewhere.
+
+    The checks run as the calls would in (i, k) order: the first failing
+    call names its argument and check."""
+    used = valid.any(axis=1)
+    p_neg, p_off = _row_checks(p, used)
+    q_neg, q_off = _row_checks(q, valid)
+    bad = p_neg | p_off | (q_neg | q_off).any(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if p_neg[i] or p_off[i]:
+            _raise_row(bool(p_neg[i]), "kl first argument")
+        k = int(np.argmax(q_neg[i] | q_off[i]))
+        _raise_row(bool(q_neg[i, k]), "kl second argument")
+    pos = p > 0.0
+    pp = p[:, None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sums = _packed_sums(pp * np.log2(pp / q), pos)
+    mismatch = (pos[:, None, :] & (q == 0.0)).any(axis=2)
+    return np.where(valid, np.where(mismatch, np.inf, sums), np.nan)
+
+
+def _row_entropy(mu: np.ndarray) -> np.ndarray:
+    """``entropy`` of every row of ``mu``; the first failing row raises."""
+    neg, off = _row_checks(mu, True)
+    bad = neg | off
+    if bad.any():
+        _raise_row(bool(neg[np.argmax(bad)]), "entropy input")
+    pos = mu > 0.0
+    terms = mu * np.log2(np.where(pos, mu, 1.0))
+    return -_packed_sums(terms, pos)
+
+
+# ---------------------------------------------------------------------------
 # directed information
 # ---------------------------------------------------------------------------
 
@@ -174,10 +274,15 @@ class NodeTable:
 
     Built on first use:
 
-    - x_kl[e, x]: D(row(x*) || row(x)) of the effective channel, NaN for an
-      unrealizable x; node_kl, its max (the worst-row divergence, 0.0 when
+    - x_kl[e, x]: D(row(x*) || row(x)) of the effective channel, x* the
+      first most likely input, NaN for an unrealizable x and +inf on a
+      support mismatch; node_kl, its max (the worst-row divergence, 0.0 when
       no x is realizable); kl = prob * node_kl
     - posterior and h: the message posterior and H(W | y^t) of each history
+
+    node_mi, x_kl and h are each one array pass over ``xy_node`` or the
+    posteriors (``_joint_mi``, ``_row_kl``, ``_row_entropy``), with no
+    per-history call of the scalar functions and the same bits.
     - step[e, w]: the per-message output law P(Y_t | W = w, y^{t-1}) of each
       entry, NaN for a message of posterior 0
     - children[e, y]: the history y^{t-1}y, -1 when unrealizable
@@ -203,7 +308,7 @@ class NodeTable:
         starts = np.array(_level_offsets(y, n)[:n], dtype=np.int64)
         self.node = np.repeat(starts, law.sizes[:n]) + index[:inner]
         self.prob = law.node_prob[:inner]
-        self.node_mi = np.array([mutual_information(xy) for xy in self._xy], dtype=float)
+        self.node_mi = _joint_mi(self._xy)
         self.mi = self.prob * self.node_mi
         self.leaf = index[inner:]
         self.leaf_prob = law.node_prob[inner:]
@@ -214,14 +319,12 @@ class NodeTable:
 
     @cached_property
     def x_kl(self) -> np.ndarray:
-        out = np.full(self._xy.shape[:2], np.nan)
-        for e, xy in enumerate(self._xy):
-            nu = xy.sum(axis=1)
-            real = np.flatnonzero(nu > 0.0)
-            if real.size:
-                x_star = real[np.argmax(nu[real])]
-                out[e, real] = [kl(xy[x_star] / nu[x_star], xy[x] / nu[x]) for x in real]
-        return out
+        nu = self._xy.sum(axis=2)
+        real = nu > 0.0
+        x_star = np.where(real, nu, 0.0).argmax(axis=1)  # the first most likely input
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rows = self._xy / nu[:, :, None]
+        return _row_kl(rows[np.arange(nu.shape[0]), x_star], rows, real)
 
     @cached_property
     def node_kl(self) -> np.ndarray:
@@ -240,7 +343,7 @@ class NodeTable:
     def h(self) -> np.ndarray:
         if not self._message_form:
             raise SchemaError("entropy process needs a message-form law")
-        return np.array([entropy(mu) for mu in self.posterior], dtype=float)
+        return _row_entropy(self.posterior)
 
     @cached_property
     def step(self) -> np.ndarray:

@@ -475,8 +475,11 @@ def simulate(
 ) -> RunStats:
     """Monte Carlo run: one array pass (``_simulate_generic``) for every
     channel, single-state or not.  ``seed`` is an integer in 0..2**64 - 1."""
+    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)):
+        raise SchemaError(f"trials must be an integer, got {trials!r}")
     if trials < 1:
         raise SchemaError("need at least one trial")
+    trials = int(trials)
     check_seed(seed, "seed")
     if scheme.x_size != ch.spec.x_size:
         raise SchemaError("scheme and channel disagree on the input alphabet")

@@ -817,7 +817,10 @@ def loop_check_behavioral_rows(self) -> None:
             raise SchemaError("message-form policy needs an encoder")
     else:
         for key, row in self.rows.items():
-            arr = np.asarray(row, dtype=float)
+            try:
+                arr = np.asarray(row, dtype=float)
+            except (TypeError, ValueError):
+                raise SchemaError(f"behavioral row {key} is not a numeric vector") from None
             if arr.shape != (self.x_size,):
                 raise SchemaError(f"behavioral row {key} has wrong arity")
             _check_distribution(arr, f"behavioral row {key}")

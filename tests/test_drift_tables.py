@@ -374,6 +374,10 @@ def _rows_check(rows):
      "behavioral row (2, (0,), (1,)) has a negative entry"),
     ({(2, (0,), (1,)): (0.5, 0.6)}, "DistributionError",
      "behavioral row (2, (0,), (1,)) sums to 1.1, not 1 within 1e-09"),
+    ({(2, (0,), (1,)): ("a", 1.0)}, "SchemaError",
+     "behavioral row (2, (0,), (1,)) is not a numeric vector"),
+    ({(2, (0,), (1,)): ((0.5,), 0.5)}, "SchemaError",
+     "behavioral row (2, (0,), (1,)) is not a numeric vector"),
 ])
 def test_behavioral_rows_name_the_first_bad_row(bad, kind, message):
     good = {(1, (), ()): (0.5, 0.5), (2, (0,), (0,)): (0.25, 0.75)}
@@ -407,23 +411,30 @@ def test_behavioral_row_validation_matches_the_loop():
 
 
 def test_verify_all_builds_the_entropy_column_once_per_law(monkeypatch, capsys):
-    calls = {"tables": 0, "entropy": 0}
-    init, entropy = im.NodeTable.__init__, im.entropy
+    calls = {"tables": 0, "entropy_columns": 0, "entropy_rows": 0}
+    init, row_entropy, entropy = im.NodeTable.__init__, im._row_entropy, im.entropy
 
     def counting_init(self, law):
         calls["tables"] += 1
         init(self, law)
 
+    def counting_row_entropy(mu):
+        calls["entropy_columns"] += 1
+        calls["entropy_rows"] += len(mu)
+        return row_entropy(mu)
+
     def counting_entropy(p):
-        calls["entropy"] += 1
+        calls["entropy_scalar"] = calls.get("entropy_scalar", 0) + 1
         return entropy(p)
 
     monkeypatch.setattr(im.NodeTable, "__init__", counting_init)
+    monkeypatch.setattr(im, "_row_entropy", counting_row_entropy)
     monkeypatch.setattr(im, "entropy", counting_entropy)
     assert main(["verify", "--channel", str(REPO / "channels" / "bsc02.json"), "--suite",
                  "all", "--horizon", "6", "--epsilon", "0.5", "--trials", "200"]) == 0
     capsys.readouterr()
-    assert calls == {"tables": 1, "entropy": 2**7 - 1}  # one per history
+    # one column of every history's entropy, built once, and no per-history call
+    assert calls == {"tables": 1, "entropy_columns": 1, "entropy_rows": 2**7 - 1}
 
 
 def test_submartingale_computes_lambda_free_work_once_per_call(bsc01, monkeypatch):

@@ -168,6 +168,19 @@ def test_simulate_refuses_a_seed_outside_the_key_range(yi_bsc01, bsc01):
             simulate(yi_bsc01, bsc01, 10, seed=seed)
 
 
+def test_simulate_refuses_a_trial_count_that_is_not_an_integer(yi_bsc01, bsc01):
+    # 2.5 and "3" used to end in a TypeError, and True ran one trial and
+    # reported trials == True
+    for trials in (2.5, "3", True, False, None):
+        with pytest.raises(SchemaError, match=r"^trials must be an integer, got "):
+            simulate(yi_bsc01, bsc01, trials)
+    for trials in (0, -1):
+        with pytest.raises(SchemaError, match=r"^need at least one trial$"):
+            simulate(yi_bsc01, bsc01, trials)
+    stats = simulate(yi_bsc01, bsc01, np.int64(3))
+    assert type(stats.trials) is int and stats.trials == 3
+
+
 def test_simulate_seed_changes_outcome(yi_bsc01, bsc01):
     a = simulate(yi_bsc01, bsc01, 500, seed=1)
     c = simulate(yi_bsc01, bsc01, 500, seed=2)
