@@ -496,7 +496,7 @@ class InputPolicy:
                 arr = np.array(list(self.rows.values()), dtype=float)
                 ok = (arr.shape == (len(self.rows), self.x_size) and not np.any(arr < 0)
                       and not np.any(np.abs(arr.sum(axis=1) - 1.0) > VALIDATION_TOL))
-            except ValueError:  # ragged or non-numeric rows
+            except (TypeError, ValueError):  # ragged or non-numeric rows
                 ok = False
             for key, row in () if ok else self.rows.items():
                 try:

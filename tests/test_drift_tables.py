@@ -378,6 +378,8 @@ def _rows_check(rows):
      "behavioral row (2, (0,), (1,)) is not a numeric vector"),
     ({(2, (0,), (1,)): ((0.5,), 0.5)}, "SchemaError",
      "behavioral row (2, (0,), (1,)) is not a numeric vector"),
+    ({(2, (0,), (1,)): {"a": 1.0}}, "SchemaError",
+     "behavioral row (2, (0,), (1,)) is not a numeric vector"),
 ])
 def test_behavioral_rows_name_the_first_bad_row(bad, kind, message):
     good = {(1, (), ()): (0.5, 0.5), (2, (0,), (0,)): (0.25, 0.75)}
@@ -411,7 +413,7 @@ def test_behavioral_row_validation_matches_the_loop():
 
 
 def test_verify_all_builds_the_entropy_column_once_per_law(monkeypatch, capsys):
-    calls = {"tables": 0, "entropy_columns": 0, "entropy_rows": 0}
+    calls = {"tables": 0, "entropy_columns": 0, "entropy_rows": 0, "entropy_scalar": 0}
     init, row_entropy, entropy = im.NodeTable.__init__, im._row_entropy, im.entropy
 
     def counting_init(self, law):
@@ -424,7 +426,7 @@ def test_verify_all_builds_the_entropy_column_once_per_law(monkeypatch, capsys):
         return row_entropy(mu)
 
     def counting_entropy(p):
-        calls["entropy_scalar"] = calls.get("entropy_scalar", 0) + 1
+        calls["entropy_scalar"] += 1
         return entropy(p)
 
     monkeypatch.setattr(im.NodeTable, "__init__", counting_init)
@@ -434,7 +436,8 @@ def test_verify_all_builds_the_entropy_column_once_per_law(monkeypatch, capsys):
                  "all", "--horizon", "6", "--epsilon", "0.5", "--trials", "200"]) == 0
     capsys.readouterr()
     # one column of every history's entropy, built once, and no per-history call
-    assert calls == {"tables": 1, "entropy_columns": 1, "entropy_rows": 2**7 - 1}
+    assert calls == {"tables": 1, "entropy_columns": 1, "entropy_rows": 2**7 - 1,
+                     "entropy_scalar": 0}
 
 
 def test_submartingale_computes_lambda_free_work_once_per_call(bsc01, monkeypatch):
