@@ -34,6 +34,7 @@ from .channel_model import (
     JointLaw,
     SchemaError,
     StoppingRule,
+    _PASS_SIZE,
     check_seed,
     enumerate_stopping_rules,
     forward_joint,
@@ -46,6 +47,7 @@ from .info_measures import (
     max_pairwise_row_kl,
     node_table,
     ordered_sum,
+    policy_table,
     rule_stack,
     stop_error,
     stopped_values,
@@ -277,7 +279,8 @@ def _capacity_rules(ch: Channel, horizon: int, cfg: SearchConfig):
 def _capacity_objective(ch, rows, horizon, rules, stack, budget):
     """Best stopped information per expected stop time of one policy over
     all rules at once; ``stack`` is ``rule_stack(rules, horizon)``.  Ties go
-    to the earliest rule."""
+    to the earliest rule.  It builds the policy's own law: the reference
+    that ``reevaluate`` uses and the search's batched valuation matches."""
     policy = InputPolicy(
         horizon=horizon, x_size=ch.spec.x_size, y_size=ch.spec.y_size, rows=rows
     )
@@ -286,6 +289,15 @@ def _capacity_objective(ch, rows, horizon, rules, stack, budget):
     vals = mi / et
     best = int(np.argmax(vals))
     return float(vals[best]), rules[best]
+
+
+def _capacity_values(law, px, rules, stack):
+    """``_capacity_objective``'s (value, rule) of every policy ``px[g]``,
+    valued over the trajectories of ``law`` (see ``reweighted_tables``)."""
+    et, mi = stopped_values(policy_table(law, px), *stack)
+    vals = mi / et
+    best = vals.argmax(axis=1)
+    return [(v, rules[b]) for v, b in zip(vals[np.arange(best.size), best].tolist(), best.tolist())]
 
 
 def capacity_bound(ch: Channel, horizon: int, cfg: SearchConfig = SearchConfig()) -> BoundResult:
@@ -297,11 +309,17 @@ def capacity_bound(ch: Channel, horizon: int, cfg: SearchConfig = SearchConfig()
     value can be recomputed exactly; diagnostics report the largest
     improvement available one grid step away from the chosen policy.
 
-    Each policy's law is built and evaluated once per search: the objective
-    is memoized on the policy rows, in row-key order.  The law is a
-    deterministic function of the rows, so a repeated policy, such as every
-    neighbour the gap loop visits after a final sweep that changed nothing,
-    gets the value and rule it got the first time.
+    The search builds one law, the uniform policy's, where restart 0
+    starts.  Every policy's support lies inside it, so it is also the
+    largest law the search can reach and the one the trajectory budget is
+    checked on.  Every policy is valued as a reweighting of its
+    trajectories (``policy_table``), bit-identical to building the policy's
+    own law (``_capacity_objective``), and once per search: the value and
+    first-argmax rule are memoized on the policy rows, in row-key order.
+    Before each coordinate's candidate loop, and each key of the gap loop,
+    every grid move of that row not yet in the memo is valued in one batch,
+    so the sequential acceptance loop only reads the memo and accepts the
+    moves it would accept with one law per policy.
     """
     if horizon < 1:
         raise SchemaError("horizon must be >= 1")
@@ -311,13 +329,28 @@ def capacity_bound(ch: Channel, horizon: int, cfg: SearchConfig = SearchConfig()
     grid = _simplex_grid(ch.spec.x_size, cfg.grid_denominator)
     uniform = tuple(np.full(ch.spec.x_size, 1.0 / ch.spec.x_size))
     rng = np.random.default_rng(cfg.seed)
+    law = forward_joint(ch, InputPolicy(horizon=horizon, x_size=ch.spec.x_size,
+                                        y_size=ch.spec.y_size, rows={k: uniform for k in keys}),
+                        horizon, budget=cfg.budget)
+    # policies per batch: every batch array stays within one pass of the
+    # level-table counts
+    per_policy = law.prob.size * (horizon + 1) + len(rules) * law.node_prob.size
+    batch = max(1, _PASS_SIZE // per_policy)
     memo: dict = {}
+
+    def value(policies):
+        new = [p for p in dict.fromkeys(policies) if p not in memo]
+        for lo in range(0, len(new), batch):
+            part = new[lo : lo + batch]
+            memo.update(zip(part, _capacity_values(law, np.array(part), rules, stack)))
 
     def objective(rows):
         key = tuple(rows[k] for k in keys)
-        if key not in memo:
-            memo[key] = _capacity_objective(ch, rows, horizon, rules, stack, cfg.budget)
+        value([key])
         return memo[key]
+
+    def moves(rows, key):
+        return [tuple(cand if k == key else rows[k] for k in keys) for cand in grid]
 
     best_val, best_rows, best_rule = -math.inf, None, None
     for restart in range(cfg.restarts + 1):
@@ -329,6 +362,7 @@ def capacity_bound(ch: Channel, horizon: int, cfg: SearchConfig = SearchConfig()
         for _ in range(cfg.sweeps):
             changed = False
             for key in keys:
+                value(moves(rows, key))
                 cur = rows[key]
                 for cand in grid:
                     if cand == cur:
@@ -348,6 +382,7 @@ def capacity_bound(ch: Channel, horizon: int, cfg: SearchConfig = SearchConfig()
     # one-grid-step optimality gap around the maximizer
     gap = 0.0
     for key in keys:
+        value(moves(best_rows, key))
         for cand in grid:
             if cand == best_rows[key]:
                 continue

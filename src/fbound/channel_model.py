@@ -68,6 +68,7 @@ __all__ = [
     "enumerate_stopping_rules",
     "JointLaw",
     "forward_joint",
+    "reweighted_tables",
 ]
 
 # Hard error threshold for user-supplied distributions.
@@ -988,7 +989,8 @@ def forward_joint(
         # the level tables are counted
         del par, x, s, y, key, first, kids, head, rows, live
 
-    node_prob, w_post, xy_node, wy_node = _level_tables(prob, msg, steps, sizes, m, xn, yn)
+    node_prob, w_post, xy_node, wy_node = (
+        table[0] for table in _level_tables(prob[None], msg, steps, sizes, m, xn, yn))
     return JointLaw(
         channel=ch,
         policy=policy,
@@ -1014,16 +1016,106 @@ def _check_budget(count: int, t: int, horizon: int, budget: int) -> None:
         )
 
 
-def _level_tables(prob, msg, steps, sizes, m, xn, yn):
-    """(node_prob, w_post, xy_node, wy_node) from the level arrays of
-    ``forward_joint``.
+def reweighted_tables(law: JointLaw, px: np.ndarray):
+    """The output-history tables of many behavioral policies' laws, each
+    valued as a reweighting of the trajectories of ``law``.
 
-    Each table is an ``np.bincount`` over every full trajectory at every
-    level, with the output nodes of all levels numbered in one sequence.
-    bincount adds the weights of a bin in input order from 0.0, so each
-    entry is the same running sum, over trajectories in order, as a
-    per-node accumulation.  Every node has a trajectory through it, so no
-    row divides 0 by 0 unless its probability underflows.
+    ``law`` is the law of a behavioral policy with no zero entry, such as
+    the uniform one, so its support contains every policy's.  ``px[g]``
+    holds policy g's rows P(x_t | x^{t-1}, y^{t-1}), one per (t, x^{t-1},
+    y^{t-1}) with t = 1..N and each history in lexicographic order, shape
+    (policies, rows, X).
+
+    Per step, each trajectory's probability is ``forward_joint``'s product
+    ((p * px) * ps) * q with the policy's factor px, and a trajectory is
+    live when its parent is and px > 0: ``forward_joint`` prunes on a zero
+    factor, not on an underflowed product.  A pruned trajectory keeps
+    probability 0.0, which adds an exact 0.0 to every table sum, so the
+    tables hold ``_level_tables``' sums over the policy's own trajectories,
+    in their order.  A node with no live trajectory is one the policy
+    cannot reach; the rest are numbered, level by level, by their first live
+    trajectory, which is ``forward_joint``'s order of first appearance.
+    That order can differ from the law's when a channel row has a zero: with
+    Q[x=0] = (0, 1), a policy that never sends 0 reaches y = 0 first.
+
+    Returns (order, node_prob, xy_node), each with a leading policy axis
+    and in each policy's node order: ``order[g]`` holds the positions, among
+    the law's nodes, of policy g's nodes.  The nodes policy g cannot reach
+    come last in their level, with probability 0.0 and joint rows of 0.0,
+    so they add exact zeros to any sum over the nodes.
+    """
+    plan = law.__dict__.get("_reweighting")
+    if plan is None:
+        plan = _reweighting_plan(law)
+        object.__setattr__(law, "_reweighting", plan)
+    levels, rows = plan
+    spec = law.channel.spec
+    if px.ndim != 3 or px.shape[1:] != (rows, spec.x_size):
+        raise SchemaError(f"policy rows of shape {px.shape} are not (policies, {rows}, "
+                          f"{spec.x_size})")
+    laws = px.shape[0]
+    px = px.reshape(laws, -1)
+    prob = np.ones((laws, 1))
+    live = np.ones((laws, 1), dtype=bool)
+    keys, reach = [np.zeros((laws, 1), dtype=np.intp)], [live]
+    for par, entry, ps, q, by_node, starts, base in levels:
+        factor = px.take(entry, axis=1)
+        prob = ((prob.take(par, axis=1) * factor) * ps) * q
+        live = live.take(par, axis=1) & (factor > 0.0)
+        # each node's first live trajectory; par.size when there is none
+        first = np.minimum.reduceat(
+            np.where(live, np.arange(par.size), par.size).take(by_node, axis=1), starts, axis=1)
+        keys.append(first + base)
+        reach.append(first < par.size)
+    order = np.argsort(np.concatenate(keys, axis=1), axis=1, kind="stable")
+    node_prob, _, xy_node, _ = _level_tables(
+        prob, np.zeros(prob.shape[1], dtype=np.intp), law.steps, law.sizes, 1,
+        spec.x_size, spec.y_size, np.concatenate(reach, axis=1))
+    lanes = np.arange(laws)[:, None]
+    return order, node_prob[lanes, order], xy_node[lanes, order[:, : xy_node.shape[1]]]
+
+
+def _reweighting_plan(law: JointLaw):
+    """The policy-free part of ``reweighted_tables``: per step, each
+    trajectory's parent, the position of its policy factor among the
+    flattened rows, its state and channel factors, its output node's
+    trajectories grouped by node (an ordering and the group starts) and the
+    level's key base; and the row count."""
+    if law.is_message_form or min(map(min, law.policy.rows.values())) <= 0.0:
+        raise SchemaError("reweighting needs the law of a behavioral policy with no zero entry")
+    spec, kernel = law.channel.spec, law.channel.kernel
+    xn, sn, yn = spec.x_size, spec.s_size, spec.y_size
+    s_mem = x_mem = xh = yh = np.zeros(1, dtype=np.intp)
+    levels, row, base = [], 0, 1
+    for t, (par, (node, x, y, s)) in enumerate(law.steps, start=1):
+        table = kernel.use_table(t)
+        s_mem, x_mem = s_mem % table.shape[0], x_mem % table.shape[1]
+        ps = table[s_mem.take(par), x_mem.take(par), s]
+        entry = (row + xh.take(par) * yn ** (t - 1) + yh.take(par)) * xn + x
+        by_node = np.argsort(node, kind="stable")
+        starts = np.flatnonzero(np.diff(node.take(by_node), prepend=-1))
+        levels.append((par, entry, ps, spec.q[s, x, y], by_node, starts, base))
+        row, base = row + (xn * yn) ** (t - 1), base + par.size + 1
+        s_mem, x_mem = s_mem.take(par) * sn + s, x_mem.take(par) * xn + x
+        xh, yh = xh.take(par) * xn + x, yh.take(par) * yn + y
+    return levels, row
+
+
+def _level_tables(prob, msg, steps, sizes, m, xn, yn, reach=None):
+    """(node_prob, w_post, xy_node, wy_node) from the level arrays of
+    ``forward_joint``, of one law per row of ``prob`` (laws x trajectories):
+    laws over the same trajectories with their own probabilities, such as
+    the policies of ``reweighted_tables``.  Each table has that leading
+    axis.
+
+    Each table is one ``np.bincount`` over every full trajectory at every
+    level, of every law, with the output nodes of all levels numbered in one
+    sequence and a bin offset per law.  bincount adds the weights of a bin
+    in input order from 0.0, so each entry is the same running sum, over
+    trajectories in order, as a per-node accumulation.  Every node has a
+    trajectory through it, so no row divides 0 by 0 unless its probability
+    underflows; nodes outside ``reach`` (a mask shaped as node_prob) have no
+    mass, and their conditional rows are 0.0.
 
     A bin belongs to one level, so the levels can be counted in passes,
     from the horizon down, without changing a sum; a pass covers at most
@@ -1031,11 +1123,12 @@ def _level_tables(prob, msg, steps, sizes, m, xn, yn):
     large law.  A small law takes one pass.
     """
     horizon = len(steps)
-    count = prob.size
+    laws, count = prob.shape
     offsets = list(itertools.accumulate(sizes, initial=0))
     nodes, inner = offsets[-1], offsets[-2]  # levels 0..N, and 0..N-1
-    span = max(1, _PASS_SIZE // count)
+    span = max(1, _PASS_SIZE // (laws * count))
     up = np.arange(count)  # each trajectory's prefix at the level being read
+    lane = np.arange(laws)[:, None, None]  # the law of each weight
     above = None  # (x, y) of the level above the pass
     parts = []
     for hi in range(horizon, -1, -span):
@@ -1057,22 +1150,27 @@ def _level_tables(prob, msg, steps, sizes, m, xn, yn):
         if offsets[lo]:
             node -= offsets[lo]
         prev = node[:ks]
-        weights = np.concatenate((prob,) * k)
+        weights = np.broadcast_to(prob[:, None], (laws, k, count)).ravel()
+        inner_weights = weights.reshape(laws, k * count)[:, : ks * count].ravel()
         size, size_inner = offsets[hi + 1] - offsets[lo], offsets[lo + ks] - offsets[lo]
         parts.append((
-            np.bincount(node.ravel(), weights, size),
-            np.bincount((node * m + msg).ravel(), weights, size * m),
-            np.bincount(((prev * xn + x) * yn + y).ravel(), weights[: ks * count],
-                        size_inner * xn * yn),
-            np.bincount(((prev * m + msg) * yn + y).ravel(), weights[: ks * count],
-                        size_inner * m * yn),
+            np.bincount((lane * size + node).ravel(), weights, laws * size),
+            np.bincount((lane * (size * m) + (node * m + msg)).ravel(), weights,
+                        laws * size * m),
+            np.bincount((lane * (size_inner * xn * yn) + ((prev * xn + x) * yn + y)).ravel(),
+                        inner_weights, laws * size_inner * xn * yn),
+            np.bincount((lane * (size_inner * m * yn) + ((prev * m + msg) * yn + y)).ravel(),
+                        inner_weights, laws * size_inner * m * yn),
         ))
     node_mass, w_mass, xy_mass, wy_mass = (
-        part[0] if len(parts) == 1 else np.concatenate(part[::-1]) for part in zip(*parts)
+        part[0].reshape(laws, -1) if len(parts) == 1
+        else np.concatenate([a.reshape(laws, -1) for a in part[::-1]], axis=1)
+        for part in zip(*parts)
     )
+    den = node_mass if reach is None else np.where(reach, node_mass, 1.0)
     return (
         node_mass,
-        w_mass.reshape(nodes, m) / node_mass[:, None],
-        xy_mass.reshape(inner, xn, yn) / node_mass[:inner, None, None],
-        wy_mass.reshape(inner, m, yn) / node_mass[:inner, None, None],
+        w_mass.reshape(laws, nodes, m) / den[:, :, None],
+        xy_mass.reshape(laws, inner, xn, yn) / den[:, :inner, None, None],
+        wy_mass.reshape(laws, inner, m, yn) / den[:, :inner, None, None],
     )

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import itertools
 import sys
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -50,6 +51,7 @@ from .channel_model import (
     _level_offsets,
     _path_at,
     check_tree_size,
+    reweighted_tables,
 )
 
 __all__ = [
@@ -134,6 +136,8 @@ def binary_entropy_inv(v: float, tol: float = 1e-12) -> float:
 def mutual_information(joint: np.ndarray) -> float:
     """I(A;B) in bits from a joint table P(a, b)."""
     j = np.asarray(joint, dtype=float)
+    if np.any(j < 0):
+        raise DistributionError("mutual information joint has a negative entry")
     pa = j.sum(axis=1).tolist()
     pb = j.sum(axis=0).tolist()
     total = 0.0
@@ -187,9 +191,14 @@ def _packed_sums(terms: np.ndarray, pos: np.ndarray) -> np.ndarray:
 
 
 def _joint_mi(xy: np.ndarray) -> np.ndarray:
-    """``mutual_information`` of every joint table ``xy[e]``: the same
-    marginals, ratios and ``np.log2`` terms, summed over the cells in
-    row-major order; a cell of no mass adds an exact 0.0."""
+    """``mutual_information`` of every joint table ``xy[..., e, :, :]``, with
+    any leading axes (such as one per policy): the same check, marginals,
+    ratios and ``np.log2`` terms, summed over the cells in row-major order;
+    a cell of no mass adds an exact 0.0."""
+    if (xy < 0).any():
+        raise DistributionError("mutual information joint has a negative entry")
+    lead, cells = xy.shape[:-2], xy.shape[-2] * xy.shape[-1]
+    xy = xy.reshape((-1,) + xy.shape[-2:])
     pa = xy.sum(axis=2, keepdims=True)
     pb = xy.sum(axis=1, keepdims=True)
     den = pa * pb
@@ -199,7 +208,7 @@ def _joint_mi(xy: np.ndarray) -> np.ndarray:
         if small.any():
             ratio = np.where(small, xy / pa / pb, ratio)
         terms = np.where(xy > 0.0, xy * np.log2(ratio), 0.0)
-    return ordered_sum(terms.reshape(xy.shape[0], xy.shape[1] * xy.shape[2]))
+    return ordered_sum(terms.reshape(lead + (cells,)))
 
 
 def _row_kl(p: np.ndarray, q: np.ndarray, valid: np.ndarray) -> np.ndarray:
@@ -268,12 +277,12 @@ class NodeTable:
       the layout of ``StoppingRule.stopped_nodes``)
     - level: t - 1
     - prob: p(y^{t-1})
-    - node_mi: I(X_t; Y_t | y^{t-1}); mi = prob * node_mi
     - leaf, leaf_prob: ``_hist_index`` and probability of every full output
       path y^N
 
     Built on first use:
 
+    - node_mi: I(X_t; Y_t | y^{t-1}); mi = prob * node_mi
     - x_kl[e, x]: D(row(x*) || row(x)) of the effective channel, x* the
       first most likely input, NaN for an unrealizable x and +inf on a
       support mismatch; node_kl, its max (the worst-row divergence, 0.0 when
@@ -308,14 +317,20 @@ class NodeTable:
         starts = np.array(_level_offsets(y, n)[:n], dtype=np.int64)
         self.node = np.repeat(starts, law.sizes[:n]) + index[:inner]
         self.prob = law.node_prob[:inner]
-        self.node_mi = _joint_mi(self._xy)
-        self.mi = self.prob * self.node_mi
         self.leaf = index[inner:]
         self.leaf_prob = law.node_prob[inner:]
 
     def history(self, i: int) -> tuple[int, ...]:
         """The output history at position ``i``."""
         return _path_at(int(self._index[i]), self._y, int(self._level[i]))
+
+    @cached_property
+    def node_mi(self) -> np.ndarray:
+        return _joint_mi(self._xy)
+
+    @cached_property
+    def mi(self) -> np.ndarray:
+        return self.prob * self.node_mi
 
     @cached_property
     def x_kl(self) -> np.ndarray:
@@ -378,7 +393,8 @@ def node_table(law: JointLaw) -> NodeTable:
 
 def ordered_sum(terms: np.ndarray) -> np.ndarray:
     """Sums along the last axis, left to right from 0.0: the order and
-    rounding of a ``total = 0.0; total += term`` loop."""
+    rounding of a ``total = 0.0; total += term`` loop, for each index of
+    the leading axes (such as rules, or policies and rules)."""
     start = np.zeros(terms.shape[:-1] + (1,))
     return np.cumsum(np.concatenate((start, terms), axis=-1), axis=-1)[..., -1]
 
@@ -390,14 +406,47 @@ def rule_stack(rules, horizon: int) -> tuple[np.ndarray, np.ndarray]:
     return np.stack([s for s, _ in tables]), np.stack([t for _, t in tables])
 
 
+@dataclass(frozen=True)
+class PolicyTable:
+    """The node-table columns ``stopped_values`` reads (``node``, ``mi``,
+    ``leaf``, ``leaf_prob``) of many behavioral policies' laws, each with a
+    leading policy axis and in each policy's node order; built by
+    ``policy_table``."""
+
+    node: np.ndarray
+    mi: np.ndarray
+    leaf: np.ndarray
+    leaf_prob: np.ndarray
+
+
+def policy_table(law: JointLaw, px: np.ndarray) -> PolicyTable:
+    """The columns of every policy's node table, each policy's law a
+    reweighting of ``law``'s trajectories (``reweighted_tables``, which
+    describes ``law`` and ``px``).  A node a policy cannot reach sits last
+    in its level with probability 0.0, so its terms are exact zeros."""
+    table = node_table(law)
+    order, node_prob, xy_node = reweighted_tables(law, px)
+    inner = table.prob.size
+    return PolicyTable(
+        node=table.node.take(order[:, :inner]),
+        mi=node_prob[:, :inner] * _joint_mi(xy_node),
+        leaf=table.leaf.take(order[:, inner:] - inner),
+        leaf_prob=node_prob[:, inner:],
+    )
+
+
 def stopped_values(
-    law: JointLaw, stopped: np.ndarray, times: np.ndarray
+    law: JointLaw | PolicyTable, stopped: np.ndarray, times: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(E[T], stopped directed information) of every rule of a
-    ``rule_stack`` at the law's horizon."""
-    table = node_table(law)
-    et = ordered_sum(table.leaf_prob * times[:, table.leaf])
-    mi = ordered_sum(np.where(stopped[:, table.node], 0.0, table.mi))
+    ``rule_stack`` at the law's horizon, each of shape (rules,); or of
+    every policy of a ``PolicyTable``, each (policies, rules).  Each sum
+    runs along the nodes, in order."""
+    table = law if isinstance(law, PolicyTable) else node_table(law)
+    at_leaf = np.moveaxis(times[:, table.leaf], 0, -2)
+    et = ordered_sum(table.leaf_prob[..., None, :] * at_leaf)
+    at_node = np.moveaxis(stopped[:, table.node], 0, -2)
+    mi = ordered_sum(np.where(at_node, 0.0, table.mi[..., None, :]))
     return et, mi
 
 

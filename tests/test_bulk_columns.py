@@ -83,10 +83,7 @@ def _max_horizon(ch, cap=4):
     return min(ch.kernel.horizon_cap() or cap, cap)
 
 
-def loop_columns(law):
-    """(node_mi, x_kl, node_kl, h) by the per-history loops the node table
-    replaced; h is None for a behavioral law."""
-    mi = np.array([im.mutual_information(xy) for xy in law.xy_node], dtype=float)
+def _loop_x_kl(law):
     x_kl = np.full(law.xy_node.shape[:2], np.nan)
     for e, xy in enumerate(law.xy_node):
         nu = xy.sum(axis=1)
@@ -94,11 +91,25 @@ def loop_columns(law):
         if real.size:
             x_star = real[np.argmax(nu[real])]
             x_kl[e, real] = [im.kl(xy[x_star] / nu[x_star], xy[x] / nu[x]) for x in real]
-    node_kl = np.array([oracles._loop_worst_row_kl(xy) for xy in law.xy_node], dtype=float)
-    h = None
-    if law.is_message_form:
-        h = np.array([im.entropy(mu) for mu in law.w_post], dtype=float)
-    return mi, x_kl, node_kl, h
+    return x_kl
+
+
+# each column by the per-history loop the node table replaced
+LOOP_COLUMNS = {
+    "node_mi": lambda law: np.array([im.mutual_information(xy) for xy in law.xy_node],
+                                    dtype=float),
+    "x_kl": _loop_x_kl,
+    "node_kl": lambda law: np.array([oracles._loop_worst_row_kl(xy) for xy in law.xy_node],
+                                    dtype=float),
+    "h": lambda law: np.array([im.entropy(mu) for mu in law.w_post], dtype=float),
+}
+
+
+def loop_columns(law):
+    """(node_mi, x_kl, node_kl, h) by the per-history loops the node table
+    replaced; h is None for a behavioral law."""
+    mi, x_kl, node_kl = (LOOP_COLUMNS[c](law) for c in ("node_mi", "x_kl", "node_kl"))
+    return mi, x_kl, node_kl, LOOP_COLUMNS["h"](law) if law.is_message_form else None
 
 
 def assert_columns_match(law):
@@ -304,8 +315,11 @@ def test_row_entropy_matches_entropy_with_its_checks():
      "kl first argument has a negative entry"),
     ("xy_node", lambda a: a * [[3.0, 3.0], [-1.0, 1.0]], "x_kl",
      "kl second argument has a negative entry"),
+    ("xy_node", lambda a: a * [[3.0, -1.0], [1.0, 1.0]], "node_mi",
+     "mutual information joint has a negative entry"),
+    ("xy_node", lambda a: a * [[3.0, 3.0], [-1.0, 1.0]], "node_mi",
+     "mutual information joint has a negative entry"),
 ])
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the loop's log2 of a negative ratio
 def test_a_corrupted_row_raises_the_message_of_the_loop(field, row, column, message):
     law = forward_joint(_channel("bsc01"), rotating_encoder(2, 2, 3), 3)
     values = getattr(law, field).copy()
@@ -313,5 +327,18 @@ def test_a_corrupted_row_raises_the_message_of_the_loop(field, row, column, mess
     bad = dataclasses.replace(law, **{field: values})
     with pytest.raises(DistributionError, match=f"^{message}$"):
         getattr(im.NodeTable(bad), column)
-    position = {"h": 3, "x_kl": 1}[column]
-    assert _outcome(lambda: loop_columns(bad)[position]) == ("error", "DistributionError", message)
+    assert _outcome(LOOP_COLUMNS[column], bad) == ("error", "DistributionError", message)
+
+
+@pytest.mark.parametrize("joint", [
+    [[0.5, -1e-300], [0.25, 0.25]],
+    [[0.5, 0.25], [0.5, -0.25]],
+    [[-0.5, 1.0], [0.25, 0.25]],
+])
+def test_mutual_information_of_a_negative_joint_is_a_distribution_error(joint):
+    # raised before any log2 of a negative ratio, so no RuntimeWarning either
+    message = "^mutual information joint has a negative entry$"
+    with pytest.raises(DistributionError, match=message):
+        im.mutual_information(np.array(joint))
+    with pytest.raises(DistributionError, match=message):
+        im._joint_mi(np.array([[[0.25, 0.25], [0.25, 0.25]], joint]))

@@ -286,6 +286,20 @@ def test_bound_search_json_is_byte_identical_to_reference(
     assert capsys.readouterr().out == (_REFERENCE / reference).read_text()
 
 
+def test_capacity_budget_boundary_is_the_uniform_laws_trajectory_count(capsys, monkeypatch):
+    # flip2 at H = 3: the uniform policy's law, the one law the search
+    # builds and the largest any policy reaches, has 8**3 = 512 trajectories
+    argv = BOUNDS_COMMANDS[1][0]
+    monkeypatch.setenv("FBOUND_BUDGET", "511")
+    assert main(argv) == 3
+    assert capsys.readouterr() == (
+        "", "error: 512 live trajectories at step 3 of horizon 3 exceed the trajectory "
+        "budget 511\n")
+    monkeypatch.setenv("FBOUND_BUDGET", "512")
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (_REFERENCE / "bound_capacity_flip2_h3_all.json").read_text()
+
+
 @pytest.mark.parametrize("argv,env", [
     (["bound-capacity", "--channel", BSC01, "--grid", "0"], {}),
     (["bound-capacity", "--channel", BSC01, "--restarts", "-1"], {}),

@@ -41,7 +41,7 @@ from fbound.channel_model import (
     uniform_channel,
 )
 from conftest import REPO
-from fbound.info_measures import node_table
+from fbound.info_measures import node_table, rule_stack
 
 CHANNEL_FILES = sorted(p.stem for p in (REPO / "channels").glob("*.json"))
 TABLES = ("node_prob", "w_post", "xy_node", "wy_node")
@@ -52,6 +52,23 @@ ENGINES = (oracles.loop_forward_joint, oracles.dict_forward_joint)
 def _channel(name):
     if name == "wide":
         return _wide_channel()
+    if name == "zrow":
+        # input 0 never gives output 0: a policy that never sends 0 reaches
+        # y = 0 first, where the uniform law reaches y = 1 first
+        q = np.array([[[0.0, 1.0], [0.25, 0.75]]])
+        return Channel(ChannelSpec(2, 2, 1, q, name="zrow"),
+                       StateKernel("memoryless", 1, 2, table=np.array([1.0])))
+    if name == "zstate":
+        # a state transition of probability 0 after (s, x) = (0, 0) and (1, 1)
+        q = np.array([[[0.875, 0.125], [0.25, 0.75]], [[0.5, 0.5], [0.0, 1.0]]])
+        table = np.array([[[1.0, 0.0], [0.5, 0.5]], [[0.25, 0.75], [0.0, 1.0]]])
+        return Channel(ChannelSpec(2, 2, 2, q, name="zstate"),
+                       StateKernel("markov1", 2, 2, table=table, init=np.array([0.5, 0.5])))
+    if name == "faint":
+        # two crossovers underflow: 1e-200 * 1e-200 is 0.0 in a product
+        q = np.array([[[1.0, 1e-200], [1e-200, 1.0]]])
+        return Channel(ChannelSpec(2, 2, 1, q, name="faint"),
+                       StateKernel("memoryless", 1, 2, table=np.array([1.0])))
     if name == "uniform32":
         return uniform_channel(3, 2)
     return load_channel(str(REPO / "channels" / f"{name}.json"))
@@ -332,37 +349,155 @@ def test_encoder_input_outside_the_alphabet_is_a_schema_error(bad):
 
 
 CAPACITY_CASES = [
-    ("flip2", 3, 0), ("histk2", 2, 0), ("bsc01", 3, 0), ("z01", 3, 0),
-    ("flip2", 2, 8), ("histk2", 2, 8), ("bsc01", 2, 8), ("z01", 2, 8),
+    ("flip2", 3, 0, "all"), ("histk2", 2, 0, "all"), ("bsc01", 3, 0, "all"),
+    ("z01", 3, 0, "all"), ("flip2", 2, 8, "all"), ("histk2", 2, 8, "all"),
+    ("bsc01", 2, 8, "all"), ("z01", 2, 8, "all"),
+]
+# every channel file and the two zero-entry channels at H = 2, over both
+# rule families
+CAPACITY_CASES += [
+    (name, 2, restarts, stopping)
+    for name in CHANNEL_FILES + ["zrow", "zstate"]
+    for stopping in ("all", "fixed")
+    for restarts in (0, 2)
+    if (name, 2, restarts, stopping) not in CAPACITY_CASES
 ]
 
 
-@pytest.mark.parametrize("name,horizon,restarts", CAPACITY_CASES,
-                         ids=[f"{n}-H{h}-r{r}" for n, h, r in CAPACITY_CASES])
-def test_capacity_bound_json_matches_the_memo_free_loop(name, horizon, restarts):
+@pytest.mark.parametrize("name,horizon,restarts,stopping", CAPACITY_CASES,
+                         ids=[f"{n}-H{h}-r{r}" + ("" if st == "all" else f"-{st}")
+                              for n, h, r, st in CAPACITY_CASES])
+def test_capacity_bound_json_matches_the_memo_free_loop(name, horizon, restarts, stopping):
     ch = _channel(name)
-    cfg = SearchConfig(stopping="all", restarts=restarts, seed=0)
+    cfg = SearchConfig(stopping=stopping, restarts=restarts, seed=0)
     assert capacity_bound(ch, horizon, cfg).to_json() == oracles.loop_capacity_bound(ch, horizon, cfg).to_json()
 
 
+# ---------------------------------------------------------------------------
+# the batched valuation against one law per policy
+# ---------------------------------------------------------------------------
+
+
+BATCH_CHANNELS = ("z01", "perfect2", "flip2", "histk2", "zrow", "zstate", "wide")
+
+
+def _grid_policies(ch, horizon, seed, count=24):
+    """The uniform law and ``count`` policies of random search-grid rows,
+    about a third of the rows a vertex (one input with probability 1)."""
+    x = ch.spec.x_size
+    keys = _policy_row_keys(ch, horizon)
+    grid = _simplex_grid(x, 16)
+    vertices = [row for row in grid if max(row) == 1.0]
+    rng = np.random.default_rng(seed)
+    policies = [
+        tuple(vertices[rng.integers(len(vertices))] if rng.random() < 1 / 3
+              else grid[rng.integers(len(grid))] for _ in keys)
+        for _ in range(count)
+    ]
+    uniform = tuple(np.full(x, 1.0 / x))
+    law = forward_joint(ch, InputPolicy(horizon=horizon, x_size=x, y_size=ch.spec.y_size,
+                                        rows={k: uniform for k in keys}), horizon)
+    return law, keys, policies
+
+
+def _policy_law(ch, keys, policy, horizon):
+    rows = dict(zip(keys, policy))
+    return forward_joint(ch, InputPolicy(horizon=horizon, x_size=ch.spec.x_size,
+                                         y_size=ch.spec.y_size, rows=rows), horizon)
+
+
+def assert_own_tables(ch, law, keys, policies):
+    """``reweighted_tables`` of every policy equals the tables of the
+    policy's own law, node for node: its reachable nodes first in each
+    level, in the law's order, then the unreachable ones with zeros."""
+    horizon = law.horizon
+    order, node_prob, xy_node = channel_model.reweighted_tables(law, np.array(policies))
+    index = node_table(law)._index
+    bounds = np.cumsum((0,) + law.sizes)
+    for g, policy in enumerate(policies):
+        own = _policy_law(ch, keys, policy, horizon)
+        own_index, own_bounds = node_table(own)._index, np.cumsum((0,) + own.sizes)
+        for t in range(horizon + 1):
+            lo, hi, own_lo, own_hi = bounds[t], bounds[t + 1], own_bounds[t], own_bounds[t + 1]
+            cut = lo + own_hi - own_lo
+            assert np.array_equal(index[order[g, lo:cut]], own_index[own_lo:own_hi])
+            assert node_prob[g, lo:cut].tobytes() == own.node_prob[own_lo:own_hi].tobytes()
+            assert not node_prob[g, cut:hi].any()
+            if t < horizon:
+                assert xy_node[g, lo:cut].tobytes() == own.xy_node[own_lo:own_hi].tobytes()
+                assert not xy_node[g, cut:hi].any()
+
+
+@pytest.mark.parametrize("name", BATCH_CHANNELS)
+def test_reweighted_tables_are_each_policys_own_tables(name):
+    ch = _channel(name)
+    for horizon in range(1, min(_max_horizon(name), 3) + 1):
+        assert_own_tables(ch, *_grid_policies(ch, horizon, seed=horizon))
+
+
+@pytest.mark.parametrize("name", BATCH_CHANNELS)
+def test_batched_capacity_values_equal_one_law_per_policy(name):
+    ch = _channel(name)
+    for horizon in range(1, min(_max_horizon(name), 3) + 1):
+        law, keys, policies = _grid_policies(ch, horizon, seed=10 + horizon)
+        for stopping in ("all", "fixed"):
+            rules, _ = bound_engine._capacity_rules(ch, horizon, SearchConfig(stopping=stopping))
+            stack = rule_stack(rules, horizon)
+            got = bound_engine._capacity_values(law, np.array(policies), rules, stack)
+            want = [bound_engine._capacity_objective(ch, dict(zip(keys, p)), horizon, rules,
+                                                     stack, 10**7) for p in policies]
+            assert got == want
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # 0/0 at a node of underflowed mass
+def test_reweighting_prunes_on_a_zero_factor_not_an_underflowed_product():
+    # send 0, then 1 after y = 1: the history (1, 0) has only the product
+    # 1e-200 * 1e-200, which underflows to 0.0, yet forward_joint keeps it,
+    # ahead of (1, 1), as it keeps every trajectory whose factors are not 0
+    ch = _channel("faint")
+    for horizon in (2, 3):
+        law, keys, _ = _grid_policies(ch, horizon, seed=0, count=0)
+        policy = tuple((0.0, 1.0) if t > 1 and yh[-1] == 1 else (1.0, 0.0)
+                       for t, _, yh in keys)
+        own = _policy_law(ch, keys, policy, horizon)
+        assert own.node_prob[own.sizes[0] + own.sizes[1] + 2] == 0.0
+        assert_own_tables(ch, law, keys, [policy])
+
+
+def test_reweighting_refuses_a_law_without_full_support():
+    ch = _channel("z01")
+    law, keys, policies = _grid_policies(ch, 2, seed=0, count=1)
+    with pytest.raises(SchemaError, match="no zero entry"):
+        channel_model.reweighted_tables(_policy_law(ch, keys, ((1.0, 0.0),) * len(keys), 2),
+                                        np.array(policies))
+    with pytest.raises(SchemaError, match="are not"):
+        channel_model.reweighted_tables(law, np.array(policies)[:, 1:])
+
+
 def _count_laws(monkeypatch, ch, horizon, cfg):
-    calls = []
-    real = bound_engine.forward_joint
+    """(laws built, policies valued, distinct policies valued) by one search."""
+    laws, policies = [], []
+    real_forward_joint, real_policy_table = bound_engine.forward_joint, bound_engine.policy_table
 
-    def counting(*args, **kwargs):
-        calls.append(None)
-        return real(*args, **kwargs)
+    def counting_forward_joint(*args, **kwargs):
+        laws.append(None)
+        return real_forward_joint(*args, **kwargs)
 
-    monkeypatch.setattr(bound_engine, "forward_joint", counting)
+    def counting_policy_table(law, px):
+        policies.extend(map(bytes, px))
+        return real_policy_table(law, px)
+
+    monkeypatch.setattr(bound_engine, "forward_joint", counting_forward_joint)
+    monkeypatch.setattr(bound_engine, "policy_table", counting_policy_table)
     capacity_bound(ch, horizon, cfg)
-    return len(calls)
+    return len(laws), len(policies), len(set(policies))
 
 
-def test_capacity_search_builds_each_policy_law_once(monkeypatch):
+def test_capacity_search_builds_one_law_and_values_each_policy_once(monkeypatch):
     # flip2: 1 start + 21 row keys x 16 other grid points in the one sweep
-    # that finds no improvement; the neighbour-gap loop rebuilds nothing
+    # that finds no improvement; the neighbour-gap loop values nothing new
     flip2 = _channel("flip2")
     cfg = SearchConfig(stopping="all", restarts=0, seed=0)
-    assert _count_laws(monkeypatch, flip2, 3, cfg) == 337
+    assert _count_laws(monkeypatch, flip2, 3, cfg) == (1, 337, 337)
     histk2 = _channel("histk2")
-    assert _count_laws(monkeypatch, histk2, 2, SearchConfig(stopping="all", seed=0)) == 1017
+    assert _count_laws(monkeypatch, histk2, 2, SearchConfig(stopping="all", seed=0)) == (1, 1017, 1017)
