@@ -25,6 +25,9 @@ and the trajectories are per-level parent and symbol arrays.  Histories
 are tuples of integer symbols only where a caller asks for them: policy
 arguments, error messages, ``JointLaw.trajectories`` and stop sets (a
 ``StoppingRule`` is a stop-time array).  Budgets cap enumeration size.
+``reweighted_tables`` gives the tables of many behavioral policies at once,
+each as a reweighting of one full-support law's trajectories, bit for bit
+the tables of the policy's own law.
 """
 
 from __future__ import annotations

@@ -15,7 +15,9 @@ path, and, for every history, the message posterior, H(W | y^t) and the
 per-message one-step output laws.  Stopped quantities are reductions over
 it.  A stopping rule enters as its stopped mask and stop-time table (see
 ``StoppingRule``), so many rules, or many rule pairs, of one law are
-evaluated in a single array pass.  Every sum runs left to right from 0.0 in
+evaluated in a single array pass; ``policy_table`` adds a leading policy
+axis, so many behavioral policies' laws over the same trajectories are
+evaluated in that pass too.  Every sum runs left to right from 0.0 in
 the order of the per-history loop it replaces, and masked-out terms add an
 exact 0.0, so the results are bit-identical to that loop.
 
@@ -443,9 +445,10 @@ def stopped_values(
     every policy of a ``PolicyTable``, each (policies, rules).  Each sum
     runs along the nodes, in order."""
     table = law if isinstance(law, PolicyTable) else node_table(law)
-    at_leaf = np.moveaxis(times[:, table.leaf], 0, -2)
+    at_leaf, at_node = times[:, table.leaf], stopped[:, table.node]
+    if at_leaf.ndim == 3:  # (rules, policies, nodes): put the policies first
+        at_leaf, at_node = at_leaf.swapaxes(0, 1), at_node.swapaxes(0, 1)
     et = ordered_sum(table.leaf_prob[..., None, :] * at_leaf)
-    at_node = np.moveaxis(stopped[:, table.node], 0, -2)
     mi = ordered_sum(np.where(at_node, 0.0, table.mi[..., None, :]))
     return et, mi
 

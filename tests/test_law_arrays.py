@@ -438,7 +438,8 @@ def test_reweighted_tables_are_each_policys_own_tables(name):
 @pytest.mark.parametrize("name", BATCH_CHANNELS)
 def test_batched_capacity_values_equal_one_law_per_policy(name):
     ch = _channel(name)
-    for horizon in range(1, min(_max_horizon(name), 3) + 1):
+    # wide at H = 3 has 83,521 stopping rules, each valued per policy
+    for horizon in range(1, (2 if name == "wide" else min(_max_horizon(name), 3)) + 1):
         law, keys, policies = _grid_policies(ch, horizon, seed=10 + horizon)
         for stopping in ("all", "fixed"):
             rules, _ = bound_engine._capacity_rules(ch, horizon, SearchConfig(stopping=stopping))
