@@ -435,6 +435,14 @@ def test_reweighted_tables_are_each_policys_own_tables(name):
         assert_own_tables(ch, *_grid_policies(ch, horizon, seed=horizon))
 
 
+@pytest.mark.parametrize("pass_size", [1, 100])
+def test_reweighted_tables_counted_in_several_passes_match(pass_size, monkeypatch):
+    monkeypatch.setattr(channel_model, "_PASS_SIZE", pass_size)
+    for name in ("flip2", "zrow"):
+        ch = _channel(name)
+        assert_own_tables(ch, *_grid_policies(ch, 3, seed=5, count=6))
+
+
 @pytest.mark.parametrize("name", BATCH_CHANNELS)
 def test_batched_capacity_values_equal_one_law_per_policy(name):
     ch = _channel(name)
