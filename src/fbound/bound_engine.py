@@ -332,8 +332,8 @@ def capacity_bound(ch: Channel, horizon: int, cfg: SearchConfig = SearchConfig()
     law = forward_joint(ch, InputPolicy(horizon=horizon, x_size=ch.spec.x_size,
                                         y_size=ch.spec.y_size, rows={k: uniform for k in keys}),
                         horizon, budget=cfg.budget)
-    # policies per batch: every batch array stays within one pass of the
-    # level-table counts
+    # policies per batch, so that a batch's trajectory-level and
+    # rule-by-node arrays stay within ``_PASS_SIZE`` entries
     per_policy = law.prob.size * (horizon + 1) + len(rules) * law.node_prob.size
     batch = max(1, _PASS_SIZE // per_policy)
     memo: dict = {}
