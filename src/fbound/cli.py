@@ -272,24 +272,39 @@ def cmd_verify(args) -> int:
     law = _verify_law(args, ch)
     eps, trials, seed, mutate = args.epsilon, args.trials, args.seed, args.mutate
     suites = {
-        "drift": lambda: [dv.verify_linear_drift(law),
-                          dv.verify_log_drift(law, eps, mutate=mutate)],
-        "lemma1": lambda: [_pinned_submartingale(law, eps, mutate)],
-        "lemma4": lambda: [dv.verify_lemma4_budget(law, eps)],
-        "fano": lambda: [dv.verify_fano(law)],
-        "lemma5": lambda: [dv.verify_lemma5_kl_transfer(law, eps, mutate=mutate)],
-        "lemma7": lambda: [dv.verify_lemma7(trials=trials, seed=seed)],
-        "proposition": lambda: [dv.verify_entropy_proposition(trials=trials, seed=seed)],
-        "maximal": lambda: [dv.verify_maximal_inequality(law, trials=trials, seed=seed)],
+        "drift": (lambda: dv.verify_linear_drift(law),
+                  lambda: dv.verify_log_drift(law, eps, mutate=mutate)),
+        "lemma1": (lambda: _pinned_submartingale(law, eps, mutate),),
+        "lemma4": (lambda: dv.verify_lemma4_budget(law, eps),),
+        "fano": (lambda: dv.verify_fano(law),),
+        "lemma5": (lambda: dv.verify_lemma5_kl_transfer(law, eps, mutate=mutate),),
+        "lemma7": (lambda: dv.verify_lemma7(trials=trials, seed=seed),),
+        "proposition": (lambda: dv.verify_entropy_proposition(trials=trials, seed=seed),),
+        "maximal": (lambda: dv.verify_maximal_inequality(law, trials=trials, seed=seed),),
     }
     order = [s for s in VERIFY_SUITES if s != "all"]
     chosen = order if args.suite == "all" else [args.suite]
     verdicts = []
+    refused = []  # (suite, reason) of each check --suite all could not apply
     for name in chosen:
-        verdicts.extend(suites[name]())
+        for check in suites[name]:
+            try:
+                verdicts.append(check())
+            except BudgetExceededError:
+                raise
+            except FboundError as e:
+                if args.suite != "all":
+                    raise
+                refused.append((name, e))
     for v in verdicts:
         print(v.to_text())
     passed = sum(1 for v in verdicts if v.passed)
+    if refused:
+        # the verdicts stand, but the suite is not whole: no CSV, exit 2
+        print(f"verify: {passed}/{len(verdicts)} checks passed, {len(refused)} refused")
+        for name, e in refused:
+            print(f"error: {name} check refused: {e}", file=sys.stderr)
+        return 2
     print(f"verify: {passed}/{len(verdicts)} checks passed")
     if args.out:
         rows = [{

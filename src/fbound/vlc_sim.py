@@ -15,20 +15,25 @@ unsigned 64-bit key words) as one flat uniform vector
 ``d = Generator(Philox(key=[s, t])).random(1 + 2*N)`` with
 ``N = cap*(n1+n2)``: ``d[0]`` picks the message, ``d[1:N+1]`` drive the
 state draws position by position, ``d[N+1:]`` drive the output draws (a
-single-state channel draws its one state too).  Each chunk of trials keeps
-one Philox bit generator and one ``Generator``; before each trial it sets
-the bit generator's state, as plain Python ints, to a fresh
-``Philox(key=[s, t])``'s (zero counter, empty buffer) and draws the trial's
-row straight into the chunk's block (``_draw_uniforms``).  That gives the
-same draws as a fresh generator per trial, for every seed up to 2**64 - 1.
-A draw ``u`` picks the first index whose cumulative probability reaches
-``u`` (searchsorted, side "left"), so a draw on a cumulative entry goes to
-the lower index.
+single-state channel has its state positions too, though it never reads
+them).  Philox is counter-based: ``d[p]`` is ``(w >> 11) * 2**-53`` for
+the word ``w = p % 4`` of the Philox4x64-10 block of counter
+``(p // 4 + 1, 0, 0, 0)`` under that key, so any position can be computed
+without the ones before it.  The simulator (``_draw_uniforms``) computes,
+with numpy's multipliers and key increments in uint64 array arithmetic,
+only the blocks holding the positions a scheme block reads, and only for
+the trials still running: the message position, then per scheme block its
+output positions, and its state positions when one of its uses' state
+tables can count a draw.  The values are those of a fresh generator per
+trial, for every seed up to 2**64 - 1.  A draw ``u`` picks the first index
+whose cumulative probability reaches ``u`` (searchsorted, side "left"), so
+a draw on a cumulative entry goes to the lower index.
 
 There is one Monte Carlo path for every channel, and it and the exact
-evaluation are array passes: a chunk of trials, or one level of a message's
-output tree, advances one channel use at a time, the state process stepped
-through the kernel's per-use table.  Every sum that reaches a result runs
+evaluation are array passes: a chunk of trials (each scheme block only on
+the trials still running), or one level of a message's output tree,
+advances one channel use at a time, the state process stepped through the
+kernel's per-use table.  Every sum that reaches a result runs
 in the order of a per-trial or depth-first recursive loop (metrics in
 position order from 0.0, exact Pe and E[T] sequentially over the leaves in
 depth-first order), and every product is one a per-node loop computes bit
@@ -339,48 +344,95 @@ def _log_metric(qbar: np.ndarray) -> np.ndarray:
         return np.where(qbar > 0, np.log2(np.where(qbar > 0, qbar, 1.0)), -np.inf)
 
 
-def _draw_uniforms(seed: int, start: int, count: int, width: int) -> np.ndarray:
-    """The uniform vectors of trials start..start+count-1, one row each: for
-    trial t, ``Generator(Philox(key=[seed, t])).random(width)``.
+# Philox4x64-10's round multipliers and key increments, as numpy's philox.h
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_LO32 = np.uint64(0xFFFFFFFF)
 
-    One bit generator and one ``Generator`` serve every trial.  Before each
-    row the bit generator's state is set to that of a fresh
-    ``Philox(key=[seed, t])`` (zero counter, empty buffer), given as plain
-    Python ints, and the row is drawn straight into its place, without the
-    per-trial construction and its entropy draw.
+
+def _mulhilo(a: np.ndarray, m: int, hi: np.ndarray, lo: np.ndarray, scratch) -> None:
+    """Write the high and low words of the 128-bit products ``a * m`` of
+    unsigned 64-bit words into ``hi`` and ``lo``, from 32-bit halves (numpy's
+    uint64 product wraps).  Every step writes into a given array: a fresh
+    array for each step would cost more than the arithmetic."""
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    a_lo, a_hi, t = scratch
+    np.multiply(a, np.uint64(m), out=lo)
+    np.bitwise_and(a, _LO32, out=a_lo)
+    np.right_shift(a, 32, out=a_hi)
+    np.multiply(a_lo, m_lo, out=hi)
+    np.right_shift(hi, 32, out=hi)
+    np.multiply(a_lo, m_hi, out=t)
+    np.add(t, hi, out=t)  # a_lo * m_hi + carry-in: below 2**64
+    np.multiply(a_hi, m_lo, out=a_lo)
+    np.bitwise_and(t, _LO32, out=hi)
+    np.add(a_lo, hi, out=a_lo)  # the middle sum: below 2**64
+    np.multiply(a_hi, m_hi, out=hi)
+    np.right_shift(t, 32, out=t)
+    np.add(hi, t, out=hi)
+    np.right_shift(a_lo, 32, out=a_lo)
+    np.add(hi, a_lo, out=hi)
+
+
+def _draw_uniforms(seed: int, trials: np.ndarray, first: int, width: int) -> np.ndarray:
+    """Positions first..first+width-1 of the uniform vectors of the given
+    trial ids, one row per trial: for trial t, the same numbers as
+    ``Generator(Philox(key=[seed, t])).random(first + width)[first:]``.
+
+    Philox is counter-based: position p of that vector is word p % 4 of the
+    Philox4x64-10 block of counter ``(p // 4 + 1, 0, 0, 0)`` under key
+    ``[seed, t]``, as ``(word >> 11) * 2**-53``.  Only the blocks the
+    positions lie in are computed, for all trials at once: each counter
+    word is a (block, trial) array, advanced through the ten rounds in place.
+    The result is the transpose of a (position, trial) array, so that a
+    position's column is contiguous.
     """
-    # a uint64 array: numpy casts a list key word of 2**63 or more through
-    # float64, which merges seeds; the state setter takes plain ints as they are
-    bits = np.random.Philox(key=np.array([seed, start], dtype=np.uint64))
-    gen = np.random.Generator(bits)
-    key = [seed, start]
-    fresh = {
-        "bit_generator": "Philox",
-        "state": {"counter": [0, 0, 0, 0], "key": key},
-        "buffer": [0, 0, 0, 0],
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    out = np.empty((count, width))
-    for i in range(count):
-        key[1] = start + i
-        bits.state = fresh
-        gen.random(out=out[i])
-    return out
+    j0, j1 = first // 4, (first + width - 1) // 4
+    k1 = np.asarray(trials, dtype=np.uint64)[None, :]
+    shape = (j1 - j0 + 1, k1.shape[1])
+    c = [np.zeros(shape, dtype=np.uint64) for _ in range(4)]
+    c[0][:] = np.arange(j0 + 1, j1 + 2, dtype=np.uint64)[:, None]
+    free = [np.empty(shape, dtype=np.uint64) for _ in range(4)]
+    scratch = [np.empty(shape, dtype=np.uint64) for _ in range(3)]
+    k0 = seed
+    for r in range(10):
+        if r:
+            k0 = (k0 + _PHILOX_W[0]) & 0xFFFFFFFFFFFFFFFF
+            k1 = k1 + np.uint64(_PHILOX_W[1])
+        hi0, lo0, hi1, lo1 = free
+        _mulhilo(c[0], _PHILOX_M[0], hi0, lo0, scratch)
+        _mulhilo(c[2], _PHILOX_M[1], hi1, lo1, scratch)
+        np.bitwise_xor(hi1, c[1], out=hi1)
+        np.bitwise_xor(hi1, np.uint64(k0), out=hi1)
+        np.bitwise_xor(hi0, c[3], out=hi0)
+        np.bitwise_xor(hi0, k1, out=hi0)
+        free, c = c, [hi1, lo1, hi0, lo0]
+    out = np.empty((width, shape[1]))
+    for i in range(width):
+        j, w = divmod(first + i, 4)
+        out[i] = c[w][j - j0] >> 11
+    out *= 2.0**-53
+    return out.T
 
 
 def _columns(cum: np.ndarray) -> tuple[np.ndarray, ...]:
     """The last-axis entries of a cumulative table, each flattened in C order
-    over the leading axes into one contiguous column."""
-    return tuple(cum[..., k].ravel() for k in range(cum.shape[-1]))
+    over the leading axes into one contiguous column.  A column at or above
+    1.0 in every row is left out: no draw exceeds 1.0, so it never counts
+    one (a single-state table has no column left)."""
+    cols = (cum[..., k].ravel() for k in range(cum.shape[-1]))
+    return tuple(col for col in cols if (col < 1.0).any())
 
 
-def _count_below(cols: tuple[np.ndarray, ...], row: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _count_below(
+    cols: tuple[np.ndarray, ...], row: np.ndarray, u: np.ndarray | None
+) -> np.ndarray:
     """For each draw ``u``, the number of entries of its cumulative row
     (``row`` indexes the flattened leading axes of the table ``cols`` came
     from) that lie below it: the index of the first entry at or above u,
-    as searchsorted(side="left"), so a draw on an entry goes to that entry."""
+    as searchsorted(side="left"), so a draw on an entry goes to that entry.
+    With no column left every count is 0 and ``u`` is not read (None when
+    the use drew no uniform)."""
     idx = np.zeros(row.shape, dtype=np.int64)
     for col in cols:
         idx += col.take(row) < u
@@ -390,20 +442,22 @@ def _count_below(cols: tuple[np.ndarray, ...], row: np.ndarray, u: np.ndarray) -
 def _simulate_generic(
     scheme: SchemeSpec, ch: Channel, trials: int, seed: int, start: int
 ) -> tuple[int, float, float]:
-    """Monte Carlo of trials start..start+trials-1: every trial of a chunk
-    of ``SIM_CHUNK`` advances one channel use at a time as one array pass.
+    """Monte Carlo of trials start..start+trials-1: the trials of a chunk of
+    ``SIM_CHUNK`` advance one channel use at a time as one array pass.
 
-    A chunk's uniforms come from ``_draw_uniforms``, one re-keyed Philox
-    row per trial.  At use t, every trial reads its state law from the
-    kernel's cumulative ``use_table(t)`` at row ``s_mem * X_mem + x_mem``
-    of its state- and input-history indices, and its output law from the
-    cumulative channel matrix at row ``s * X + x``; ``_count_below`` draws
-    each by counting, column by column of the table, the entries below the
-    trial's uniform (searchsorted, side "left"), as a per-trial loop would.
-    The data metric is summed from 0.0 in codeword position order and the
-    confirm log-likelihood ratio from 0.0 in use order, so every trial's
-    outcome is bit-identical to running it alone.  A single-state channel
-    takes the same pass.
+    Each scheme block runs on the trials still alive after the last one,
+    and draws (``_draw_uniforms``) only those trials' positions of that
+    block: its output uniforms, and its state uniforms only when one of its
+    uses' state tables has a column left (``_columns``), so a single-state
+    channel draws no state uniform.  At use t, every live trial reads its
+    state law from the kernel's cumulative ``use_table(t)`` at row
+    ``s_mem * X_mem + x_mem`` of its state- and input-history indices, and
+    its output law from the cumulative channel matrix at row ``s * X + x``;
+    ``_count_below`` draws each by counting, column by column of the table,
+    the entries below the trial's uniform (searchsorted, side "left"), as a
+    per-trial loop would.  The data metric is summed from 0.0 in codeword
+    position order and the confirm log-likelihood ratio from 0.0 in use
+    order, so every trial's outcome is bit-identical to running it alone.
     """
     kernel = ch.kernel
     x_size, s_size = ch.spec.x_size, ch.spec.s_size
@@ -421,40 +475,48 @@ def _simulate_generic(
     llr_row = logq[xa] - logq[xn]
     cum_state = [np.cumsum(kernel.use_table(t), axis=2) for t in range(1, n_uses + 1)]
     state_cols = [_columns(cum) for cum in cum_state]
+    state_draws = [any(state_cols[b * block : (b + 1) * block]) for b in range(cap)]
 
     errors = 0
     t_sum = 0.0
     t_sqsum = 0.0
     for lo in range(0, trials, SIM_CHUNK):
         n = min(SIM_CHUNK, trials - lo)
-        d = _draw_uniforms(seed, start + lo, n, 1 + 2 * n_uses)
-        w = np.minimum((d[:, 0] * m).astype(int), m - 1)
-        us, uy = d[:, 1 : n_uses + 1], d[:, n_uses + 1 :]
+        ids = np.arange(start + lo, start + lo + n, dtype=np.uint64)
+        w_all = np.minimum((_draw_uniforms(seed, ids, 0, 1)[:, 0] * m).astype(int), m - 1)
+        live = np.arange(n)  # chunk rows of the trials still running
         s_mem = x_mem = np.zeros(n, dtype=np.int64)  # state- and input-history indices
-        alive = np.ones(n, dtype=bool)
         stop_block = np.zeros(n, dtype=int)
         final_err = np.zeros(n, dtype=bool)
         for b in range(cap):
-            ll = np.zeros((n, m))
+            t0 = b * block
+            uy = _draw_uniforms(seed, ids[live], n_uses + 1 + t0, block)
+            us = _draw_uniforms(seed, ids[live], 1 + t0, block) if state_draws[b] else None
+            w = w_all[live]
+            ll = np.zeros((live.size, m))
             for pos in range(block):
-                t = b * block + pos
+                t = t0 + pos
                 s_rows, x_rows = cum_state[t].shape[:2]
                 s_mem, x_mem = s_mem % s_rows, x_mem % x_rows
                 x = cb[w, pos] if pos < n1 else np.where(w_hat == w, xa, xn)
-                s = _count_below(state_cols[t], s_mem * x_rows + x_mem, us[:, t])
-                y = _count_below(q_cols, s * x_size + x, uy[:, t])
+                u_s = None if us is None else us[:, pos]
+                s = _count_below(state_cols[t], s_mem * x_rows + x_mem, u_s)
+                y = _count_below(q_cols, s * x_size + x, uy[:, pos])
                 s_mem, x_mem = s_mem * s_size + s, x_mem * x_size + x
                 if pos < n1:
                     ll = ll + lq_pos[pos].take(y, axis=0)
                     if pos == n1 - 1:
                         w_hat = np.argmax(ll, axis=1)
-                        llr = np.zeros(n)
+                        llr = np.zeros(live.size)
                 else:
                     llr = llr + llr_row[y]
-            done = alive & ((llr >= scheme.threshold) | (b == cap - 1))
-            stop_block[done] = b + 1
-            final_err[done] = (w_hat != w)[done]
-            alive &= ~done
+            done = (llr >= scheme.threshold) | (b == cap - 1)
+            stop_block[live[done]] = b + 1
+            final_err[live[done]] = (w_hat != w)[done]
+            go_on = ~done
+            live, s_mem, x_mem = live[go_on], s_mem[go_on], x_mem[go_on]
+            if not live.size:
+                break
         t_stop = stop_block * block
         errors += int(final_err.sum())
         t_sum += float(t_stop.sum())

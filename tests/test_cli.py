@@ -345,6 +345,8 @@ VERIFY_COMMANDS = [
                               "--seed", "0"], 0),
     ("verify_bsc01_h8_m2_all", ["channels/bsc01.json", "--suite", "all", "--horizon", "8",
                                 "--messages", "2"], 0),
+    # lemma 4 refuses this law: re-recorded when ``--suite all`` began to
+    # print the other checks' verdicts, each the bytes of its own suite's run
     ("verify_bsc01_h8_m4_all", ["channels/bsc01.json", "--suite", "all", "--horizon", "8",
                                 "--messages", "4"], 2),
     ("verify_bsc01_h8_m4_eps05_all", ["channels/bsc01.json", "--suite", "all", "--horizon",
@@ -471,6 +473,34 @@ def test_zero_message_entropy_in_the_pruned_process_exits_2(suite, tmp_path, cap
     }))
     assert main(["verify", "--channel", str(faint), "--suite", suite, "--horizon", "4"]) == 2
     captured = capsys.readouterr()
-    assert captured.err == ("error: history (0, 0) at time 2 has message entropy 0.0 "
-                            "(an underflowed posterior), where Z takes log2 H\n")
-    assert captured.out == ""
+    reason = ("history (0, 0) at time 2 has message entropy 0.0 (an underflowed posterior), "
+              "where Z takes log2 H")
+    if suite == "lemma1":
+        assert captured.err == f"error: {reason}\n"
+        assert captured.out == ""
+    else:
+        # --suite all names the refused check and keeps the others' verdicts
+        assert captured.err.splitlines()[0] == f"error: lemma1 check refused: {reason}"
+        assert captured.out.endswith("verify: 6/6 checks passed, 3 refused\n")
+
+
+def test_verify_all_prints_the_verdicts_a_refusal_used_to_hide(tmp_path, capsys):
+    # at the defaults (M=2, H=3) lemma 1 and lemma 4 refuse bsc02; that used
+    # to end the whole suite with empty stdout.  The seven other verdicts
+    # print as their own suites print them, each refusal is named on
+    # stderr, and the run still exits 2 without a CSV.
+    bsc02 = str(_CHANNELS / "bsc02.json")
+    out = tmp_path / "v.csv"
+    assert main(["verify", "--channel", bsc02, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: lemma1 check refused: the entropy path never crosses eps before the end: "
+        "no divergence window\n"
+        "error: lemma4 check refused: eps=0.3 must exceed the decoder entropy ceiling "
+        "0.585549\n")
+    assert not out.exists()
+    alone = []
+    for suite in ("drift", "fano", "maximal", "lemma7", "proposition", "lemma5"):
+        assert main(["verify", "--channel", bsc02, "--suite", suite]) == 0
+        alone.append(capsys.readouterr().out.rsplit("verify: ", 1)[0])
+    assert captured.out == "".join(alone) + "verify: 7/7 checks passed, 2 refused\n"

@@ -213,20 +213,97 @@ def _eighths(u):
     return (np.floor(u * 7.0) + 1.0) / 8.0
 
 
+def _spy_draws(monkeypatch, change=lambda u: u):
+    """Route ``_draw_uniforms`` through ``change`` and record each call's
+    trial ids, first position and width."""
+    calls = []
+    real = vlc_sim._draw_uniforms
+
+    def spy(seed, trials, first, width):
+        calls.append((np.asarray(trials).tolist(), first, width))
+        return change(real(seed, trials, first, width))
+
+    monkeypatch.setattr(vlc_sim, "_draw_uniforms", spy)
+    return calls
+
+
 def test_draws_on_a_cumulative_entry_go_to_the_lower_index(monkeypatch):
     # ties between a draw and a cumulative state or output probability go
     # to the first index whose cumulative mass reaches the draw, as
     # searchsorted(side="left") in the per-trial loop
-    real = vlc_sim._draw_uniforms
-    monkeypatch.setattr(vlc_sim, "_draw_uniforms", lambda *args: _eighths(real(*args)))
+    calls = _spy_draws(monkeypatch, _eighths)
 
     def draw(seed, t, width):
         return _eighths(oracles.fresh_trial_uniforms(seed, t, width))
 
     ch = _dyadic_channel()
     for sc in _schemes(ch, shapes=((2, 2, 2, 3), (4, 2, 2, 2))):
+        calls.clear()
         args = (sc, ch, 200, 1, 0)
         assert _simulate_generic(*args) == oracles.loop_simulate_generic(*args, draw=draw), sc
+        assert any(first > sc.max_uses for _, first, _ in calls)  # outputs too went through
+
+
+@quiet
+@pytest.mark.parametrize("name", FILES + RANDOM)
+def test_only_a_channel_with_states_draws_state_uniforms(name, monkeypatch):
+    # positions 1..N hold the state uniforms; a single-state table has no
+    # column that can count one, so no state position is computed
+    ch = _channel(name)
+    calls = _spy_draws(monkeypatch)
+    for sc in _schemes(ch, shapes=((2, 2, 2, 3), (4, 2, 2, 2))):
+        calls.clear()
+        _simulate_generic(sc, ch, 50, 2, 0)
+        n = sc.max_uses
+        reads_state = any(first <= n and first + width > 1 for _, first, width in calls)
+        assert reads_state == (not ch.spec.is_dmc()), sc
+
+
+@quiet
+@pytest.mark.parametrize("name", ["bsc01", "flip2", "markov_s4_y3"])
+def test_a_block_draws_only_for_the_trials_still_running(name, monkeypatch):
+    # block b's positions are computed for exactly the trials that did not
+    # stop in blocks 0..b-1, each trial's stop read off the per-trial loop
+    # run on that trial alone
+    ch = _channel(name)
+    calls = _spy_draws(monkeypatch)
+    seed, start, n = 3, 19_990, 40
+    trial_ids = range(start, start + n)
+    later = 0
+    for sc in _schemes(ch, shapes=((2, 2, 2, 3), (4, 2, 2, 2), (2, 1, 1, 3))):
+        calls.clear()
+        _simulate_generic(sc, ch, n, seed, start)
+        block, n_uses = sc.block_len, sc.max_uses
+        stop = {t: oracles.loop_simulate_generic(sc, ch, 1, seed, t)[1] // block
+                for t in trial_ids}
+        output_blocks = []
+        for ids, first, width in calls:
+            if first == 0:
+                assert (ids, width) == (list(trial_ids), 1)  # the message draw
+                continue
+            b, offset = divmod((first - 1) % n_uses, block)
+            assert (offset, width) == (0, block), (first, width)
+            assert ids == [t for t in trial_ids if stop[t] > b], (sc, b)
+            if first > n_uses:
+                output_blocks.append(b)
+        assert output_blocks == list(range(int(max(stop.values())))), sc
+        later += 0 < sum(stop[t] > 1 for t in trial_ids) < n
+    assert later  # some scheme stops trials in block 1 and runs others on
+
+
+def test_columns_leave_out_what_never_counts_a_draw():
+    # a draw is at most 1.0, so a column at or above 1.0 in every row never
+    # counts one; a column below 1.0 in a single row is kept
+    cum = np.array([[[0.25, 1.0, 1.0], [0.5, 0.75, 1.0]],
+                    [[1.0, 1.0, 1.0], [0.0, 1.0, 1.0 + 2**-52]]])
+    assert [c.tolist() for c in vlc_sim._columns(cum)] == [
+        [0.25, 0.5, 1.0, 0.0], [1.0, 0.75, 1.0, 1.0]]
+    short = np.cumsum(np.full((1, 1, 10), 0.1), axis=2)  # ends at 1 - 2**-53
+    assert len(vlc_sim._columns(short)) == 10
+    assert vlc_sim._columns(np.ones((1, 1, 1))) == ()  # a single-state table
+    # with no column every count is 0, and the draws are not read
+    got = vlc_sim._count_below((), np.array([0, 3, 2]), None)
+    assert got.dtype == np.int64 and got.tolist() == [0, 0, 0]
 
 
 def _cumulative_tables():

@@ -127,37 +127,32 @@ def test_simulate_matches_the_per_trial_loop(yi_bsc01, bsc01):
     assert RunStats.from_counts(yi_bsc01.m, 500, *counts) == base
 
 
-def _fresh_generator_draws(seed, start, count, width):
-    return np.array([oracles.fresh_trial_uniforms(seed, t, width)
-                     for t in range(start, start + count)])
-
-
-def test_rekeyed_generator_draws_what_a_fresh_one_per_trial_draws():
-    seeds = [0, 1, 11, 2**63 - 1, 2**63, 2**64 - 1]
-    seeds += [int(v) for v in np.random.default_rng(3).integers(0, 2**64, size=4, dtype=np.uint64)]
-    for seed in seeds:
-        for start in (0, 1, 19_999, 20_000, 987_654):
-            for width in range(1, 42):
-                got = _draw_uniforms(seed, start, 3, width)
-                assert got.tobytes() == _fresh_generator_draws(seed, start, 3, width).tobytes()
-
-
-def test_seeds_below_2_63_keep_the_draws_of_a_list_key():
-    # numpy reads a list key below 2**63 as int64, the same words
+def test_draws_are_the_positions_of_a_fresh_generator_per_trial():
+    # any window of positions, for any set of trial ids, is that window of
+    # a fresh ``Generator(Philox(key=[seed, t]))`` vector: windows start on
+    # and off the 4-word block edges and span up to 11 blocks; every window
+    # on the lowest and highest seed, every start on the others
+    seeds = [0, 2**64 - 1, 1, 2**63 - 1, 2**63]
+    seeds += [int(v) for v in np.random.default_rng(3).integers(0, 2**64, size=3, dtype=np.uint64)]
+    ids = np.array([0, 1, 19_999, 20_000, 987_654], dtype=np.uint64)
+    for k, seed in enumerate(seeds):
+        full = np.array([oracles.fresh_trial_uniforms(seed, int(t), 81) for t in ids])
+        for first in range(41):
+            for width in range(1, 42) if k < 2 else (1, 4, 5, 41 - first):
+                got = _draw_uniforms(seed, ids, first, width)
+                assert got.shape == (ids.size, width)
+                assert got.tobytes() == full[:, first : first + width].tobytes(), (seed, first)
+    # a list key reads words below 2**63 as int64, the same words: those
+    # seeds keep the draws they had when the key was built from a list
     for seed in (0, 11, 2**62 + 5, 2**63 - 1):
         want = np.random.Generator(np.random.Philox(key=[seed, 7])).random(9)
-        assert _draw_uniforms(seed, 7, 1, 9)[0].tobytes() == want.tobytes()
-
-
-def test_top_seeds_get_their_own_key(yi_bsc01, bsc01):
-    # a list key casts these through float64: 2**64 - 1 became seed 0's key
-    # and 2**64 - 2047 one shared with its neighbours
+        assert oracles.fresh_trial_uniforms(seed, 7, 9).tobytes() == want.tobytes()
+    # a list key cast 2**64 - 1 through float64 onto seed 0's key, and
+    # 2**64 - 2047 onto its neighbours'; each is its own key here
     for seed in (2**64 - 1, 2**64 - 2047):
-        assert _draw_uniforms(seed, 0, 2, 5).tobytes() != _draw_uniforms(0, 0, 2, 5).tobytes()
-        assert (_draw_uniforms(seed, 0, 2, 5).tobytes()
-                != _draw_uniforms(seed - 1, 0, 2, 5).tobytes())
-    top = simulate(yi_bsc01, bsc01, 500, seed=2**64 - 1)  # warnings are errors
-    assert top != simulate(yi_bsc01, bsc01, 500, seed=0)
+        top = _draw_uniforms(seed, ids, 0, 5).tobytes()
+        assert top != _draw_uniforms(0, ids, 0, 5).tobytes()
+        assert top != _draw_uniforms(seed - 1, ids, 0, 5).tobytes()
 
 
 def test_simulate_refuses_a_seed_outside_the_key_range(yi_bsc01, bsc01):
@@ -185,6 +180,8 @@ def test_simulate_seed_changes_outcome(yi_bsc01, bsc01):
     a = simulate(yi_bsc01, bsc01, 500, seed=1)
     c = simulate(yi_bsc01, bsc01, 500, seed=2)
     assert (a.errors, a.et) != (c.errors, c.et)
+    top = simulate(yi_bsc01, bsc01, 500, seed=2**64 - 1)  # warnings are errors
+    assert top != simulate(yi_bsc01, bsc01, 500, seed=0)
 
 
 def test_simulate_argument_errors(yi_bsc01, bsc01):
