@@ -127,7 +127,7 @@ def test_simulate_matches_the_per_trial_loop(yi_bsc01, bsc01):
     assert RunStats.from_counts(yi_bsc01.m, 500, *counts) == base
 
 
-def test_draws_are_the_positions_of_a_fresh_generator_per_trial():
+def test_rekeyed_generator_draws_what_a_fresh_one_per_trial_draws():
     # any window of positions, for any set of trial ids, is that window of
     # a fresh ``Generator(Philox(key=[seed, t]))`` vector: windows start on
     # and off the 4-word block edges and span up to 11 blocks; every window
@@ -142,17 +142,28 @@ def test_draws_are_the_positions_of_a_fresh_generator_per_trial():
                 got = _draw_uniforms(seed, ids, first, width)
                 assert got.shape == (ids.size, width)
                 assert got.tobytes() == full[:, first : first + width].tobytes(), (seed, first)
+
+
+def test_seeds_below_2_63_keep_the_draws_of_a_list_key():
     # a list key reads words below 2**63 as int64, the same words: those
     # seeds keep the draws they had when the key was built from a list
     for seed in (0, 11, 2**62 + 5, 2**63 - 1):
         want = np.random.Generator(np.random.Philox(key=[seed, 7])).random(9)
         assert oracles.fresh_trial_uniforms(seed, 7, 9).tobytes() == want.tobytes()
+        got = _draw_uniforms(seed, np.array([7], dtype=np.uint64), 0, 9)
+        assert got[0].tobytes() == want.tobytes()
+
+
+def test_top_seeds_get_their_own_key(yi_bsc01, bsc01):
     # a list key cast 2**64 - 1 through float64 onto seed 0's key, and
     # 2**64 - 2047 onto its neighbours'; each is its own key here
+    ids = np.array([0, 1], dtype=np.uint64)
     for seed in (2**64 - 1, 2**64 - 2047):
         top = _draw_uniforms(seed, ids, 0, 5).tobytes()
         assert top != _draw_uniforms(0, ids, 0, 5).tobytes()
         assert top != _draw_uniforms(seed - 1, ids, 0, 5).tobytes()
+    top = simulate(yi_bsc01, bsc01, 500, seed=2**64 - 1)  # warnings are errors
+    assert top != simulate(yi_bsc01, bsc01, 500, seed=0)
 
 
 def test_simulate_refuses_a_seed_outside_the_key_range(yi_bsc01, bsc01):
@@ -180,8 +191,6 @@ def test_simulate_seed_changes_outcome(yi_bsc01, bsc01):
     a = simulate(yi_bsc01, bsc01, 500, seed=1)
     c = simulate(yi_bsc01, bsc01, 500, seed=2)
     assert (a.errors, a.et) != (c.errors, c.et)
-    top = simulate(yi_bsc01, bsc01, 500, seed=2**64 - 1)  # warnings are errors
-    assert top != simulate(yi_bsc01, bsc01, 500, seed=0)
 
 
 def test_simulate_argument_errors(yi_bsc01, bsc01):
