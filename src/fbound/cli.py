@@ -269,18 +269,29 @@ def cmd_verify(args) -> int:
         given = ",".join(map(str, args.messages))
         raise SchemaError(f"verify checks one message count, got --messages {given}")
     ch = load_channel(args.channel)
-    law = _verify_law(args, ch)
+    built = []  # the law, or the error building it raised, once a check asks
+
+    def law():
+        if not built:
+            try:
+                built.append(_verify_law(args, ch))
+            except FboundError as e:
+                built.append(e)
+        if isinstance(built[0], FboundError):
+            raise built[0]
+        return built[0]
+
     eps, trials, seed, mutate = args.epsilon, args.trials, args.seed, args.mutate
     suites = {
-        "drift": (lambda: dv.verify_linear_drift(law),
-                  lambda: dv.verify_log_drift(law, eps, mutate=mutate)),
-        "lemma1": (lambda: _pinned_submartingale(law, eps, mutate),),
-        "lemma4": (lambda: dv.verify_lemma4_budget(law, eps),),
-        "fano": (lambda: dv.verify_fano(law),),
-        "lemma5": (lambda: dv.verify_lemma5_kl_transfer(law, eps, mutate=mutate),),
+        "drift": (lambda: dv.verify_linear_drift(law()),
+                  lambda: dv.verify_log_drift(law(), eps, mutate=mutate)),
+        "lemma1": (lambda: _pinned_submartingale(law(), eps, mutate),),
+        "lemma4": (lambda: dv.verify_lemma4_budget(law(), eps),),
+        "fano": (lambda: dv.verify_fano(law()),),
+        "lemma5": (lambda: dv.verify_lemma5_kl_transfer(law(), eps, mutate=mutate),),
         "lemma7": (lambda: dv.verify_lemma7(trials=trials, seed=seed),),
         "proposition": (lambda: dv.verify_entropy_proposition(trials=trials, seed=seed),),
-        "maximal": (lambda: dv.verify_maximal_inequality(law, trials=trials, seed=seed),),
+        "maximal": (lambda: dv.verify_maximal_inequality(law(), trials=trials, seed=seed),),
     }
     order = [s for s in VERIFY_SUITES if s != "all"]
     chosen = order if args.suite == "all" else [args.suite]
@@ -346,10 +357,12 @@ def cmd_simulate(args, parser) -> int:
     rows = []
     for scheme in schemes:
         stats = simulate(scheme, ch, args.trials, seed=args.seed)
-        rows.append(csv_row(scheme, stats))
+        if args.out:
+            rows.append(csv_row(scheme, stats))
+        pe_lo, pe_hi = stats.pe_interval_text()
         print(f"scheme {scheme.name or scheme.variant}: "
               f"M={scheme.m} trials={stats.trials} "
-              f"Pe={stats.pe:.6g} [{stats.pe_lo:.6g},{stats.pe_hi:.6g}] "
+              f"Pe={stats.pe:.6g} [{pe_lo},{pe_hi}] "
               f"ET={stats.et:.6g} R={stats.rate:.6g} E={stats.exponent:.6g}")
         if args.exact:
             kw = {} if budget is None else {"budget": budget}

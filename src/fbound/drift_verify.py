@@ -402,8 +402,9 @@ def verify_submartingale_L(
     lambda is admissible when its convexity precondition holds on a dense
     sample of the negative log-ratio range; the verdict reports the largest
     grid lambda that is admissible and passes every atom at every step.
-    Per lambda, Z is evaluated once per history on the paths and each
-    atom's increments are summed with one ``np.bincount`` in path order.
+    Per lambda, Z is evaluated once per distinct entropy of the histories
+    on the paths and each atom's increments are summed with one
+    ``np.bincount`` in path order.
     """
     _check_mutation(mutate)
     if not law.is_message_form:
@@ -438,7 +439,10 @@ def verify_submartingale_L(
         hist = node_table(law).history(nodes[zero[0]])
         raise DistributionError(f"history {hist} at time {len(hist)} has message entropy "
                                 "0.0 (an underflowed posterior), where Z takes log2 H")
-    h_nodes = h_nodes.tolist()
+    # Z depends on a node only through its entropy: one value per distinct H
+    h_values, node_h = np.unique(h_nodes, return_inverse=True)
+    path_h = node_h[on_path].reshape(paths.nodes.shape)
+    h_values = h_values.tolist()
 
     details: list[str] = []
     best_lam = None
@@ -449,8 +453,7 @@ def verify_submartingale_L(
         if not pre_ok:
             details.append(f"lambda={lam:g}: precondition violated (gap {pre_gap:.3e})")
             continue
-        z = np.array([_z_value(v, eps, i_const, d_const, lam) for v in h_nodes])
-        z = z[on_path.reshape(paths.nodes.shape)]
+        z = np.array([_z_value(v, eps, i_const, d_const, lam) for v in h_values])[path_h]
         l = np.take_along_axis(z, pruned, axis=1) + s
         num = np.bincount(atom, (paths.prob[:, None] * (l[:, 1:] - l[:, :-1])).ravel(), n_atoms)
         worst = min([math.inf, *(num / mass).tolist()])

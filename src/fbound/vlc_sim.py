@@ -50,6 +50,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -250,11 +251,13 @@ def build_repetition_confirm(
 
 
 def _clopper_pearson(k: int, n: int, level: float = 0.95) -> tuple[float, float]:
-    """Exact binomial interval from beta quantiles (``betaincinv``).
+    """Exact binomial interval from beta quantiles (``betaincinv``): the
+    one source of the interval's bits, in CSV rows and ``RunStats``.
 
-    scipy is imported here, not at module level: only ``simulate`` needs
-    the interval, and ``scipy.special`` would otherwise be most of every
-    command's start-up."""
+    scipy is imported here, not at module level: importing ``scipy.special``
+    costs more than most commands' own work, and only these bits need it;
+    the printed digits come from ``_clopper_pearson_text`` where it can
+    certify them."""
     from scipy.special import betaincinv
 
     a = (1.0 - level) / 2.0
@@ -263,17 +266,199 @@ def _clopper_pearson(k: int, n: int, level: float = 0.95) -> tuple[float, float]
     return lo, hi
 
 
+# Relative half-width of the bracket around a pure-math Clopper–Pearson
+# bound that must print as one ``.6g`` string, and hold the root of the
+# tail equation, before that string is printed.  It is ~180x the largest
+# gap measured between the pure quantile and ``betaincinv`` (1.1e-10 at
+# 10^7 trials, mostly betaincinv's own error), so betaincinv's value lies
+# in the bracket too (tests/test_vlc_sim.py sweeps it).
+CP_DELTA = 2e-8
+_CF_TOL = 1e-15  # relative step at which the continued fraction has converged
+_CF_MAX = 100_000  # continued-fraction terms before a bound is given up
+_SUM_TERMS = 500  # a beta tail of at most this many binomial terms is summed
+
+
+def _stirling_tail(z: float) -> float:
+    """lgamma(z) minus its Stirling main part (z - 1/2) log z - z +
+    log(2 pi)/2, as the asymptotic series to the z**-9 term: for z >= 16
+    the first term left out is below 2e-16."""
+    r = 1.0 / (z * z)
+    return (1 / 12 - r * (1 / 360 - r * (1 / 1260 - r * (1 / 1680 - r / 1188)))) / z
+
+
+def _log_beta(a: int, b: int) -> float:
+    """log B(a, b) for positive integer shapes, without the cancellation of
+    lgamma(a) + lgamma(b) - lgamma(a + b), whose terms grow as n log n while
+    the result does not.  With a the smaller shape, B(a, b) is
+    (a - 1)! / (b (b + 1) ... (b + a - 1)) up to a = 15; above that,
+    Stirling's series for each lgamma with the large terms combined."""
+    a, b = min(a, b), max(a, b)
+    if a < 16:
+        return math.lgamma(a) - math.fsum(math.log(b + i) for i in range(a))
+    return (0.5 * math.log(2.0 * math.pi / b) + (a - 0.5) * math.log(a / (a + b))
+            - b * math.log1p(a / b) + _stirling_tail(a) + _stirling_tail(b)
+            - _stirling_tail(a + b))
+
+
+def _beta_cf(a: int, b: int, x: float) -> float | None:
+    """Continued fraction of the regularized incomplete beta function,
+    I_x(a, b) = x**a (1 - x)**b / (a B(a, b)) * cf, summed by the modified
+    Lentz method (DiDonato & Morris, ACM TOMS 1992; Numerical Recipes'
+    betacf).  It converges fast for x below (a + 1) / (a + b + 2); None when
+    it has not converged in ``_CF_MAX`` terms."""
+    tiny = 1e-300
+    c = 1.0
+    d = 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > tiny else tiny)
+    h = d
+    for m in range(1, _CF_MAX):
+        for num in (m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
+                    -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0))):
+            d = 1.0 + num * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + num / c
+            c = c if abs(c) > tiny else tiny
+            step = c * d
+            h *= step
+        if abs(step - 1.0) < _CF_TOL:
+            return h
+    return None
+
+
+def _binomial_tail(x: float, a: int, b: int, upper: bool) -> float:
+    """The tail of ``_log_tail`` over its prefactor x**a (1 - x)**b / B(a, b),
+    as a finite sum: with N = a + b - 1, I_x(a, b) = P(Bin(N, x) >= a), b
+    terms, and 1 - I_x(a, b) = P(Bin(N, x) < a), a terms.  Each binomial
+    term is the previous one times a ratio, from the one next to the
+    boundary: pmf(a) = front / (a (1 - x)), pmf(a - 1) = front / (b x)."""
+    n = a + b - 1
+    total = 0.0
+    if upper:
+        term, r = 1.0 / (b * x), (1.0 - x) / x
+        for j in range(a - 1, -1, -1):
+            total += term
+            term *= j / (n - j + 1) * r
+    else:
+        term, r = 1.0 / (a * (1.0 - x)), x / (1.0 - x)
+        for j in range(a, n + 1):
+            total += term
+            term *= (n - j) / (j + 1) * r
+    return total
+
+
+def _log_tail(x: float, a: int, b: int, upper: bool) -> tuple[float, float] | None:
+    """(log T, x f(x) / T) at x in (0, 1), where T is the lower tail
+    I_x(a, b) of the Beta(a, b) law or, if ``upper``, the upper tail
+    1 - I_x(a, b), and f its density.
+
+    log x and log1p(-x) enter the prefactor as given, so a quantile near 0
+    or 1 keeps its relative precision.  A tail of at most ``_SUM_TERMS``
+    binomial terms is their sum.  Otherwise the tail below the law's mean
+    is the continued fraction at x, the one above it the fraction of the
+    mirrored law at 1 - x, and the other tail one minus it; the rounding of
+    1 - x, amplified in that fraction by about b / sqrt(a) when x is small,
+    stays far below ``CP_DELTA`` for a above ``_SUM_TERMS``.  None when the
+    fraction does not converge or the tail is not positive."""
+    log_front = a * math.log(x) + b * math.log1p(-x) - _log_beta(a, b)
+    if (a if upper else b) <= _SUM_TERMS:
+        t = math.exp(log_front) * _binomial_tail(x, a, b, upper)
+    else:
+        if x < (a + 1.0) / (a + b + 2.0):
+            cf, near, mirrored = _beta_cf(a, b, x), a, upper
+        else:
+            cf, near, mirrored = _beta_cf(b, a, 1.0 - x), b, not upper
+        if cf is None:
+            return None
+        t = math.exp(log_front) * cf / near
+        if mirrored:
+            t = 1.0 - t
+    if not 0.0 < t < math.inf:
+        return None
+    log_t = math.log(t)
+    return log_t, math.exp(log_front - log_t) / (1.0 - x)
+
+
+def _beta_quantile(a: int, b: int, p: float, upper: bool) -> float | None:
+    """The x in (0, 1) whose lower tail I_x(a, b) (upper tail, if
+    ``upper``) equals p, by Newton's method on log T in t = log x (in
+    t = log(1 - x) for the upper tail).  For shapes of at least 1 that
+    function of t is increasing and concave, so the steps never pass the
+    root from below, and from above they land below it.  None when a step
+    leaves (0, 1) or a tail cannot be evaluated."""
+    x = a / (a + b)
+    log_p = math.log(p)
+    for _ in range(100):
+        tail = _log_tail(x, a, b, upper)
+        if tail is None:
+            return None
+        log_t, slope = tail
+        if upper:
+            # dt/dx = -1/(1 - x), and T falls as x rises
+            step = (log_t - log_p) / (slope * (1.0 - x) / x)
+            x_new = -math.expm1(math.log1p(-x) - step)
+        else:
+            x_new = x * math.exp(-(log_t - log_p) / slope)
+        if not 0.0 < x_new < 1.0:
+            return None
+        if abs(x_new - x) <= 1e-12 * x_new:
+            return x_new
+        x = x_new
+    return None
+
+
+def _certified_digits(a: int, b: int, p: float, upper: bool) -> str | None:
+    """The ``.6g`` string of the beta quantile ``_beta_quantile`` solves
+    for, when certified: every value within a relative ``CP_DELTA`` of the
+    pure estimate prints as one string (formatting is monotone, so the two
+    bracket ends settle it), and the tail crosses p between the two ends.
+    None otherwise."""
+    q = _beta_quantile(a, b, p, upper)
+    if q is None:
+        return None
+    ends = (q * (1.0 - CP_DELTA), q * (1.0 + CP_DELTA))
+    text = f"{q:.6g}"
+    if not (0.0 < ends[0] and ends[1] < 1.0):
+        return None
+    if any(f"{e:.6g}" != text for e in ends):
+        return None
+    log_p = math.log(p)
+    below, above = (_log_tail(e, a, b, upper) for e in ends)
+    if below is None or above is None:
+        return None
+    # the lower tail rises through p across the bracket, the upper one falls
+    sign = -1.0 if upper else 1.0
+    if not sign * (below[0] - log_p) < 0.0 < sign * (above[0] - log_p):
+        return None
+    return text
+
+
+def _clopper_pearson_text(k: int, n: int, level: float = 0.95) -> tuple[str, str] | None:
+    """``_clopper_pearson(k, n, level)`` formatted ``.6g``, from the
+    pure-math quantile (no scipy); None when a bound is not certified.
+    The upper bound solves for the upper tail 1 - fl(1 - a), the exact
+    complement of what ``betaincinv`` is given."""
+    a = (1.0 - level) / 2.0
+    lo = "0" if k == 0 else _certified_digits(k, n - k + 1, a, upper=False)
+    hi = "1" if k == n else _certified_digits(k + 1, n - k, 1.0 - (1.0 - a), upper=True)
+    return None if lo is None or hi is None else (lo, hi)
+
+
 @dataclass(frozen=True)
 class RunStats:
     """Monte Carlo outcome with exact binomial error bars and propagated
-    rate/exponent intervals (worst-case corner propagation)."""
+    rate/exponent intervals (worst-case corner propagation).
+
+    The Clopper–Pearson bounds ``pe_lo``/``pe_hi`` and the exponent bounds
+    ``exp_lo``/``exp_hi`` drawn from them are computed on first read, from
+    ``_clopper_pearson`` (scipy's ``betaincinv``), and kept; they are
+    functions of the fields, so ``==`` over the fields compares them too.
+    ``pe_interval_text`` gives their printed digits without scipy where it
+    can certify them."""
 
     m: int
     trials: int
     errors: int
     pe: float
-    pe_lo: float
-    pe_hi: float
     et: float
     et_lo: float
     et_hi: float
@@ -281,13 +466,10 @@ class RunStats:
     rate_lo: float
     rate_hi: float
     exponent: float
-    exp_lo: float
-    exp_hi: float
 
     @classmethod
     def from_counts(cls, m: int, trials: int, errors: int, t_sum: float, t_sqsum: float) -> "RunStats":
         pe = errors / trials
-        pe_lo, pe_hi = _clopper_pearson(errors, trials)
         et = t_sum / trials
         var = max(t_sqsum / trials - et * et, 0.0)
         half = 1.96 * math.sqrt(var / trials)
@@ -296,15 +478,42 @@ class RunStats:
         rate = logm / et
         rate_lo, rate_hi = logm / et_hi, logm / et_lo
         exponent = math.inf if pe == 0.0 else -math.log2(pe) / et
-        exp_lo = -math.log2(pe_hi) / et_hi if pe_hi > 0 else math.inf
-        exp_hi = math.inf if pe_lo == 0.0 else -math.log2(pe_lo) / et_lo
         return cls(
-            m=m, trials=trials, errors=errors,
-            pe=pe, pe_lo=pe_lo, pe_hi=pe_hi,
+            m=m, trials=trials, errors=errors, pe=pe,
             et=et, et_lo=et_lo, et_hi=et_hi,
             rate=rate, rate_lo=rate_lo, rate_hi=rate_hi,
-            exponent=exponent, exp_lo=exp_lo, exp_hi=exp_hi,
+            exponent=exponent,
         )
+
+    @cached_property
+    def _pe_bounds(self) -> tuple[float, float]:
+        return _clopper_pearson(self.errors, self.trials)
+
+    @property
+    def pe_lo(self) -> float:
+        return self._pe_bounds[0]
+
+    @property
+    def pe_hi(self) -> float:
+        return self._pe_bounds[1]
+
+    @property
+    def exp_lo(self) -> float:
+        return -math.log2(self.pe_hi) / self.et_hi if self.pe_hi > 0 else math.inf
+
+    @property
+    def exp_hi(self) -> float:
+        return math.inf if self.pe_lo == 0.0 else -math.log2(self.pe_lo) / self.et_lo
+
+    def pe_interval_text(self) -> tuple[str, str]:
+        """``pe_lo`` and ``pe_hi`` formatted ``.6g``: the certified pure-math
+        digits of ``_clopper_pearson_text``, or, once the exact bounds have
+        been read or where a digit is not certified, the exact bounds'."""
+        if "_pe_bounds" not in self.__dict__:
+            text = _clopper_pearson_text(self.errors, self.trials)
+            if text is not None:
+                return text
+        return f"{self.pe_lo:.6g}", f"{self.pe_hi:.6g}"
 
 
 @dataclass(frozen=True)

@@ -413,6 +413,21 @@ def test_simulate_in_a_fresh_process_matches_reference(tmp_path):
     assert out.read_bytes() == (_REFERENCE / f"{name}.csv").read_bytes()
 
 
+def test_simulate_without_out_loads_no_scipy():
+    # no CSV, so the printed interval needs no betaincinv bits: the certified
+    # pure-math digits print the reference bytes without importing scipy
+    name, args = SIMULATE_COMMANDS[1]
+    code = ("import sys; from fbound.cli import main; rc = main(sys.argv[1:]); "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'], file=sys.stderr); "
+            "sys.exit(rc)")
+    proc = subprocess.run([sys.executable, "-c", code, "simulate", "--channel", *args,
+                           "--exact"], capture_output=True, text=True,
+                          cwd=_CHANNELS.parent, env=child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "[]\n"
+    assert proc.stdout == (_REFERENCE / f"{name}.out").read_text()
+
+
 def test_verify_rejects_several_message_counts(capsys):
     assert main(["verify", "--channel", BSC01, "--suite", "fano", "--messages", "2,4"]) == 2
     captured = capsys.readouterr()
@@ -504,3 +519,26 @@ def test_verify_all_prints_the_verdicts_a_refusal_used_to_hide(tmp_path, capsys)
         assert main(["verify", "--channel", bsc02, "--suite", suite]) == 0
         alone.append(capsys.readouterr().out.rsplit("verify: ", 1)[0])
     assert captured.out == "".join(alone) + "verify: 7/7 checks passed, 2 refused\n"
+
+
+def test_verify_builds_the_law_only_for_the_checks_that_read_it(tmp_path, capsys):
+    # histk2's kernel defines 2 steps, short of the default horizon 3, so no
+    # law can be built; lemma 7 and the proposition never read one.  Alone
+    # they pass; under --suite all they print as alone, each law-reading
+    # check is refused, and the run exits 2 without a CSV.
+    histk2 = str(_CHANNELS / "histk2.json")
+    alone = []
+    for suite in ("lemma7", "proposition"):
+        assert main(["verify", "--channel", histk2, "--suite", suite]) == 0
+        alone.append(capsys.readouterr().out.rsplit("verify: ", 1)[0])
+    out = tmp_path / "v.csv"
+    assert main(["verify", "--channel", histk2, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "".join(alone) + "verify: 2/2 checks passed, 7 refused\n"
+    reason = "state kernel only defines 2 steps, horizon=3"
+    assert captured.err == "".join(
+        f"error: {suite} check refused: {reason}\n"
+        for suite in ("drift", "drift", "lemma1", "lemma4", "fano", "maximal", "lemma5"))
+    assert not out.exists()
+    assert main(["verify", "--channel", histk2, "--suite", "fano"]) == 2
+    assert capsys.readouterr().err == f"error: {reason}\n"

@@ -371,3 +371,92 @@ def test_clopper_pearson_equals_beta_quantiles():
                 assert _clopper_pearson(k, n, level) == (want_lo, want_hi), (k, n, level)
                 probes += 1
     assert probes > 200
+
+
+def test_run_stats_interval_fields_are_the_betaincinv_bounds():
+    # the four interval fields are computed on first read, with the bits an
+    # eager betaincinv gave them, and == still compares every field
+    from scipy.special import betaincinv
+
+    st = RunStats.from_counts(2, 20000, 8384, 180922.0, 1653442.0)
+    lo = float(betaincinv(8384, 20000 - 8384 + 1, 0.025))
+    hi = float(betaincinv(8384 + 1, 20000 - 8384, 1.0 - 0.025))
+    assert (st.pe_lo, st.pe_hi) == (lo, hi)
+    assert st.exp_lo == -math.log2(hi) / st.et_hi
+    assert st.exp_hi == -math.log2(lo) / st.et_lo
+    assert st == RunStats.from_counts(2, 20000, 8384, 180922.0, 1653442.0)
+    assert st != RunStats.from_counts(2, 20000, 8385, 180922.0, 1653442.0)
+
+
+def test_printed_interval_digits_match_betaincinv():
+    # the pure-math quantile prints betaincinv's .6g digits wherever it
+    # certifies them, and lies within CP_DELTA / 100 of betaincinv
+    from scipy.special import betaincinv
+
+    from fbound.vlc_sim import CP_DELTA, _beta_quantile, _clopper_pearson_text
+
+    probes = certified = 0
+    for n in (1, 2, 5, 50, 999, 20000, 100000, 10**6, 10**7):
+        for k in sorted({0, 1, 2, 3, n // 7, n // 3, n // 2, n - 3, n - 2, n - 1, n}):
+            if not 0 <= k <= n:
+                continue
+            for level in (0.9, 0.95, 0.99):
+                a = (1.0 - level) / 2.0
+                lo = 0.0 if k == 0 else float(betaincinv(k, n - k + 1, a))
+                hi = 1.0 if k == n else float(betaincinv(k + 1, n - k, 1.0 - a))
+                want = (f"{lo:.6g}", f"{hi:.6g}")
+                if k > 0:
+                    q = _beta_quantile(k, n - k + 1, a, upper=False)
+                    assert q is not None and abs(q - lo) <= CP_DELTA / 100 * lo, (k, n, level)
+                if k < n:
+                    q = _beta_quantile(k + 1, n - k, 1.0 - (1.0 - a), upper=True)
+                    assert q is not None and abs(q - hi) <= CP_DELTA / 100 * hi, (k, n, level)
+                text = _clopper_pearson_text(k, n, level)
+                if text is not None:
+                    assert text == want, (k, n, level)
+                    certified += 1
+                if level == 0.95:
+                    st = RunStats.from_counts(2, n, k, 9.0 * n, 81.0 * n)
+                    assert st.pe_interval_text() == want, (k, n)
+                probes += 1
+    # the rest fall back: a bound within CP_DELTA of a digit boundary or of 1
+    assert probes > 200 and certified > 0.9 * probes
+
+
+@pytest.mark.parametrize("k,side,boundary", [(8, "hi", 0.0007880065), (18, "lo", 0.0005334815)])
+def test_bound_within_delta_of_a_digit_boundary_takes_betaincinv(k, side, boundary):
+    # 20000 trials: one bound of each interval lies within CP_DELTA of a
+    # value halfway between two 6-digit strings, so its digits are not
+    # certified and the printed interval comes from betaincinv
+    from fbound.vlc_sim import (
+        CP_DELTA, _certified_digits, _clopper_pearson, _clopper_pearson_text,
+    )
+
+    n, a = 20000, (1.0 - 0.95) / 2.0
+    lo, hi = _clopper_pearson(k, n)
+    bound = hi if side == "hi" else lo
+    assert abs(bound - boundary) < CP_DELTA * bound
+    assert f"{bound * (1 - CP_DELTA):.6g}" != f"{bound * (1 + CP_DELTA):.6g}"
+    if side == "hi":
+        assert _certified_digits(k + 1, n - k, 1.0 - (1.0 - a), upper=True) is None
+    else:
+        assert _certified_digits(k, n - k + 1, a, upper=False) is None
+    assert _clopper_pearson_text(k, n) is None
+    st = RunStats.from_counts(2, n, k, 9.0 * n, 81.0 * n)
+    assert st.pe_interval_text() == (f"{lo:.6g}", f"{hi:.6g}")
+
+
+def test_an_estimate_off_the_root_is_not_certified(monkeypatch):
+    # an estimate 1e-7 above the lower bound of 8384 errors in 20000 trials
+    # still prints the bound's digits across its whole bracket, but the
+    # lower tail is above p at both bracket ends: the sign check refuses it
+    from fbound import vlc_sim
+
+    k, n, a = 8384, 20000, (1.0 - 0.95) / 2.0
+    lo, _ = vlc_sim._clopper_pearson(k, n)
+    off = lo * (1 + 1e-7)
+    ends = (off * (1 - vlc_sim.CP_DELTA), off * (1 + vlc_sim.CP_DELTA))
+    assert all(f"{e:.6g}" == f"{lo:.6g}" for e in ends)
+    assert vlc_sim._certified_digits(k, n - k + 1, a, upper=False) == f"{lo:.6g}"
+    monkeypatch.setattr(vlc_sim, "_beta_quantile", lambda *args: off)
+    assert vlc_sim._certified_digits(k, n - k + 1, a, upper=False) is None
