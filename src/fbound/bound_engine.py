@@ -328,7 +328,6 @@ def capacity_bound(ch: Channel, horizon: int, cfg: SearchConfig = SearchConfig()
     keys = _policy_row_keys(ch, horizon)
     grid = _simplex_grid(ch.spec.x_size, cfg.grid_denominator)
     uniform = tuple(np.full(ch.spec.x_size, 1.0 / ch.spec.x_size))
-    rng = np.random.default_rng(cfg.seed)
     law = forward_joint(ch, InputPolicy(horizon=horizon, x_size=ch.spec.x_size,
                                         y_size=ch.spec.y_size, rows={k: uniform for k in keys}),
                         horizon, budget=cfg.budget)
@@ -357,6 +356,8 @@ def capacity_bound(ch: Channel, horizon: int, cfg: SearchConfig = SearchConfig()
         if restart == 0:
             rows = {k: uniform for k in keys}
         else:
+            if restart == 1:  # numpy.random loads only for a random restart
+                rng = np.random.default_rng(cfg.seed)
             rows = {k: grid[rng.integers(len(grid))] for k in keys}
         val, rule = objective(rows)
         for _ in range(cfg.sweeps):

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import json
 import math
 import os
@@ -74,6 +73,8 @@ VERIFY_COLUMNS = ("check", "instance", "cases", "worst", "passed")
 
 
 def _sha256(path: str) -> str:
+    import hashlib  # here, not at module level: only a manifest loads OpenSSL
+
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
 
@@ -354,26 +355,30 @@ def cmd_simulate(args, parser) -> int:
     ch = load_channel(args.channel)
     schemes = _schemes_from_args(args, ch, parser)
     budget = _budget_override()
-    rows = []
+    kw = {} if budget is None else {"budget": budget}
+    runs = []
     for scheme in schemes:
         stats = simulate(scheme, ch, args.trials, seed=args.seed)
-        if args.out:
-            rows.append(csv_row(scheme, stats))
-        pe_lo, pe_hi = stats.pe_interval_text()
-        print(f"scheme {scheme.name or scheme.variant}: "
-              f"M={scheme.m} trials={stats.trials} "
-              f"Pe={stats.pe:.6g} [{pe_lo},{pe_hi}] "
-              f"ET={stats.et:.6g} R={stats.rate:.6g} E={stats.exponent:.6g}")
-        if args.exact:
-            kw = {} if budget is None else {"budget": budget}
-            ex = exact_stats(scheme, ch, **kw)
+        runs.append((scheme, stats))
+        # the walk runs before the scheme line, whose interval text may
+        # import scipy, so that scipy never loads on top of its arrays;
+        # the line still prints before a refused walk's error
+        try:
+            ex = exact_stats(scheme, ch, **kw) if args.exact else None
+        finally:
+            pe_lo, pe_hi = stats.pe_interval_text()
+            print(f"scheme {scheme.name or scheme.variant}: "
+                  f"M={scheme.m} trials={stats.trials} "
+                  f"Pe={stats.pe:.6g} [{pe_lo},{pe_hi}] "
+                  f"ET={stats.et:.6g} R={stats.rate:.6g} E={stats.exponent:.6g}")
+        if ex is not None:
             print(f"  exact: Pe={ex.pe!r} ET={ex.et!r} "
                   f"R={ex.rate:.6g} E={ex.exponent:.6g}")
     if args.out:
         man = _manifest("simulate", args,
                         ("trials", "seed", "variant", "m", "n1", "n2", "cap",
                          "scheme_seed", "threshold", "exact"))
-        _write_csv(args.out, man, CSV_COLUMNS, rows)
+        _write_csv(args.out, man, CSV_COLUMNS, [csv_row(*run) for run in runs])
     return 0
 
 

@@ -12,7 +12,7 @@ import pytest
 from conftest import child_env
 from fbound.channel_model import SchemaError, check_seed
 from fbound.cli import main, read_manifest, rerun_from_manifest
-from fbound.vlc_sim import build_yamamoto_itoh, dump_scheme
+from fbound.vlc_sim import _clopper_pearson_text, build_yamamoto_itoh, dump_scheme
 
 _CHANNELS = Path(__file__).resolve().parents[1] / "channels"
 BSC01 = str(_CHANNELS / "bsc01.json")
@@ -173,10 +173,27 @@ def test_exact_budget_error_says_how_far_the_walk_got(capsys, monkeypatch):
     rc = main(["simulate", "--channel", BSC01, "--m", "2", "--n1", "3", "--n2", "4",
                "--cap", "2", "--scheme-seed", "5", "--trials", "20", "--exact"])
     assert rc == 3
-    assert capsys.readouterr().err == (
+    captured = capsys.readouterr()
+    # the scheme line prints even though the walk it now follows was refused
+    assert captured.out == (
+        "scheme yi_m2_n3+4_cap2: M=2 trials=20 Pe=0 [0,0.168433] ET=7.35 R=0.136054 E=inf\n"
+    )
+    assert captured.err == (
         "error: 20828 tree nodes by use 7 of block 2 of 2 (message 2 of 2) exceed the "
         "exact-evaluation budget 20000\n"
     )
+
+
+def test_exact_walk_refusing_the_kernel_still_prints_the_scheme_line(capsys):
+    rc = main(["simulate", "--channel", str(_CHANNELS / "histk2.json"), "--m", "2", "--n1", "1",
+               "--n2", "1", "--cap", "1", "--trials", "2000", "--exact"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "scheme yi_m2_n1+1_cap1: M=2 trials=2000 Pe=0.349 [0.328094,0.370349] ET=2 R=0.5 "
+        "E=0.759351\n"
+    )
+    assert captured.err == "error: exact evaluation supports memoryless and markov1 kernels\n"
 
 
 def test_verify_honours_the_budget_env_var(capsys, monkeypatch):
@@ -426,6 +443,71 @@ def test_simulate_without_out_loads_no_scipy():
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == "[]\n"
     assert proc.stdout == (_REFERENCE / f"{name}.out").read_text()
+
+
+# Runs ``fbound.cli.main`` on argv with ``exact_stats`` wrapped so that each
+# walk records whether scipy is loaded as it starts; prints those records
+# and then whether scipy is loaded at exit.
+_WALK_PROBE = """
+import sys
+import fbound.cli as cli
+
+def scipy_loaded():
+    return any(m.split(".")[0] == "scipy" for m in sys.modules)
+
+walk, seen = cli.exact_stats, []
+
+def probe(*args, **kw):
+    seen.append(scipy_loaded())
+    return walk(*args, **kw)
+
+cli.exact_stats = probe
+rc = cli.main(sys.argv[1:])
+print(seen, scipy_loaded(), file=sys.stderr)
+sys.exit(rc)
+"""
+
+
+@pytest.mark.parametrize("seed", ["0", "6"])
+def test_exact_walk_runs_before_scipy_loads(seed, tmp_path):
+    # scipy (betaincinv, for the CSV and any uncertified printed digit) loads
+    # only after the walk, so it never adds its memory on top of the walk's
+    # level arrays.  Seed 0's digits are certified; seed 6 draws 256 errors,
+    # whose digits are not, so its scheme line falls back to betaincinv.
+    name, args = SIMULATE_COMMANDS[0]
+    assert args[-2:] == ["--seed", "0"]
+    out = tmp_path / "s.csv"
+    proc = subprocess.run([sys.executable, "-c", _WALK_PROBE, "simulate", "--channel",
+                           *args[:-1], seed, "--exact", "--out", str(out)],
+                          capture_output=True, text=True, cwd=_CHANNELS.parent,
+                          env=child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "[False] True\n"
+    if seed == "0":
+        assert proc.stdout == (_REFERENCE / f"{name}.out").read_text()
+        assert out.read_bytes() == (_REFERENCE / f"{name}.csv").read_bytes()
+    else:
+        assert _clopper_pearson_text(256, 100000) is None
+        assert proc.stdout.startswith("scheme yi_m2_n5+4_cap2: M=2 trials=100000 Pe=0.00256 "
+                                      "[0.00225631,0.00289308] ")
+
+
+@pytest.mark.parametrize("argv,loaded", [
+    (["bound-exponent", "--channel", BSC01, "--rate", "0.25"], []),
+    (["bound-capacity", "--channel", FLIP2, "--restarts", "0"], []),
+    # the probe's names are the right ones: a manifest and a random restart
+    # load them
+    (["bound-capacity", "--channel", FLIP2, "--restarts", "1", "--out", "{out}"],
+     ["_hashlib", "numpy.random"]),
+])
+def test_bound_commands_load_openssl_and_numpy_random_only_when_used(argv, loaded, tmp_path):
+    code = ("import sys; from fbound.cli import main; rc = main(sys.argv[1:]); "
+            "print([m for m in ('_hashlib', 'numpy.random') if m in sys.modules], "
+            "file=sys.stderr)")
+    argv = [a.replace("{out}", str(tmp_path / "b.csv")) for a in argv]
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                          text=True, env=child_env(), timeout=120)
+    assert proc.stderr == f"{loaded}\n"
 
 
 def test_verify_rejects_several_message_counts(capsys):
