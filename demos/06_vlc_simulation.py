@@ -13,7 +13,7 @@ manifest reproduces the file byte for byte.
 import tempfile
 from pathlib import Path
 
-from fbound import build_yamamoto_itoh, burnashev, exact_stats, exponent_sweep, load_channel
+from fbound import build_yamamoto_itoh, burnashev, exact_stats, load_channel, simulate
 from fbound.cli import main as cli_main, read_manifest, rerun_from_manifest
 
 CHANNELS = Path(__file__).resolve().parents[1] / "channels"
@@ -26,7 +26,8 @@ def main() -> None:
         print(f"scheme {sch.name}: codebook={sch.codebook} confirm={sch.confirm}")
 
     print("\nMonte Carlo at 20000 trials vs the classical line:")
-    for sch, st in exponent_sweep(ch, schemes, trials=20000, seed=1):
+    for sch in schemes:
+        st = simulate(sch, ch, trials=20000, seed=1)
         line = burnashev(ch, st.rate)
         print(f"  M={st.m}: Pe={st.pe:.5f} [{st.pe_lo:.5f},{st.pe_hi:.5f}]  "
               f"E[tau]={st.et:.3f}  rate={st.rate:.4f}")

@@ -57,7 +57,6 @@ __all__ = [
     "parse_channel",
     "serialize_channel",
     "load_channel",
-    "dump_channel",
     "bsc",
     "z_channel",
     "uniform_channel",
@@ -124,6 +123,8 @@ def check_seed(seed, what: str) -> None:
 
 
 def _check_distribution(vec: np.ndarray, what: str) -> None:
+    if not np.isfinite(vec).all():
+        raise DistributionError(f"{what} has a non-finite entry")
     if np.any(vec < 0):
         raise DistributionError(f"{what} has a negative entry")
     s = float(vec.sum())
@@ -305,6 +306,17 @@ class Channel:
 # ---------------------------------------------------------------------------
 
 
+def _float_array(raw, what: str) -> np.ndarray:
+    """A channel file field as a non-empty array of finite numbers."""
+    try:
+        arr = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError):
+        raise SchemaError(f"{what} is not a numeric array") from None
+    if arr.ndim == 0 or arr.size == 0 or not np.isfinite(arr).all():
+        raise SchemaError(f"{what} must be a non-empty array of finite numbers")
+    return arr
+
+
 def parse_channel(text: str) -> Channel:
     """Parse the JSON channel format.
 
@@ -320,17 +332,19 @@ def parse_channel(text: str) -> Channel:
     if not isinstance(obj, dict):
         raise SchemaError("channel file must be a JSON object")
     try:
-        x_size = int(obj["x_size"])
-        y_size = int(obj["y_size"])
-        s_size = int(obj["s_size"])
+        sizes = [obj["x_size"], obj["y_size"], obj["s_size"]]
         q_raw = obj["Q"]
         sk_raw = obj["state_kernel"]
     except KeyError as e:
         raise SchemaError(f"channel file missing required field {e.args[0]!r}") from e
+    try:
+        x_size, y_size, s_size = map(int, sizes)
+    except (TypeError, ValueError, OverflowError):
+        raise SchemaError(f"alphabet sizes must be integers, got {sizes}") from None
     if min(x_size, y_size, s_size) < 1:
         raise SchemaError("alphabet sizes must be positive")
     name = str(obj.get("name", ""))
-    q = np.asarray(q_raw, dtype=float)
+    q = _float_array(q_raw, "Q")
     if q.shape != (s_size, x_size, y_size):
         raise SchemaError(
             f"Q shape {q.shape} does not match declared sizes "
@@ -349,10 +363,10 @@ def parse_channel(text: str) -> Channel:
         raise SchemaError("state_kernel must be an object with a 'type' field")
     variant = sk_raw["type"]
     if variant == "memoryless":
-        table = _canonicalize_rows(np.asarray(sk_raw.get("table"), dtype=float))
+        table = _canonicalize_rows(_float_array(sk_raw.get("table"), "state_kernel table"))
         kernel = StateKernel(variant="memoryless", s_size=s_size, x_size=x_size, table=table)
     elif variant == "markov1":
-        table = np.asarray(sk_raw.get("table"), dtype=float)
+        table = _float_array(sk_raw.get("table"), "state_kernel table")
         # 2-D (s, s) tables are accepted as input-independent shorthand.
         if table.ndim == 2:
             if table.shape != (s_size, s_size):
@@ -360,14 +374,17 @@ def parse_channel(text: str) -> Channel:
             table = np.repeat(table[:, None, :], x_size, axis=1)
         table = _canonicalize_rows(table)
         init_raw = sk_raw.get("init")
-        init = None if init_raw is None else _canonicalize_rows(np.asarray(init_raw, dtype=float))
+        init = (None if init_raw is None
+                else _canonicalize_rows(_float_array(init_raw, "state_kernel init")))
         kernel = StateKernel(
             variant="markov1", s_size=s_size, x_size=x_size, table=table, init=init
         )
     elif variant == "history_table":
-        levels = tuple(
-            _canonicalize_rows(np.asarray(a, dtype=float)) for a in sk_raw.get("table", [])
-        )
+        raw = sk_raw.get("table", [])
+        if not isinstance(raw, list):
+            raise SchemaError("history_table table must be a list of levels")
+        levels = tuple(_canonicalize_rows(_float_array(a, f"history_table level {t}"))
+                       for t, a in enumerate(raw, 1))
         kernel = StateKernel(variant="history_table", s_size=s_size, x_size=x_size, levels=levels)
     else:
         raise SchemaError(f"unknown state kernel type {variant!r}")
@@ -399,11 +416,6 @@ def serialize_channel(ch: Channel) -> str:
 def load_channel(path: str) -> Channel:
     with open(path, "r", encoding="utf-8") as f:
         return parse_channel(f.read())
-
-
-def dump_channel(ch: Channel, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(serialize_channel(ch))
 
 
 def _memoryless_kernel(x_size: int) -> StateKernel:
@@ -499,7 +511,7 @@ class InputPolicy:
             try:
                 arr = np.array(list(self.rows.values()), dtype=float)
                 ok = (arr.shape == (len(self.rows), self.x_size) and not np.any(arr < 0)
-                      and not np.any(np.abs(arr.sum(axis=1) - 1.0) > VALIDATION_TOL))
+                      and np.all(np.abs(arr.sum(axis=1) - 1.0) <= VALIDATION_TOL))
             except (TypeError, ValueError):  # ragged or non-numeric rows
                 ok = False
             for key, row in () if ok else self.rows.items():
@@ -520,44 +532,12 @@ class InputPolicy:
     ) -> np.ndarray:
         if self.is_message_form:
             raise MessageStructureError(
-                "message-form policy rows are per message; use induced_behavioral"
+                "a message-form policy has no behavioral rows: its input depends on the message"
             )
         try:
             return np.asarray(self.rows[(t, x_hist, y_hist)], dtype=float)
         except KeyError as e:
             raise SchemaError(f"behavioral policy lacks row (t={t}, {x_hist}, {y_hist})") from e
-
-    def induced_behavioral(self, ch: Channel, budget: int = DEFAULT_TRAJECTORY_BUDGET) -> "InputPolicy":
-        """Behavioral rows P(x_t | x^{t-1}, y^{t-1}) obtained by averaging the
-        encoder over the message posterior; defined on reachable histories.
-
-        Each row's mass sums its trajectories in trajectory order, and the
-        rows come in order of first appearance along the trajectories, each
-        trajectory's steps in turn."""
-        law = forward_joint(ch, self, self.horizon, budget=budget)
-        _, xs, _, ys = law._paths()
-        xn = self.x_size
-        group = np.zeros(law.prob.size, dtype=np.intp)  # each path's (x^{t-1}, y^{t-1})
-        head = np.zeros(1, dtype=np.intp)  # the first path of each group
-        first, level, mass = [], [], []
-        for t in range(1, self.horizon + 1):
-            if t > 1:
-                group, head = _first_appearance((group * xn + xs[:, t - 2]) * self.y_size
-                                                + ys[:, t - 2])
-            first += head.tolist()
-            level += [t] * head.size
-            mass.extend(np.bincount(group * xn + xs[:, t - 1], law.prob,
-                                    head.size * xn).reshape(-1, xn))
-        xl, yl = xs.tolist(), ys.tolist()
-        rows = {}
-        for i in np.lexsort((level, first)).tolist():
-            k, t, vec = first[i], level[i], mass[i]
-            tot = vec.sum()
-            if tot > 0:
-                rows[(t, tuple(xl[k][: t - 1]), tuple(yl[k][: t - 1]))] = tuple(vec / tot)
-        return InputPolicy(
-            horizon=self.horizon, x_size=self.x_size, y_size=self.y_size, rows=rows
-        )
 
 
 def repetition_encoder(m: int, x_size: int, horizon: int, y_size: int = 2) -> InputPolicy:
@@ -726,24 +706,6 @@ class StoppingRule:
             return stopped, np.repeat(self.stop_times, y ** (n - h))
         return self.stopped_nodes[: _level_offsets(y, n)[n]], self.stop_times[:: y ** (h - n)]
 
-    def stop_time(self, path: Sequence[int]) -> int:
-        """Length of the unique stopped prefix of a full-horizon path."""
-        tup = tuple(path)
-        n, y = self.horizon, self.y_size
-        if len(tup) >= n:
-            return int(self.stop_times[_symbol_index(tup[:n], y)])
-        t = int(self.stop_times[_symbol_index(tup, y) * y ** (n - len(tup))])
-        if t > len(tup):
-            raise SchemaError(f"path {tup} has no stopped prefix")
-        return t
-
-    def is_stopped(self, hist: Sequence[int]) -> bool:
-        tup = tuple(hist)
-        index = _symbol_index(tup, self.y_size)
-        if len(tup) >= self.horizon:  # every path stops by the horizon
-            return True
-        return bool(self.stopped_nodes[_level_offsets(self.y_size, len(tup))[-1] + index])
-
     def dominates(self, other: "StoppingRule") -> bool:
         """True when this rule stops no later than ``other`` on every path."""
         if other.y_size != self.y_size:
@@ -842,24 +804,18 @@ class JointLaw:
         """Sum of the trajectory probabilities, in trajectory order."""
         return sum(self.prob.tolist())
 
-    def _paths(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(w, x, s, y) of every trajectory, in trajectory order: the
-        messages and three (trajectories, N) arrays of symbols."""
+    @cached_property
+    def trajectories(self) -> dict[tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]], float]:
+        """(w, x-tuple, s-tuple, y-tuple) -> probability, in depth-first
+        order."""
         up = np.arange(self.prob.size)
         symbols = np.empty((3, self.prob.size, self.horizon), dtype=np.intp)
         for t in range(self.horizon, 0, -1):
             par, info = self.steps[t - 1]
             symbols[:, :, t - 1] = info[1:].take(up, axis=1)
             up = par.take(up)
-        return up, symbols[0], symbols[2], symbols[1]
-
-    @cached_property
-    def trajectories(self) -> dict[tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]], float]:
-        """(w, x-tuple, s-tuple, y-tuple) -> probability, in depth-first
-        order."""
-        w, x, s, y = (a.tolist() for a in self._paths())
-        keys = zip(w, map(tuple, x), map(tuple, s), map(tuple, y))
-        return dict(zip(keys, self.prob.tolist()))
+        x, y, s = (map(tuple, a.tolist()) for a in symbols)
+        return dict(zip(zip(up.tolist(), x, s, y), self.prob.tolist()))
 
 
 def _first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

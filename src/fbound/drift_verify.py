@@ -69,7 +69,6 @@ from .info_measures import (
 
 __all__ = [
     "Verdict",
-    "PrunedTimes",
     "MUTATIONS",
     "verify_linear_drift",
     "verify_log_drift",
@@ -167,22 +166,6 @@ def _pruned_times(h: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
 def _pruned_index(m, tau_hit, tau_last, horizon: int):
     """Pruned index t_m (broadcast): m before the hit, then max(m, tau_last)."""
     return np.where(m < tau_hit, m, np.minimum(np.maximum(m, tau_last), horizon))
-
-
-@dataclass(frozen=True)
-class PrunedTimes:
-    horizon: int
-    eps: float
-    tau_hit: int
-    tau_last: int
-
-    @classmethod
-    def from_path(cls, h_path: list[float], eps: float) -> "PrunedTimes":
-        hit, last = _pruned_times(np.array([h_path], dtype=float), eps)
-        return cls(horizon=len(h_path) - 1, eps=eps, tau_hit=int(hit[0]), tau_last=int(last[0]))
-
-    def pruned_index(self, n: int) -> int:
-        return int(_pruned_index(n, self.tau_hit, self.tau_last, self.horizon))
 
 
 # ---------------------------------------------------------------------------
@@ -760,6 +743,8 @@ def verify_maximal_inequality(
 
     if law is None:
         law = forward_joint(bsc(0.1), repetition_encoder(2, 2, 6), 6)
+    if law.horizon < 1:
+        raise SchemaError("the entropy process needs a law of horizon >= 1")
     table = node_table(law)
     h = table.h
     # generator self-check: expected one-step decrease at every history

@@ -62,12 +62,9 @@ __all__ = [
     "binary_entropy",
     "binary_entropy_inv",
     "mutual_information",
-    "directed_mi_fixed",
     "directed_mi_stopped",
     "expected_stop_time",
-    "directed_kl",
     "directed_kl_stopped",
-    "message_information",
 ]
 
 _NORM_TOL = 1e-10
@@ -245,21 +242,6 @@ def _row_entropy(mu: np.ndarray) -> np.ndarray:
     pos = mu > 0.0
     terms = mu * np.log2(np.where(pos, mu, 1.0))
     return -_packed_sums(terms, pos)
-
-
-# ---------------------------------------------------------------------------
-# directed information
-# ---------------------------------------------------------------------------
-
-
-def directed_mi_fixed(law: JointLaw, n: int) -> float:
-    """Directed information from inputs to outputs over the first n steps:
-    the sum over i of I(X_i; Y_i | Y^{i-1}), each conditional term averaged
-    over realizable output histories."""
-    if not 0 <= n <= law.horizon:
-        raise SchemaError(f"n={n} outside 0..{law.horizon}")
-    table = node_table(law)
-    return float(ordered_sum(np.where(table.level < n, table.mi, 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -537,52 +519,9 @@ def child_expectation(law: JointLaw, values: np.ndarray, rows=None, start=0.0) -
     return np.cumsum(np.concatenate((start, terms), axis=1), axis=1)[:, -1]
 
 
-def message_information(law: JointLaw, n: int) -> float:
-    """I(W; Y^n) in bits for a message-form law."""
-    table = node_table(law)
-    level = np.append(table.level, np.full(table.leaf.size, law.horizon))
-    prob = np.concatenate((table.prob, table.leaf_prob))
-    return float(table.h[0]) - float(ordered_sum(np.where(level == n, prob * table.h, 0.0)))
-
-
 # ---------------------------------------------------------------------------
 # directed KL of the effective channel
 # ---------------------------------------------------------------------------
-
-
-def directed_kl(law: JointLaw, a: int, b: int, variant: str = "per_history_max") -> float:
-    """Directed relative entropy of the effective channel over steps a..b.
-
-    Each step compares the output law of the currently most likely input
-    against the worst alternative input. Two maximization orders are
-    supported:
-
-    - "per_history_max": the max over inputs is taken inside the per-history
-      expectation (the form the drift analysis actually accumulates);
-    - "global_symbol_max": the max over entire input sequences is taken
-      outside the expectations.  Since the step terms depend on one
-      coordinate each, that max separates into a per-step max of the averaged
-      divergence.
-
-    per_history_max >= global_symbol_max always.  The value is +inf when some
-    divergence diverges (support mismatch); that is reported, not clipped.
-    """
-    if not 1 <= a <= b <= law.horizon:
-        raise SchemaError(f"window {a}..{b} outside 1..{law.horizon}")
-    table = node_table(law)
-    if variant == "per_history_max":
-        window = (table.level >= a - 1) & (table.level < b)
-        return float(ordered_sum(np.where(window, table.kl, 0.0)))
-    if variant == "global_symbol_max":
-        total = 0.0
-        for t in range(a, b + 1):
-            x_kl = table.x_kl[table.level == t - 1]
-            seen = ~np.isnan(x_kl)
-            w = table.prob[table.level == t - 1, None]
-            per_x = ordered_sum(np.where(seen, w * x_kl, 0.0).T)[seen.any(axis=0)]
-            total += max(per_x.tolist()) if per_x.size else 0.0
-        return total
-    raise SchemaError(f"unknown directed_kl variant {variant!r}")
 
 
 def directed_kl_stopped(

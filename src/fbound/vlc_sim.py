@@ -69,7 +69,6 @@ __all__ = [
     "dump_scheme",
     "simulate",
     "exact_stats",
-    "exponent_sweep",
     "CSV_COLUMNS",
 ]
 
@@ -115,8 +114,8 @@ class SchemeSpec:
             if row in seen:
                 raise SchemaError("codewords must be distinct")
             seen.add(row)
-        xa, xn = self.confirm
-        if xa == xn or not (0 <= xa < self.x_size and 0 <= xn < self.x_size):
+        if (len(self.confirm) != 2 or self.confirm[0] == self.confirm[1]
+                or not all(0 <= x < self.x_size for x in self.confirm)):
             raise SchemaError("confirm pair must be two distinct valid symbols")
         if math.isnan(self.threshold):
             raise SchemaError("confirm threshold must be a number, not NaN")
@@ -151,8 +150,10 @@ def parse_scheme(text: str) -> SchemeSpec:
         payload = json.loads(text)
     except json.JSONDecodeError as e:
         raise SchemaError(f"scheme file is not valid JSON: {e}") from e
+    if not isinstance(payload, dict):
+        raise SchemaError("scheme file must be a JSON object")
     try:
-        return SchemeSpec(
+        fields = dict(
             variant=payload["variant"],
             name=payload.get("name", ""),
             m=int(payload["m"]),
@@ -166,6 +167,9 @@ def parse_scheme(text: str) -> SchemeSpec:
         )
     except KeyError as e:
         raise SchemaError(f"scheme file missing field {e}") from e
+    except (TypeError, ValueError, OverflowError) as e:
+        raise SchemaError(f"scheme file has a malformed field: {e}") from None
+    return SchemeSpec(**fields)
 
 
 def load_scheme(path) -> SchemeSpec:
@@ -885,13 +889,3 @@ def exact_stats(scheme: SchemeSpec, ch: Channel, budget: int = EXACT_BUDGET) -> 
     rate = math.log2(m) / et
     exponent = math.inf if pe == 0.0 else -math.log2(pe) / et
     return ExactStats(pe=pe, et=et, rate=rate, exponent=exponent, leaves=leaves)
-
-
-def exponent_sweep(
-    ch: Channel,
-    schemes: list[SchemeSpec],
-    trials: int,
-    seed: int = 0,
-) -> list[tuple[SchemeSpec, RunStats]]:
-    """Simulate each scheme with the same seed and trial count."""
-    return [(sc, simulate(sc, ch, trials, seed=seed)) for sc in schemes]

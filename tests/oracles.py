@@ -131,24 +131,15 @@ def oracle_effective_rows(joint, t, prev, x_size, y_size):
     return best_x, rows
 
 
-def oracle_directed_kl(joint, a, b, x_size, y_size, variant):
-    """Double loop over (step, history, input) per the two max orders."""
+def oracle_directed_kl(joint, a, b, x_size, y_size):
+    """Double loop over (step, history, input): each history's worst-row
+    divergence from the most likely input's row, over steps a..b."""
     total = 0.0
     for t in range(a, b + 1):
-        prevs = marginal_y(joint, t - 1)
-        if variant == "per_history_max":
-            for prev, pprev in prevs.items():
-                x_star, rows = oracle_effective_rows(joint, t, prev, x_size, y_size)
-                base = rows[x_star]
-                total += pprev * max(kl_bits(base, r) for r in rows.values())
-        else:
-            per_x = {}
-            for prev, pprev in prevs.items():
-                x_star, rows = oracle_effective_rows(joint, t, prev, x_size, y_size)
-                base = rows[x_star]
-                for x, r in rows.items():
-                    per_x[x] = per_x.get(x, 0.0) + pprev * kl_bits(base, r)
-            total += max(per_x.values()) if per_x else 0.0
+        for prev, pprev in marginal_y(joint, t - 1).items():
+            x_star, rows = oracle_effective_rows(joint, t, prev, x_size, y_size)
+            base = rows[x_star]
+            total += pprev * max(kl_bits(base, r) for r in rows.values())
     return total
 
 
@@ -542,16 +533,6 @@ def loop_capacity_objective(law, rules):
     return best_val, best_rule
 
 
-def loop_directed_mi_fixed(law, n):
-    from fbound.info_measures import mutual_information
-
-    total = 0.0
-    for t in range(1, n + 1):
-        for prev, xy in dict_law(law).xy_node[t].items():
-            total += dict_law(law).node_prob[t - 1][prev] * mutual_information(xy)
-    return total
-
-
 def loop_directed_kl_per_history_max(law, a, b):
     total = 0.0
     for t in range(a, b + 1):
@@ -877,50 +858,6 @@ def _loop_worst_row_kl(xy: np.ndarray) -> float:
     return max(kl(base, row) for row in rows.values())
 
 
-def loop_directed_kl(law: JointLaw, a: int, b: int, variant: str = "per_history_max") -> float:
-    """Directed relative entropy of the effective channel over steps a..b.
-
-    Each step compares the output law of the currently most likely input
-    against the worst alternative input. Two maximization orders are
-    supported:
-
-    - "per_history_max": the max over inputs is taken inside the per-history
-      expectation (the form the drift analysis actually accumulates);
-    - "global_symbol_max": the max over entire input sequences is taken
-      outside the expectations.  Since the step terms depend on one
-      coordinate each, that max separates into a per-step max of the averaged
-      divergence.
-
-    per_history_max >= global_symbol_max always.  The value is +inf when some
-    divergence diverges (support mismatch); that is reported, not clipped.
-    """
-    from fbound.channel_model import SchemaError
-    from fbound.info_measures import kl, node_table, ordered_sum
-
-    if not 1 <= a <= b <= law.horizon:
-        raise SchemaError(f"window {a}..{b} outside 1..{law.horizon}")
-    if variant == "per_history_max":
-        table = node_table(law)
-        window = (table.level >= a - 1) & (table.level < b)
-        return float(ordered_sum(np.where(window, table.kl, 0.0)))
-    if variant == "global_symbol_max":
-        total = 0.0
-        for t in range(a, b + 1):
-            per_x: dict[int, float] = {}
-            for prev, xy in dict_law(law).xy_node[t].items():
-                got = _loop_effective_rows(xy)
-                if got is None:
-                    continue
-                x_star, rows = got
-                base = rows[x_star]
-                w = dict_law(law).node_prob[t - 1][prev]
-                for x, row in rows.items():
-                    per_x[x] = per_x.get(x, 0.0) + w * kl(base, row)
-            total += max(per_x.values()) if per_x else 0.0
-        return total
-    raise SchemaError(f"unknown directed_kl variant {variant!r}")
-
-
 def loop_max_pairwise_row_kl(ch: Channel) -> float:
     from fbound.info_measures import kl
 
@@ -1053,12 +990,12 @@ def loop_residual_terms(
     pe = 0.0
     et = 0.0
     for path, p in dict_law(law).node_prob[n].items():
-        t = last.stop_time(path)
+        t = loop_stop_time(last, path)
         et += p * t
     # group stop-node mass once for the error probability
     stop_mass: dict[tuple[int, ...], float] = {}
     for path, p in dict_law(law).node_prob[n].items():
-        node = path[: last.stop_time(path)]
+        node = path[: loop_stop_time(last, path)]
         stop_mass[node] = stop_mass.get(node, 0.0) + p
     for node, p in stop_mass.items():
         mu = dict_law(law).w_post[len(node)][node]
@@ -1498,7 +1435,7 @@ def loop_verify_fano(law: JointLaw, rule: StoppingRule | None = None, tol: float
         avg_h = 0.0
         avg_pe = 0.0
         for path, p in dict_law(law).node_prob[law.horizon].items():
-            node = path[: rule.stop_time(path)]
+            node = path[: loop_stop_time(rule, path)]
             mu = dict_law(law).w_post[len(node)][node]
             h_node = entropy(mu)
             if decoder == "map":
@@ -1554,7 +1491,7 @@ def loop_verify_lemma4_budget(
     et = 0.0
     seen: dict[tuple[int, ...], float] = {}
     for path, p in dict_law(law).node_prob[n].items():
-        t_stop = rule.stop_time(path)
+        t_stop = loop_stop_time(rule, path)
         et += p * t_stop
         node = path[:t_stop]
         seen[node] = seen.get(node, 0.0) + p
@@ -1568,7 +1505,7 @@ def loop_verify_lemma4_budget(
         )
 
     paths = _loop_path_data(law, eps, mutate=None)
-    stop_of = {pd.path: rule.stop_time(pd.path) for pd in paths}
+    stop_of = {pd.path: loop_stop_time(rule, pd.path) for pd in paths}
     i_const, d_const = _loop_phase_constants(paths, lambda pd: stop_of[pd.path])
     rate = logm / et
     v_term = (rate / i_const) * math.sqrt(eps) * n + math.sqrt(eps) * n / (et * i_const)
@@ -1966,10 +1903,8 @@ def loop_exact_stats(scheme, ch, budget: int = 10**6):
 #
 # ``channel_model.forward_joint`` when it cut its level arrays into dicts
 # keyed by output histories, its ``JointLaw`` (renamed ``DictLaw``), the
-# ``posteriors`` view of the dict tables, the ``EntropyProcess`` and
-# ``DriftTerms`` level dicts of ``info_measures`` and
-# ``InputPolicy.induced_behavioral`` over the ``trajectories`` dict, kept
-# verbatim (renamed, with imports moved inside) as the references for the
+# ``posteriors`` view of the dict tables and the ``EntropyProcess`` and
+# ``DriftTerms`` level dicts of ``info_measures``, kept verbatim (renamed, with imports moved inside) as the references for the
 # law's arrays and the node table's accessors.  ``dict_law`` gives the
 # per-history loops of this file the dict tables of a library law.
 
@@ -2293,29 +2228,6 @@ class DriftTerms:
         from fbound.info_measures import log_ratio_bound
 
         return log_ratio_bound(self.channel)
-
-
-def loop_induced_behavioral(self, ch, budget: int = 10**7):
-    """Behavioral rows P(x_t | x^{t-1}, y^{t-1}) obtained by averaging the
-    encoder over the message posterior; defined on reachable histories.
-    ``self`` is the message-form policy."""
-    from fbound.channel_model import InputPolicy
-
-    law = dict_forward_joint(ch, self, self.horizon, budget=budget)
-    acc: dict[tuple[int, tuple[int, ...], tuple[int, ...]], np.ndarray] = {}
-    for (w, xs, ss, ys), p in law.trajectories.items():
-        for t in range(1, self.horizon + 1):
-            key = (t, xs[: t - 1], ys[: t - 1])
-            vec = acc.setdefault(key, np.zeros(self.x_size))
-            vec[xs[t - 1]] += p
-    rows = {}
-    for key, vec in acc.items():
-        tot = vec.sum()
-        if tot > 0:
-            rows[key] = tuple(vec / tot)
-    return InputPolicy(
-        horizon=self.horizon, x_size=self.x_size, y_size=self.y_size, rows=rows
-    )
 
 
 def position_links(law):

@@ -287,11 +287,11 @@ def test_capacity_bound_stopping_family(bsc01):
 def test_capacity_bound_state_channel(flip2):
     cfg = SearchConfig(restarts=2, seed=3)
     res = capacity_bound(flip2, 2, cfg)
-    from fbound.channel_model import uniform_behavioral_policy
-    from fbound.info_measures import directed_mi_fixed
+    from fbound.channel_model import StoppingRule, uniform_behavioral_policy
+    from fbound.info_measures import directed_mi_stopped
 
     law = forward_joint(flip2, uniform_behavioral_policy(flip2, 2), 2)
-    unif_best = max(directed_mi_fixed(law, t) / t for t in (1, 2))
+    unif_best = max(directed_mi_stopped(law, StoppingRule.fixed(t, 2, 2)) / t for t in (1, 2))
     assert res.value >= unif_best - 1e-12
     assert abs(reevaluate(res, flip2) - res.value) < 1e-9
     assert res.maximizer["stop_set"]

@@ -197,25 +197,6 @@ def test_history_kernel_horizon_cap(channels_dir):
     assert law.total_mass() == pytest.approx(1.0, abs=1e-12)
 
 
-def test_induced_behavioral_matches_message_marginals():
-    ch = two_state_flip_channel()
-    msg = repetition_encoder(2, 2, 2)
-    law_msg = forward_joint(ch, msg, 2)
-    beh = msg.induced_behavioral(ch)
-    law_beh = forward_joint(ch, beh, 2)
-    # (x, y) trajectory marginals agree even though the message is gone
-    def xy_marg(law):
-        out = {}
-        for (w, xs, ss, ys), p in law.trajectories.items():
-            out[(xs, ys)] = out.get((xs, ys), 0.0) + p
-        return out
-
-    a, b = xy_marg(law_msg), xy_marg(law_beh)
-    assert set(a) == set(b)
-    for key in a:
-        assert a[key] == pytest.approx(b[key], abs=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # posteriors
 # ---------------------------------------------------------------------------
@@ -291,10 +272,10 @@ def test_posteriors_reject_behavioral_law():
 
 def test_fixed_rule_and_threshold_rule():
     fixed = StoppingRule.fixed(2, 3, 2)
-    assert fixed.stop_time((0, 1, 0)) == 2
+    assert fixed.stop_times.tolist() == [2] * 8
     rule = StoppingRule(horizon=2, y_size=2, stops=frozenset({(0,), (1, 0), (1, 1)}))
-    assert rule.stop_time((0, 1)) == 1
-    assert rule.stop_time((1, 0)) == 2
+    # T on the paths 00, 01, 10, 11
+    assert rule.stop_times.tolist() == [1, 1, 2, 2]
     # a time that is not an integer in 1..horizon is refused, not truncated
     for t in (0, 4, 2.5, True):
         with pytest.raises(SchemaError, match="fixed stopping time"):
@@ -329,7 +310,7 @@ def test_random_rule_hits_exactly_one_stop(data, horizon):
     rules = enumerate_stopping_rules(horizon, 2, cap=10**4)
     rule = data.draw(st.sampled_from(rules))
     path = tuple(data.draw(st.integers(0, 1)) for _ in range(horizon))
-    t = rule.stop_time(path)
+    t = rule.stop_times[np.ravel_multi_index(path, (2,) * horizon)]
     hits = [k for k in range(1, horizon + 1) if path[:k] in rule.stops]
     assert hits == [t]
 
@@ -342,3 +323,18 @@ def test_policy_validation():
             horizon=1, x_size=2, y_size=2,
             rows={(1, (), ()): (0.7, 0.7)},
         )
+
+
+def test_non_finite_entries_are_refused():
+    # NaN compares false both ways, so a NaN entry once passed the
+    # negativity and row-sum checks
+    nan = float("nan")
+    with pytest.raises(DistributionError, match=r"Q row \(s=0, x=0\) has a non-finite entry"):
+        bsc(nan)
+    with pytest.raises(DistributionError, match="state distribution has a non-finite entry"):
+        StateKernel("memoryless", 1, 2, table=np.array([nan]))
+    with pytest.raises(DistributionError, match="initial state distribution has a non-finite"):
+        StateKernel("markov1", 2, 2, table=np.full((2, 2, 2), 0.5), init=np.array([nan, 1.0]))
+    rows = {(1, (), ()): (0.5, 0.5), (2, (0,), (1,)): (nan, 1.0)}
+    with pytest.raises(DistributionError, match=r"behavioral row \(2, \(0,\), \(1,\)\) has a non"):
+        InputPolicy(horizon=2, x_size=2, y_size=2, rows=rows)

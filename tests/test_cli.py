@@ -12,7 +12,9 @@ import pytest
 from conftest import child_env
 from fbound.channel_model import SchemaError, check_seed
 from fbound.cli import main, read_manifest, rerun_from_manifest
-from fbound.vlc_sim import _clopper_pearson_text, build_yamamoto_itoh, dump_scheme
+from fbound.vlc_sim import (
+    _clopper_pearson_text, build_yamamoto_itoh, dump_scheme, serialize_scheme,
+)
 
 _CHANNELS = Path(__file__).resolve().parents[1] / "channels"
 BSC01 = str(_CHANNELS / "bsc01.json")
@@ -624,3 +626,68 @@ def test_verify_builds_the_law_only_for_the_checks_that_read_it(tmp_path, capsys
     assert not out.exists()
     assert main(["verify", "--channel", histk2, "--suite", "fano"]) == 2
     assert capsys.readouterr().err == f"error: {reason}\n"
+
+
+_BSC01_FILE = json.loads(Path(BSC01).read_text())
+# one field of channels/bsc01.json replaced, and the error each replacement gets
+_CHANNEL_EDITS = {
+    "x_size-two": ({"x_size": "two"}, "alphabet sizes must be integers, got ['two', 2, 1]"),
+    "x_size-null": ({"x_size": None}, "alphabet sizes must be integers, got [None, 2, 1]"),
+    "Q-non-numeric": ({"Q": [[["a", 0.1], [0.1, 0.9]]]}, "Q is not a numeric array"),
+    "Q-ragged": ({"Q": [[[0.9, 0.1], [0.1, 0.8, 0.1]]]}, "Q is not a numeric array"),
+    "Q-nan": ({"Q": [[[float("nan"), 0.1], [0.1, 0.9]]]},
+              "Q must be a non-empty array of finite numbers"),
+    "memoryless-no-table": ({"state_kernel": {"type": "memoryless"}},
+                            "state_kernel table must be a non-empty array of finite numbers"),
+    "memoryless-nan": ({"state_kernel": {"type": "memoryless", "table": [float("nan")]}},
+                       "state_kernel table must be a non-empty array of finite numbers"),
+    "markov1-table-x": ({"state_kernel": {"type": "markov1", "table": "x"}},
+                        "state_kernel table is not a numeric array"),
+    "history_table-5": ({"state_kernel": {"type": "history_table", "table": 5}},
+                        "history_table table must be a list of levels"),
+}
+# one field of a valid scheme file replaced (None: the file is a JSON array)
+_SCHEME_EDITS = {
+    "codebook-5": ({"codebook": 5},
+                   "scheme file has a malformed field: 'int' object is not iterable"),
+    "confirm-one-symbol": ({"confirm": [0]}, "confirm pair must be two distinct valid symbols"),
+    "array": (None, "scheme file must be a JSON object"),
+    "m-x": ({"m": "x"},
+            "scheme file has a malformed field: invalid literal for int() with base 10: 'x'"),
+    "threshold-abc": ({"threshold": "abc"},
+                      "scheme file has a malformed field: could not convert string to float: "
+                      "'abc'"),
+}
+
+
+@pytest.mark.parametrize("kind,edit,message", [
+    *(("channel", *case) for case in _CHANNEL_EDITS.values()),
+    *(("scheme", *case) for case in _SCHEME_EDITS.values()),
+], ids=[*_CHANNEL_EDITS, *_SCHEME_EDITS])
+def test_malformed_input_file_exits_2_with_one_error_line(kind, edit, message, tmp_path,
+                                                          capsys, bsc01):
+    path = tmp_path / f"{kind}.json"
+    if kind == "channel":
+        path.write_text(json.dumps({**_BSC01_FILE, **edit}))
+        argv = ["bound-capacity", "--channel", str(path)]
+    else:
+        scheme = json.loads(serialize_scheme(build_yamamoto_itoh(bsc01, 2, 3, 4, 2)))
+        path.write_text(json.dumps([scheme] if edit is None else {**scheme, **edit}))
+        argv = ["simulate", "--channel", BSC01, "--scheme", str(path), "--trials", "10"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("suite", ["maximal", "all"])
+def test_verify_at_horizon_0_refuses_the_maximal_check(suite, capsys):
+    argv = ["verify", "--channel", BSC01, "--suite", suite, "--horizon", "0", "--trials", "200"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    reason = "the entropy process needs a law of horizon >= 1"
+    if suite == "maximal":
+        assert err == f"error: {reason}\n"
+    else:
+        assert f"error: maximal check refused: {reason}\n" in err
+        assert "Traceback" not in err

@@ -158,8 +158,6 @@ def test_entropy_drift_and_decoder_checks_match_the_loops(name):
         else:
             assert_same(dv.verify_fano, oracles.loop_verify_fano, law)
         assert_same(_h_levels, oracles.loop_h_process, law)
-        for n in range(law.horizon + 1):
-            assert_same(im.message_information, oracles.loop_message_information, law, n)
         for eps, mutate in itertools.product(EPS + (1.5,), (None, "halve_kl_drift")):
             assert_same(dv.verify_log_drift, _loop_log_drift, law, eps,
                         mutate=mutate)
@@ -276,12 +274,17 @@ def test_a_stop_history_of_probability_zero_is_a_typed_error():
     st.sampled_from([0.05, 0.2, 0.5, 1.0]),
 )
 def test_pruned_times_match_the_loop(vals, eps):
-    def times(cls):
-        pt = cls.from_path(vals, eps)
-        return (pt.horizon, pt.eps, pt.tau_hit, pt.tau_last,
-                [pt.pruned_index(n) for n in range(len(vals) + 2)])
+    def arrays():
+        hit, last = dv._pruned_times(np.array([vals]), eps)
+        n = len(vals) - 1
+        return (int(hit[0]), int(last[0]),
+                dv._pruned_index(np.arange(n + 3), hit[0], last[0], n).tolist())
 
-    assert_same(lambda: times(dv.PrunedTimes), lambda: times(oracles.LoopPrunedTimes))
+    def loop():
+        pt = oracles.LoopPrunedTimes.from_path(vals, eps)
+        return pt.tau_hit, pt.tau_last, [pt.pruned_index(n) for n in range(len(vals) + 2)]
+
+    assert_same(arrays, loop)
 
 
 # --- residual terms, directed divergence, row divergences -----------------
@@ -306,11 +309,18 @@ def test_residual_terms_match_the_loop(name):
 @quiet
 @pytest.mark.parametrize("name", CHANNELS + ("faint",))
 def test_directed_kl_matches_the_loop_in_both_variants(name):
+    # both window forms: (T1, T] between two fixed rules, and steps 1..b,
+    # which no rule starts (T1 = 0), read off the node table's kl column
+    y = _channel(name).spec.y_size
     for law in _laws(name):
         n = law.horizon
-        for a, b in itertools.combinations_with_replacement(range(0, n + 2), 2):
-            for variant in ("per_history_max", "global_symbol_max", "bogus"):
-                assert_same(im.directed_kl, oracles.loop_directed_kl, law, a, b, variant)
+        fixed = [StoppingRule.fixed(t, n, y) for t in range(1, n + 1)]
+        for first, last in itertools.product(fixed, repeat=2):
+            assert_same(im.directed_kl_stopped, oracles.loop_directed_kl_stopped, law, first, last)
+        table = node_table(law)
+        for b in range(1, n + 1):
+            assert_same(lambda: float(im.ordered_sum(np.where(table.level < b, table.kl, 0.0))),
+                        lambda: float(oracles.loop_directed_kl_per_history_max(law, 1, b)))
 
 
 @pytest.mark.parametrize("name", CHANNELS + ("faint",))

@@ -22,9 +22,10 @@ from fbound.channel_model import (
 from fbound.cli import main
 from fbound.info_measures import LogRatioUnboundedError, node_table
 from fbound.drift_verify import (
-    PrunedTimes,
     Verdict,
     _low_entropy_rows,
+    _pruned_index,
+    _pruned_times,
     verify_entropy_proposition,
     verify_fano,
     verify_lemma4_budget,
@@ -55,32 +56,30 @@ def lawf(flip2):
 # --- pruned times ---------------------------------------------------------
 
 
+def _pruned(h, eps):
+    """(tau_hit, tau_last, [t_0, ..., t_N]) of one entropy path H_0..H_N."""
+    hit, last = _pruned_times(np.array([h], dtype=float), eps)
+    n = len(h) - 1
+    return int(hit[0]), int(last[0]), _pruned_index(np.arange(n + 1), hit[0], last[0], n).tolist()
+
+
 def test_pruned_times_rebound_path():
-    # entropy dips under the threshold at step 2 and rebounds above it
-    h = [1.0, 0.469, 0.095, 0.469]
-    pt = PrunedTimes.from_path(h, 0.2)
-    assert pt.tau_hit == 2
-    assert pt.tau_last == 3  # last crossing capped at the horizon
-    assert [pt.pruned_index(n) for n in range(4)] == [0, 1, 3, 3]
+    # entropy dips under the threshold at step 2 and rebounds above it;
+    # the last crossing is capped at the horizon
+    assert _pruned([1.0, 0.469, 0.095, 0.469], 0.2) == (2, 3, [0, 1, 3, 3])
 
 
 def test_pruned_times_monotone_path():
-    h = [1.0, 0.5, 0.1, 0.05]
-    pt = PrunedTimes.from_path(h, 0.2)
-    assert pt.tau_hit == 2
-    assert pt.tau_last == 2
-    assert [pt.pruned_index(n) for n in range(4)] == [0, 1, 2, 3]
+    assert _pruned([1.0, 0.5, 0.1, 0.05], 0.2) == (2, 2, [0, 1, 2, 3])
 
 
 def test_pruned_times_no_hit():
-    h = [1.0, 0.9, 0.8, 0.7]
-    pt = PrunedTimes.from_path(h, 0.2)
-    assert pt.tau_hit == 3 and pt.tau_last == 3
+    assert _pruned([1.0, 0.9, 0.8, 0.7], 0.2)[:2] == (3, 3)
 
 
 def test_pruned_times_rejects_low_start():
     with pytest.raises(SchemaError):
-        PrunedTimes.from_path([0.1, 0.5], 0.2)
+        _pruned([0.1, 0.5], 0.2)
 
 
 @settings(max_examples=200, deadline=None)
@@ -90,11 +89,10 @@ def test_pruned_times_rejects_low_start():
 )
 def test_pruned_times_ordering_property(vals, eps):
     h = [max(1.0, eps)] + vals  # start at or above the threshold
-    pt = PrunedTimes.from_path(h, eps)
+    tau_hit, tau_last, idx = _pruned(h, eps)
     n = len(h) - 1
-    assert 1 <= pt.tau_hit <= n
-    assert pt.tau_hit <= pt.tau_last <= n
-    idx = [pt.pruned_index(m) for m in range(n + 1)]
+    assert 1 <= tau_hit <= n
+    assert tau_hit <= tau_last <= n
     assert all(b >= a for a, b in zip(idx, idx[1:]))
     assert idx[0] == 0 and idx[-1] == n
 

@@ -26,16 +26,13 @@ from fbound.channel_model import (
 from fbound.info_measures import (
     binary_entropy,
     binary_entropy_inv,
-    directed_kl,
     directed_kl_stopped,
-    directed_mi_fixed,
     directed_mi_stopped,
     entropy,
     expected_stop_time,
     kl,
     log_ratio_bound,
     max_pairwise_row_kl,
-    message_information,
     node_table,
 )
 
@@ -86,7 +83,7 @@ def test_directed_mi_iid_uniform_bsc():
     pol = uniform_behavioral_policy(ch, 3)
     law = forward_joint(ch, pol, 3)
     want = 3 * CAP01
-    assert directed_mi_fixed(law, 3) == pytest.approx(want, abs=1e-12)
+    assert directed_mi_stopped(law, StoppingRule.fixed(3, 3, 2)) == pytest.approx(want, abs=1e-12)
 
 
 def test_directed_mi_matches_oracle_on_state_channel():
@@ -105,7 +102,7 @@ def test_directed_mi_matches_oracle_on_state_channel():
 
     ref = oracles.oracle_joint(q, kernel_fn, policy_fn, 1, 2)
     want = oracles.oracle_directed_mi(ref, 2, 2, 2)
-    assert directed_mi_fixed(law, 2) == pytest.approx(want, abs=1e-11)
+    assert directed_mi_stopped(law, StoppingRule.fixed(2, 2, 2)) == pytest.approx(want, abs=1e-11)
 
 
 def test_directed_mi_equals_message_information():
@@ -114,9 +111,9 @@ def test_directed_mi_equals_message_information():
     ch = bsc(0.1)
     for pol in (repetition_encoder(2, 2, 3), rotating_encoder(4, 2, 3)):
         law = forward_joint(ch, pol, 3)
-        for n in range(4):
-            assert directed_mi_fixed(law, n) == pytest.approx(
-                message_information(law, n), abs=1e-10
+        for n in range(1, 4):
+            assert directed_mi_stopped(law, StoppingRule.fixed(n, 3, 2)) == pytest.approx(
+                oracles.loop_message_information(law, n), abs=1e-10
             )
 
 
@@ -133,11 +130,12 @@ def test_directed_mi_stopped_threshold_rule():
 
 
 def test_directed_mi_stopped_fixed_equals_fixed_window():
+    # T = N stops nowhere inside the tree: every per-history term counts
     ch = two_state_flip_channel()
     law = forward_joint(ch, uniform_behavioral_policy(ch, 2), 2)
     rule = StoppingRule.fixed(2, 2, 2)
     assert directed_mi_stopped(law, rule) == pytest.approx(
-        directed_mi_fixed(law, 2), abs=1e-13
+        math.fsum(node_table(law).mi), abs=1e-13
     )
 
 
@@ -147,7 +145,7 @@ def test_mutual_information_stays_finite_when_the_marginal_product_underflows():
     law = forward_joint(bsc(1e-200), repetition_encoder(2, 2, 3), 3)
     mi = node_table(law).node_mi
     assert np.isfinite(mi).all() and (mi >= 0.0).all() and (mi <= 1.0 + 1e-12).all()
-    assert math.isfinite(directed_mi_fixed(law, 3))
+    assert math.isfinite(directed_mi_stopped(law, StoppingRule.fixed(3, 3, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -155,13 +153,19 @@ def test_mutual_information_stays_finite_when_the_marginal_product_underflows():
 # ---------------------------------------------------------------------------
 
 
+def _kl_from_step_1(law, b):
+    """Directed divergence over steps 1..b, read off the node table: no
+    stopping rule has T1 = 0, so ``directed_kl_stopped`` cannot start there."""
+    table = node_table(law)
+    return math.fsum(table.kl[table.level < b])
+
+
 def test_directed_kl_single_state_single_step():
     # one step, uniform prior over two messages: the most likely input ties
-    # and resolves to index 0; both variants equal the single pairwise KL
+    # and resolves to index 0; the divergence is the single pairwise KL
     ch = bsc(0.1)
     law = forward_joint(ch, repetition_encoder(2, 2, 1), 1)
-    for variant in ("per_history_max", "global_symbol_max"):
-        assert directed_kl(law, 1, 1, variant) == pytest.approx(C1_01, abs=1e-12)
+    assert _kl_from_step_1(law, 1) == pytest.approx(C1_01, abs=1e-12)
 
 
 def test_directed_kl_matches_double_loop_oracle():
@@ -180,22 +184,11 @@ def test_directed_kl_matches_double_loop_oracle():
         return row
 
     ref = oracles.oracle_joint(q, kernel_fn, policy_fn, 2, 2)
-    for variant in ("per_history_max", "global_symbol_max"):
-        want = oracles.oracle_directed_kl(ref, 1, 2, 2, 2, variant)
-        got = directed_kl(law, 1, 2, variant)
-        assert got == pytest.approx(want, abs=1e-11)
-
-
-def test_directed_kl_variant_order():
-    # the per-history max dominates the global-sequence max
-    for ch, pol in [
-        (two_state_flip_channel(), repetition_encoder(2, 2, 3)),
-        (bsc(0.2), rotating_encoder(4, 2, 3)),
-    ]:
-        law = forward_joint(ch, pol, 3)
-        hi = directed_kl(law, 1, 3, "per_history_max")
-        lo = directed_kl(law, 1, 3, "global_symbol_max")
-        assert hi >= lo - 1e-12
+    want = oracles.oracle_directed_kl(ref, 1, 2, 2, 2)
+    assert _kl_from_step_1(law, 2) == pytest.approx(want, abs=1e-11)
+    want = oracles.oracle_directed_kl(ref, 2, 2, 2, 2)
+    got = directed_kl_stopped(law, StoppingRule.fixed(1, 2, 2), StoppingRule.fixed(2, 2, 2))
+    assert got == pytest.approx(want, abs=1e-11)
 
 
 def test_directed_kl_symmetric_rows_is_zero():
@@ -204,13 +197,13 @@ def test_directed_kl_symmetric_rows_is_zero():
 
     ch = uniform_channel()
     law = forward_joint(ch, repetition_encoder(2, 2, 2), 2)
-    assert directed_kl(law, 1, 2) == 0.0
+    assert _kl_from_step_1(law, 2) == 0.0
 
 
 def test_directed_kl_infinite_on_zero_entries():
     ch = perfect_binary_channel()
     law = forward_joint(ch, repetition_encoder(2, 2, 1), 1)
-    assert math.isinf(directed_kl(law, 1, 1))
+    assert math.isinf(_kl_from_step_1(law, 1))
 
 
 def test_directed_kl_stopped_window():
@@ -218,7 +211,9 @@ def test_directed_kl_stopped_window():
     law = forward_joint(ch, repetition_encoder(2, 2, 3), 3)
     first = StoppingRule.fixed(1, 3, 2)
     last = StoppingRule.fixed(3, 3, 2)
-    want = directed_kl(law, 2, 3, "per_history_max")
+    # the window (1, 3] is steps 2 and 3: the entries at levels 1 and 2
+    table = node_table(law)
+    want = math.fsum(table.kl[table.level >= 1])
     assert directed_kl_stopped(law, first, last) == pytest.approx(want, abs=1e-12)
 
 

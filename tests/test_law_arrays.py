@@ -231,21 +231,6 @@ def test_forward_joint_matches_on_laws_shorter_than_the_policy():
                         oracles.loop_forward_joint(ch, policy, horizon))
 
 
-@pytest.mark.parametrize("name,horizon", [("bsc01", 3), ("flip2", 3), ("wide", 2), ("z01", 4),
-                                          ("histk2", 2)])
-def test_induced_behavioral_matches_the_trajectory_loop(name, horizon):
-    # rows in the same order with the same bytes: each row sums its
-    # trajectories in trajectory order
-    ch = _channel(name)
-    for policy in _policies(ch, horizon, seed=1):
-        if not policy.is_message_form:
-            continue
-        got = list(policy.induced_behavioral(ch).rows.items())
-        want = list(oracles.loop_induced_behavioral(policy, ch).rows.items())
-        assert [k for k, _ in got] == [k for k, _ in want]
-        assert np.array([v for _, v in got]).tobytes() == np.array([v for _, v in want]).tobytes()
-
-
 @pytest.mark.parametrize("argv", [
     ["bound-capacity", "--channel", "flip2", "--horizon", "2", "--stopping", "all",
      "--restarts", "0"],

@@ -37,12 +37,11 @@ from fbound.channel_model import (
     uniform_behavioral_policy,
 )
 from fbound.info_measures import (
-    directed_kl,
     directed_kl_stopped,
-    directed_mi_fixed,
     directed_mi_stopped,
     expected_stop_time,
     node_table,
+    ordered_sum,
     rule_stack,
     stopped_values,
     window_divergence,
@@ -104,13 +103,12 @@ def _outcome(fn, *args):
 def test_rule_lookups_match_loops(horizon, y_size):
     rules = enumerate_stopping_rules(horizon, y_size, cap=10**4)
     rules += [StoppingRule.fixed(t, horizon, y_size) for t in range(1, horizon + 1)]
-    paths = [
-        p for n in range(horizon + 2) for p in itertools.product(range(y_size), repeat=n)
-    ]
+    paths = list(itertools.product(range(y_size), repeat=horizon))
+    # every history of length 0..horizon-1, in the ``stopped_nodes`` layout
+    hists = [p for n in range(horizon) for p in itertools.product(range(y_size), repeat=n)]
     for rule in rules:
-        for path in paths:
-            assert _outcome(rule.stop_time, path) == _outcome(oracles.loop_stop_time, rule, path)
-            assert rule.is_stopped(path) == oracles.loop_is_stopped(rule, path)
+        assert rule.stop_times.tolist() == [oracles.loop_stop_time(rule, p) for p in paths]
+        assert rule.stopped_nodes.tolist() == [oracles.loop_is_stopped(rule, h) for h in hists]
     if horizon <= 3:
         for a, b in itertools.product(rules, repeat=2):
             assert a.dominates(b) == oracles.loop_dominates(a, b)
@@ -193,8 +191,8 @@ def test_rule_construction_matches_the_per_node_fill(horizon, y_size):
         assert built == looped == block and built[0] != "error"
         if k % 4 == 0:
             rule = StoppingRule(horizon=horizon, y_size=y_size, stops=frozenset(stops))
-            for path in itertools.product(range(y_size), repeat=horizon):
-                assert rule.stop_time(path) == oracles.loop_stop_time(rule, path)
+            paths = itertools.product(range(y_size), repeat=horizon)
+            assert rule.stop_times.tolist() == [oracles.loop_stop_time(rule, p) for p in paths]
         # each way of breaking the set fails with the per-node fill's message
         node = stops[rng.integers(len(stops))]
         broken = [
@@ -290,15 +288,20 @@ def test_stopped_sums_match_loops(name, horizon):
 @pytest.mark.parametrize("name,horizon", CASES, ids=CASE_IDS)
 def test_fixed_windows_and_drift_terms_match_loops(name, horizon):
     for law in _laws(name, horizon):
-        for n in range(horizon + 1):
-            assert directed_mi_fixed(law, n) == oracles.loop_directed_mi_fixed(law, n)
+        table = node_table(law)
+        fixed = [StoppingRule.fixed(t, horizon, law.channel.spec.y_size)
+                 for t in range(1, horizon + 1)]
+        for rule in fixed:
+            assert directed_mi_stopped(law, rule) == oracles.loop_directed_mi_stopped(law, rule)
         for a in range(1, horizon + 1):
             for b in range(a, horizon + 1):
-                assert directed_kl(law, a, b) == (
-                    oracles.loop_directed_kl_per_history_max(law, a, b)
-                )
+                want = oracles.loop_directed_kl_per_history_max(law, a, b)
+                if a == 1:  # no rule has T1 = 0: read the kl column
+                    got = float(ordered_sum(np.where(table.level < b, table.kl, 0.0)))
+                else:
+                    got = directed_kl_stopped(law, fixed[a - 2], fixed[b - 1])
+                assert got == want
         if law.is_message_form:
-            table = node_table(law)
             want_mi, want_kl = oracles.loop_drift_levels(law)
             # the table's entries, keyed by (t, y^{t-1}), against the item lists
             keys = [(t, table.history(e)) for e, t in enumerate((table.level + 1).tolist())]

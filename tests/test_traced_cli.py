@@ -42,3 +42,14 @@ def test_traced_run_prints_what_the_untraced_run_prints(workload, tmp_path):
     assert traced.stdout == plain.stdout
     with np.load(spans, allow_pickle=False) as z:
         assert SPAN[workload] in json.loads(str(z["names"]))
+
+
+@pytest.mark.parametrize("layer", ["cli", "channel_model", "info_measures", "bound_engine",
+                                   "drift_verify", "vlc_sim"])
+def test_every_exported_name_of_a_layer_exists(layer):
+    # the traced runner wraps each ``__all__`` entry by name, so a stale
+    # entry aborts every traced command
+    import importlib
+
+    mod = importlib.import_module(f"fbound.{layer}")
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []

@@ -19,7 +19,6 @@ from fbound.vlc_sim import (
     csv_row,
     dump_scheme,
     exact_stats,
-    exponent_sweep,
     load_scheme,
     parse_scheme,
     serialize_scheme,
@@ -341,15 +340,22 @@ def test_csv_row_matches_column_order(yi_bsc01, bsc01):
     assert row["Pe"] == st.pe and row["ET"] == st.et
 
 
-def test_exponent_sweep_reuses_seed_per_scheme(bsc01):
-    schemes = [
-        build_yamamoto_itoh(bsc01, 2, 3, 4, 2, seed=5),
-        build_yamamoto_itoh(bsc01, 4, 5, 4, 2, seed=5),
-    ]
-    out = exponent_sweep(bsc01, schemes, 300, seed=9)
-    assert [sc for sc, _ in out] == schemes
-    for sc, st in out:
-        assert st == simulate(sc, bsc01, 300, seed=9)
+def test_exponent_sweep_reuses_seed_per_scheme(bsc01, channels_dir, tmp_path, capsys):
+    # ``simulate --m 2,4`` runs every scheme on the same seed: each CSV row
+    # is that scheme's own run
+    from fbound.cli import main
+
+    out = tmp_path / "sweep.csv"
+    assert main(["simulate", "--channel", str(channels_dir / "bsc01.json"), "--m", "2,4",
+                 "--n1", "3", "--n2", "4", "--cap", "2", "--scheme-seed", "5",
+                 "--trials", "300", "--seed", "9", "--out", str(out)]) == 0
+    capsys.readouterr()
+    rows = []
+    for m in (2, 4):
+        sc = build_yamamoto_itoh(bsc01, m, 3, 4, 2, seed=5)
+        row = csv_row(sc, simulate(sc, bsc01, 300, seed=9))
+        rows.append(",".join(str(row[c]) for c in CSV_COLUMNS))
+    assert out.read_text().splitlines()[2:] == rows
 
 
 def test_clopper_pearson_equals_beta_quantiles():
