@@ -35,12 +35,15 @@ from .channel_model import (
     SchemaError,
     StoppingRule,
     _PASS_SIZE,
+    _policy_row_keys,
     check_seed,
     enumerate_stopping_rules,
     forward_joint,
+    uniform_behavioral_policy,
 )
 from .info_measures import (
-    binary_entropy,
+    _fano_ceiling,
+    _v_term,
     directed_kl_stopped,
     directed_mi_stopped,
     expected_stop_time,
@@ -236,22 +239,14 @@ def burnashev(ch: Channel, rate: float) -> BurnashevResult:
 
 
 def _simplex_grid(x_size: int, denom: int) -> list[tuple[float, ...]]:
+    """The points c / denom, integer counts c summing to denom, in ascending
+    order: one per composition of denom, read off its bar positions (stars
+    and bars), which ``combinations`` yields in the counts' order."""
     out = []
-    for combo in itertools.combinations_with_replacement(range(x_size), denom):
-        counts = [0] * x_size
-        for c in combo:
-            counts[c] += 1
-        out.append(tuple(c / denom for c in counts))
-    return sorted(set(out))
-
-
-def _policy_row_keys(ch: Channel, horizon: int):
-    keys = []
-    for t in range(1, horizon + 1):
-        for xh in itertools.product(range(ch.spec.x_size), repeat=t - 1):
-            for yh in itertools.product(range(ch.spec.y_size), repeat=t - 1):
-                keys.append((t, xh, yh))
-    return keys
+    for bars in itertools.combinations(range(denom + x_size - 1), x_size - 1):
+        ends = (-1, *bars, denom + x_size - 1)
+        out.append(tuple((ends[i + 1] - ends[i] - 1) / denom for i in range(x_size)))
+    return out
 
 
 def _enumerated_rules(cfg: SearchConfig, flags: list[str], enumerate_all):
@@ -311,70 +306,62 @@ def capacity_bound(ch: Channel, horizon: int, cfg: SearchConfig = SearchConfig()
 
     The search builds one law, the uniform policy's, where restart 0
     starts.  Every policy's support lies inside it, so it is also the
-    largest law the search can reach and the one the trajectory budget is
-    checked on.  Every policy is valued as a reweighting of its
-    trajectories (``policy_table``), bit-identical to building the policy's
-    own law (``_capacity_objective``), and once per search: the value and
-    first-argmax rule are memoized on the policy rows, in row-key order.
-    Before each coordinate's candidate loop, and each key of the gap loop,
-    every grid move of that row not yet in the memo is valued in one batch,
-    so the sequential acceptance loop only reads the memo and accepts the
-    moves it would accept with one law per policy.
+    largest law the search can reach; the trajectory budget is checked on
+    it, then on the grid's point count per row.  Every policy is valued as a
+    reweighting of its trajectories (``policy_table``), bit-identical to
+    building the policy's own law (``_capacity_objective``), and once per
+    search: values are memoized on the tuple of rows in ``_policy_row_keys``
+    order.  At each row key a sweep values every grid move of that row, in
+    batches, then scans the moves in grid order and accepts one that beats
+    the current value by more than 1e-12.  Only that row changes in the
+    scan, so each move is the policy a one-move-at-a-time loop would form.
+    The gap loop reads the same move values around the maximizer.
     """
     if horizon < 1:
         raise SchemaError("horizon must be >= 1")
     rules, flags = _capacity_rules(ch, horizon, cfg)
     stack = rule_stack(rules, horizon)
     keys = _policy_row_keys(ch, horizon)
-    grid = _simplex_grid(ch.spec.x_size, cfg.grid_denominator)
-    uniform = tuple(np.full(ch.spec.x_size, 1.0 / ch.spec.x_size))
-    law = forward_joint(ch, InputPolicy(horizon=horizon, x_size=ch.spec.x_size,
-                                        y_size=ch.spec.y_size, rows={k: uniform for k in keys}),
-                        horizon, budget=cfg.budget)
+    law = forward_joint(ch, uniform_behavioral_policy(ch, horizon), horizon, budget=cfg.budget)
+    x_size, denom = ch.spec.x_size, cfg.grid_denominator
+    points = math.comb(denom + x_size - 1, x_size - 1)
+    if points > cfg.budget:
+        raise BudgetExceededError(f"the policy grid has {points} points per row, over the "
+                                  f"budget {cfg.budget}")
+    grid = _simplex_grid(x_size, denom)
     # policies per batch, so that a batch's trajectory-level and
     # rule-by-node arrays stay within ``_PASS_SIZE`` entries
     per_policy = law.prob.size * (horizon + 1) + len(rules) * law.node_prob.size
     batch = max(1, _PASS_SIZE // per_policy)
     memo: dict = {}
 
-    def value(policies):
+    def values(policies):
         new = [p for p in dict.fromkeys(policies) if p not in memo]
         for lo in range(0, len(new), batch):
             part = new[lo : lo + batch]
             memo.update(zip(part, _capacity_values(law, np.array(part), rules, stack)))
+        return [memo[p] for p in policies]
 
-    def objective(rows):
-        key = tuple(rows[k] for k in keys)
-        value([key])
-        return memo[key]
-
-    def moves(rows, key):
-        return [tuple(cand if k == key else rows[k] for k in keys) for cand in grid]
+    def moves(rows, i):  # (grid point, (value, rule)) of each move of row i
+        return zip(grid, values([rows[:i] + (cand,) + rows[i + 1 :] for cand in grid]))
 
     best_val, best_rows, best_rule = -math.inf, None, None
     for restart in range(cfg.restarts + 1):
         if restart == 0:
-            rows = {k: uniform for k in keys}
+            rows = tuple(law.policy.rows[k] for k in keys)
         else:
             if restart == 1:  # numpy.random loads only for a random restart
                 rng = np.random.default_rng(cfg.seed)
-            rows = {k: grid[rng.integers(len(grid))] for k in keys}
-        val, rule = objective(rows)
+            rows = tuple(grid[rng.integers(len(grid))] for _ in keys)
+        ((val, rule),) = values([rows])
         for _ in range(cfg.sweeps):
             changed = False
-            for key in keys:
-                value(moves(rows, key))
-                cur = rows[key]
-                for cand in grid:
-                    if cand == cur:
-                        continue
-                    trial = dict(rows)
-                    trial[key] = cand
-                    v, ru = objective(trial)
-                    if v > val + 1e-12:
-                        rows, val, rule = trial, v, ru
-                        cur = cand
-                        changed = True
+            for i in range(len(keys)):
+                cur = rows[i]
+                for cand, (v, ru) in moves(rows, i):
+                    if cand != cur and v > val + 1e-12:
+                        cur, val, rule, changed = cand, v, ru, True
+                rows = rows[:i] + (cur,) + rows[i + 1 :]
             if not changed:
                 break
         if val > best_val:
@@ -382,20 +369,15 @@ def capacity_bound(ch: Channel, horizon: int, cfg: SearchConfig = SearchConfig()
 
     # one-grid-step optimality gap around the maximizer
     gap = 0.0
-    for key in keys:
-        value(moves(best_rows, key))
-        for cand in grid:
-            if cand == best_rows[key]:
-                continue
-            trial = dict(best_rows)
-            trial[key] = cand
-            v, _ = objective(trial)
-            gap = max(gap, v - best_val)
+    for i, cur in enumerate(best_rows):
+        for cand, (v, _) in moves(best_rows, i):
+            if cand != cur:
+                gap = max(gap, v - best_val)
 
     maximizer = {
         "policy_rows": {
             f"{t}|{','.join(map(str, xh))}|{','.join(map(str, yh))}": list(row)
-            for (t, xh, yh), row in best_rows.items()
+            for (t, xh, yh), row in zip(keys, best_rows)
         },
         "stop_set": sorted(list(s) for s in best_rule.stops),
     }
@@ -694,8 +676,10 @@ def exponent_bound(
 
 
 def reevaluate(result: BoundResult, ch: Channel, cfg: SearchConfig = SearchConfig()) -> float:
-    """Recompute a bound value from its stored maximizer (no search), with
-    the evaluation the search used."""
+    """Recompute a bound value from its stored maximizer (no search).  An
+    exponent goes through the evaluation the search used; a capacity
+    through the policy's own law (``_capacity_objective``), which the
+    search's reweighting of the uniform law matches bit for bit."""
     if result.kind == "capacity":
         rows = _rows_from_maximizer(result.maximizer)
         if "stop_set" not in result.maximizer:
@@ -873,7 +857,7 @@ def residual_terms(
         flags.append("empty_divergence_phase")
     rate = logm / et
 
-    fano = binary_entropy(min(max(pe, 0.0), 1.0)) + pe * logm
+    fano = _fano_ceiling(pe, logm)
     if i_rate <= 0 or not math.isfinite(d_rate) or d_rate <= 0:
         flags.append("degenerate_phase_rates")
         u = math.nan
@@ -892,7 +876,7 @@ def residual_terms(
         else:
             neg_log_pe = -math.log2(pe)
             delta = math.log2(neg_log_pe + 2.0 + logm) / neg_log_pe
-        v = (rate / i_rate) * math.sqrt(eps) * n + math.sqrt(eps) * n / (et * i_rate)
+        v = _v_term(rate, i_rate, eps, n, et)
         if delta >= 1.0:
             flags.append("delta_at_least_one")
             assembled = math.inf

@@ -55,12 +55,8 @@ __all__ = [
     "StateKernel",
     "Channel",
     "parse_channel",
-    "serialize_channel",
     "load_channel",
     "bsc",
-    "z_channel",
-    "uniform_channel",
-    "perfect_binary_channel",
     "two_state_flip_channel",
     "InputPolicy",
     "repetition_encoder",
@@ -306,6 +302,14 @@ class Channel:
 # ---------------------------------------------------------------------------
 
 
+def _as_int(value) -> int:
+    """``int(value)`` for a size, count or symbol read from a file, refusing
+    a boolean or a fractional number (ValueError); 2.0 is accepted."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def _float_array(raw, what: str) -> np.ndarray:
     """A channel file field as a non-empty array of finite numbers."""
     try:
@@ -338,7 +342,7 @@ def parse_channel(text: str) -> Channel:
     except KeyError as e:
         raise SchemaError(f"channel file missing required field {e.args[0]!r}") from e
     try:
-        x_size, y_size, s_size = map(int, sizes)
+        x_size, y_size, s_size = map(_as_int, sizes)
     except (TypeError, ValueError, OverflowError):
         raise SchemaError(f"alphabet sizes must be integers, got {sizes}") from None
     if min(x_size, y_size, s_size) < 1:
@@ -391,28 +395,6 @@ def parse_channel(text: str) -> Channel:
     return Channel(spec=spec, kernel=kernel)
 
 
-def serialize_channel(ch: Channel) -> str:
-    """Canonical text for a channel; parse(serialize(ch)) round-trips
-    bit-identically for canonically formatted input."""
-    sk: dict[str, object] = {"type": ch.kernel.variant}
-    if ch.kernel.variant == "memoryless":
-        sk["table"] = ch.kernel.table.tolist()
-    elif ch.kernel.variant == "markov1":
-        sk["table"] = ch.kernel.table.tolist()
-        sk["init"] = ch.kernel.init.tolist()
-    else:
-        sk["table"] = [a.tolist() for a in ch.kernel.levels]
-    obj = {
-        "name": ch.spec.name,
-        "x_size": ch.spec.x_size,
-        "y_size": ch.spec.y_size,
-        "s_size": ch.spec.s_size,
-        "Q": ch.spec.q.tolist(),
-        "state_kernel": sk,
-    }
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
 def load_channel(path: str) -> Channel:
     with open(path, "r", encoding="utf-8") as f:
         return parse_channel(f.read())
@@ -426,26 +408,6 @@ def bsc(p: float, name: str = "") -> Channel:
     """Binary symmetric channel with crossover p (single state)."""
     q = np.array([[[1 - p, p], [p, 1 - p]]], dtype=float)
     spec = ChannelSpec(2, 2, 1, q, name=name or f"bsc({p})")
-    return Channel(spec, _memoryless_kernel(2))
-
-
-def z_channel(p: float, name: str = "") -> Channel:
-    """Binary channel where only input 1 is noisy: 1 -> 0 with probability p."""
-    q = np.array([[[1.0, 0.0], [p, 1 - p]]], dtype=float)
-    spec = ChannelSpec(2, 2, 1, q, name=name or f"z({p})")
-    return Channel(spec, _memoryless_kernel(2))
-
-
-def uniform_channel(x_size: int = 2, y_size: int = 2) -> Channel:
-    """Output independent of input; capacity is exactly zero."""
-    q = np.full((1, x_size, y_size), 1.0 / y_size)
-    spec = ChannelSpec(x_size, y_size, 1, q, name="uniform")
-    return Channel(spec, _memoryless_kernel(x_size))
-
-
-def perfect_binary_channel() -> Channel:
-    q = np.array([[[1.0, 0.0], [0.0, 1.0]]])
-    spec = ChannelSpec(2, 2, 1, q, name="perfect")
     return Channel(spec, _memoryless_kernel(2))
 
 
@@ -566,17 +528,24 @@ def rotating_encoder(m: int, x_size: int, horizon: int, y_size: int = 2) -> Inpu
     return InputPolicy(horizon=horizon, x_size=x_size, y_size=y_size, messages=m, encoder=enc)
 
 
-def uniform_behavioral_policy(ch: Channel, horizon: int) -> InputPolicy:
-    """Uniform i.i.d. inputs on every reachable history."""
-    rows = {}
-    row = tuple(np.full(ch.spec.x_size, 1.0 / ch.spec.x_size))
+def _policy_row_keys(ch: Channel, horizon: int) -> list[tuple]:
+    """The keys (t, x^{t-1}, y^{t-1}) of a behavioral policy's rows, t =
+    1..horizon, each history in lexicographic order: the row order of
+    ``reweighted_tables``."""
+    keys = []
     for t in range(1, horizon + 1):
         for xh in itertools.product(range(ch.spec.x_size), repeat=t - 1):
             for yh in itertools.product(range(ch.spec.y_size), repeat=t - 1):
-                rows[(t, xh, yh)] = row
-    return InputPolicy(
-        horizon=horizon, x_size=ch.spec.x_size, y_size=ch.spec.y_size, rows=rows
-    )
+                keys.append((t, xh, yh))
+    return keys
+
+
+def uniform_behavioral_policy(ch: Channel, horizon: int) -> InputPolicy:
+    """Uniform i.i.d. inputs on every reachable history, rows in
+    ``_policy_row_keys`` order."""
+    row = tuple(np.full(ch.spec.x_size, 1.0 / ch.spec.x_size))
+    return InputPolicy(horizon=horizon, x_size=ch.spec.x_size, y_size=ch.spec.y_size,
+                       rows=dict.fromkeys(_policy_row_keys(ch, horizon), row))
 
 
 # ---------------------------------------------------------------------------
@@ -981,9 +950,9 @@ def reweighted_tables(law: JointLaw, px: np.ndarray):
 
     ``law`` is the law of a behavioral policy with no zero entry, such as
     the uniform one, so its support contains every policy's.  ``px[g]``
-    holds policy g's rows P(x_t | x^{t-1}, y^{t-1}), one per (t, x^{t-1},
-    y^{t-1}) with t = 1..N and each history in lexicographic order, shape
-    (policies, rows, X).
+    holds policy g's rows P(x_t | x^{t-1}, y^{t-1}), one per key of
+    ``_policy_row_keys(law.channel, N)`` in that order, shape (policies,
+    rows, X).
 
     Per step, each trajectory's probability is ``forward_joint``'s product
     ((p * px) * ps) * q with the policy's factor px, and a trajectory is

@@ -155,6 +155,12 @@ def _budget_override() -> int | None:
     return val
 
 
+def _budget_kw() -> dict:
+    """``budget=`` the ``FBOUND_BUDGET`` override, or no keyword without one."""
+    budget = _budget_override()
+    return {} if budget is None else {"budget": budget}
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -207,23 +213,16 @@ def _bound_rows(res) -> list[dict]:
     }]
 
 
-def cmd_bound_capacity(args) -> int:
+def cmd_bound(args) -> int:
     ch = load_channel(args.channel)
-    res = capacity_bound(ch, args.horizon, _search_config(args))
+    if args.command == "bound-capacity":
+        res, keys = capacity_bound(ch, args.horizon, _search_config(args)), _SEARCH_KEYS
+    else:
+        res = exponent_bound(ch, args.rate, args.horizon, _search_config(args))
+        keys = _SEARCH_KEYS + ("rate",)
     _print_bound(res, args.json)
     if args.out:
-        _write_csv(args.out, _manifest("bound-capacity", args, _SEARCH_KEYS),
-                   BOUND_COLUMNS, _bound_rows(res))
-    return 1 if res.flags else 0
-
-
-def cmd_bound_exponent(args) -> int:
-    ch = load_channel(args.channel)
-    res = exponent_bound(ch, args.rate, args.horizon, _search_config(args))
-    _print_bound(res, args.json)
-    if args.out:
-        _write_csv(args.out, _manifest("bound-exponent", args, _SEARCH_KEYS + ("rate",)),
-                   BOUND_COLUMNS, _bound_rows(res))
+        _write_csv(args.out, _manifest(args.command, args, keys), BOUND_COLUMNS, _bound_rows(res))
     return 1 if res.flags else 0
 
 
@@ -242,13 +241,13 @@ def cmd_burnashev(args) -> int:
 def _verify_law(args, ch):
     (m,) = args.messages
     horizon = args.horizon
+    if horizon < 1:
+        raise SchemaError(f"the checks that read a law need --horizon >= 1, got {horizon}")
     if m <= ch.spec.x_size:
         pol = repetition_encoder(m, ch.spec.x_size, horizon, ch.spec.y_size)
     else:
         pol = rotating_encoder(m, ch.spec.x_size, horizon, ch.spec.y_size)
-    budget = _budget_override()
-    kw = {} if budget is None else {"budget": budget}
-    return forward_joint(ch, pol, horizon, **kw)
+    return forward_joint(ch, pol, horizon, **_budget_kw())
 
 
 def _pinned_submartingale(law, eps, mutate):
@@ -354,8 +353,7 @@ def cmd_simulate(args, parser) -> int:
     check_seed(args.scheme_seed, "--scheme-seed")
     ch = load_channel(args.channel)
     schemes = _schemes_from_args(args, ch, parser)
-    budget = _budget_override()
-    kw = {} if budget is None else {"budget": budget}
+    kw = _budget_kw()
     runs = []
     for scheme in schemes:
         stats = simulate(scheme, ch, args.trials, seed=args.seed)
@@ -424,12 +422,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bound-capacity", parents=[chan, search, out],
                        help="search the stopped-policy capacity bound")
-    p.set_defaults(func=cmd_bound_capacity)
+    p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("bound-exponent", parents=[chan, search, out],
                        help="search the two-phase exponent bound")
     p.add_argument("--rate", type=float, required=True)
-    p.set_defaults(func=cmd_bound_exponent)
+    p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("burnashev", parents=[chan, out],
                        help="classical exponent line of a memoryless channel")

@@ -53,8 +53,9 @@ from .channel_model import (
     repetition_encoder,
 )
 from .info_measures import (
+    _fano_ceiling,
     _row_kl,
-    binary_entropy,
+    _v_term,
     binary_entropy_inv,
     child_expectation,
     entropy,
@@ -143,6 +144,25 @@ def _low_entropy_rows(law: JointLaw, eps: float) -> np.ndarray:
     table = node_table(law)
     rows = np.argsort(table.node)  # level by level, lexicographic within one
     return rows[(0.0 < table.h[rows]) & (table.h[rows] < eps)]
+
+
+def _low_entropy_setup(law: JointLaw, eps: float, mutate: str | None):
+    """Checks ``mutate`` and eps, then gives the ``_low_entropy_rows``, the
+    channel's largest pairwise row divergence d_max, hb_inv(eps) and the
+    rows' worst-row divergences (``_kl_drift``)."""
+    _check_mutation(mutate)
+    if not 0.0 < eps <= 1.0:
+        raise SchemaError("eps must lie in (0, 1] for the inverse-entropy slack")
+    rows = _low_entropy_rows(law, eps)
+    d_max = max_pairwise_row_kl(law.channel)
+    return rows, d_max, binary_entropy_inv(eps), _kl_drift(law, mutate)[rows]
+
+
+def _stop_rule(law: JointLaw, rule: StoppingRule | None) -> StoppingRule:
+    """``rule``, or T = N when it is None."""
+    if rule is None:
+        return StoppingRule.fixed(law.horizon, law.horizon, law.channel.spec.y_size)
+    return rule
 
 
 # ---------------------------------------------------------------------------
@@ -267,22 +287,16 @@ def verify_log_drift(
     Reports the minimal constant that would pass, so a failure under the
     default constant is quantified.
     """
-    _check_mutation(mutate)
-    if not 0.0 < eps <= 1.0:
-        raise SchemaError("eps must lie in (0, 1] for the inverse-entropy slack")
+    rows, d_max, slack, d_r = _low_entropy_setup(law, eps, mutate)
     table = node_table(law)
     h = table.h
-    d_max = max_pairwise_row_kl(law.channel)
     if c is None:
         c = 2.0 * (1.0 + d_max) + d_max + 2.0
-    slack = binary_entropy_inv(eps)
-    rows = _low_entropy_rows(law, eps)
     log_h = np.array([math.log2(v) if v > 0.0 else -math.inf for v in h.tolist()])
     # a realizable child at zero entropy sends the drift to -inf
     kids = table.children[rows]
     dead = ((kids >= 0) & (h[kids] <= 0.0)).any(axis=1)
     drift = np.where(dead, -math.inf, child_expectation(law, log_h, rows) - log_h[rows])
-    d_r = _kl_drift(law, mutate)[rows]
     # an infinite divergence or constant allows any drop: the row passes
     # vacuously, and -inf + inf is never formed
     finite = ~np.isinf(d_r)
@@ -487,8 +501,7 @@ def verify_fano(law: JointLaw, rule: StoppingRule | None = None, tol: float = 1e
     """
     if not law.is_message_form:
         raise SchemaError("decoder check needs a message-form law")
-    if rule is None:
-        rule = StoppingRule.fixed(law.horizon, law.horizon, law.channel.spec.y_size)
+    rule = _stop_rule(law, rule)
     m = law.messages
     log_m1 = math.log2(m - 1) if m > 1 else 0.0
     table = node_table(law)
@@ -503,10 +516,8 @@ def verify_fano(law: JointLaw, rule: StoppingRule | None = None, tol: float = 1e
         # weight each stop node by the mass of each full path through it
         avg_h = float(ordered_sum(p * h_node))
         avg_pe = float(ordered_sum(p * pe))
-        margins = [
-            binary_entropy(min(max(e, 0.0), 1.0)) + e * log_m1 - h
-            for e, h in zip(pe.tolist() + [avg_pe], h_node.tolist() + [avg_h])
-        ]
+        margins = [_fano_ceiling(e, log_m1) - h
+                   for e, h in zip(pe.tolist() + [avg_pe], h_node.tolist() + [avg_h])]
         worst = min([worst, *margins])
         count += len(margins)
         details.append(f"{decoder} decoder: avg error {avg_pe:.6g}, avg entropy {avg_h:.6g}")
@@ -540,12 +551,11 @@ def verify_lemma4_budget(
     if not law.is_message_form:
         raise SchemaError("compensator budget needs a message-form law")
     n = law.horizon
-    if rule is None:
-        rule = StoppingRule.fixed(n, n, law.channel.spec.y_size)
+    rule = _stop_rule(law, rule)
     logm = math.log2(law.messages)
 
     pe, et = stop_error(law, rule)
-    alpha = binary_entropy(min(max(pe, 0.0), 1.0)) + pe * logm
+    alpha = _fano_ceiling(pe, logm)
     if eps <= alpha:
         raise SchemaError(
             f"eps={eps:g} must exceed the decoder entropy ceiling {alpha:.6g}"
@@ -555,7 +565,7 @@ def verify_lemma4_budget(
     stop = path_stop_times(law, rule)[paths.leaf]
     i_const, d_const = _phase_constants(paths, stop)
     rate = logm / et
-    v_term = (rate / i_const) * math.sqrt(eps) * n + math.sqrt(eps) * n / (et * i_const)
+    v_term = _v_term(rate, i_const, eps, n, et)
 
     if d_const == 0.0 and np.any(paths.tau_last < n):
         raise SchemaError("no divergence after the stop: the divergence constant is 0")
@@ -600,14 +610,9 @@ def verify_lemma5_kl_transfer(
     most the corresponding worst divergence between effective input rows
     plus a slack linear in the inverse binary entropy of eps.
     """
-    _check_mutation(mutate)
-    if not 0.0 < eps <= 1.0:
-        raise SchemaError("eps must lie in (0, 1] for the inverse-entropy slack")
-    rows = _low_entropy_rows(law, eps)
-    d_max = max_pairwise_row_kl(law.channel)
+    rows, d_max, slack, rhs = _low_entropy_setup(law, eps, mutate)
     if cprime is None:
         cprime = 4.0 * (1.0 + d_max)
-    slack = binary_entropy_inv(eps)
     table = node_table(law)
     w_rows = table.step[rows]
     w_star = table.posterior[rows].argmax(axis=1)  # the most likely message, ties to the lowest
@@ -615,7 +620,6 @@ def verify_lemma5_kl_transfer(
     others[np.arange(rows.size), w_star] = False
     d = _row_kl(w_rows[np.arange(rows.size), w_star], w_rows, others)
     lhs = np.where(d > 0.0, d, 0.0).max(axis=1)  # NaN off ``others``
-    rhs = _kl_drift(law, mutate)[rows]
     margins = (rhs + cprime * slack - lhs).tolist()
     worst = min([math.inf, *margins])
     cprime_min = max([0.0, *((lhs - rhs) / slack).tolist()]) if slack > 0 else 0.0

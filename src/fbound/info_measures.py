@@ -37,6 +37,7 @@ checks run row-wise and raise the error the first failing call raised.
 from __future__ import annotations
 
 import itertools
+import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -130,6 +131,19 @@ def binary_entropy_inv(v: float, tol: float = 1e-12) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def _fano_ceiling(pe: float, log_factor: float) -> float:
+    """Fano's ceiling h(pe) + pe * log_factor on the message entropy left
+    at a decoder of error probability pe, with h read at pe clipped to
+    [0, 1]; log_factor is log2 M or log2(M - 1)."""
+    return binary_entropy(min(max(pe, 0.0), 1.0)) + pe * log_factor
+
+
+def _v_term(rate: float, i_rate: float, eps: float, n: int, et: float) -> float:
+    """V of the finite-length exponent statement: the sqrt(eps) excursion
+    credits of a horizon-n law, (R / I) sqrt(eps) n + sqrt(eps) n / (E[T] I)."""
+    return (rate / i_rate) * math.sqrt(eps) * n + math.sqrt(eps) * n / (et * i_rate)
 
 
 def mutual_information(joint: np.ndarray) -> float:

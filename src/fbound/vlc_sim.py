@@ -54,7 +54,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .channel_model import BudgetExceededError, Channel, SchemaError, check_seed
+from .channel_model import BudgetExceededError, Channel, SchemaError, _as_int, check_seed
 from .info_measures import ordered_sum, row_divergences
 
 __all__ = [
@@ -64,9 +64,7 @@ __all__ = [
     "build_yamamoto_itoh",
     "build_repetition_confirm",
     "parse_scheme",
-    "serialize_scheme",
     "load_scheme",
-    "dump_scheme",
     "simulate",
     "exact_stats",
     "CSV_COLUMNS",
@@ -129,22 +127,6 @@ class SchemeSpec:
         return self.cap * self.block_len
 
 
-def serialize_scheme(scheme: SchemeSpec) -> str:
-    payload = {
-        "variant": scheme.variant,
-        "name": scheme.name,
-        "m": scheme.m,
-        "n1": scheme.n1,
-        "n2": scheme.n2,
-        "cap": scheme.cap,
-        "x_size": scheme.x_size,
-        "threshold": scheme.threshold,
-        "codebook": [list(row) for row in scheme.codebook],
-        "confirm": list(scheme.confirm),
-    }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
 def parse_scheme(text: str) -> SchemeSpec:
     try:
         payload = json.loads(text)
@@ -156,14 +138,14 @@ def parse_scheme(text: str) -> SchemeSpec:
         fields = dict(
             variant=payload["variant"],
             name=payload.get("name", ""),
-            m=int(payload["m"]),
-            n1=int(payload["n1"]),
-            n2=int(payload["n2"]),
-            cap=int(payload["cap"]),
-            x_size=int(payload["x_size"]),
+            m=_as_int(payload["m"]),
+            n1=_as_int(payload["n1"]),
+            n2=_as_int(payload["n2"]),
+            cap=_as_int(payload["cap"]),
+            x_size=_as_int(payload["x_size"]),
             threshold=float(payload.get("threshold", 0.0)),
-            codebook=tuple(tuple(int(x) for x in row) for row in payload["codebook"]),
-            confirm=tuple(int(x) for x in payload["confirm"]),
+            codebook=tuple(tuple(_as_int(x) for x in row) for row in payload["codebook"]),
+            confirm=tuple(_as_int(x) for x in payload["confirm"]),
         )
     except KeyError as e:
         raise SchemaError(f"scheme file missing field {e}") from e
@@ -175,11 +157,6 @@ def parse_scheme(text: str) -> SchemeSpec:
 def load_scheme(path) -> SchemeSpec:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_scheme(fh.read())
-
-
-def dump_scheme(scheme: SchemeSpec, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_scheme(scheme))
 
 
 def _metric_matrix(ch: Channel) -> np.ndarray:
@@ -511,12 +488,12 @@ class RunStats:
 
     def pe_interval_text(self) -> tuple[str, str]:
         """``pe_lo`` and ``pe_hi`` formatted ``.6g``: the certified pure-math
-        digits of ``_clopper_pearson_text``, or, once the exact bounds have
-        been read or where a digit is not certified, the exact bounds'."""
-        if "_pe_bounds" not in self.__dict__:
-            text = _clopper_pearson_text(self.errors, self.trials)
-            if text is not None:
-                return text
+        digits of ``_clopper_pearson_text``, or, where a digit is not
+        certified, the exact bounds'.  The text depends only on ``errors``
+        and ``trials``, not on which bound was read first."""
+        text = _clopper_pearson_text(self.errors, self.trials)
+        if text is not None:
+            return text
         return f"{self.pe_lo:.6g}", f"{self.pe_hi:.6g}"
 
 
@@ -555,6 +532,18 @@ def csv_row(scheme: SchemeSpec, stats: RunStats) -> dict:
 def _log_metric(qbar: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore"):
         return np.where(qbar > 0, np.log2(np.where(qbar > 0, qbar, 1.0)), -np.inf)
+
+
+def _scheme_tables(scheme: SchemeSpec, ch: Channel):
+    """The codebook as an (m, n1) array, the data metric of each codeword
+    position, shape (n1, y, m), and the confirm log-likelihood ratio of each
+    output; refuses a scheme whose input alphabet is not the channel's."""
+    if scheme.x_size != ch.spec.x_size:
+        raise SchemaError("scheme and channel disagree on the input alphabet")
+    logq = _log_metric(_metric_matrix(ch))
+    cb = np.array(scheme.codebook)
+    xa, xn = scheme.confirm
+    return cb, logq[cb].transpose(1, 2, 0), logq[xa] - logq[xn]
 
 
 # Philox4x64-10's round multipliers and key increments, as numpy's philox.h
@@ -672,10 +661,10 @@ def _simulate_generic(
     position order and the confirm log-likelihood ratio from 0.0 in use
     order, so every trial's outcome is bit-identical to running it alone.
     """
+    cb, lq_pos, llr_row = _scheme_tables(scheme, ch)
     kernel = ch.kernel
     x_size, s_size = ch.spec.x_size, ch.spec.s_size
     q_cols = _columns(np.cumsum(ch.spec.q, axis=2))  # rows s * X + x
-    logq = _log_metric(_metric_matrix(ch))
     m, n1, cap = scheme.m, scheme.n1, scheme.cap
     block = scheme.block_len
     n_uses = scheme.max_uses
@@ -683,9 +672,6 @@ def _simulate_generic(
     if hcap is not None and n_uses > hcap:
         raise SchemaError("scheme needs more channel uses than the kernel defines")
     xa, xn = scheme.confirm
-    cb = np.array(scheme.codebook)
-    lq_pos = logq[cb].transpose(1, 2, 0)  # (n1, y, m): the data metric of each position
-    llr_row = logq[xa] - logq[xn]
     cum_state = [np.cumsum(kernel.use_table(t), axis=2) for t in range(1, n_uses + 1)]
     state_cols = [_columns(cum) for cum in cum_state]
     state_draws = [any(state_cols[b * block : (b + 1) * block]) for b in range(cap)]
@@ -756,8 +742,6 @@ def simulate(
         raise SchemaError("need at least one trial")
     trials = int(trials)
     check_seed(seed, "seed")
-    if scheme.x_size != ch.spec.x_size:
-        raise SchemaError("scheme and channel disagree on the input alphabet")
     return RunStats.from_counts(scheme.m, trials, *_simulate_generic(scheme, ch, trials, seed, 0))
 
 
@@ -812,17 +796,12 @@ def exact_stats(scheme: SchemeSpec, ch: Channel, budget: int = EXACT_BUDGET) -> 
     """
     if ch.kernel.variant not in ("memoryless", "markov1"):
         raise SchemaError("exact evaluation supports memoryless and markov1 kernels")
-    if scheme.x_size != ch.spec.x_size:
-        raise SchemaError("scheme and channel disagree on the input alphabet")
+    cb, lq_pos, llr_row = _scheme_tables(scheme, ch)
     s_size, y_size = ch.spec.s_size, ch.spec.y_size
     q_x = np.moveaxis(ch.spec.q, 0, -1)  # (x, y, s)
-    logq = _log_metric(_metric_matrix(ch))
     m, n1, cap = scheme.m, scheme.n1, scheme.cap
     block = scheme.block_len
     xa, xn = scheme.confirm
-    cb = np.array(scheme.codebook)
-    lq_pos = logq[cb].transpose(1, 2, 0)  # (n1, y, m): the data metric of each position
-    llr_row = logq[xa] - logq[xn]
 
     p_state = ch.kernel.use_table(1)[0, 0]
     later = ch.kernel.use_table(2)  # the table of every use after the first

@@ -699,9 +699,9 @@ def loop_capacity_bound(ch, horizon, cfg):
     improvement available one grid step away from the chosen policy.
     """
     from fbound.bound_engine import (
-        BoundResult, _capacity_objective, _capacity_rules, _policy_row_keys, _simplex_grid,
+        BoundResult, _capacity_objective, _capacity_rules, _simplex_grid,
     )
-    from fbound.channel_model import SchemaError
+    from fbound.channel_model import SchemaError, _policy_row_keys
     from fbound.info_measures import rule_stack
 
     if horizon < 1:

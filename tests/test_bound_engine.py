@@ -2,6 +2,7 @@
 the two searched bounds, consistency on memoryless channels, and the
 residual-term assembly."""
 
+import itertools
 import math
 import subprocess
 import sys
@@ -24,6 +25,7 @@ from fbound.channel_model import (
 from fbound.bound_engine import (
     BurnashevResult,
     SearchConfig,
+    _simplex_grid,
     burnashev,
     capacity_bound,
     dmc_capacity,
@@ -302,6 +304,24 @@ def test_capacity_bound_json_round(bsc01):
     text = res.to_json()
     assert '"kind": "capacity"' in text
     assert text.endswith("}")
+
+
+def _multiset_grid(x_size, denom):
+    """The grid as first built: one point per multiset of ``denom`` symbols,
+    deduplicated and sorted."""
+    out = []
+    for combo in itertools.combinations_with_replacement(range(x_size), denom):
+        counts = [0] * x_size
+        for c in combo:
+            counts[c] += 1
+        out.append(tuple(c / denom for c in counts))
+    return sorted(set(out))
+
+
+@pytest.mark.parametrize("x_size", [2, 3, 4])
+def test_simplex_grid_equals_the_multiset_construction(x_size):
+    for denom in range(1, 17):
+        assert _simplex_grid(x_size, denom) == _multiset_grid(x_size, denom)
 
 
 # --- consistency report ---------------------------------------------------

@@ -12,9 +12,7 @@ import pytest
 from conftest import child_env
 from fbound.channel_model import SchemaError, check_seed
 from fbound.cli import main, read_manifest, rerun_from_manifest
-from fbound.vlc_sim import (
-    _clopper_pearson_text, build_yamamoto_itoh, dump_scheme, serialize_scheme,
-)
+from fbound.vlc_sim import _clopper_pearson_text, build_yamamoto_itoh, load_scheme
 
 _CHANNELS = Path(__file__).resolve().parents[1] / "channels"
 BSC01 = str(_CHANNELS / "bsc01.json")
@@ -22,6 +20,12 @@ FLIP2 = str(_CHANNELS / "flip2.json")
 Z01 = str(_CHANNELS / "z01.json")
 CAP01 = 0.5310044064107188
 C1_01 = 2.5359400011538495
+# the scheme build_yamamoto_itoh(bsc01, 2, 3, 4, 2, seed=5) builds
+YI_SEED5 = {
+    "variant": "yamamoto_itoh", "name": "yi_m2_n3+4_cap2", "m": 2, "n1": 3, "n2": 4,
+    "cap": 2, "x_size": 2, "threshold": 0.0, "codebook": [[1, 1, 0], [1, 0, 1]],
+    "confirm": [0, 1],
+}
 
 
 def _parse_kv_line(line: str) -> dict:
@@ -141,9 +145,9 @@ def test_rerun_refuses_stale_hash(tmp_path):
 
 
 def test_simulate_accepts_scheme_file(tmp_path, capsys, bsc01):
-    scheme = build_yamamoto_itoh(bsc01, 2, 3, 4, 2, seed=5)
     path = tmp_path / "scheme.json"
-    dump_scheme(scheme, path)
+    path.write_text(json.dumps(YI_SEED5))
+    assert load_scheme(path) == build_yamamoto_itoh(bsc01, 2, 3, 4, 2, seed=5)
     flags = tmp_path / "f.csv"
     built = tmp_path / "g.csv"
     assert main(["simulate", "--channel", BSC01, "--scheme", str(path),
@@ -633,6 +637,8 @@ _BSC01_FILE = json.loads(Path(BSC01).read_text())
 _CHANNEL_EDITS = {
     "x_size-two": ({"x_size": "two"}, "alphabet sizes must be integers, got ['two', 2, 1]"),
     "x_size-null": ({"x_size": None}, "alphabet sizes must be integers, got [None, 2, 1]"),
+    "x_size-2.7": ({"x_size": 2.7}, "alphabet sizes must be integers, got [2.7, 2, 1]"),
+    "s_size-true": ({"s_size": True}, "alphabet sizes must be integers, got [2, 2, True]"),
     "Q-non-numeric": ({"Q": [[["a", 0.1], [0.1, 0.9]]]}, "Q is not a numeric array"),
     "Q-ragged": ({"Q": [[[0.9, 0.1], [0.1, 0.8, 0.1]]]}, "Q is not a numeric array"),
     "Q-nan": ({"Q": [[[float("nan"), 0.1], [0.1, 0.9]]]},
@@ -657,6 +663,9 @@ _SCHEME_EDITS = {
     "threshold-abc": ({"threshold": "abc"},
                       "scheme file has a malformed field: could not convert string to float: "
                       "'abc'"),
+    "m-2.9": ({"m": 2.9}, "scheme file has a malformed field: 2.9 is not an integer"),
+    "codeword-0.5": ({"codebook": [[1, 1, 0.5], [1, 0, 1]]},
+                     "scheme file has a malformed field: 0.5 is not an integer"),
 }
 
 
@@ -665,14 +674,13 @@ _SCHEME_EDITS = {
     *(("scheme", *case) for case in _SCHEME_EDITS.values()),
 ], ids=[*_CHANNEL_EDITS, *_SCHEME_EDITS])
 def test_malformed_input_file_exits_2_with_one_error_line(kind, edit, message, tmp_path,
-                                                          capsys, bsc01):
+                                                          capsys):
     path = tmp_path / f"{kind}.json"
     if kind == "channel":
         path.write_text(json.dumps({**_BSC01_FILE, **edit}))
         argv = ["bound-capacity", "--channel", str(path)]
     else:
-        scheme = json.loads(serialize_scheme(build_yamamoto_itoh(bsc01, 2, 3, 4, 2)))
-        path.write_text(json.dumps([scheme] if edit is None else {**scheme, **edit}))
+        path.write_text(json.dumps([YI_SEED5] if edit is None else {**YI_SEED5, **edit}))
         argv = ["simulate", "--channel", BSC01, "--scheme", str(path), "--trials", "10"]
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -682,12 +690,24 @@ def test_malformed_input_file_exits_2_with_one_error_line(kind, edit, message, t
 
 @pytest.mark.parametrize("suite", ["maximal", "all"])
 def test_verify_at_horizon_0_refuses_the_maximal_check(suite, capsys):
+    # every check that reads the law is refused for the horizon; lemma 7 and
+    # the proposition still print
     argv = ["verify", "--channel", BSC01, "--suite", suite, "--horizon", "0", "--trials", "200"]
     assert main(argv) == 2
-    err = capsys.readouterr().err
-    reason = "the entropy process needs a law of horizon >= 1"
+    captured = capsys.readouterr()
+    reason = "the checks that read a law need --horizon >= 1, got 0"
     if suite == "maximal":
-        assert err == f"error: {reason}\n"
+        assert captured.err == f"error: {reason}\n"
     else:
-        assert f"error: maximal check refused: {reason}\n" in err
-        assert "Traceback" not in err
+        assert captured.err == "".join(
+            f"error: {name} check refused: {reason}\n"
+            for name in ("drift", "drift", "lemma1", "lemma4", "fano", "maximal", "lemma5"))
+        assert captured.out.endswith("verify: 2/2 checks passed, 7 refused\n")
+
+
+def test_a_grid_over_the_budget_exits_3(capsys, monkeypatch):
+    monkeypatch.setenv("FBOUND_BUDGET", "100")
+    assert main(["bound-capacity", "--channel", BSC01, "--grid", "200"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: the policy grid has 201 points per row, over the budget 100\n"
+    assert captured.out == ""

@@ -4,6 +4,7 @@ structural identities the drift analysis depends on."""
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from fbound.channel_model import (
     StoppingRule,
     bsc,
     forward_joint,
-    perfect_binary_channel,
+    load_channel,
     repetition_encoder,
     rotating_encoder,
     two_state_flip_channel,
@@ -35,6 +36,8 @@ from fbound.info_measures import (
     max_pairwise_row_kl,
     node_table,
 )
+
+CHANNELS = Path(__file__).resolve().parents[1] / "channels"
 
 # frozen closed forms for bsc(0.1), bits
 HB01 = 0.4689955935892812
@@ -193,15 +196,13 @@ def test_directed_kl_matches_double_loop_oracle():
 
 def test_directed_kl_symmetric_rows_is_zero():
     # all effective rows identical: the divergence vanishes
-    from fbound.channel_model import uniform_channel
-
-    ch = uniform_channel()
+    ch = load_channel(str(CHANNELS / "uniform22.json"))
     law = forward_joint(ch, repetition_encoder(2, 2, 2), 2)
     assert _kl_from_step_1(law, 2) == 0.0
 
 
 def test_directed_kl_infinite_on_zero_entries():
-    ch = perfect_binary_channel()
+    ch = load_channel(str(CHANNELS / "perfect2.json"))
     law = forward_joint(ch, repetition_encoder(2, 2, 1), 1)
     assert math.isinf(_kl_from_step_1(law, 1))
 
@@ -270,7 +271,7 @@ def test_drift_terms_bsc_first_step():
 
 def test_log_ratio_bound_needs_positive_channel():
     with pytest.raises(LogRatioUnboundedError):
-        log_ratio_bound(perfect_binary_channel())
+        log_ratio_bound(load_channel(str(CHANNELS / "perfect2.json")))
 
 
 def test_log_ratio_bound_holds_pathwise():

@@ -21,7 +21,6 @@ import oracles
 from fbound import bound_engine, channel_model, cli, drift_verify
 from fbound.bound_engine import (
     SearchConfig,
-    _policy_row_keys,
     _simplex_grid,
     capacity_bound,
     encoder_policy_from_tables,
@@ -33,12 +32,12 @@ from fbound.channel_model import (
     InputPolicy,
     SchemaError,
     StateKernel,
+    _policy_row_keys,
     forward_joint,
     load_channel,
     repetition_encoder,
     rotating_encoder,
     uniform_behavioral_policy,
-    uniform_channel,
 )
 from conftest import REPO
 from fbound.info_measures import node_table, rule_stack
@@ -70,7 +69,8 @@ def _channel(name):
         return Channel(ChannelSpec(2, 2, 1, q, name="faint"),
                        StateKernel("memoryless", 1, 2, table=np.array([1.0])))
     if name == "uniform32":
-        return uniform_channel(3, 2)
+        return Channel(ChannelSpec(3, 2, 1, np.full((1, 3, 2), 0.5), name="uniform"),
+                       StateKernel("memoryless", 1, 3, table=np.array([1.0])))
     return load_channel(str(REPO / "channels" / f"{name}.json"))
 
 

@@ -17,11 +17,9 @@ from fbound.vlc_sim import (
     build_repetition_confirm,
     build_yamamoto_itoh,
     csv_row,
-    dump_scheme,
     exact_stats,
     load_scheme,
     parse_scheme,
-    serialize_scheme,
     simulate,
 )
 from fbound.vlc_sim import _draw_uniforms
@@ -97,15 +95,6 @@ def test_builder_rejects_impossible_sizes(bsc01):
         build_yamamoto_itoh(bsc01, 5, 2, 1, 1)  # 2^2 < 5 distinct rows
     with pytest.raises(SchemaError):
         build_repetition_confirm(bsc01, 3, 2, 1, 1)  # needs m <= |X|
-
-
-def test_scheme_json_round_trip(tmp_path, yi_bsc01):
-    text = serialize_scheme(yi_bsc01)
-    assert parse_scheme(text) == yi_bsc01
-    assert serialize_scheme(parse_scheme(text)) == text  # canonical form
-    path = tmp_path / "scheme.json"
-    dump_scheme(yi_bsc01, path)
-    assert load_scheme(path) == yi_bsc01
 
 
 def test_scheme_parse_errors():
@@ -450,6 +439,23 @@ def test_bound_within_delta_of_a_digit_boundary_takes_betaincinv(k, side, bounda
     assert _clopper_pearson_text(k, n) is None
     st = RunStats.from_counts(2, n, k, 9.0 * n, 81.0 * n)
     assert st.pe_interval_text() == (f"{lo:.6g}", f"{hi:.6g}")
+
+
+@pytest.mark.parametrize("k,n", [(3, 1000), (8, 20000), (18, 20000)],
+                         ids=["certified", "uncertified-hi", "uncertified-lo"])
+def test_interval_text_does_not_depend_on_which_bound_was_read_first(k, n, monkeypatch):
+    # the exact bounds replaced by other numbers: the text is the certified
+    # digits where they exist and the exact bounds' digits elsewhere, read
+    # before or after ``pe_lo``
+    from fbound import vlc_sim
+
+    monkeypatch.setattr(vlc_sim, "_clopper_pearson", lambda k, n, level=0.95: (0.25, 0.75))
+    certified = vlc_sim._clopper_pearson_text(k, n)
+    assert (certified is None) == (n == 20000)
+    want = certified or ("0.25", "0.75")
+    fresh, read = (RunStats.from_counts(2, n, k, 9.0 * n, 81.0 * n) for _ in range(2))
+    assert read.pe_lo == 0.25
+    assert fresh.pe_interval_text() == read.pe_interval_text() == want
 
 
 def test_an_estimate_off_the_root_is_not_certified(monkeypatch):
