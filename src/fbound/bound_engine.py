@@ -42,13 +42,14 @@ from .channel_model import (
     uniform_behavioral_policy,
 )
 from .info_measures import (
+    PolicyTable,
     _fano_ceiling,
     _v_term,
     directed_kl_stopped,
     directed_mi_stopped,
+    encoder_table,
     expected_stop_time,
     max_pairwise_row_kl,
-    node_table,
     ordered_sum,
     policy_table,
     rule_stack,
@@ -72,7 +73,6 @@ __all__ = [
     "ResidualTerms",
     "residual_terms",
     "reevaluate",
-    "encoder_policy_from_tables",
 ]
 
 CAPACITY_CERT_GAP = 1e-9
@@ -434,21 +434,6 @@ def _tables_from_maximizer(payload: dict, y_size: int, horizon: int):
 # ---------------------------------------------------------------------------
 
 
-def encoder_policy_from_tables(
-    tables: tuple, m: int, x_size: int, y_size: int, horizon: int
-) -> InputPolicy:
-    """tables[t-1][w][y_index] is the input sent for message w at step t
-    after the y-history with the given lexicographic index."""
-
-    def enc(t: int, w: int, y_hist: tuple[int, ...]) -> int:
-        idx = 0
-        for sym in y_hist:
-            idx = idx * y_size + sym
-        return tables[t - 1][w][idx]
-
-    return InputPolicy(horizon=horizon, x_size=x_size, y_size=y_size, messages=m, encoder=enc)
-
-
 def _full_encoder_tables(m, x_size, y_size, horizon):
     step_spaces = []
     for t in range(1, horizon + 1):
@@ -485,39 +470,54 @@ def _encoder_family(m, x_size, y_size, horizon, cap):
     return _blockwise_encoder_tables(m, x_size, y_size, horizon), "per_step", block_count
 
 
-def _step_aggregates(law: JointLaw):
-    """E over histories of the per-step information and divergence terms:
-    ej[t] and ed[t] sum the node-table terms of level t - 1."""
-    table = node_table(law)
-    at_level = table.level == np.arange(law.horizon)[:, None]
-    ej = np.concatenate(([0.0], ordered_sum(np.where(at_level, table.mi, 0.0))))
-    ed = np.concatenate(([0.0], ordered_sum(np.where(at_level, table.kl, 0.0))))
+def _step_aggregates(table: PolicyTable, horizon: int):
+    """E over histories of the per-step information and divergence terms of
+    every law of ``table``: ej[g, t] and ed[g, t] sum the node-table terms of
+    level t - 1, in node order."""
+    at_level = table.level == np.arange(horizon)[:, None]
+    zero = np.zeros((table.prob.shape[0], 1))
+    ej = np.concatenate((zero, ordered_sum(np.where(at_level, table.mi[:, None], 0.0))), axis=1)
+    ed = np.concatenate((zero, ordered_sum(np.where(at_level, table.kl[:, None], 0.0))), axis=1)
     return ej, ed
 
 
-def _pair_rates(law: JointLaw, first: np.ndarray, last: np.ndarray, stack):
-    """Rates of one law's stopping pairs (first[k], last[k]) whose second
-    phase has positive expected length: rows of ``stack``, a ``rule_stack``,
-    or, when it is None, the deterministic times T1 = first[k], T = last[k].
+def _window_sums(terms: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """``terms[g, lo:hi].sum()`` of every row g, each as that 1-D sum."""
+    return np.ascontiguousarray(terms[:, lo:hi]).sum(axis=1)
 
-    Returns (kept positions k, i_rate, d_rate, et, et1) as arrays over the
-    kept pairs, in pair order.
+
+def _pair_rates(table: PolicyTable, first: np.ndarray, last: np.ndarray, stack, horizon: int):
+    """Rates of the stopping pairs (first[k], last[k]) of every law of
+    ``table`` whose second phase has positive expected length: rows of
+    ``stack``, a ``rule_stack``, or, when it is None, the deterministic
+    times T1 = first[k], T = last[k].
+
+    Returns (keep, i_rate, d_rate, et, et1): the mask of the kept pairs,
+    laws x pairs, and the columns over the kept (law, pair) cells in
+    law-major, then pair, order.
     """
     if stack is None:
-        ej, ed = _step_aggregates(law)
-        i_rate, d_rate = np.array([
-            (float(ej[1 : t1 + 1].sum()) / t1, float(ed[t1 + 1 : t + 1].sum()) / (t - t1))
-            for t1, t in zip(first.tolist(), last.tolist())
-        ]).T
-        return np.arange(first.size), i_rate, d_rate, 1.0 * last, 1.0 * first
+        ej, ed = _step_aggregates(table, horizon)
+        pairs = list(zip(first.tolist(), last.tolist()))
+        i_rate = np.stack([_window_sums(ej, 1, t1 + 1) / t1 for t1, _ in pairs], axis=1)
+        d_rate = np.stack([_window_sums(ed, t1 + 1, t + 1) / (t - t1) for t1, t in pairs], axis=1)
+        keep = np.ones(i_rate.shape, dtype=bool)
+        et, et1 = (np.broadcast_to(1.0 * v, i_rate.shape) for v in (last, first))
+        return keep, i_rate.ravel(), d_rate.ravel(), et.ravel(), et1.ravel()
     stopped, times = stack
-    et, mi = stopped_values(law, stopped, times)
-    et1, et2 = et[first], et[last]
-    keep = np.flatnonzero(~(et2 - et1 <= 1e-12))
-    i_rate = (mi / et)[first[keep]]
-    div = window_divergence(law, stopped, first[keep], last[keep])
-    d_rate = div / (et2[keep] - et1[keep])
-    return keep, i_rate, d_rate, et2[keep], et1[keep]
+    et, mi = stopped_values(table, stopped, times)
+    et1, et2 = et[:, first], et[:, last]
+    keep = ~(et2 - et1 <= 1e-12)
+    i_rate = (mi / et)[:, first][keep]
+    div = window_divergence(table, stopped, first, last)[keep]
+    return keep, i_rate, div / (et2[keep] - et1[keep]), et2[keep], et1[keep]
+
+
+def _encoder_batch(ch: Channel, tables: list, horizon: int, budget: int) -> PolicyTable:
+    """The ``encoder_table`` of the laws of the encoders ``tables``, each a
+    tuple of step tables as ``Candidates.tables`` holds them."""
+    arrays = [np.array([enc[t] for enc in tables], dtype=np.intp) for t in range(horizon)]
+    return encoder_table(ch, arrays, horizon, budget)
 
 
 def _stopping_pairs(ch: Channel, horizon: int, cfg: SearchConfig):
@@ -562,12 +562,15 @@ def _candidate_values(i_rate: np.ndarray, d_rate: np.ndarray, rate: float) -> np
 @dataclass(frozen=True, eq=False)
 class Candidates:
     """Exponent candidates as columns, one entry per (encoder, stopping
-    pair) whose second phase has positive expected length, encoder-major:
-    ``m``, ``encoder`` (index into ``tables``, each encoder's step tables),
-    ``pair`` (index into ``first`` and ``last``, indices into ``rules`` or,
-    when it is None, times), ``i_rate`` (information per expected
-    first-phase step), ``d_rate`` (divergence per expected second-phase
-    step), ``et`` and ``et1`` (E[T] and E[T1])."""
+    pair) whose second phase has positive expected length, encoder-major in
+    enumeration order, then in pair order, however the search batched the
+    encoders: ``m``, ``encoder`` (index into ``tables``, each encoder's step
+    tables, ``tables[e][t - 1][w][i]`` the input for message w at step t
+    after the output history of lexicographic index i), ``pair`` (index
+    into ``first`` and ``last``, indices into ``rules`` or, when it is None,
+    times), ``i_rate`` (information per expected first-phase step),
+    ``d_rate`` (divergence per expected second-phase step), ``et`` and
+    ``et1`` (E[T] and E[T1])."""
 
     m: np.ndarray
     encoder: np.ndarray
@@ -610,31 +613,41 @@ def exponent_candidates(
 
     The candidates are ``Candidates`` columns, and ``len`` of them is their
     count.  Each encoder's tables are kept once; stop sets are formed only
-    for a reported maximizer.  All pairs of one encoder's law are evaluated
-    in one array pass.  Flags are listed in the order they were raised.
+    for a reported maximizer.  The encoders of one message count are
+    evaluated in batches, in enumeration order: a batch's laws are built
+    together (``encoder_table``), and every pair of every law of the batch
+    is evaluated in one array pass (``_pair_rates``), bit for bit the values
+    of each encoder's own law.  A batch holds as many encoders as keep its
+    trajectory-level and pair-by-node arrays within ``_PASS_SIZE`` entries.
+    Under a trajectory budget, the first encoder whose law exceeds it raises
+    ``forward_joint``'s error.  Flags are listed in the order they were
+    raised.
     """
     if horizon < 2:
         raise SchemaError("exponent search needs horizon >= 2")
     first, last, rules, flags = _stopping_pairs(ch, horizon, cfg)
     stack = None if rules is None else rule_stack(rules, horizon)
-    encoders, messages, parts = [], [], []
+    spec = ch.spec
+    nodes = sum(spec.y_size**t for t in range(horizon + 1))
+    per_node = first.size + (0 if rules is None else len(rules))
+    encoders, parts = [], []
     for m in cfg.messages:
         family, family_kind, _count = _encoder_family(
-            m, ch.spec.x_size, ch.spec.y_size, horizon, cfg.encoder_cap)
+            m, spec.x_size, spec.y_size, horizon, cfg.encoder_cap)
         restricted = f"m{m}_encoders_restricted_to_per_step_maps"
         if family_kind == "per_step" and restricted not in flags:
             flags.append(restricted)
-        for tables in family:
-            policy = encoder_policy_from_tables(tables, m, ch.spec.x_size, ch.spec.y_size, horizon)
-            law = forward_joint(ch, policy, horizon, budget=cfg.budget)
-            encoders.append(tables)
-            messages.append(m)
-            parts.append(_pair_rates(law, first, last, stack))
-    counts = [part[0].size for part in parts]
+        # the shared trajectories of a law number at most m (S Y)^N
+        per_encoder = m * (spec.s_size * spec.y_size) ** horizon * (horizon + 1) + per_node * nodes
+        batch = max(1, _PASS_SIZE // per_encoder)
+        while tables := list(itertools.islice(family, batch)):
+            table = _encoder_batch(ch, tables, horizon, cfg.budget)
+            keep, *columns = _pair_rates(table, first, last, stack, horizon)
+            encoder, pair = keep.nonzero()
+            parts.append((np.full(encoder.size, m), encoder + len(encoders), pair, *columns))
+            encoders += tables
     columns = (np.concatenate(column) for column in zip(*parts))
-    cands = Candidates(np.repeat(messages, counts), np.repeat(np.arange(len(parts)), counts),
-                       *columns, encoders, first, last, rules)
-    return cands, tuple(flags)
+    return Candidates(*columns, encoders, first, last, rules), tuple(flags)
 
 
 def exponent_bound(
@@ -677,9 +690,10 @@ def exponent_bound(
 
 def reevaluate(result: BoundResult, ch: Channel, cfg: SearchConfig = SearchConfig()) -> float:
     """Recompute a bound value from its stored maximizer (no search).  An
-    exponent goes through the evaluation the search used; a capacity
-    through the policy's own law (``_capacity_objective``), which the
-    search's reweighting of the uniform law matches bit for bit."""
+    exponent goes through the evaluation the search used, with a batch of
+    one encoder; a capacity through the policy's own law
+    (``_capacity_objective``), which the search's reweighting of the
+    uniform law matches bit for bit."""
     if result.kind == "capacity":
         rows = _rows_from_maximizer(result.maximizer)
         if "stop_set" not in result.maximizer:
@@ -689,11 +703,13 @@ def reevaluate(result: BoundResult, ch: Channel, cfg: SearchConfig = SearchConfi
         value, _ = _capacity_objective(ch, rows, result.horizon, [rule], stack, cfg.budget)
         return value
     if result.kind == "exponent":
-        m, tables = _tables_from_maximizer(result.maximizer, ch.spec.y_size, result.horizon)
-        policy = encoder_policy_from_tables(
-            tables, m, ch.spec.x_size, ch.spec.y_size, result.horizon
-        )
-        law = forward_joint(ch, policy, result.horizon, budget=cfg.budget)
+        _, tables = _tables_from_maximizer(result.maximizer, ch.spec.y_size, result.horizon)
+        # an input outside the alphabet is refused where the law reads it,
+        # as -1, which also holds one beyond the index range
+        xn = ch.spec.x_size
+        tables = tuple(tuple(tuple(x if 0 <= x < xn else -1 for x in row) for row in step)
+                       for step in tables)
+        table = _encoder_batch(ch, [tables], result.horizon, cfg.budget)
         pair = result.maximizer["pair"]
         if not isinstance(pair, (list, tuple)) or not pair:
             raise SchemaError(f"stored stopping pair {pair!r} is not a non-empty list")
@@ -710,8 +726,9 @@ def reevaluate(result: BoundResult, ch: Channel, cfg: SearchConfig = SearchConfi
             if not rules[0].dominates(rules[1]):
                 raise SchemaError("window start must stop no later than window end")
             first, last, stack = 0, 1, rule_stack(rules, result.horizon)
-        keep, i_rate, d_rate, _, _ = _pair_rates(law, np.array([first]), np.array([last]), stack)
-        if not keep.size:
+        keep, i_rate, d_rate, _, _ = _pair_rates(
+            table, np.array([first]), np.array([last]), stack, result.horizon)
+        if not keep.any():
             raise SchemaError("stored stopping pair has an empty divergence phase")
         return float(_candidate_values(i_rate, d_rate, result.rate)[0])
     raise SchemaError(f"unknown bound kind {result.kind!r}")

@@ -27,7 +27,8 @@ arguments, error messages, ``JointLaw.trajectories`` and stop sets (a
 ``StoppingRule`` is a stop-time array).  Budgets cap enumeration size.
 ``reweighted_tables`` gives the tables of many behavioral policies at once,
 each as a reweighting of one full-support law's trajectories, bit for bit
-the tables of the policy's own law.
+the tables of the policy's own law; ``encoder_tables`` gives those of many
+deterministic encoders, over the trajectories they share.
 """
 
 from __future__ import annotations
@@ -67,6 +68,7 @@ __all__ = [
     "JointLaw",
     "forward_joint",
     "reweighted_tables",
+    "encoder_tables",
 ]
 
 # Hard error threshold for user-supplied distributions.
@@ -304,10 +306,15 @@ class Channel:
 
 def _as_int(value) -> int:
     """``int(value)`` for a size, count or symbol read from a file, refusing
-    a boolean or a fractional number (ValueError); 2.0 is accepted."""
+    a boolean, a fractional number or a string (ValueError); 2.0 is
+    accepted.  A string that is no number fails in ``int``, with its
+    message."""
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"{value!r} is not an integer")
-    return int(value)
+    number = int(value)
+    if isinstance(value, str):
+        raise ValueError(f"{value!r} is not an integer")
+    return number
 
 
 def _float_array(raw, what: str) -> np.ndarray:
@@ -985,22 +992,128 @@ def reweighted_tables(law: JointLaw, px: np.ndarray):
     px = px.reshape(laws, -1)
     prob = np.ones((laws, 1))
     live = np.ones((laws, 1), dtype=bool)
-    keys, reach = [np.zeros((laws, 1), dtype=np.intp)], [live]
+    firsts = [(np.zeros((laws, 1), dtype=np.intp), live)]  # the root
     for par, entry, ps, q, by_node, starts, base in levels:
         factor = px.take(entry, axis=1)
         prob = ((prob.take(par, axis=1) * factor) * ps) * q
         live = live.take(par, axis=1) & (factor > 0.0)
-        # each node's first live trajectory; par.size when there is none
-        first = np.minimum.reduceat(
-            np.where(live, np.arange(par.size), par.size).take(by_node, axis=1), starts, axis=1)
-        keys.append(first + base)
-        reach.append(first < par.size)
-    order = np.argsort(np.concatenate(keys, axis=1), axis=1, kind="stable")
-    node_prob, _, xy_node, _ = _level_tables(
-        prob, np.zeros(prob.shape[1], dtype=np.intp), law.steps, law.sizes, 1,
-        spec.x_size, spec.y_size, np.concatenate(reach, axis=1))
-    lanes = np.arange(laws)[:, None]
+        firsts.append(_first_live(live, by_node, starts, base))
+    return _own_order_tables(prob, np.zeros(prob.shape[1], dtype=np.intp), law.steps, law.sizes,
+                             1, spec.x_size, spec.y_size, firsts)
+
+
+def _first_live(live, by_node, starts, base):
+    """Per law (row of ``live``, laws x trajectories of one level), the sort
+    key of each of the level's output nodes, base plus its first live
+    trajectory (base plus the trajectory count when it has none), and
+    whether it has one.  ``by_node`` orders the trajectories by node and
+    ``starts`` holds each node's first place in that order."""
+    count = live.shape[1]
+    first = np.minimum.reduceat(
+        np.where(live, np.arange(count), count).take(by_node, axis=1), starts, axis=1)
+    return first + base, first < count
+
+
+def _own_order_tables(prob, msg, steps, sizes, m, xn, yn, firsts):
+    """``_level_tables``' node_prob and xy_node of laws over shared
+    trajectories, each law's nodes in its own order, sorted by the
+    per-level ``_first_live`` results ``firsts``: (order, node_prob,
+    xy_node), ``order[g]`` the shared positions of law g's nodes."""
+    keys, reach = (np.concatenate(part, axis=1) for part in zip(*firsts))
+    order = np.argsort(keys, axis=1, kind="stable")
+    node_prob, _, xy_node, _ = _level_tables(prob, msg, steps, sizes, m, xn, yn, reach)
+    lanes = np.arange(prob.shape[0])[:, None]
     return order, node_prob[lanes, order], xy_node[lanes, order[:, : xy_node.shape[1]]]
+
+
+def encoder_tables(ch: Channel, tables, horizon: int, budget: int = DEFAULT_TRAJECTORY_BUDGET):
+    """The output-history tables of many deterministic encoders' laws, the
+    message-form counterpart of ``reweighted_tables``.
+
+    ``tables[t - 1][g, w, i]`` is encoder g's input for message w at step t
+    after the output history with ``_hist_index`` i.  The encoders share
+    the (w, s^t, y^t) trajectories, in ``forward_joint``'s order; x and the
+    input-history index of ``use_table(t)`` are per encoder.  A trajectory
+    has ``forward_joint``'s probability (p * ps) * q, and is live for an
+    encoder when its parent is and no factor is zero.  One that some
+    encoder keeps stays in the arrays, with probability 0.0 for the others,
+    which adds exact zeros to their sums; one that none keeps is dropped.
+    Each encoder's nodes are numbered by their first live trajectory, as
+    ``forward_joint`` numbers them, and the ones it cannot reach come last
+    in their level, with zeros.
+
+    Raises ``forward_joint``'s error for the first encoder whose law fails,
+    at its first failing step: an input outside the alphabet at a history
+    it reaches, or more live trajectories than ``budget``.  Level sizes
+    never shrink, so the encoders after it need no further steps.
+
+    Returns (sizes, index, node_prob, xy_node): the shared level sizes and,
+    per encoder in its node order, each node's ``_hist_index``, probability
+    and (levels 0..N-1) joint P(X_t, Y_t | y^{t-1}).
+    """
+    spec, kernel = ch.spec, ch.kernel
+    cap = kernel.horizon_cap()
+    if cap is not None and horizon > cap:
+        raise SchemaError(f"state kernel only defines {cap} steps, horizon={horizon}")
+    laws, m = tables[0].shape[:2]
+    xn, sn, yn = spec.x_size, spec.s_size, spec.y_size
+    q = spec.q.transpose(1, 0, 2)  # (x, s, y), the children's order
+    q_live = q != 0.0
+    _check_budget(m, 0, horizon, budget)
+    prob = np.full((laws, m), 1.0 / m)
+    live = np.ones((laws, m), dtype=bool)
+    msg = np.arange(m)
+    node = hist = s_mem = np.zeros(m, dtype=np.intp)  # per prefix, shared
+    x_mem = np.zeros((laws, m), dtype=np.intp)
+    steps, sizes, index = [], [1], [np.zeros(1, dtype=np.intp)]
+    firsts, key_base = [(np.zeros((laws, 1), dtype=np.intp), live[:, :1])], 1  # the root
+    failed = None  # the error of the first encoder that fails; the lanes end before it
+    for t in range(1, horizon + 1):
+        x = tables[t - 1][:laws, msg, hist]
+        bad = (live & ((x < 0) | (x >= xn))).any(axis=1)
+        if bad.any():
+            laws = int(bad.argmax())
+            failed = SchemaError(f"encoder input outside 0..{xn - 1} at t={t}")
+            prob, live, x_mem, x = (a[:laws] for a in (prob, live, x_mem, x))
+        x = np.where(live, x, 0)  # an unread input of a pruned prefix
+        table = kernel.use_table(t)
+        s_mem, x_mem = s_mem % table.shape[0], x_mem % table.shape[1]
+        ps = table[s_mem, x_mem]  # (encoders, prefixes, s)
+        # children over (encoder, prefix, s, y)
+        head = prob[:, :, None, None] * ps[:, :, :, None]
+        kid_live = live[:, :, None, None] & q_live.take(x, 0) & (ps != 0.0)[..., None]
+        counts = np.count_nonzero(kid_live, axis=(1, 2, 3))
+        if (counts > budget).any():
+            laws = int((counts > budget).argmax())
+            failed = BudgetExceededError(
+                f"{counts[laws]} live trajectories at step {t} of horizon {horizon} "
+                f"exceed the trajectory budget {budget}")
+            kid_live, head, x, x_mem = (a[:laws] for a in (kid_live, head, x, x_mem))
+        if not laws:
+            break
+        kid_live = kid_live.reshape(laws, -1)
+        kids = kid_live.any(axis=0).nonzero()[0]
+        prob = (head * q.take(x, 0)).reshape(laws, -1).take(kids, axis=1)
+        live = kid_live.take(kids, axis=1)
+        par, s, y = np.unravel_index(kids, (msg.size, sn, yn))
+        x, msg = x.take(par, axis=1), msg.take(par)
+        # each child's output node: (parent node, y), numbered in order of
+        # first appearance among the shared trajectories
+        key = node.take(par) * yn + y
+        node, first = _first_appearance(key)
+        hist = hist.take(par) * yn + y
+        index.append(hist.take(first))
+        by_node = np.argsort(node, kind="stable")
+        starts = np.flatnonzero(np.diff(node.take(by_node), prepend=-1))
+        firsts.append(_first_live(live, by_node, starts, key_base))
+        key_base += kids.size + 1  # past every key of the level
+        steps.append((par, (node + sum(sizes), x, y)))
+        sizes.append(first.size)
+        s_mem, x_mem = s_mem.take(par) * sn + s, x_mem.take(par, axis=1) * xn + x
+    if failed is not None:
+        raise failed
+    order, node_prob, xy_node = _own_order_tables(prob, msg, steps, sizes, m, xn, yn, firsts)
+    return tuple(sizes), np.concatenate(index).take(order), node_prob, xy_node
 
 
 def _reweighting_plan(law: JointLaw):
@@ -1034,7 +1147,8 @@ def _level_tables(prob, msg, steps, sizes, m, xn, yn, reach=None):
     ``forward_joint``, of one law per row of ``prob`` (laws x trajectories):
     laws over the same trajectories with their own probabilities, such as
     the policies of ``reweighted_tables``.  Each table has that leading
-    axis.
+    axis.  A step's inputs x are shared by the laws, or given per law
+    (laws x trajectories), as ``encoder_tables`` gives them.
 
     Each table is one ``np.bincount`` over every full trajectory at every
     level, of every law, with the output nodes of all levels numbered in one
@@ -1057,24 +1171,28 @@ def _level_tables(prob, msg, steps, sizes, m, xn, yn, reach=None):
     span = max(1, _PASS_SIZE // (laws * count))
     up = np.arange(count)  # each trajectory's prefix at the level being read
     lane = np.arange(laws)[:, None, None]  # the law of each weight
-    above = None  # (x, y) of the level above the pass
+    x_laws = steps[0][1][1].shape[0] if steps and steps[0][1][1].ndim == 2 else 1
+    above = None  # (y, x) of the level above the pass
     parts = []
     for hi in range(horizon, -1, -span):
         lo = max(hi - span + 1, 0)
         k, ks = hi - lo + 1, min(hi, horizon - 1) - lo + 1
-        # cols[:, j] = (output node, x, y) of every trajectory at level
-        # lo + j; column k is the level above, which only needs (x, y)
-        cols = np.empty((3, k + 1, count), dtype=np.intp)
+        # cols[:, j] = (output node, y) and xs[:, j] = x of every trajectory
+        # at level lo + j; column k is the level above, which only needs
+        # (x, y)
+        cols = np.empty((2, k + 1, count), dtype=np.intp)
+        xs = np.empty((x_laws, k + 1, count), dtype=np.intp)
         for t in range(hi, max(lo, 1) - 1, -1):
-            par, info = steps[t - 1]
-            cols[:, t - lo] = info[:3].take(up, axis=1)
+            par, (node, x, y) = steps[t - 1][0], steps[t - 1][1][:3]
+            cols[0, t - lo], cols[1, t - lo] = node.take(up), y.take(up)
+            xs[:, t - lo] = x.take(up, axis=-1)
             up = par.take(up)
         if lo == 0:
             cols[0, 0] = 0
         if above is not None:
-            cols[1:, k] = above
-        above = cols[1:, 0].copy()
-        node, x, y = cols[0, :k], cols[1, 1 : ks + 1], cols[2, 1 : ks + 1]
+            cols[1, k], xs[:, k] = above
+        above = cols[1, 0].copy(), xs[:, 0].copy()
+        node, x, y = cols[0, :k], xs[:, 1 : ks + 1], cols[1, 1 : ks + 1]
         if offsets[lo]:
             node -= offsets[lo]
         prev = node[:ks]

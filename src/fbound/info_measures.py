@@ -15,11 +15,12 @@ path, and, for every history, the message posterior, H(W | y^t) and the
 per-message one-step output laws.  Stopped quantities are reductions over
 it.  A stopping rule enters as its stopped mask and stop-time table (see
 ``StoppingRule``), so many rules, or many rule pairs, of one law are
-evaluated in a single array pass; ``policy_table`` adds a leading policy
-axis, so many behavioral policies' laws over the same trajectories are
-evaluated in that pass too.  Every sum runs left to right from 0.0 in
-the order of the per-history loop it replaces, and masked-out terms add an
-exact 0.0, so the results are bit-identical to that loop.
+evaluated in a single array pass; ``policy_table`` and ``encoder_table``
+add a leading law axis, so many behavioral policies' or deterministic
+encoders' laws over the same trajectories are evaluated in that pass too.
+Every sum runs left to right from 0.0 in the order of the per-history loop
+it replaces, and masked-out terms add an exact 0.0, so the results are
+bit-identical to that loop.
 
 The table's own columns are bulk reductions too, bit-identical to calling
 ``mutual_information``, ``kl`` and ``entropy`` once per history: the same
@@ -54,6 +55,7 @@ from .channel_model import (
     _level_offsets,
     _path_at,
     check_tree_size,
+    encoder_tables,
     reweighted_tables,
 )
 
@@ -191,13 +193,14 @@ def _packed_sums(terms: np.ndarray, pos: np.ndarray) -> np.ndarray:
     of the compacted terms.  Each row's selected terms are moved to the
     front in order, and rows sharing a count are reduced together at that
     length, so numpy's pairwise summation groups the terms as it does in
-    the scalar functions."""
+    the scalar functions.  The counts are found with ``bincount``, since
+    ``np.unique`` imports ``numpy.ma`` on its first call in a process."""
     count = pos.sum(axis=1)
     order = np.argsort(~pos, axis=1, kind="stable")
     order = order.reshape(order.shape[:1] + (1,) * (terms.ndim - 2) + order.shape[1:])
     packed = np.take_along_axis(terms, order, axis=-1)
     out = np.empty(terms.shape[:-1])
-    for k in np.unique(count).tolist():
+    for k in np.bincount(count).nonzero()[0].tolist():
         rows = count == k
         out[rows] = np.ascontiguousarray(packed[rows, ..., :k]).sum(axis=-1)
     return out
@@ -245,6 +248,28 @@ def _row_kl(p: np.ndarray, q: np.ndarray, valid: np.ndarray) -> np.ndarray:
         sums = _packed_sums(pp * np.log2(pp / q), pos)
     mismatch = (pos[:, None, :] & (q == 0.0)).any(axis=2)
     return np.where(valid, np.where(mismatch, np.inf, sums), np.nan)
+
+
+def _x_kl(xy: np.ndarray) -> np.ndarray:
+    """``NodeTable.x_kl`` of every joint table ``xy[..., e, :, :]``, with any
+    leading axes: D(row(x*) || row(x)) for each input x of the effective
+    channel rows P(Y | x), x* the first most likely input, NaN for an
+    unrealizable x."""
+    lead = xy.shape[:-2]
+    xy = xy.reshape((-1,) + xy.shape[-2:])
+    nu = xy.sum(axis=2)
+    real = nu > 0.0
+    x_star = np.where(real, nu, 0.0).argmax(axis=1)  # the first most likely input
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rows = xy / nu[:, :, None]
+    return _row_kl(rows[np.arange(nu.shape[0]), x_star], rows, real).reshape(lead + nu.shape[1:])
+
+
+def _worst(x_kl: np.ndarray) -> np.ndarray:
+    """The largest divergence along the last axis of ``x_kl``, ignoring NaN,
+    and 0.0 where every entry is NaN."""
+    worst = np.fmax.reduce(x_kl, axis=-1, initial=-np.inf)
+    return np.where(worst == -np.inf, 0.0, worst)
 
 
 def _row_entropy(mu: np.ndarray) -> np.ndarray:
@@ -332,17 +357,11 @@ class NodeTable:
 
     @cached_property
     def x_kl(self) -> np.ndarray:
-        nu = self._xy.sum(axis=2)
-        real = nu > 0.0
-        x_star = np.where(real, nu, 0.0).argmax(axis=1)  # the first most likely input
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rows = self._xy / nu[:, :, None]
-        return _row_kl(rows[np.arange(nu.shape[0]), x_star], rows, real)
+        return _x_kl(self._xy)
 
     @cached_property
     def node_kl(self) -> np.ndarray:
-        worst = np.fmax.reduce(self.x_kl, axis=1, initial=-np.inf)
-        return np.where(worst == -np.inf, 0.0, worst)
+        return _worst(self.x_kl)
 
     @cached_property
     def kl(self) -> np.ndarray:
@@ -406,29 +425,62 @@ def rule_stack(rules, horizon: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class PolicyTable:
-    """The node-table columns ``stopped_values`` reads (``node``, ``mi``,
-    ``leaf``, ``leaf_prob``) of many behavioral policies' laws, each with a
-    leading policy axis and in each policy's node order; built by
-    ``policy_table``."""
+    """The node-table columns the stopped sums read, of many laws over
+    shared trajectories: behavioral policies' (``policy_table``) or
+    deterministic encoders' (``encoder_table``).  Each column has a leading
+    law axis and lists the nodes in each law's own order, except ``level``
+    (t - 1 of each entry), which the laws share: a node a law cannot reach
+    sits last in its level, with probability 0.0, so its terms are exact
+    zeros.  ``node``, ``prob``, ``leaf`` and ``leaf_prob`` are
+    ``NodeTable``'s columns, ``xy`` the joints P(X_t, Y_t | y^{t-1}), and
+    ``mi`` and ``kl``, built on first use, ``NodeTable``'s weighted
+    information and divergence."""
 
     node: np.ndarray
-    mi: np.ndarray
+    level: np.ndarray
+    prob: np.ndarray
+    xy: np.ndarray
     leaf: np.ndarray
     leaf_prob: np.ndarray
+
+    @cached_property
+    def mi(self) -> np.ndarray:
+        return self.prob * _joint_mi(self.xy)
+
+    @cached_property
+    def kl(self) -> np.ndarray:
+        return self.prob * _worst(_x_kl(self.xy))
 
 
 def policy_table(law: JointLaw, px: np.ndarray) -> PolicyTable:
     """The columns of every policy's node table, each policy's law a
     reweighting of ``law``'s trajectories (``reweighted_tables``, which
-    describes ``law`` and ``px``).  A node a policy cannot reach sits last
-    in its level with probability 0.0, so its terms are exact zeros."""
+    describes ``law`` and ``px``)."""
     table = node_table(law)
     order, node_prob, xy_node = reweighted_tables(law, px)
     inner = table.prob.size
     return PolicyTable(
         node=table.node.take(order[:, :inner]),
-        mi=node_prob[:, :inner] * _joint_mi(xy_node),
+        level=table.level,
+        prob=node_prob[:, :inner],
+        xy=xy_node,
         leaf=table.leaf.take(order[:, inner:] - inner),
+        leaf_prob=node_prob[:, inner:],
+    )
+
+
+def encoder_table(ch: Channel, tables, horizon: int, budget: int) -> PolicyTable:
+    """The columns of every deterministic encoder's node table, from
+    ``encoder_tables``, which describes ``tables`` and the errors raised."""
+    sizes, index, node_prob, xy_node = encoder_tables(ch, tables, horizon, budget)
+    inner = xy_node.shape[1]
+    starts = np.array(_level_offsets(ch.spec.y_size, horizon)[:horizon], dtype=np.int64)
+    return PolicyTable(
+        node=np.repeat(starts, sizes[:horizon]) + index[:, :inner],
+        level=np.repeat(np.arange(horizon), sizes[:horizon]),
+        prob=node_prob[:, :inner],
+        xy=xy_node,
+        leaf=index[:, inner:],
         leaf_prob=node_prob[:, inner:],
     )
 
@@ -438,11 +490,11 @@ def stopped_values(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(E[T], stopped directed information) of every rule of a
     ``rule_stack`` at the law's horizon, each of shape (rules,); or of
-    every policy of a ``PolicyTable``, each (policies, rules).  Each sum
-    runs along the nodes, in order."""
+    every law of a ``PolicyTable``, each (laws, rules).  Each sum runs
+    along the nodes, in order."""
     table = law if isinstance(law, PolicyTable) else node_table(law)
     at_leaf, at_node = times[:, table.leaf], stopped[:, table.node]
-    if at_leaf.ndim == 3:  # (rules, policies, nodes): put the policies first
+    if at_leaf.ndim == 3:  # (rules, laws, nodes): put the laws first
         at_leaf, at_node = at_leaf.swapaxes(0, 1), at_node.swapaxes(0, 1)
     et = ordered_sum(table.leaf_prob[..., None, :] * at_leaf)
     mi = ordered_sum(np.where(at_node, 0.0, table.mi[..., None, :]))
@@ -450,14 +502,16 @@ def stopped_values(
 
 
 def window_divergence(
-    law: JointLaw, stopped: np.ndarray, first: np.ndarray, last: np.ndarray
+    law: JointLaw | PolicyTable, stopped: np.ndarray, first: np.ndarray, last: np.ndarray
 ) -> np.ndarray:
     """Stopped divergence over the window (T1, T] of each pair of rows
-    (first[k], last[k]) of a ``rule_stack`` mask."""
-    table = node_table(law)
+    (first[k], last[k]) of a ``rule_stack`` mask, shape (pairs,); or of
+    every law of a ``PolicyTable``, (laws, pairs).  Each sum runs along the
+    nodes, in order."""
+    table = law if isinstance(law, PolicyTable) else node_table(law)
     at_nodes = stopped[:, table.node]
     live = at_nodes[first] & ~at_nodes[last]
-    return ordered_sum(np.where(live, table.kl, 0.0))
+    return np.moveaxis(ordered_sum(np.where(live, table.kl, 0.0)), 0, -1)
 
 
 def directed_mi_stopped(law: JointLaw, rule: StoppingRule) -> float:

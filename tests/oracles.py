@@ -461,6 +461,22 @@ def loop_rule_pairs(rules):
     ]
 
 
+def encoder_policy_from_tables(tables, m, x_size, y_size, horizon):
+    """The message-form policy of one encoder's step tables, the per-law
+    form that ``channel_model.encoder_tables`` replaced: tables[t-1][w][i]
+    is the input sent for message w at step t after the y-history with
+    lexicographic index i."""
+    from fbound.channel_model import InputPolicy
+
+    def enc(t, w, y_hist):
+        idx = 0
+        for sym in y_hist:
+            idx = idx * y_size + sym
+        return tables[t - 1][w][idx]
+
+    return InputPolicy(horizon=horizon, x_size=x_size, y_size=y_size, messages=m, encoder=enc)
+
+
 def loop_pair_candidates(law, m, tables, pairs, pair_kind):
     """The per-law body of the exponent candidate search: every stopping
     pair of one encoder's law, one at a time."""

@@ -323,6 +323,23 @@ def test_capacity_budget_boundary_is_the_uniform_laws_trajectory_count(capsys, m
     assert capsys.readouterr().out == (_REFERENCE / "bound_capacity_flip2_h3_all.json").read_text()
 
 
+@pytest.mark.parametrize("budget,messages,error", [
+    ("16", "2", "32 live trajectories at step 2 of horizon 2 exceed the trajectory budget 16"),
+    ("4", "1,2", "16 live trajectories at step 2 of horizon 2 exceed the trajectory budget 4"),
+    # the M = 1 laws fit; the first M = 2 law does not
+    ("16", "1,2", "32 live trajectories at step 2 of horizon 2 exceed the trajectory budget 16"),
+    ("8", "2", "even the per-step encoder family for m=2 exceeds cap 8"),
+], ids=["trajectories", "trajectories-m1", "trajectories-second-m", "encoder-cap"])
+def test_exponent_search_over_the_budget_exits_3(budget, messages, error, capsys, monkeypatch):
+    # recorded from the one-law-per-encoder search: the budget caps the
+    # trajectories of each encoder's law and the encoders per message count
+    monkeypatch.setenv("FBOUND_BUDGET", budget)
+    argv = ["bound-exponent", "--channel", FLIP2, "--rate", "0.1", "--horizon", "2",
+            "--messages", messages]
+    assert main(argv) == 3
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+
+
 @pytest.mark.parametrize("argv,env", [
     (["bound-capacity", "--channel", BSC01, "--grid", "0"], {}),
     (["bound-capacity", "--channel", BSC01, "--restarts", "-1"], {}),
@@ -639,6 +656,8 @@ _CHANNEL_EDITS = {
     "x_size-null": ({"x_size": None}, "alphabet sizes must be integers, got [None, 2, 1]"),
     "x_size-2.7": ({"x_size": 2.7}, "alphabet sizes must be integers, got [2.7, 2, 1]"),
     "s_size-true": ({"s_size": True}, "alphabet sizes must be integers, got [2, 2, True]"),
+    # once read through int(), so the copy ran as the file it quotes
+    "x_size-string-2": ({"x_size": "2"}, "alphabet sizes must be integers, got ['2', 2, 1]"),
     "Q-non-numeric": ({"Q": [[["a", 0.1], [0.1, 0.9]]]}, "Q is not a numeric array"),
     "Q-ragged": ({"Q": [[[0.9, 0.1], [0.1, 0.8, 0.1]]]}, "Q is not a numeric array"),
     "Q-nan": ({"Q": [[[float("nan"), 0.1], [0.1, 0.9]]]},
@@ -664,6 +683,9 @@ _SCHEME_EDITS = {
                       "scheme file has a malformed field: could not convert string to float: "
                       "'abc'"),
     "m-2.9": ({"m": 2.9}, "scheme file has a malformed field: 2.9 is not an integer"),
+    "m-string-2": ({"m": "2"}, "scheme file has a malformed field: '2' is not an integer"),
+    "codeword-string-1": ({"codebook": [[1, 1, "1"], [1, 0, 1]]},
+                          "scheme file has a malformed field: '1' is not an integer"),
     "codeword-0.5": ({"codebook": [[1, 1, 0.5], [1, 0, 1]]},
                      "scheme file has a malformed field: 0.5 is not an integer"),
 }

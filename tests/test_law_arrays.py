@@ -18,12 +18,11 @@ import numpy as np
 import pytest
 
 import oracles
-from fbound import bound_engine, channel_model, cli, drift_verify
+from fbound import bound_engine, channel_model, cli, drift_verify, info_measures
 from fbound.bound_engine import (
     SearchConfig,
     _simplex_grid,
     capacity_bound,
-    encoder_policy_from_tables,
 )
 from fbound.channel_model import (
     BudgetExceededError,
@@ -116,7 +115,7 @@ def _policies(ch, horizon, seed):
             tuple(tuple(int(v) for v in rng.integers(x, size=y ** (t - 1))) for _ in range(m))
             for t in range(1, horizon + 1)
         )
-        out.append(encoder_policy_from_tables(tables, m, x, y, horizon))
+        out.append(oracles.encoder_policy_from_tables(tables, m, x, y, horizon))
     return out
 
 
@@ -241,11 +240,12 @@ def test_forward_joint_matches_on_laws_shorter_than_the_policy():
 def test_commands_never_build_the_trajectory_dict(argv, monkeypatch, capsys):
     built, laws = [], []
     real_trajectories = channel_model.JointLaw.trajectories.func
-    real_forward_joint = channel_model.forward_joint
 
-    def counting_forward_joint(*args, **kwargs):
-        laws.append(None)
-        return real_forward_joint(*args, **kwargs)
+    def counting(real):
+        def counted(*args, **kwargs):
+            laws.append(None)
+            return real(*args, **kwargs)
+        return counted
 
     def counting_trajectories(law):
         built.append(None)
@@ -253,7 +253,9 @@ def test_commands_never_build_the_trajectory_dict(argv, monkeypatch, capsys):
 
     monkeypatch.setattr(channel_model.JointLaw, "trajectories", property(counting_trajectories))
     for module in (bound_engine, cli, drift_verify):
-        monkeypatch.setattr(module, "forward_joint", counting_forward_joint)
+        monkeypatch.setattr(module, "forward_joint", counting(channel_model.forward_joint))
+    # the exponent search builds its encoders' laws together
+    monkeypatch.setattr(info_measures, "encoder_tables", counting(channel_model.encoder_tables))
     argv = [str(REPO / "channels" / f"{a}.json") if argv[i - 1] == "--channel" else a
             for i, a in enumerate(argv)]
     assert cli.main(argv) in (0, 1)
@@ -466,6 +468,123 @@ def test_reweighting_refuses_a_law_without_full_support():
                                         np.array(policies))
     with pytest.raises(SchemaError, match="are not"):
         channel_model.reweighted_tables(law, np.array(policies)[:, 1:])
+
+
+# ---------------------------------------------------------------------------
+# many encoders' laws over shared trajectories
+# ---------------------------------------------------------------------------
+
+
+def _random_encoders(ch, m, horizon, rng, count):
+    """``count`` random encoders of m messages, as step tables, after the
+    two constant ones."""
+    x, y = ch.spec.x_size, ch.spec.y_size
+    out = [tuple(((v,) * y ** (t - 1),) * m for t in range(1, horizon + 1)) for v in (0, x - 1)]
+    for _ in range(count):
+        out.append(tuple(
+            tuple(tuple(int(v) for v in rng.integers(x, size=y ** (t - 1))) for _ in range(m))
+            for t in range(1, horizon + 1)))
+    return out
+
+
+def _arrays(encoders, horizon):
+    return [np.array([enc[t] for enc in encoders]) for t in range(horizon)]
+
+
+def _own_law(ch, encoder, horizon, budget=10**7):
+    m, x, y = len(encoder[0]), ch.spec.x_size, ch.spec.y_size
+    policy = oracles.encoder_policy_from_tables(encoder, m, x, y, horizon)
+    return forward_joint(ch, policy, horizon, budget=budget)
+
+
+def assert_own_encoder_tables(ch, horizon, encoders):
+    """``encoder_tables`` of every encoder equals the tables of its own
+    law, node for node: its nodes first in each level, in its own order,
+    then the ones it cannot reach, with zeros."""
+    sizes, index, node_prob, xy_node = channel_model.encoder_tables(
+        ch, _arrays(encoders, horizon), horizon)
+    bounds = np.cumsum((0,) + sizes)
+    for g, encoder in enumerate(encoders):
+        own = _own_law(ch, encoder, horizon)
+        own_index, own_bounds = node_table(own)._index, np.cumsum((0,) + own.sizes)
+        for t in range(horizon + 1):
+            lo, hi, own_lo, own_hi = bounds[t], bounds[t + 1], own_bounds[t], own_bounds[t + 1]
+            cut = lo + own_hi - own_lo
+            assert np.array_equal(index[g, lo:cut], own_index[own_lo:own_hi])
+            assert node_prob[g, lo:cut].tobytes() == own.node_prob[own_lo:own_hi].tobytes()
+            assert not node_prob[g, cut:hi].any()
+            if t < horizon:
+                assert xy_node[g, lo:cut].tobytes() == own.xy_node[own_lo:own_hi].tobytes()
+                assert not xy_node[g, cut:hi].any()
+
+
+@pytest.mark.parametrize("name", BATCH_CHANNELS + ("bsc01",))
+def test_encoder_tables_are_each_encoders_own_tables(name):
+    ch = _channel(name)
+    rng = np.random.default_rng(3)
+    for horizon in range(1, min(_max_horizon(name), 3) + 1):
+        for m in (1, 2, 3, 4):
+            assert_own_encoder_tables(ch, horizon, _random_encoders(ch, m, horizon, rng, 10))
+
+
+@pytest.mark.parametrize("pass_size", [1, 100])
+def test_encoder_tables_counted_in_several_passes_match(pass_size, monkeypatch):
+    monkeypatch.setattr(channel_model, "_PASS_SIZE", pass_size)
+    rng = np.random.default_rng(4)
+    for name in ("flip2", "zrow"):
+        ch = _channel(name)
+        assert_own_encoder_tables(ch, 3, _random_encoders(ch, 2, 3, rng, 6))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # 0/0 at a node of underflowed mass
+def test_encoder_tables_prune_on_a_zero_factor_not_an_underflowed_product():
+    # send 0, then 1 after y = 1: the history (1, 0) has only the product
+    # 1e-200 * 1e-200, which underflows to 0.0, yet forward_joint keeps it
+    ch = _channel("faint")
+    for horizon in (2, 3):
+        encoder = tuple(((0,) * 2 ** (t - 1),) if t == 1 else
+                        (tuple(i % 2 for i in range(2 ** (t - 1))),)
+                        for t in range(1, horizon + 1))
+        own = _own_law(ch, encoder, horizon)
+        assert own.node_prob[own.sizes[0] + own.sizes[1] + 2] == 0.0
+        assert_own_encoder_tables(ch, horizon, [encoder, encoder[:1] + tuple(
+            ((1,) * 2 ** (t - 1),) for t in range(2, horizon + 1))])
+
+
+def _outcome_of(build):
+    try:
+        build()
+    except (BudgetExceededError, SchemaError) as e:
+        return type(e), str(e)
+    return None
+
+
+@pytest.mark.parametrize("name", ["z01", "perfect2", "zstate", "wide"])
+def test_encoder_tables_raise_the_first_failing_encoders_error(name):
+    # encoders whose laws differ in size, some with inputs outside the
+    # alphabet: the batch raises what building the laws one at a time, in
+    # order, raises first, at the same step; an input is read only at a
+    # history the encoder reaches
+    ch = _channel(name)
+    horizon, x = 3, ch.spec.x_size
+    rng = np.random.default_rng(5)
+    for trial in range(6):
+        encoders = _random_encoders(ch, 2, horizon, rng, 6)
+        if trial % 2:
+            for g in rng.integers(len(encoders), size=2).tolist():
+                t, w = int(rng.integers(1, horizon)), int(rng.integers(2))
+                step = [list(row) for row in encoders[g][t]]
+                step[w][int(rng.integers(len(step[w])))] = int(rng.choice([-1, x]))
+                encoders[g] = encoders[g][:t] + (tuple(map(tuple, step)),) + encoders[g][t + 1:]
+        sizes = [_outcome_of(lambda: _own_law(ch, enc, horizon)) or _own_law(ch, enc, horizon)
+                 for enc in encoders]
+        counts = sorted({law.prob.size for law in sizes if not isinstance(law, tuple)})
+        for budget in sorted({1, 2, 3, *counts, *(c - 1 for c in counts)}):
+            want = next(filter(None, (_outcome_of(lambda enc=enc: _own_law(ch, enc, horizon, budget))
+                                      for enc in encoders)), None)
+            got = _outcome_of(lambda: channel_model.encoder_tables(
+                ch, _arrays(encoders, horizon), horizon, budget))
+            assert got == want, (trial, budget)
 
 
 def _count_laws(monkeypatch, ch, horizon, cfg):

@@ -18,9 +18,9 @@ import oracles
 from fbound.bound_engine import (
     Candidates,
     SearchConfig,
+    _encoder_batch,
     _encoder_family,
     _step_aggregates,
-    encoder_policy_from_tables,
     exponent_bound,
     exponent_candidates,
     reevaluate,
@@ -29,6 +29,7 @@ from fbound.channel_model import (
     BudgetExceededError,
     SchemaError,
     StoppingRule,
+    _policy_row_keys,
     enumerate_stopping_rules,
     forward_joint,
     load_channel,
@@ -42,6 +43,7 @@ from fbound.info_measures import (
     expected_stop_time,
     node_table,
     ordered_sum,
+    policy_table,
     rule_stack,
     stopped_values,
     window_divergence,
@@ -77,8 +79,37 @@ def _laws(name, horizon):
             tuple(tuple(int(v) for v in rng.integers(x, size=y ** (t - 1))) for _ in range(2))
             for t in range(1, horizon + 1)
         )
-        policies.append(encoder_policy_from_tables(tables, 2, x, y, horizon))
+        policies.append(oracles.encoder_policy_from_tables(tables, 2, x, y, horizon))
     return tuple(forward_joint(ch, pol, horizon) for pol in policies)
+
+
+def _tables_of(policy):
+    """A message-form policy's step tables, as ``Candidates.tables`` holds
+    them: per step t, per message, the input after each y-history in
+    lexicographic order."""
+    hists = [list(itertools.product(range(policy.y_size), repeat=t - 1))
+             for t in range(1, policy.horizon + 1)]
+    return tuple(tuple(tuple(policy.encoder(t, w, h) for h in hists[t - 1])
+                       for w in range(policy.messages))
+                 for t in range(1, policy.horizon + 1))
+
+
+@functools.lru_cache(maxsize=None)
+def _batched(name, horizon):
+    """The ``PolicyTable`` lane of every law of ``_laws``: the behavioral
+    law valued as a reweighting of itself, and the message-form laws built
+    together, one batch per message count, in ``_laws`` order."""
+    ch, laws = _channel(name), _laws(name, horizon)
+    out = {}
+    for m in sorted({law.messages for law in laws if law.is_message_form}):
+        group = [i for i, law in enumerate(laws) if law.is_message_form and law.messages == m]
+        table = _encoder_batch(ch, [_tables_of(laws[i].policy) for i in group], horizon, 10**7)
+        out.update((i, (table, g)) for g, i in enumerate(group))
+    for i, law in enumerate(laws):
+        if not law.is_message_form:
+            rows = [law.policy.rows[k] for k in _policy_row_keys(ch, horizon)]
+            out[i] = (policy_table(law, np.array([rows])), 0)
+    return [out[i] for i in range(len(laws))]
 
 
 def _rules(ch, horizon):
@@ -264,21 +295,24 @@ def test_stopped_sums_match_loops(name, horizon):
     first = np.array([index[id(a)] for a, _ in pairs])
     last = np.array([index[id(b)] for _, b in pairs])
     stack = rule_stack(rules, horizon)
-    for law in _laws(name, horizon):
+    for law, (table, g) in zip(_laws(name, horizon), _batched(name, horizon)):
         want_et = [oracles.loop_expected_stop_time(law, r) for r in rules]
         want_mi = [oracles.loop_directed_mi_stopped(law, r) for r in rules]
         assert [expected_stop_time(law, r) for r in rules] == want_et
         assert [directed_mi_stopped(law, r) for r in rules] == want_mi
         et, mi = stopped_values(law, *stack)
         assert et.tolist() == want_et and mi.tolist() == want_mi
+        batch_et, batch_mi = stopped_values(table, *stack)
+        assert batch_et[g].tolist() == want_et and batch_mi[g].tolist() == want_mi
 
         want_kl = [oracles.loop_directed_kl_stopped(law, a, b) for a, b in pairs]
         assert [directed_kl_stopped(law, a, b) for a, b in pairs] == want_kl
         assert window_divergence(law, stack[0], first, last).tolist() == want_kl
+        assert window_divergence(table, stack[0], first, last)[g].tolist() == want_kl
 
-        ej, ed = _step_aggregates(law)
+        ej, ed = _step_aggregates(table, horizon)
         want_ej, want_ed = oracles.loop_step_aggregates(law)
-        assert ej.tolist() == want_ej.tolist() and ed.tolist() == want_ed.tolist()
+        assert ej[g].tolist() == want_ej.tolist() and ed[g].tolist() == want_ed.tolist()
 
         best = int(np.argmax(mi / et))
         want_val, want_rule = oracles.loop_capacity_objective(law, rules)
@@ -351,20 +385,38 @@ def _loop_candidates(ch, horizon, cfg):
     for m in cfg.messages:
         family, _, _ = _encoder_family(m, ch.spec.x_size, ch.spec.y_size, horizon, cfg.encoder_cap)
         for tables in family:
-            policy = encoder_policy_from_tables(tables, m, ch.spec.x_size, ch.spec.y_size, horizon)
+            policy = oracles.encoder_policy_from_tables(
+                tables, m, ch.spec.x_size, ch.spec.y_size, horizon)
             law = forward_joint(ch, policy, horizon, budget=cfg.budget)
             out += oracles.loop_pair_candidates(law, m, tables, pairs, kind)
     return out
 
 
-@pytest.mark.parametrize(
-    "name,horizon,stopping",
-    [("bsc01", 3, "all"), ("bsc02", 2, "all"), ("z01", 2, "all"), ("flip2", 2, "all"),
-     ("perfect2", 2, "all"), ("histk2", 2, "all"), ("z01", 3, "fixed"), ("flip2", 3, "fixed")],
-)
-def test_exponent_candidates_match_pair_loop(name, horizon, stopping):
+CANDIDATE_CASES = [
+    ("bsc01", 3, "all", (2,), 1000), ("bsc02", 2, "all", (2,), 1000),
+    ("z01", 2, "all", (2,), 1000), ("flip2", 2, "all", (2,), 1000),
+    ("perfect2", 2, "all", (2,), 1000), ("histk2", 2, "all", (2,), 1000),
+    ("z01", 3, "fixed", (2,), 1000), ("flip2", 3, "fixed", (2,), 1000),
+    # full tables: 64 and 512 encoders, then 4,096
+    ("bsc01", 2, "all", (2, 3), 1000), ("bsc01", 2, "fixed", (4,), 4096),
+    ("histk2", 2, "all", (3,), 1000),
+    # per-step tables: 256 encoders at H = 2, 512 and 4,096 at H = 3
+    ("z01", 2, "all", (4,), 1000), ("flip2", 3, "fixed", (3,), 1000),
+    ("perfect2", 3, "fixed", (4,), 4096),
+]
+
+
+def _case_id(case):
+    name, horizon, stopping, messages, _ = case
+    more = "" if messages == (2,) else "-m" + "+".join(map(str, messages))
+    return f"{name}-{horizon}-{stopping}{more}"
+
+
+@pytest.mark.parametrize("name,horizon,stopping,messages,encoder_cap", CANDIDATE_CASES,
+                         ids=map(_case_id, CANDIDATE_CASES))
+def test_exponent_candidates_match_pair_loop(name, horizon, stopping, messages, encoder_cap):
     ch = _channel(name)
-    cfg = SearchConfig(stopping=stopping, messages=(2,), encoder_cap=1000)
+    cfg = SearchConfig(stopping=stopping, messages=messages, encoder_cap=encoder_cap)
     cands, flags = exponent_candidates(ch, horizon, cfg)
     want = _loop_candidates(ch, horizon, cfg)
     assert len(cands) == len(want)
