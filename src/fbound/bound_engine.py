@@ -704,8 +704,9 @@ def reevaluate(result: BoundResult, ch: Channel, cfg: SearchConfig = SearchConfi
         return value
     if result.kind == "exponent":
         _, tables = _tables_from_maximizer(result.maximizer, ch.spec.y_size, result.horizon)
-        # an input outside the alphabet is refused where the law reads it,
-        # as -1, which also holds one beyond the index range
+        # an input outside the alphabet is read as -1, which the law refuses
+        # where it reads it and which fits the index array however large the
+        # stored number is
         xn = ch.spec.x_size
         tables = tuple(tuple(tuple(x if 0 <= x < xn else -1 for x in row) for row in step)
                        for step in tables)

@@ -1014,14 +1014,14 @@ def _first_live(live, by_node, starts, base):
     return first + base, first < count
 
 
-def _own_order_tables(prob, msg, steps, sizes, m, xn, yn, firsts):
+def _own_order_tables(prob, msg, steps, sizes, m, xn, yn, firsts, x_rows=1):
     """``_level_tables``' node_prob and xy_node of laws over shared
     trajectories, each law's nodes in its own order, sorted by the
     per-level ``_first_live`` results ``firsts``: (order, node_prob,
     xy_node), ``order[g]`` the shared positions of law g's nodes."""
     keys, reach = (np.concatenate(part, axis=1) for part in zip(*firsts))
     order = np.argsort(keys, axis=1, kind="stable")
-    node_prob, _, xy_node, _ = _level_tables(prob, msg, steps, sizes, m, xn, yn, reach)
+    node_prob, _, xy_node, _ = _level_tables(prob, msg, steps, sizes, m, xn, yn, reach, x_rows)
     lanes = np.arange(prob.shape[0])[:, None]
     return order, node_prob[lanes, order], xy_node[lanes, order[:, : xy_node.shape[1]]]
 
@@ -1107,12 +1107,13 @@ def encoder_tables(ch: Channel, tables, horizon: int, budget: int = DEFAULT_TRAJ
         starts = np.flatnonzero(np.diff(node.take(by_node), prepend=-1))
         firsts.append(_first_live(live, by_node, starts, key_base))
         key_base += kids.size + 1  # past every key of the level
-        steps.append((par, (node + sum(sizes), x, y)))
+        steps.append((par, np.concatenate(((node + sum(sizes))[None], x, y[None]))))
         sizes.append(first.size)
         s_mem, x_mem = s_mem.take(par) * sn + s, x_mem.take(par, axis=1) * xn + x
     if failed is not None:
         raise failed
-    order, node_prob, xy_node = _own_order_tables(prob, msg, steps, sizes, m, xn, yn, firsts)
+    order, node_prob, xy_node = _own_order_tables(prob, msg, steps, sizes, m, xn, yn, firsts,
+                                                  laws)
     return tuple(sizes), np.concatenate(index).take(order), node_prob, xy_node
 
 
@@ -1142,13 +1143,14 @@ def _reweighting_plan(law: JointLaw):
     return levels, row
 
 
-def _level_tables(prob, msg, steps, sizes, m, xn, yn, reach=None):
+def _level_tables(prob, msg, steps, sizes, m, xn, yn, reach=None, x_rows=1):
     """(node_prob, w_post, xy_node, wy_node) from the level arrays of
     ``forward_joint``, of one law per row of ``prob`` (laws x trajectories):
     laws over the same trajectories with their own probabilities, such as
     the policies of ``reweighted_tables``.  Each table has that leading
-    axis.  A step's inputs x are shared by the laws, or given per law
-    (laws x trajectories), as ``encoder_tables`` gives them.
+    axis.  A step's rows are (output node, x, y, ...), with one x row that
+    the laws share or, when ``x_rows`` is the law count, one per law, as
+    ``encoder_tables`` gives them.
 
     Each table is one ``np.bincount`` over every full trajectory at every
     level, of every law, with the output nodes of all levels numbered in one
@@ -1171,28 +1173,24 @@ def _level_tables(prob, msg, steps, sizes, m, xn, yn, reach=None):
     span = max(1, _PASS_SIZE // (laws * count))
     up = np.arange(count)  # each trajectory's prefix at the level being read
     lane = np.arange(laws)[:, None, None]  # the law of each weight
-    x_laws = steps[0][1][1].shape[0] if steps and steps[0][1][1].ndim == 2 else 1
-    above = None  # (y, x) of the level above the pass
+    above = None  # (x, y) of the level above the pass
     parts = []
     for hi in range(horizon, -1, -span):
         lo = max(hi - span + 1, 0)
         k, ks = hi - lo + 1, min(hi, horizon - 1) - lo + 1
-        # cols[:, j] = (output node, y) and xs[:, j] = x of every trajectory
-        # at level lo + j; column k is the level above, which only needs
-        # (x, y)
-        cols = np.empty((2, k + 1, count), dtype=np.intp)
-        xs = np.empty((x_laws, k + 1, count), dtype=np.intp)
+        # cols[:, j] = (output node, x, y) of every trajectory at level
+        # lo + j; column k is the level above, which only needs (x, y)
+        cols = np.empty((x_rows + 2, k + 1, count), dtype=np.intp)
         for t in range(hi, max(lo, 1) - 1, -1):
-            par, (node, x, y) = steps[t - 1][0], steps[t - 1][1][:3]
-            cols[0, t - lo], cols[1, t - lo] = node.take(up), y.take(up)
-            xs[:, t - lo] = x.take(up, axis=-1)
+            par, info = steps[t - 1]
+            cols[:, t - lo] = info[: x_rows + 2].take(up, axis=1)
             up = par.take(up)
         if lo == 0:
             cols[0, 0] = 0
         if above is not None:
-            cols[1, k], xs[:, k] = above
-        above = cols[1, 0].copy(), xs[:, 0].copy()
-        node, x, y = cols[0, :k], xs[:, 1 : ks + 1], cols[1, 1 : ks + 1]
+            cols[1:, k] = above
+        above = cols[1:, 0].copy()
+        node, x, y = cols[0, :k], cols[1:-1, 1 : ks + 1], cols[-1, 1 : ks + 1]
         if offsets[lo]:
             node -= offsets[lo]
         prev = node[:ks]
