@@ -220,7 +220,7 @@ def test_reevaluate_refuses_malformed_encoder_tables(bsc01, field, value):
         reevaluate(res, bsc01)
 
 
-@pytest.mark.parametrize("x", [2, -1, 2**70])
+@pytest.mark.parametrize("x", [2, -1, 2**70], ids=["2", "-1", "2**70"])
 def test_reevaluate_refuses_a_stored_input_outside_the_alphabet(bsc01, x):
     res = exponent_bound(bsc01, 0.25, 2, SearchConfig(messages=(2,)))
     res.maximizer["encoder_tables"][0][0][0] = x
