@@ -37,8 +37,10 @@ from .channel_model import (
     _PASS_SIZE,
     _policy_row_keys,
     check_seed,
+    encoder_tables,
     enumerate_stopping_rules,
     forward_joint,
+    reweighted_tables,
     uniform_behavioral_policy,
 )
 from .info_measures import (
@@ -47,11 +49,9 @@ from .info_measures import (
     _v_term,
     directed_kl_stopped,
     directed_mi_stopped,
-    encoder_table,
     expected_stop_time,
     max_pairwise_row_kl,
     ordered_sum,
-    policy_table,
     rule_stack,
     stop_error,
     stopped_values,
@@ -271,25 +271,23 @@ def _capacity_rules(ch: Channel, horizon: int, cfg: SearchConfig):
     return rules or [StoppingRule.fixed(t, horizon, y) for t in range(1, horizon + 1)], flags
 
 
-def _capacity_objective(ch, rows, horizon, rules, stack, budget):
-    """Best stopped information per expected stop time of one policy over
-    all rules at once; ``stack`` is ``rule_stack(rules, horizon)``.  Ties go
-    to the earliest rule.  It builds the policy's own law: the reference
-    that ``reevaluate`` uses and the search's batched valuation matches."""
-    policy = InputPolicy(
-        horizon=horizon, x_size=ch.spec.x_size, y_size=ch.spec.y_size, rows=rows
-    )
-    law = forward_joint(ch, policy, horizon, budget=budget)
-    et, mi = stopped_values(law, *stack)
-    vals = mi / et
-    best = int(np.argmax(vals))
-    return float(vals[best]), rules[best]
+def _batch_size(trajectory_levels: int, node_cells: int) -> int:
+    """Laws per batch of a search, from each law's trajectory-levels and
+    its rule- or pair-by-node cells, so that the arrays a batch holds at
+    once stay within ``_PASS_SIZE`` entries together: about six over the
+    trajectory-levels (``_level_tables``' step rows, weights and bincount
+    indices) and four over the node cells (the masks, terms and running
+    sums of ``stopped_values`` and ``window_divergence``)."""
+    return max(1, _PASS_SIZE // (6 * trajectory_levels + 4 * node_cells))
 
 
 def _capacity_values(law, px, rules, stack):
-    """``_capacity_objective``'s (value, rule) of every policy ``px[g]``,
-    valued over the trajectories of ``law`` (see ``reweighted_tables``)."""
-    et, mi = stopped_values(policy_table(law, px), *stack)
+    """The best stopped information per expected stop time, and its rule,
+    of every policy ``px[g]`` over all rules at once, valued over the
+    trajectories of ``law`` (see ``reweighted_tables``); ``stack`` is
+    ``rule_stack(rules, horizon)``.  Ties go to the earliest rule."""
+    table = PolicyTable.of(reweighted_tables(law, px), law.channel.spec.y_size)
+    et, mi = stopped_values(table, *stack)
     vals = mi / et
     best = vals.argmax(axis=1)
     return [(v, rules[b]) for v, b in zip(vals[np.arange(best.size), best].tolist(), best.tolist())]
@@ -308,10 +306,9 @@ def capacity_bound(ch: Channel, horizon: int, cfg: SearchConfig = SearchConfig()
     starts.  Every policy's support lies inside it, so it is also the
     largest law the search can reach; the trajectory budget is checked on
     it, then on the grid's point count per row.  Every policy is valued as a
-    reweighting of its trajectories (``policy_table``), bit-identical to
-    building the policy's own law (``_capacity_objective``), and once per
-    search: values are memoized on the tuple of rows in ``_policy_row_keys``
-    order.  At each row key a sweep values every grid move of that row, in
+    reweighting of its trajectories (``reweighted_tables``), bit-identical
+    to building the policy's own law, and once per search: values are
+    memoized on the tuple of rows in ``_policy_row_keys`` order.  At each row key a sweep values every grid move of that row, in
     batches, then scans the moves in grid order and accepts one that beats
     the current value by more than 1e-12.  Only that row changes in the
     scan, so each move is the policy a one-move-at-a-time loop would form.
@@ -329,10 +326,7 @@ def capacity_bound(ch: Channel, horizon: int, cfg: SearchConfig = SearchConfig()
         raise BudgetExceededError(f"the policy grid has {points} points per row, over the "
                                   f"budget {cfg.budget}")
     grid = _simplex_grid(x_size, denom)
-    # policies per batch, so that a batch's trajectory-level and
-    # rule-by-node arrays stay within ``_PASS_SIZE`` entries
-    per_policy = law.prob.size * (horizon + 1) + len(rules) * law.node_prob.size
-    batch = max(1, _PASS_SIZE // per_policy)
+    batch = _batch_size(law.prob.size * (horizon + 1), len(rules) * law.node_prob.size)
     memo: dict = {}
 
     def values(policies):
@@ -514,10 +508,11 @@ def _pair_rates(table: PolicyTable, first: np.ndarray, last: np.ndarray, stack, 
 
 
 def _encoder_batch(ch: Channel, tables: list, horizon: int, budget: int) -> PolicyTable:
-    """The ``encoder_table`` of the laws of the encoders ``tables``, each a
-    tuple of step tables as ``Candidates.tables`` holds them."""
+    """The ``PolicyTable`` of the laws of the encoders ``tables``, each a
+    tuple of step tables as ``Candidates.tables`` holds them, built together
+    (``encoder_tables``, which describes the errors raised)."""
     arrays = [np.array([enc[t] for enc in tables], dtype=np.intp) for t in range(horizon)]
-    return encoder_table(ch, arrays, horizon, budget)
+    return PolicyTable.of(encoder_tables(ch, arrays, horizon, budget), ch.spec.y_size)
 
 
 def _stopping_pairs(ch: Channel, horizon: int, cfg: SearchConfig):
@@ -615,10 +610,10 @@ def exponent_candidates(
     count.  Each encoder's tables are kept once; stop sets are formed only
     for a reported maximizer.  The encoders of one message count are
     evaluated in batches, in enumeration order: a batch's laws are built
-    together (``encoder_table``), and every pair of every law of the batch
+    together (``_encoder_batch``), and every pair of every law of the batch
     is evaluated in one array pass (``_pair_rates``), bit for bit the values
-    of each encoder's own law.  A batch holds as many encoders as keep its
-    trajectory-level and pair-by-node arrays within ``_PASS_SIZE`` entries.
+    of each encoder's own law.  A batch holds as many encoders as
+    ``_batch_size`` allows.
     Under a trajectory budget, the first encoder whose law exceeds it raises
     ``forward_joint``'s error.  Flags are listed in the order they were
     raised.
@@ -638,8 +633,8 @@ def exponent_candidates(
         if family_kind == "per_step" and restricted not in flags:
             flags.append(restricted)
         # the shared trajectories of a law number at most m (S Y)^N
-        per_encoder = m * (spec.s_size * spec.y_size) ** horizon * (horizon + 1) + per_node * nodes
-        batch = max(1, _PASS_SIZE // per_encoder)
+        batch = _batch_size(m * (spec.s_size * spec.y_size) ** horizon * (horizon + 1),
+                            per_node * nodes)
         while tables := list(itertools.islice(family, batch)):
             table = _encoder_batch(ch, tables, horizon, cfg.budget)
             keep, *columns = _pair_rates(table, first, last, stack, horizon)
@@ -689,18 +684,22 @@ def exponent_bound(
 
 
 def reevaluate(result: BoundResult, ch: Channel, cfg: SearchConfig = SearchConfig()) -> float:
-    """Recompute a bound value from its stored maximizer (no search).  An
-    exponent goes through the evaluation the search used, with a batch of
-    one encoder; a capacity through the policy's own law
-    (``_capacity_objective``), which the search's reweighting of the
-    uniform law matches bit for bit."""
+    """Recompute a bound value from its stored maximizer (no search), by
+    the evaluation the search used, with a batch of one: an exponent's
+    encoder through ``_encoder_batch``, a capacity's policy rows as a
+    reweighting of the uniform law (``_capacity_values``).  So it refuses
+    what the search refused, the trajectory budget included."""
     if result.kind == "capacity":
         rows = _rows_from_maximizer(result.maximizer)
         if "stop_set" not in result.maximizer:
             raise SchemaError("stored capacity maximizer has no stop set")
-        rule = StoppingRule(result.horizon, ch.spec.y_size, result.maximizer["stop_set"])
-        stack = rule_stack([rule], result.horizon)
-        value, _ = _capacity_objective(ch, rows, result.horizon, [rule], stack, cfg.budget)
+        horizon = result.horizon
+        rule = StoppingRule(horizon, ch.spec.y_size, result.maximizer["stop_set"])
+        policy = InputPolicy(horizon=horizon, x_size=ch.spec.x_size, y_size=ch.spec.y_size,
+                             rows=rows)
+        px = np.array([[policy.input_distribution(*key) for key in _policy_row_keys(ch, horizon)]])
+        law = forward_joint(ch, uniform_behavioral_policy(ch, horizon), horizon, budget=cfg.budget)
+        ((value, _),) = _capacity_values(law, px, [rule], rule_stack([rule], horizon))
         return value
     if result.kind == "exponent":
         _, tables = _tables_from_maximizer(result.maximizer, ch.spec.y_size, result.horizon)

@@ -12,11 +12,14 @@ positive-probability trajectories, which is the verification strategy used
 throughout: all downstream quantities (posteriors, entropy processes, drift
 terms) are exact sums over this enumeration.
 
-The enumeration runs breadth first, one level of the trajectory tree per
-step, with the children of all live prefixes formed in one array pass in the
-order a depth-first walk would visit them.  The per-output-history tables
-are then one ``np.bincount`` each over the trajectories in that order.  Both
-keep the products and the summation order of a plain recursive walk with
+Trajectories are formed in one loop (``_grow``), breadth first, one level
+of the trajectory tree per step, with the children of all live prefixes
+formed in one array pass in the order a depth-first walk would visit them,
+and with a leading law axis: ``forward_joint`` runs it for one law, of
+either policy form, and ``encoder_tables`` for many deterministic encoders
+over the trajectories they share.  The per-output-history tables are then
+one ``np.bincount`` each over the trajectories in that order.  Both keep
+the products and the summation order of a plain recursive walk with
 running per-node sums, so every probability and table entry is bit-for-bit
 the value such a walk gives.  A law is arrays only: the tables are flat
 arrays over the realizable output histories of all levels (a sparse
@@ -26,9 +29,10 @@ are tuples of integer symbols only where a caller asks for them: policy
 arguments, error messages, ``JointLaw.trajectories`` and stop sets (a
 ``StoppingRule`` is a stop-time array).  Budgets cap enumeration size.
 ``reweighted_tables`` gives the tables of many behavioral policies at once,
-each as a reweighting of one full-support law's trajectories, bit for bit
-the tables of the policy's own law; ``encoder_tables`` gives those of many
-deterministic encoders, over the trajectories they share.
+each as a reweighting of one full-support law's trajectories, with no
+trajectory formed.  Both many-law functions return each law's tables bit
+for bit as its own law gives them, in one shape: (sizes, index,
+node_prob, xy_node).
 """
 
 from __future__ import annotations
@@ -808,106 +812,149 @@ def _first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (head.cumsum() - 1).take(first), head.nonzero()[0]
 
 
-def forward_joint(
-    ch: Channel,
-    policy: InputPolicy,
-    horizon: int,
-    budget: int = DEFAULT_TRAJECTORY_BUDGET,
-) -> JointLaw:
-    """Enumerate the exact joint law over all positive-probability
-    trajectories of length ``horizon``.
+def _node_index(parent: np.ndarray, symbol: np.ndarray, sizes, y_size: int) -> np.ndarray:
+    """Each output node's ``_hist_index``, read level by level off its
+    parent node and last symbol (a law's ``node_parent`` and
+    ``node_symbol``).  It passes 64 bits after 63 binary levels, so callers
+    form it only for an output tree within ``check_tree_size``."""
+    index = np.zeros(parent.size, dtype=np.int64)
+    bounds = list(itertools.accumulate(sizes, initial=0))
+    for lo, hi in zip(bounds[1:-1], bounds[2:]):
+        index[lo:hi] = index.take(parent[lo:hi]) * y_size + symbol[lo:hi]
+    return index
 
-    The trajectory probability is the product, over steps, of the policy
-    factor, the state-kernel factor and the channel factor, multiplied left
-    to right as ``((p * px) * ps) * py``; branches with a zero factor are
-    pruned.  The enumeration runs one level at a time: step t calls the
-    policy (or encoder) once per distinct (input history, output history)
-    (or (message, output history)) of the live prefixes, in order of first
-    appearance, with the histories as tuples; gathers every prefix's state
-    law from the kernel's ``use_table(t)`` at its history indices; then
-    forms every child (prefix, x, s, y) in one array pass.  Children come
-    out in C order, which is the depth-first order over (w, x_1, s_1, y_1,
-    x_2, ...), and so is the order of the trajectories.  The tables are
-    built by ``_level_tables`` from the same level arrays.
 
-    Raises BudgetExceededError when the live trajectory count would exceed
-    ``budget``, naming the count and step reached, and SchemaError for a
-    negative horizon, a horizon the kernel cannot drive, or an encoder input
-    outside the alphabet.  Every prefix has at least one child (every row
-    sums to 1), so level sizes never shrink and the check at each level
-    fails exactly when the final count would.
+def _over_budget(count, t: int, horizon: int, budget: int) -> BudgetExceededError:
+    return BudgetExceededError(f"{count} live trajectories at step {t} of horizon {horizon} "
+                               f"exceed the trajectory budget {budget}")
+
+
+def _grow(ch: Channel, horizon: int, budget: int, m: int, laws: int, inputs):
+    """Form the trajectories of ``laws`` laws over shared prefixes (w, x^t,
+    s^t, y^t), one level per step: the one loop behind ``forward_joint``
+    (one law) and ``encoder_tables`` (many).  Level 0 holds the m
+    equiprobable messages.
+
+    ``inputs(t, laws, msg, steps)`` gives the step-t inputs of the first
+    ``laws`` laws at every prefix, from the prefixes' messages and the
+    steps so far: (x, None), x[g, k] law g's input at prefix k, or (None,
+    px), px[0, k] the input law at prefix k of one behavioral law.  Every
+    child (prefix, x, s, y) is formed in one array pass, in C order (the
+    depth-first order over (w, x_1, s_1, y_1, x_2, ...)), with probability
+    ((p * px) * ps) * q, ps read off the kernel's ``use_table(t)`` at the
+    prefix's history indices; a message-form law has no px (p * 1.0 == p).
+
+    A child is live for a law when its prefix is and no factor is zero: a
+    zero factor prunes, an underflowed product does not.  A child some law
+    keeps stays in the arrays, with probability 0.0 for the others, which
+    adds exact zeros to their sums; one no law keeps is dropped.  Output
+    nodes are the children's (parent node, y), numbered within a level in
+    order of first appearance.
+
+    A law fails at its first step that reads an input outside the alphabet
+    at a live prefix or leaves more live trajectories than ``budget``.  The
+    laws from the first failing one on end there, and their inputs are not
+    read again; when the loop ends, the first failing law's error is
+    raised, which is what building the laws one at a time, in order, raises
+    first.  Every live prefix has a live child (every row sums to 1), so
+    level sizes never shrink and the check at each level fails exactly when
+    the final count would.
+
+    Returns (prob, lives, msg, steps, sizes, parents, symbols): the last
+    level's probabilities (laws x trajectories), each level's live mask
+    (laws x prefixes), each trajectory's message, per step each child's
+    parent prefix and rows (output node, x of each law, y, s), and per
+    level its node count; and each node's parent and last symbol (-1 at
+    the root), the nodes of all levels numbered in one sequence.
     """
     spec, kernel = ch.spec, ch.kernel
-    if horizon < 0:
-        raise SchemaError(f"horizon must be >= 0, got {horizon}")
     cap = kernel.horizon_cap()
     if cap is not None and horizon > cap:
         raise SchemaError(f"state kernel only defines {cap} steps, horizon={horizon}")
-    if policy.horizon < horizon:
-        raise SchemaError("policy horizon shorter than requested law horizon")
-    if policy.x_size != spec.x_size or policy.y_size != spec.y_size:
-        raise SchemaError("policy alphabet sizes do not match the channel")
-    encoder = policy.encoder if policy.is_message_form else None
-    m = policy.messages if encoder else 1
     xn, sn, yn = spec.x_size, spec.s_size, spec.y_size
     q = spec.q.transpose(1, 0, 2)  # (x, s, y), the children's order
     q_live = q != 0.0
-    single = [(a,) for a in range(max(xn, yn))]
-
-    # the live prefixes of one level: probability, message, output node
-    # (numbered within the level), policy call and state- and input-history
-    # indices; ``calls`` holds the arguments of each call after t, one per
-    # distinct (message or input history, output history); level 0 is one
-    # empty prefix per message
-    prob = np.array([1.0 / m] * m)
-    msg = call = np.arange(m)
-    node = s_mem = x_mem = np.zeros(m, dtype=np.intp)
-    calls = [(w, ()) for w in range(m)] if encoder else [((), ())]
-    # per step, each child's parent and its (output node, x, y, s); output
-    # nodes are numbered level after level, each with its parent and symbol
-    steps, sizes, parents, symbols = [], [1], [np.array([-1])], [np.array([-1])]
-    _check_budget(m, 0, horizon, budget)
+    if m > budget:
+        raise _over_budget(m, 0, horizon, budget)
+    prob = np.full((laws, m), 1.0 / m)
+    live = np.ones((laws, m), dtype=bool)
+    msg = np.arange(m)
+    node = s_mem = np.zeros(m, dtype=np.intp)  # per prefix, shared by the laws
+    x_mem = np.zeros((laws, m), dtype=np.intp)
+    steps, lives, sizes, parents, symbols = [], [live], [1], [np.array([-1])], [np.array([-1])]
+    failed = None  # the first failing law's error; the laws end before it
     for t in range(1, horizon + 1):
+        x, px = inputs(t, laws, msg, steps)
+        if px is None:
+            bad = (live & ((x < 0) | (x >= xn))).any(axis=1)
+            if bad.any():
+                laws = int(bad.argmax())
+                failed = SchemaError(f"encoder input outside 0..{xn - 1} at t={t}")
+                prob, live, x_mem, x = (a[:laws] for a in (prob, live, x_mem, x))
+            x = np.where(live, x, 0)[:, :, None]  # an unread input of a pruned prefix
+        else:
+            x = np.arange(xn)[None, None]
         table = kernel.use_table(t)
         s_mem, x_mem = s_mem % table.shape[0], x_mem % table.shape[1]
-        ps = table[s_mem, x_mem]
-        # head[k, x, s] = (p * px) * ps and the channel rows it multiplies,
-        # both over (prefix, x, s, y); a message-form prefix has one input,
-        # with px = 1.0, and p * 1.0 == p
-        if encoder:
-            xl = [encoder(t, w, h) for w, h in calls]
-            xs = np.array(xl)
-            if xs.dtype.kind not in "iu" or min(xl) < 0 or max(xl) >= xn:
-                raise SchemaError(f"encoder input outside 0..{xn - 1} at t={t}")
-            xs = xs.take(call)
-            head = prob[:, None, None, None] * ps[:, None, :, None]
-            rows, live = q.take(xs, 0)[:, None], q_live.take(xs, 0)[:, None]
-        else:
-            px = np.array([policy.input_distribution(t, a, b) for a, b in calls]).take(call, 0)
-            head = (prob[:, None, None, None] * px[:, :, None, None]) * ps[:, None, :, None]
-            rows, live = q, (px > 0.0)[:, :, None, None] & q_live
+        ps = table[s_mem, x_mem][:, :, None, :, None]
+        # children over (law, prefix, x, s, y): head = (p * px) * ps, which
+        # the channel rows multiply once the failed laws are cut
+        head = prob[:, :, None, None, None]
+        kid_live = q_live.take(x, 0) & live[:, :, None, None, None]
+        if px is not None:
+            head = head * px[:, :, :, None, None]
+            kid_live = kid_live & (px > 0.0)[:, :, :, None, None]
+        head = head * ps
         if np.count_nonzero(ps) < ps.size:
-            live = live & (ps != 0.0)[:, None, :, None]
-        kids = live.ravel().nonzero()[0]
-        _check_budget(kids.size, t, horizon, budget)
-        prob = (head * rows).ravel().take(kids)
-        par, x, s, y = np.unravel_index(kids, live.shape)
-        if encoder:
-            x = xs.take(par)
+            kid_live = kid_live & (ps != 0.0)
+        shape = kid_live.shape[1:]
+        counts = np.count_nonzero(kid_live, axis=(1, 2, 3, 4))
+        if (counts > budget).any():
+            laws = int((counts > budget).argmax())
+            failed = _over_budget(counts[laws], t, horizon, budget)
+            kid_live, head, x, x_mem = (a[:laws] for a in (kid_live, head, x, x_mem))
+        if not laws:
+            break
+        kid_live = kid_live.reshape(laws, -1)
+        kids = (kid_live[0] if laws == 1 else kid_live.any(axis=0)).nonzero()[0]
+        prob = (head * q.take(x, 0)).reshape(laws, -1).take(kids, axis=1)
+        live = kid_live.take(kids, axis=1)
+        par, c, s, y = np.unravel_index(kids, shape)
+        x = c[None] if px is not None else x[:, :, 0].take(par, axis=1)
         msg = msg.take(par)
-        # each child's output node: (parent node, y), numbered in order of
-        # first appearance
         key = node.take(par) * yn + y
         node, first = _first_appearance(key)
         key, base = key.take(first), sum(sizes)  # base: the level's first node
         parents.append(key // yn + (base - sizes[-1]))
         symbols.append(key % yn)
-        steps.append((par, np.array((node + base, x, y, s))))
+        steps.append((par, np.concatenate(((node + base)[None], x, y[None], s[None]))))
+        lives.append(live)
         sizes.append(first.size)
         if t < horizon:
-            s_mem, x_mem = s_mem.take(par) * sn + s, x_mem.take(par) * xn + x
-            # the next calls: one per distinct (parent call, x, y), where an
-            # encoder's call fixes x; with one state, each child is its own
+            s_mem, x_mem = s_mem.take(par) * sn + s, x_mem.take(par, axis=1) * xn + x
+    if failed is not None:
+        raise failed
+    return prob, lives, msg, steps, sizes, np.concatenate(parents), np.concatenate(symbols)
+
+
+def _policy_inputs(policy: InputPolicy, spec: ChannelSpec):
+    """``_grow``'s inputs for the one law of ``policy``.  Step t calls the
+    policy (or encoder) once per distinct (input history, output history)
+    (or (message, output history)) of the live prefixes, in order of first
+    appearance, with the histories as tuples, so no history index is
+    formed; with one state, each prefix is its own call."""
+    encoder = policy.encoder if policy.is_message_form else None
+    xn, sn, yn = spec.x_size, spec.s_size, spec.y_size
+    single = [(a,) for a in range(max(xn, yn))]
+    # the arguments of each call, and each live prefix's call
+    calls = [(w, ()) for w in range(policy.messages)] if encoder else [((), ())]
+    call = np.arange(len(calls))
+
+    def inputs(t, laws, msg, steps):
+        nonlocal calls, call
+        if steps:  # the calls of step t - 1's children: one per distinct
+            # (parent call, x, y), where an encoder's call fixes x
+            par, (_, x, y, _) = steps[-1]
             parent = call.take(par)
             if sn == 1:
                 call = first = np.arange(par.size)
@@ -920,22 +967,56 @@ def forward_joint(
             else:
                 calls = [(calls[i][0] + single[j], calls[i][1] + single[k])
                          for i, j, k in zip(c, a, b)]
-        # the last level's temporaries are the largest: free them before
-        # the level tables are counted
-        del par, x, s, y, key, first, kids, head, rows, live
+        if encoder:
+            xs = np.array([encoder(t, w, h) for w, h in calls])
+            if xs.dtype.kind not in "iu":
+                raise SchemaError(f"encoder input outside 0..{xn - 1} at t={t}")
+            # an unsigned input would turn the input-history index float
+            return xs.astype(np.intp).take(call)[None], None
+        px = np.array([policy.input_distribution(t, a, b) for a, b in calls])
+        return None, px.take(call, 0)[None]
 
+    return inputs
+
+
+def forward_joint(
+    ch: Channel,
+    policy: InputPolicy,
+    horizon: int,
+    budget: int = DEFAULT_TRAJECTORY_BUDGET,
+) -> JointLaw:
+    """Enumerate the exact joint law over all positive-probability
+    trajectories of length ``horizon``: ``_grow`` with one law, whose
+    inputs come from calling the policy (``_policy_inputs``), and its
+    tables from ``_level_tables`` over the same level arrays.
+
+    Raises BudgetExceededError when the live trajectory count would exceed
+    ``budget``, naming the count and step reached, and SchemaError for a
+    negative horizon, a policy that does not fit the law, a horizon the
+    kernel cannot drive, or an encoder input outside the alphabet.
+    """
+    spec = ch.spec
+    if horizon < 0:
+        raise SchemaError(f"horizon must be >= 0, got {horizon}")
+    if policy.horizon < horizon:
+        raise SchemaError("policy horizon shorter than requested law horizon")
+    if policy.x_size != spec.x_size or policy.y_size != spec.y_size:
+        raise SchemaError("policy alphabet sizes do not match the channel")
+    m = policy.messages if policy.is_message_form else 1
+    prob, _, msg, steps, sizes, parents, symbols = _grow(
+        ch, horizon, budget, m, 1, _policy_inputs(policy, spec))
     node_prob, w_post, xy_node, wy_node = (
-        table[0] for table in _level_tables(prob[None], msg, steps, sizes, m, xn, yn))
+        table[0] for table in _level_tables(prob, msg, steps, sizes, m, spec.x_size, spec.y_size))
     return JointLaw(
         channel=ch,
         policy=policy,
         horizon=horizon,
         messages=m,
-        prob=prob,
+        prob=prob[0],
         steps=tuple(steps),
         sizes=tuple(sizes),
-        node_parent=np.concatenate(parents),
-        node_symbol=np.concatenate(symbols),
+        node_parent=parents,
+        node_symbol=symbols,
         node_prob=node_prob,
         w_post=w_post,
         xy_node=xy_node,
@@ -943,17 +1024,43 @@ def forward_joint(
     )
 
 
-def _check_budget(count: int, t: int, horizon: int, budget: int) -> None:
-    if count > budget:
-        raise BudgetExceededError(
-            f"{count} live trajectories at step {t} of horizon {horizon} "
-            f"exceed the trajectory budget {budget}"
-        )
+def encoder_tables(ch: Channel, tables, horizon: int, budget: int = DEFAULT_TRAJECTORY_BUDGET):
+    """The output-history tables of many deterministic encoders' laws,
+    each bit for bit its own law's: ``_grow`` with one law per encoder.
+    ``tables[t - 1][g, w, i]`` is encoder g's input for message w at step t
+    after the output history with ``_hist_index`` i, read only where the
+    encoder's law reaches.  Each encoder's nodes are numbered by their first
+    live trajectory, as ``forward_joint`` numbers them, and the ones it
+    cannot reach come last in their level, with zeros.  Raises
+    ``forward_joint``'s error for the first encoder whose law fails.
+
+    Returns ``reweighted_tables``' (sizes, index, node_prob, xy_node).
+    """
+    laws, m = tables[0].shape[:2]
+    xn, yn = ch.spec.x_size, ch.spec.y_size
+    hist = np.zeros(m, dtype=np.intp)  # each prefix's output-history index
+
+    def inputs(t, laws, msg, steps):
+        nonlocal hist
+        if steps:
+            par, rows = steps[-1]
+            hist = hist.take(par) * yn + rows[-2]
+        return tables[t - 1][:laws, msg, hist], None
+
+    prob, lives, msg, steps, sizes, parents, symbols = _grow(ch, horizon, budget, m, laws, inputs)
+    # each level's prefixes by output node; level 0's are all at the root
+    firsts, base = [], 0
+    for live, (_, rows) in zip(lives, [(None, np.zeros((1, m), dtype=np.intp))] + steps):
+        firsts.append(_first_live(live, *_node_groups(rows[0]), base))
+        base += rows.shape[1] + 1  # past every key of the level
+    index = _node_index(parents, symbols, sizes, yn)
+    return _own_order_tables(prob, msg, steps, sizes, m, xn, yn, firsts, index)
 
 
 def reweighted_tables(law: JointLaw, px: np.ndarray):
     """The output-history tables of many behavioral policies' laws, each
-    valued as a reweighting of the trajectories of ``law``.
+    valued as a reweighting of the trajectories of ``law``: it forms no
+    trajectory, so one law serves every batch of policies a search values.
 
     ``law`` is the law of a behavioral policy with no zero entry, such as
     the uniform one, so its support contains every policy's.  ``px[g]``
@@ -973,17 +1080,17 @@ def reweighted_tables(law: JointLaw, px: np.ndarray):
     That order can differ from the law's when a channel row has a zero: with
     Q[x=0] = (0, 1), a policy that never sends 0 reaches y = 0 first.
 
-    Returns (order, node_prob, xy_node), each with a leading policy axis
-    and in each policy's node order: ``order[g]`` holds the positions, among
-    the law's nodes, of policy g's nodes.  The nodes policy g cannot reach
-    come last in their level, with probability 0.0 and joint rows of 0.0,
-    so they add exact zeros to any sum over the nodes.
+    Returns (sizes, index, node_prob, xy_node): the shared level sizes and,
+    per policy, its nodes' ``_hist_index``, probability and (levels
+    0..N-1) joint P(X_t, Y_t | y^{t-1}), in its own node order.  The nodes
+    a policy cannot reach come last in their level, with probability 0.0
+    and joint rows of 0.0, so they add exact zeros to any sum.
     """
     plan = law.__dict__.get("_reweighting")
     if plan is None:
         plan = _reweighting_plan(law)
         object.__setattr__(law, "_reweighting", plan)
-    levels, rows = plan
+    levels, rows, index = plan
     spec = law.channel.spec
     if px.ndim != 3 or px.shape[1:] != (rows, spec.x_size):
         raise SchemaError(f"policy rows of shape {px.shape} are not (policies, {rows}, "
@@ -993,140 +1100,58 @@ def reweighted_tables(law: JointLaw, px: np.ndarray):
     prob = np.ones((laws, 1))
     live = np.ones((laws, 1), dtype=bool)
     firsts = [(np.zeros((laws, 1), dtype=np.intp), live)]  # the root
-    for par, entry, ps, q, by_node, starts, base in levels:
+    for par, entry, ps, q, groups, base in levels:
         factor = px.take(entry, axis=1)
         prob = ((prob.take(par, axis=1) * factor) * ps) * q
         live = live.take(par, axis=1) & (factor > 0.0)
-        firsts.append(_first_live(live, by_node, starts, base))
+        firsts.append(_first_live(live, *groups, base))
     return _own_order_tables(prob, np.zeros(prob.shape[1], dtype=np.intp), law.steps, law.sizes,
-                             1, spec.x_size, spec.y_size, firsts)
+                             1, spec.x_size, spec.y_size, firsts, index)
+
+
+def _node_groups(node: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A level's trajectories grouped by output node: an ordering by node,
+    and each node's first place in it."""
+    by_node = np.argsort(node, kind="stable")
+    return by_node, np.flatnonzero(np.diff(node.take(by_node), prepend=-1))
 
 
 def _first_live(live, by_node, starts, base):
     """Per law (row of ``live``, laws x trajectories of one level), the sort
     key of each of the level's output nodes, base plus its first live
     trajectory (base plus the trajectory count when it has none), and
-    whether it has one.  ``by_node`` orders the trajectories by node and
-    ``starts`` holds each node's first place in that order."""
+    whether it has one; ``by_node`` and ``starts`` are ``_node_groups``."""
     count = live.shape[1]
     first = np.minimum.reduceat(
         np.where(live, np.arange(count), count).take(by_node, axis=1), starts, axis=1)
     return first + base, first < count
 
 
-def _own_order_tables(prob, msg, steps, sizes, m, xn, yn, firsts, x_rows=1):
+def _own_order_tables(prob, msg, steps, sizes, m, xn, yn, firsts, index):
     """``_level_tables``' node_prob and xy_node of laws over shared
     trajectories, each law's nodes in its own order, sorted by the
-    per-level ``_first_live`` results ``firsts``: (order, node_prob,
-    xy_node), ``order[g]`` the shared positions of law g's nodes."""
+    per-level ``_first_live`` results ``firsts``: (sizes, index,
+    node_prob, xy_node), ``index`` the shared nodes' ``_hist_index`` taken
+    in each law's order."""
     keys, reach = (np.concatenate(part, axis=1) for part in zip(*firsts))
     order = np.argsort(keys, axis=1, kind="stable")
-    node_prob, _, xy_node, _ = _level_tables(prob, msg, steps, sizes, m, xn, yn, reach, x_rows)
+    node_prob, _, xy_node, _ = _level_tables(prob, msg, steps, sizes, m, xn, yn, reach)
     lanes = np.arange(prob.shape[0])[:, None]
-    return order, node_prob[lanes, order], xy_node[lanes, order[:, : xy_node.shape[1]]]
-
-
-def encoder_tables(ch: Channel, tables, horizon: int, budget: int = DEFAULT_TRAJECTORY_BUDGET):
-    """The output-history tables of many deterministic encoders' laws, the
-    message-form counterpart of ``reweighted_tables``.
-
-    ``tables[t - 1][g, w, i]`` is encoder g's input for message w at step t
-    after the output history with ``_hist_index`` i.  The encoders share
-    the (w, s^t, y^t) trajectories, in ``forward_joint``'s order; x and the
-    input-history index of ``use_table(t)`` are per encoder.  A trajectory
-    has ``forward_joint``'s probability (p * ps) * q, and is live for an
-    encoder when its parent is and no factor is zero.  One that some
-    encoder keeps stays in the arrays, with probability 0.0 for the others,
-    which adds exact zeros to their sums; one that none keeps is dropped.
-    Each encoder's nodes are numbered by their first live trajectory, as
-    ``forward_joint`` numbers them, and the ones it cannot reach come last
-    in their level, with zeros.
-
-    Raises ``forward_joint``'s error for the first encoder whose law fails,
-    at its first failing step: an input outside the alphabet at a history
-    it reaches, or more live trajectories than ``budget``.  Level sizes
-    never shrink, so the encoders after it need no further steps.
-
-    Returns (sizes, index, node_prob, xy_node): the shared level sizes and,
-    per encoder in its node order, each node's ``_hist_index``, probability
-    and (levels 0..N-1) joint P(X_t, Y_t | y^{t-1}).
-    """
-    spec, kernel = ch.spec, ch.kernel
-    cap = kernel.horizon_cap()
-    if cap is not None and horizon > cap:
-        raise SchemaError(f"state kernel only defines {cap} steps, horizon={horizon}")
-    laws, m = tables[0].shape[:2]
-    xn, sn, yn = spec.x_size, spec.s_size, spec.y_size
-    q = spec.q.transpose(1, 0, 2)  # (x, s, y), the children's order
-    q_live = q != 0.0
-    _check_budget(m, 0, horizon, budget)
-    prob = np.full((laws, m), 1.0 / m)
-    live = np.ones((laws, m), dtype=bool)
-    msg = np.arange(m)
-    node = hist = s_mem = np.zeros(m, dtype=np.intp)  # per prefix, shared
-    x_mem = np.zeros((laws, m), dtype=np.intp)
-    steps, sizes, index = [], [1], [np.zeros(1, dtype=np.intp)]
-    firsts, key_base = [(np.zeros((laws, 1), dtype=np.intp), live[:, :1])], 1  # the root
-    failed = None  # the error of the first encoder that fails; the lanes end before it
-    for t in range(1, horizon + 1):
-        x = tables[t - 1][:laws, msg, hist]
-        bad = (live & ((x < 0) | (x >= xn))).any(axis=1)
-        if bad.any():
-            laws = int(bad.argmax())
-            failed = SchemaError(f"encoder input outside 0..{xn - 1} at t={t}")
-            prob, live, x_mem, x = (a[:laws] for a in (prob, live, x_mem, x))
-        x = np.where(live, x, 0)  # an unread input of a pruned prefix
-        table = kernel.use_table(t)
-        s_mem, x_mem = s_mem % table.shape[0], x_mem % table.shape[1]
-        ps = table[s_mem, x_mem]  # (encoders, prefixes, s)
-        # children over (encoder, prefix, s, y)
-        head = prob[:, :, None, None] * ps[:, :, :, None]
-        kid_live = live[:, :, None, None] & q_live.take(x, 0) & (ps != 0.0)[..., None]
-        counts = np.count_nonzero(kid_live, axis=(1, 2, 3))
-        if (counts > budget).any():
-            laws = int((counts > budget).argmax())
-            failed = BudgetExceededError(
-                f"{counts[laws]} live trajectories at step {t} of horizon {horizon} "
-                f"exceed the trajectory budget {budget}")
-            kid_live, head, x, x_mem = (a[:laws] for a in (kid_live, head, x, x_mem))
-        if not laws:
-            break
-        kid_live = kid_live.reshape(laws, -1)
-        kids = kid_live.any(axis=0).nonzero()[0]
-        prob = (head * q.take(x, 0)).reshape(laws, -1).take(kids, axis=1)
-        live = kid_live.take(kids, axis=1)
-        par, s, y = np.unravel_index(kids, (msg.size, sn, yn))
-        x, msg = x.take(par, axis=1), msg.take(par)
-        # each child's output node: (parent node, y), numbered in order of
-        # first appearance among the shared trajectories
-        key = node.take(par) * yn + y
-        node, first = _first_appearance(key)
-        hist = hist.take(par) * yn + y
-        index.append(hist.take(first))
-        by_node = np.argsort(node, kind="stable")
-        starts = np.flatnonzero(np.diff(node.take(by_node), prepend=-1))
-        firsts.append(_first_live(live, by_node, starts, key_base))
-        key_base += kids.size + 1  # past every key of the level
-        steps.append((par, np.concatenate(((node + sum(sizes))[None], x, y[None]))))
-        sizes.append(first.size)
-        s_mem, x_mem = s_mem.take(par) * sn + s, x_mem.take(par, axis=1) * xn + x
-    if failed is not None:
-        raise failed
-    order, node_prob, xy_node = _own_order_tables(prob, msg, steps, sizes, m, xn, yn, firsts,
-                                                  laws)
-    return tuple(sizes), np.concatenate(index).take(order), node_prob, xy_node
+    return (tuple(sizes), index.take(order), node_prob[lanes, order],
+            xy_node[lanes, order[:, : xy_node.shape[1]]])
 
 
 def _reweighting_plan(law: JointLaw):
     """The policy-free part of ``reweighted_tables``: per step, each
     trajectory's parent, the position of its policy factor among the
-    flattened rows, its state and channel factors, its output node's
-    trajectories grouped by node (an ordering and the group starts) and the
-    level's key base; and the row count."""
+    flattened rows, its state and channel factors, the level's
+    ``_node_groups`` and key base; the row count; and each node's
+    ``_hist_index``."""
     if law.is_message_form or min(map(min, law.policy.rows.values())) <= 0.0:
         raise SchemaError("reweighting needs the law of a behavioral policy with no zero entry")
     spec, kernel = law.channel.spec, law.channel.kernel
     xn, sn, yn = spec.x_size, spec.s_size, spec.y_size
+    check_tree_size(yn, law.horizon)
     s_mem = x_mem = xh = yh = np.zeros(1, dtype=np.intp)
     levels, row, base = [], 0, 1
     for t, (par, (node, x, y, s)) in enumerate(law.steps, start=1):
@@ -1134,23 +1159,20 @@ def _reweighting_plan(law: JointLaw):
         s_mem, x_mem = s_mem % table.shape[0], x_mem % table.shape[1]
         ps = table[s_mem.take(par), x_mem.take(par), s]
         entry = (row + xh.take(par) * yn ** (t - 1) + yh.take(par)) * xn + x
-        by_node = np.argsort(node, kind="stable")
-        starts = np.flatnonzero(np.diff(node.take(by_node), prepend=-1))
-        levels.append((par, entry, ps, spec.q[s, x, y], by_node, starts, base))
+        levels.append((par, entry, ps, spec.q[s, x, y], _node_groups(node), base))
         row, base = row + (xn * yn) ** (t - 1), base + par.size + 1
         s_mem, x_mem = s_mem.take(par) * sn + s, x_mem.take(par) * xn + x
         xh, yh = xh.take(par) * xn + x, yh.take(par) * yn + y
-    return levels, row
+    return levels, row, _node_index(law.node_parent, law.node_symbol, law.sizes, yn)
 
 
-def _level_tables(prob, msg, steps, sizes, m, xn, yn, reach=None, x_rows=1):
+def _level_tables(prob, msg, steps, sizes, m, xn, yn, reach=None):
     """(node_prob, w_post, xy_node, wy_node) from the level arrays of
-    ``forward_joint``, of one law per row of ``prob`` (laws x trajectories):
-    laws over the same trajectories with their own probabilities, such as
-    the policies of ``reweighted_tables``.  Each table has that leading
-    axis.  A step's rows are (output node, x, y, ...), with one x row that
-    the laws share or, when ``x_rows`` is the law count, one per law, as
-    ``encoder_tables`` gives them.
+    ``_grow``, of one law per row of ``prob`` (laws x trajectories): laws
+    over the same trajectories with their own probabilities, such as the
+    policies of ``reweighted_tables``.  Each table has that leading axis.
+    A step's rows are (output node, x, y, s), with one x row that the laws
+    share, or one per law.
 
     Each table is one ``np.bincount`` over every full trajectory at every
     level, of every law, with the output nodes of all levels numbered in one
@@ -1168,6 +1190,7 @@ def _level_tables(prob, msg, steps, sizes, m, xn, yn, reach=None, x_rows=1):
     """
     horizon = len(steps)
     laws, count = prob.shape
+    width = len(steps[0][1]) - 1 if steps else 3  # (output node, x..., y)
     offsets = list(itertools.accumulate(sizes, initial=0))
     nodes, inner = offsets[-1], offsets[-2]  # levels 0..N, and 0..N-1
     span = max(1, _PASS_SIZE // (laws * count))
@@ -1180,10 +1203,10 @@ def _level_tables(prob, msg, steps, sizes, m, xn, yn, reach=None, x_rows=1):
         k, ks = hi - lo + 1, min(hi, horizon - 1) - lo + 1
         # cols[:, j] = (output node, x, y) of every trajectory at level
         # lo + j; column k is the level above, which only needs (x, y)
-        cols = np.empty((x_rows + 2, k + 1, count), dtype=np.intp)
+        cols = np.empty((width, k + 1, count), dtype=np.intp)
         for t in range(hi, max(lo, 1) - 1, -1):
             par, info = steps[t - 1]
-            cols[:, t - lo] = info[: x_rows + 2].take(up, axis=1)
+            cols[:, t - lo] = info[:width].take(up, axis=1)
             up = par.take(up)
         if lo == 0:
             cols[0, 0] = 0

@@ -13,11 +13,14 @@ weighted terms p(y^{t-1}) I(X_t; Y_t | y^{t-1}) and p(y^{t-1}) times the
 worst-row divergence, plus the index and probability of every full output
 path, and, for every history, the message posterior, H(W | y^t) and the
 per-message one-step output laws.  Stopped quantities are reductions over
-it.  A stopping rule enters as its stopped mask and stop-time table (see
-``StoppingRule``), so many rules, or many rule pairs, of one law are
-evaluated in a single array pass; ``policy_table`` and ``encoder_table``
-add a leading law axis, so many behavioral policies' or deterministic
-encoders' laws over the same trajectories are evaluated in that pass too.
+one table type, ``PolicyTable``: the columns they read, with a leading law
+axis.  Its one constructor takes the (sizes, index, node_prob, xy_node)
+that ``reweighted_tables`` (behavioral policies) and ``encoder_tables``
+(deterministic encoders) return, and a node table's columns are its
+one-law view, so one law and many laws over the same trajectories take
+the same path.  A stopping rule enters as its stopped mask and stop-time
+table (see ``StoppingRule``), so every rule, or rule pair, of every law
+of a table is evaluated in a single array pass.
 Every sum runs left to right from 0.0 in the order of the per-history loop
 it replaces, and masked-out terms add an exact 0.0, so the results are
 bit-identical to that loop.
@@ -37,7 +40,6 @@ checks run row-wise and raise the error the first failing call raised.
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -53,10 +55,9 @@ from .channel_model import (
     SchemaError,
     StoppingRule,
     _level_offsets,
+    _node_index,
     _path_at,
     check_tree_size,
-    encoder_tables,
-    reweighted_tables,
 )
 
 __all__ = [
@@ -288,6 +289,64 @@ def _row_entropy(mu: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class PolicyTable:
+    """The per-history columns the stopped sums read, of one or many laws
+    over shared output nodes: a node table's one law (``NodeTable.one_law``),
+    or the laws of many behavioral policies (``reweighted_tables``) or
+    deterministic encoders (``encoder_tables``).  Each column has a leading
+    law axis and lists the nodes in each law's own order, except ``level``
+    (t - 1 of each entry), which the laws share: a node a law cannot reach
+    sits last in its level, with probability 0.0, so its terms are exact
+    zeros.  ``node``, ``prob``,
+    ``leaf`` and ``leaf_prob`` are ``NodeTable``'s columns and ``xy`` the
+    joints P(X_t, Y_t | y^{t-1}); the information and divergence columns
+    are built on first use, as ``NodeTable`` describes them."""
+
+    node: np.ndarray
+    level: np.ndarray
+    prob: np.ndarray
+    xy: np.ndarray
+    leaf: np.ndarray
+    leaf_prob: np.ndarray
+
+    @classmethod
+    def of(cls, tables, y_size: int) -> "PolicyTable":
+        """The columns of ``reweighted_tables``' (sizes, index, node_prob,
+        xy_node), the shape ``encoder_tables`` returns too."""
+        sizes, index, node_prob, xy_node = tables
+        horizon, inner = len(sizes) - 1, xy_node.shape[1]
+        starts = np.array(_level_offsets(y_size, horizon)[:horizon], dtype=np.int64)
+        return cls(
+            node=np.repeat(starts, sizes[:horizon]) + index[:, :inner],
+            level=np.repeat(np.arange(horizon), sizes[:horizon]),
+            prob=node_prob[:, :inner],
+            xy=xy_node,
+            leaf=index[:, inner:],
+            leaf_prob=node_prob[:, inner:],
+        )
+
+    @cached_property
+    def node_mi(self) -> np.ndarray:
+        return _joint_mi(self.xy)
+
+    @cached_property
+    def mi(self) -> np.ndarray:
+        return self.prob * self.node_mi
+
+    @cached_property
+    def x_kl(self) -> np.ndarray:
+        return _x_kl(self.xy)
+
+    @cached_property
+    def node_kl(self) -> np.ndarray:
+        return _worst(self.x_kl)
+
+    @cached_property
+    def kl(self) -> np.ndarray:
+        return self.prob * self.node_kl
+
+
 class NodeTable:
     """Per-history terms of one law, read off the law's arrays.
 
@@ -302,8 +361,10 @@ class NodeTable:
     - prob: p(y^{t-1})
     - leaf, leaf_prob: ``_hist_index`` and probability of every full output
       path y^N
+    - one_law: the same columns as a ``PolicyTable`` of one law, which
+      the stopped sums read
 
-    Built on first use:
+    Built on first use, as the columns of ``one_law``:
 
     - node_mi: I(X_t; Y_t | y^{t-1}); mi = prob * node_mi
     - x_kl[e, x]: D(row(x*) || row(x)) of the effective channel, x* the
@@ -325,47 +386,26 @@ class NodeTable:
         y, n = law.channel.spec.y_size, law.horizon
         check_tree_size(y, n)
         self._y, self._horizon = y, n
-        self._xy, self._wy, self._w_post = law.xy_node, law.wy_node, law.w_post
+        self._wy, self._w_post = law.wy_node, law.w_post
         self._message_form = law.is_message_form
         self._parent, self._symbol = law.node_parent, law.node_symbol
-        # every history's ``_hist_index`` and level
-        index = np.zeros(law.node_prob.size, dtype=np.int64)
-        bounds = list(itertools.accumulate(law.sizes, initial=0))
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            index[lo:hi] = index.take(law.node_parent[lo:hi]) * y + law.node_symbol[lo:hi]
-        self._index = index
+        self._index = _node_index(law.node_parent, law.node_symbol, law.sizes, y)
         self._level = np.repeat(np.arange(n + 1), law.sizes)
-        inner = bounds[n]
-        self.level = self._level[:inner]
-        starts = np.array(_level_offsets(y, n)[:n], dtype=np.int64)
-        self.node = np.repeat(starts, law.sizes[:n]) + index[:inner]
-        self.prob = law.node_prob[:inner]
-        self.leaf = index[inner:]
-        self.leaf_prob = law.node_prob[inner:]
+        self.one_law = PolicyTable.of(
+            (law.sizes, self._index[None], law.node_prob[None], law.xy_node[None]), y)
+        self.level = self.one_law.level
+        self.node, self.prob, self.leaf, self.leaf_prob = (
+            getattr(self.one_law, column)[0] for column in ("node", "prob", "leaf", "leaf_prob"))
 
     def history(self, i: int) -> tuple[int, ...]:
         """The output history at position ``i``."""
         return _path_at(int(self._index[i]), self._y, int(self._level[i]))
 
-    @cached_property
-    def node_mi(self) -> np.ndarray:
-        return _joint_mi(self._xy)
-
-    @cached_property
-    def mi(self) -> np.ndarray:
-        return self.prob * self.node_mi
-
-    @cached_property
-    def x_kl(self) -> np.ndarray:
-        return _x_kl(self._xy)
-
-    @cached_property
-    def node_kl(self) -> np.ndarray:
-        return _worst(self.x_kl)
-
-    @cached_property
-    def kl(self) -> np.ndarray:
-        return self.prob * self.node_kl
+    node_mi = property(lambda self: self.one_law.node_mi[0])
+    mi = property(lambda self: self.one_law.mi[0])
+    x_kl = property(lambda self: self.one_law.x_kl[0])
+    node_kl = property(lambda self: self.one_law.node_kl[0])
+    kl = property(lambda self: self.one_law.kl[0])
 
     @property
     def posterior(self) -> np.ndarray:
@@ -423,92 +463,25 @@ def rule_stack(rules, horizon: int) -> tuple[np.ndarray, np.ndarray]:
     return np.stack([s for s, _ in tables]), np.stack([t for _, t in tables])
 
 
-@dataclass(frozen=True)
-class PolicyTable:
-    """The node-table columns the stopped sums read, of many laws over
-    shared trajectories: behavioral policies' (``policy_table``) or
-    deterministic encoders' (``encoder_table``).  Each column has a leading
-    law axis and lists the nodes in each law's own order, except ``level``
-    (t - 1 of each entry), which the laws share: a node a law cannot reach
-    sits last in its level, with probability 0.0, so its terms are exact
-    zeros.  ``node``, ``prob``, ``leaf`` and ``leaf_prob`` are
-    ``NodeTable``'s columns, ``xy`` the joints P(X_t, Y_t | y^{t-1}), and
-    ``mi`` and ``kl``, built on first use, ``NodeTable``'s weighted
-    information and divergence."""
-
-    node: np.ndarray
-    level: np.ndarray
-    prob: np.ndarray
-    xy: np.ndarray
-    leaf: np.ndarray
-    leaf_prob: np.ndarray
-
-    @cached_property
-    def mi(self) -> np.ndarray:
-        return self.prob * _joint_mi(self.xy)
-
-    @cached_property
-    def kl(self) -> np.ndarray:
-        return self.prob * _worst(_x_kl(self.xy))
-
-
-def policy_table(law: JointLaw, px: np.ndarray) -> PolicyTable:
-    """The columns of every policy's node table, each policy's law a
-    reweighting of ``law``'s trajectories (``reweighted_tables``, which
-    describes ``law`` and ``px``)."""
-    table = node_table(law)
-    order, node_prob, xy_node = reweighted_tables(law, px)
-    inner = table.prob.size
-    return PolicyTable(
-        node=table.node.take(order[:, :inner]),
-        level=table.level,
-        prob=node_prob[:, :inner],
-        xy=xy_node,
-        leaf=table.leaf.take(order[:, inner:] - inner),
-        leaf_prob=node_prob[:, inner:],
-    )
-
-
-def encoder_table(ch: Channel, tables, horizon: int, budget: int) -> PolicyTable:
-    """The columns of every deterministic encoder's node table, from
-    ``encoder_tables``, which describes ``tables`` and the errors raised."""
-    sizes, index, node_prob, xy_node = encoder_tables(ch, tables, horizon, budget)
-    inner = xy_node.shape[1]
-    starts = np.array(_level_offsets(ch.spec.y_size, horizon)[:horizon], dtype=np.int64)
-    return PolicyTable(
-        node=np.repeat(starts, sizes[:horizon]) + index[:, :inner],
-        level=np.repeat(np.arange(horizon), sizes[:horizon]),
-        prob=node_prob[:, :inner],
-        xy=xy_node,
-        leaf=index[:, inner:],
-        leaf_prob=node_prob[:, inner:],
-    )
-
-
 def stopped_values(
-    law: JointLaw | PolicyTable, stopped: np.ndarray, times: np.ndarray
+    table: PolicyTable, stopped: np.ndarray, times: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(E[T], stopped directed information) of every rule of a
-    ``rule_stack`` at the law's horizon, each of shape (rules,); or of
-    every law of a ``PolicyTable``, each (laws, rules).  Each sum runs
-    along the nodes, in order."""
-    table = law if isinstance(law, PolicyTable) else node_table(law)
-    at_leaf, at_node = times[:, table.leaf], stopped[:, table.node]
-    if at_leaf.ndim == 3:  # (rules, laws, nodes): put the laws first
-        at_leaf, at_node = at_leaf.swapaxes(0, 1), at_node.swapaxes(0, 1)
-    et = ordered_sum(table.leaf_prob[..., None, :] * at_leaf)
-    mi = ordered_sum(np.where(at_node, 0.0, table.mi[..., None, :]))
+    """(E[T], stopped directed information) of every law of ``table`` under
+    every rule of a ``rule_stack`` at the laws' horizon, each of shape
+    (laws, rules).  Each sum runs along the nodes, in order."""
+    at_leaf = times[:, table.leaf].swapaxes(0, 1)  # (laws, rules, nodes)
+    at_node = stopped[:, table.node].swapaxes(0, 1)
+    et = ordered_sum(table.leaf_prob[:, None, :] * at_leaf)
+    mi = ordered_sum(np.where(at_node, 0.0, table.mi[:, None, :]))
     return et, mi
 
 
 def window_divergence(
-    law: JointLaw | PolicyTable, stopped: np.ndarray, first: np.ndarray, last: np.ndarray
+    table: PolicyTable, stopped: np.ndarray, first: np.ndarray, last: np.ndarray
 ) -> np.ndarray:
-    """Stopped divergence over the window (T1, T] of each pair of rows
-    (first[k], last[k]) of a ``rule_stack`` mask, shape (pairs,); or of
-    every law of a ``PolicyTable``, (laws, pairs).  Each sum runs along the
-    nodes, in order."""
-    table = law if isinstance(law, PolicyTable) else node_table(law)
+    """Stopped divergence over the window (T1, T] of every law of ``table``
+    and each pair of rows (first[k], last[k]) of a ``rule_stack`` mask,
+    shape (laws, pairs).  Each sum runs along the nodes, in order."""
     at_nodes = stopped[:, table.node]
     live = at_nodes[first] & ~at_nodes[last]
     return np.moveaxis(ordered_sum(np.where(live, table.kl, 0.0)), 0, -1)
@@ -520,8 +493,8 @@ def directed_mi_stopped(law: JointLaw, rule: StoppingRule) -> float:
     over histories at which transmission is still live."""
     if rule.horizon > law.horizon:
         raise SchemaError("stopping rule runs past the law horizon")
-    _, mi = stopped_values(law, *rule_stack([rule], law.horizon))
-    return float(mi[0])
+    _, mi = stopped_values(node_table(law).one_law, *rule_stack([rule], law.horizon))
+    return float(mi[0, 0])
 
 
 def path_stop_times(law: JointLaw, rule: StoppingRule) -> np.ndarray:
@@ -604,7 +577,8 @@ def directed_kl_stopped(
     if last.horizon > law.horizon:
         raise SchemaError("stopping rule runs past the law horizon")
     stopped, _ = rule_stack([first, last], law.horizon)
-    return float(window_divergence(law, stopped, np.array([0]), np.array([1]))[0])
+    divergence = window_divergence(node_table(law).one_law, stopped, np.array([0]), np.array([1]))
+    return float(divergence[0, 0])
 
 
 # ---------------------------------------------------------------------------

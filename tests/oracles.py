@@ -705,6 +705,24 @@ def loop_forward_joint(ch, policy, horizon, budget=10**7):
     )
 
 
+def _capacity_objective(ch, rows, horizon, rules, stack, budget):
+    """Best stopped information per expected stop time of one policy over
+    all rules at once; ``stack`` is ``rule_stack(rules, horizon)``.  Ties go
+    to the earliest rule.  It builds the policy's own law: the reference
+    that the search's batched valuation of the uniform law matches."""
+    from fbound.channel_model import InputPolicy, forward_joint
+    from fbound.info_measures import node_table, stopped_values
+
+    policy = InputPolicy(
+        horizon=horizon, x_size=ch.spec.x_size, y_size=ch.spec.y_size, rows=rows
+    )
+    law = forward_joint(ch, policy, horizon, budget=budget)
+    et, mi = stopped_values(node_table(law).one_law, *stack)
+    vals = mi[0] / et[0]
+    best = int(np.argmax(vals))
+    return float(vals[best]), rules[best]
+
+
 def loop_capacity_bound(ch, horizon, cfg):
     """Best found value of stopped directed information per expected stop
     time, over behavioral policies (simplex-grid coordinate ascent with
@@ -714,9 +732,7 @@ def loop_capacity_bound(ch, horizon, cfg):
     value can be recomputed exactly; diagnostics report the largest
     improvement available one grid step away from the chosen policy.
     """
-    from fbound.bound_engine import (
-        BoundResult, _capacity_objective, _capacity_rules, _simplex_grid,
-    )
+    from fbound.bound_engine import BoundResult, _capacity_rules, _simplex_grid
     from fbound.channel_model import SchemaError, _policy_row_keys
     from fbound.info_measures import rule_stack
 
@@ -1989,7 +2005,11 @@ def dict_forward_joint(
     sums to 1), so level sizes never shrink and the check at each level
     fails exactly when the final count would.
     """
-    from fbound.channel_model import SchemaError, _check_budget
+    from fbound.channel_model import SchemaError, _over_budget
+
+    def _check_budget(count, t, horizon, budget):
+        if count > budget:
+            raise _over_budget(count, t, horizon, budget)
 
     spec, kernel = ch.spec, ch.kernel
     if horizon < 0:

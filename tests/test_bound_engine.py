@@ -13,8 +13,10 @@ import pytest
 import oracles
 from conftest import REPO, child_env
 from fbound.channel_model import (
+    BudgetExceededError,
     Channel,
     ChannelSpec,
+    DistributionError,
     SchemaError,
     StateKernel,
     StoppingRule,
@@ -250,6 +252,38 @@ def test_reevaluate_refuses_a_missing_stop_set(bsc01):
         reevaluate(res, bsc01)
 
 
+def test_reevaluate_refuses_a_missing_policy_row(bsc01):
+    # the policy never sends 1 at t = 1, so no history reaches the missing
+    # row; every stored row is read all the same, as the search reads them
+    res = capacity_bound(bsc01, 2, SearchConfig(restarts=0))
+    res.maximizer["policy_rows"]["1||"] = [1.0, 0.0]
+    del res.maximizer["policy_rows"]["2|1|0"]
+    missing = r"^behavioral policy lacks row \(t=2, \(1,\), \(0,\)\)$"
+    with pytest.raises(SchemaError, match=missing):
+        reevaluate(res, bsc01)
+
+
+def test_reevaluate_refuses_a_stored_row_that_is_no_distribution(bsc01):
+    res = capacity_bound(bsc01, 2, SearchConfig(restarts=0))
+    res.maximizer["policy_rows"]["1||"] = [0.75, 0.75]
+    with pytest.raises(DistributionError, match=r"behavioral row \(1, \(\), \(\)\) sums to 1.5"):
+        reevaluate(res, bsc01)
+
+
+def test_reevaluate_refuses_a_capacity_over_the_search_budget(bsc01):
+    # the search values every policy over the uniform law, of (2 x 2)**2 =
+    # 16 trajectories at H = 2, and so does ``reevaluate``, though this
+    # policy, which always sends 0, has a law of 4
+    res = capacity_bound(bsc01, 2, SearchConfig(restarts=0))
+    res.maximizer["policy_rows"] = dict.fromkeys(res.maximizer["policy_rows"], [1.0, 0.0])
+    assert reevaluate(res, bsc01, SearchConfig(budget=16)) == reevaluate(res, bsc01)
+    with pytest.raises(BudgetExceededError, match="^16 live trajectories at step 2 of "
+                       "horizon 2 exceed the trajectory budget 15$"):
+        reevaluate(res, bsc01, SearchConfig(budget=15))
+    with pytest.raises(BudgetExceededError, match="^16 live trajectories"):
+        capacity_bound(bsc01, 2, SearchConfig(restarts=0, budget=15))
+
+
 def test_exponent_bound_state_channel_reevaluates(flip2):
     # first-phase information tops out near 0.075 bits/use here, so pick a
     # rate safely inside the searched range
@@ -267,7 +301,7 @@ def test_capacity_bound_pinned_time_recovers_capacity(bsc01):
     res = capacity_bound(bsc01, 2, cfg)
     assert abs(res.value - CAP01) < 5e-3
     assert res.diagnostics["grid_neighbor_gap"] < 1e-9
-    assert abs(reevaluate(res, bsc01) - res.value) < 1e-9
+    assert reevaluate(res, bsc01) == res.value
 
 
 def test_capacity_bound_useless_channel_zero(uniform22):
@@ -303,7 +337,7 @@ def test_capacity_bound_state_channel(flip2):
     law = forward_joint(flip2, uniform_behavioral_policy(flip2, 2), 2)
     unif_best = max(directed_mi_stopped(law, StoppingRule.fixed(t, 2, 2)) / t for t in (1, 2))
     assert res.value >= unif_best - 1e-12
-    assert abs(reevaluate(res, flip2) - res.value) < 1e-9
+    assert reevaluate(res, flip2) == res.value
     assert res.maximizer["stop_set"]
 
 

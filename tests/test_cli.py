@@ -309,6 +309,15 @@ def test_bound_search_json_is_byte_identical_to_reference(
     assert capsys.readouterr().out == (_REFERENCE / reference).read_text()
 
 
+def test_readme_z01_exponent_json_is_byte_identical_to_reference(capsys):
+    # z01's zero entry gives encoders different node orders; the reference
+    # was recorded when each encoder's law was built on its own path
+    argv = ["bound-exponent", "--channel", Z01, "--rate", "0.3", "--horizon", "3", "--json"]
+    assert main(argv) == 1
+    out = capsys.readouterr().out
+    assert out == (_REFERENCE / "bound_exponent_z01_h3.json").read_text()
+
+
 def test_capacity_budget_boundary_is_the_uniform_laws_trajectory_count(capsys, monkeypatch):
     # flip2 at H = 3: the uniform policy's law, the one law the search
     # builds and the largest any policy reaches, has 8**3 = 512 trajectories

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import oracles
-from fbound import bound_engine, channel_model, cli, drift_verify, info_measures
+from fbound import bound_engine, channel_model, cli, drift_verify
 from fbound.bound_engine import (
     SearchConfig,
     _simplex_grid,
@@ -255,7 +255,7 @@ def test_commands_never_build_the_trajectory_dict(argv, monkeypatch, capsys):
     for module in (bound_engine, cli, drift_verify):
         monkeypatch.setattr(module, "forward_joint", counting(channel_model.forward_joint))
     # the exponent search builds its encoders' laws together
-    monkeypatch.setattr(info_measures, "encoder_tables", counting(channel_model.encoder_tables))
+    monkeypatch.setattr(bound_engine, "encoder_tables", counting(channel_model.encoder_tables))
     argv = [str(REPO / "channels" / f"{a}.json") if argv[i - 1] == "--channel" else a
             for i, a in enumerate(argv)]
     assert cli.main(argv) in (0, 1)
@@ -305,6 +305,16 @@ def test_zero_horizon_law_is_one_empty_trajectory_per_message(engine):
     assert len(engine(ch, rotating_encoder(4, 2, 0), 0, budget=4).trajectories) == 4
     with pytest.raises(BudgetExceededError):
         engine(ch, rotating_encoder(4, 2, 0), 0, budget=3)
+
+
+@pytest.mark.parametrize("dtype", [np.uint64, np.uint8, np.int32])
+def test_encoder_inputs_of_any_integer_type_build_the_same_law(dtype):
+    # numpy's unsigned 64-bit inputs once ended in an IndexError
+    ch = _channel("flip2")
+    want = forward_joint(ch, rotating_encoder(4, 2, 3), 3)
+    policy = InputPolicy(horizon=3, x_size=2, y_size=2, messages=4,
+                         encoder=lambda t, w, y: dtype(want.policy.encoder(t, w, y)))
+    assert_same_law(forward_joint(ch, policy, 3), oracles.dict_forward_joint(ch, want.policy, 3))
 
 
 def test_negative_horizon_is_a_schema_error():
@@ -393,26 +403,31 @@ def _policy_law(ch, keys, policy, horizon):
                                          y_size=ch.spec.y_size, rows=rows), horizon)
 
 
-def assert_own_tables(ch, law, keys, policies):
-    """``reweighted_tables`` of every policy equals the tables of the
-    policy's own law, node for node: its reachable nodes first in each
-    level, in the law's order, then the unreachable ones with zeros."""
-    horizon = law.horizon
-    order, node_prob, xy_node = channel_model.reweighted_tables(law, np.array(policies))
-    index = node_table(law)._index
-    bounds = np.cumsum((0,) + law.sizes)
-    for g, policy in enumerate(policies):
-        own = _policy_law(ch, keys, policy, horizon)
+def assert_own_laws(tables, own_laws):
+    """Tables of many laws over shared nodes, as ``reweighted_tables`` and
+    ``encoder_tables`` return them, equal the tables of each law built on
+    its own, node for node: its nodes first in each level, in its own
+    order, then the ones it cannot reach, with zeros."""
+    sizes, index, node_prob, xy_node = tables
+    bounds = np.cumsum((0,) + sizes)
+    for g, own in enumerate(own_laws):
         own_index, own_bounds = node_table(own)._index, np.cumsum((0,) + own.sizes)
-        for t in range(horizon + 1):
+        for t in range(len(sizes)):
             lo, hi, own_lo, own_hi = bounds[t], bounds[t + 1], own_bounds[t], own_bounds[t + 1]
             cut = lo + own_hi - own_lo
-            assert np.array_equal(index[order[g, lo:cut]], own_index[own_lo:own_hi])
+            assert np.array_equal(index[g, lo:cut], own_index[own_lo:own_hi])
             assert node_prob[g, lo:cut].tobytes() == own.node_prob[own_lo:own_hi].tobytes()
             assert not node_prob[g, cut:hi].any()
-            if t < horizon:
+            if t < len(sizes) - 1:
                 assert xy_node[g, lo:cut].tobytes() == own.xy_node[own_lo:own_hi].tobytes()
                 assert not xy_node[g, cut:hi].any()
+
+
+def assert_own_tables(ch, law, keys, policies):
+    """``reweighted_tables`` of every policy equals the tables of the
+    policy's own law."""
+    assert_own_laws(channel_model.reweighted_tables(law, np.array(policies)),
+                    [_policy_law(ch, keys, policy, law.horizon) for policy in policies])
 
 
 @pytest.mark.parametrize("name", BATCH_CHANNELS)
@@ -440,8 +455,8 @@ def test_batched_capacity_values_equal_one_law_per_policy(name):
             rules, _ = bound_engine._capacity_rules(ch, horizon, SearchConfig(stopping=stopping))
             stack = rule_stack(rules, horizon)
             got = bound_engine._capacity_values(law, np.array(policies), rules, stack)
-            want = [bound_engine._capacity_objective(ch, dict(zip(keys, p)), horizon, rules,
-                                                     stack, 10**7) for p in policies]
+            want = [oracles._capacity_objective(ch, dict(zip(keys, p)), horizon, rules, stack,
+                                                 10**7) for p in policies]
             assert got == want
 
 
@@ -499,23 +514,9 @@ def _own_law(ch, encoder, horizon, budget=10**7):
 
 def assert_own_encoder_tables(ch, horizon, encoders):
     """``encoder_tables`` of every encoder equals the tables of its own
-    law, node for node: its nodes first in each level, in its own order,
-    then the ones it cannot reach, with zeros."""
-    sizes, index, node_prob, xy_node = channel_model.encoder_tables(
-        ch, _arrays(encoders, horizon), horizon)
-    bounds = np.cumsum((0,) + sizes)
-    for g, encoder in enumerate(encoders):
-        own = _own_law(ch, encoder, horizon)
-        own_index, own_bounds = node_table(own)._index, np.cumsum((0,) + own.sizes)
-        for t in range(horizon + 1):
-            lo, hi, own_lo, own_hi = bounds[t], bounds[t + 1], own_bounds[t], own_bounds[t + 1]
-            cut = lo + own_hi - own_lo
-            assert np.array_equal(index[g, lo:cut], own_index[own_lo:own_hi])
-            assert node_prob[g, lo:cut].tobytes() == own.node_prob[own_lo:own_hi].tobytes()
-            assert not node_prob[g, cut:hi].any()
-            if t < horizon:
-                assert xy_node[g, lo:cut].tobytes() == own.xy_node[own_lo:own_hi].tobytes()
-                assert not xy_node[g, cut:hi].any()
+    law."""
+    assert_own_laws(channel_model.encoder_tables(ch, _arrays(encoders, horizon), horizon),
+                    [_own_law(ch, encoder, horizon) for encoder in encoders])
 
 
 @pytest.mark.parametrize("name", BATCH_CHANNELS + ("bsc01",))
@@ -587,21 +588,42 @@ def test_encoder_tables_raise_the_first_failing_encoders_error(name):
             assert got == want, (trial, budget)
 
 
+def test_encoder_tables_read_no_input_of_a_lane_after_its_budget_failure():
+    # on a state channel, with a budget of 15: the first encoder's law has
+    # 3, 7 and 15 trajectories, the second's 37 at step 2, and the third
+    # sends an input outside the alphabet at step 3, after the second has
+    # failed; the batch raises the second's budget error, as building the
+    # laws one at a time does
+    ch = _channel("wide")
+    bad = ch.spec.x_size
+    encoders = [
+        tuple(((0,) * 4 ** (t - 1),) for t in (1, 2, 3)),
+        tuple(((1,) * 4 ** (t - 1),) for t in (1, 2, 3)),
+        tuple(((0 if t < 3 else bad,) * 4 ** (t - 1),) for t in (1, 2, 3)),
+    ]
+    want = (BudgetExceededError,
+            "37 live trajectories at step 2 of horizon 3 exceed the trajectory budget 15")
+    assert [_outcome_of(lambda enc=enc: _own_law(ch, enc, 3, 15)) for enc in encoders] == [
+        None, want, (SchemaError, f"encoder input outside 0..{bad - 1} at t=3")]
+    assert _outcome_of(lambda: channel_model.encoder_tables(
+        ch, _arrays(encoders, 3), 3, 15)) == want
+
+
 def _count_laws(monkeypatch, ch, horizon, cfg):
     """(laws built, policies valued, distinct policies valued) by one search."""
     laws, policies = [], []
-    real_forward_joint, real_policy_table = bound_engine.forward_joint, bound_engine.policy_table
+    real_forward_joint, real_reweighted = bound_engine.forward_joint, bound_engine.reweighted_tables
 
     def counting_forward_joint(*args, **kwargs):
         laws.append(None)
         return real_forward_joint(*args, **kwargs)
 
-    def counting_policy_table(law, px):
+    def counting_reweighted(law, px):
         policies.extend(map(bytes, px))
-        return real_policy_table(law, px)
+        return real_reweighted(law, px)
 
     monkeypatch.setattr(bound_engine, "forward_joint", counting_forward_joint)
-    monkeypatch.setattr(bound_engine, "policy_table", counting_policy_table)
+    monkeypatch.setattr(bound_engine, "reweighted_tables", counting_reweighted)
     capacity_bound(ch, horizon, cfg)
     return len(laws), len(policies), len(set(policies))
 

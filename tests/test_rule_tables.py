@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import oracles
+from fbound import bound_engine
 from fbound.bound_engine import (
     Candidates,
     SearchConfig,
@@ -34,16 +35,17 @@ from fbound.channel_model import (
     forward_joint,
     load_channel,
     repetition_encoder,
+    reweighted_tables,
     rotating_encoder,
     uniform_behavioral_policy,
 )
 from fbound.info_measures import (
+    PolicyTable,
     directed_kl_stopped,
     directed_mi_stopped,
     expected_stop_time,
     node_table,
     ordered_sum,
-    policy_table,
     rule_stack,
     stopped_values,
     window_divergence,
@@ -108,7 +110,8 @@ def _batched(name, horizon):
     for i, law in enumerate(laws):
         if not law.is_message_form:
             rows = [law.policy.rows[k] for k in _policy_row_keys(ch, horizon)]
-            out[i] = (policy_table(law, np.array([rows])), 0)
+            tables = reweighted_tables(law, np.array([rows]))
+            out[i] = (PolicyTable.of(tables, ch.spec.y_size), 0)
     return [out[i] for i in range(len(laws))]
 
 
@@ -300,14 +303,15 @@ def test_stopped_sums_match_loops(name, horizon):
         want_mi = [oracles.loop_directed_mi_stopped(law, r) for r in rules]
         assert [expected_stop_time(law, r) for r in rules] == want_et
         assert [directed_mi_stopped(law, r) for r in rules] == want_mi
-        et, mi = stopped_values(law, *stack)
+        one_law = node_table(law).one_law
+        (et,), (mi,) = stopped_values(one_law, *stack)
         assert et.tolist() == want_et and mi.tolist() == want_mi
         batch_et, batch_mi = stopped_values(table, *stack)
         assert batch_et[g].tolist() == want_et and batch_mi[g].tolist() == want_mi
 
         want_kl = [oracles.loop_directed_kl_stopped(law, a, b) for a, b in pairs]
         assert [directed_kl_stopped(law, a, b) for a, b in pairs] == want_kl
-        assert window_divergence(law, stack[0], first, last).tolist() == want_kl
+        assert window_divergence(one_law, stack[0], first, last)[0].tolist() == want_kl
         assert window_divergence(table, stack[0], first, last)[g].tolist() == want_kl
 
         ej, ed = _step_aggregates(table, horizon)
@@ -430,6 +434,23 @@ def test_exponent_candidates_match_pair_loop(name, horizon, stopping, messages, 
         assert res.maximizer == _record(best)
         assert [res.diagnostics[k] for k in ("i_rate", "d_rate", "et", "et1")] == [
             best[k] for k in ("i_rate", "d_rate", "et", "et1")]
+
+
+@pytest.mark.parametrize("name,horizon,stopping,messages", [
+    ("z01", 2, "all", (2, 4)), ("flip2", 3, "fixed", (2,)), ("bsc01", 3, "all", (2,)),
+], ids=["z01-2-all-m2+4", "flip2-3-fixed", "bsc01-3-all"])
+def test_exponent_candidates_in_several_batches_match_one_batch(
+        name, horizon, stopping, messages, monkeypatch):
+    # a pass size that leaves a few encoders per batch, against one batch
+    ch = _channel(name)
+    cfg = SearchConfig(stopping=stopping, messages=messages, encoder_cap=1000)
+    whole, flags = exponent_candidates(ch, horizon, cfg)
+    monkeypatch.setattr(bound_engine, "_PASS_SIZE", 50_000)
+    split, split_flags = exponent_candidates(ch, horizon, cfg)
+    assert split_flags == flags and split.tables == whole.tables
+    for column in ("m", "encoder", "pair", "i_rate", "d_rate", "et", "et1", "first", "last"):
+        got, want = getattr(split, column), getattr(whole, column)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist(), column
 
 
 def _record(cand):
