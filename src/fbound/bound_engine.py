@@ -271,16 +271,6 @@ def _capacity_rules(ch: Channel, horizon: int, cfg: SearchConfig):
     return rules or [StoppingRule.fixed(t, horizon, y) for t in range(1, horizon + 1)], flags
 
 
-def _batch_size(trajectory_levels: int, node_cells: int) -> int:
-    """Laws per batch of a search, from each law's trajectory-levels and
-    its rule- or pair-by-node cells, so that the arrays a batch holds at
-    once stay within ``_PASS_SIZE`` entries together: about six over the
-    trajectory-levels (``_level_tables``' step rows, weights and bincount
-    indices) and four over the node cells (the masks, terms and running
-    sums of ``stopped_values`` and ``window_divergence``)."""
-    return max(1, _PASS_SIZE // (6 * trajectory_levels + 4 * node_cells))
-
-
 def _capacity_values(law, px, rules, stack):
     """The best stopped information per expected stop time, and its rule,
     of every policy ``px[g]`` over all rules at once, valued over the
@@ -326,7 +316,10 @@ def capacity_bound(ch: Channel, horizon: int, cfg: SearchConfig = SearchConfig()
         raise BudgetExceededError(f"the policy grid has {points} points per row, over the "
                                   f"budget {cfg.budget}")
     grid = _simplex_grid(x_size, denom)
-    batch = _batch_size(law.prob.size * (horizon + 1), len(rules) * law.node_prob.size)
+    # policies per batch, so that a batch's trajectory-level and
+    # rule-by-node arrays stay within ``_PASS_SIZE`` entries
+    per_policy = law.prob.size * (horizon + 1) + len(rules) * law.node_prob.size
+    batch = max(1, _PASS_SIZE // per_policy)
     memo: dict = {}
 
     def values(policies):
@@ -612,8 +605,7 @@ def exponent_candidates(
     evaluated in batches, in enumeration order: a batch's laws are built
     together (``_encoder_batch``), and every pair of every law of the batch
     is evaluated in one array pass (``_pair_rates``), bit for bit the values
-    of each encoder's own law.  A batch holds as many encoders as
-    ``_batch_size`` allows.
+    of each encoder's own law.
     Under a trajectory budget, the first encoder whose law exceeds it raises
     ``forward_joint``'s error.  Flags are listed in the order they were
     raised.
@@ -632,9 +624,14 @@ def exponent_candidates(
         restricted = f"m{m}_encoders_restricted_to_per_step_maps"
         if family_kind == "per_step" and restricted not in flags:
             flags.append(restricted)
-        # the shared trajectories of a law number at most m (S Y)^N
-        batch = _batch_size(m * (spec.s_size * spec.y_size) ** horizon * (horizon + 1),
-                            per_node * nodes)
+        # the shared trajectories of a law number at most m (S Y)^N; a
+        # batch holds about six arrays over its trajectory-levels
+        # (``_level_tables``' step rows, weights and bincount indices) and
+        # four over its pair-by-node cells (``_pair_rates``' masks, terms
+        # and running sums) at once, within ``_PASS_SIZE`` entries together
+        per_encoder = (6 * m * (spec.s_size * spec.y_size) ** horizon * (horizon + 1)
+                       + 4 * per_node * nodes)
+        batch = max(1, _PASS_SIZE // per_encoder)
         while tables := list(itertools.islice(family, batch)):
             table = _encoder_batch(ch, tables, horizon, cfg.budget)
             keep, *columns = _pair_rates(table, first, last, stack, horizon)

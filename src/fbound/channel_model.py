@@ -824,6 +824,12 @@ def _node_index(parent: np.ndarray, symbol: np.ndarray, sizes, y_size: int) -> n
     return index
 
 
+def _check_cap(ch: Channel, horizon: int) -> None:
+    cap = ch.kernel.horizon_cap()
+    if cap is not None and horizon > cap:
+        raise SchemaError(f"state kernel only defines {cap} steps, horizon={horizon}")
+
+
 def _over_budget(count, t: int, horizon: int, budget: int) -> BudgetExceededError:
     return BudgetExceededError(f"{count} live trajectories at step {t} of horizon {horizon} "
                                f"exceed the trajectory budget {budget}")
@@ -868,9 +874,6 @@ def _grow(ch: Channel, horizon: int, budget: int, m: int, laws: int, inputs):
     the root), the nodes of all levels numbered in one sequence.
     """
     spec, kernel = ch.spec, ch.kernel
-    cap = kernel.horizon_cap()
-    if cap is not None and horizon > cap:
-        raise SchemaError(f"state kernel only defines {cap} steps, horizon={horizon}")
     xn, sn, yn = spec.x_size, spec.s_size, spec.y_size
     q = spec.q.transpose(1, 0, 2)  # (x, s, y), the children's order
     q_live = q != 0.0
@@ -992,19 +995,21 @@ def forward_joint(
 
     Raises BudgetExceededError when the live trajectory count would exceed
     ``budget``, naming the count and step reached, and SchemaError for a
-    negative horizon, a policy that does not fit the law, a horizon the
-    kernel cannot drive, or an encoder input outside the alphabet.
+    negative horizon, a horizon the kernel cannot drive, a policy that
+    does not fit the law, or an encoder input outside the alphabet.
     """
     spec = ch.spec
     if horizon < 0:
         raise SchemaError(f"horizon must be >= 0, got {horizon}")
+    _check_cap(ch, horizon)
     if policy.horizon < horizon:
         raise SchemaError("policy horizon shorter than requested law horizon")
     if policy.x_size != spec.x_size or policy.y_size != spec.y_size:
         raise SchemaError("policy alphabet sizes do not match the channel")
     m = policy.messages if policy.is_message_form else 1
-    prob, _, msg, steps, sizes, parents, symbols = _grow(
+    prob, lives, msg, steps, sizes, parents, symbols = _grow(
         ch, horizon, budget, m, 1, _policy_inputs(policy, spec))
+    del lives  # one law's masks are all true; free them before the tables
     node_prob, w_post, xy_node, wy_node = (
         table[0] for table in _level_tables(prob, msg, steps, sizes, m, spec.x_size, spec.y_size))
     return JointLaw(
@@ -1036,6 +1041,7 @@ def encoder_tables(ch: Channel, tables, horizon: int, budget: int = DEFAULT_TRAJ
 
     Returns ``reweighted_tables``' (sizes, index, node_prob, xy_node).
     """
+    _check_cap(ch, horizon)
     laws, m = tables[0].shape[:2]
     xn, yn = ch.spec.x_size, ch.spec.y_size
     hist = np.zeros(m, dtype=np.intp)  # each prefix's output-history index
