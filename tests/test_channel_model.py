@@ -182,15 +182,11 @@ def test_history_kernel_horizon_cap(channels_dir):
         forward_joint(ch, pol, 3)
     law = forward_joint(ch, pol, 2)
     assert law.total_mass() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_horizon_cap_is_checked_before_the_policy(channels_dir):
-    # a call that breaks both rules names the kernel's cap, as the oracle does
-    ch = load_channel(str(channels_dir / "histk2.json"))
-    pol = uniform_behavioral_policy(ch, 2)
+    # a policy too short for the horizon as well: the kernel's cap is named
+    short = uniform_behavioral_policy(ch, 2)
     for build in (forward_joint, oracles.loop_forward_joint, oracles.dict_forward_joint):
         with pytest.raises(SchemaError, match="state kernel only defines 2 steps, horizon=3"):
-            build(ch, pol, 3)
+            build(ch, short, 3)
 
 
 # ---------------------------------------------------------------------------
