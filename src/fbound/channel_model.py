@@ -80,6 +80,9 @@ VALIDATION_TOL = 1e-9
 # Stored rows are kept at least this close to 1; parse renormalizes past it.
 ROW_SUM_INVARIANT_TOL = 1e-12
 DEFAULT_TRAJECTORY_BUDGET = 10**7
+# The corruptions ``drift_verify``'s checks can apply (exported there); kept
+# here so that the CLI parser reads them without loading the checks.
+MUTATIONS = ("halve_kl_drift",)
 # trajectory-levels per pass of the level-table counts (``_level_tables``)
 _PASS_SIZE = 1 << 21
 

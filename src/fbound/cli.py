@@ -22,13 +22,8 @@ import os
 import sys
 
 from . import __version__
-from .bound_engine import (
-    SearchConfig,
-    burnashev,
-    capacity_bound,
-    exponent_bound,
-)
 from .channel_model import (
+    MUTATIONS,
     BudgetExceededError,
     FboundError,
     SchemaError,
@@ -38,16 +33,11 @@ from .channel_model import (
     repetition_encoder,
     rotating_encoder,
 )
+# read through their modules' attributes, so that each module executes only
+# when a command calls it (see the package docstring)
+from . import bound_engine as be
 from . import drift_verify as dv
-from .vlc_sim import (
-    CSV_COLUMNS,
-    build_repetition_confirm,
-    build_yamamoto_itoh,
-    csv_row,
-    exact_stats,
-    load_scheme,
-    simulate,
-)
+from . import vlc_sim as vs
 
 __all__ = [
     "main",
@@ -171,7 +161,7 @@ _SEARCH_KEYS = (
 )
 
 
-def _search_config(args) -> SearchConfig:
+def _search_config(args) -> be.SearchConfig:
     budget = _budget_override()
     kw = dict(
         grid_denominator=args.grid,
@@ -186,7 +176,7 @@ def _search_config(args) -> SearchConfig:
         kw["budget"] = budget
         kw["rule_cap"] = budget
         kw["encoder_cap"] = budget
-    return SearchConfig(**kw)
+    return be.SearchConfig(**kw)
 
 
 def _print_bound(res, json_out: bool) -> None:
@@ -216,9 +206,9 @@ def _bound_rows(res) -> list[dict]:
 def cmd_bound(args) -> int:
     ch = load_channel(args.channel)
     if args.command == "bound-capacity":
-        res, keys = capacity_bound(ch, args.horizon, _search_config(args)), _SEARCH_KEYS
+        res, keys = be.capacity_bound(ch, args.horizon, _search_config(args)), _SEARCH_KEYS
     else:
-        res = exponent_bound(ch, args.rate, args.horizon, _search_config(args))
+        res = be.exponent_bound(ch, args.rate, args.horizon, _search_config(args))
         keys = _SEARCH_KEYS + ("rate",)
     _print_bound(res, args.json)
     if args.out:
@@ -228,7 +218,7 @@ def cmd_bound(args) -> int:
 
 def cmd_burnashev(args) -> int:
     ch = load_channel(args.channel)
-    res = burnashev(ch, args.rate)
+    res = be.burnashev(ch, args.rate)
     print(res.line())
     if args.out:
         rows = [{"C": res.capacity, "C1": res.max_kl, "R": res.rate,
@@ -332,11 +322,11 @@ def cmd_verify(args) -> int:
 
 def _schemes_from_args(args, ch, parser):
     if args.scheme:
-        return [load_scheme(args.scheme)]
+        return [vs.load_scheme(args.scheme)]
     if args.m is None or args.n1 is None or args.n2 is None or args.cap is None:
         parser.error("simulate needs either --scheme or all of --m/--n1/--n2/--cap")
-    build = (build_repetition_confirm if args.variant == "repetition_confirm"
-             else build_yamamoto_itoh)
+    build = (vs.build_repetition_confirm if args.variant == "repetition_confirm"
+             else vs.build_yamamoto_itoh)
     schemes = []
     for m in args.m:
         if args.variant == "repetition_confirm":
@@ -356,13 +346,13 @@ def cmd_simulate(args, parser) -> int:
     kw = _budget_kw()
     runs = []
     for scheme in schemes:
-        stats = simulate(scheme, ch, args.trials, seed=args.seed)
+        stats = vs.simulate(scheme, ch, args.trials, seed=args.seed)
         runs.append((scheme, stats))
         # the walk runs before the scheme line, whose interval text may
         # import scipy, so that scipy never loads on top of its arrays;
         # the line still prints before a refused walk's error
         try:
-            ex = exact_stats(scheme, ch, **kw) if args.exact else None
+            ex = vs.exact_stats(scheme, ch, **kw) if args.exact else None
         finally:
             pe_lo, pe_hi = stats.pe_interval_text()
             print(f"scheme {scheme.name or scheme.variant}: "
@@ -376,7 +366,7 @@ def cmd_simulate(args, parser) -> int:
         man = _manifest("simulate", args,
                         ("trials", "seed", "variant", "m", "n1", "n2", "cap",
                          "scheme_seed", "threshold", "exact"))
-        _write_csv(args.out, man, CSV_COLUMNS, [csv_row(*run) for run in runs])
+        _write_csv(args.out, man, vs.CSV_COLUMNS, [vs.csv_row(*run) for run in runs])
     return 0
 
 
@@ -443,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=20000,
                    help="instances for the randomized checks")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mutate", choices=dv.MUTATIONS, default=None,
+    p.add_argument("--mutate", choices=MUTATIONS, default=None,
                    help="corrupt the checked quantity; the run must then fail")
     p.set_defaults(func=cmd_verify)
 

@@ -44,6 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel_model import (
+    MUTATIONS,
     DistributionError,
     JointLaw,
     SchemaError,
@@ -82,8 +83,6 @@ __all__ = [
     "verify_maximal_inequality",
     "default_lambda_grid",
 ]
-
-MUTATIONS = ("halve_kl_drift",)
 
 DRIFT_TOL = 1e-10
 _VACUOUS = "no history with entropy inside (0, eps): vacuous pass"

@@ -11,7 +11,7 @@ import pytest
 
 from conftest import child_env
 from fbound.channel_model import SchemaError, check_seed
-from fbound.cli import main, read_manifest, rerun_from_manifest
+from fbound.cli import build_parser, main, read_manifest, rerun_from_manifest
 from fbound.vlc_sim import _clopper_pearson_text, build_yamamoto_itoh, load_scheme
 
 _CHANNELS = Path(__file__).resolve().parents[1] / "channels"
@@ -477,23 +477,24 @@ def test_simulate_without_out_loads_no_scipy():
     assert proc.stdout == (_REFERENCE / f"{name}.out").read_text()
 
 
-# Runs ``fbound.cli.main`` on argv with ``exact_stats`` wrapped so that each
-# walk records whether scipy is loaded as it starts; prints those records
-# and then whether scipy is loaded at exit.
+# Runs ``fbound.cli.main`` on argv with ``vlc_sim.exact_stats`` wrapped so
+# that each walk records whether scipy is loaded as it starts; prints those
+# records and then whether scipy is loaded at exit.
 _WALK_PROBE = """
 import sys
 import fbound.cli as cli
+from fbound import vlc_sim
 
 def scipy_loaded():
     return any(m.split(".")[0] == "scipy" for m in sys.modules)
 
-walk, seen = cli.exact_stats, []
+walk, seen = vlc_sim.exact_stats, []
 
 def probe(*args, **kw):
     seen.append(scipy_loaded())
     return walk(*args, **kw)
 
-cli.exact_stats = probe
+vlc_sim.exact_stats = probe
 rc = cli.main(sys.argv[1:])
 print(seen, scipy_loaded(), file=sys.stderr)
 sys.exit(rc)
@@ -540,6 +541,76 @@ def test_bound_commands_load_openssl_and_numpy_random_only_when_used(argv, loade
     proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
                           text=True, env=child_env(), timeout=120)
     assert proc.stderr == f"{loaded}\n"
+
+
+# Runs ``fbound.cli.main`` on argv, or with no argv the benchmark's set-up
+# probe (import the CLI, parse a channel file), and prints the fbound
+# modules that executed.  ``type()`` reads no attribute of a module, so it
+# does not itself execute one that is registered but not yet loaded.
+_EXECUTED_PROBE = """
+import sys, types
+import fbound.cli
+if sys.argv[1:]:
+    rc = fbound.cli.main(sys.argv[1:])
+else:
+    from fbound.channel_model import load_channel
+    load_channel("channels/bsc01.json")
+    rc = 0
+print(sorted(n for n, m in sys.modules.items()
+             if n.startswith("fbound.") and type(m) is types.ModuleType), file=sys.stderr)
+sys.exit(rc)
+"""
+_BOUNDS = ["fbound.bound_engine", "fbound.channel_model", "fbound.cli", "fbound.info_measures"]
+
+
+# the set-up probe, each command of the benchmark's two workloads, and burnashev
+@pytest.mark.parametrize("argv,env,rc,executed", [
+    ([], {}, 0, ["fbound.channel_model", "fbound.cli"]),
+    (["bound-exponent", "--channel", "channels/bsc01.json", "--rate", "0.25", "--horizon", "3",
+      "--stopping", "all", "--messages", "2"], {"FBOUND_BUDGET": "1000"}, 1, _BOUNDS),
+    (["bound-capacity", "--channel", "channels/flip2.json", "--horizon", "3", "--stopping",
+      "all", "--restarts", "0", "--seed", "0"], {}, 0, _BOUNDS),
+    (["bound-capacity", "--channel", "channels/histk2.json", "--horizon", "2", "--stopping",
+      "all", "--seed", "0"], {}, 0, _BOUNDS),
+    (["burnashev", "--channel", "channels/bsc01.json", "--rate", "0.25"], {}, 0, _BOUNDS),
+    (["verify", "--channel", "channels/bsc02.json", "--suite", "all", "--horizon", "11",
+      "--seed", "0", "--out", "{out}"], {}, 0,
+     ["fbound.channel_model", "fbound.cli", "fbound.drift_verify", "fbound.info_measures"]),
+    (["simulate", "--channel", "channels/bsc01.json", "--m", "2", "--n1", "5", "--n2", "4",
+      "--cap", "2", "--trials", "100000", "--seed", "0", "--exact", "--out", "{out}"], {}, 0,
+     ["fbound.channel_model", "fbound.cli", "fbound.info_measures", "fbound.vlc_sim"]),
+    (["simulate", "--channel", "channels/flip2.json", "--m", "2", "--n1", "3", "--n2", "4",
+      "--cap", "2", "--trials", "20000", "--seed", "0", "--exact"], {}, 0,
+     ["fbound.channel_model", "fbound.cli", "fbound.info_measures", "fbound.vlc_sim"]),
+], ids=["setup", "exponent_rules", "capacity", "capacity_hist", "burnashev", "verify",
+        "simulate_dmc", "simulate_state"])
+def test_each_command_executes_only_the_modules_it_calls(argv, env, rc, executed, tmp_path):
+    argv = [a.replace("{out}", str(tmp_path / "o.csv")) for a in argv]
+    proc = subprocess.run([sys.executable, "-c", _EXECUTED_PROBE, *argv], capture_output=True,
+                          text=True, cwd=_CHANNELS.parent, env=child_env(**env), timeout=120)
+    assert proc.returncode == rc, proc.stderr
+    assert proc.stderr == f"{executed}\n"
+
+
+def test_mutate_choices_are_drift_verify_mutations(monkeypatch, capsys):
+    import argparse
+
+    from fbound import drift_verify
+
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    (mutate,) = [a for a in sub.choices["verify"]._actions if a.dest == "mutate"]
+    assert mutate.choices is drift_verify.MUTATIONS
+    # the help and the usage error read as they did when drift_verify held
+    # the names itself (recorded at an 80-column width)
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as e:
+        main(["verify", "--help"])
+    assert e.value.code == 0
+    assert capsys.readouterr().out == (_REFERENCE / "verify_help.out").read_text()
+    with pytest.raises(SystemExit) as e:
+        main(["verify", "--channel", BSC01, "--mutate", "nope"])
+    assert e.value.code == 2
+    assert capsys.readouterr().err == (_REFERENCE / "verify_bad_mutate.err").read_text()
 
 
 def test_verify_rejects_several_message_counts(capsys):
