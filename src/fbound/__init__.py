@@ -5,11 +5,11 @@ send-and-confirm variable-length coding simulator.
 The submodules load lazily: ``import fbound`` executes none of them, and
 each one runs when one of its attributes is first read, so a command
 executes only the modules it calls.  A package-level name (``fbound.<name>``
-for a name in a submodule's ``__all__``) is read from its submodule.  The
-submodules are registered through ``importlib.util.LazyLoader`` rather than
-left unimported because code that instruments the package, such as the
-benchmark's tracer, looks each one up in ``sys.modules`` right after
-``import fbound.cli``.
+for a name in a submodule's ``__all__``) is read from its submodule; finding
+it executes the submodules listed before that one below.  The submodules are
+registered through ``importlib.util.LazyLoader`` rather than left unimported
+because code that instruments the package, such as the benchmark's tracer,
+looks each one up in ``sys.modules`` right after ``import fbound.cli``.
 """
 
 import importlib.util
