@@ -208,10 +208,10 @@ class StateKernel:
     lexicographic (symbol-major) order; level t has shape
     (s_size**(t-1), x_size**(t-1), s_size).
 
-    Every variant is read through one per-use table (``use_table``): a
-    consumer carries each path's state- and input-history indices, reduces
-    them to the table's rows (``% rows`` keeps the last d symbols), gathers
-    the state laws and appends the new symbols (``index * arity + symbol``).
+    Every variant is read through one per-use table (``use_table``).  A
+    consumer carries each path's state- and input-history indices; only
+    ``rows``, ``advance`` and the exact filter's step ``predict`` know how
+    they index the table.
     """
 
     variant: str
@@ -278,13 +278,29 @@ class StateKernel:
             raise SchemaError(f"history_table kernel has no level for t={t}")
         return self._uses[min(t, len(self._uses)) - 1]
 
-    def distribution(
-        self, t: int, s_hist: tuple[int, ...], x_hist: tuple[int, ...]
-    ) -> np.ndarray:
-        """P(s_t | s^{t-1}, x^{t-1}) with 1-based t; histories have length t-1."""
+    def rows(self, t: int, s_mem: np.ndarray, x_mem: np.ndarray):
+        """Each path's row of ``use_table(t)`` flattened to (rows, s_size),
+        and its history indices cut to the symbols that row keeps."""
+        s_rows, x_rows = self.use_table(t).shape[:2]
+        s_mem, x_mem = s_mem % s_rows, x_mem % x_rows
+        return s_mem * x_rows + x_mem, s_mem, x_mem
+
+    def advance(self, s_mem, x_mem, s, x):
+        """The history indices after a use with state s and input x."""
+        return s_mem * self.s_size + s, x_mem * self.x_size + x
+
+    def predict(self, t: int, mass: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """The state mass (N, s_size) of use t from each node's mass over
+        s_{t-1} and its input x_{t-1}: the total mass times the state law at
+        a use with no memory; on markov1 the stacked ``mass[:, None, :] @
+        table[:, x, :]``, which a node-by-node walk computes bit for bit and
+        a plain (N, S) @ (S, S) product does not, from S = 4 up."""
         table = self.use_table(t)
-        s_mem = _hist_index(s_hist, self.s_size) % table.shape[0]
-        return table[s_mem, _hist_index(x_hist, self.x_size) % table.shape[1]]
+        if table.shape[:2] == (1, 1):
+            return mass.sum(axis=1)[:, None] * table[0, 0]
+        if self.variant != "markov1":
+            raise SchemaError(f"no exact filter step for a {self.variant} kernel at t={t}")
+        return np.matmul(mass[:, None, :], np.moveaxis(table, 1, 0)[x])[:, 0, :]
 
 
 def _hist_index(hist: Sequence[int], arity: int) -> int:
@@ -851,7 +867,7 @@ def _grow(ch: Channel, horizon: int, budget: int, m: int, laws: int, inputs):
     child (prefix, x, s, y) is formed in one array pass, in C order (the
     depth-first order over (w, x_1, s_1, y_1, x_2, ...)), with probability
     ((p * px) * ps) * q, ps read off the kernel's ``use_table(t)`` at the
-    prefix's history indices; a message-form law has no px (p * 1.0 == p).
+    prefix's ``StateKernel.rows``; a message-form law has no px (p * 1.0 == p).
 
     A child is live for a law when its prefix is and no factor is zero: a
     zero factor prunes, an underflowed product does not.  A child some law
@@ -900,9 +916,8 @@ def _grow(ch: Channel, horizon: int, budget: int, m: int, laws: int, inputs):
             x = np.where(live, x, 0)[:, :, None]  # an unread input of a pruned prefix
         else:
             x = np.arange(xn)[None, None]
-        table = kernel.use_table(t)
-        s_mem, x_mem = s_mem % table.shape[0], x_mem % table.shape[1]
-        ps = table[s_mem, x_mem][:, :, None, :, None]
+        row, s_mem, x_mem = kernel.rows(t, s_mem, x_mem)
+        ps = kernel.use_table(t).reshape(-1, sn)[row][:, :, None, :, None]
         # children over (law, prefix, x, s, y): head = (p * px) * ps, which
         # the channel rows multiply once the failed laws are cut
         head = prob[:, :, None, None, None]
@@ -937,7 +952,7 @@ def _grow(ch: Channel, horizon: int, budget: int, m: int, laws: int, inputs):
         lives.append(live)
         sizes.append(first.size)
         if t < horizon:
-            s_mem, x_mem = s_mem.take(par) * sn + s, x_mem.take(par, axis=1) * xn + x
+            s_mem, x_mem = kernel.advance(s_mem.take(par), x_mem.take(par, axis=1), s, x)
     if failed is not None:
         raise failed
     return prob, lives, msg, steps, sizes, np.concatenate(parents), np.concatenate(symbols)
@@ -1164,13 +1179,12 @@ def _reweighting_plan(law: JointLaw):
     s_mem = x_mem = xh = yh = np.zeros(1, dtype=np.intp)
     levels, row, base = [], 0, 1
     for t, (par, (node, x, y, s)) in enumerate(law.steps, start=1):
-        table = kernel.use_table(t)
-        s_mem, x_mem = s_mem % table.shape[0], x_mem % table.shape[1]
-        ps = table[s_mem.take(par), x_mem.take(par), s]
+        at, s_mem, x_mem = kernel.rows(t, s_mem, x_mem)
+        ps = kernel.use_table(t).reshape(-1, sn)[at.take(par), s]
         entry = (row + xh.take(par) * yn ** (t - 1) + yh.take(par)) * xn + x
         levels.append((par, entry, ps, spec.q[s, x, y], _node_groups(node), base))
         row, base = row + (xn * yn) ** (t - 1), base + par.size + 1
-        s_mem, x_mem = s_mem.take(par) * sn + s, x_mem.take(par) * xn + x
+        s_mem, x_mem = kernel.advance(s_mem.take(par), x_mem.take(par), s, x)
         xh, yh = xh.take(par) * xn + x, yh.take(par) * yn + y
     return levels, row, _node_index(law.node_parent, law.node_symbol, law.sizes, yn)
 

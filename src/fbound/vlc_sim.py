@@ -32,13 +32,13 @@ a draw on a cumulative entry goes to the lower index.
 There is one Monte Carlo path for every channel, and it and the exact
 evaluation are array passes: a chunk of trials (each scheme block only on
 the trials still running), or one level of a message's output tree,
-advances one channel use at a time, the state process stepped through the
-kernel's per-use table.  Every sum that reaches a result runs
-in the order of a per-trial or depth-first recursive loop (metrics in
-position order from 0.0, exact Pe and E[T] sequentially over the leaves in
-depth-first order), and every product is one a per-node loop computes bit
-for bit, so outputs are the same bits as those loops give
-(``tests/oracles.py`` keeps them).
+advances one channel use at a time, the state read only through
+``StateKernel.rows`` and ``advance`` or the filter step ``predict``.  Every
+sum that reaches a result runs in the order of a per-trial or depth-first
+recursive loop (metrics in position order from 0.0, exact Pe and E[T]
+sequentially over the leaves in depth-first order), and every product is
+one a per-node loop computes bit for bit, so outputs are the same bits as
+those loops give (``tests/oracles.py`` keeps them).
 
 Decoding on channels with states uses the entry-wise state-averaged matrix
 under the initial state law as a (mismatched) memoryless metric; on a
@@ -161,8 +161,7 @@ def load_scheme(path) -> SchemeSpec:
 
 def _metric_matrix(ch: Channel) -> np.ndarray:
     """State-averaged single-letter matrix under the initial state law."""
-    init = ch.kernel.distribution(1, (), ())
-    return np.einsum("s,sxy->xy", init, ch.spec.q)
+    return np.einsum("s,sxy->xy", ch.kernel.use_table(1)[0, 0], ch.spec.q)
 
 
 def _confirm_pair(qbar: np.ndarray) -> tuple[int, int]:
@@ -652,9 +651,9 @@ def _simulate_generic(
     block: its output uniforms, and its state uniforms only when one of its
     uses' state tables has a column left (``_columns``), so a single-state
     channel draws no state uniform.  At use t, every live trial reads its
-    state law from the kernel's cumulative ``use_table(t)`` at row
-    ``s_mem * X_mem + x_mem`` of its state- and input-history indices, and
-    its output law from the cumulative channel matrix at row ``s * X + x``;
+    state law from the kernel's cumulative ``use_table(t)`` at its
+    ``StateKernel.rows`` (``advance`` steps the indices), and its output
+    law from the cumulative channel matrix at row ``s * X + x``;
     ``_count_below`` draws each by counting, column by column of the table,
     the entries below the trial's uniform (searchsorted, side "left"), as a
     per-trial loop would.  The data metric is summed from 0.0 in codeword
@@ -662,8 +661,7 @@ def _simulate_generic(
     order, so every trial's outcome is bit-identical to running it alone.
     """
     cb, lq_pos, llr_row = _scheme_tables(scheme, ch)
-    kernel = ch.kernel
-    x_size, s_size = ch.spec.x_size, ch.spec.s_size
+    kernel, x_size = ch.kernel, ch.spec.x_size
     q_cols = _columns(np.cumsum(ch.spec.q, axis=2))  # rows s * X + x
     m, n1, cap = scheme.m, scheme.n1, scheme.cap
     block = scheme.block_len
@@ -672,8 +670,8 @@ def _simulate_generic(
     if hcap is not None and n_uses > hcap:
         raise SchemaError("scheme needs more channel uses than the kernel defines")
     xa, xn = scheme.confirm
-    cum_state = [np.cumsum(kernel.use_table(t), axis=2) for t in range(1, n_uses + 1)]
-    state_cols = [_columns(cum) for cum in cum_state]
+    state_cols = [_columns(np.cumsum(kernel.use_table(t), axis=2))
+                  for t in range(1, n_uses + 1)]
     state_draws = [any(state_cols[b * block : (b + 1) * block]) for b in range(cap)]
 
     errors = 0
@@ -695,13 +693,12 @@ def _simulate_generic(
             ll = np.zeros((live.size, m))
             for pos in range(block):
                 t = t0 + pos
-                s_rows, x_rows = cum_state[t].shape[:2]
-                s_mem, x_mem = s_mem % s_rows, x_mem % x_rows
+                row, s_mem, x_mem = kernel.rows(t + 1, s_mem, x_mem)
                 x = cb[w, pos] if pos < n1 else np.where(w_hat == w, xa, xn)
                 u_s = None if us is None else us[:, pos]
-                s = _count_below(state_cols[t], s_mem * x_rows + x_mem, u_s)
+                s = _count_below(state_cols[t], row, u_s)
                 y = _count_below(q_cols, s * x_size + x, uy[:, pos])
-                s_mem, x_mem = s_mem * s_size + s, x_mem * x_size + x
+                s_mem, x_mem = kernel.advance(s_mem, x_mem, s, x)
                 if pos < n1:
                     ll = ll + lq_pos[pos].take(y, axis=0)
                     if pos == n1 - 1:
@@ -784,15 +781,13 @@ def exact_stats(scheme: SchemeSpec, ch: Channel, budget: int = EXACT_BUDGET) -> 
     lexicographic) order, its state mass ``(N, S)``, its last input, and
     either its data log-likelihoods ``(N, m)`` (summed from 0.0 in
     codeword-position order) or its confirm log-likelihood ratio (from 0.0
-    in use order).  Children are formed in C order ``(node, y)`` and those
-    of mass 0.0 dropped.  On a markov1 kernel the mass advances as the
-    stacked product ``alpha[:, None, :] @ T`` with ``T[k]`` the transition
-    matrix of node k's last input, the product a node-by-node walk computes
-    bit for bit; a plain ``(N, S) @ (S, S)`` product is not, from S = 4 up.
-    Pe and E[T] are summed over the leaves in the depth-first order of a
-    recursive walk (by message, then by output path), one sequential sum
-    carried across messages, so they are bit-identical to it; the budget
-    counts every tree node and fails as soon as the count passes it.
+    in use order).  Each use advances the state mass by the kernel's filter
+    step (``StateKernel.predict``) and forms the children in C order
+    ``(node, y)``, dropping those of mass 0.0.  Pe and E[T] are summed over
+    the leaves in the depth-first order of a recursive walk (by message,
+    then by output path), one sequential sum carried across messages, so
+    they are bit-identical to it; the budget counts every tree node and
+    fails as soon as the count passes it.
     """
     if ch.kernel.variant not in ("memoryless", "markov1"):
         raise SchemaError("exact evaluation supports memoryless and markov1 kernels")
@@ -803,22 +798,13 @@ def exact_stats(scheme: SchemeSpec, ch: Channel, budget: int = EXACT_BUDGET) -> 
     block = scheme.block_len
     xa, xn = scheme.confirm
 
-    p_state = ch.kernel.use_table(1)[0, 0]
-    later = ch.kernel.use_table(2)  # the table of every use after the first
-    # without memory every use draws from p_state; with one step of it,
-    # trans_x[x] = later[:, x, :] is the state transition under input x
-    trans_x = None if later.shape[:2] == (1, 1) else np.moveaxis(later, 1, 0)
-
     nodes = 0
 
     def grow(alpha, x_last, x, w, b, pos):
         # use ``pos`` of block ``b`` of message ``w``: advance the state mass,
         # then split on the output symbol; x is the input, per node or shared
         nonlocal nodes
-        if trans_x is None or (b == 0 and pos == 0):
-            a = alpha.sum(axis=1)[:, None] * p_state
-        else:
-            a = np.matmul(alpha[:, None, :], trans_x[x_last])[:, 0, :]
+        a = ch.kernel.predict(b * block + pos + 1, alpha, x_last)
         child = (a[:, None, :] * q_x[x]).reshape(-1, s_size)
         keep = np.flatnonzero(child.sum(axis=1) > 0.0)
         nodes += keep.size

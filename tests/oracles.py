@@ -627,6 +627,21 @@ def loop_build_level_tables(
     return node_prob, w_post, xy_node, wy_node
 
 
+def _state_law(kernel, t, s_hist, x_hist):
+    """P(s_t | s^{t-1}, x^{t-1}) at 1-based t, read off the kernel's
+    definition (its variant and ``table``, ``init`` or ``levels``) rather
+    than through the library's per-use tables; histories have length t-1
+    and a history_table level indexes them in symbol-major order."""
+    if kernel.variant == "memoryless":
+        return kernel.table
+    if kernel.variant == "markov1":
+        return kernel.init if t == 1 else kernel.table[s_hist[-1], x_hist[-1]]
+    s_idx = x_idx = 0
+    for s, x in zip(s_hist, x_hist):
+        s_idx, x_idx = s_idx * kernel.s_size + s, x_idx * kernel.x_size + x
+    return kernel.levels[t - 1][s_idx, x_idx]
+
+
 def loop_forward_joint(ch, policy, horizon, budget=10**7):
     """Enumerate the exact joint law over all positive-probability
     trajectories of length ``horizon``.
@@ -666,7 +681,7 @@ def loop_forward_joint(ch, policy, horizon, budget=10**7):
         else:
             row = policy.input_distribution(t, x_hist, y_hist)
             x_choices = [(x, float(row[x])) for x in range(spec.x_size) if row[x] > 0.0]
-        s_row = kernel.distribution(t, s_hist, x_hist)
+        s_row = _state_law(kernel, t, s_hist, x_hist)
         for x, px in x_choices:
             for s in range(spec.s_size):
                 ps = float(s_row[s])
@@ -1798,7 +1813,7 @@ def loop_simulate_generic(
             ys_data = []
             for pos in range(block):
                 x = cb[w][pos] if pos < n1 else (xa if w_hat == w else xn)
-                sd = ch.kernel.distribution(t_abs + 1, s_hist, x_hist)
+                sd = _state_law(ch.kernel, t_abs + 1, s_hist, x_hist)
                 s = int(np.searchsorted(np.cumsum(sd), us[t_abs], side="left"))
                 y = int(np.searchsorted(cum_q[s, x], uy[t_abs], side="left"))
                 s_hist += (s,)
