@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import fbound
-from conftest import child_env
+from conftest import REPO, child_env
 
 SUBMODULES = ("channel_model", "info_measures", "bound_engine", "drift_verify", "vlc_sim")
 
@@ -57,7 +57,7 @@ def test_importing_the_package_executes_no_submodule():
     assert proc.stdout == "0.1.0 [] False\n"
 
 
-_CHANNEL = str(Path(__file__).resolve().parents[1] / "channels" / "bsc01.json")
+_CHANNEL = str(REPO / "channels" / "bsc01.json")
 _BURNASHEV = ["burnashev", "--channel", _CHANNEL, "--rate", "0.25"]
 # a command that executes each submodule
 _EXECUTES = {
@@ -70,6 +70,16 @@ _EXECUTES = {
 }
 
 
+def _package_raising_in(name, tmp_path):
+    """A copy of the package under ``tmp_path`` whose ``name`` module
+    raises at the end of its body."""
+    package = Path(fbound.__file__).resolve().parent
+    shutil.copytree(package, tmp_path / "fbound", ignore=shutil.ignore_patterns("__pycache__"))
+    with open(tmp_path / "fbound" / f"{name}.py", "a") as f:
+        f.write(f"\nraise RuntimeError('{name} failed while loading')\n")
+    return str(tmp_path)
+
+
 def _run_cli(argv, pythonpath):
     return subprocess.run([sys.executable, "-m", "fbound.cli", *argv], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=pythonpath),
@@ -78,11 +88,7 @@ def _run_cli(argv, pythonpath):
 
 @pytest.mark.parametrize("name", SUBMODULES)
 def test_a_submodule_that_fails_to_load_fails_the_command(name, tmp_path):
-    package = Path(fbound.__file__).resolve().parent
-    shutil.copytree(package, tmp_path / "fbound", ignore=shutil.ignore_patterns("__pycache__"))
-    with open(tmp_path / "fbound" / f"{name}.py", "a") as f:
-        f.write(f"\nraise RuntimeError('{name} failed while loading')\n")
-    proc = _run_cli(_EXECUTES[name], str(tmp_path))
+    proc = _run_cli(_EXECUTES[name], _package_raising_in(name, tmp_path))
     assert proc.returncode != 0
     assert f"RuntimeError: {name} failed while loading" in proc.stderr
     assert proc.stdout == ""
@@ -100,10 +106,6 @@ def test_a_missing_dependency_is_named(tmp_path):
 
 
 def test_a_failed_load_raises_again_on_the_next_read(tmp_path):
-    package = Path(fbound.__file__).resolve().parent
-    shutil.copytree(package, tmp_path / "fbound", ignore=shutil.ignore_patterns("__pycache__"))
-    with open(tmp_path / "fbound" / "vlc_sim.py", "a") as f:
-        f.write("\nraise RuntimeError('vlc_sim failed while loading')\n")
     code = ("import fbound\n"
             "before = sorted(vars(fbound.vlc_sim))\n"
             "for _ in range(2):\n"
@@ -113,6 +115,7 @@ def test_a_failed_load_raises_again_on_the_next_read(tmp_path):
             "        print(e)\n"
             "print(type(fbound.vlc_sim).__name__, sorted(vars(fbound.vlc_sim)) == before)\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=str(tmp_path)), timeout=120)
+                          env=dict(os.environ, PYTHONPATH=_package_raising_in("vlc_sim", tmp_path)),
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == ("vlc_sim failed while loading\n" * 2) + "_LazyModule True\n"
