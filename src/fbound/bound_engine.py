@@ -396,9 +396,12 @@ def _rows_from_maximizer(payload: dict):
     return rows
 
 
-def _tables_from_maximizer(payload: dict, y_size: int, horizon: int):
-    """The stored message count and encoder tables, refused unless step t
-    holds m rows of y_size**(t-1) integer inputs, for t = 1..horizon."""
+def _tables_from_maximizer(payload: dict, x_size: int, y_size: int, horizon: int):
+    """The stored encoder as ``encoder_tables``' step arrays of a batch of
+    one, refused unless step t holds m rows of y_size**(t-1) integer inputs,
+    for t = 1..horizon.  An input outside the alphabet is read as -1, which
+    the law refuses where it reads it and which fits the index array however
+    large the stored number is."""
     m, tables = payload.get("m"), payload.get("encoder_tables")
 
     def is_step(step, t):
@@ -413,7 +416,8 @@ def _tables_from_maximizer(payload: dict, y_size: int, horizon: int):
             and all(is_step(step, t) for t, step in enumerate(tables, start=1))):
         raise SchemaError(f"stored encoder tables are not, for m = {m!r} messages, {horizon} "
                           f"steps of m rows of {y_size}**(t-1) integer inputs")
-    return m, tuple(tuple(tuple(row) for row in step) for step in tables)
+    return [np.array([[[x if 0 <= x < x_size else -1 for x in row] for row in step]],
+                     dtype=np.intp) for step in tables]
 
 
 # ---------------------------------------------------------------------------
@@ -421,40 +425,39 @@ def _tables_from_maximizer(payload: dict, y_size: int, horizon: int):
 # ---------------------------------------------------------------------------
 
 
-def _full_encoder_tables(m, x_size, y_size, horizon):
-    step_spaces = []
-    for t in range(1, horizon + 1):
-        ylen = y_size ** (t - 1)
-        maps = []
-        for flat in itertools.product(range(x_size), repeat=m * ylen):
-            maps.append(tuple(tuple(flat[w * ylen : (w + 1) * ylen]) for w in range(m)))
-        step_spaces.append(maps)
-    yield from itertools.product(*step_spaces)
-
-
-def _blockwise_encoder_tables(m, x_size, y_size, horizon):
-    per_step = list(itertools.product(range(x_size), repeat=m))
-    for combo in itertools.product(per_step, repeat=horizon):
-        yield tuple(
-            tuple((combo[t - 1][w],) * (y_size ** (t - 1)) for w in range(m))
-            for t in range(1, horizon + 1)
-        )
-
-
 def _encoder_family(m, x_size, y_size, horizon, cap):
-    full_count = 1
+    """(kind, count) of the encoders searched for m messages: all of them
+    ("full") when there are at most ``cap``, else those whose input depends
+    on the step and message alone ("per_step")."""
+    kind, count = "full", 1
     for t in range(1, horizon + 1):
-        full_count *= x_size ** (m * y_size ** (t - 1))
-        if full_count > cap:
+        count *= x_size ** (m * y_size ** (t - 1))
+        if count > cap:
+            kind, count = "per_step", (x_size**m) ** horizon
             break
-    if full_count <= cap:
-        return _full_encoder_tables(m, x_size, y_size, horizon), "full", full_count
-    block_count = (x_size**m) ** horizon
-    if block_count > cap:
-        raise BudgetExceededError(
-            f"even the per-step encoder family for m={m} exceeds cap {cap}"
-        )
-    return _blockwise_encoder_tables(m, x_size, y_size, horizon), "per_step", block_count
+    if count > cap:
+        raise BudgetExceededError(f"even the per-step encoder family for m={m} exceeds cap {cap}")
+    if count > np.iinfo(np.int64).max:
+        raise BudgetExceededError(f"the {kind} encoder family for m={m} has {count} encoders, "
+                                  f"over the int64 index cap {np.iinfo(np.int64).max}")
+    return kind, count
+
+
+def _encoder_steps(kind, ks, m, x_size, y_size, horizon):
+    """``encoder_tables``' step arrays ``steps[t - 1][g, w, i]`` of the
+    encoders ``ks[g]``, a range of indices into a ``_encoder_family``.
+    Encoder k is k written in base x_size over the family's cells, first
+    cell most significant: (t, w, i) for "full", the step, message and
+    output-history index; (t, w) for "per_step", whose input is repeated
+    over the y_size**(t-1) histories."""
+    widths = [y_size ** (t - 1) if kind == "full" else 1 for t in range(1, horizon + 1)]
+    k = np.arange(ks.start, ks.stop, dtype=np.int64)
+    digits = np.empty((k.size, m * sum(widths)), dtype=np.intp)
+    for cell in reversed(range(digits.shape[1])):
+        k, digits[:, cell] = np.divmod(k, x_size)
+    cuts = np.cumsum([m * width for width in widths])[:-1]
+    return [np.broadcast_to(step.reshape(len(ks), m, widths[t]), (len(ks), m, y_size**t))
+            for t, step in enumerate(np.split(digits, cuts, axis=1))]
 
 
 def _step_aggregates(table: PolicyTable, horizon: int):
@@ -498,14 +501,6 @@ def _pair_rates(table: PolicyTable, first: np.ndarray, last: np.ndarray, stack, 
     i_rate = (mi / et)[:, first][keep]
     div = window_divergence(table, stopped, first, last)[keep]
     return keep, i_rate, div / (et2[keep] - et1[keep]), et2[keep], et1[keep]
-
-
-def _encoder_batch(ch: Channel, tables: list, horizon: int, budget: int) -> PolicyTable:
-    """The ``PolicyTable`` of the laws of the encoders ``tables``, each a
-    tuple of step tables as ``Candidates.tables`` holds them, built together
-    (``encoder_tables``, which describes the errors raised)."""
-    arrays = [np.array([enc[t] for enc in tables], dtype=np.intp) for t in range(horizon)]
-    return PolicyTable.of(encoder_tables(ch, arrays, horizon, budget), ch.spec.y_size)
 
 
 def _stopping_pairs(ch: Channel, horizon: int, cfg: SearchConfig):
@@ -552,13 +547,13 @@ class Candidates:
     """Exponent candidates as columns, one entry per (encoder, stopping
     pair) whose second phase has positive expected length, encoder-major in
     enumeration order, then in pair order, however the search batched the
-    encoders: ``m``, ``encoder`` (index into ``tables``, each encoder's step
-    tables, ``tables[e][t - 1][w][i]`` the input for message w at step t
-    after the output history of lexicographic index i), ``pair`` (index
-    into ``first`` and ``last``, indices into ``rules`` or, when it is None,
-    times), ``i_rate`` (information per expected first-phase step),
-    ``d_rate`` (divergence per expected second-phase step), ``et`` and
-    ``et1`` (E[T] and E[T1])."""
+    encoders: ``m``, ``encoder`` (the encoder's index in the family of m
+    messages, whose kind ``kinds[m]`` holds, see ``_encoder_steps``),
+    ``pair`` (index into ``first`` and ``last``, indices into ``rules`` or,
+    when it is None, times), ``i_rate`` (information per expected
+    first-phase step), ``d_rate`` (divergence per expected second-phase
+    step), ``et`` and ``et1`` (E[T] and E[T1]); ``sizes`` is (x_size,
+    y_size, horizon)."""
 
     m: np.ndarray
     encoder: np.ndarray
@@ -567,7 +562,8 @@ class Candidates:
     d_rate: np.ndarray
     et: np.ndarray
     et1: np.ndarray
-    tables: list[tuple]
+    kinds: dict[int, str]
+    sizes: tuple[int, int, int]
     first: np.ndarray
     last: np.ndarray
     rules: list[StoppingRule] | None
@@ -584,13 +580,16 @@ class Candidates:
         return k, float(values[k])
 
     def maximizer(self, k: int) -> dict:
-        """Candidate k's record: message count, encoder tables and stopping
+        """Candidate k's record: message count, encoder tables
+        (``encoder_tables[t - 1][w][i]``, the input for message w at step t
+        after the output history of lexicographic index i) and stopping
         pair, as (t1, t) or as the two rules' sorted stop sets."""
         a, b = int(self.first[self.pair[k]]), int(self.last[self.pair[k]])
         pair = (a, b) if self.rules is None else tuple(
             sorted(list(s) for s in self.rules[r].stops) for r in (a, b))
-        tables = [[list(row) for row in step] for step in self.tables[self.encoder[k]]]
-        return {"m": int(self.m[k]), "encoder_tables": tables, "pair": pair}
+        m, e = int(self.m[k]), int(self.encoder[k])
+        steps = _encoder_steps(self.kinds[m], range(e, e + 1), m, *self.sizes)
+        return {"m": m, "encoder_tables": [step[0].tolist() for step in steps], "pair": pair}
 
 
 def exponent_candidates(
@@ -600,10 +599,11 @@ def exponent_candidates(
     information and divergence, independent of the target rate.
 
     The candidates are ``Candidates`` columns, and ``len`` of them is their
-    count.  Each encoder's tables are kept once; stop sets are formed only
-    for a reported maximizer.  The encoders of one message count are
-    evaluated in batches, in enumeration order: a batch's laws are built
-    together (``_encoder_batch``), and every pair of every law of the batch
+    count.  An encoder is kept as its index in its family; its tables and
+    stop sets are formed only for a reported maximizer.  The encoders of one
+    message count are evaluated in batches of consecutive indices: a
+    batch's step arrays (``_encoder_steps``) give its laws, built together
+    (``encoder_tables``), and every pair of every law of the batch
     is evaluated in one array pass (``_pair_rates``), bit for bit the values
     of each encoder's own law.
     Under a trajectory budget, the first encoder whose law exceeds it raises
@@ -617,12 +617,12 @@ def exponent_candidates(
     spec = ch.spec
     nodes = sum(spec.y_size**t for t in range(horizon + 1))
     per_node = first.size + (0 if rules is None else len(rules))
-    encoders, parts = [], []
+    kinds, parts = {}, []
     for m in cfg.messages:
-        family, family_kind, _count = _encoder_family(
-            m, spec.x_size, spec.y_size, horizon, cfg.encoder_cap)
+        kind, count = _encoder_family(m, spec.x_size, spec.y_size, horizon, cfg.encoder_cap)
+        kinds[m] = kind
         restricted = f"m{m}_encoders_restricted_to_per_step_maps"
-        if family_kind == "per_step" and restricted not in flags:
+        if kind == "per_step" and restricted not in flags:
             flags.append(restricted)
         # the shared trajectories of a law number at most m (S Y)^N; a
         # batch holds about six arrays over its trajectory-levels
@@ -632,14 +632,16 @@ def exponent_candidates(
         per_encoder = (6 * m * (spec.s_size * spec.y_size) ** horizon * (horizon + 1)
                        + 4 * per_node * nodes)
         batch = max(1, _PASS_SIZE // per_encoder)
-        while tables := list(itertools.islice(family, batch)):
-            table = _encoder_batch(ch, tables, horizon, cfg.budget)
+        for start in range(0, count, batch):
+            steps = _encoder_steps(kind, range(start, min(start + batch, count)), m,
+                                   spec.x_size, spec.y_size, horizon)
+            table = PolicyTable.of(encoder_tables(ch, steps, horizon, cfg.budget), spec.y_size)
             keep, *columns = _pair_rates(table, first, last, stack, horizon)
             encoder, pair = keep.nonzero()
-            parts.append((np.full(encoder.size, m), encoder + len(encoders), pair, *columns))
-            encoders += tables
+            parts.append((np.full(encoder.size, m), encoder + start, pair, *columns))
     columns = (np.concatenate(column) for column in zip(*parts))
-    return Candidates(*columns, encoders, first, last, rules), tuple(flags)
+    sizes = (spec.x_size, spec.y_size, horizon)
+    return Candidates(*columns, kinds, sizes, first, last, rules), tuple(flags)
 
 
 def exponent_bound(
@@ -659,6 +661,8 @@ def exponent_bound(
     """
     if not rate >= 0:  # also rejects NaN
         raise SchemaError(f"rate must be a nonnegative number, got {rate!r}")
+    if math.isinf(rate):
+        raise SchemaError(f"rate must be finite, got {rate!r}")
     cands, flags = _candidates if _candidates is not None else exponent_candidates(
         ch, horizon, cfg)
     flags = tuple(flags)
@@ -683,9 +687,9 @@ def exponent_bound(
 def reevaluate(result: BoundResult, ch: Channel, cfg: SearchConfig = SearchConfig()) -> float:
     """Recompute a bound value from its stored maximizer (no search), by
     the evaluation the search used, with a batch of one: an exponent's
-    encoder through ``_encoder_batch``, a capacity's policy rows as a
-    reweighting of the uniform law (``_capacity_values``).  So it refuses
-    what the search refused, the trajectory budget included."""
+    stored tables as the step arrays of ``encoder_tables``, a capacity's
+    policy rows as a reweighting of the uniform law (``_capacity_values``).
+    So it refuses what the search refused, the trajectory budget included."""
     if result.kind == "capacity":
         rows = _rows_from_maximizer(result.maximizer)
         if "stop_set" not in result.maximizer:
@@ -699,14 +703,10 @@ def reevaluate(result: BoundResult, ch: Channel, cfg: SearchConfig = SearchConfi
         ((value, _),) = _capacity_values(law, px, [rule], rule_stack([rule], horizon))
         return value
     if result.kind == "exponent":
-        _, tables = _tables_from_maximizer(result.maximizer, ch.spec.y_size, result.horizon)
-        # an input outside the alphabet is read as -1, which the law refuses
-        # where it reads it and which fits the index array however large the
-        # stored number is
-        xn = ch.spec.x_size
-        tables = tuple(tuple(tuple(x if 0 <= x < xn else -1 for x in row) for row in step)
-                       for step in tables)
-        table = _encoder_batch(ch, [tables], result.horizon, cfg.budget)
+        steps = _tables_from_maximizer(result.maximizer, ch.spec.x_size, ch.spec.y_size,
+                                       result.horizon)
+        table = PolicyTable.of(encoder_tables(ch, steps, result.horizon, cfg.budget),
+                               ch.spec.y_size)
         pair = result.maximizer["pair"]
         if not isinstance(pair, (list, tuple)) or not pair:
             raise SchemaError(f"stored stopping pair {pair!r} is not a non-empty list")

@@ -1050,11 +1050,13 @@ def forward_joint(
 def encoder_tables(ch: Channel, tables, horizon: int, budget: int = DEFAULT_TRAJECTORY_BUDGET):
     """The output-history tables of many deterministic encoders' laws,
     each bit for bit its own law's: ``_grow`` with one law per encoder.
-    ``tables[t - 1][g, w, i]`` is encoder g's input for message w at step t
-    after the output history with ``_hist_index`` i, read only where the
-    encoder's law reaches.  Each encoder's nodes are numbered by their first
-    live trajectory, as ``forward_joint`` numbers them, and the ones it
-    cannot reach come last in their level, with zeros.  Raises
+    ``tables[t - 1][g, w, i]``, an integer array (the exponent search's are
+    digit arrays, ``bound_engine._encoder_steps``), is encoder g's input for
+    message w at step t after the output history with ``_hist_index`` i,
+    read only where the encoder's law reaches.  Each encoder's nodes are
+    numbered by their first live trajectory, as ``forward_joint`` numbers
+    them, and the ones it cannot reach come last in their level, with
+    zeros.  Raises
     ``forward_joint``'s error for the first encoder whose law fails.
 
     Returns ``reweighted_tables``' (sizes, index, node_prob, xy_node).

@@ -25,17 +25,17 @@ Every sum runs left to right from 0.0 in the order of the per-history loop
 it replaces, and masked-out terms add an exact 0.0, so the results are
 bit-identical to that loop.
 
-The table's own columns are bulk reductions too, bit-identical to calling
-``mutual_information``, ``kl`` and ``entropy`` once per history: the same
-elementwise operations, with numpy's ``log2`` (``math.log2`` differs in the
-last bit), and the same sums.  The information of every entry is one pass
-over the (entries, X, Y) joints, its cells summed left to right in
-row-major order.  The divergence and entropy sums add only their positive
-terms, and how numpy's ``.sum()`` groups its terms depends on their count
-(pairwise from 8 terms on), so each row's positive terms are packed to the
-front and the rows that share a count are reduced together at that length
-(``_packed_sums``).  The scalar functions'
-checks run row-wise and raise the error the first failing call raised.
+The table's own columns are bulk kernels (``_joint_mi``, ``_row_kl``,
+``_row_entropy``), and ``mutual_information``, ``kl`` and ``entropy`` are
+those kernels on one table or row, so a column holds, bit for bit, what
+calling them once per history returns.  The terms use numpy's ``log2``.  The
+information of every entry is one pass over the (entries, X, Y) joints, its
+cells summed left to right in row-major order.  The divergence and entropy
+sums add only their positive terms, and how numpy's ``.sum()`` groups its
+terms depends on their count (pairwise from 8 terms on), so each row's
+positive terms are packed to the front and the rows that share a count are
+reduced together at that length (``_packed_sums``).  The checks run
+row-wise and raise the error of the first failing row.
 """
 
 from __future__ import annotations
@@ -79,31 +79,21 @@ def _as_dist(p, what: str) -> np.ndarray:
     arr = np.asarray(p, dtype=float)
     if arr.ndim != 1:
         raise DistributionError(f"{what} must be a vector")
-    if np.any(arr < 0):
-        raise DistributionError(f"{what} has a negative entry")
-    if abs(float(arr.sum()) - 1.0) > _NORM_TOL:
-        raise DistributionError(f"{what} is not normalized")
-    return arr
+    return arr[None]
 
 
 def entropy(p) -> float:
     """Shannon entropy in bits, with 0 log 0 = 0."""
-    arr = _as_dist(p, "entropy input")
-    pos = arr[arr > 0.0]
-    return float(-(pos * np.log2(pos)).sum())
+    return float(_row_entropy(_as_dist(p, "entropy input"))[0])
 
 
 def kl(p, q) -> float:
     """Relative entropy D(p || q) in bits; +inf when p puts mass where q
     does not."""
-    pa = _as_dist(p, "kl first argument")
-    qa = _as_dist(q, "kl second argument")
+    pa, qa = _as_dist(p, "kl first argument"), _as_dist(q, "kl second argument")
     if pa.shape != qa.shape:
         raise DistributionError("kl arguments must have the same length")
-    mask = pa > 0.0
-    if np.any(qa[mask] == 0.0):
-        return float("inf")
-    return float((pa[mask] * np.log2(pa[mask] / qa[mask])).sum())
+    return float(_row_kl(pa, qa[None], np.ones((1, 1), dtype=bool))[0, 0])
 
 
 def binary_entropy(p: float) -> float:
@@ -151,40 +141,26 @@ def _v_term(rate: float, i_rate: float, eps: float, n: int, et: float) -> float:
 
 def mutual_information(joint: np.ndarray) -> float:
     """I(A;B) in bits from a joint table P(a, b)."""
-    j = np.asarray(joint, dtype=float)
-    if np.any(j < 0):
-        raise DistributionError("mutual information joint has a negative entry")
-    pa = j.sum(axis=1).tolist()
-    pb = j.sum(axis=0).tolist()
-    total = 0.0
-    for a, row in enumerate(j.tolist()):
-        for b, v in enumerate(row):
-            if v > 0.0:
-                den = pa[a] * pb[b]
-                # a product below the normal range loses its low bits or
-                # underflows to 0.0, so divide by each factor in turn there
-                ratio = v / den if den >= _NORMAL_MIN else v / pa[a] / pb[b]
-                total += v * np.log2(ratio)
-    return float(total)
+    return float(_joint_mi(np.asarray(joint, dtype=float)))
 
 
 # ---------------------------------------------------------------------------
-# bulk columns: one array pass per column, with the scalar functions' checks,
-# operations and sum orders
+# bulk kernels: one array pass per column; the scalar functions call them on
+# one row
 # ---------------------------------------------------------------------------
 
 
 def _row_checks(rows: np.ndarray, live) -> tuple[np.ndarray, np.ndarray]:
-    """``_as_dist``'s two checks on every row (last axis) of ``rows``: the
-    masks of the rows where ``live`` with a negative entry, and of those not
-    normalized."""
+    """The two distribution checks on every row (last axis) of ``rows``:
+    the masks of the rows where ``live`` with a negative entry, and of those
+    not normalized beyond ``_NORM_TOL``."""
     neg = live & (rows < 0).any(axis=-1)
     off = live & (np.abs(rows.sum(axis=-1) - 1.0) > _NORM_TOL)
     return neg, off
 
 
 def _raise_row(neg: bool, what: str) -> None:
-    """``_as_dist``'s error for a row that failed a check."""
+    """The error for a row that failed a check."""
     raise DistributionError(f"{what} has a negative entry" if neg else f"{what} is not normalized")
 
 
@@ -193,8 +169,8 @@ def _packed_sums(terms: np.ndarray, pos: np.ndarray) -> np.ndarray:
     (rows x last axis, shared by any middle axes), each as the 1-D ``.sum()``
     of the compacted terms.  Each row's selected terms are moved to the
     front in order, and rows sharing a count are reduced together at that
-    length, so numpy's pairwise summation groups the terms as it does in
-    the scalar functions.  The counts are found with ``bincount``, since
+    length, so numpy's pairwise summation groups a row's terms as it does
+    for that row alone.  The counts are found with ``bincount``, since
     ``np.unique`` imports ``numpy.ma`` on its first call in a process."""
     count = pos.sum(axis=1)
     order = np.argsort(~pos, axis=1, kind="stable")
@@ -208,10 +184,12 @@ def _packed_sums(terms: np.ndarray, pos: np.ndarray) -> np.ndarray:
 
 
 def _joint_mi(xy: np.ndarray) -> np.ndarray:
-    """``mutual_information`` of every joint table ``xy[..., e, :, :]``, with
-    any leading axes (such as one per policy): the same check, marginals,
-    ratios and ``np.log2`` terms, summed over the cells in row-major order;
-    a cell of no mass adds an exact 0.0."""
+    """I(A;B) of every joint table ``xy[..., e, :, :]``, with any leading
+    axes (such as one per policy): the ``np.log2`` terms of each cell's ratio
+    to the product of its marginals, summed over the cells in row-major
+    order; a cell of no mass adds an exact 0.0.  A product below the normal
+    range loses its low bits or underflows to 0.0, so there the cell is
+    divided by each marginal in turn."""
     if (xy < 0).any():
         raise DistributionError("mutual information joint has a negative entry")
     lead, cells = xy.shape[:-2], xy.shape[-2] * xy.shape[-1]
@@ -229,10 +207,10 @@ def _joint_mi(xy: np.ndarray) -> np.ndarray:
 
 
 def _row_kl(p: np.ndarray, q: np.ndarray, valid: np.ndarray) -> np.ndarray:
-    """``kl(p[i], q[i, k])`` for every (i, k) where ``valid``, NaN elsewhere.
+    """D(p[i] || q[i, k]) for every (i, k) where ``valid``, NaN elsewhere.
 
-    The checks run as the calls would in (i, k) order: the first failing
-    call names its argument and check."""
+    The checks run pair by pair in (i, k) order, p[i]'s before q[i, k]'s:
+    the first failing pair names its argument and check."""
     used = valid.any(axis=1)
     p_neg, p_off = _row_checks(p, used)
     q_neg, q_off = _row_checks(q, valid)
@@ -274,7 +252,7 @@ def _worst(x_kl: np.ndarray) -> np.ndarray:
 
 
 def _row_entropy(mu: np.ndarray) -> np.ndarray:
-    """``entropy`` of every row of ``mu``; the first failing row raises."""
+    """The entropy of every row of ``mu``; the first failing row raises."""
     neg, off = _row_checks(mu, True)
     bad = neg | off
     if bad.any():

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,6 +89,28 @@ def kl_bits(p, q) -> float:
                 return math.inf
             total += a * log2(a / b)
     return total
+
+
+def mutual_information_bits(joint) -> float:
+    """I(A;B) in bits from a joint table P(a, b), cell by cell in row-major
+    order with ``np.log2``: the scalar loop the bulk kernel replaced."""
+    j = np.asarray(joint, dtype=float)
+    if np.any(j < 0):
+        from fbound.channel_model import DistributionError
+
+        raise DistributionError("mutual information joint has a negative entry")
+    pa = j.sum(axis=1).tolist()
+    pb = j.sum(axis=0).tolist()
+    total = 0.0
+    for a, row in enumerate(j.tolist()):
+        for b, v in enumerate(row):
+            if v > 0.0:
+                den = pa[a] * pb[b]
+                # a product below the normal range loses its low bits or
+                # underflows to 0.0, so divide by each factor in turn there
+                ratio = v / den if den >= sys.float_info.min else v / pa[a] / pb[b]
+                total += v * np.log2(ratio)
+    return float(total)
 
 
 def oracle_directed_mi(joint, n, x_size, y_size):
@@ -237,11 +260,11 @@ def oracle_vlc(q, kernel_fn, codebook, confirm, threshold, m, n1, n2, cap):
 #
 # The per-history loops that ``StoppingRule``'s tables and the per-law node
 # table of ``info_measures`` replaced, kept verbatim (``self`` became the
-# ``rule`` argument) as the reference for bit-identity tests.  Unlike the
-# oracles above they call the library's per-history terms
-# (``mutual_information`` and the worst-row divergence), which are not what
-# these references check: the tests compare sums, orders and rule logic with
-# ``==``.
+# ``rule`` argument) as the reference for bit-identity tests.  Their
+# information terms are ``mutual_information_bits``; unlike the oracles above
+# they call the library's ``kl`` for the worst-row divergence, which is not
+# what these references check: the tests compare sums, orders and rule logic
+# with ``==``.
 
 
 def _step_kl_per_history(law, t, prev):
@@ -396,7 +419,6 @@ def loop_enumerate_stopping_rules(horizon, y_size, cap=10**5):
 
 def loop_directed_mi_stopped(law, rule):
     from fbound.channel_model import SchemaError
-    from fbound.info_measures import mutual_information
 
     if rule.horizon > law.horizon:
         raise SchemaError("stopping rule runs past the law horizon")
@@ -405,7 +427,7 @@ def loop_directed_mi_stopped(law, rule):
         for prev, xy in dict_law(law).xy_node[t].items():
             if loop_is_stopped(rule, prev):
                 continue
-            total += dict_law(law).node_prob[t - 1][prev] * mutual_information(xy)
+            total += dict_law(law).node_prob[t - 1][prev] * mutual_information_bits(xy)
     return total
 
 
@@ -438,15 +460,13 @@ def loop_step_aggregates(law):
     """E over histories of the per-step information and divergence terms."""
     import numpy as np
 
-    from fbound.info_measures import mutual_information
-
     n = law.horizon
     ej = np.zeros(n + 1)
     ed = np.zeros(n + 1)
     for t in range(1, n + 1):
         for prev, xy in dict_law(law).xy_node[t].items():
             p = dict_law(law).node_prob[t - 1][prev]
-            ej[t] += p * mutual_information(xy)
+            ej[t] += p * mutual_information_bits(xy)
             ed[t] += p * _step_kl_per_history(law, t, prev)
     return ej, ed
 
@@ -459,6 +479,31 @@ def loop_rule_pairs(rules):
         for last in rules
         if first is not last and loop_dominates(first, last)
     ]
+
+
+def full_encoder_tables(m, x_size, y_size, horizon):
+    """Every deterministic encoder's step tables, ``tables[t - 1][w][i]``,
+    in the search's enumeration order: the generator that
+    ``bound_engine._encoder_steps`` replaced."""
+    step_spaces = []
+    for t in range(1, horizon + 1):
+        ylen = y_size ** (t - 1)
+        maps = []
+        for flat in itertools.product(range(x_size), repeat=m * ylen):
+            maps.append(tuple(tuple(flat[w * ylen : (w + 1) * ylen]) for w in range(m)))
+        step_spaces.append(maps)
+    yield from itertools.product(*step_spaces)
+
+
+def blockwise_encoder_tables(m, x_size, y_size, horizon):
+    """The step tables of every encoder whose input depends on the step and
+    message alone, in the search's enumeration order."""
+    per_step = list(itertools.product(range(x_size), repeat=m))
+    for combo in itertools.product(per_step, repeat=horizon):
+        yield tuple(
+            tuple((combo[t - 1][w],) * (y_size ** (t - 1)) for w in range(m))
+            for t in range(1, horizon + 1)
+        )
 
 
 def encoder_policy_from_tables(tables, m, x_size, y_size, horizon):
@@ -559,8 +604,6 @@ def loop_directed_kl_per_history_max(law, a, b):
 
 def loop_drift_levels(law):
     """(mi_drift, kl_drift) level dicts of ``drift_terms``."""
-    from fbound.info_measures import mutual_information
-
     mi_levels = []
     kl_levels = []
     for t in range(law.horizon + 1):
@@ -568,7 +611,7 @@ def loop_drift_levels(law):
         kl_lvl = {}
         if t >= 1:
             for prev in dict_law(law).xy_node[t]:
-                mi_lvl[prev] = mutual_information(dict_law(law).xy_node[t][prev])
+                mi_lvl[prev] = mutual_information_bits(dict_law(law).xy_node[t][prev])
                 kl_lvl[prev] = _step_kl_per_history(law, t, prev)
         mi_levels.append(mi_lvl)
         kl_levels.append(kl_lvl)

@@ -349,6 +349,27 @@ def test_exponent_search_over_the_budget_exits_3(budget, messages, error, capsys
     assert capsys.readouterr() == ("", f"error: {error}\n")
 
 
+def test_an_encoder_family_past_the_int64_index_exits_3(capsys, monkeypatch):
+    # under a budget of 2e19, the 2**64 per-step encoders of 32 messages at
+    # H = 2 are within the cap, but their indices do not fit an int64
+    monkeypatch.setenv("FBOUND_BUDGET", "2e19")
+    argv = ["bound-exponent", "--channel", FLIP2, "--rate", "0.1", "--horizon", "2",
+            "--messages", "32"]
+    assert main(argv) == 3
+    assert capsys.readouterr() == ("", "error: the per_step encoder family for m=32 has "
+                                   f"{2**64} encoders, over the int64 index cap {2**63 - 1}\n")
+
+
+@pytest.mark.parametrize("rate,message", [
+    ("nan", "rate must be a nonnegative number, got nan"),
+    ("1e400", "rate must be finite, got inf"),
+])
+def test_a_bad_exponent_rate_is_named(rate, message, capsys):
+    argv = ["bound-exponent", "--channel", BSC01, "--rate", rate, "--horizon", "2"]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("argv,env", [
     (["bound-capacity", "--channel", BSC01, "--grid", "0"], {}),
     (["bound-capacity", "--channel", BSC01, "--restarts", "-1"], {}),
@@ -361,10 +382,11 @@ def test_exponent_search_over_the_budget_exits_3(budget, messages, error, capsys
       "--cap", "2", "--trials", "20", "--threshold", "nan"], {}),
     (["burnashev", "--channel", BSC01, "--rate", "nan"], {}),
     (["bound-exponent", "--channel", BSC01, "--rate", "nan", "--messages", "2"], {}),
+    (["bound-exponent", "--channel", BSC01, "--rate", "inf", "--messages", "2"], {}),
     (["verify", "--channel", BSC01, "--suite", "maximal", "--trials", "0"], {}),
 ], ids=["grid-0", "restarts-neg", "sweeps-neg", "messages-0", "budget-inf",
         "budget-neg-inf", "budget-nan", "threshold-nan", "burnashev-rate-nan",
-        "exponent-rate-nan", "verify-trials-0"])
+        "exponent-rate-nan", "exponent-rate-inf", "verify-trials-0"])
 def test_bad_search_inputs_exit_2_with_a_message(argv, env, capsys, monkeypatch):
     for key, val in env.items():
         monkeypatch.setenv(key, val)

@@ -19,8 +19,8 @@ from fbound import bound_engine
 from fbound.bound_engine import (
     Candidates,
     SearchConfig,
-    _encoder_batch,
     _encoder_family,
+    _encoder_steps,
     _step_aggregates,
     exponent_bound,
     exponent_candidates,
@@ -31,6 +31,7 @@ from fbound.channel_model import (
     SchemaError,
     StoppingRule,
     _policy_row_keys,
+    encoder_tables,
     enumerate_stopping_rules,
     forward_joint,
     load_channel,
@@ -86,7 +87,7 @@ def _laws(name, horizon):
 
 
 def _tables_of(policy):
-    """A message-form policy's step tables, as ``Candidates.tables`` holds
+    """A message-form policy's step tables, as a maximizer record holds
     them: per step t, per message, the input after each y-history in
     lexicographic order."""
     hists = [list(itertools.product(range(policy.y_size), repeat=t - 1))
@@ -105,7 +106,9 @@ def _batched(name, horizon):
     out = {}
     for m in sorted({law.messages for law in laws if law.is_message_form}):
         group = [i for i, law in enumerate(laws) if law.is_message_form and law.messages == m]
-        table = _encoder_batch(ch, [_tables_of(laws[i].policy) for i in group], horizon, 10**7)
+        tables = [_tables_of(laws[i].policy) for i in group]
+        steps = [np.array([enc[t] for enc in tables]) for t in range(horizon)]
+        table = PolicyTable.of(encoder_tables(ch, steps, horizon, 10**7), ch.spec.y_size)
         out.update((i, (table, g)) for g, i in enumerate(group))
     for i, law in enumerate(laws):
         if not law.is_message_form:
@@ -378,7 +381,9 @@ def test_rules_shorter_than_the_law(name):
 
 
 def _loop_candidates(ch, horizon, cfg):
-    """The candidate search with the per-pair loop body of ``oracles``."""
+    """The candidate search with the encoder enumeration and the per-pair
+    loop body of ``oracles``: every encoder when there are at most
+    ``cfg.encoder_cap``, else the per-step ones."""
     if cfg.stopping == "all":
         pairs = oracles.loop_rule_pairs(enumerate_stopping_rules(horizon, ch.spec.y_size))
         kind = "rules"
@@ -386,9 +391,11 @@ def _loop_candidates(ch, horizon, cfg):
         pairs = [(t1, t) for t1 in range(1, horizon) for t in range(t1 + 1, horizon + 1)]
         kind = "fixed"
     out = []
+    x, y = ch.spec.x_size, ch.spec.y_size
     for m in cfg.messages:
-        family, _, _ = _encoder_family(m, ch.spec.x_size, ch.spec.y_size, horizon, cfg.encoder_cap)
-        for tables in family:
+        full = x ** (m * sum(y**t for t in range(horizon))) <= cfg.encoder_cap
+        family = (oracles.full_encoder_tables if full else oracles.blockwise_encoder_tables)
+        for tables in family(m, x, y, horizon):
             policy = oracles.encoder_policy_from_tables(
                 tables, m, ch.spec.x_size, ch.spec.y_size, horizon)
             law = forward_joint(ch, policy, horizon, budget=cfg.budget)
@@ -447,10 +454,44 @@ def test_exponent_candidates_in_several_batches_match_one_batch(
     whole, flags = exponent_candidates(ch, horizon, cfg)
     monkeypatch.setattr(bound_engine, "_PASS_SIZE", 50_000)
     split, split_flags = exponent_candidates(ch, horizon, cfg)
-    assert split_flags == flags and split.tables == whole.tables
+    assert split_flags == flags and split.kinds == whole.kinds
     for column in ("m", "encoder", "pair", "i_rate", "d_rate", "et", "et1", "first", "last"):
         got, want = getattr(split, column), getattr(whole, column)
         assert got.dtype == want.dtype and got.tolist() == want.tolist(), column
+
+
+@pytest.mark.parametrize("m,x,y,horizon", [
+    (1, 2, 2, 2), (2, 2, 2, 2), (3, 2, 2, 2), (1, 2, 2, 3), (1, 3, 2, 2), (1, 2, 3, 2),
+    (2, 3, 3, 2), (2, 3, 2, 3),
+])
+def test_encoder_steps_enumerate_the_reference_order(m, x, y, horizon):
+    # encoder k is k in base x over the family's cells, first most significant;
+    # the full family of (2, 3, 2, 3) has 3**14 encoders, of which the first
+    # 20,000 are compared
+    for kind, family in (("full", oracles.full_encoder_tables),
+                         ("per_step", oracles.blockwise_encoder_tables)):
+        want = list(itertools.islice(family(m, x, y, horizon), 20_000))
+        for ks in (range(len(want)), range(5, min(len(want), 17))):
+            steps = _encoder_steps(kind, ks, m, x, y, horizon)
+            assert [step.shape for step in steps] == [(len(ks), m, y**t) for t in range(horizon)]
+            got = [tuple(tuple(map(tuple, step[g].tolist())) for step in steps)
+                   for g in range(len(ks))]
+            assert got == want[ks.start:ks.stop], (kind, ks)
+        if len(want) < 20_000:
+            assert _encoder_family(m, x, y, horizon, len(want)) == (kind, len(want))
+
+
+@pytest.mark.parametrize("m,horizon,kind,count", [
+    (1, 6, "full", 2**63), (32, 2, "per_step", 2**64),
+])
+def test_an_encoder_family_past_the_int64_index_is_refused(m, horizon, kind, count):
+    # binary alphabets under a cap of 2**64: the count fits the cap, but the
+    # last index, count - 1, does not fit an int64
+    with pytest.raises(BudgetExceededError, match=(
+            f"^the {kind} encoder family for m={m} has {count} encoders, "
+            f"over the int64 index cap {2**63 - 1}$")):
+        _encoder_family(m, 2, 2, horizon, 2**64)
+    assert _encoder_family(m, 2, 2, horizon - 1, 2**64)[1] < 2**63
 
 
 def _record(cand):
@@ -462,10 +503,10 @@ def _record(cand):
 def _columns(i_rate, d_rate):
     n = len(i_rate)
     return Candidates(
-        m=np.full(n, 2), encoder=np.zeros(n, dtype=int), pair=np.zeros(n, dtype=int),
+        m=np.full(n, 2), encoder=np.ones(n, dtype=int), pair=np.zeros(n, dtype=int),
         i_rate=np.array(i_rate), d_rate=np.array(d_rate), et=np.full(n, 2.0),
-        et1=np.ones(n), tables=[((0, 1),)], first=np.array([1]), last=np.array([2]),
-        rules=None,
+        et1=np.ones(n), kinds={2: "full"}, sizes=(2, 2, 1), first=np.array([1]),
+        last=np.array([2]), rules=None,
     )
 
 
