@@ -298,17 +298,17 @@ def capacity_bound(ch: Channel, horizon: int, cfg: SearchConfig = SearchConfig()
     it, then on the grid's point count per row.  Every policy is valued as a
     reweighting of its trajectories (``reweighted_tables``), bit-identical
     to building the policy's own law, and once per search: values are
-    memoized on the tuple of rows in ``_policy_row_keys`` order.  At each row key a sweep values every grid move of that row, in
-    batches, then scans the moves in grid order and accepts one that beats
-    the current value by more than 1e-12.  Only that row changes in the
-    scan, so each move is the policy a one-move-at-a-time loop would form.
-    The gap loop reads the same move values around the maximizer.
+    memoized on the tuple of rows in ``InputPolicy.rows`` order.  At each
+    row key a sweep values every grid move of that row, in batches, then
+    scans the moves in grid order and accepts one that beats the current
+    value by more than 1e-12.  Only that row changes in the scan, so each
+    move is the policy a one-move-at-a-time loop would form.  The gap loop
+    reads the same move values around the maximizer and stores none.
     """
     if horizon < 1:
         raise SchemaError("horizon must be >= 1")
     rules, flags = _capacity_rules(ch, horizon, cfg)
     stack = rule_stack(rules, horizon)
-    keys = _policy_row_keys(ch, horizon)
     law = forward_joint(ch, uniform_behavioral_policy(ch, horizon), horizon, budget=cfg.budget)
     x_size, denom = ch.spec.x_size, cfg.grid_denominator
     points = math.comb(denom + x_size - 1, x_size - 1)
@@ -322,30 +322,30 @@ def capacity_bound(ch: Channel, horizon: int, cfg: SearchConfig = SearchConfig()
     batch = max(1, _PASS_SIZE // per_policy)
     memo: dict = {}
 
-    def values(policies):
+    def values(policies, store):  # store: the memo, or a dict of values not to keep
         new = [p for p in dict.fromkeys(policies) if p not in memo]
         for lo in range(0, len(new), batch):
             part = new[lo : lo + batch]
-            memo.update(zip(part, _capacity_values(law, np.array(part), rules, stack)))
-        return [memo[p] for p in policies]
+            store.update(zip(part, _capacity_values(law, np.array(part), rules, stack)))
+        return [memo[p] if p in memo else store[p] for p in policies]
 
-    def moves(rows, i):  # (grid point, (value, rule)) of each move of row i
-        return zip(grid, values([rows[:i] + (cand,) + rows[i + 1 :] for cand in grid]))
+    def moves(rows, i, store):  # (grid point, (value, rule)) of each move of row i
+        return zip(grid, values([rows[:i] + (cand,) + rows[i + 1 :] for cand in grid], store))
 
     best_val, best_rows, best_rule = -math.inf, None, None
     for restart in range(cfg.restarts + 1):
         if restart == 0:
-            rows = tuple(law.policy.rows[k] for k in keys)
+            rows = tuple(map(tuple, law.policy.rows.tolist()))
         else:
             if restart == 1:  # numpy.random loads only for a random restart
                 rng = np.random.default_rng(cfg.seed)
-            rows = tuple(grid[rng.integers(len(grid))] for _ in keys)
-        ((val, rule),) = values([rows])
+            rows = tuple(grid[rng.integers(len(grid))] for _ in law.policy.rows)
+        ((val, rule),) = values([rows], memo)
         for _ in range(cfg.sweeps):
             changed = False
-            for i in range(len(keys)):
+            for i in range(len(rows)):
                 cur = rows[i]
-                for cand, (v, ru) in moves(rows, i):
+                for cand, (v, ru) in moves(rows, i, memo):
                     if cand != cur and v > val + 1e-12:
                         cur, val, rule, changed = cand, v, ru, True
                 rows = rows[:i] + (cur,) + rows[i + 1 :]
@@ -354,17 +354,18 @@ def capacity_bound(ch: Channel, horizon: int, cfg: SearchConfig = SearchConfig()
         if val > best_val:
             best_val, best_rows, best_rule = val, rows, rule
 
-    # one-grid-step optimality gap around the maximizer
+    # one-grid-step optimality gap around the maximizer: its moves are
+    # read from the memo, and each row's new values are dropped after it
     gap = 0.0
     for i, cur in enumerate(best_rows):
-        for cand, (v, _) in moves(best_rows, i):
+        for cand, (v, _) in moves(best_rows, i, {}):
             if cand != cur:
                 gap = max(gap, v - best_val)
 
     maximizer = {
         "policy_rows": {
             f"{t}|{','.join(map(str, xh))}|{','.join(map(str, yh))}": list(row)
-            for (t, xh, yh), row in zip(keys, best_rows)
+            for (t, xh, yh), row in zip(_policy_row_keys(ch, horizon), best_rows)
         },
         "stop_set": sorted(list(s) for s in best_rule.stops),
     }
@@ -379,7 +380,9 @@ def capacity_bound(ch: Channel, horizon: int, cfg: SearchConfig = SearchConfig()
     )
 
 
-def _rows_from_maximizer(payload: dict):
+def _rows_from_maximizer(payload: dict, ch: Channel, horizon: int) -> InputPolicy:
+    """The stored policy rows as a behavioral policy, rows in
+    ``_policy_row_keys`` order; a stored row off those keys is not read."""
     stored = payload.get("policy_rows")
     if not isinstance(stored, dict):
         raise SchemaError(f"stored policy rows {stored!r} are not a mapping")
@@ -393,7 +396,12 @@ def _rows_from_maximizer(payload: dict):
         except (AttributeError, TypeError, ValueError) as e:
             raise SchemaError(f"stored policy row {key!r}: {row!r} is not a 't|x,..|y,..' key "
                               f"with a list of input probabilities") from e
-    return rows
+    keys = _policy_row_keys(ch, horizon)
+    for t, xh, yh in keys:
+        if (t, xh, yh) not in rows:
+            raise SchemaError(f"behavioral policy lacks row (t={t}, {xh}, {yh})")
+    return InputPolicy(horizon=horizon, x_size=ch.spec.x_size, y_size=ch.spec.y_size,
+                       rows=[rows[k] for k in keys])
 
 
 def _tables_from_maximizer(payload: dict, x_size: int, y_size: int, horizon: int):
@@ -448,16 +456,16 @@ def _encoder_steps(kind, ks, m, x_size, y_size, horizon):
     encoders ``ks[g]``, a range of indices into a ``_encoder_family``.
     Encoder k is k written in base x_size over the family's cells, first
     cell most significant: (t, w, i) for "full", the step, message and
-    output-history index; (t, w) for "per_step", whose input is repeated
-    over the y_size**(t-1) histories."""
+    output-history index; (t, w) for "per_step", whose steps are width-1
+    tables, one input for every history."""
     widths = [y_size ** (t - 1) if kind == "full" else 1 for t in range(1, horizon + 1)]
     k = np.arange(ks.start, ks.stop, dtype=np.int64)
     digits = np.empty((k.size, m * sum(widths)), dtype=np.intp)
     for cell in reversed(range(digits.shape[1])):
         k, digits[:, cell] = np.divmod(k, x_size)
     cuts = np.cumsum([m * width for width in widths])[:-1]
-    return [np.broadcast_to(step.reshape(len(ks), m, widths[t]), (len(ks), m, y_size**t))
-            for t, step in enumerate(np.split(digits, cuts, axis=1))]
+    return [step.reshape(len(ks), m, width)
+            for step, width in zip(np.split(digits, cuts, axis=1), widths)]
 
 
 def _step_aggregates(table: PolicyTable, horizon: int):
@@ -589,7 +597,9 @@ class Candidates:
             sorted(list(s) for s in self.rules[r].stops) for r in (a, b))
         m, e = int(self.m[k]), int(self.encoder[k])
         steps = _encoder_steps(self.kinds[m], range(e, e + 1), m, *self.sizes)
-        return {"m": m, "encoder_tables": [step[0].tolist() for step in steps], "pair": pair}
+        tables = [np.broadcast_to(step[0], (m, self.sizes[1] ** t)).tolist()
+                  for t, step in enumerate(steps)]
+        return {"m": m, "encoder_tables": tables, "pair": pair}
 
 
 def exponent_candidates(
@@ -691,16 +701,14 @@ def reevaluate(result: BoundResult, ch: Channel, cfg: SearchConfig = SearchConfi
     policy rows as a reweighting of the uniform law (``_capacity_values``).
     So it refuses what the search refused, the trajectory budget included."""
     if result.kind == "capacity":
-        rows = _rows_from_maximizer(result.maximizer)
+        horizon = result.horizon
+        policy = _rows_from_maximizer(result.maximizer, ch, horizon)
         if "stop_set" not in result.maximizer:
             raise SchemaError("stored capacity maximizer has no stop set")
-        horizon = result.horizon
         rule = StoppingRule(horizon, ch.spec.y_size, result.maximizer["stop_set"])
-        policy = InputPolicy(horizon=horizon, x_size=ch.spec.x_size, y_size=ch.spec.y_size,
-                             rows=rows)
-        px = np.array([[policy.input_distribution(*key) for key in _policy_row_keys(ch, horizon)]])
         law = forward_joint(ch, uniform_behavioral_policy(ch, horizon), horizon, budget=cfg.budget)
-        ((value, _),) = _capacity_values(law, px, [rule], rule_stack([rule], horizon))
+        ((value, _),) = _capacity_values(law, policy.rows[None], [rule],
+                                         rule_stack([rule], horizon))
         return value
     if result.kind == "exponent":
         steps = _tables_from_maximizer(result.maximizer, ch.spec.x_size, ch.spec.y_size,

@@ -4,30 +4,32 @@ and exact joint-law enumeration.
 A channel instance is a pair (ChannelSpec, StateKernel): the spec holds the
 per-state transition matrix Q[s][x][y] = P(y | x, s), the kernel describes how
 the state sequence evolves given past states and past inputs.  Together with
-an input policy (either behavioral rows P(x_t | x-history, y-history) or a
-message-form deterministic encoder) they induce a unique joint distribution
-over (message, input, state, output) trajectories up to a finite horizon.
-``forward_joint`` materializes that law exactly as the set of all
-positive-probability trajectories, which is the verification strategy used
-throughout: all downstream quantities (posteriors, entropy processes, drift
-terms) are exact sums over this enumeration.
+an input policy (``InputPolicy``: arrays of behavioral rows P(x_t |
+x-history, y-history), or the step tables of a message-form deterministic
+encoder) they induce a unique joint distribution over (message, input,
+state, output) trajectories up to a finite horizon.  ``forward_joint``
+materializes that law exactly as the set of all positive-probability
+trajectories, which is the verification strategy used throughout: all
+downstream quantities (posteriors, entropy processes, drift terms) are
+exact sums over this enumeration.
 
 Trajectories are formed in one loop (``_grow``), breadth first, one level
 of the trajectory tree per step, with the children of all live prefixes
 formed in one array pass in the order a depth-first walk would visit them,
 and with a leading law axis: ``forward_joint`` runs it for one law, of
 either policy form, and ``encoder_tables`` for many deterministic encoders
-over the trajectories they share.  The per-output-history tables are then
-one ``np.bincount`` each over the trajectories in that order.  Both keep
-the products and the summation order of a plain recursive walk with
-running per-node sums, so every probability and table entry is bit-for-bit
-the value such a walk gives.  A law is arrays only: the tables are flat
+over the trajectories they share, both through one encoder table read
+(``_table_inputs``).  The per-output-history tables are then one
+``np.bincount`` each over the trajectories in that order.  Both keep the
+products and the summation order of a plain recursive walk with running
+per-node sums, so every probability and table entry is bit-for-bit the
+value such a walk gives.  A law is arrays only: the tables are flat
 arrays over the realizable output histories of all levels (a sparse
 fixed-arity tree), numbered level by level in order of first appearance,
 and the trajectories are per-level parent and symbol arrays.  Histories
-are tuples of integer symbols only where a caller asks for them: policy
-arguments, error messages, ``JointLaw.trajectories`` and stop sets (a
-``StoppingRule`` is a stop-time array).  Budgets cap enumeration size.
+are tuples of integer symbols only where a caller asks for them: error
+messages, ``JointLaw.trajectories`` and stop sets (a ``StoppingRule`` is a
+stop-time array).  Budgets cap enumeration size.
 ``reweighted_tables`` gives the tables of many behavioral policies at once,
 each as a reweighting of one full-support law's trajectories, with no
 trajectory formed.  Both many-law functions return each law's tables bit
@@ -42,7 +44,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -127,14 +129,23 @@ def check_seed(seed, what: str) -> None:
         raise SchemaError(f"{what} must be an integer in 0..2**64 - 1, got {seed!r}")
 
 
-def _check_distribution(vec: np.ndarray, what: str) -> None:
-    if not np.isfinite(vec).all():
-        raise DistributionError(f"{what} has a non-finite entry")
-    if np.any(vec < 0):
-        raise DistributionError(f"{what} has a negative entry")
-    s = float(vec.sum())
-    if abs(s - 1.0) > VALIDATION_TOL:
-        raise DistributionError(f"{what} sums to {s!r}, not 1 within {VALIDATION_TOL}")
+def _check_distribution(rows: np.ndarray, what) -> None:
+    """Check every row (last axis) of ``rows`` as a distribution, in one
+    array pass.  The first failing row, in C order, raises the error of its
+    first failed check, named ``what`` for a vector and ``what(index)``, its
+    index over the leading axes, for a row of a larger array."""
+    flat = rows.reshape(math.prod(rows.shape[:-1]), rows.shape[-1])
+    finite, neg, sums = np.isfinite(flat).all(axis=1), (flat < 0).any(axis=1), flat.sum(axis=1)
+    bad = np.flatnonzero(~finite | neg | (np.abs(sums - 1.0) > VALIDATION_TOL))
+    if bad.size:
+        i = bad[0]
+        if rows.ndim > 1:
+            what = what(tuple(int(v) for v in np.unravel_index(i, rows.shape[:-1])))
+        if not finite[i]:
+            raise DistributionError(f"{what} has a non-finite entry")
+        if neg[i]:
+            raise DistributionError(f"{what} has a negative entry")
+        raise DistributionError(f"{what} sums to {float(sums[i])!r}, not 1 within {VALIDATION_TOL}")
 
 
 def _canonicalize_rows(arr: np.ndarray) -> np.ndarray:
@@ -175,9 +186,7 @@ class ChannelSpec:
                 f"Q shape {q.shape} does not match (s_size, x_size, y_size)="
                 f"({self.s_size}, {self.x_size}, {self.y_size})"
             )
-        for s in range(self.s_size):
-            for x in range(self.x_size):
-                _check_distribution(q[s, x], f"Q row (s={s}, x={x})")
+        _check_distribution(q, lambda i: f"Q row (s={i[0]}, x={i[1]})")
         object.__setattr__(self, "q", q)
 
     @property
@@ -242,9 +251,7 @@ class StateKernel:
             if init.shape != (self.s_size,):
                 raise SchemaError("markov1 init must have shape (s_size,)")
             _check_distribution(init, "initial state distribution")
-            for s in range(self.s_size):
-                for x in range(self.x_size):
-                    _check_distribution(t[s, x], f"state transition row (s={s}, x={x})")
+            _check_distribution(t, lambda i: f"state transition row (s={i[0]}, x={i[1]})")
             object.__setattr__(self, "table", t)
             object.__setattr__(self, "init", init)
             uses = (init[None, None], t)
@@ -255,8 +262,7 @@ class StateKernel:
                 want = (self.s_size ** (t - 1), self.x_size ** (t - 1), self.s_size)
                 if a.shape != want:
                     raise SchemaError(f"history_table level {t} must have shape {want}")
-                for rowidx in np.ndindex(a.shape[0], a.shape[1]):
-                    _check_distribution(a[rowidx], f"state row t={t}, hist={rowidx}")
+                _check_distribution(a, lambda i: f"state row t={t}, hist={i}")
             object.__setattr__(self, "levels", lv)
             uses = lv
         else:
@@ -469,67 +475,68 @@ def two_state_flip_channel(
 # ---------------------------------------------------------------------------
 
 
-EncoderFn = Callable[[int, int, tuple[int, ...]], int]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InputPolicy:
-    """Either a behavioral policy or a message-form deterministic encoder.
+    """Either a message-form deterministic encoder or a behavioral policy,
+    as arrays.
 
-    Behavioral form: ``rows[(t, x_hist, y_hist)]`` is the distribution of
-    X_t given the two histories (tuples of length t-1).  Message form:
-    ``encoder(t, w, y_hist)`` gives the input for message w at time t; the
-    message is uniform on range(messages).
+    Message form: ``tables[t - 1][w, i]`` is the input for message w at
+    step t after the output history with ``_hist_index`` i, read at column
+    ``i % width`` of an integer array of shape (messages, 1) or (messages,
+    y_size**(t-1)), ``encoder_tables``' format; the message is uniform on
+    range(messages).  An input outside the alphabet is refused where a law
+    reads it.  Behavioral form: ``rows``, a float array of shape (keys,
+    x_size), holds in row k the distribution of X_t at the k-th key (t,
+    x^{t-1}, y^{t-1}) of ``_policy_row_keys``.
     """
 
     horizon: int
     x_size: int
     y_size: int
     messages: int | None = None
-    encoder: EncoderFn | None = None
-    rows: Mapping[tuple[int, tuple[int, ...], tuple[int, ...]], tuple[float, ...]] | None = None
+    tables: tuple[np.ndarray, ...] | None = None
+    rows: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if (self.messages is None) == (self.rows is None):
+        if (self.tables is None) == (self.rows is None) or (
+                (self.messages is None) != (self.tables is None)):
             raise SchemaError("policy must be exactly one of message-form or behavioral")
-        if self.messages is not None:
-            if self.messages < 1:
+        if self.tables is not None:
+            m, y = self.messages, self.y_size
+            if m < 1:
                 raise SchemaError("message count must be >= 1")
-            if self.encoder is None:
-                raise SchemaError("message-form policy needs an encoder")
-        else:
-            # one array pass; the per-row loop only runs to name the first
-            # bad row and its first failed check
-            try:
-                arr = np.array(list(self.rows.values()), dtype=float)
-                ok = (arr.shape == (len(self.rows), self.x_size) and not np.any(arr < 0)
-                      and np.all(np.abs(arr.sum(axis=1) - 1.0) <= VALIDATION_TOL))
-            except (TypeError, ValueError):  # ragged or non-numeric rows
-                ok = False
-            for key, row in () if ok else self.rows.items():
+            if len(self.tables) != self.horizon:
+                raise SchemaError(f"a message-form policy of horizon {self.horizon} needs "
+                                  f"{self.horizon} step tables, got {len(self.tables)}")
+            steps = []
+            for t, step in enumerate(self.tables, start=1):
                 try:
-                    arr = np.asarray(row, dtype=float)
-                except (TypeError, ValueError):
-                    raise SchemaError(f"behavioral row {key} is not a numeric vector") from None
-                if arr.shape != (self.x_size,):
-                    raise SchemaError(f"behavioral row {key} has wrong arity")
-                _check_distribution(arr, f"behavioral row {key}")
+                    step = np.asarray(step)
+                except ValueError:  # ragged
+                    step = None
+                if step is None or step.dtype.kind not in "iu" or step.shape not in (
+                        (m, 1), (m, y ** (t - 1))):
+                    raise SchemaError(f"step table {t} is not an integer array of shape "
+                                      f"({m}, 1) or ({m}, {y}**{t - 1})")
+                # an unsigned input would turn the input-history index float
+                steps.append(step.astype(np.intp, copy=False))
+            object.__setattr__(self, "tables", tuple(steps))
+        else:
+            count = _policy_row_count(self.x_size, self.y_size, self.horizon)
+            try:
+                rows = np.asarray(self.rows, dtype=float)
+            except (TypeError, ValueError):  # ragged or non-numeric rows
+                raise SchemaError("behavioral rows are not a numeric array") from None
+            if rows.shape != (count, self.x_size):
+                raise SchemaError(f"behavioral rows have shape {rows.shape}, not "
+                                  f"({count}, {self.x_size})")
+            _check_distribution(
+                rows, lambda i: f"behavioral row {_row_key(i[0], self.x_size, self.y_size)}")
+            object.__setattr__(self, "rows", rows)
 
     @property
     def is_message_form(self) -> bool:
         return self.messages is not None
-
-    def input_distribution(
-        self, t: int, x_hist: tuple[int, ...], y_hist: tuple[int, ...]
-    ) -> np.ndarray:
-        if self.is_message_form:
-            raise MessageStructureError(
-                "a message-form policy has no behavioral rows: its input depends on the message"
-            )
-        try:
-            return np.asarray(self.rows[(t, x_hist, y_hist)], dtype=float)
-        except KeyError as e:
-            raise SchemaError(f"behavioral policy lacks row (t={t}, {x_hist}, {y_hist})") from e
 
 
 def repetition_encoder(m: int, x_size: int, horizon: int, y_size: int = 2) -> InputPolicy:
@@ -537,11 +544,8 @@ def repetition_encoder(m: int, x_size: int, horizon: int, y_size: int = 2) -> In
     Requires m <= x_size."""
     if m > x_size:
         raise SchemaError("repetition needs at least as many inputs as messages")
-
-    def enc(t: int, w: int, y_hist: tuple[int, ...]) -> int:
-        return w
-
-    return InputPolicy(horizon=horizon, x_size=x_size, y_size=y_size, messages=m, encoder=enc)
+    return InputPolicy(horizon=horizon, x_size=x_size, y_size=y_size, messages=m,
+                       tables=(np.arange(m)[:, None],) * horizon)
 
 
 def rotating_encoder(m: int, x_size: int, horizon: int, y_size: int = 2) -> InputPolicy:
@@ -550,32 +554,46 @@ def rotating_encoder(m: int, x_size: int, horizon: int, y_size: int = 2) -> Inpu
     digits.  For m = x_size**k this keeps the input distribution uniform for
     the first k steps under a uniform prior."""
     digits = max(1, math.ceil(math.log(max(m, 2), x_size)))
+    w = np.arange(m)[:, None]
+    return InputPolicy(horizon=horizon, x_size=x_size, y_size=y_size, messages=m,
+                       tables=tuple(w // x_size ** ((t - 1) % digits) % x_size
+                                    for t in range(1, horizon + 1)))
 
-    def enc(t: int, w: int, y_hist: tuple[int, ...]) -> int:
-        d = (t - 1) % digits
-        return (w // x_size**d) % x_size
 
-    return InputPolicy(horizon=horizon, x_size=x_size, y_size=y_size, messages=m, encoder=enc)
+def _policy_row_count(x_size: int, y_size: int, horizon: int) -> int:
+    """The row count of a behavioral policy, refused past
+    ``DEFAULT_TRAJECTORY_BUDGET``, which 64 levels of 2 or more (x, y)
+    pairs pass."""
+    xy = x_size * y_size
+    count = horizon if xy == 1 else (xy ** min(horizon, 64) - 1) // (xy - 1)
+    if count > DEFAULT_TRAJECTORY_BUDGET:
+        raise BudgetExceededError(f"a behavioral policy of horizon {horizon} has over "
+                                  f"{DEFAULT_TRAJECTORY_BUDGET} rows")
+    return count
 
 
 def _policy_row_keys(ch: Channel, horizon: int) -> list[tuple]:
     """The keys (t, x^{t-1}, y^{t-1}) of a behavioral policy's rows, t =
     1..horizon, each history in lexicographic order: the row order of
-    ``reweighted_tables``."""
-    keys = []
-    for t in range(1, horizon + 1):
-        for xh in itertools.product(range(ch.spec.x_size), repeat=t - 1):
-            for yh in itertools.product(range(ch.spec.y_size), repeat=t - 1):
-                keys.append((t, xh, yh))
-    return keys
+    ``InputPolicy.rows`` and ``reweighted_tables``."""
+    x, y = ch.spec.x_size, ch.spec.y_size
+    return [_row_key(i, x, y) for i in range(_policy_row_count(x, y, horizon))]
+
+
+def _row_key(index: int, x_size: int, y_size: int) -> tuple:
+    """The key of row ``index`` of a behavioral policy."""
+    t, level = 1, 1
+    while index >= level:
+        index, t, level = index - level, t + 1, level * x_size * y_size
+    xi, yi = divmod(index, y_size ** (t - 1))
+    return (t, _path_at(xi, x_size, t - 1), _path_at(yi, y_size, t - 1))
 
 
 def uniform_behavioral_policy(ch: Channel, horizon: int) -> InputPolicy:
-    """Uniform i.i.d. inputs on every reachable history, rows in
-    ``_policy_row_keys`` order."""
-    row = tuple(np.full(ch.spec.x_size, 1.0 / ch.spec.x_size))
-    return InputPolicy(horizon=horizon, x_size=ch.spec.x_size, y_size=ch.spec.y_size,
-                       rows=dict.fromkeys(_policy_row_keys(ch, horizon), row))
+    """Uniform i.i.d. inputs on every reachable history."""
+    x, y = ch.spec.x_size, ch.spec.y_size
+    return InputPolicy(horizon=horizon, x_size=x, y_size=y,
+                       rows=np.full((_policy_row_count(x, y, horizon), x), 1.0 / x))
 
 
 # ---------------------------------------------------------------------------
@@ -958,46 +976,39 @@ def _grow(ch: Channel, horizon: int, budget: int, m: int, laws: int, inputs):
     return prob, lives, msg, steps, sizes, np.concatenate(parents), np.concatenate(symbols)
 
 
-def _policy_inputs(policy: InputPolicy, spec: ChannelSpec):
-    """``_grow``'s inputs for the one law of ``policy``.  Step t calls the
-    policy (or encoder) once per distinct (input history, output history)
-    (or (message, output history)) of the live prefixes, in order of first
-    appearance, with the histories as tuples, so no history index is
-    formed; with one state, each prefix is its own call."""
-    encoder = policy.encoder if policy.is_message_form else None
-    xn, sn, yn = spec.x_size, spec.s_size, spec.y_size
-    single = [(a,) for a in range(max(xn, yn))]
-    # the arguments of each call, and each live prefix's call
-    calls = [(w, ()) for w in range(policy.messages)] if encoder else [((), ())]
-    call = np.arange(len(calls))
+def _table_inputs(tables, m: int, y_size: int):
+    """``_grow``'s inputs read off the step tables ``tables[t - 1][g, w,
+    i]`` of one encoder per law.  The history index i wraps past 63 binary
+    levels, where only a width-1 table can be read."""
+    hist = np.zeros(m, dtype=np.intp)  # each prefix's output-history index
 
     def inputs(t, laws, msg, steps):
-        nonlocal calls, call
-        if steps:  # the calls of step t - 1's children: one per distinct
-            # (parent call, x, y), where an encoder's call fixes x
-            par, (_, x, y, _) = steps[-1]
-            parent = call.take(par)
-            if sn == 1:
-                call = first = np.arange(par.size)
-            else:
-                call, first = _first_appearance(
-                    parent * yn + y if encoder else (parent * xn + x) * yn + y)
-            c, a, b = (v.take(first).tolist() for v in (parent, x, y))
-            if encoder:
-                calls = [(calls[i][0], calls[i][1] + single[k]) for i, k in zip(c, b)]
-            else:
-                calls = [(calls[i][0] + single[j], calls[i][1] + single[k])
-                         for i, j, k in zip(c, a, b)]
-        if encoder:
-            xs = np.array([encoder(t, w, h) for w, h in calls])
-            if xs.dtype.kind not in "iu":
-                raise SchemaError(f"encoder input outside 0..{xn - 1} at t={t}")
-            # an unsigned input would turn the input-history index float
-            return xs.astype(np.intp).take(call)[None], None
-        px = np.array([policy.input_distribution(t, a, b) for a, b in calls])
-        return None, px.take(call, 0)[None]
+        nonlocal hist
+        if steps:
+            par, rows = steps[-1]
+            hist = hist.take(par) * y_size + rows[-2]
+        step = tables[t - 1]
+        return step[:laws, msg, hist % step.shape[2]], None
 
     return inputs
+
+
+def _row_index(x_size: int, y_size: int):
+    """Each step-t prefix's row of ``InputPolicy.rows``, at its input- and
+    output-history indices: a function of (t, steps), called at t = 1, 2,
+    ... with the steps of one behavioral law so far (``_grow``'s)."""
+    xh = yh = np.zeros(1, dtype=np.intp)
+    start = 0  # the first row of step t
+
+    def index(t, steps):
+        nonlocal xh, yh, start
+        if steps:
+            par, (_, x, y, _) = steps[-1]
+            xh, yh = xh.take(par) * x_size + x, yh.take(par) * y_size + y
+            start += (x_size * y_size) ** (t - 2)
+        return start + xh * y_size ** (t - 1) + yh
+
+    return index
 
 
 def forward_joint(
@@ -1008,8 +1019,9 @@ def forward_joint(
 ) -> JointLaw:
     """Enumerate the exact joint law over all positive-probability
     trajectories of length ``horizon``: ``_grow`` with one law, whose
-    inputs come from calling the policy (``_policy_inputs``), and its
-    tables from ``_level_tables`` over the same level arrays.
+    inputs are read off the policy's arrays (``_table_inputs`` or
+    ``_row_index``), and its tables from ``_level_tables`` over the same
+    level arrays.
 
     Raises BudgetExceededError when the live trajectory count would exceed
     ``budget``, naming the count and step reached, and SchemaError for a
@@ -1024,9 +1036,15 @@ def forward_joint(
         raise SchemaError("policy horizon shorter than requested law horizon")
     if policy.x_size != spec.x_size or policy.y_size != spec.y_size:
         raise SchemaError("policy alphabet sizes do not match the channel")
-    m = policy.messages if policy.is_message_form else 1
-    prob, lives, msg, steps, sizes, parents, symbols = _grow(
-        ch, horizon, budget, m, 1, _policy_inputs(policy, spec))
+    if policy.is_message_form:
+        m = policy.messages
+        inputs = _table_inputs([s[None] for s in policy.tables], m, spec.y_size)
+    else:
+        m, row = 1, _row_index(spec.x_size, spec.y_size)
+
+        def inputs(t, laws, msg, steps):  # one row per prefix
+            return None, policy.rows[row(t, steps)][None]
+    prob, lives, msg, steps, sizes, parents, symbols = _grow(ch, horizon, budget, m, 1, inputs)
     del lives  # one law's masks are all true; free them before the tables
     node_prob, w_post, xy_node, wy_node = (
         table[0] for table in _level_tables(prob, msg, steps, sizes, m, spec.x_size, spec.y_size))
@@ -1050,30 +1068,22 @@ def forward_joint(
 def encoder_tables(ch: Channel, tables, horizon: int, budget: int = DEFAULT_TRAJECTORY_BUDGET):
     """The output-history tables of many deterministic encoders' laws,
     each bit for bit its own law's: ``_grow`` with one law per encoder.
-    ``tables[t - 1][g, w, i]``, an integer array (the exponent search's are
-    digit arrays, ``bound_engine._encoder_steps``), is encoder g's input for
-    message w at step t after the output history with ``_hist_index`` i,
+    ``tables[t - 1][g, w, i]`` is encoder g's step table at step t, in
+    ``InputPolicy``'s message form with a leading encoder axis (the
+    exponent search's are digit arrays, ``bound_engine._encoder_steps``),
     read only where the encoder's law reaches.  Each encoder's nodes are
     numbered by their first live trajectory, as ``forward_joint`` numbers
     them, and the ones it cannot reach come last in their level, with
-    zeros.  Raises
-    ``forward_joint``'s error for the first encoder whose law fails.
+    zeros.  Raises ``forward_joint``'s error for the first encoder whose
+    law fails.
 
     Returns ``reweighted_tables``' (sizes, index, node_prob, xy_node).
     """
     _check_cap(ch, horizon)
     laws, m = tables[0].shape[:2]
     xn, yn = ch.spec.x_size, ch.spec.y_size
-    hist = np.zeros(m, dtype=np.intp)  # each prefix's output-history index
-
-    def inputs(t, laws, msg, steps):
-        nonlocal hist
-        if steps:
-            par, rows = steps[-1]
-            hist = hist.take(par) * yn + rows[-2]
-        return tables[t - 1][:laws, msg, hist], None
-
-    prob, lives, msg, steps, sizes, parents, symbols = _grow(ch, horizon, budget, m, laws, inputs)
+    prob, lives, msg, steps, sizes, parents, symbols = _grow(
+        ch, horizon, budget, m, laws, _table_inputs(tables, m, yn))
     # each level's prefixes by output node; level 0's are all at the root
     firsts, base = [], 0
     for live, (_, rows) in zip(lives, [(None, np.zeros((1, m), dtype=np.intp))] + steps):
@@ -1173,22 +1183,22 @@ def _reweighting_plan(law: JointLaw):
     flattened rows, its state and channel factors, the level's
     ``_node_groups`` and key base; the row count; and each node's
     ``_hist_index``."""
-    if law.is_message_form or min(map(min, law.policy.rows.values())) <= 0.0:
+    if law.is_message_form or law.policy.rows.min() <= 0.0:
         raise SchemaError("reweighting needs the law of a behavioral policy with no zero entry")
     spec, kernel = law.channel.spec, law.channel.kernel
     xn, sn, yn = spec.x_size, spec.s_size, spec.y_size
     check_tree_size(yn, law.horizon)
-    s_mem = x_mem = xh = yh = np.zeros(1, dtype=np.intp)
-    levels, row, base = [], 0, 1
+    s_mem = x_mem = np.zeros(1, dtype=np.intp)
+    levels, row, base = [], _row_index(xn, yn), 1
     for t, (par, (node, x, y, s)) in enumerate(law.steps, start=1):
         at, s_mem, x_mem = kernel.rows(t, s_mem, x_mem)
         ps = kernel.use_table(t).reshape(-1, sn)[at.take(par), s]
-        entry = (row + xh.take(par) * yn ** (t - 1) + yh.take(par)) * xn + x
+        entry = row(t, law.steps[: t - 1]).take(par) * xn + x
         levels.append((par, entry, ps, spec.q[s, x, y], _node_groups(node), base))
-        row, base = row + (xn * yn) ** (t - 1), base + par.size + 1
+        base += par.size + 1
         s_mem, x_mem = kernel.advance(s_mem.take(par), x_mem.take(par), s, x)
-        xh, yh = xh.take(par) * xn + x, yh.take(par) * yn + y
-    return levels, row, _node_index(law.node_parent, law.node_symbol, law.sizes, yn)
+    rows = _policy_row_count(xn, yn, law.horizon)
+    return levels, rows, _node_index(law.node_parent, law.node_symbol, law.sizes, yn)
 
 
 def _level_tables(prob, msg, steps, sizes, m, xn, yn, reach=None):

@@ -75,10 +75,10 @@ _NORM_TOL = 1e-10
 _NORMAL_MIN = sys.float_info.min
 
 
-def _as_dist(p, what: str) -> np.ndarray:
+def _as_dist(p, what: str, ndim: int = 1) -> np.ndarray:
     arr = np.asarray(p, dtype=float)
-    if arr.ndim != 1:
-        raise DistributionError(f"{what} must be a vector")
+    if arr.ndim != ndim:
+        raise DistributionError(f"{what} must be a {('vector', 'matrix')[ndim - 1]}")
     return arr[None]
 
 
@@ -141,7 +141,7 @@ def _v_term(rate: float, i_rate: float, eps: float, n: int, et: float) -> float:
 
 def mutual_information(joint: np.ndarray) -> float:
     """I(A;B) in bits from a joint table P(a, b)."""
-    return float(_joint_mi(np.asarray(joint, dtype=float)))
+    return float(_joint_mi(_as_dist(joint, "mutual information joint", ndim=2))[0])
 
 
 # ---------------------------------------------------------------------------

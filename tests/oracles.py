@@ -506,20 +506,30 @@ def blockwise_encoder_tables(m, x_size, y_size, horizon):
         )
 
 
-def encoder_policy_from_tables(tables, m, x_size, y_size, horizon):
-    """The message-form policy of one encoder's step tables, the per-law
-    form that ``channel_model.encoder_tables`` replaced: tables[t-1][w][i]
-    is the input sent for message w at step t after the y-history with
-    lexicographic index i."""
-    from fbound.channel_model import InputPolicy
+def _tuple_index(hist, arity):
+    idx = 0
+    for sym in hist:
+        idx = idx * arity + sym
+    return idx
 
-    def enc(t, w, y_hist):
-        idx = 0
-        for sym in y_hist:
-            idx = idx * y_size + sym
-        return tables[t - 1][w][idx]
 
-    return InputPolicy(horizon=horizon, x_size=x_size, y_size=y_size, messages=m, encoder=enc)
+def encoder_input(policy, t, w, y_hist):
+    """A message-form policy's input for message w at step t after the
+    output history ``y_hist``: its step table's entry at the history's
+    lexicographic index, taken modulo the table's width (1 or
+    y_size**(t-1))."""
+    step = policy.tables[t - 1]
+    return int(step[w, _tuple_index(y_hist, policy.y_size) % step.shape[1]])
+
+
+def behavioral_row(policy, t, x_hist, y_hist):
+    """A behavioral policy's input row at (t, x_hist, y_hist): its rows are
+    ordered by t, then x-history, then y-history, each lexicographic."""
+    xy = policy.x_size * policy.y_size
+    first = sum(xy ** (s - 1) for s in range(1, t))
+    index = (_tuple_index(x_hist, policy.x_size) * policy.y_size ** (t - 1)
+             + _tuple_index(y_hist, policy.y_size))
+    return policy.rows[first + index]
 
 
 def loop_pair_candidates(law, m, tables, pairs, pair_kind):
@@ -720,9 +730,9 @@ def loop_forward_joint(ch, policy, horizon, budget=10**7):
                 )
             return
         if policy.is_message_form:
-            x_choices = [(policy.encoder(t, w, y_hist), 1.0)]
+            x_choices = [(encoder_input(policy, t, w, y_hist), 1.0)]
         else:
-            row = policy.input_distribution(t, x_hist, y_hist)
+            row = behavioral_row(policy, t, x_hist, y_hist)
             x_choices = [(x, float(row[x])) for x in range(spec.x_size) if row[x] > 0.0]
         s_row = _state_law(kernel, t, s_hist, x_hist)
         for x, px in x_choices:
@@ -768,11 +778,12 @@ def _capacity_objective(ch, rows, horizon, rules, stack, budget):
     all rules at once; ``stack`` is ``rule_stack(rules, horizon)``.  Ties go
     to the earliest rule.  It builds the policy's own law: the reference
     that the search's batched valuation of the uniform law matches."""
-    from fbound.channel_model import InputPolicy, forward_joint
+    from fbound.channel_model import InputPolicy, _policy_row_keys, forward_joint
     from fbound.info_measures import node_table, stopped_values
 
     policy = InputPolicy(
-        horizon=horizon, x_size=ch.spec.x_size, y_size=ch.spec.y_size, rows=rows
+        horizon=horizon, x_size=ch.spec.x_size, y_size=ch.spec.y_size,
+        rows=[rows[k] for k in _policy_row_keys(ch, horizon)]
     )
     law = forward_joint(ch, policy, horizon, budget=budget)
     et, mi = stopped_values(node_table(law).one_law, *stack)
@@ -874,27 +885,31 @@ def loop_capacity_bound(ch, horizon, cfg):
 DRIFT_TOL = 1e-10  # drift_verify.DRIFT_TOL
 
 
-def loop_check_behavioral_rows(self) -> None:
-    """``InputPolicy.__post_init__``, one row at a time; ``self`` is the
-    policy."""
-    from fbound.channel_model import SchemaError, _check_distribution
+def loop_check_behavioral_rows(rows, x_size, y_size, horizon) -> None:
+    """``InputPolicy``'s check of behavioral rows, one row at a time: the
+    rows as one (keys, X) float array, then each row, in key order, by the
+    per-row distribution check that ``channel_model._check_distribution``
+    replaced."""
+    from fbound.channel_model import VALIDATION_TOL, DistributionError, SchemaError
 
-    if (self.messages is None) == (self.rows is None):
-        raise SchemaError("policy must be exactly one of message-form or behavioral")
-    if self.messages is not None:
-        if self.messages < 1:
-            raise SchemaError("message count must be >= 1")
-        if self.encoder is None:
-            raise SchemaError("message-form policy needs an encoder")
-    else:
-        for key, row in self.rows.items():
-            try:
-                arr = np.asarray(row, dtype=float)
-            except (TypeError, ValueError):
-                raise SchemaError(f"behavioral row {key} is not a numeric vector") from None
-            if arr.shape != (self.x_size,):
-                raise SchemaError(f"behavioral row {key} has wrong arity")
-            _check_distribution(arr, f"behavioral row {key}")
+    try:
+        arr = np.asarray(rows, dtype=float)
+    except (TypeError, ValueError):
+        raise SchemaError("behavioral rows are not a numeric array") from None
+    keys = [(t, xh, yh) for t in range(1, horizon + 1)
+            for xh in itertools.product(range(x_size), repeat=t - 1)
+            for yh in itertools.product(range(y_size), repeat=t - 1)]
+    if arr.shape != (len(keys), x_size):
+        raise SchemaError(f"behavioral rows have shape {arr.shape}, not ({len(keys)}, {x_size})")
+    for key, row in zip(keys, arr):
+        what = f"behavioral row {key}"
+        if not np.isfinite(row).all():
+            raise DistributionError(f"{what} has a non-finite entry")
+        if np.any(row < 0):
+            raise DistributionError(f"{what} has a negative entry")
+        s = float(row.sum())
+        if abs(s - 1.0) > VALIDATION_TOL:
+            raise DistributionError(f"{what} sums to {s!r}, not 1 within {VALIDATION_TOL}")
 
 
 def loop_h_process(law: JointLaw) -> EntropyProcess:
@@ -2079,7 +2094,7 @@ def dict_forward_joint(
         raise SchemaError("policy horizon shorter than requested law horizon")
     if policy.x_size != spec.x_size or policy.y_size != spec.y_size:
         raise SchemaError("policy alphabet sizes do not match the channel")
-    encoder = policy.encoder if policy.is_message_form else None
+    encoder = policy.is_message_form
     m = policy.messages if encoder else 1
     xn, sn, yn = spec.x_size, spec.s_size, spec.y_size
     q = spec.q.transpose(1, 0, 2)  # (x, s, y), the children's order
@@ -2105,14 +2120,14 @@ def dict_forward_joint(
         # both over (prefix, x, s, y); a message-form prefix has one input,
         # with px = 1.0, and p * 1.0 == p
         if encoder:
-            xl = [encoder(t, w, h) for w, h in zip(msg, yh)]
+            xl = [encoder_input(policy, t, w, h) for w, h in zip(msg, yh)]
             xs = np.array(xl)
             if xs.dtype.kind not in "iu" or min(xl) < 0 or max(xl) >= xn:
                 raise SchemaError(f"encoder input outside 0..{xn - 1} at t={t}")
             head = prob[:, None, None, None] * ps[:, None, :, None]
             rows, live = q.take(xs, 0)[:, None], q_live.take(xs, 0)[:, None]
         else:
-            px = np.array([policy.input_distribution(t, a, b) for a, b in zip(xh, yh)])
+            px = np.array([behavioral_row(policy, t, a, b) for a, b in zip(xh, yh)])
             head = (prob[:, None, None, None] * px[:, :, None, None]) * ps[:, None, :, None]
             rows, live = q, (px > 0.0)[:, :, None, None] & q_live
         if np.count_nonzero(ps) < ps.size:

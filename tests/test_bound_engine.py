@@ -17,6 +17,7 @@ from fbound.channel_model import (
     Channel,
     ChannelSpec,
     DistributionError,
+    InputPolicy,
     SchemaError,
     StateKernel,
     StoppingRule,
@@ -291,6 +292,32 @@ def test_exponent_bound_state_channel_reevaluates(flip2):
     assert res.value > 0
     assert res.diagnostics["i_rate"] > 0.05
     assert abs(reevaluate(res, flip2) - res.value) < 1e-9
+
+
+@pytest.mark.parametrize("stopping", ["fixed", "all"])
+@pytest.mark.parametrize("name", ["bsc01", "z01", "flip2"])
+def test_a_stored_encoder_built_on_its_own_gives_the_searched_terms(channels_dir, name, stopping):
+    # the stored tables, loaded as a message-form policy, go straight into
+    # forward_joint; residual_terms on the stored pair then reads the
+    # search's rates and stop times off that one law: bit for bit for rule
+    # pairs, and within 1e-12 for fixed times, whose search sums per level
+    ch = load_channel(str(channels_dir / f"{name}.json"))
+    res = exponent_bound(ch, 0.1, 3, SearchConfig(stopping=stopping))
+    record, y = res.maximizer, ch.spec.y_size
+    policy = InputPolicy(horizon=3, x_size=ch.spec.x_size, y_size=y, messages=record["m"],
+                         tables=record["encoder_tables"])
+    law = forward_joint(ch, policy, 3)
+    if stopping == "all":
+        first, last = (StoppingRule(3, y, stops) for stops in record["pair"])
+    else:
+        first, last = (StoppingRule.fixed(t, 3, y) for t in record["pair"])
+    terms = residual_terms(law, last, first)
+    got = [terms.i_rate, terms.d_rate, terms.et, terms.et1]
+    want = [res.diagnostics[c] for c in ("i_rate", "d_rate", "et", "et1")]
+    if stopping == "all":
+        assert got == want
+    else:
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 # --- searched capacity bound --------------------------------------------

@@ -57,25 +57,20 @@ def _random_channel(x, y, seed):
 def _random_encoder(m, x, horizon, y, seed):
     """A deterministic encoder with a random input per (t, w, y^{t-1})."""
     rng = np.random.default_rng(seed)
-    table = {}
-
-    def enc(t, w, y_hist):
-        return table.setdefault((t, w, y_hist), int(rng.integers(x)))
-
-    return InputPolicy(horizon=horizon, x_size=x, y_size=y, messages=m, encoder=enc)
+    tables = tuple(rng.integers(x, size=(m, y ** (t - 1))) for t in range(1, horizon + 1))
+    return InputPolicy(horizon=horizon, x_size=x, y_size=y, messages=m, tables=tables)
 
 
 def _random_behavioral(ch, horizon, seed):
     """Random input rows on every history, about a third of the entries 0."""
     rng = np.random.default_rng(seed)
     x, y = ch.spec.x_size, ch.spec.y_size
-    rows = {}
+    rows = []
     for t in range(1, horizon + 1):
-        for xh, yh in itertools.product(itertools.product(range(x), repeat=t - 1),
-                                        itertools.product(range(y), repeat=t - 1)):
+        for _ in range((x * y) ** (t - 1)):  # one row per (x^{t-1}, y^{t-1})
             row = rng.dirichlet(np.ones(x)) * (rng.random(x) > 0.3)
             row[0] += row.sum() == 0.0
-            rows[(t, xh, yh)] = tuple(row / row.sum())
+            rows.append(row / row.sum())
     return InputPolicy(horizon=horizon, x_size=x, y_size=y, rows=rows)
 
 
@@ -203,9 +198,7 @@ def test_an_unrealizable_input_is_nan():
 def test_a_support_mismatch_is_inf(name):
     # input 1 is the more likely one, and z01's row 1 puts mass where row 0
     # puts none
-    rows = {(t, xh, yh): (0.25, 0.75) for t in (1, 2, 3)
-            for xh in itertools.product((0, 1), repeat=t - 1)
-            for yh in itertools.product((0, 1), repeat=t - 1)}
+    rows = [(0.25, 0.75)] * (1 + 4 + 16)
     law = forward_joint(_channel(name), InputPolicy(3, 2, 2, rows=rows), 3)
     table = assert_columns_match(law)
     assert np.isinf(table.x_kl).any() and np.isinf(table.node_kl).any()

@@ -311,10 +311,7 @@ def test_policy_validation():
     with pytest.raises(SchemaError):
         InputPolicy(horizon=1, x_size=2, y_size=2)  # neither form
     with pytest.raises(DistributionError):
-        InputPolicy(
-            horizon=1, x_size=2, y_size=2,
-            rows={(1, (), ()): (0.7, 0.7)},
-        )
+        InputPolicy(horizon=1, x_size=2, y_size=2, rows=[(0.7, 0.7)])
 
 
 def test_non_finite_entries_are_refused():
@@ -327,6 +324,28 @@ def test_non_finite_entries_are_refused():
         StateKernel("memoryless", 1, 2, table=np.array([nan]))
     with pytest.raises(DistributionError, match="initial state distribution has a non-finite"):
         StateKernel("markov1", 2, 2, table=np.full((2, 2, 2), 0.5), init=np.array([nan, 1.0]))
-    rows = {(1, (), ()): (0.5, 0.5), (2, (0,), (1,)): (nan, 1.0)}
+    # rows (1, (), ()), (2, (0,), (0,)), (2, (0,), (1,)), ...
+    rows = [(0.5, 0.5), (0.5, 0.5), (nan, 1.0), (0.5, 0.5), (0.5, 0.5)]
     with pytest.raises(DistributionError, match=r"behavioral row \(2, \(0,\), \(1,\)\) has a non"):
         InputPolicy(horizon=2, x_size=2, y_size=2, rows=rows)
+
+
+def test_the_first_bad_row_of_a_table_is_named_with_its_first_failed_check():
+    # one array pass per table names the row a row-by-row loop reaches
+    # first, and that row's first failed check
+    q = np.full((2, 2, 2), 0.5)
+    q[1, 0] = (0.75, 0.75)  # sums to 1.5, then a later negative row
+    q[1, 1] = (1.5, -0.5)
+    with pytest.raises(DistributionError, match=r"^Q row \(s=1, x=0\) sums to 1\.5, not 1 "):
+        ChannelSpec(2, 2, 2, q)
+    table = np.full((2, 2, 2), 0.5)
+    table[0, 1] = (-0.5, 1.5)
+    table[1, 0] = (np.inf, 0.0)
+    with pytest.raises(DistributionError,
+                       match=r"^state transition row \(s=0, x=1\) has a negative entry$"):
+        StateKernel("markov1", 2, 2, table=table)
+    level2 = np.full((2, 2, 2), 0.5)
+    level2[1, 0] = (np.nan, -1.0)  # non-finite is checked before negative
+    with pytest.raises(DistributionError,
+                       match=r"^state row t=2, hist=\(1, 0\) has a non-finite entry$"):
+        StateKernel("history_table", 2, 2, levels=(np.full((1, 1, 2), 0.5), level2))

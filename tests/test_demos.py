@@ -1,9 +1,10 @@
 """The demos run to completion.
 
 Each demo runs as a child interpreter on this checkout's ``fbound`` and
-must exit 0.  Together they take about 5 s.  ``04_exponent_bound.py`` is
-left out: it searches all 16,384 two-message encoders of horizon 3 on two
-channels and takes about 30 s.
+must exit 0.  Together they take about 2 s on a 2-vCPU VM;
+``04_exponent_bound.py``, which runs the exponent search on two channels,
+the classical consistency check and the residual terms, takes about 0.7 s
+of that.
 """
 
 from __future__ import annotations
@@ -19,15 +20,14 @@ DEMOS = [
     "01_channels_and_laws.py",
     "02_classical_baselines.py",
     "03_capacity_bound_search.py",
+    "04_exponent_bound.py",
     "05_drift_verification.py",
     "06_vlc_simulation.py",
 ]
 
 
-def test_every_demo_but_the_slow_one_is_listed():
-    assert sorted(p.name for p in (REPO / "demos").glob("*.py")) == sorted(
-        DEMOS + ["04_exponent_bound.py"]
-    )
+def test_every_demo_is_listed():
+    assert sorted(p.name for p in (REPO / "demos").glob("*.py")) == sorted(DEMOS)
 
 
 @pytest.mark.parametrize("demo", DEMOS)

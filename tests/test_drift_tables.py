@@ -14,7 +14,6 @@ import dataclasses
 import functools
 import itertools
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -369,33 +368,39 @@ def test_effective_rows_of_absent_inputs_are_skipped():
 
 
 def _rows_check(rows):
-    """(outcome of the array pass, outcome of the per-row loop); a passing
-    validation is ("ok",) on both sides."""
+    """(outcome of the array pass, outcome of the per-row loop) on the rows
+    of a horizon-2 policy over two inputs and outputs, in
+    ``_policy_row_keys`` order; a passing validation is ("ok",) on both
+    sides."""
     new = outcome(InputPolicy, horizon=2, x_size=2, y_size=2, rows=rows)
-    old = outcome(oracles.loop_check_behavioral_rows,
-                  SimpleNamespace(messages=None, rows=rows, encoder=None, x_size=2))
+    old = outcome(oracles.loop_check_behavioral_rows, rows, 2, 2, 2)
     return tuple(o[:1] if o[0] == "ok" else o for o in (new, old))
 
 
 @pytest.mark.parametrize("bad,kind,message", [
-    ({(2, (0,), (1,)): (0.5, 0.25, 0.25)}, "SchemaError",
-     "behavioral row (2, (0,), (1,)) has wrong arity"),
-    ({(2, (0,), (1,)): (1.5, -0.5)}, "DistributionError",
+    ((0.5, 0.25, 0.25), "SchemaError", "behavioral rows are not a numeric array"),
+    ((1.5, -0.5), "DistributionError",
      "behavioral row (2, (0,), (1,)) has a negative entry"),
-    ({(2, (0,), (1,)): (0.5, 0.6)}, "DistributionError",
+    ((0.5, 0.6), "DistributionError",
      "behavioral row (2, (0,), (1,)) sums to 1.1, not 1 within 1e-09"),
-    ({(2, (0,), (1,)): ("a", 1.0)}, "SchemaError",
-     "behavioral row (2, (0,), (1,)) is not a numeric vector"),
-    ({(2, (0,), (1,)): ((0.5,), 0.5)}, "SchemaError",
-     "behavioral row (2, (0,), (1,)) is not a numeric vector"),
-    ({(2, (0,), (1,)): {"a": 1.0}}, "SchemaError",
-     "behavioral row (2, (0,), (1,)) is not a numeric vector"),
+    (("a", 1.0), "SchemaError", "behavioral rows are not a numeric array"),
+    (((0.5,), 0.5), "SchemaError", "behavioral rows are not a numeric array"),
+    ({"a": 1.0}, "SchemaError", "behavioral rows are not a numeric array"),
+    ([(0.5, 0.25, 0.25)] * 5, "SchemaError", "behavioral rows have shape (5, 3), not (5, 2)"),
+    ([(0.5, 0.5)] * 4, "SchemaError", "behavioral rows have shape (4, 2), not (5, 2)"),
 ])
 def test_behavioral_rows_name_the_first_bad_row(bad, kind, message):
-    good = {(1, (), ()): (0.5, 0.5), (2, (0,), (0,)): (0.25, 0.75)}
-    later = {(2, (1,), (1,)): (0.1, 0.2, 0.7)}  # also bad, but later
-    new, old = _rows_check({**good, **bad, **later})
+    # rows (1, (), ()), (2, (0,), (0,)), (2, (0,), (1,)), (2, (1,), (0,)),
+    # (2, (1,), (1,)); the bad row is the third, and the last is bad too
+    rows = bad if isinstance(bad, list) else [
+        (0.5, 0.5), (0.25, 0.75), bad, (0.5, 0.5), (0.1, 0.2)]
+    new, old = _rows_check(rows)
     assert new == old == ("error", kind, message)
+
+
+def test_behavioral_rows_that_are_distributions_pass():
+    rows = [(0.5, 0.5), (0.25, 0.75), (1.0, 0.0), (0.5, 0.5), (0.0, 1.0)]
+    assert _rows_check(rows) == (("ok",), ("ok",))
 
 
 def test_behavioral_row_validation_matches_the_loop():

@@ -34,6 +34,7 @@ from fbound.info_measures import (
     kl,
     log_ratio_bound,
     max_pairwise_row_kl,
+    mutual_information,
     node_table,
 )
 
@@ -149,6 +150,13 @@ def test_mutual_information_stays_finite_when_the_marginal_product_underflows():
     mi = node_table(law).node_mi
     assert np.isfinite(mi).all() and (mi >= 0.0).all() and (mi <= 1.0 + 1e-12).all()
     assert math.isfinite(directed_mi_stopped(law, StoppingRule.fixed(3, 3, 2)))
+
+
+@pytest.mark.parametrize("joint", [[0.5, 0.5], [[[0.25]]]], ids=["vector", "3-d"])
+def test_mutual_information_of_a_table_that_is_no_matrix_is_a_distribution_error(joint):
+    # once an IndexError and a TypeError
+    with pytest.raises(DistributionError, match="^mutual information joint must be a matrix$"):
+        mutual_information(joint)
 
 
 # ---------------------------------------------------------------------------

@@ -28,9 +28,9 @@ from fbound.bound_engine import (
 )
 from fbound.channel_model import (
     BudgetExceededError,
+    InputPolicy,
     SchemaError,
     StoppingRule,
-    _policy_row_keys,
     encoder_tables,
     enumerate_stopping_rules,
     forward_joint,
@@ -82,19 +82,17 @@ def _laws(name, horizon):
             tuple(tuple(int(v) for v in rng.integers(x, size=y ** (t - 1))) for _ in range(2))
             for t in range(1, horizon + 1)
         )
-        policies.append(oracles.encoder_policy_from_tables(tables, 2, x, y, horizon))
+        policies.append(InputPolicy(horizon=horizon, x_size=x, y_size=y, messages=2,
+                                    tables=tables))
     return tuple(forward_joint(ch, pol, horizon) for pol in policies)
 
 
 def _tables_of(policy):
     """A message-form policy's step tables, as a maximizer record holds
     them: per step t, per message, the input after each y-history in
-    lexicographic order."""
-    hists = [list(itertools.product(range(policy.y_size), repeat=t - 1))
-             for t in range(1, policy.horizon + 1)]
-    return tuple(tuple(tuple(policy.encoder(t, w, h) for h in hists[t - 1])
-                       for w in range(policy.messages))
-                 for t in range(1, policy.horizon + 1))
+    lexicographic order, a width-1 table repeated over the histories."""
+    return tuple(np.broadcast_to(step, (policy.messages, policy.y_size ** t))
+                 for t, step in enumerate(policy.tables))
 
 
 @functools.lru_cache(maxsize=None)
@@ -112,8 +110,7 @@ def _batched(name, horizon):
         out.update((i, (table, g)) for g, i in enumerate(group))
     for i, law in enumerate(laws):
         if not law.is_message_form:
-            rows = [law.policy.rows[k] for k in _policy_row_keys(ch, horizon)]
-            tables = reweighted_tables(law, np.array([rows]))
+            tables = reweighted_tables(law, law.policy.rows[None])
             out[i] = (PolicyTable.of(tables, ch.spec.y_size), 0)
     return [out[i] for i in range(len(laws))]
 
@@ -396,8 +393,8 @@ def _loop_candidates(ch, horizon, cfg):
         full = x ** (m * sum(y**t for t in range(horizon))) <= cfg.encoder_cap
         family = (oracles.full_encoder_tables if full else oracles.blockwise_encoder_tables)
         for tables in family(m, x, y, horizon):
-            policy = oracles.encoder_policy_from_tables(
-                tables, m, ch.spec.x_size, ch.spec.y_size, horizon)
+            policy = InputPolicy(horizon=horizon, x_size=ch.spec.x_size,
+                                 y_size=ch.spec.y_size, messages=m, tables=tables)
             law = forward_joint(ch, policy, horizon, budget=cfg.budget)
             out += oracles.loop_pair_candidates(law, m, tables, pairs, kind)
     return out
@@ -473,7 +470,10 @@ def test_encoder_steps_enumerate_the_reference_order(m, x, y, horizon):
         want = list(itertools.islice(family(m, x, y, horizon), 20_000))
         for ks in (range(len(want)), range(5, min(len(want), 17))):
             steps = _encoder_steps(kind, ks, m, x, y, horizon)
-            assert [step.shape for step in steps] == [(len(ks), m, y**t) for t in range(horizon)]
+            # a per-step encoder's tables have width 1: one input for every history
+            widths = [y**t if kind == "full" else 1 for t in range(horizon)]
+            assert [step.shape for step in steps] == [(len(ks), m, w) for w in widths]
+            steps = [np.broadcast_to(step, (len(ks), m, y**t)) for t, step in enumerate(steps)]
             got = [tuple(tuple(map(tuple, step[g].tolist())) for step in steps)
                    for g in range(len(ks))]
             assert got == want[ks.start:ks.stop], (kind, ks)

@@ -40,14 +40,10 @@ def _channel(name: str) -> Channel:
 
 
 def _random_encoder(rng, m: int, horizon: int):
-    """A deterministic encoder whose input depends on the message, the time
-    and the whole output history, drawn at random."""
+    """The step tables of a deterministic encoder whose input depends on
+    the message, the time and the whole output history, drawn at random."""
     table = rng.integers(0, 2, size=(horizon + 1, m, 2**horizon))
-
-    def enc(t, w, y_hist):
-        return int(table[t, w, int("".join(map(str, y_hist)) or "0", 2)])
-
-    return enc
+    return tuple(table[t, :, : 2 ** (t - 1)] for t in range(1, horizon + 1))
 
 
 @pytest.mark.parametrize("name,seed", [("flip2", 0), ("flip2", 1), ("markov3", 2),
@@ -56,8 +52,8 @@ def test_predict_chained_through_a_law_is_its_state_mass(name, seed):
     ch = _channel(name)
     kernel, q = ch.kernel, ch.spec.q
     m, horizon = 3, 4
-    enc = _random_encoder(np.random.default_rng(seed), m, horizon)
-    law = forward_joint(ch, InputPolicy(horizon, 2, 2, messages=m, encoder=enc), horizon)
+    tables = _random_encoder(np.random.default_rng(seed), m, horizon)
+    law = forward_joint(ch, InputPolicy(horizon, 2, 2, messages=m, tables=tables), horizon)
     # P(s_t, y^{t-1} | w), summed from the trajectories (w, x^N, s^N, y^N)
     want = defaultdict(lambda: np.zeros(kernel.s_size))
     for (w, _, s, y), p in law.trajectories.items():
@@ -75,7 +71,7 @@ def test_predict_chained_through_a_law_is_its_state_mass(name, seed):
                 np.testing.assert_allclose(row, want[t, w, y], rtol=0, atol=1e-13)
             nodes = {}
             for y, row in zip(ys, got):
-                x = enc(t, w, y)
+                x = oracles.encoder_input(law.policy, t, w, y)
                 for b in range(2):
                     nodes[y + (b,)] = ((row * q[:, x, b])[None], x)
 
