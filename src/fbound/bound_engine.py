@@ -35,6 +35,7 @@ from .channel_model import (
     SchemaError,
     StoppingRule,
     _PASS_SIZE,
+    _SeededIntegers,
     _policy_row_keys,
     check_seed,
     encoder_tables,
@@ -316,9 +317,12 @@ def capacity_bound(ch: Channel, horizon: int, cfg: SearchConfig = SearchConfig()
         raise BudgetExceededError(f"the policy grid has {points} points per row, over the "
                                   f"budget {cfg.budget}")
     grid = _simplex_grid(x_size, denom)
-    # policies per batch, so that a batch's trajectory-level and
-    # rule-by-node arrays stay within ``_PASS_SIZE`` entries
-    per_policy = law.prob.size * (horizon + 1) + len(rules) * law.node_prob.size
+    # policies per batch: a batch holds about six arrays over its
+    # trajectory-levels (``reweighted_tables``' products and live masks,
+    # ``_level_tables``' weights and bincount indices) and four over its
+    # rule-by-node cells (``stopped_values``' masks, terms and running sums)
+    # at once, within ``_PASS_SIZE`` entries together
+    per_policy = 6 * law.prob.size * (horizon + 1) + 4 * len(rules) * law.node_prob.size
     batch = max(1, _PASS_SIZE // per_policy)
     memo: dict = {}
 
@@ -332,14 +336,13 @@ def capacity_bound(ch: Channel, horizon: int, cfg: SearchConfig = SearchConfig()
     def moves(rows, i, store):  # (grid point, (value, rule)) of each move of row i
         return zip(grid, values([rows[:i] + (cand,) + rows[i + 1 :] for cand in grid], store))
 
+    rng = _SeededIntegers(cfg.seed)
     best_val, best_rows, best_rule = -math.inf, None, None
     for restart in range(cfg.restarts + 1):
         if restart == 0:
             rows = tuple(map(tuple, law.policy.rows.tolist()))
         else:
-            if restart == 1:  # numpy.random loads only for a random restart
-                rng = np.random.default_rng(cfg.seed)
-            rows = tuple(grid[rng.integers(len(grid))] for _ in law.policy.rows)
+            rows = tuple(grid[rng.integers(0, len(grid))] for _ in law.policy.rows)
         ((val, rule),) = values([rows], memo)
         for _ in range(cfg.sweeps):
             changed = False

@@ -53,7 +53,6 @@ __all__ = [
     "SchemaError",
     "DistributionError",
     "BudgetExceededError",
-    "MessageStructureError",
     "LogRatioUnboundedError",
     "VALIDATION_TOL",
     "ROW_SUM_INVARIANT_TOL",
@@ -105,10 +104,6 @@ class BudgetExceededError(FboundError):
     """Exact enumeration would exceed the configured trajectory budget."""
 
 
-class MessageStructureError(FboundError):
-    """An operation requiring message structure got a behavioral-only law."""
-
-
 class LogRatioUnboundedError(FboundError):
     """The log-ratio step bound needs a strictly positive channel."""
 
@@ -123,10 +118,84 @@ def check_tree_size(y_size: int, horizon: int) -> None:
 
 
 def check_seed(seed, what: str) -> None:
-    """Refuse a seed outside 0..2**64 - 1, the keys numpy's generators take
-    as they are."""
+    """Refuse a seed outside 0..2**64 - 1: the seeds ``_SeededIntegers``
+    takes, and the Philox keys of the Monte Carlo draws."""
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
         raise SchemaError(f"{what} must be an integer in 0..2**64 - 1, got {seed!r}")
+
+
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+
+
+class _SeededIntegers:
+    """The draws of ``np.random.default_rng(seed).integers(low, high)``,
+    computed in Python integers, so that no caller loads ``numpy.random``.
+
+    ``SeedSequence(seed)`` hashes the seed's 32-bit words (low first) into a
+    four-word pool, mixes the pool, and hashes it into the four 64-bit
+    words that seed PCG64: a 128-bit LCG whose output is the XSL-RR of each
+    new state.  A span of at most 2**32 draws 32-bit halves of output words,
+    the low half first, the high half kept for the next such draw; a larger
+    span draws whole words.  Either is Lemire's multiply with rejection; a
+    span of 1 draws nothing, and a span of exactly 2**32 or 2**64 is the
+    drawn half or word itself.  ``integers(low, high, size=n)`` is n
+    successive draws.  For seeds in 0..2**64 - 1 (``check_seed``)."""
+
+    def __init__(self, seed: int):
+        seed, mult = int(seed), 0x43B0D7E5
+
+        def hashmix(v):
+            nonlocal mult
+            v, mult = v ^ mult, mult * 0x931E8875 & _M32
+            v = v * mult & _M32
+            return v ^ v >> 16
+
+        def mix(x, y):
+            r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+            return r ^ r >> 16
+
+        pool = [hashmix(seed >> 32 * i & _M32) for i in range(4)]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        words, mult = [], 0x8B51F9DD
+        for i in range(8):
+            v, mult = pool[i % 4] ^ mult, mult * 0x58F38DED & _M32
+            v = v * mult & _M32
+            words.append(v ^ v >> 16)
+        w = [words[i] | words[i + 1] << 32 for i in range(0, 8, 2)]
+        self._inc = (w[2] << 64 | w[3]) << 1 & _M128 | 1
+        self._state = 0
+        self._next64()
+        self._state += w[0] << 64 | w[1]
+        self._next64()
+        self._half = None
+
+    def _next64(self) -> int:
+        s = self._state = (self._state * 0x2360ED051FC65DA44385DF649FCCF645 + self._inc) & _M128
+        x, rot = (s >> 64 ^ s) & _M64, s >> 122
+        return (x >> rot | x << (64 - rot)) & _M64
+
+    def _next32(self) -> int:
+        if self._half is None:
+            word = self._next64()
+            self._half = word >> 32
+            return word & _M32
+        half, self._half = self._half, None
+        return half
+
+    def integers(self, low: int, high: int) -> int:
+        span = high - low
+        if span == 1:
+            return low
+        bits, draw = (32, self._next32) if span <= 1 << 32 else (64, self._next64)
+        if span == 1 << bits:
+            return low + draw()
+        threshold = (1 << bits) % span
+        while (m := draw() * span) & ((1 << bits) - 1) < threshold:
+            pass
+        return low + (m >> bits)
 
 
 def _check_distribution(rows: np.ndarray, what) -> None:

@@ -54,7 +54,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .channel_model import BudgetExceededError, Channel, SchemaError, _as_int, check_seed
+from .channel_model import (
+    BudgetExceededError, Channel, SchemaError, _SeededIntegers, _as_int, check_seed,
+)
 from .info_measures import ordered_sum, row_divergences
 
 __all__ = [
@@ -184,16 +186,18 @@ def build_yamamoto_itoh(
     threshold: float = 0.0,
     name: str = "",
 ) -> SchemeSpec:
-    """Random distinct data codebook (seeded) + the most distinguishable
-    confirm pair (largest one-way divergence, ties to the lowest indices)."""
+    """Random distinct data codebook (seeded: each row n1 draws of
+    ``default_rng(seed).integers(0, |X|)``'s stream, a repeated row
+    dropped) + the most distinguishable confirm pair (largest one-way
+    divergence, ties to the lowest indices)."""
     x_size = ch.spec.x_size
     if x_size**n1 < m:
         raise SchemaError("codeword space too small for m distinct rows")
-    rng = np.random.default_rng(seed)
+    rng = _SeededIntegers(seed)
     rows: list[tuple[int, ...]] = []
     seen = set()
     while len(rows) < m:
-        row = tuple(int(v) for v in rng.integers(0, x_size, size=n1))
+        row = tuple(rng.integers(0, x_size) for _ in range(n1))
         if row not in seen:
             seen.add(row)
             rows.append(row)

@@ -2272,12 +2272,12 @@ class PosteriorTables:
 def posteriors(law: DictLaw) -> PosteriorTables:
     """Exact message posteriors and one-step predictive laws.
 
-    Raises MessageStructureError on behavioral laws (no message to infer).
+    Raises SchemaError on behavioral laws (no message to infer).
     """
-    from fbound.channel_model import MessageStructureError
+    from fbound.channel_model import SchemaError
 
     if not law.is_message_form:
-        raise MessageStructureError("posteriors need a message-form law")
+        raise SchemaError("posteriors need a message-form law")
     step = tuple({} for _ in range(law.horizon + 1))
     for t in range(1, law.horizon + 1):
         for prev, wy in law.wy_node[t].items():

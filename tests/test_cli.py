@@ -309,6 +309,17 @@ def test_bound_search_json_is_byte_identical_to_reference(
     assert capsys.readouterr().out == (_REFERENCE / reference).read_text()
 
 
+def test_restarts_at_the_largest_seed_are_byte_identical_to_reference(capsys):
+    # recorded when the restarts were drawn by numpy.random; on bsc02 the
+    # uniform start stays the maximizer, so the value pins the seed's path
+    # through the search, and test_seeded_draws pins the stream
+    argv = ["bound-capacity", "--channel", str(_CHANNELS / "bsc02.json"), "--horizon", "2",
+            "--restarts", "3", "--seed", str(2**64 - 1), "--json"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out == (_REFERENCE / "bound_capacity_bsc02_h2_r3_seed_max.json").read_text()
+
+
 def test_readme_z01_exponent_json_is_byte_identical_to_reference(capsys):
     # z01's zero entry gives encoders different node orders; the reference
     # was recorded when each encoder's law was built on its own path
@@ -550,10 +561,16 @@ def test_exact_walk_runs_before_scipy_loads(seed, tmp_path):
 @pytest.mark.parametrize("argv,loaded", [
     (["bound-exponent", "--channel", BSC01, "--rate", "0.25"], []),
     (["bound-capacity", "--channel", FLIP2, "--restarts", "0"], []),
-    # the probe's names are the right ones: a manifest and a random restart
-    # load them
+    # a manifest loads hashlib; a random restart draws without numpy.random
     (["bound-capacity", "--channel", FLIP2, "--restarts", "1", "--out", "{out}"],
-     ["_hashlib", "numpy.random"]),
+     ["_hashlib"]),
+    # nor does a codebook draw, and with no CSV neither module loads
+    (["simulate", "--channel", BSC01, "--m", "2", "--n1", "3", "--n2", "4", "--cap", "2",
+      "--scheme-seed", "5", "--trials", "1000", "--exact"], []),
+    # the probe's names are the right ones: a CSV loads scipy, which imports
+    # numpy.random, and its manifest loads hashlib
+    (["simulate", "--channel", BSC01, "--m", "2", "--n1", "3", "--n2", "4", "--cap", "2",
+      "--scheme-seed", "5", "--trials", "1000", "--out", "{out}"], ["_hashlib", "numpy.random"]),
 ])
 def test_bound_commands_load_openssl_and_numpy_random_only_when_used(argv, loaded, tmp_path):
     code = ("import sys; from fbound.cli import main; rc = main(sys.argv[1:]); "

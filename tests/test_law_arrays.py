@@ -691,6 +691,21 @@ def test_the_neighbour_gap_loop_stores_nothing_in_the_memo():
     assert peak < 46e6
 
 
+def test_a_capacity_batch_is_sized_by_every_array_it_holds():
+    # each row's 12,001 moves: sized as if a batch held one array of
+    # _PASS_SIZE entries, they made one batch (of up to 33,825 policies),
+    # with a traced peak of 23 MB; counting every array a batch holds, they
+    # make batches of 6,096 and the peak is 13 MB
+    tracemalloc.start()
+    try:
+        capacity_bound(_channel("bsc01"), 2,
+                       SearchConfig(grid_denominator=12000, restarts=0, sweeps=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+
+
 def test_capacity_search_builds_one_law_and_values_each_policy_once(monkeypatch):
     # flip2: 1 start + 21 row keys x 16 other grid points in the one sweep
     # that finds no improvement; the neighbour-gap loop values nothing new
