@@ -299,12 +299,17 @@ def capacity_bound(ch: Channel, horizon: int, cfg: SearchConfig = SearchConfig()
     it, then on the grid's point count per row.  Every policy is valued as a
     reweighting of its trajectories (``reweighted_tables``), bit-identical
     to building the policy's own law, and once per search: values are
-    memoized on the tuple of rows in ``InputPolicy.rows`` order.  At each
-    row key a sweep values every grid move of that row, in batches, then
-    scans the moves in grid order and accepts one that beats the current
-    value by more than 1e-12.  Only that row changes in the scan, so each
-    move is the policy a one-move-at-a-time loop would form.  The gap loop
-    reads the same move values around the maximizer and stores none.
+    memoized on the tuple of rows in ``InputPolicy.rows`` order.  The
+    restarts advance in lockstep: their starts are valued together, and at
+    each row key a sweep values every grid move of that row for every
+    restart still improving, in batches, then scans each restart's moves in
+    grid order and accepts one that beats its value by more than 1e-12.
+    Only that row changes in the scan, so each move is the policy a
+    one-move-at-a-time loop would form; a restart leaves after a sweep
+    without a change, and the best restart wins ties in restart order.
+    A value does not depend on its batch, so the result is that of running
+    the restarts one after another.  The gap loop reads the same move values
+    around the maximizer and stores none.
     """
     if horizon < 1:
         raise SchemaError("horizon must be >= 1")
@@ -337,23 +342,31 @@ def capacity_bound(ch: Channel, horizon: int, cfg: SearchConfig = SearchConfig()
         return zip(grid, values([rows[:i] + (cand,) + rows[i + 1 :] for cand in grid], store))
 
     rng = _SeededIntegers(cfg.seed)
-    best_val, best_rows, best_rule = -math.inf, None, None
-    for restart in range(cfg.restarts + 1):
-        if restart == 0:
-            rows = tuple(map(tuple, law.policy.rows.tolist()))
-        else:
-            rows = tuple(grid[rng.integers(0, len(grid))] for _ in law.policy.rows)
-        ((val, rule),) = values([rows], memo)
-        for _ in range(cfg.sweeps):
-            changed = False
-            for i in range(len(rows)):
+    starts = [tuple(map(tuple, law.policy.rows.tolist()))]
+    starts += [tuple(grid[rng.integers(0, len(grid))] for _ in law.policy.rows)
+               for _ in range(cfg.restarts)]
+    # one [rows, value, rule] per restart; each (sweep, row) step values
+    # that row's moves of every restart still improving as one ask
+    runs = [[rows, *found] for rows, found in zip(starts, values(starts, memo))]
+    active, n = runs, len(grid)
+    for _ in range(cfg.sweeps):
+        if not active:
+            break
+        changed = set()
+        for i in range(len(law.policy.rows)):
+            asked = values([rows[:i] + (cand,) + rows[i + 1 :]
+                            for rows, _, _ in active for cand in grid], memo)
+            for k, run in enumerate(active):
+                rows, val, rule = run
                 cur = rows[i]
-                for cand, (v, ru) in moves(rows, i, memo):
+                for cand, (v, ru) in zip(grid, asked[k * n : (k + 1) * n]):
                     if cand != cur and v > val + 1e-12:
-                        cur, val, rule, changed = cand, v, ru, True
-                rows = rows[:i] + (cur,) + rows[i + 1 :]
-            if not changed:
-                break
+                        cur, val, rule = cand, v, ru
+                        changed.add(k)
+                run[:] = rows[:i] + (cur,) + rows[i + 1 :], val, rule
+        active = [run for k, run in enumerate(active) if k in changed]
+    best_val, best_rows, best_rule = -math.inf, None, None
+    for rows, val, rule in runs:
         if val > best_val:
             best_val, best_rows, best_rule = val, rows, rule
 

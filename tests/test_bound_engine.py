@@ -488,13 +488,17 @@ def test_residual_terms_rejects_bad_nesting(bsc01):
 
 def test_flag_order_is_independent_of_the_hash_seed():
     # both flags are raised; they must come in the order raised, whatever
-    # the string hash of each
+    # the string hash of each.  The capacity search's restarts share one
+    # memo and advance in lockstep; its result must not depend on the hash
+    # either
     code = (
-        "from fbound.bound_engine import SearchConfig, exponent_candidates\n"
+        "from fbound.bound_engine import SearchConfig, capacity_bound, exponent_candidates\n"
         "from fbound.channel_model import load_channel\n"
         f"ch = load_channel({str(REPO / 'channels' / 'bsc01.json')!r})\n"
         "cfg = SearchConfig(stopping='all', rule_cap=10, messages=(4,))\n"
         "print(exponent_candidates(ch, 3, cfg)[1])\n"
+        f"histk2 = load_channel({str(REPO / 'channels' / 'histk2.json')!r})\n"
+        "print(capacity_bound(histk2, 2, SearchConfig(stopping='all')).to_json())\n"
     )
     children = [
         subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE, text=True,
@@ -505,7 +509,10 @@ def test_flag_order_is_independent_of_the_hash_seed():
     assert [child.returncode for child in children] == [0, 0]
     want = ("('rule_cap_exceeded_fell_back_to_fixed', "
             "'m4_encoders_restricted_to_per_step_maps')")
-    assert outs == [want, want]
+    flags, capacity = zip(*(out.split("\n", 1) for out in outs))
+    assert flags == (want, want)
+    assert capacity[0] == capacity[1]
+    assert '"kind": "capacity"' in capacity[0]
 
 
 def test_search_config_rejects_bad_fields():

@@ -409,14 +409,29 @@ CAPACITY_CASES += [
     for restarts in (0, 2)
     if (name, 2, restarts, stopping) not in CAPACITY_CASES
 ]
+# (seed, sweeps) of the cases above: 0 and the default 50
+CAPACITY_CASES = [(*case, 0, 50) for case in CAPACITY_CASES]
+# the restarts advance in lockstep: on flip2 and bsc01 at H = 2 some leave
+# the active set after their first sweep and others after their second,
+# and sweeps 0 and 1 stop them all at once
+CAPACITY_CASES += [
+    (name, 2, restarts, "all", seed, 50)
+    for name in ("flip2", "bsc01", "histk2")
+    for seed in (1, 2, 3)
+    for restarts in (1, 3)
+]
+CAPACITY_CASES += [(name, 2, 3, "all", 1, sweeps)
+                   for name in ("flip2", "histk2") for sweeps in (0, 1)]
 
 
-@pytest.mark.parametrize("name,horizon,restarts,stopping", CAPACITY_CASES,
+@pytest.mark.parametrize("name,horizon,restarts,stopping,seed,sweeps", CAPACITY_CASES,
                          ids=[f"{n}-H{h}-r{r}" + ("" if st == "all" else f"-{st}")
-                              for n, h, r, st in CAPACITY_CASES])
-def test_capacity_bound_json_matches_the_memo_free_loop(name, horizon, restarts, stopping):
+                              + (f"-seed{s}" if s else "") + ("" if w == 50 else f"-sweeps{w}")
+                              for n, h, r, st, s, w in CAPACITY_CASES])
+def test_capacity_bound_json_matches_the_memo_free_loop(name, horizon, restarts, stopping,
+                                                         seed, sweeps):
     ch = _channel(name)
-    cfg = SearchConfig(stopping=stopping, restarts=restarts, seed=0)
+    cfg = SearchConfig(stopping=stopping, restarts=restarts, seed=seed, sweeps=sweeps)
     assert capacity_bound(ch, horizon, cfg).to_json() == oracles.loop_capacity_bound(ch, horizon, cfg).to_json()
 
 
@@ -659,8 +674,9 @@ def test_encoder_tables_read_no_input_of_a_lane_after_its_budget_failure():
 
 
 def _count_laws(monkeypatch, ch, horizon, cfg):
-    """(laws built, policies valued, distinct policies valued) by one search."""
-    laws, policies = [], []
+    """(laws built, policy batches, policies valued, distinct policies
+    valued) by one search."""
+    laws, batches, policies = [], [], []
     real_forward_joint, real_reweighted = bound_engine.forward_joint, bound_engine.reweighted_tables
 
     def counting_forward_joint(*args, **kwargs):
@@ -668,13 +684,14 @@ def _count_laws(monkeypatch, ch, horizon, cfg):
         return real_forward_joint(*args, **kwargs)
 
     def counting_reweighted(law, px):
+        batches.append(None)
         policies.extend(map(bytes, px))
         return real_reweighted(law, px)
 
     monkeypatch.setattr(bound_engine, "forward_joint", counting_forward_joint)
     monkeypatch.setattr(bound_engine, "reweighted_tables", counting_reweighted)
     capacity_bound(ch, horizon, cfg)
-    return len(laws), len(policies), len(set(policies))
+    return len(laws), len(batches), len(policies), len(set(policies))
 
 
 def test_the_neighbour_gap_loop_stores_nothing_in_the_memo():
@@ -708,9 +725,57 @@ def test_a_capacity_batch_is_sized_by_every_array_it_holds():
 
 def test_capacity_search_builds_one_law_and_values_each_policy_once(monkeypatch):
     # flip2: 1 start + 21 row keys x 16 other grid points in the one sweep
-    # that finds no improvement; the neighbour-gap loop values nothing new
+    # that finds no improvement, a batch per row; the neighbour-gap loop
+    # values nothing new
     flip2 = _channel("flip2")
     cfg = SearchConfig(stopping="all", restarts=0, seed=0)
-    assert _count_laws(monkeypatch, flip2, 3, cfg) == (1, 337, 337)
+    assert _count_laws(monkeypatch, flip2, 3, cfg) == (1, 22, 337, 337)
+    # histk2 at H = 2, 5 row keys: the 9 starts make one batch, then each
+    # of the 3 sweeps (the last by 2 restarts) x 5 rows values every active
+    # restart's moves in one batch, or in none when all are memoized: 12 of
+    # at most 1 + 3 x 5.  The restarts run one after another made 75
+    # batches of the same 1,017 policies
     histk2 = _channel("histk2")
-    assert _count_laws(monkeypatch, histk2, 2, SearchConfig(stopping="all", seed=0)) == (1, 1017, 1017)
+    assert _count_laws(monkeypatch, histk2, 2, SearchConfig(stopping="all", seed=0)) == (1, 12, 1017, 1017)
+
+
+@pytest.mark.parametrize("name", CHANNEL_FILES)
+def test_a_policys_capacity_value_does_not_depend_on_its_batch(name):
+    # the lockstep values a restart's moves in whatever batch the other
+    # active restarts fill, so a policy's value and rule must be the same
+    # alone as among others, in any order; 153 policies are the 9 default
+    # restarts' 17 moves of one row
+    ch = _channel(name)
+    horizon = 2
+    rules, _ = bound_engine._capacity_rules(ch, horizon, SearchConfig(stopping="all"))
+    stack = rule_stack(rules, horizon)
+    law = forward_joint(ch, uniform_behavioral_policy(ch, horizon), horizon)
+    grid = _simplex_grid(ch.spec.x_size, 16)
+    rng = np.random.default_rng(sum(map(ord, name)))
+    px = np.array([[grid[g] for g in rng.integers(len(grid), size=law.policy.rows.shape[0])]
+                   for _ in range(153)])
+
+    def outcomes(batch):
+        return [(float(v).hex(), rules.index(rule))
+                for v, rule in bound_engine._capacity_values(law, batch, rules, stack)]
+
+    together = outcomes(px)
+    assert [outcomes(p[None])[0] for p in px] == together
+    order = rng.permutation(len(px))
+    assert outcomes(px[order]) == [together[k] for k in order]
+
+
+def test_a_lockstep_step_values_its_asks_in_capped_batches():
+    # 9 restarts x 2,001 grid points of bsc01 at H = 2: a step asks 18,009
+    # moves, valued in batches of 6,096.  Restarts run one after another
+    # peaked at 23.0 MB, a row's 2,001 moves to a batch; the capped batches
+    # of the lockstep peak at 27.0 MB, and the margin below is that one
+    # batch's arrays.  Valued as one batch of 18,009, a step peaks at 47 MB
+    tracemalloc.start()
+    try:
+        capacity_bound(_channel("bsc01"), 2,
+                       SearchConfig(grid_denominator=2000, restarts=8, sweeps=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 23.0e6 + 7e6
