@@ -47,12 +47,12 @@ from .channel_model import (
 from .info_measures import (
     PolicyTable,
     _fano_ceiling,
+    _sum_in_place,
     _v_term,
     directed_kl_stopped,
     directed_mi_stopped,
     expected_stop_time,
     max_pairwise_row_kl,
-    ordered_sum,
     rule_stack,
     stop_error,
     stopped_values,
@@ -490,8 +490,8 @@ def _step_aggregates(table: PolicyTable, horizon: int):
     level t - 1, in node order."""
     at_level = table.level == np.arange(horizon)[:, None]
     zero = np.zeros((table.prob.shape[0], 1))
-    ej = np.concatenate((zero, ordered_sum(np.where(at_level, table.mi[:, None], 0.0))), axis=1)
-    ed = np.concatenate((zero, ordered_sum(np.where(at_level, table.kl[:, None], 0.0))), axis=1)
+    ej = np.concatenate((zero, _sum_in_place(np.where(at_level, table.mi[:, None], 0.0))), axis=1)
+    ed = np.concatenate((zero, _sum_in_place(np.where(at_level, table.kl[:, None], 0.0))), axis=1)
     return ej, ed
 
 
@@ -559,11 +559,17 @@ def _stopping_pairs(ch: Channel, horizon: int, cfg: SearchConfig):
 def _candidate_values(i_rate: np.ndarray, d_rate: np.ndarray, rate: float) -> np.ndarray:
     """D * (1 - R/I) of each candidate at one rate: -inf where the first
     phase is numerically uninformative (I <= 1e-12), and for an infinite D,
-    +inf when R < I and -inf otherwise."""
+    +inf when R < I and -inf otherwise.  One array of the candidates' size
+    is formed, and each step writes over it."""
+    value = np.empty(i_rate.shape)
     with np.errstate(all="ignore"):
-        value = d_rate * (1.0 - rate / i_rate)
-    value = np.where(np.isinf(d_rate), np.where(rate < i_rate, np.inf, -np.inf), value)
-    return np.where(i_rate <= 1e-12, -np.inf, value)
+        np.divide(rate, i_rate, out=value)
+        np.subtract(1.0, value, out=value)
+        np.multiply(d_rate, value, out=value)
+    infinite = np.isinf(d_rate)
+    value[infinite] = np.where(rate < i_rate[infinite], np.inf, -np.inf)
+    value[i_rate <= 1e-12] = -np.inf
+    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -600,7 +606,11 @@ class Candidates:
         order picks at ``rate``: the earliest of equal values, and a NaN
         value only as the first candidate."""
         values = _candidate_values(self.i_rate, self.d_rate, rate)
-        k = 0 if np.isnan(values[0]) else int(np.argmax(np.fmax(values, -np.inf)))
+        if np.isnan(values[0]):
+            return 0, float(values[0])
+        # values[0] is a number, so a NaN that fmax turns into -inf is never
+        # argmax's first maximum: the value at k is the one scored
+        k = int(np.argmax(np.fmax(values, -np.inf, out=values)))
         return k, float(values[k])
 
     def maximizer(self, k: int) -> dict:
@@ -631,10 +641,14 @@ def exponent_candidates(
     batch's step arrays (``_encoder_steps``) give its laws, built together
     (``encoder_tables``), and every pair of every law of the batch
     is evaluated in one array pass (``_pair_rates``), bit for bit the values
-    of each encoder's own law.
+    of each encoder's own law.  Each batch's kept cells are written straight
+    into the columns, allocated once at the first batch for every (encoder,
+    pair) cell the search can reach, and the columns returned are views of
+    their filled prefix.
     Under a trajectory budget, the first encoder whose law exceeds it raises
-    ``forward_joint``'s error.  Flags are listed in the order they were
-    raised.
+    ``forward_joint``'s error; a message count over the encoder cap raises
+    ``_encoder_family``'s error when the search reaches it.  Flags are
+    listed in the order they were raised.
     """
     if horizon < 2:
         raise SchemaError("exponent search needs horizon >= 2")
@@ -643,7 +657,16 @@ def exponent_candidates(
     spec = ch.spec
     nodes = sum(spec.y_size**t for t in range(horizon + 1))
     per_node = first.size + (0 if rules is None else len(rules))
-    kinds, parts = {}, []
+    # the cells of the families the search reaches: those before the first
+    # that ``_encoder_family`` refuses, which the loop refuses in turn
+    cells = 0
+    for m in cfg.messages:
+        try:
+            cells += first.size * _encoder_family(m, spec.x_size, spec.y_size, horizon,
+                                                  cfg.encoder_cap)[1]
+        except BudgetExceededError:
+            break
+    kinds, columns, filled = {}, None, 0
     for m in cfg.messages:
         kind, count = _encoder_family(m, spec.x_size, spec.y_size, horizon, cfg.encoder_cap)
         kinds[m] = kind
@@ -652,9 +675,11 @@ def exponent_candidates(
             flags.append(restricted)
         # the shared trajectories of a law number at most m (S Y)^N; a
         # batch holds about six arrays over its trajectory-levels
-        # (``_level_tables``' step rows, weights and bincount indices) and
-        # four over its pair-by-node cells (``_pair_rates``' masks, terms
-        # and running sums) at once, within ``_PASS_SIZE`` entries together
+        # (``_level_tables``' step rows, weights and bincount indices) and,
+        # over its pair- and rule-by-node cells, ``_pair_rates``' boolean
+        # stop masks and one float array of terms, summed in place: under
+        # two arrays, counted as four.  All of it within ``_PASS_SIZE``
+        # entries together
         per_encoder = (6 * m * (spec.s_size * spec.y_size) ** horizon * (horizon + 1)
                        + 4 * per_node * nodes)
         batch = max(1, _PASS_SIZE // per_encoder)
@@ -662,12 +687,19 @@ def exponent_candidates(
             steps = _encoder_steps(kind, range(start, min(start + batch, count)), m,
                                    spec.x_size, spec.y_size, horizon)
             table = PolicyTable.of(encoder_tables(ch, steps, horizon, cfg.budget), spec.y_size)
-            keep, *columns = _pair_rates(table, first, last, stack, horizon)
+            keep, *rates = _pair_rates(table, first, last, stack, horizon)
             encoder, pair = keep.nonzero()
-            parts.append((np.full(encoder.size, m), encoder + start, pair, *columns))
-    columns = (np.concatenate(column) for column in zip(*parts))
+            if columns is None:
+                # pages past the cells kept are never touched, so never resident
+                columns = [np.empty(cells, dtype=np.int64) for _ in range(3)]
+                columns += [np.empty(cells) for _ in rates]
+            end = filled + encoder.size
+            for column, values in zip(columns, (m, encoder + start, pair, *rates)):
+                column[filled:end] = values
+            filled = end
     sizes = (spec.x_size, spec.y_size, horizon)
-    return Candidates(*columns, kinds, sizes, first, last, rules), tuple(flags)
+    return (Candidates(*(column[:filled] for column in columns), kinds, sizes, first, last,
+                       rules), tuple(flags))
 
 
 def exponent_bound(

@@ -55,6 +55,7 @@ from .channel_model import (
 )
 from .info_measures import (
     _fano_ceiling,
+    _fano_ceilings,
     _row_kl,
     _v_term,
     binary_entropy_inv,
@@ -515,8 +516,8 @@ def verify_fano(law: JointLaw, rule: StoppingRule | None = None, tol: float = 1e
         # weight each stop node by the mass of each full path through it
         avg_h = float(ordered_sum(p * h_node))
         avg_pe = float(ordered_sum(p * pe))
-        margins = [_fano_ceiling(e, log_m1) - h
-                   for e, h in zip(pe.tolist() + [avg_pe], h_node.tolist() + [avg_h])]
+        margins = (_fano_ceilings(np.append(pe, avg_pe), log_m1)
+                   - np.append(h_node, avg_h)).tolist()
         worst = min([worst, *margins])
         count += len(margins)
         details.append(f"{decoder} decoder: avg error {avg_pe:.6g}, avg entropy {avg_h:.6g}")

@@ -127,10 +127,27 @@ def binary_entropy_inv(v: float, tol: float = 1e-12) -> float:
 
 
 def _fano_ceiling(pe: float, log_factor: float) -> float:
+    """``_fano_ceilings`` of one error probability."""
+    return float(_fano_ceilings(np.array([pe]), log_factor)[0])
+
+
+def _fano_ceilings(pe: np.ndarray, log_factor: float) -> np.ndarray:
     """Fano's ceiling h(pe) + pe * log_factor on the message entropy left
-    at a decoder of error probability pe, with h read at pe clipped to
-    [0, 1]; log_factor is log2 M or log2(M - 1)."""
-    return binary_entropy(min(max(pe, 0.0), 1.0)) + pe * log_factor
+    at a decoder of error probability pe, for every entry of a vector
+    ``pe`` in one array pass, with h read at pe clipped to [0, 1];
+    log_factor is log2 M or log2(M - 1).  Each entry has the bits of
+    ``binary_entropy`` at the clipped value plus pe * log_factor on floats:
+    the same elementwise expression, and numpy's ``log2`` gives an array
+    the bits it gives one float.  A NaN entry raises ``binary_entropy``'s
+    error for the first one."""
+    p = np.clip(pe, 0.0, 1.0)
+    nan = np.isnan(p)
+    if nan.any():
+        binary_entropy(p[nan][0].item())
+    with np.errstate(all="ignore"):  # as on floats, which warn of nothing
+        h = -p * np.log2(p) - (1 - p) * np.log2(1 - p)
+        h[(p == 0.0) | (p == 1.0)] = 0.0
+        return h + pe * log_factor
 
 
 def _v_term(rate: float, i_rate: float, eps: float, n: int, et: float) -> float:
@@ -203,7 +220,7 @@ def _joint_mi(xy: np.ndarray) -> np.ndarray:
         if small.any():
             ratio = np.where(small, xy / pa / pb, ratio)
         terms = np.where(xy > 0.0, xy * np.log2(ratio), 0.0)
-    return ordered_sum(terms.reshape(lead + (cells,)))
+    return _sum_in_place(terms.reshape(lead + (cells,)))
 
 
 def _row_kl(p: np.ndarray, q: np.ndarray, valid: np.ndarray) -> np.ndarray:
@@ -427,11 +444,24 @@ def node_table(law: JointLaw) -> NodeTable:
 
 
 def ordered_sum(terms: np.ndarray) -> np.ndarray:
-    """Sums along the last axis, left to right from 0.0: the order and
-    rounding of a ``total = 0.0; total += term`` loop, for each index of
-    the leading axes (such as rules, or policies and rules)."""
-    start = np.zeros(terms.shape[:-1] + (1,))
-    return np.cumsum(np.concatenate((start, terms), axis=-1), axis=-1)[..., -1]
+    """Sums along the last axis, left to right: the order and rounding of a
+    ``total = 0.0; total += term`` loop, for each index of the leading axes
+    (such as rules, or policies and rules).  The running sums start at the
+    first term, not at 0.0 + term.  The two differ only where that term is
+    -0.0, and then only in the sign of a zero running sum: the next nonzero
+    term absorbs it exactly, and the trailing ``+ 0.0`` turns a -0.0 total
+    into the loop's 0.0, so every total keeps the loop's bits.  An empty
+    last axis sums to 0.0."""
+    return _sum_in_place(np.array(terms, dtype=float))
+
+
+def _sum_in_place(terms: np.ndarray) -> np.ndarray:
+    """``ordered_sum`` of a float array that the caller formed and no longer
+    needs: the running sums are written over its terms, so no copy of it
+    is made."""
+    if terms.shape[-1] == 0:
+        return np.zeros(terms.shape[:-1])
+    return np.cumsum(terms, axis=-1, out=terms)[..., -1] + 0.0
 
 
 def rule_stack(rules, horizon: int) -> tuple[np.ndarray, np.ndarray]:
@@ -449,8 +479,8 @@ def stopped_values(
     (laws, rules).  Each sum runs along the nodes, in order."""
     at_leaf = times[:, table.leaf].swapaxes(0, 1)  # (laws, rules, nodes)
     at_node = stopped[:, table.node].swapaxes(0, 1)
-    et = ordered_sum(table.leaf_prob[:, None, :] * at_leaf)
-    mi = ordered_sum(np.where(at_node, 0.0, table.mi[:, None, :]))
+    et = _sum_in_place(table.leaf_prob[:, None, :] * at_leaf)
+    mi = _sum_in_place(np.where(at_node, 0.0, table.mi[:, None, :]))
     return et, mi
 
 
@@ -462,7 +492,7 @@ def window_divergence(
     shape (laws, pairs).  Each sum runs along the nodes, in order."""
     at_nodes = stopped[:, table.node]
     live = at_nodes[first] & ~at_nodes[last]
-    return np.moveaxis(ordered_sum(np.where(live, table.kl, 0.0)), 0, -1)
+    return np.moveaxis(_sum_in_place(np.where(live, table.kl, 0.0)), 0, -1)
 
 
 def directed_mi_stopped(law: JointLaw, rule: StoppingRule) -> float:

@@ -25,6 +25,7 @@ from fbound.channel_model import (
     uniform_behavioral_policy,
 )
 from fbound.info_measures import (
+    _fano_ceilings,
     binary_entropy,
     binary_entropy_inv,
     directed_kl_stopped,
@@ -169,6 +170,20 @@ def _kl_from_step_1(law, b):
     stopping rule has T1 = 0, so ``directed_kl_stopped`` cannot start there."""
     table = node_table(law)
     return math.fsum(table.kl[table.level < b])
+
+
+@pytest.mark.parametrize("log_factor", [0.0, 1.0, math.log2(3)])
+def test_fano_ceilings_are_the_scalar_ceilings_bit_for_bit(log_factor):
+    # error probabilities as verify_fano forms them, 1 - a posterior, with
+    # the clipped ends and values just inside them
+    rng = np.random.default_rng(27)
+    pe = np.concatenate((1.0 - rng.random(500), rng.random(50) * 1e-300,
+                         [0.0, -0.0, 1.0, -1e-17, 1.0 + 2e-16, 5e-324, 1.0 - 2**-53]))
+    # the scalar ceiling, one float at a time
+    want = [binary_entropy(min(max(e, 0.0), 1.0)) + e * log_factor for e in pe.tolist()]
+    assert _fano_ceilings(pe, log_factor).tobytes() == np.array(want).tobytes()
+    with pytest.raises(DistributionError, match=r"^binary entropy argument nan outside \[0, 1\]$"):
+        _fano_ceilings(np.array([0.25, math.nan, 0.5]), log_factor)
 
 
 def test_directed_kl_single_state_single_step():

@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,6 +43,7 @@ from fbound.channel_model import (
 )
 from fbound.info_measures import (
     PolicyTable,
+    _sum_in_place,
     directed_kl_stopped,
     directed_mi_stopped,
     expected_stop_time,
@@ -290,6 +292,81 @@ def test_fixed_rule_at_horizon_20_is_a_constant_table():
 # ---------------------------------------------------------------------------
 
 
+def _loop_totals(terms):
+    """``total = 0.0; total += term`` over the last axis, for each index of
+    the leading ones."""
+    totals = np.empty(terms.shape[:-1])
+    for index in np.ndindex(totals.shape):
+        total = 0.0
+        for term in terms[index].tolist():
+            total += term
+        totals[index] = total
+    return totals
+
+
+_RNG = np.random.default_rng(27)
+NAN, INF = float("nan"), float("inf")
+SUM_TERMS = {
+    "leading-axes": _RNG.standard_normal((3, 4, 9)) * 10.0 ** _RNG.integers(-8, 8, (3, 4, 9)),
+    "one-row": _RNG.random(40),
+    "empty-last-axis": np.zeros((3, 2, 0)),
+    "all-minus-zero": np.full((2, 5), -0.0),
+    "minus-zero-first": np.array([[-0.0, 1e-300, -1e-300], [-0.0, -0.0, 2.5], [-0.0, 0.0, -0.0]]),
+    "nan-and-inf": np.array([[1.0, NAN, 2.0], [INF, 1.0, -1.0], [-INF, 3.0, 0.0],
+                             [INF, -INF, 1.0], [-0.0, INF, -0.0]]),
+}
+
+
+@pytest.mark.parametrize("terms", SUM_TERMS.values(), ids=SUM_TERMS)
+def test_ordered_sums_are_the_loop_totals_bit_for_bit(terms):
+    # the running sums start at the first term, not at 0.0 + term; the
+    # trailing + 0.0 gives the loop's 0.0 for a row of -0.0 terms
+    want = _loop_totals(terms)
+    before = terms.copy()
+    with np.errstate(invalid="ignore"):  # inf + -inf
+        sums = ordered_sum(terms), _sum_in_place(terms.copy())
+    for got in sums:
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert terms.tobytes() == before.tobytes()  # ordered_sum leaves its input as it was
+
+
+def test_the_in_place_sum_makes_no_copy_and_ordered_sum_makes_one():
+    # 1,000 rows of 256 terms: 2 MB of terms, whose totals take 8 kB; the
+    # sums that padded the terms with a zero column held two copies
+    terms = _RNG.random((1000, 256))
+    own = terms.copy()
+    peaks = []
+    for summed in (lambda: _sum_in_place(own), lambda: ordered_sum(terms)):
+        tracemalloc.start()
+        try:
+            summed()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < terms.nbytes / 100
+    assert peaks[1] < 1.1 * terms.nbytes
+
+
+def test_window_divergence_sums_its_terms_where_it_forms_them():
+    # bsc01 at H = 3: 171 rule pairs of the 64 per-step encoders of M = 2,
+    # over 7 nodes, are 0.6 MB of float terms.  The traced peak is 1.3x
+    # that (the terms and the boolean stop masks); summed in a padded copy,
+    # as before, it was 3.6x
+    ch = _channel("bsc01")
+    first, last, rules, _ = bound_engine._stopping_pairs(ch, 3, SearchConfig(stopping="all"))
+    steps = _encoder_steps("per_step", range(64), 2, 2, 2, 3)
+    table = PolicyTable.of(encoder_tables(ch, steps, 3, 10**7), 2)
+    stopped = rule_stack(rules, 3)[0]
+    tracemalloc.start()
+    try:
+        window_divergence(table, stopped, first, last)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6 * (first.size * table.kl.size * 8)
+
+
 @pytest.mark.parametrize("name,horizon", CASES, ids=CASE_IDS)
 def test_stopped_sums_match_loops(name, horizon):
     rules = _rules(_channel(name), horizon)
@@ -457,6 +534,24 @@ def test_exponent_candidates_in_several_batches_match_one_batch(
         assert got.dtype == want.dtype and got.tolist() == want.tolist(), column
 
 
+def test_the_candidate_columns_are_held_once():
+    # the benchmark's exponent_rules_s search: 64 per-step encoders x 171
+    # rule pairs, all kept, in 0.6 MB of columns.  With each batch's
+    # columns kept and joined at the end, and the stopped sums summed in a
+    # padded copy, the traced peak was 4.5x the columns; written in place,
+    # 2.2x
+    cfg = SearchConfig(stopping="all", messages=(2,), encoder_cap=1000)
+    tracemalloc.start()
+    try:
+        cands, _ = exponent_candidates(_channel("bsc01"), 3, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    columns = ("m", "encoder", "pair", "i_rate", "d_rate", "et", "et1")
+    assert len(cands) == 64 * 171
+    assert peak <= 3 * sum(getattr(cands, column).nbytes for column in columns)
+
+
 @pytest.mark.parametrize("m,x,y,horizon", [
     (1, 2, 2, 2), (2, 2, 2, 2), (3, 2, 2, 2), (1, 2, 2, 3), (1, 3, 2, 2), (1, 2, 3, 2),
     (2, 3, 3, 2), (2, 3, 2, 3),
@@ -508,9 +603,6 @@ def _columns(i_rate, d_rate):
         et1=np.ones(n), kinds={2: "full"}, sizes=(2, 2, 1), first=np.array([1]),
         last=np.array([2]), rules=None,
     )
-
-
-NAN, INF = float("nan"), float("inf")
 
 
 @pytest.mark.parametrize("i_rate,d_rate", [
