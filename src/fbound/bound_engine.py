@@ -41,7 +41,7 @@ from .channel_model import (
     encoder_tables,
     enumerate_stopping_rules,
     forward_joint,
-    reweighted_tables,
+    policy_tables,
     uniform_behavioral_policy,
 )
 from .info_measures import (
@@ -76,8 +76,11 @@ __all__ = [
     "reevaluate",
 ]
 
+# ``dmc_capacity`` stops below this certified gap, on an update this small
+# (with a gap below 1e-6), or after this many updates
 CAPACITY_CERT_GAP = 1e-9
 CAPACITY_UPDATE_TOL = 1e-10
+CAPACITY_MAX_ITER = 200_000
 
 
 @dataclass(frozen=True)
@@ -97,6 +100,16 @@ class SearchConfig:
     encoder_cap: int = 10**5    # max encoders enumerated per message count
 
     def __post_init__(self) -> None:
+        if not isinstance(self.messages, (tuple, list)):
+            raise SchemaError(f"messages must be a list of message counts, got {self.messages!r}")
+        counts = {name: getattr(self, name) for name in (
+            "grid_denominator", "sweeps", "restarts", "rule_cap", "budget", "encoder_cap")}
+        counts.update((f"messages[{i}]", m) for i, m in enumerate(self.messages))
+        if self.fixed_t is not None:
+            counts["fixed_t"] = self.fixed_t
+        for name, value in counts.items():
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise SchemaError(f"{name} must be an integer, got {value!r}")
         if self.grid_denominator < 1:
             raise SchemaError("grid denominator must be >= 1")
         if self.sweeps < 0 or self.restarts < 0:
@@ -154,12 +167,7 @@ class BoundResult:
 # ---------------------------------------------------------------------------
 
 
-def dmc_capacity(
-    rows: np.ndarray,
-    cert_gap: float = CAPACITY_CERT_GAP,
-    update_tol: float = CAPACITY_UPDATE_TOL,
-    max_iter: int = 200_000,
-) -> tuple[float, np.ndarray, float]:
+def dmc_capacity(rows: np.ndarray) -> tuple[float, np.ndarray, float]:
     """Capacity of a memoryless channel in bits by alternating maximization.
 
     Returns (capacity, input distribution, certified gap): the true capacity
@@ -172,7 +180,7 @@ def dmc_capacity(
     r = np.full(x_size, 1.0 / x_size)
     gap = math.inf
     lower = 0.0
-    for _ in range(max_iter):
+    for _ in range(CAPACITY_MAX_ITER):
         py = r @ q
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(q > 0, q / np.where(py > 0, py, 1.0), 1.0)
@@ -180,11 +188,11 @@ def dmc_capacity(
         lower = float(r @ d)
         upper = float(d.max())
         gap = upper - lower
-        if gap < cert_gap:
+        if gap < CAPACITY_CERT_GAP:
             break
         r_new = r * np.exp2(d)
         r_new /= r_new.sum()
-        if np.max(np.abs(r_new - r)) < update_tol and gap < 1e-6:
+        if np.max(np.abs(r_new - r)) < CAPACITY_UPDATE_TOL and gap < 1e-6:
             r = r_new
             break
         r = r_new
@@ -272,12 +280,12 @@ def _capacity_rules(ch: Channel, horizon: int, cfg: SearchConfig):
     return rules or [StoppingRule.fixed(t, horizon, y) for t in range(1, horizon + 1)], flags
 
 
-def _capacity_values(law, px, rules, stack):
+def _capacity_values(ch: Channel, horizon: int, budget: int, px, rules, stack):
     """The best stopped information per expected stop time, and its rule,
-    of every policy ``px[g]`` over all rules at once, valued over the
-    trajectories of ``law`` (see ``reweighted_tables``); ``stack`` is
-    ``rule_stack(rules, horizon)``.  Ties go to the earliest rule."""
-    table = PolicyTable.of(reweighted_tables(law, px), law.channel.spec.y_size)
+    of every policy ``px[g]`` over all rules at once, their laws built
+    together (``policy_tables``); ``stack`` is ``rule_stack(rules,
+    horizon)``.  Ties go to the earliest rule."""
+    table = PolicyTable.of(policy_tables(ch, px, horizon, budget), ch.spec.y_size)
     et, mi = stopped_values(table, *stack)
     vals = mi / et
     best = vals.argmax(axis=1)
@@ -293,13 +301,14 @@ def capacity_bound(ch: Channel, horizon: int, cfg: SearchConfig = SearchConfig()
     value can be recomputed exactly; diagnostics report the largest
     improvement available one grid step away from the chosen policy.
 
-    The search builds one law, the uniform policy's, where restart 0
-    starts.  Every policy's support lies inside it, so it is also the
-    largest law the search can reach; the trajectory budget is checked on
-    it, then on the grid's point count per row.  Every policy is valued as a
-    reweighting of its trajectories (``reweighted_tables``), bit-identical
-    to building the policy's own law, and once per search: values are
-    memoized on the tuple of rows in ``InputPolicy.rows`` order.  The
+    The search builds the uniform policy's law, where restart 0 starts.
+    Every policy's support lies inside it, so it is also the largest law
+    the search can reach: the trajectory budget is checked on it, then on
+    the grid's point count per row, and it sizes the batches.  Each batch
+    of policies has its laws built together, in the one trajectory loop
+    (``policy_tables``), bit-identical to building each policy's own law,
+    and every policy is valued once per search: values are memoized on the
+    tuple of rows in ``InputPolicy.rows`` order.  The
     restarts advance in lockstep: their starts are valued together, and at
     each row key a sweep values every grid move of that row for every
     restart still improving, in batches, then scans each restart's moves in
@@ -323,7 +332,7 @@ def capacity_bound(ch: Channel, horizon: int, cfg: SearchConfig = SearchConfig()
                                   f"budget {cfg.budget}")
     grid = _simplex_grid(x_size, denom)
     # policies per batch: a batch holds about six arrays over its
-    # trajectory-levels (``reweighted_tables``' products and live masks,
+    # trajectory-levels (``_grow``'s products and live masks,
     # ``_level_tables``' weights and bincount indices) and four over its
     # rule-by-node cells (``stopped_values``' masks, terms and running sums)
     # at once, within ``_PASS_SIZE`` entries together
@@ -335,7 +344,8 @@ def capacity_bound(ch: Channel, horizon: int, cfg: SearchConfig = SearchConfig()
         new = [p for p in dict.fromkeys(policies) if p not in memo]
         for lo in range(0, len(new), batch):
             part = new[lo : lo + batch]
-            store.update(zip(part, _capacity_values(law, np.array(part), rules, stack)))
+            store.update(zip(part, _capacity_values(ch, horizon, cfg.budget, np.array(part),
+                                                    rules, stack)))
         return [memo[p] if p in memo else store[p] for p in policies]
 
     def moves(rows, i, store):  # (grid point, (value, rule)) of each move of row i
@@ -746,16 +756,17 @@ def reevaluate(result: BoundResult, ch: Channel, cfg: SearchConfig = SearchConfi
     """Recompute a bound value from its stored maximizer (no search), by
     the evaluation the search used, with a batch of one: an exponent's
     stored tables as the step arrays of ``encoder_tables``, a capacity's
-    policy rows as a reweighting of the uniform law (``_capacity_values``).
-    So it refuses what the search refused, the trajectory budget included."""
+    policy rows through ``policy_tables`` (``_capacity_values``).  So it
+    refuses what the search refused, the trajectory budget included: that
+    is checked on the uniform policy's law, as the search checks it."""
     if result.kind == "capacity":
         horizon = result.horizon
         policy = _rows_from_maximizer(result.maximizer, ch, horizon)
         if "stop_set" not in result.maximizer:
             raise SchemaError("stored capacity maximizer has no stop set")
         rule = StoppingRule(horizon, ch.spec.y_size, result.maximizer["stop_set"])
-        law = forward_joint(ch, uniform_behavioral_policy(ch, horizon), horizon, budget=cfg.budget)
-        ((value, _),) = _capacity_values(law, policy.rows[None], [rule],
+        forward_joint(ch, uniform_behavioral_policy(ch, horizon), horizon, budget=cfg.budget)
+        ((value, _),) = _capacity_values(ch, horizon, cfg.budget, policy.rows[None], [rule],
                                          rule_stack([rule], horizon))
         return value
     if result.kind == "exponent":

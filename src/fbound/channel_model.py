@@ -17,24 +17,22 @@ Trajectories are formed in one loop (``_grow``), breadth first, one level
 of the trajectory tree per step, with the children of all live prefixes
 formed in one array pass in the order a depth-first walk would visit them,
 and with a leading law axis: ``forward_joint`` runs it for one law, of
-either policy form, and ``encoder_tables`` for many deterministic encoders
-over the trajectories they share, both through one encoder table read
-(``_table_inputs``).  The per-output-history tables are then one
-``np.bincount`` each over the trajectories in that order.  Both keep the
-products and the summation order of a plain recursive walk with running
-per-node sums, so every probability and table entry is bit-for-bit the
-value such a walk gives.  A law is arrays only: the tables are flat
+either policy form, ``encoder_tables`` for many deterministic encoders and
+``policy_tables`` for many behavioral policies, each batch over the
+trajectories its laws share, through one input read per form
+(``_table_inputs``, ``_row_inputs``).  The per-output-history tables are
+then one ``np.bincount`` each over the trajectories in that order.  Both
+keep the products and the summation order of a plain recursive walk with
+running per-node sums, so every probability and table entry is bit-for-bit
+the value such a walk gives.  A law is arrays only: the tables are flat
 arrays over the realizable output histories of all levels (a sparse
 fixed-arity tree), numbered level by level in order of first appearance,
 and the trajectories are per-level parent and symbol arrays.  Histories
 are tuples of integer symbols only where a caller asks for them: error
 messages, ``JointLaw.trajectories`` and stop sets (a ``StoppingRule`` is a
 stop-time array).  Budgets cap enumeration size.
-``reweighted_tables`` gives the tables of many behavioral policies at once,
-each as a reweighting of one full-support law's trajectories, with no
-trajectory formed.  Both many-law functions return each law's tables bit
-for bit as its own law gives them, in one shape: (sizes, index,
-node_prob, xy_node).
+Both many-law functions return each law's tables bit for bit as its own
+law gives them, in one shape: (sizes, index, node_prob, xy_node).
 """
 
 from __future__ import annotations
@@ -72,8 +70,8 @@ __all__ = [
     "enumerate_stopping_rules",
     "JointLaw",
     "forward_joint",
-    "reweighted_tables",
     "encoder_tables",
+    "policy_tables",
 ]
 
 # Hard error threshold for user-supplied distributions.
@@ -219,12 +217,14 @@ def _check_distribution(rows: np.ndarray, what) -> None:
 
 def _canonicalize_rows(arr: np.ndarray) -> np.ndarray:
     """Renormalize rows along the last axis when they miss 1 by more than
-    the storage invariant (but less than the validation tolerance)."""
+    the storage invariant but at most the validation tolerance, with no
+    negative entry.  Other rows are kept as they are, for
+    ``_check_distribution`` to refuse."""
     out = np.array(arr, dtype=float)
     flat = out.reshape(-1, out.shape[-1])
     for i in range(flat.shape[0]):
         s = float(flat[i].sum())
-        if abs(s - 1.0) > ROW_SUM_INVARIANT_TOL:
+        if ROW_SUM_INVARIANT_TOL < abs(s - 1.0) <= VALIDATION_TOL and not (flat[i] < 0).any():
             flat[i] = flat[i] / s
     return flat.reshape(out.shape)
 
@@ -644,7 +644,7 @@ def _policy_row_count(x_size: int, y_size: int, horizon: int) -> int:
 def _policy_row_keys(ch: Channel, horizon: int) -> list[tuple]:
     """The keys (t, x^{t-1}, y^{t-1}) of a behavioral policy's rows, t =
     1..horizon, each history in lexicographic order: the row order of
-    ``InputPolicy.rows`` and ``reweighted_tables``."""
+    ``InputPolicy.rows`` and ``policy_tables``."""
     x, y = ch.spec.x_size, ch.spec.y_size
     return [_row_key(i, x, y) for i in range(_policy_row_count(x, y, horizon))]
 
@@ -944,13 +944,13 @@ def _over_budget(count, t: int, horizon: int, budget: int) -> BudgetExceededErro
 def _grow(ch: Channel, horizon: int, budget: int, m: int, laws: int, inputs):
     """Form the trajectories of ``laws`` laws over shared prefixes (w, x^t,
     s^t, y^t), one level per step: the one loop behind ``forward_joint``
-    (one law) and ``encoder_tables`` (many).  Level 0 holds the m
-    equiprobable messages.
+    (one law), ``encoder_tables`` and ``policy_tables`` (many).  Level 0
+    holds the m equiprobable messages.
 
     ``inputs(t, laws, msg, steps)`` gives the step-t inputs of the first
     ``laws`` laws at every prefix, from the prefixes' messages and the
     steps so far: (x, None), x[g, k] law g's input at prefix k, or (None,
-    px), px[0, k] the input law at prefix k of one behavioral law.  Every
+    px), px[g, k] the input law at prefix k of behavioral law g.  Every
     child (prefix, x, s, y) is formed in one array pass, in C order (the
     depth-first order over (w, x_1, s_1, y_1, x_2, ...)), with probability
     ((p * px) * ps) * q, ps read off the kernel's ``use_table(t)`` at the
@@ -962,6 +962,10 @@ def _grow(ch: Channel, horizon: int, budget: int, m: int, laws: int, inputs):
     adds exact zeros to their sums; one no law keeps is dropped.  Output
     nodes are the children's (parent node, y), numbered within a level in
     order of first appearance.
+
+    Behavioral laws branch on every input, so their children share one x
+    row, and the input-history indices, with it the state rows, are formed
+    once per prefix for all of them.
 
     A law fails at its first step that reads an input outside the alphabet
     at a live prefix or leaves more live trajectories than ``budget``.  The
@@ -975,9 +979,10 @@ def _grow(ch: Channel, horizon: int, budget: int, m: int, laws: int, inputs):
     Returns (prob, lives, msg, steps, sizes, parents, symbols): the last
     level's probabilities (laws x trajectories), each level's live mask
     (laws x prefixes), each trajectory's message, per step each child's
-    parent prefix and rows (output node, x of each law, y, s), and per
-    level its node count; and each node's parent and last symbol (-1 at
-    the root), the nodes of all levels numbered in one sequence.
+    parent prefix and rows (output node, x of each law or one shared x
+    row, y, s), and per level its node count; and each node's parent and
+    last symbol (-1 at the root), the nodes of all levels numbered in one
+    sequence.
     """
     spec, kernel = ch.spec, ch.kernel
     xn, sn, yn = spec.x_size, spec.s_size, spec.y_size
@@ -989,7 +994,7 @@ def _grow(ch: Channel, horizon: int, budget: int, m: int, laws: int, inputs):
     live = np.ones((laws, m), dtype=bool)
     msg = np.arange(m)
     node = s_mem = np.zeros(m, dtype=np.intp)  # per prefix, shared by the laws
-    x_mem = np.zeros((laws, m), dtype=np.intp)
+    x_mem = np.zeros((1, m), dtype=np.intp)  # per law once the laws' inputs differ
     steps, lives, sizes, parents, symbols = [], [live], [1], [np.array([-1])], [np.array([-1])]
     failed = None  # the first failing law's error; the laws end before it
     for t in range(1, horizon + 1):
@@ -1062,22 +1067,22 @@ def _table_inputs(tables, m: int, y_size: int):
     return inputs
 
 
-def _row_index(x_size: int, y_size: int):
-    """Each step-t prefix's row of ``InputPolicy.rows``, at its input- and
-    output-history indices: a function of (t, steps), called at t = 1, 2,
-    ... with the steps of one behavioral law so far (``_grow``'s)."""
+def _row_inputs(rows: np.ndarray, x_size: int, y_size: int):
+    """``_grow``'s inputs read off the rows ``rows[g]`` of one behavioral
+    policy per law (``InputPolicy.rows``' format): each step-t prefix's row
+    sits at its input- and output-history indices, which the laws share."""
     xh = yh = np.zeros(1, dtype=np.intp)
     start = 0  # the first row of step t
 
-    def index(t, steps):
+    def inputs(t, laws, msg, steps):
         nonlocal xh, yh, start
         if steps:
             par, (_, x, y, _) = steps[-1]
             xh, yh = xh.take(par) * x_size + x, yh.take(par) * y_size + y
             start += (x_size * y_size) ** (t - 2)
-        return start + xh * y_size ** (t - 1) + yh
+        return None, rows[:laws, start + xh * y_size ** (t - 1) + yh]
 
-    return index
+    return inputs
 
 
 def forward_joint(
@@ -1089,7 +1094,7 @@ def forward_joint(
     """Enumerate the exact joint law over all positive-probability
     trajectories of length ``horizon``: ``_grow`` with one law, whose
     inputs are read off the policy's arrays (``_table_inputs`` or
-    ``_row_index``), and its tables from ``_level_tables`` over the same
+    ``_row_inputs``), and its tables from ``_level_tables`` over the same
     level arrays.
 
     Raises BudgetExceededError when the live trajectory count would exceed
@@ -1109,14 +1114,12 @@ def forward_joint(
         m = policy.messages
         inputs = _table_inputs([s[None] for s in policy.tables], m, spec.y_size)
     else:
-        m, row = 1, _row_index(spec.x_size, spec.y_size)
-
-        def inputs(t, laws, msg, steps):  # one row per prefix
-            return None, policy.rows[row(t, steps)][None]
+        m, inputs = 1, _row_inputs(policy.rows[None], spec.x_size, spec.y_size)
     prob, lives, msg, steps, sizes, parents, symbols = _grow(ch, horizon, budget, m, 1, inputs)
     del lives  # one law's masks are all true; free them before the tables
-    node_prob, w_post, xy_node, wy_node = (
-        table[0] for table in _level_tables(prob, msg, steps, sizes, m, spec.x_size, spec.y_size))
+    node_prob, xy_node, w_post, wy_node = (
+        table[0] for table in _level_tables(prob, steps, sizes, spec.x_size, spec.y_size,
+                                            (msg, m)))
     return JointLaw(
         channel=ch,
         policy=policy,
@@ -1140,141 +1143,74 @@ def encoder_tables(ch: Channel, tables, horizon: int, budget: int = DEFAULT_TRAJ
     ``tables[t - 1][g, w, i]`` is encoder g's step table at step t, in
     ``InputPolicy``'s message form with a leading encoder axis (the
     exponent search's are digit arrays, ``bound_engine._encoder_steps``),
-    read only where the encoder's law reaches.  Each encoder's nodes are
-    numbered by their first live trajectory, as ``forward_joint`` numbers
-    them, and the ones it cannot reach come last in their level, with
-    zeros.  Raises ``forward_joint``'s error for the first encoder whose
-    law fails.
-
-    Returns ``reweighted_tables``' (sizes, index, node_prob, xy_node).
-    """
-    _check_cap(ch, horizon)
-    laws, m = tables[0].shape[:2]
-    xn, yn = ch.spec.x_size, ch.spec.y_size
-    prob, lives, msg, steps, sizes, parents, symbols = _grow(
-        ch, horizon, budget, m, laws, _table_inputs(tables, m, yn))
-    # each level's prefixes by output node; level 0's are all at the root
-    firsts, base = [], 0
-    for live, (_, rows) in zip(lives, [(None, np.zeros((1, m), dtype=np.intp))] + steps):
-        firsts.append(_first_live(live, *_node_groups(rows[0]), base))
-        base += rows.shape[1] + 1  # past every key of the level
-    index = _node_index(parents, symbols, sizes, yn)
-    return _own_order_tables(prob, msg, steps, sizes, m, xn, yn, firsts, index)
+    read only where the encoder's law reaches.  Raises ``forward_joint``'s
+    error for the first encoder whose law fails.  Returns
+    ``_batch_tables``."""
+    m = tables[0].shape[1]
+    return _batch_tables(ch, horizon, budget, m, tables[0].shape[0],
+                         _table_inputs(tables, m, ch.spec.y_size))
 
 
-def reweighted_tables(law: JointLaw, px: np.ndarray):
+def policy_tables(ch: Channel, rows: np.ndarray, horizon: int,
+                  budget: int = DEFAULT_TRAJECTORY_BUDGET):
     """The output-history tables of many behavioral policies' laws, each
-    valued as a reweighting of the trajectories of ``law``: it forms no
-    trajectory, so one law serves every batch of policies a search values.
+    bit for bit its own law's: ``_grow`` with one law per policy.
+    ``rows[g]`` holds policy g's rows P(x_t | x^{t-1}, y^{t-1}), one per
+    key of ``_policy_row_keys(ch, horizon)`` in that order, shape
+    (policies, rows, X), read only where the policy's law reaches.  Raises
+    ``forward_joint``'s error for the first policy whose law fails.
+    Returns ``_batch_tables``."""
+    xn, yn = ch.spec.x_size, ch.spec.y_size
+    count = _policy_row_count(xn, yn, horizon)
+    if rows.ndim != 3 or rows.shape[1:] != (count, xn):
+        raise SchemaError(f"policy rows of shape {rows.shape} are not (policies, {count}, {xn})")
+    return _batch_tables(ch, horizon, budget, 1, rows.shape[0], _row_inputs(rows, xn, yn))
 
-    ``law`` is the law of a behavioral policy with no zero entry, such as
-    the uniform one, so its support contains every policy's.  ``px[g]``
-    holds policy g's rows P(x_t | x^{t-1}, y^{t-1}), one per key of
-    ``_policy_row_keys(law.channel, N)`` in that order, shape (policies,
-    rows, X).
 
-    Per step, each trajectory's probability is ``forward_joint``'s product
-    ((p * px) * ps) * q with the policy's factor px, and a trajectory is
-    live when its parent is and px > 0: ``forward_joint`` prunes on a zero
-    factor, not on an underflowed product.  A pruned trajectory keeps
-    probability 0.0, which adds an exact 0.0 to every table sum, so the
-    tables hold ``_level_tables``' sums over the policy's own trajectories,
-    in their order.  A node with no live trajectory is one the policy
-    cannot reach; the rest are numbered, level by level, by their first live
-    trajectory, which is ``forward_joint``'s order of first appearance.
-    That order can differ from the law's when a channel row has a zero: with
-    Q[x=0] = (0, 1), a policy that never sends 0 reaches y = 0 first.
+def _batch_tables(ch: Channel, horizon: int, budget: int, m: int, laws: int, inputs):
+    """The tables of the ``laws`` laws that ``_grow`` forms from ``inputs``,
+    each law's nodes in its own order: numbered, level by level, by their
+    first live trajectory, as ``forward_joint`` numbers them.  That order
+    can differ between laws when a channel row has a zero: with Q[x=0] =
+    (0, 1), a law that never sends 0 reaches y = 0 first.  The nodes a law
+    cannot reach come last in their level, with probability 0.0 and joint
+    rows of 0.0, so they add exact zeros to any sum.
 
     Returns (sizes, index, node_prob, xy_node): the shared level sizes and,
-    per policy, its nodes' ``_hist_index``, probability and (levels
-    0..N-1) joint P(X_t, Y_t | y^{t-1}), in its own node order.  The nodes
-    a policy cannot reach come last in their level, with probability 0.0
-    and joint rows of 0.0, so they add exact zeros to any sum.
+    per law, its nodes' ``_hist_index``, probability and (levels 0..N-1)
+    joint P(X_t, Y_t | y^{t-1}), in its own node order.
     """
-    plan = law.__dict__.get("_reweighting")
-    if plan is None:
-        plan = _reweighting_plan(law)
-        object.__setattr__(law, "_reweighting", plan)
-    levels, rows, index = plan
-    spec = law.channel.spec
-    if px.ndim != 3 or px.shape[1:] != (rows, spec.x_size):
-        raise SchemaError(f"policy rows of shape {px.shape} are not (policies, {rows}, "
-                          f"{spec.x_size})")
-    laws = px.shape[0]
-    px = px.reshape(laws, -1)
-    prob = np.ones((laws, 1))
-    live = np.ones((laws, 1), dtype=bool)
-    firsts = [(np.zeros((laws, 1), dtype=np.intp), live)]  # the root
-    for par, entry, ps, q, groups, base in levels:
-        factor = px.take(entry, axis=1)
-        prob = ((prob.take(par, axis=1) * factor) * ps) * q
-        live = live.take(par, axis=1) & (factor > 0.0)
-        firsts.append(_first_live(live, *groups, base))
-    return _own_order_tables(prob, np.zeros(prob.shape[1], dtype=np.intp), law.steps, law.sizes,
-                             1, spec.x_size, spec.y_size, firsts, index)
-
-
-def _node_groups(node: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A level's trajectories grouped by output node: an ordering by node,
-    and each node's first place in it."""
-    by_node = np.argsort(node, kind="stable")
-    return by_node, np.flatnonzero(np.diff(node.take(by_node), prepend=-1))
-
-
-def _first_live(live, by_node, starts, base):
-    """Per law (row of ``live``, laws x trajectories of one level), the sort
-    key of each of the level's output nodes, base plus its first live
-    trajectory (base plus the trajectory count when it has none), and
-    whether it has one; ``by_node`` and ``starts`` are ``_node_groups``."""
-    count = live.shape[1]
-    first = np.minimum.reduceat(
-        np.where(live, np.arange(count), count).take(by_node, axis=1), starts, axis=1)
-    return first + base, first < count
-
-
-def _own_order_tables(prob, msg, steps, sizes, m, xn, yn, firsts, index):
-    """``_level_tables``' node_prob and xy_node of laws over shared
-    trajectories, each law's nodes in its own order, sorted by the
-    per-level ``_first_live`` results ``firsts``: (sizes, index,
-    node_prob, xy_node), ``index`` the shared nodes' ``_hist_index`` taken
-    in each law's order."""
-    keys, reach = (np.concatenate(part, axis=1) for part in zip(*firsts))
-    order = np.argsort(keys, axis=1, kind="stable")
-    node_prob, _, xy_node, _ = _level_tables(prob, msg, steps, sizes, m, xn, yn, reach)
+    _check_cap(ch, horizon)
+    xn, yn = ch.spec.x_size, ch.spec.y_size
+    prob, lives, msg, steps, sizes, parents, symbols = _grow(ch, horizon, budget, m, laws, inputs)
+    # per level, each node's sort key, base plus its first live trajectory
+    # (base plus the trajectory count when it has none), and whether it has
+    # one; level 0's prefixes are all at the root
+    keys, reach, base = [], [], 0
+    for live, (_, rows) in zip(lives, [(None, np.zeros((1, m), dtype=np.intp))] + steps):
+        count = live.shape[1]
+        by_node = np.argsort(rows[0], kind="stable")
+        starts = np.flatnonzero(np.diff(rows[0].take(by_node), prepend=-1))
+        first = np.minimum.reduceat(
+            np.where(live, np.arange(count), count).take(by_node, axis=1), starts, axis=1)
+        keys.append(first + base)
+        reach.append(first < count)
+        base += count + 1  # past every key of the level
+    order = np.argsort(np.concatenate(keys, axis=1), axis=1, kind="stable")
+    node_prob, xy_node = _level_tables(prob, steps, sizes, xn, yn,
+                                       reach=np.concatenate(reach, axis=1))
     lanes = np.arange(prob.shape[0])[:, None]
+    index = _node_index(parents, symbols, sizes, yn)
     return (tuple(sizes), index.take(order), node_prob[lanes, order],
             xy_node[lanes, order[:, : xy_node.shape[1]]])
 
 
-def _reweighting_plan(law: JointLaw):
-    """The policy-free part of ``reweighted_tables``: per step, each
-    trajectory's parent, the position of its policy factor among the
-    flattened rows, its state and channel factors, the level's
-    ``_node_groups`` and key base; the row count; and each node's
-    ``_hist_index``."""
-    if law.is_message_form or law.policy.rows.min() <= 0.0:
-        raise SchemaError("reweighting needs the law of a behavioral policy with no zero entry")
-    spec, kernel = law.channel.spec, law.channel.kernel
-    xn, sn, yn = spec.x_size, spec.s_size, spec.y_size
-    check_tree_size(yn, law.horizon)
-    s_mem = x_mem = np.zeros(1, dtype=np.intp)
-    levels, row, base = [], _row_index(xn, yn), 1
-    for t, (par, (node, x, y, s)) in enumerate(law.steps, start=1):
-        at, s_mem, x_mem = kernel.rows(t, s_mem, x_mem)
-        ps = kernel.use_table(t).reshape(-1, sn)[at.take(par), s]
-        entry = row(t, law.steps[: t - 1]).take(par) * xn + x
-        levels.append((par, entry, ps, spec.q[s, x, y], _node_groups(node), base))
-        base += par.size + 1
-        s_mem, x_mem = kernel.advance(s_mem.take(par), x_mem.take(par), s, x)
-    rows = _policy_row_count(xn, yn, law.horizon)
-    return levels, rows, _node_index(law.node_parent, law.node_symbol, law.sizes, yn)
-
-
-def _level_tables(prob, msg, steps, sizes, m, xn, yn, reach=None):
-    """(node_prob, w_post, xy_node, wy_node) from the level arrays of
-    ``_grow``, of one law per row of ``prob`` (laws x trajectories): laws
-    over the same trajectories with their own probabilities, such as the
-    policies of ``reweighted_tables``.  Each table has that leading axis.
+def _level_tables(prob, steps, sizes, xn, yn, messages=None, reach=None):
+    """(node_prob, xy_node) from the level arrays of ``_grow``, and with
+    ``messages``, each trajectory's message and the message count (msg, m),
+    also (w_post, wy_node), of one law per row of ``prob`` (laws x
+    trajectories): laws over the same trajectories with their own
+    probabilities, such as a batch's.  Each table has that leading axis.
     A step's rows are (output node, x, y, s), with one x row that the laws
     share, or one per law.
 
@@ -1294,6 +1230,7 @@ def _level_tables(prob, msg, steps, sizes, m, xn, yn, reach=None):
     """
     horizon = len(steps)
     laws, count = prob.shape
+    msg, m = messages or (None, 0)
     width = len(steps[0][1]) - 1 if steps else 3  # (output node, x..., y)
     offsets = list(itertools.accumulate(sizes, initial=0))
     nodes, inner = offsets[-1], offsets[-2]  # levels 0..N, and 0..N-1
@@ -1324,24 +1261,23 @@ def _level_tables(prob, msg, steps, sizes, m, xn, yn, reach=None):
         weights = np.broadcast_to(prob[:, None], (laws, k, count)).ravel()
         inner_weights = weights.reshape(laws, k * count)[:, : ks * count].ravel()
         size, size_inner = offsets[hi + 1] - offsets[lo], offsets[lo + ks] - offsets[lo]
-        parts.append((
-            np.bincount((lane * size + node).ravel(), weights, laws * size),
-            np.bincount((lane * (size * m) + (node * m + msg)).ravel(), weights,
-                        laws * size * m),
-            np.bincount((lane * (size_inner * xn * yn) + ((prev * xn + x) * yn + y)).ravel(),
-                        inner_weights, laws * size_inner * xn * yn),
-            np.bincount((lane * (size_inner * m * yn) + ((prev * m + msg) * yn + y)).ravel(),
-                        inner_weights, laws * size_inner * m * yn),
-        ))
-    node_mass, w_mass, xy_mass, wy_mass = (
+        # (bin of each weight within its law, weights, bins per law)
+        cells = [(node, weights, size), ((prev * xn + x) * yn + y, inner_weights,
+                                         size_inner * xn * yn)]
+        if messages is not None:
+            cells += [(node * m + msg, weights, size * m),
+                      ((prev * m + msg) * yn + y, inner_weights, size_inner * m * yn)]
+        parts.append([np.bincount((lane * bins + at).ravel(), w, laws * bins)
+                      for at, w, bins in cells])
+    node_mass, xy_mass, *w_masses = (
         part[0].reshape(laws, -1) if len(parts) == 1
         else np.concatenate([a.reshape(laws, -1) for a in part[::-1]], axis=1)
         for part in zip(*parts)
     )
     den = node_mass if reach is None else np.where(reach, node_mass, 1.0)
-    return (
-        node_mass,
-        w_mass.reshape(laws, nodes, m) / den[:, :, None],
-        xy_mass.reshape(laws, inner, xn, yn) / den[:, :inner, None, None],
-        wy_mass.reshape(laws, inner, m, yn) / den[:, :inner, None, None],
-    )
+    tables = [node_mass, xy_mass.reshape(laws, inner, xn, yn) / den[:, :inner, None, None]]
+    if messages is not None:
+        w_mass, wy_mass = w_masses
+        tables += [w_mass.reshape(laws, nodes, m) / den[:, :, None],
+                   wy_mass.reshape(laws, inner, m, yn) / den[:, :inner, None, None]]
+    return tables

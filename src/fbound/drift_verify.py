@@ -86,6 +86,8 @@ __all__ = [
 ]
 
 DRIFT_TOL = 1e-10
+LEMMA7_MAX_DIM = 5  # the log-sum split's random instances have dimensions 2..5
+SELF_CHECK_TOL = 1e-9  # slack of the maximal inequality's decrease self-checks
 _VACUOUS = "no history with entropy inside (0, eps): vacuous pass"
 _INFINITE_C = "c is infinite, so the slack c * hb_inv(eps) bounds nothing: vacuous pass"
 
@@ -556,7 +558,7 @@ def verify_lemma4_budget(
 
     pe, et = stop_error(law, rule)
     alpha = _fano_ceiling(pe, logm)
-    if eps <= alpha:
+    if not eps > alpha:  # also refuses NaN
         raise SchemaError(
             f"eps={eps:g} must exceed the decoder entropy ceiling {alpha:.6g}"
         )
@@ -647,15 +649,14 @@ def verify_lemma5_kl_transfer(
 # ---------------------------------------------------------------------------
 
 
-def verify_lemma7(
-    trials: int = 10**5, seed: int = 0, max_dim: int = 5, tol: float = 1e-9
-) -> Verdict:
+def verify_lemma7(trials: int = 10**5, seed: int = 0, tol: float = 1e-9) -> Verdict:
     """Log-sum split: sum_l p_l log2(sum_i mu_i / sum_i beta_il) is at most
-    max_i sum_l p_l log2(mu_i / beta_il), on random positive instances."""
+    max_i sum_l p_l log2(mu_i / beta_il), on random positive instances of
+    dimensions 2..``LEMMA7_MAX_DIM``."""
     rng = np.random.default_rng(seed)
     worst = math.inf
     count = 0
-    dims = [(k, l) for k in range(2, max_dim + 1) for l in range(2, max_dim + 1)]
+    dims = [(k, l) for k in range(2, LEMMA7_MAX_DIM + 1) for l in range(2, LEMMA7_MAX_DIM + 1)]
     per = max(1, -(-trials // len(dims)))  # ceil: at least `trials` in total
     for k, l in dims:
         mu = rng.random((per, k)) + 1e-12
@@ -669,7 +670,7 @@ def verify_lemma7(
         count += per
     return Verdict(
         check="log-sum-split",
-        instance=f"random positive instances, dims 2..{max_dim}",
+        instance=f"random positive instances, dims 2..{LEMMA7_MAX_DIM}",
         count=count,
         worst=worst,
         passed=worst >= -tol,
@@ -732,7 +733,6 @@ def verify_maximal_inequality(
     law: JointLaw | None = None,
     trials: int = 10**4,
     seed: int = 0,
-    tol_self: float = 1e-9,
 ) -> Verdict:
     """Monte Carlo check of the nonnegative-supermartingale maximal
     inequality: the running-supremum exceedance frequency stays below the
@@ -754,7 +754,7 @@ def verify_maximal_inequality(
     table = node_table(law)
     h = table.h
     # generator self-check: expected one-step decrease at every history
-    if np.any(child_expectation(law, h) > h[: table.prob.size] + tol_self):
+    if np.any(child_expectation(law, h) > h[: table.prob.size] + SELF_CHECK_TOL):
         raise SchemaError("entropy process failed its decrease self-check")
     order = np.argsort(table.leaf)
     probs = table.leaf_prob[order]
@@ -772,7 +772,7 @@ def verify_maximal_inequality(
         count += 1
         details.append(f"entropy-process c={c:g}: freq={freq:.4g} bound={bound:.4g}")
 
-    assert abs(0.5 * 0.5 + 0.5 * 1.4 - 0.95) < tol_self  # walk decrease factor
+    assert abs(0.5 * 0.5 + 0.5 * 1.4 - 0.95) < SELF_CHECK_TOL  # walk decrease factor
     walk_sup = _walk_paths(rng, trials, 30).max(axis=0)
     for c in (1.5, 2.0, 4.0):
         freq = float((walk_sup > c).mean())

@@ -15,10 +15,10 @@ path, and, for every history, the message posterior, H(W | y^t) and the
 per-message one-step output laws.  Stopped quantities are reductions over
 one table type, ``PolicyTable``: the columns they read, with a leading law
 axis.  Its one constructor takes the (sizes, index, node_prob, xy_node)
-that ``reweighted_tables`` (behavioral policies) and ``encoder_tables``
-(deterministic encoders) return, and a node table's columns are its
-one-law view, so one law and many laws over the same trajectories take
-the same path.  A stopping rule enters as its stopped mask and stop-time
+that ``policy_tables`` (behavioral policies) and ``encoder_tables``
+(deterministic encoders) return, both from the one trajectory loop that
+builds every law, and a node table's columns are its one-law view, so one
+law and many laws over the same trajectories take the same path.  A stopping rule enters as its stopped mask and stop-time
 table (see ``StoppingRule``), so every rule, or rule pair, of every law
 of a table is evaluated in a single array pass.
 Every sum runs left to right from 0.0 in the order of the per-history loop
@@ -288,7 +288,7 @@ def _row_entropy(mu: np.ndarray) -> np.ndarray:
 class PolicyTable:
     """The per-history columns the stopped sums read, of one or many laws
     over shared output nodes: a node table's one law (``NodeTable.one_law``),
-    or the laws of many behavioral policies (``reweighted_tables``) or
+    or the laws of many behavioral policies (``policy_tables``) or
     deterministic encoders (``encoder_tables``).  Each column has a leading
     law axis and lists the nodes in each law's own order, except ``level``
     (t - 1 of each entry), which the laws share: a node a law cannot reach
@@ -307,8 +307,8 @@ class PolicyTable:
 
     @classmethod
     def of(cls, tables, y_size: int) -> "PolicyTable":
-        """The columns of ``reweighted_tables``' (sizes, index, node_prob,
-        xy_node), the shape ``encoder_tables`` returns too."""
+        """The columns of the (sizes, index, node_prob, xy_node) that
+        ``policy_tables`` and ``encoder_tables`` return."""
         sizes, index, node_prob, xy_node = tables
         horizon, inner = len(sizes) - 1, xy_node.shape[1]
         starts = np.array(_level_offsets(y_size, horizon)[:horizon], dtype=np.int64)

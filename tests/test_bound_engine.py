@@ -515,6 +515,21 @@ def test_flag_order_is_independent_of_the_hash_seed():
     assert '"kind": "capacity"' in capacity[0]
 
 
+NON_INTEGER_COUNTS = [
+    ("grid_denominator", 2.5), ("grid_denominator", True), ("sweeps", 1.5),
+    ("restarts", 1.5), ("restarts", "a"), ("rule_cap", None), ("budget", 2.5),
+    ("encoder_cap", None), ("encoder_cap", 1.5), ("fixed_t", 1.5), ("fixed_t", True),
+    ("messages", (2, "a")), ("messages", (True,)), ("messages", (2.5,)), ("messages", 2),
+]
+
+
+@pytest.mark.parametrize("field, value", NON_INTEGER_COUNTS,
+                         ids=[f"{field}={value!r}" for field, value in NON_INTEGER_COUNTS])
+def test_search_config_refuses_a_non_integer_count_naming_its_field(field, value):
+    with pytest.raises(SchemaError, match=rf"^{field}(\[\d+\])? must be"):
+        SearchConfig(**{field: value})
+
+
 def test_search_config_rejects_bad_fields():
     for bad in (
         dict(grid_denominator=0), dict(sweeps=-1), dict(restarts=-1),

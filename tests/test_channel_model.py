@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import REPO
 from fbound.info_measures import node_table
 from fbound.channel_model import (
     BudgetExceededError,
@@ -57,6 +58,43 @@ def test_parse_renormalizes_small_drift():
     }
     ch = parse_channel(json.dumps(obj))
     assert abs(ch.spec.q[0, 0].sum() - 1.0) < 1e-12
+
+
+def _with_kernel(name, edit):
+    obj = json.loads((REPO / "channels" / f"{name}.json").read_text())
+    edit(obj["state_kernel"])
+    return json.dumps(obj)
+
+
+@pytest.mark.parametrize("name, edit, message", [
+    ("bsc01", lambda k: k.update(table=[-1.0]), "state distribution has a negative entry"),
+    ("bsc01", lambda k: k.update(table=[2.0]), "state distribution sums to 2.0"),
+    ("flip2", lambda k: k["table"][1].__setitem__(0, [0.3, 0.2]),
+     r"state transition row \(s=1, x=0\) sums to 0.5"),
+    ("flip2", lambda k: k.update(init=[0.2, 0.3]), "initial state distribution sums to 0.5"),
+    ("histk2", lambda k: k["table"][1][0].__setitem__(0, [0.4, 0.2]),
+     r"state row t=2, hist=\(0, 0\) sums to 0.6"),
+], ids=["negative", "double", "markov1-row", "init", "history-level"])
+def test_parse_refuses_a_state_kernel_that_is_no_distribution(name, edit, message):
+    # such a row is refused, naming it, not rescaled into another channel
+    with pytest.raises(DistributionError, match=message):
+        parse_channel(_with_kernel(name, edit))
+
+
+def test_parse_keeps_every_channel_files_arrays_bit_for_bit():
+    # every row of the shipped files is within the storage invariant, so
+    # parsing keeps the arrays exactly as json reads them
+    for path in sorted((REPO / "channels").glob("*.json")):
+        obj, ch = json.loads(path.read_text()), load_channel(str(path))
+        kernel = obj["state_kernel"]
+        assert ch.spec.q.tobytes() == np.array(obj["Q"], dtype=float).tobytes()
+        if kernel["type"] == "history_table":
+            for got, raw in zip(ch.kernel.levels, kernel["table"], strict=True):
+                assert got.tobytes() == np.array(raw, dtype=float).tobytes()
+        else:
+            assert ch.kernel.table.tobytes() == np.array(kernel["table"], dtype=float).tobytes()
+        if "init" in kernel:
+            assert ch.kernel.init.tobytes() == np.array(kernel["init"], dtype=float).tobytes()
 
 
 def test_parse_rejects_negative_and_shape_errors():

@@ -267,6 +267,11 @@ def test_lemma4_budget_needs_eps_above_ceiling(law2):
         verify_lemma4_budget(law2, 0.2)  # ceiling is ~0.2123 here
 
 
+def test_lemma4_budget_refuses_a_nan_eps_in_its_own_check(law2):
+    with pytest.raises(SchemaError, match="eps=nan must exceed the decoder entropy ceiling"):
+        verify_lemma4_budget(law2, math.nan)
+
+
 # --- divergence transfer ------------------------------------------------------
 
 

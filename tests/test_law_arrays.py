@@ -444,7 +444,7 @@ BATCH_CHANNELS = ("z01", "perfect2", "flip2", "histk2", "zrow", "zstate", "wide"
 
 
 def _grid_policies(ch, horizon, seed, count=24):
-    """The uniform law and ``count`` policies of random search-grid rows,
+    """The row keys and ``count`` policies of random search-grid rows,
     about a third of the rows a vertex (one input with probability 1)."""
     x = ch.spec.x_size
     keys = _policy_row_keys(ch, horizon)
@@ -456,10 +456,7 @@ def _grid_policies(ch, horizon, seed, count=24):
               else grid[rng.integers(len(grid))] for _ in keys)
         for _ in range(count)
     ]
-    uniform = tuple(np.full(x, 1.0 / x))
-    law = forward_joint(ch, InputPolicy(horizon=horizon, x_size=x, y_size=ch.spec.y_size,
-                                        rows=[uniform] * len(keys)), horizon)
-    return law, keys, policies
+    return keys, policies
 
 
 def _policy_law(ch, keys, policy, horizon):
@@ -468,7 +465,7 @@ def _policy_law(ch, keys, policy, horizon):
 
 
 def assert_own_laws(tables, own_laws):
-    """Tables of many laws over shared nodes, as ``reweighted_tables`` and
+    """Tables of many laws over shared nodes, as ``policy_tables`` and
     ``encoder_tables`` return them, equal the tables of each law built on
     its own, node for node: its nodes first in each level, in its own
     order, then the ones it cannot reach, with zeros."""
@@ -487,18 +484,18 @@ def assert_own_laws(tables, own_laws):
                 assert not xy_node[g, cut:hi].any()
 
 
-def assert_own_tables(ch, law, keys, policies):
-    """``reweighted_tables`` of every policy equals the tables of the
-    policy's own law."""
-    assert_own_laws(channel_model.reweighted_tables(law, np.array(policies)),
-                    [_policy_law(ch, keys, policy, law.horizon) for policy in policies])
+def assert_own_tables(ch, horizon, keys, policies):
+    """``policy_tables`` of every policy equals the tables of the policy's
+    own law."""
+    assert_own_laws(channel_model.policy_tables(ch, np.array(policies), horizon),
+                    [_policy_law(ch, keys, policy, horizon) for policy in policies])
 
 
 @pytest.mark.parametrize("name", BATCH_CHANNELS)
 def test_reweighted_tables_are_each_policys_own_tables(name):
     ch = _channel(name)
     for horizon in range(1, min(_max_horizon(name), 3) + 1):
-        assert_own_tables(ch, *_grid_policies(ch, horizon, seed=horizon))
+        assert_own_tables(ch, horizon, *_grid_policies(ch, horizon, seed=horizon))
 
 
 @pytest.mark.parametrize("pass_size", [1, 100])
@@ -506,7 +503,7 @@ def test_reweighted_tables_counted_in_several_passes_match(pass_size, monkeypatc
     monkeypatch.setattr(channel_model, "_PASS_SIZE", pass_size)
     for name in ("flip2", "zrow"):
         ch = _channel(name)
-        assert_own_tables(ch, *_grid_policies(ch, 3, seed=5, count=6))
+        assert_own_tables(ch, 3, *_grid_policies(ch, 3, seed=5, count=6))
 
 
 @pytest.mark.parametrize("name", BATCH_CHANNELS)
@@ -514,11 +511,12 @@ def test_batched_capacity_values_equal_one_law_per_policy(name):
     ch = _channel(name)
     # wide at H = 3 has 83,521 stopping rules, each valued per policy
     for horizon in range(1, (2 if name == "wide" else min(_max_horizon(name), 3)) + 1):
-        law, keys, policies = _grid_policies(ch, horizon, seed=10 + horizon)
+        keys, policies = _grid_policies(ch, horizon, seed=10 + horizon)
         for stopping in ("all", "fixed"):
             rules, _ = bound_engine._capacity_rules(ch, horizon, SearchConfig(stopping=stopping))
             stack = rule_stack(rules, horizon)
-            got = bound_engine._capacity_values(law, np.array(policies), rules, stack)
+            got = bound_engine._capacity_values(ch, horizon, 10**7, np.array(policies), rules,
+                                                stack)
             want = [oracles._capacity_objective(ch, dict(zip(keys, p)), horizon, rules, stack,
                                                  10**7) for p in policies]
             assert got == want
@@ -531,22 +529,21 @@ def test_reweighting_prunes_on_a_zero_factor_not_an_underflowed_product():
     # ahead of (1, 1), as it keeps every trajectory whose factors are not 0
     ch = _channel("faint")
     for horizon in (2, 3):
-        law, keys, _ = _grid_policies(ch, horizon, seed=0, count=0)
+        keys = _policy_row_keys(ch, horizon)
         policy = tuple((0.0, 1.0) if t > 1 and yh[-1] == 1 else (1.0, 0.0)
                        for t, _, yh in keys)
         own = _policy_law(ch, keys, policy, horizon)
         assert own.node_prob[own.sizes[0] + own.sizes[1] + 2] == 0.0
-        assert_own_tables(ch, law, keys, [policy])
+        assert_own_tables(ch, horizon, keys, [policy])
 
 
-def test_reweighting_refuses_a_law_without_full_support():
+def test_policy_tables_refuse_rows_not_shaped_policies_rows_inputs():
     ch = _channel("z01")
-    law, keys, policies = _grid_policies(ch, 2, seed=0, count=1)
-    with pytest.raises(SchemaError, match="no zero entry"):
-        channel_model.reweighted_tables(_policy_law(ch, keys, ((1.0, 0.0),) * len(keys), 2),
-                                        np.array(policies))
-    with pytest.raises(SchemaError, match="are not"):
-        channel_model.reweighted_tables(law, np.array(policies)[:, 1:])
+    _, policies = _grid_policies(ch, 2, seed=0, count=2)
+    rows = np.array(policies)
+    for bad in (rows[:, 1:], rows[:, :, :1], rows[0]):
+        with pytest.raises(SchemaError, match=r"are not \(policies, 5, 2\)"):
+            channel_model.policy_tables(ch, bad, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -677,19 +674,19 @@ def _count_laws(monkeypatch, ch, horizon, cfg):
     """(laws built, policy batches, policies valued, distinct policies
     valued) by one search."""
     laws, batches, policies = [], [], []
-    real_forward_joint, real_reweighted = bound_engine.forward_joint, bound_engine.reweighted_tables
+    real_forward_joint, real_policy_tables = bound_engine.forward_joint, bound_engine.policy_tables
 
     def counting_forward_joint(*args, **kwargs):
         laws.append(None)
         return real_forward_joint(*args, **kwargs)
 
-    def counting_reweighted(law, px):
+    def counting_policy_tables(ch, px, *args):
         batches.append(None)
         policies.extend(map(bytes, px))
-        return real_reweighted(law, px)
+        return real_policy_tables(ch, px, *args)
 
     monkeypatch.setattr(bound_engine, "forward_joint", counting_forward_joint)
-    monkeypatch.setattr(bound_engine, "reweighted_tables", counting_reweighted)
+    monkeypatch.setattr(bound_engine, "policy_tables", counting_policy_tables)
     capacity_bound(ch, horizon, cfg)
     return len(laws), len(batches), len(policies), len(set(policies))
 
@@ -749,15 +746,16 @@ def test_a_policys_capacity_value_does_not_depend_on_its_batch(name):
     horizon = 2
     rules, _ = bound_engine._capacity_rules(ch, horizon, SearchConfig(stopping="all"))
     stack = rule_stack(rules, horizon)
-    law = forward_joint(ch, uniform_behavioral_policy(ch, horizon), horizon)
     grid = _simplex_grid(ch.spec.x_size, 16)
     rng = np.random.default_rng(sum(map(ord, name)))
-    px = np.array([[grid[g] for g in rng.integers(len(grid), size=law.policy.rows.shape[0])]
+    keys = _policy_row_keys(ch, horizon)
+    px = np.array([[grid[g] for g in rng.integers(len(grid), size=len(keys))]
                    for _ in range(153)])
 
     def outcomes(batch):
         return [(float(v).hex(), rules.index(rule))
-                for v, rule in bound_engine._capacity_values(law, batch, rules, stack)]
+                for v, rule in bound_engine._capacity_values(ch, horizon, 10**7, batch, rules,
+                                                             stack)]
 
     together = outcomes(px)
     assert [outcomes(p[None])[0] for p in px] == together

@@ -36,8 +36,8 @@ from fbound.channel_model import (
     enumerate_stopping_rules,
     forward_joint,
     load_channel,
+    policy_tables,
     repetition_encoder,
-    reweighted_tables,
     rotating_encoder,
     uniform_behavioral_policy,
 )
@@ -100,7 +100,7 @@ def _tables_of(policy):
 @functools.lru_cache(maxsize=None)
 def _batched(name, horizon):
     """The ``PolicyTable`` lane of every law of ``_laws``: the behavioral
-    law valued as a reweighting of itself, and the message-form laws built
+    law's policy as a batch of one, and the message-form laws built
     together, one batch per message count, in ``_laws`` order."""
     ch, laws = _channel(name), _laws(name, horizon)
     out = {}
@@ -112,7 +112,7 @@ def _batched(name, horizon):
         out.update((i, (table, g)) for g, i in enumerate(group))
     for i, law in enumerate(laws):
         if not law.is_message_form:
-            tables = reweighted_tables(law, law.policy.rows[None])
+            tables = policy_tables(ch, law.policy.rows[None], horizon, 10**7)
             out[i] = (PolicyTable.of(tables, ch.spec.y_size), 0)
     return [out[i] for i in range(len(laws))]
 
