@@ -349,8 +349,9 @@ def cmd_simulate(args, parser) -> int:
         stats = vs.simulate(scheme, ch, args.trials, seed=args.seed)
         runs.append((scheme, stats))
         # the walk runs before the scheme line, whose interval text may
-        # import scipy, so that scipy never loads on top of its arrays;
-        # the line still prints before a refused walk's error
+        # load scipy's compiled betaincinv (as the CSV rows do), so that
+        # scipy never loads on top of its arrays; the line still prints
+        # before a refused walk's error
         try:
             ex = vs.exact_stats(scheme, ch, **kw) if args.exact else None
         finally:

@@ -47,8 +47,10 @@ single-state channel this is exact maximum likelihood.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -234,16 +236,41 @@ def build_repetition_confirm(
 # ---------------------------------------------------------------------------
 
 
+def _betaincinv():
+    """scipy's compiled ``betaincinv`` ufunc, the object ``scipy.special``
+    exports, loaded without running that package's ``__init__``.
+
+    The package body (array-API backend set-up, whose attribute probes
+    load ``numpy.f2py`` and ``numpy.random``, and docstring parsing) costs
+    more than a CSV run's own work, and the ufunc needs none of it, only
+    its compiled ``_ufuncs`` module, which imports its siblings relatively.
+    So that import runs under a ``scipy.special`` package module made from
+    the package's spec but not executed, and registered only while the
+    import runs.  A later ``import scipy.special`` runs the real
+    ``__init__``, which reuses the loaded ``_ufuncs``."""
+    special = sys.modules.get("scipy.special")
+    if special is not None:
+        return special.betaincinv
+    ufuncs = sys.modules.get("scipy.special._ufuncs")
+    if ufuncs is None:
+        package = importlib.util.module_from_spec(importlib.util.find_spec("scipy.special"))
+        sys.modules["scipy.special"] = package
+        try:
+            ufuncs = importlib.import_module("scipy.special._ufuncs")
+        finally:
+            del sys.modules["scipy.special"]
+    return ufuncs.betaincinv
+
+
 def _clopper_pearson(k: int, n: int, level: float = 0.95) -> tuple[float, float]:
     """Exact binomial interval from beta quantiles (``betaincinv``): the
     one source of the interval's bits, in CSV rows and ``RunStats``.
 
-    scipy is imported here, not at module level: importing ``scipy.special``
-    costs more than most commands' own work, and only these bits need it;
-    the printed digits come from ``_clopper_pearson_text`` where it can
-    certify them."""
-    from scipy.special import betaincinv
-
+    ``_betaincinv`` gives the ufunc; its first call loads only scipy's
+    compiled special-function module, not ``scipy.special``'s package
+    body.  The printed digits come from ``_clopper_pearson_text``, without
+    scipy, where it can certify them."""
+    betaincinv = _betaincinv()
     a = (1.0 - level) / 2.0
     lo = 0.0 if k == 0 else float(betaincinv(k, n - k + 1, a))
     hi = 1.0 if k == n else float(betaincinv(k + 1, n - k, 1.0 - a))

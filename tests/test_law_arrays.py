@@ -492,14 +492,14 @@ def assert_own_tables(ch, horizon, keys, policies):
 
 
 @pytest.mark.parametrize("name", BATCH_CHANNELS)
-def test_reweighted_tables_are_each_policys_own_tables(name):
+def test_policy_tables_are_each_policys_own_tables(name):
     ch = _channel(name)
     for horizon in range(1, min(_max_horizon(name), 3) + 1):
         assert_own_tables(ch, horizon, *_grid_policies(ch, horizon, seed=horizon))
 
 
 @pytest.mark.parametrize("pass_size", [1, 100])
-def test_reweighted_tables_counted_in_several_passes_match(pass_size, monkeypatch):
+def test_policy_tables_counted_in_several_passes_match(pass_size, monkeypatch):
     monkeypatch.setattr(channel_model, "_PASS_SIZE", pass_size)
     for name in ("flip2", "zrow"):
         ch = _channel(name)
@@ -523,7 +523,7 @@ def test_batched_capacity_values_equal_one_law_per_policy(name):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # 0/0 at a node of underflowed mass
-def test_reweighting_prunes_on_a_zero_factor_not_an_underflowed_product():
+def test_policy_tables_prune_on_a_zero_factor_not_an_underflowed_product():
     # send 0, then 1 after y = 1: the history (1, 0) has only the product
     # 1e-200 * 1e-200, which underflows to 0.0, yet forward_joint keeps it,
     # ahead of (1, 1), as it keeps every trajectory whose factors are not 0

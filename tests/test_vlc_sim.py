@@ -4,11 +4,14 @@ and the exact tree evaluation against an independent enumeration oracle."""
 from __future__ import annotations
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import oracles
+from conftest import child_env
 from fbound.channel_model import BudgetExceededError, SchemaError, load_channel
 from fbound.vlc_sim import (
     CSV_COLUMNS,
@@ -416,6 +419,69 @@ def test_printed_interval_digits_match_betaincinv():
                 probes += 1
     # the rest fall back: a bound within CP_DELTA of a digit boundary or of 1
     assert probes > 200 and certified > 0.9 * probes
+
+
+# The narrow load runs in a fresh interpreter, since this one has imported
+# scipy.special already: interval bits taken through it, then compared with
+# the ufunc that the full ``scipy.special`` (and ``scipy.stats`` on top of
+# it) exports once imported after it.
+_NARROW_LOAD_PROBE = """
+import sys
+from fbound import vlc_sim
+
+cases = [(0, 100000), (100000, 100000), (258, 100000), (256, 100000)]
+got = [vlc_sim._clopper_pearson(k, n) for k, n in cases]
+assert "scipy.special" not in sys.modules
+assert "scipy.special._ufuncs" in sys.modules
+assert vlc_sim._clopper_pearson_text(258, 100000) is not None
+assert vlc_sim._clopper_pearson_text(256, 100000) is None
+import scipy.special, scipy.stats
+assert scipy.special.betaincinv is vlc_sim._betaincinv()
+a = (1.0 - 0.95) / 2.0
+for (k, n), (lo, hi) in zip(cases, got):
+    want_lo = 0.0 if k == 0 else float(scipy.special.betaincinv(k, n - k + 1, a))
+    want_hi = 1.0 if k == n else float(scipy.special.betaincinv(k + 1, n - k, 1.0 - a))
+    assert (lo.hex(), hi.hex()) == (want_lo.hex(), want_hi.hex()), (k, n)
+"""
+
+
+def test_narrowly_loaded_betaincinv_is_scipy_specials_own():
+    proc = subprocess.run([sys.executable, "-c", _NARROW_LOAD_PROBE], capture_output=True,
+                          text=True, env=child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+# A meta-path finder that refuses scipy's compiled special functions: the
+# refusal must reach the caller, and no unexecuted ``scipy.special`` stub
+# may stay registered, where a later import would take it for the package
+# and find no ``betaincinv`` in it.
+_REFUSED_LOAD_PROBE = """
+import sys
+from fbound import vlc_sim
+
+class Refuse:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy.special._ufuncs":
+            raise ImportError("refused " + name)
+        return None
+
+sys.meta_path.insert(0, Refuse())
+try:
+    vlc_sim._betaincinv()
+except ImportError as exc:
+    print(exc)
+print("scipy.special" in sys.modules, "scipy.special._ufuncs" in sys.modules)
+sys.meta_path.pop(0)
+import scipy.special
+print(scipy.special.betaincinv is vlc_sim._betaincinv())
+"""
+
+
+def test_a_refused_betaincinv_load_raises_and_leaves_no_stub_package():
+    proc = subprocess.run([sys.executable, "-c", _REFUSED_LOAD_PROBE], capture_output=True,
+                          text=True, env=child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "refused scipy.special._ufuncs\nFalse False\nTrue\n"
 
 
 @pytest.mark.parametrize("k,side,boundary", [(8, "hi", 0.0007880065), (18, "lo", 0.0005334815)])
