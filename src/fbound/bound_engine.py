@@ -45,14 +45,12 @@ from .channel_model import (
     uniform_behavioral_policy,
 )
 from .info_measures import (
-    PolicyTable,
+    NodeTable,
     _fano_ceiling,
     _sum_in_place,
     _v_term,
-    directed_kl_stopped,
-    directed_mi_stopped,
-    expected_stop_time,
     max_pairwise_row_kl,
+    node_table,
     rule_stack,
     stop_error,
     stopped_values,
@@ -285,7 +283,7 @@ def _capacity_values(ch: Channel, horizon: int, budget: int, px, rules, stack):
     of every policy ``px[g]`` over all rules at once, their laws built
     together (``policy_tables``); ``stack`` is ``rule_stack(rules,
     horizon)``.  Ties go to the earliest rule."""
-    table = PolicyTable.of(policy_tables(ch, px, horizon, budget), ch.spec.y_size)
+    table = NodeTable.of(policy_tables(ch, px, horizon, budget), ch.spec.y_size)
     et, mi = stopped_values(table, *stack)
     vals = mi / et
     best = vals.argmax(axis=1)
@@ -494,7 +492,7 @@ def _encoder_steps(kind, ks, m, x_size, y_size, horizon):
             for step, width in zip(np.split(digits, cuts, axis=1), widths)]
 
 
-def _step_aggregates(table: PolicyTable, horizon: int):
+def _step_aggregates(table: NodeTable, horizon: int):
     """E over histories of the per-step information and divergence terms of
     every law of ``table``: ej[g, t] and ed[g, t] sum the node-table terms of
     level t - 1, in node order."""
@@ -510,7 +508,7 @@ def _window_sums(terms: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return np.ascontiguousarray(terms[:, lo:hi]).sum(axis=1)
 
 
-def _pair_rates(table: PolicyTable, first: np.ndarray, last: np.ndarray, stack, horizon: int):
+def _pair_rates(table: NodeTable, first: np.ndarray, last: np.ndarray, stack, horizon: int):
     """Rates of the stopping pairs (first[k], last[k]) of every law of
     ``table`` whose second phase has positive expected length: rows of
     ``stack``, a ``rule_stack``, or, when it is None, the deterministic
@@ -696,7 +694,7 @@ def exponent_candidates(
         for start in range(0, count, batch):
             steps = _encoder_steps(kind, range(start, min(start + batch, count)), m,
                                    spec.x_size, spec.y_size, horizon)
-            table = PolicyTable.of(encoder_tables(ch, steps, horizon, cfg.budget), spec.y_size)
+            table = NodeTable.of(encoder_tables(ch, steps, horizon, cfg.budget), spec.y_size)
             keep, *rates = _pair_rates(table, first, last, stack, horizon)
             encoder, pair = keep.nonzero()
             if columns is None:
@@ -772,8 +770,8 @@ def reevaluate(result: BoundResult, ch: Channel, cfg: SearchConfig = SearchConfi
     if result.kind == "exponent":
         steps = _tables_from_maximizer(result.maximizer, ch.spec.x_size, ch.spec.y_size,
                                        result.horizon)
-        table = PolicyTable.of(encoder_tables(ch, steps, result.horizon, cfg.budget),
-                               ch.spec.y_size)
+        table = NodeTable.of(encoder_tables(ch, steps, result.horizon, cfg.budget),
+                             ch.spec.y_size)
         pair = result.maximizer["pair"]
         if not isinstance(pair, (list, tuple)) or not pair:
             raise SchemaError(f"stored stopping pair {pair!r} is not a non-empty list")
@@ -840,6 +838,8 @@ def dmc_consistency(
     A zero-capacity channel yields a flagged degenerate report instead of a
     rate grid.
     """
+    if isinstance(n_rates, bool) or not isinstance(n_rates, (int, np.integer)) or n_rates < 1:
+        raise SchemaError(f"n_rates must be an integer >= 1, got {n_rates!r}")
     if not ch.spec.is_dmc():
         raise SchemaError("consistency check needs a single-state channel")
     rows_q = ch.spec.q[0]
@@ -930,10 +930,12 @@ def residual_terms(
     pe, et = stop_error(law, last)
     pe = max(pe, 0.0)
 
-    et1 = expected_stop_time(law, first)
-    i_rate = directed_mi_stopped(law, first) / et1
+    table, (stopped, times) = node_table(law), rule_stack([first, last], n)
+    (et1, _), (mi1, _) = (v.tolist() for v in stopped_values(table, stopped, times))
+    i_rate = mi1 / et1
     den = et - et1
-    d_rate = directed_kl_stopped(law, first, last) / den if den > 1e-12 else math.nan
+    d_rate = (float(window_divergence(table, stopped, np.array([0]), np.array([1]))[0]) / den
+              if den > 1e-12 else math.nan)
     if den <= 1e-12:
         flags.append("empty_divergence_phase")
     rate = logm / et

@@ -459,12 +459,6 @@ def parse_channel(text: str) -> Channel:
             f"Q shape {q.shape} does not match declared sizes "
             f"({s_size}, {x_size}, {y_size})"
         )
-    if np.any(q < 0):
-        raise SchemaError("Q has a negative entry")
-    sums = q.sum(axis=2)
-    if np.any(np.abs(sums - 1.0) > VALIDATION_TOL):
-        worst = float(np.max(np.abs(sums - 1.0)))
-        raise SchemaError(f"Q row sums deviate from 1 by {worst:.3e} (> {VALIDATION_TOL})")
     q = _canonicalize_rows(q)
     spec = ChannelSpec(x_size=x_size, y_size=y_size, s_size=s_size, q=q, name=name)
 

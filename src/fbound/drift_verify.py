@@ -10,7 +10,7 @@ a mutated run is expected to fail, which guards the checker itself against
 vacuous passes.
 
 The law-based checks are reductions over the law's node table
-(``info_measures.NodeTable``): the entropy H(W | y^t), posterior and
+(``info_measures.node_table``): the entropy H(W | y^t), posterior and
 children of every realizable history, the per-history information and
 worst-row divergence, and the histories along every full path.  One-step
 drops are ``child_expectation``; the pruned process works on paths x

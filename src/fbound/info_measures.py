@@ -6,21 +6,21 @@ silently clipped); most-likely-element ties resolve to the lowest index;
 probability-zero histories are pruned before any conditional quantity is
 formed.
 
-Every per-history quantity is a column of one per-law node table
-(``node_table``), read off the law's arrays: for every realizable
-(t, y^{t-1}), in the law's node order, its output-tree index and the
-weighted terms p(y^{t-1}) I(X_t; Y_t | y^{t-1}) and p(y^{t-1}) times the
-worst-row divergence, plus the index and probability of every full output
-path, and, for every history, the message posterior, H(W | y^t) and the
-per-message one-step output laws.  Stopped quantities are reductions over
-one table type, ``PolicyTable``: the columns they read, with a leading law
-axis.  Its one constructor takes the (sizes, index, node_prob, xy_node)
-that ``policy_tables`` (behavioral policies) and ``encoder_tables``
-(deterministic encoders) return, both from the one trajectory loop that
-builds every law, and a node table's columns are its one-law view, so one
-law and many laws over the same trajectories take the same path.  A stopping rule enters as its stopped mask and stop-time
-table (see ``StoppingRule``), so every rule, or rule pair, of every law
-of a table is evaluated in a single array pass.
+Every per-history quantity is a column of one table type, ``NodeTable``,
+read off the law's arrays: for every realizable (t, y^{t-1}), in the law's
+node order, its output-tree index and the weighted terms
+p(y^{t-1}) I(X_t; Y_t | y^{t-1}) and p(y^{t-1}) times the worst-row
+divergence, plus the index and probability of every full output path, and,
+for every history, the message posterior, H(W | y^t) and the per-message
+one-step output laws.  One law's table (``node_table``) has no law axis;
+the table of many laws (``NodeTable.of`` the tables that ``policy_tables``
+and ``encoder_tables`` return, both from the one trajectory loop that
+builds every law) has a leading one.  Stopped quantities are reductions
+over either, so one law and many laws over the same trajectories take the
+same path.  A stopping rule enters as its stopped mask and stop-time table
+(``rule_stack``, which refuses a rule past the laws' horizon), so every
+rule, or rule pair, of every law of a table is evaluated in a single array
+pass.
 Every sum runs left to right from 0.0 in the order of the per-history loop
 it replaces, and masked-out terms add an exact 0.0, so the results are
 bit-identical to that loop.
@@ -56,7 +56,6 @@ from .channel_model import (
     StoppingRule,
     _level_offsets,
     _node_index,
-    _path_at,
     check_tree_size,
 )
 
@@ -280,23 +279,53 @@ def _row_entropy(mu: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# per-law node table and stopped sums
+# node tables, of one law or many, and stopped sums
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class PolicyTable:
-    """The per-history columns the stopped sums read, of one or many laws
-    over shared output nodes: a node table's one law (``NodeTable.one_law``),
-    or the laws of many behavioral policies (``policy_tables``) or
-    deterministic encoders (``encoder_tables``).  Each column has a leading
-    law axis and lists the nodes in each law's own order, except ``level``
-    (t - 1 of each entry), which the laws share: a node a law cannot reach
-    sits last in its level, with probability 0.0, so its terms are exact
-    zeros.  ``node``, ``prob``,
-    ``leaf`` and ``leaf_prob`` are ``NodeTable``'s columns and ``xy`` the
-    joints P(X_t, Y_t | y^{t-1}); the information and divergence columns
-    are built on first use, as ``NodeTable`` describes them."""
+class NodeTable:
+    """Per-history columns of one law, or of many laws over shared output
+    nodes, read off their arrays.
+
+    ``node_table(law)`` is one law's table; ``NodeTable.of`` the table of
+    the laws of many behavioral policies (``policy_tables``) or
+    deterministic encoders (``encoder_tables``), whose columns carry a
+    leading law axis.  Histories are the output nodes (levels 0..N, level by
+    level, in order of first appearance within a level), indexed by
+    position; the entries are the histories y^{t-1} of levels 0..N-1, one
+    per realizable (t, y^{t-1}) with t = 1..N, and the leaves the full
+    output paths y^N.  A batch lists each law's nodes in its own order,
+    except ``level``, which the laws share: a node a law cannot reach sits
+    last in its level, with probability 0.0, so its terms are exact zeros.
+
+    - node: flat output-tree index of each entry (``_level_offsets`` layout,
+      the layout of ``StoppingRule.stopped_nodes``)
+    - level: t - 1
+    - prob: p(y^{t-1})
+    - xy: the joints P(X_t, Y_t | y^{t-1})
+    - leaf, leaf_prob: ``_hist_index`` and probability of every full output
+      path y^N
+
+    Built on first use:
+
+    - node_mi: I(X_t; Y_t | y^{t-1}); mi = prob * node_mi
+    - x_kl[e, x]: D(row(x*) || row(x)) of the effective channel, x* the
+      first most likely input, NaN for an unrealizable x and +inf on a
+      support mismatch; node_kl, its max (the worst-row divergence, 0.0 when
+      no x is realizable); kl = prob * node_kl
+
+    node_mi and x_kl are each one array pass over ``xy`` (``_joint_mi``,
+    ``_x_kl``), with no per-history call of the scalar functions and the
+    same bits.  Read off the one law a table was built from:
+
+    - posterior and h: the message posterior and H(W | y^t) of each history
+      (h is one ``_row_entropy`` pass)
+    - step[e, w]: the per-message output law P(Y_t | W = w, y^{t-1}) of each
+      entry, NaN for a message of posterior 0
+    - children[e, y]: the history y^{t-1}y, -1 when unrealizable
+    - path_nodes[k, t]: the length-t prefix of the k-th full path
+    """
 
     node: np.ndarray
     level: np.ndarray
@@ -304,21 +333,24 @@ class PolicyTable:
     xy: np.ndarray
     leaf: np.ndarray
     leaf_prob: np.ndarray
+    law: JointLaw | None = None
 
     @classmethod
-    def of(cls, tables, y_size: int) -> "PolicyTable":
+    def of(cls, tables, y_size: int, law: JointLaw | None = None) -> "NodeTable":
         """The columns of the (sizes, index, node_prob, xy_node) that
-        ``policy_tables`` and ``encoder_tables`` return."""
+        ``policy_tables`` and ``encoder_tables`` return, or of ``law``'s
+        own arrays, with no law axis."""
         sizes, index, node_prob, xy_node = tables
-        horizon, inner = len(sizes) - 1, xy_node.shape[1]
+        horizon, inner = len(sizes) - 1, xy_node.shape[-3]
         starts = np.array(_level_offsets(y_size, horizon)[:horizon], dtype=np.int64)
         return cls(
-            node=np.repeat(starts, sizes[:horizon]) + index[:, :inner],
+            node=np.repeat(starts, sizes[:horizon]) + index[..., :inner],
             level=np.repeat(np.arange(horizon), sizes[:horizon]),
-            prob=node_prob[:, :inner],
+            prob=node_prob[..., :inner],
             xy=xy_node,
-            leaf=index[:, inner:],
-            leaf_prob=node_prob[:, inner:],
+            leaf=index[..., inner:],
+            leaf_prob=node_prob[..., inner:],
+            law=law,
         )
 
     @cached_property
@@ -341,96 +373,45 @@ class PolicyTable:
     def kl(self) -> np.ndarray:
         return self.prob * self.node_kl
 
-
-class NodeTable:
-    """Per-history terms of one law, read off the law's arrays.
-
-    Histories are the law's output nodes (levels 0..N, level by level, in
-    order of first appearance within a level), indexed by position; the
-    entries are the histories y^{t-1} of levels 0..N-1, one per realizable
-    (t, y^{t-1}) with t = 1..N, and the leaves the full output paths y^N.
-
-    - node: flat output-tree index of each entry (``_level_offsets`` layout,
-      the layout of ``StoppingRule.stopped_nodes``)
-    - level: t - 1
-    - prob: p(y^{t-1})
-    - leaf, leaf_prob: ``_hist_index`` and probability of every full output
-      path y^N
-    - one_law: the same columns as a ``PolicyTable`` of one law, which
-      the stopped sums read
-
-    Built on first use, as the columns of ``one_law``:
-
-    - node_mi: I(X_t; Y_t | y^{t-1}); mi = prob * node_mi
-    - x_kl[e, x]: D(row(x*) || row(x)) of the effective channel, x* the
-      first most likely input, NaN for an unrealizable x and +inf on a
-      support mismatch; node_kl, its max (the worst-row divergence, 0.0 when
-      no x is realizable); kl = prob * node_kl
-    - posterior and h: the message posterior and H(W | y^t) of each history
-
-    node_mi, x_kl and h are each one array pass over ``xy_node`` or the
-    posteriors (``_joint_mi``, ``_row_kl``, ``_row_entropy``), with no
-    per-history call of the scalar functions and the same bits.
-    - step[e, w]: the per-message output law P(Y_t | W = w, y^{t-1}) of each
-      entry, NaN for a message of posterior 0
-    - children[e, y]: the history y^{t-1}y, -1 when unrealizable
-    - path_nodes[k, t]: the length-t prefix of the k-th full path
-    """
-
-    def __init__(self, law: JointLaw) -> None:
-        y, n = law.channel.spec.y_size, law.horizon
-        check_tree_size(y, n)
-        self._y, self._horizon = y, n
-        self._wy, self._w_post = law.wy_node, law.w_post
-        self._message_form = law.is_message_form
-        self._parent, self._symbol = law.node_parent, law.node_symbol
-        self._index = _node_index(law.node_parent, law.node_symbol, law.sizes, y)
-        self._level = np.repeat(np.arange(n + 1), law.sizes)
-        self.one_law = PolicyTable.of(
-            (law.sizes, self._index[None], law.node_prob[None], law.xy_node[None]), y)
-        self.level = self.one_law.level
-        self.node, self.prob, self.leaf, self.leaf_prob = (
-            getattr(self.one_law, column)[0] for column in ("node", "prob", "leaf", "leaf_prob"))
-
     def history(self, i: int) -> tuple[int, ...]:
-        """The output history at position ``i``."""
-        return _path_at(int(self._index[i]), self._y, int(self._level[i]))
-
-    node_mi = property(lambda self: self.one_law.node_mi[0])
-    mi = property(lambda self: self.one_law.mi[0])
-    x_kl = property(lambda self: self.one_law.x_kl[0])
-    node_kl = property(lambda self: self.one_law.node_kl[0])
-    kl = property(lambda self: self.one_law.kl[0])
+        """The output history at position ``i``, read up its parent chain."""
+        path = []
+        while i > 0:
+            path.append(int(self.law.node_symbol[i]))
+            i = int(self.law.node_parent[i])
+        return tuple(path[::-1])
 
     @property
     def posterior(self) -> np.ndarray:
-        return self._w_post
+        return self.law.w_post
 
     @cached_property
     def h(self) -> np.ndarray:
-        if not self._message_form:
+        if not self.law.is_message_form:
             raise SchemaError("entropy process needs a message-form law")
         return _row_entropy(self.posterior)
 
     @cached_property
     def step(self) -> np.ndarray:
-        mu = self._w_post[: self.prob.size]
-        rows = np.full_like(self._wy, np.nan)
+        mu, wy = self.law.w_post[: self.prob.size], self.law.wy_node
+        rows = np.full_like(wy, np.nan)
         pos = mu > 0.0
-        rows[pos] = self._wy[pos] / mu[pos][:, None]
+        rows[pos] = wy[pos] / mu[pos][:, None]
         return rows
 
     @cached_property
     def children(self) -> np.ndarray:
-        kids = np.full((self.prob.size, self._y), -1, dtype=np.int64)
-        kids[self._parent[1:], self._symbol[1:]] = np.arange(1, self._parent.size)
+        parent, symbol = self.law.node_parent, self.law.node_symbol
+        kids = np.full((self.prob.size, self.law.channel.spec.y_size), -1, dtype=np.int64)
+        kids[parent[1:], symbol[1:]] = np.arange(1, parent.size)
         return kids
 
     @cached_property
     def path_nodes(self) -> np.ndarray:
-        nodes = [np.arange(self.prob.size, self._parent.size)]
-        for _ in range(self._horizon):
-            nodes.append(self._parent[nodes[-1]])
+        parent = self.law.node_parent
+        nodes = [np.arange(self.prob.size, parent.size)]
+        for _ in range(self.law.horizon):
+            nodes.append(parent[nodes[-1]])
         return np.stack(nodes[::-1], axis=1)
 
 
@@ -438,7 +419,10 @@ def node_table(law: JointLaw) -> NodeTable:
     """The law's node table, built once and kept with the law."""
     table = law.__dict__.get("_node_table")
     if table is None:
-        table = NodeTable(law)
+        y = law.channel.spec.y_size
+        check_tree_size(y, law.horizon)
+        index = _node_index(law.node_parent, law.node_symbol, law.sizes, y)
+        table = NodeTable.of((law.sizes, index, law.node_prob, law.xy_node), y, law)
         object.__setattr__(law, "_node_table", table)
     return table
 
@@ -466,30 +450,34 @@ def _sum_in_place(terms: np.ndarray) -> np.ndarray:
 
 def rule_stack(rules, horizon: int) -> tuple[np.ndarray, np.ndarray]:
     """Stacked ``StoppingRule.tables_at(horizon)`` of a rule list:
-    (rules x output-tree nodes stopped mask, rules x full-path stop times)."""
+    (rules x output-tree nodes stopped mask, rules x full-path stop times).
+    A rule past ``horizon``, the laws' horizon, is refused, so every path
+    stops within the laws' horizon."""
+    if any(rule.horizon > horizon for rule in rules):
+        raise SchemaError("stopping rule runs past the law horizon")
     tables = [rule.tables_at(horizon) for rule in rules]
     return np.stack([s for s, _ in tables]), np.stack([t for _, t in tables])
 
 
 def stopped_values(
-    table: PolicyTable, stopped: np.ndarray, times: np.ndarray
+    table: NodeTable, stopped: np.ndarray, times: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(E[T], stopped directed information) of every law of ``table`` under
     every rule of a ``rule_stack`` at the laws' horizon, each of shape
-    (laws, rules).  Each sum runs along the nodes, in order."""
-    at_leaf = times[:, table.leaf].swapaxes(0, 1)  # (laws, rules, nodes)
-    at_node = stopped[:, table.node].swapaxes(0, 1)
-    et = _sum_in_place(table.leaf_prob[:, None, :] * at_leaf)
-    mi = _sum_in_place(np.where(at_node, 0.0, table.mi[:, None, :]))
+    ([laws,] rules).  Each sum runs along the nodes, in order."""
+    at_leaf = np.moveaxis(times[:, table.leaf], 0, -2)  # ([laws,] rules, nodes)
+    at_node = np.moveaxis(stopped[:, table.node], 0, -2)
+    et = _sum_in_place(table.leaf_prob[..., None, :] * at_leaf)
+    mi = _sum_in_place(np.where(at_node, 0.0, table.mi[..., None, :]))
     return et, mi
 
 
 def window_divergence(
-    table: PolicyTable, stopped: np.ndarray, first: np.ndarray, last: np.ndarray
+    table: NodeTable, stopped: np.ndarray, first: np.ndarray, last: np.ndarray
 ) -> np.ndarray:
     """Stopped divergence over the window (T1, T] of every law of ``table``
     and each pair of rows (first[k], last[k]) of a ``rule_stack`` mask,
-    shape (laws, pairs).  Each sum runs along the nodes, in order."""
+    shape ([laws,] pairs).  Each sum runs along the nodes, in order."""
     at_nodes = stopped[:, table.node]
     live = at_nodes[first] & ~at_nodes[last]
     return np.moveaxis(_sum_in_place(np.where(live, table.kl, 0.0)), 0, -1)
@@ -499,21 +487,13 @@ def directed_mi_stopped(law: JointLaw, rule: StoppingRule) -> float:
     """E[sum_{t<=T} I(X_t; Y_t | Y^{t-1})] for a stopping time T on the
     output filtration: per-history conditional information is accumulated
     over histories at which transmission is still live."""
-    if rule.horizon > law.horizon:
-        raise SchemaError("stopping rule runs past the law horizon")
-    _, mi = stopped_values(node_table(law).one_law, *rule_stack([rule], law.horizon))
-    return float(mi[0, 0])
+    _, mi = stopped_values(node_table(law), *rule_stack([rule], law.horizon))
+    return float(mi[0])
 
 
 def path_stop_times(law: JointLaw, rule: StoppingRule) -> np.ndarray:
     """T on every full output path of the law, in leaf order."""
-    table = node_table(law)
-    times = rule.tables_at(law.horizon)[1][table.leaf]
-    late = np.flatnonzero(times > law.horizon)
-    if late.size:
-        path = table.history(table.prob.size + late[0])
-        raise SchemaError(f"path {path} has no stopped prefix")
-    return times
+    return rule_stack([rule], law.horizon)[1][0, node_table(law).leaf]
 
 
 def expected_stop_time(law: JointLaw, rule: StoppingRule) -> float:
@@ -582,11 +562,8 @@ def directed_kl_stopped(
     the end rule has not."""
     if not first.dominates(last):
         raise SchemaError("window start must stop no later than window end")
-    if last.horizon > law.horizon:
-        raise SchemaError("stopping rule runs past the law horizon")
     stopped, _ = rule_stack([first, last], law.horizon)
-    divergence = window_divergence(node_table(law).one_law, stopped, np.array([0]), np.array([1]))
-    return float(divergence[0, 0])
+    return float(window_divergence(node_table(law), stopped, np.array([0]), np.array([1]))[0])
 
 
 # ---------------------------------------------------------------------------

@@ -417,11 +417,16 @@ def loop_enumerate_stopping_rules(horizon, y_size, cap=10**5):
     return rules
 
 
-def loop_directed_mi_stopped(law, rule):
+def loop_check_rule_horizon(law, rule):
+    """Refuse a stopping rule whose horizon is past the law's."""
     from fbound.channel_model import SchemaError
 
     if rule.horizon > law.horizon:
         raise SchemaError("stopping rule runs past the law horizon")
+
+
+def loop_directed_mi_stopped(law, rule):
+    loop_check_rule_horizon(law, rule)
     total = 0.0
     for t in range(1, rule.horizon + 1):
         for prev, xy in dict_law(law).xy_node[t].items():
@@ -432,6 +437,7 @@ def loop_directed_mi_stopped(law, rule):
 
 
 def loop_expected_stop_time(law, rule):
+    loop_check_rule_horizon(law, rule)
     total = 0.0
     for path, p in dict_law(law).node_prob[law.horizon].items():
         total += p * loop_stop_time(rule, path[: rule.horizon])
@@ -786,8 +792,8 @@ def _capacity_objective(ch, rows, horizon, rules, stack, budget):
         rows=[rows[k] for k in _policy_row_keys(ch, horizon)]
     )
     law = forward_joint(ch, policy, horizon, budget=budget)
-    et, mi = stopped_values(node_table(law).one_law, *stack)
-    vals = mi[0] / et[0]
+    et, mi = stopped_values(node_table(law), *stack)
+    vals = mi / et
     best = int(np.argmax(vals))
     return float(vals[best]), rules[best]
 
@@ -1531,6 +1537,7 @@ def loop_verify_fano(law: JointLaw, rule: StoppingRule | None = None, tol: float
         raise SchemaError("decoder check needs a message-form law")
     if rule is None:
         rule = StoppingRule.fixed(law.horizon, law.horizon, law.channel.spec.y_size)
+    loop_check_rule_horizon(law, rule)
     m = law.messages
     log_m1 = math.log2(m - 1) if m > 1 else 0.0
     worst = math.inf
@@ -1590,6 +1597,7 @@ def loop_verify_lemma4_budget(
     n = law.horizon
     if rule is None:
         rule = StoppingRule.fixed(n, n, law.channel.spec.y_size)
+    loop_check_rule_horizon(law, rule)
     logm = math.log2(law.messages)
 
     pe = 0.0

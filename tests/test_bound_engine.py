@@ -422,6 +422,13 @@ def test_dmc_consistency_degenerate(uniform22):
     assert rep.rows == ()
 
 
+@pytest.mark.parametrize("n_rates", [0, -3, True, 2.0, "5"])
+def test_dmc_consistency_refuses_an_empty_or_malformed_rate_grid(bsc01, n_rates):
+    # an empty grid compared nothing, and its report read as exact agreement
+    with pytest.raises(SchemaError, match="^n_rates must be an integer >= 1"):
+        dmc_consistency(bsc01, horizon=2, n_rates=n_rates)
+
+
 # --- residual terms -------------------------------------------------------
 
 

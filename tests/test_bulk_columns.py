@@ -108,7 +108,7 @@ def loop_columns(law):
 
 
 def assert_columns_match(law):
-    table = im.NodeTable(law)
+    table = im.node_table(law)
     mi, x_kl, node_kl, h = loop_columns(law)
     assert np.array_equal(table.node_mi, mi)
     assert np.array_equal(table.mi, table.prob * mi)
@@ -343,7 +343,7 @@ def test_a_corrupted_row_raises_the_message_of_the_loop(field, row, column, mess
     values[0] = row(values[0])
     bad = dataclasses.replace(law, **{field: values})
     with pytest.raises(DistributionError, match=f"^{message}$"):
-        getattr(im.NodeTable(bad), column)
+        getattr(im.node_table(bad), column)
     assert _outcome(LOOP_COLUMNS[column], bad) == ("error", "DistributionError", message)
 
 

@@ -46,7 +46,8 @@ def test_parse_rejects_bad_row_sum():
         "Q": [[[0.9, 0.2], [0.1, 0.9]]],
         "state_kernel": {"type": "memoryless", "table": [1.0]},
     }
-    with pytest.raises(SchemaError):
+    want = r"^Q row \(s=0, x=0\) sums to 1\.1, not 1 within 1e-09$"
+    with pytest.raises(DistributionError, match=want):
         parse_channel(json.dumps(obj))
 
 
@@ -103,7 +104,7 @@ def test_parse_rejects_negative_and_shape_errors():
         "Q": [[[1.1, -0.1], [0.1, 0.9]]],
         "state_kernel": {"type": "memoryless", "table": [1.0]},
     }
-    with pytest.raises(SchemaError):
+    with pytest.raises(DistributionError, match=r"^Q row \(s=0, x=0\) has a negative entry$"):
         parse_channel(json.dumps(base))
     with pytest.raises(SchemaError):
         parse_channel("not json at all {")

@@ -185,7 +185,7 @@ def test_compensator_budget_and_stopped_decoders_match_the_loops(name):
             for eps in EPS + (1.5,):
                 assert_same_or_typed(dv.verify_lemma4_budget,
                                      oracles.loop_verify_lemma4_budget, law, eps, rule)
-    # a rule longer than the law has paths without a stopped prefix
+    # a rule longer than the law is refused
     law = forward_joint(_channel(name), rotating_encoder(2, 2, 2, y), 1)
     longer = StoppingRule.fixed(2, 2, y)
     assert_same(dv.verify_fano, oracles.loop_verify_fano, law, longer)
@@ -429,11 +429,11 @@ def test_behavioral_row_validation_matches_the_loop():
 
 def test_verify_all_builds_the_entropy_column_once_per_law(monkeypatch, capsys):
     calls = {"tables": 0, "entropy_columns": 0, "entropy_rows": 0, "entropy_scalar": 0}
-    init, row_entropy = im.NodeTable.__init__, im._row_entropy
+    table_of, row_entropy = im.NodeTable.of, im._row_entropy
 
-    def counting_init(self, law):
+    def counting_of(*args):
         calls["tables"] += 1
-        init(self, law)
+        return table_of(*args)
 
     def counting_row_entropy(mu):
         # a one-row call is a scalar ``entropy``; the node table's is a column
@@ -444,7 +444,7 @@ def test_verify_all_builds_the_entropy_column_once_per_law(monkeypatch, capsys):
             calls["entropy_rows"] += len(mu)
         return row_entropy(mu)
 
-    monkeypatch.setattr(im.NodeTable, "__init__", counting_init)
+    monkeypatch.setattr(im.NodeTable, "of", counting_of)
     monkeypatch.setattr(im, "_row_entropy", counting_row_entropy)
     assert main(["verify", "--channel", str(REPO / "channels" / "bsc02.json"), "--suite",
                  "all", "--horizon", "6", "--epsilon", "0.5", "--trials", "200"]) == 0

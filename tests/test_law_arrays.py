@@ -472,7 +472,9 @@ def assert_own_laws(tables, own_laws):
     sizes, index, node_prob, xy_node = tables
     bounds = np.cumsum((0,) + sizes)
     for g, own in enumerate(own_laws):
-        own_index, own_bounds = node_table(own)._index, np.cumsum((0,) + own.sizes)
+        own_index = channel_model._node_index(own.node_parent, own.node_symbol, own.sizes,
+                                              own.channel.spec.y_size)
+        own_bounds = np.cumsum((0,) + own.sizes)
         for t in range(len(sizes)):
             lo, hi, own_lo, own_hi = bounds[t], bounds[t + 1], own_bounds[t], own_bounds[t + 1]
             cut = lo + own_hi - own_lo

@@ -26,6 +26,7 @@ from fbound.bound_engine import (
     exponent_bound,
     exponent_candidates,
     reevaluate,
+    residual_terms,
 )
 from fbound.channel_model import (
     BudgetExceededError,
@@ -42,17 +43,21 @@ from fbound.channel_model import (
     uniform_behavioral_policy,
 )
 from fbound.info_measures import (
-    PolicyTable,
+    NodeTable,
     _sum_in_place,
     directed_kl_stopped,
     directed_mi_stopped,
     expected_stop_time,
     node_table,
     ordered_sum,
+    path_stop_times,
     rule_stack,
+    stop_error,
+    stop_nodes,
     stopped_values,
     window_divergence,
 )
+from fbound.drift_verify import verify_fano
 from conftest import REPO
 
 CASES = [
@@ -99,7 +104,7 @@ def _tables_of(policy):
 
 @functools.lru_cache(maxsize=None)
 def _batched(name, horizon):
-    """The ``PolicyTable`` lane of every law of ``_laws``: the behavioral
+    """The batch ``NodeTable`` lane of every law of ``_laws``: the behavioral
     law's policy as a batch of one, and the message-form laws built
     together, one batch per message count, in ``_laws`` order."""
     ch, laws = _channel(name), _laws(name, horizon)
@@ -108,12 +113,12 @@ def _batched(name, horizon):
         group = [i for i, law in enumerate(laws) if law.is_message_form and law.messages == m]
         tables = [_tables_of(laws[i].policy) for i in group]
         steps = [np.array([enc[t] for enc in tables]) for t in range(horizon)]
-        table = PolicyTable.of(encoder_tables(ch, steps, horizon, 10**7), ch.spec.y_size)
+        table = NodeTable.of(encoder_tables(ch, steps, horizon, 10**7), ch.spec.y_size)
         out.update((i, (table, g)) for g, i in enumerate(group))
     for i, law in enumerate(laws):
         if not law.is_message_form:
             tables = policy_tables(ch, law.policy.rows[None], horizon, 10**7)
-            out[i] = (PolicyTable.of(tables, ch.spec.y_size), 0)
+            out[i] = (NodeTable.of(tables, ch.spec.y_size), 0)
     return [out[i] for i in range(len(laws))]
 
 
@@ -356,7 +361,7 @@ def test_window_divergence_sums_its_terms_where_it_forms_them():
     ch = _channel("bsc01")
     first, last, rules, _ = bound_engine._stopping_pairs(ch, 3, SearchConfig(stopping="all"))
     steps = _encoder_steps("per_step", range(64), 2, 2, 2, 3)
-    table = PolicyTable.of(encoder_tables(ch, steps, 3, 10**7), 2)
+    table = NodeTable.of(encoder_tables(ch, steps, 3, 10**7), 2)
     stopped = rule_stack(rules, 3)[0]
     tracemalloc.start()
     try:
@@ -380,20 +385,27 @@ def test_stopped_sums_match_loops(name, horizon):
         want_mi = [oracles.loop_directed_mi_stopped(law, r) for r in rules]
         assert [expected_stop_time(law, r) for r in rules] == want_et
         assert [directed_mi_stopped(law, r) for r in rules] == want_mi
-        one_law = node_table(law).one_law
-        (et,), (mi,) = stopped_values(one_law, *stack)
+        own = node_table(law)
+        et, mi = stopped_values(own, *stack)
         assert et.tolist() == want_et and mi.tolist() == want_mi
         batch_et, batch_mi = stopped_values(table, *stack)
         assert batch_et[g].tolist() == want_et and batch_mi[g].tolist() == want_mi
 
         want_kl = [oracles.loop_directed_kl_stopped(law, a, b) for a, b in pairs]
         assert [directed_kl_stopped(law, a, b) for a, b in pairs] == want_kl
-        assert window_divergence(one_law, stack[0], first, last)[0].tolist() == want_kl
+        assert window_divergence(own, stack[0], first, last).tolist() == want_kl
         assert window_divergence(table, stack[0], first, last)[g].tolist() == want_kl
 
         ej, ed = _step_aggregates(table, horizon)
         want_ej, want_ed = oracles.loop_step_aggregates(law)
         assert ej[g].tolist() == want_ej.tolist() and ed[g].tolist() == want_ed.tolist()
+
+        # the law's own columns are its batch lane: its nodes lead each level
+        lane = np.concatenate([np.flatnonzero(table.level == t)[:size]
+                               for t, size in enumerate(law.sizes[:horizon])])
+        assert own.node.tolist() == table.node[g, lane].tolist()
+        for column in ("node_mi", "x_kl", "node_kl", "mi", "kl"):
+            assert getattr(own, column).tobytes() == getattr(table, column)[g, lane].tobytes()
 
         best = int(np.argmax(mi / et))
         want_val, want_rule = oracles.loop_capacity_objective(law, rules)
@@ -447,6 +459,26 @@ def test_rules_shorter_than_the_law(name):
         )
         with pytest.raises(SchemaError):
             directed_mi_stopped(law, rule)
+
+
+def _from_t1(fn):
+    """fn(law, first, rule) with first T1 = 1 at the law's horizon 3."""
+    return lambda law, rule: fn(law, StoppingRule.fixed(1, 3, 2), rule)
+
+
+@pytest.mark.parametrize("fn", [
+    directed_mi_stopped, expected_stop_time, path_stop_times, stop_nodes, stop_error,
+    verify_fano, _from_t1(directed_kl_stopped),
+    _from_t1(lambda law, first, rule: residual_terms(law, rule, first)),
+], ids=["directed_mi_stopped", "expected_stop_time", "path_stop_times", "stop_nodes",
+        "stop_error", "verify_fano", "directed_kl_stopped", "residual_terms"])
+def test_a_rule_past_the_law_horizon_is_refused_by_every_reduction(fn):
+    # T = 3 on every path, within the law's horizon 3, but the rule's
+    # horizon is 4: the reductions that read only stop times accepted it,
+    # those that read the stopped mask refused it
+    law = forward_joint(_channel("bsc01"), repetition_encoder(2, 2, 3), 3)
+    with pytest.raises(SchemaError, match="^stopping rule runs past the law horizon$"):
+        fn(law, StoppingRule.fixed(3, 4, 2))
 
 
 # ---------------------------------------------------------------------------
