@@ -49,10 +49,10 @@ from .info_measures import (
     _fano_ceiling,
     _sum_in_place,
     _v_term,
+    map_error,
     max_pairwise_row_kl,
     node_table,
     rule_stack,
-    stop_error,
     stopped_values,
     window_divergence,
 )
@@ -927,11 +927,9 @@ def residual_terms(
     logm = math.log2(law.messages)
     flags: list[str] = []
 
-    pe, et = stop_error(law, last)
-    pe = max(pe, 0.0)
-
     table, (stopped, times) = node_table(law), rule_stack([first, last], n)
-    (et1, _), (mi1, _) = (v.tolist() for v in stopped_values(table, stopped, times))
+    pe = max(map_error(table, times[1, table.leaf]), 0.0)
+    (et1, et), (mi1, _) = (v.tolist() for v in stopped_values(table, stopped, times))
     i_rate = mi1 / et1
     den = et - et1
     d_rate = (float(window_divergence(table, stopped, np.array([0]), np.array([1]))[0]) / den

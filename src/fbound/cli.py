@@ -338,6 +338,28 @@ def _schemes_from_args(args, ch, parser):
     return schemes
 
 
+def _release_freed_heap() -> None:
+    """Hand the free pages of the C heap back to the system, where the C
+    library can (glibc's ``malloc_trim``; elsewhere this does nothing).
+
+    The exact walk's level arrays are freed when it returns, but glibc
+    keeps freed blocks below its mmap threshold in the heap, and a small
+    block allocated late in the walk pins the pages below it.  The scheme
+    line and the CSV then load scipy's ufuncs and OpenSSL on top of those
+    pages: by heap layout alone, which one more environment variable
+    changes, the bsc01 ``simulate --exact --out`` run of the benchmark
+    peaked anywhere from 41 to 50 MB resident on x86-64 Linux with numpy
+    2.4.  Trimmed, it peaks at 41-43 MB."""
+    try:
+        import ctypes
+
+        trim = ctypes.CDLL(None).malloc_trim
+    except (ImportError, OSError, TypeError, AttributeError):  # no ctypes, or not glibc
+        return
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    trim(0)
+
+
 def cmd_simulate(args, parser) -> int:
     check_seed(args.seed, "--seed")
     check_seed(args.scheme_seed, "--scheme-seed")
@@ -354,6 +376,8 @@ def cmd_simulate(args, parser) -> int:
         # before a refused walk's error
         try:
             ex = vs.exact_stats(scheme, ch, **kw) if args.exact else None
+            if ex is not None:
+                _release_freed_heap()
         finally:
             pe_lo, pe_hi = stats.pe_interval_text()
             print(f"scheme {scheme.name or scheme.variant}: "

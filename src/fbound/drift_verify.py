@@ -88,6 +88,7 @@ __all__ = [
 DRIFT_TOL = 1e-10
 LEMMA7_MAX_DIM = 5  # the log-sum split's random instances have dimensions 2..5
 SELF_CHECK_TOL = 1e-9  # slack of the maximal inequality's decrease self-checks
+_MAXIMAL_CHUNK = 2048  # trials the maximal-inequality check draws and reduces per pass
 _VACUOUS = "no history with entropy inside (0, eps): vacuous pass"
 _INFINITE_C = "c is infinite, so the slack c * hb_inv(eps) bounds nothing: vacuous pass"
 
@@ -722,11 +723,25 @@ def verify_entropy_proposition(
     )
 
 
-def _walk_paths(rng: np.random.Generator, trials: int, steps: int) -> np.ndarray:
-    """Running products of ``trials`` walks of ``steps`` factors 0.5 or 1.4,
-    one row per step: each step multiplies every trial's contiguous product."""
-    factors = np.where(rng.random((trials, steps)) < 0.5, 0.5, 1.4)
-    return np.cumprod(factors.T, axis=0, out=np.empty((steps, trials)))
+def _trial_chunks(trials: int):
+    """Consecutive slices of ``range(trials)``, ``_MAXIMAL_CHUNK`` trials
+    each (the last one shorter)."""
+    return (slice(lo, min(lo + _MAXIMAL_CHUNK, trials))
+            for lo in range(0, trials, _MAXIMAL_CHUNK))
+
+
+def _walk_sups(rng: np.random.Generator, trials: int, steps: int) -> np.ndarray:
+    """The running maximum of each of ``trials`` walks' products of
+    ``steps`` factors 0.5 or 1.4, in step order.  The walks are drawn and
+    reduced ``_MAXIMAL_CHUNK`` at a time, so the working set is fixed
+    whatever ``trials``, apart from the (trials,) result; a chunk of k walks
+    takes the next k * steps doubles of ``rng``, so the draws are those of
+    one (trials, steps) draw."""
+    sup = np.empty(trials)
+    for rows in _trial_chunks(trials):
+        factors = np.where(rng.random((rows.stop - rows.start, steps)) < 0.5, 0.5, 1.4)
+        sup[rows] = np.cumprod(factors, axis=1, out=factors).max(axis=1)
+    return sup
 
 
 def verify_maximal_inequality(
@@ -741,6 +756,14 @@ def verify_maximal_inequality(
     Generators: the message-entropy process of a feedback law (exact
     one-step decrease verified from the law), and a multiplicative walk
     with mean factor 0.95 (decrease verified analytically).
+
+    Both samples are drawn and reduced ``_MAXIMAL_CHUNK`` trials at a time,
+    into (trials,) columns of start values and running suprema, so memory
+    grows by 24 bytes per trial and the rest of the working set is fixed.
+    ``Generator.choice`` with ``p`` and ``Generator.random`` take their
+    doubles one after another, so the chunks draw what one (trials, ...)
+    draw would, and the start mean is one ``.mean()`` over the full column:
+    every bit is that of the one-shot sample.
     """
     rng = np.random.default_rng(seed)
     details = []
@@ -759,10 +782,13 @@ def verify_maximal_inequality(
     order = np.argsort(table.leaf)
     probs = table.leaf_prob[order]
     probs = probs / probs.sum()
-    idx = rng.choice(len(order), size=trials, p=probs)
-    h_paths = h[table.path_nodes[order[idx]]]
-    start_mean = float(h_paths[:, 1].mean())
-    sup = h_paths[:, 1:].max(axis=1)
+    start, sup = np.empty(trials), np.empty(trials)
+    for rows in _trial_chunks(trials):
+        idx = rng.choice(len(order), size=rows.stop - rows.start, p=probs)
+        h_paths = h[table.path_nodes[order[idx]]]
+        start[rows] = h_paths[:, 1]
+        sup[rows] = h_paths[:, 1:].max(axis=1)
+    start_mean = float(start.mean())
     for c in (0.2, 0.5, 0.9):
         freq = float((sup > c).mean())
         se = math.sqrt(max(freq * (1 - freq), 1e-12) / trials)
@@ -773,7 +799,7 @@ def verify_maximal_inequality(
         details.append(f"entropy-process c={c:g}: freq={freq:.4g} bound={bound:.4g}")
 
     assert abs(0.5 * 0.5 + 0.5 * 1.4 - 0.95) < SELF_CHECK_TOL  # walk decrease factor
-    walk_sup = _walk_paths(rng, trials, 30).max(axis=0)
+    walk_sup = _walk_sups(rng, trials, 30)
     for c in (1.5, 2.0, 4.0):
         freq = float((walk_sup > c).mean())
         se = math.sqrt(max(freq * (1 - freq), 1e-12) / trials)

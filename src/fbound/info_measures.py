@@ -319,6 +319,11 @@ class NodeTable:
     ``_x_kl``), with no per-history call of the scalar functions and the
     same bits.  Read off the one law a table was built from:
 
+    - node_dmi: I(W; Y_t | y^{t-1}), Massey's directed-information term,
+      one ``_joint_mi`` pass over the law's ``wy_node`` joints; dmi = prob *
+      node_dmi, whose sum is I(W; Y^N).  On a channel with states it can
+      exceed node_mi, which the searches sum.  A table of many laws has no
+      ``wy_node`` joints, so there it is a ``SchemaError``
     - posterior and h: the message posterior and H(W | y^t) of each history
       (h is one ``_row_entropy`` pass)
     - step[e, w]: the per-message output law P(Y_t | W = w, y^{t-1}) of each
@@ -360,6 +365,16 @@ class NodeTable:
     @cached_property
     def mi(self) -> np.ndarray:
         return self.prob * self.node_mi
+
+    @cached_property
+    def node_dmi(self) -> np.ndarray:
+        if self.law is None:
+            raise SchemaError("the message information column needs one law's table")
+        return _joint_mi(self.law.wy_node)
+
+    @cached_property
+    def dmi(self) -> np.ndarray:
+        return self.prob * self.node_dmi
 
     @cached_property
     def x_kl(self) -> np.ndarray:
@@ -504,8 +519,11 @@ def expected_stop_time(law: JointLaw, rule: StoppingRule) -> float:
 def stop_nodes(law: JointLaw, rule: StoppingRule) -> np.ndarray:
     """The stop history of every full path, by node-table position.  A stop
     history of probability 0.0 has no posterior (0/0), so it is an error."""
-    table = node_table(law)
-    times = path_stop_times(law, rule)
+    return _stop_nodes(node_table(law), path_stop_times(law, rule))
+
+
+def _stop_nodes(table: NodeTable, times: np.ndarray) -> np.ndarray:
+    """``stop_nodes`` from the stop time of every full path, in leaf order."""
     stop = table.path_nodes[np.arange(times.size), times]
     prob = np.concatenate((table.prob, table.leaf_prob))[stop]
     if not prob.all():
@@ -517,16 +535,21 @@ def stop_nodes(law: JointLaw, rule: StoppingRule) -> np.ndarray:
 
 def stop_error(law: JointLaw, rule: StoppingRule) -> tuple[float, float]:
     """(pe, E[T]): the error probability of maximum-posterior decoding at
-    the stop node, and the expected stop time.  Each stop node's mass is
-    summed over its paths in path order, and pe over the stop nodes in order
-    of first appearance."""
-    table = node_table(law)
-    stop = stop_nodes(law, rule)
+    the stop node, and the expected stop time, from one stop-time table."""
+    table, times = node_table(law), path_stop_times(law, rule)
+    return map_error(table, times), float(ordered_sum(table.leaf_prob * times))
+
+
+def map_error(table: NodeTable, times: np.ndarray) -> float:
+    """The error probability of maximum-posterior decoding at the stop
+    node, from the stop time of every full path of the table's law, in leaf
+    order.  Each stop node's mass is summed over its paths in path order,
+    and pe over the stop nodes in order of first appearance."""
+    stop = _stop_nodes(table, times)
     nodes, first, inv = np.unique(stop, return_index=True, return_inverse=True)
     order = np.argsort(first)
     mass = np.bincount(inv, table.leaf_prob)[order]
-    pe = ordered_sum(mass * (1.0 - table.posterior[nodes[order]].max(axis=1)))
-    return float(pe), expected_stop_time(law, rule)
+    return float(ordered_sum(mass * (1.0 - table.posterior[nodes[order]].max(axis=1))))
 
 
 def child_expectation(law: JointLaw, values: np.ndarray, rows=None, start=0.0) -> np.ndarray:

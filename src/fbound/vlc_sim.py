@@ -819,6 +819,13 @@ def exact_stats(scheme: SchemeSpec, ch: Channel, budget: int = EXACT_BUDGET) -> 
     then by output path), one sequential sum carried across messages, so
     they are bit-identical to it; the budget counts every tree node and
     fails as soon as the count passes it.
+
+    The levels are formed breadth first, so the working set is the widest
+    level's arrays plus the block-end columns that the merge reads.  A
+    use that drops no child keeps the children as formed, with no gathered
+    copy; the log-likelihoods add each use's terms in place, into the
+    gathered rows; and a message's level arrays are released before its
+    leaves are merged.
     """
     if ch.kernel.variant not in ("memoryless", "markov1"):
         raise SchemaError("exact evaluation supports memoryless and markov1 kernels")
@@ -844,12 +851,13 @@ def exact_stats(scheme: SchemeSpec, ch: Channel, budget: int = EXACT_BUDGET) -> 
                 f"{nodes} tree nodes by use {pos + 1} of block {b + 1} of {cap} "
                 f"(message {w + 1} of {m}) exceed the exact-evaluation budget {budget}"
             )
-        return child[keep], keep // y_size, keep % y_size
+        if keep.size < child.shape[0]:
+            child = child[keep]
+        return child, keep // y_size, keep % y_size
 
-    pe = 0.0
-    et = 0.0
-    leaves = 0
-    for w in range(m):
+    def block_ends(w):
+        # the block-end levels of message ``w``; its level arrays are
+        # released on return, before the leaves are merged
         alpha = np.full((1, 1), 1.0 / m)
         x_last = np.zeros(1, dtype=np.int64)
         up = np.zeros(1, dtype=np.int64)  # block-start nodes among the last block's ends
@@ -861,7 +869,8 @@ def exact_stats(scheme: SchemeSpec, ch: Channel, budget: int = EXACT_BUDGET) -> 
                 x = cb[w, pos]
                 alpha, node, y = grow(alpha, x_last, x, w, b, pos)
                 x_last = np.full(node.size, x)
-                ll = ll[node] + lq_pos[pos, y]
+                ll = ll[node]
+                ll += lq_pos[pos, y]
                 src = src[node]
             w_hat = np.argmax(ll, axis=1)
             xc = np.where(w_hat == w, xa, xn)
@@ -870,14 +879,21 @@ def exact_stats(scheme: SchemeSpec, ch: Channel, budget: int = EXACT_BUDGET) -> 
                 alpha, node, y = grow(alpha, x_last, xc, w, b, pos)
                 xc, w_hat, src = xc[node], w_hat[node], src[node]
                 x_last = xc
-                llr = llr[node] + llr_row[y]
+                llr = llr[node]
+                llr += llr_row[y]
             stop = (llr >= scheme.threshold) | (b == cap - 1)
             ends.append((alpha.sum(axis=1), stop, w_hat != w, up[src]))
             up = np.flatnonzero(~stop)
             if not up.size:
                 break
             alpha, x_last = alpha[up], x_last[up]
-        mass, t, err = _depth_first_leaves(ends, block)
+        return ends
+
+    pe = 0.0
+    et = 0.0
+    leaves = 0
+    for w in range(m):
+        mass, t, err = _depth_first_leaves(block_ends(w), block)
         leaves += mass.size
         pe = float(ordered_sum(np.concatenate(([pe], mass[err]))))
         et = float(ordered_sum(np.concatenate(([et], mass * t))))

@@ -17,6 +17,7 @@ import pytest
 
 import oracles
 from conftest import REPO
+from fbound import channel_model
 from fbound import drift_verify as dv
 from fbound import info_measures as im
 from fbound.channel_model import (
@@ -24,6 +25,7 @@ from fbound.channel_model import (
     ChannelSpec,
     DistributionError,
     InputPolicy,
+    SchemaError,
     StateKernel,
     forward_joint,
     load_channel,
@@ -97,6 +99,8 @@ LOOP_COLUMNS = {
     "node_kl": lambda law: np.array([oracles._loop_worst_row_kl(xy) for xy in law.xy_node],
                                     dtype=float),
     "h": lambda law: np.array([im.entropy(mu) for mu in law.w_post], dtype=float),
+    "node_dmi": lambda law: np.array([im.mutual_information(wy) for wy in law.wy_node],
+                                     dtype=float),
 }
 
 
@@ -116,6 +120,8 @@ def assert_columns_match(law):
     assert np.array_equal(table.node_kl, node_kl)
     if h is not None:
         assert np.array_equal(table.h, h)
+    assert np.array_equal(table.node_dmi, LOOP_COLUMNS["node_dmi"](law))
+    assert np.array_equal(table.dmi, table.prob * table.node_dmi)
     return table
 
 
@@ -214,10 +220,57 @@ def test_the_columns_call_no_scalar_function(monkeypatch):
     law = forward_joint(_channel("bsc01"), rotating_encoder(4, 2, 6), 6)
     table = im.node_table(law)
     assert table.node_mi.size and table.x_kl.size and table.node_kl.size and table.h.size
+    assert table.node_dmi.size
     assert calls == {"mutual_information": 0, "kl": 0, "entropy": 0}
     # lemma 5 calls kl only for d_max, once per ordered pair of channel rows
     assert dv.verify_lemma5_kl_transfer(law, 0.9).count > 4
     assert calls == {"mutual_information": 0, "kl": 4, "entropy": 0}
+
+
+# --- the Massey column -------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", CHANNELS)
+def test_the_massey_column_sums_to_the_oracle_on_every_channel_file(name):
+    # sum_t I(W; Y_t | Y^{t-1}) from the trajectory dict, and I(W; Y^N) by
+    # the chain rule
+    ch = _channel(name)
+    x, y = ch.spec.x_size, ch.spec.y_size
+    for m, h in itertools.product((2, 4), range(1, min(_max_horizon(ch), 3) + 1)):
+        law = forward_joint(ch, rotating_encoder(m, x, h, y), h)
+        got = float(im.ordered_sum(im.node_table(law).dmi))
+        assert got == pytest.approx(oracles.oracle_massey_di(law.trajectories, h, m, y),
+                                    rel=1e-12, abs=1e-15)
+        assert got == pytest.approx(oracles.loop_message_information(law, h), abs=1e-12)
+
+
+@pytest.mark.parametrize("name,horizon,dmi,mi", [
+    ("flip2", 3, 0.266419, 0.103392),
+    ("flip2", 4, 0.337170, 0.108309),
+    ("histk2", 2, 0.195170, 0.087419),
+    ("bsc01", 3, None, None),
+])
+def test_the_massey_sum_exceeds_the_searched_sum_on_state_channels(name, horizon, dmi, mi):
+    # a finding, pinned as it stands: with a hidden state, past inputs carry
+    # information about it, so a 4-message code's I(W; Y^N) exceeds the sum
+    # of the per-letter I(X_t; Y_t | y^{t-1}) that the searches read.  On a
+    # memoryless channel the two sums agree
+    law = forward_joint(_channel(name), rotating_encoder(4, 2, horizon), horizon)
+    table = im.node_table(law)
+    got = float(im.ordered_sum(table.dmi)), float(im.ordered_sum(table.mi))
+    if dmi is None:
+        assert got[0] == pytest.approx(got[1], abs=1e-12)
+    else:
+        assert got == pytest.approx((dmi, mi), abs=5e-7)
+
+
+def test_a_table_of_many_laws_refuses_the_massey_column():
+    ch = _channel("flip2")
+    tables = np.array([[[0], [1]], [[1], [0]]])  # two one-step encoders of 2 messages
+    batch = im.NodeTable.of(channel_model.encoder_tables(ch, (tables,), 1), 2)
+    assert batch.node_mi.shape == (2, 1)
+    with pytest.raises(SchemaError, match="needs one law's table"):
+        batch.node_dmi
 
 
 # --- lemma 5 ----------------------------------------------------------------

@@ -565,6 +565,34 @@ def test_exact_walk_runs_before_scipy_loads(seed, tmp_path):
                                       "[0.00225631,0.00289308] ")
 
 
+@pytest.mark.parametrize("exact,calls", [(True, 2), (False, 0)])
+def test_each_exact_walk_hands_the_freed_heap_back(exact, calls, monkeypatch, capsys):
+    import fbound.cli as cli
+
+    seen = []
+    monkeypatch.setattr(cli, "_release_freed_heap", lambda: seen.append(True))
+    argv = ["simulate", "--channel", BSC01, "--m", "2,3", "--n1", "3", "--n2", "4",
+            "--cap", "2", "--trials", "500"]
+    assert main(argv + ["--exact"] * exact) == 0
+    assert len(seen) == calls
+    capsys.readouterr()
+
+
+def test_releasing_the_freed_heap_needs_no_glibc(monkeypatch):
+    import ctypes
+
+    import fbound.cli as cli
+
+    assert cli._release_freed_heap() is None
+
+    def no_library(name):
+        raise OSError(f"{name} not found")
+    monkeypatch.setattr(ctypes, "CDLL", no_library)
+    assert cli._release_freed_heap() is None
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: object())  # a C library without it
+    assert cli._release_freed_heap() is None
+
+
 @pytest.mark.parametrize("argv,loaded", [
     (["bound-exponent", "--channel", BSC01, "--rate", "0.25"], []),
     (["bound-capacity", "--channel", FLIP2, "--restarts", "0"], []),

@@ -305,6 +305,26 @@ def test_residual_terms_match_the_loop(name):
                 same(residual_terms, oracles.loop_residual_terms, law, last, first, eps=eps)
 
 
+def test_residual_terms_stack_their_rules_once(monkeypatch):
+    # the decoder error, both stop times and both stopped sums read one
+    # stack of (first, last).  Reaching the last rule's stop times through
+    # stop_error stacked it twice more
+    from fbound import bound_engine
+
+    law = forward_joint(_channel("bsc01"), repetition_encoder(2, 2, 3), 3)
+    first, last = StoppingRule.fixed(1, 3, 2), StoppingRule.fixed(3, 3, 2)
+    want = repr(oracles.loop_residual_terms(law, last, first))
+    calls = []
+
+    def counting(rules, horizon, stack=im.rule_stack):
+        calls.append(len(rules))
+        return stack(rules, horizon)
+    monkeypatch.setattr(im, "rule_stack", counting)
+    monkeypatch.setattr(bound_engine, "rule_stack", counting)
+    assert repr(residual_terms(law, last, first)) == want
+    assert calls == [2]
+
+
 @quiet
 @pytest.mark.parametrize("name", CHANNELS + ("faint",))
 def test_directed_kl_matches_the_loop_in_both_variants(name):

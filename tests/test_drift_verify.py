@@ -3,6 +3,7 @@ drift and submartingale verdicts (including deliberate mutations that must
 fail), and the random-instance inequalities."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from fbound.channel_model import (
     SchemaError,
     StoppingRule,
@@ -318,6 +320,36 @@ def test_maximal_inequality_generators():
     assert len(v.details) == 6
     again = verify_maximal_inequality(trials=4000, seed=2)
     assert again.worst == v.worst
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("trials", [1, 2047, 2048, 2049, 20001])
+def test_maximal_inequality_chunks_draw_the_one_shot_sample(trials, seed):
+    # trial counts on and around the chunk edge of 2,048 trials
+    assert verify_maximal_inequality(trials=trials, seed=seed) == (
+        oracles.loop_maximal_inequality(trials=trials, seed=seed))
+
+
+def test_maximal_inequality_chunks_on_a_state_channel_law(channels_dir):
+    law = forward_joint(load_channel(str(channels_dir / "flip2.json")),
+                        rotating_encoder(4, 2, 4), 4)
+    assert verify_maximal_inequality(law, trials=4097, seed=3) == (
+        oracles.loop_maximal_inequality(law, trials=4097, seed=3))
+
+
+def test_the_maximal_check_draws_in_fixed_memory():
+    # the one-shot sample held (trials, 7) entropy paths and (30, trials)
+    # walk products: over 550 MB traced at 10^6 trials.  Drawn in chunks,
+    # three (trials,) columns of 8 MB each remain
+    verify_maximal_inequality(trials=10)  # first-call set-up, outside the trace
+    tracemalloc.start()
+    try:
+        verdict = verify_maximal_inequality(trials=10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.passed and verdict.count == 6
+    assert peak < 40e6
 
 
 # --- verdict formatting -------------------------------------------------------

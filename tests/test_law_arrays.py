@@ -13,6 +13,7 @@ summation order, so any difference is a defect, not rounding.
 from __future__ import annotations
 
 import functools
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -279,7 +280,33 @@ def test_first_appearance_numbers_keys_in_order(span):
 
 
 def test_channel_files_are_all_covered():
-    assert len(CHANNEL_FILES) == 8
+    """Ten channel files, two of them anchors whose state the input drives.
+
+    ``trapdoor`` and ``ising`` have four states s = 2 m + c: m is a
+    remembered symbol and c a fair coin, drawn fresh at each use.  The
+    output is y = x when c = 0 and y = m when c = 1.
+
+    - trapdoor (Permuter, Cuff, Van Roy & Weissman, IEEE Trans. IT 2008):
+      m is the ball left in the channel.  The input ball x joins it, and
+      one of the two leaves as the output, each with probability 1/2: x
+      when c = 0, which leaves m' = m, and m when c = 1, which leaves
+      m' = x.  Feedback capacity log2((1 + sqrt 5)/2) = 0.6942.
+    - ising (Elishco & Permuter, IEEE Trans. IT 2014): the output is the
+      input x or the last input, each with probability 1/2, so m is the
+      last input and m' = x.  Feedback capacity 0.5755.
+
+    Both start from the uniform law over the four states.
+    """
+    assert len(CHANNEL_FILES) == 10
+    for name, next_m in (("trapdoor", lambda m, c, x: x if c else m),
+                         ("ising", lambda m, c, x: x)):
+        ch = _channel(name)
+        for m, c, x in itertools.product((0, 1), repeat=3):
+            s = 2 * m + c
+            assert ch.spec.q[s, x].tolist() == [float(y == (m if c else x)) for y in (0, 1)]
+            after = next_m(m, c, x)
+            assert ch.kernel.table[s, x].tolist() == [0.5 * (s2 // 2 == after) for s2 in range(4)]
+        assert ch.kernel.init.tolist() == [0.25] * 4
 
 
 @pytest.mark.parametrize("engine", [forward_joint, oracles.loop_forward_joint],
